@@ -20,7 +20,7 @@ from .gap_report import (
     run_gap_experiment,
     verify_convex_combination,
 )
-from .graphs import graph_from_json, graph_to_json
+from .graphs import GraphError, graph_to_json, load_graph
 from .instance import InstanceError, OracleCapError, brute_force_opt, load_instance
 from .lp_core import DualSolution, LpCapError, compute_t_star, verify_dual
 from .rational import RationalParseError, format_rational, parse_rational
@@ -119,7 +119,13 @@ def cli_main(argv: list[str] | None = None) -> int:
         return USAGE_EXIT
     try:
         return _dispatch(args)
-    except (InstanceError, RationalParseError, FileNotFoundError) as exc:
+    except (
+        InstanceError,
+        GraphError,
+        RationalParseError,
+        FileNotFoundError,
+        json.JSONDecodeError,
+    ) as exc:
         return _fail(str(exc))
     except (OracleCapError, LpCapError, topology.EtaCapError) as exc:
         return _fail(f"cap exceeded: {exc}", 1)
@@ -174,13 +180,13 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "eta":
-        g, _ = _load_graph(args.graph)
+        g, _ = load_graph(args.graph)
         value = topology.eta(g)
         _emit({"eta": "inf" if value == topology.INF else int(value)})
         return 0
 
     if args.command == "de-verify":
-        g, _ = _load_graph(args.graph)
+        g, _ = load_graph(args.graph)
         with open(args.trace, "r", encoding="utf-8") as fh:
             trace = json.load(fh)
         seq = topology.sequence_from_json(g, trace)
@@ -198,7 +204,7 @@ def _dispatch(args) -> int:
         return 0 if res.valid else 1
 
     if args.command == "de-search":
-        g, _ = _load_graph(args.graph)
+        g, _ = load_graph(args.graph)
         out = topology.search_de_sequence(g, args.objective, budget=args.budget)
         doc = {
             "found": out.found,
@@ -313,11 +319,6 @@ def _dispatch(args) -> int:
         return 1 if exceeded else 0
 
     raise AssertionError(f"unhandled command {args.command!r}")
-
-
-def _load_graph(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_json(json.load(fh))
 
 
 def main() -> None:

@@ -117,6 +117,8 @@ def vertex_to_json(v: Vertex):
 
 def vertex_from_json(obj) -> Vertex:
     if isinstance(obj, dict):
+        if "owner" not in obj or not isinstance(obj.get("resources"), list):
+            raise GraphError(f"bad vertex descriptor {obj!r}")
         return (obj["owner"], tuple(sorted(obj["resources"])))
     if isinstance(obj, list):
         raise GraphError(f"bad vertex descriptor {obj!r}")
@@ -137,17 +139,33 @@ def graph_to_json(g: Graph, parts: dict[str, tuple] | None = None, **extra) -> d
 
 
 def graph_from_json(doc: dict) -> tuple[Graph, dict[str, tuple] | None]:
+    """Read a santa-graph/1 document; malformed input raises GraphError."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("vertices"), (list, tuple)):
+        raise GraphError("graph document needs a 'vertices' list")
     vertices = [vertex_from_json(v) for v in doc["vertices"]]
+
+    def at(i) -> Vertex:
+        # bool is an int subclass, and a negative index would wrap around
+        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < len(vertices):
+            raise GraphError(
+                f"vertex index {i!r} is not an integer in 0..{len(vertices) - 1}"
+            )
+        return vertices[i]
+
     edges = []
     for e in doc.get("edges", ()):
-        i, j = e
-        edges.append((vertices[i], vertices[j]))
+        if not isinstance(e, (list, tuple)) or len(e) != 2:
+            raise GraphError(f"edge {e!r} is not a pair of vertex indices")
+        edges.append((at(e[0]), at(e[1])))
     g = Graph(vertices, edges)
     parts = None
     if "parts" in doc:
+        if not isinstance(doc["parts"], dict) or not all(
+            isinstance(idxs, (list, tuple)) for idxs in doc["parts"].values()
+        ):
+            raise GraphError("'parts' must map part names to vertex index lists")
         parts = {
-            p: tuple(sorted(vertices[i] for i in idxs))
-            for p, idxs in doc["parts"].items()
+            p: tuple(sorted(at(i) for i in idxs)) for p, idxs in doc["parts"].items()
         }
     return g, parts
 

@@ -1,20 +1,33 @@
 """Independence complexes and reduced Z2 homology.
 
 eta(G) is 1 plus the first dimension with nonvanishing reduced homology
-of the independence complex over GF(2), and infinity when every rank
-vanishes.  The empty graph has eta 0; a graph with an isolated vertex
-has eta infinity, because the isolated vertex is a cone apex of the
-complex and cones have no homology in any dimension.
+of the independence complex Ind(G) over GF(2), and infinity when every
+rank vanishes.  The empty graph has eta 0.
 
-Chain groups are enumerated dimension by dimension (independent sets of
-size d+1 as bitmasks) and boundary ranks are computed by bitwise GF(2)
-elimination, stopping as soon as the answer is decided.
+On a cache miss, eta and eta_at_least apply two exact reductions before
+any homology is computed:
+
+* Fold: if N(u) is a subset of N(w) for some u != w, then Ind(G) and
+  Ind(G - w) are homotopy equivalent (Engstrom, Eur. J. Combin. 2008).
+  Dominated vertices are removed until none is left.  An isolated
+  vertex makes Ind(G) a cone, so eta is infinity as soon as one appears.
+* Components: Ind(G1 + G2) is the join Ind(G1) * Ind(G2), so by the
+  Kunneth formula over GF(2) eta adds over connected components, and
+  one acyclic component makes the whole complex acyclic.
+
+Each component left goes through the chain-complex code: chain groups
+are enumerated dimension by dimension (independent sets of size d+1 as
+bitmasks) and boundary ranks are computed by bitwise GF(2) elimination,
+stopping as soon as the answer is decided.  homology_profile runs the
+same level loop on the whole graph with no shortcut, so it serves as
+the oracle for eta.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from ..graphs import Graph
 
@@ -105,43 +118,146 @@ def _boundary_rank(
     return _rank_gf2(columns)
 
 
+def _betti_numbers(adj: list[int], max_simplices: int) -> Iterator[int]:
+    """Reduced Z2 Betti numbers of Ind(G) in dimensions 0, 1, ..., one
+    level of independent sets at a time; G has at least one vertex."""
+    n = len(adj)
+    level = [(1 << i, i, adj[i] | (1 << i)) for i in range(n)]
+    rank_down = 1  # augmentation: every vertex maps to the empty simplex
+    while level:
+        nxt = _next_level(level, adj, n, max_simplices)
+        lower_index = {mask: j for j, (mask, _, _) in enumerate(level)}
+        rank_up = _boundary_rank(nxt, lower_index)
+        yield len(level) - rank_down - rank_up
+        level = nxt
+        rank_down = rank_up
+
+
 def _first_hole(
-    g: Graph, stop_dim: int | None, max_simplices: int
+    adj: list[int], stop_dim: int | None, max_simplices: int
 ) -> tuple[int | None, bool]:
     """(first dimension with nonzero reduced homology, decided).
 
     Returns (None, True) when the whole complex was exhausted with every
-    rank zero, and (None, False) when stop_dim was reached undecided.
-    Assumes a nonempty graph with no isolated vertex.
+    rank zero, and (None, False) when dimension stop_dim passed with
+    every rank zero.  Assumes a graph with at least one vertex.
     """
-    n = len(g.vertices)
-    adj = _adjacency_masks(g)
-    level = [(1 << i, i, adj[i] | (1 << i)) for i in range(n)]
-    rank_down = 1  # augmentation: every vertex maps to the empty simplex
-    d = 0
-    while True:
-        if stop_dim is not None and d > stop_dim:
-            return None, False
-        nxt = _next_level(level, adj, n, max_simplices)
-        lower_index = {mask: j for j, (mask, _, _) in enumerate(level)}
-        rank_up = _boundary_rank(nxt, lower_index)
-        betti = len(level) - rank_down - rank_up
+    if stop_dim is not None and stop_dim < 0:
+        return None, False
+    for d, betti in enumerate(_betti_numbers(adj, max_simplices)):
         if betti > 0:
             return d, True
-        if not nxt:
-            return None, True
-        level = nxt
-        rank_down = rank_up
-        d += 1
+        if d == stop_dim:
+            return None, False
+    return None, True
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _fold_components(adj: list[int]) -> list[list[int]] | None:
+    """Fold dominated vertices away, then split into connected components.
+
+    Returns the components' adjacency masks, each re-indexed from 0 and
+    smallest first, or None as soon as a vertex is isolated.  The bit
+    loops are written out: this runs on every eta cache miss.
+    """
+    if not all(adj):
+        return None
+    n = len(adj)
+    full = alive = (1 << n) - 1
+    adj = list(adj)  # masks of alive vertices are kept restricted to alive
+    folded = True
+    while folded:
+        folded = False
+        for u in range(n):
+            if not (alive >> u) & 1:
+                continue
+            # common ends as u plus every w != u adjacent to all of N(u),
+            # i.e. with N(u) <= N(w); all of those w fold away at once,
+            # since removing one leaves N(u) inside the others' neighbourhoods
+            me = 1 << u
+            common = alive
+            rest = adj[u]
+            while rest and common != me:
+                low = rest & -rest
+                common &= adj[low.bit_length() - 1]
+                rest ^= low
+            if common == me:
+                continue
+            alive &= ~(common ^ me)
+            folded = True
+            for v in range(n):
+                if (alive >> v) & 1:
+                    adj[v] &= alive
+                    if not adj[v]:
+                        return None
+    comps = []
+    while alive:
+        comp = frontier = alive & -alive
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~comp
+            comp |= frontier
+        if comp == full:  # nothing folded and connected: no re-indexing
+            return [adj]
+        alive &= ~comp
+        members = list(_bits(comp))
+        pos = {v: i for i, v in enumerate(members)}
+        comps.append([sum(1 << pos[x] for x in _bits(adj[v])) for v in members])
+    comps.sort(key=len)
+    return comps
+
+
+def _reduced_eta(
+    adj: list[int], t: int | None, max_simplices: int
+) -> int | float | None:
+    """eta of the graph with adjacency masks adj, by fold and components.
+
+    With t given, homology stops once eta >= t is certain; the result is
+    then None unless the exact value was found on the way.
+    """
+    comps = _fold_components(adj)
+    if comps is None:
+        return INF
+    total = 0
+    for i, comp in enumerate(comps):
+        stop = None
+        if t is not None:
+            # every later component is nonempty and adds at least 1
+            stop = t - total - (len(comps) - 1 - i) - 2
+        hole, decided = _first_hole(comp, stop, max_simplices)
+        if not decided:
+            return None
+        if hole is None:
+            return INF
+        total += hole + 1
+    return total
 
 
 # Keyed by the full (vertices, edges) structure; plain dict get/set are
 # atomic under the GIL, so concurrent eta calls may share this cache.
+# It is emptied whenever it reaches ETA_CACHE_MAX entries.
+ETA_CACHE_MAX = 1 << 16
 _ETA_CACHE: dict = {}
 
 
 def clear_eta_cache() -> None:
     _ETA_CACHE.clear()
+
+
+def _remember(key, value: int | float) -> None:
+    if len(_ETA_CACHE) >= ETA_CACHE_MAX:
+        _ETA_CACHE.clear()
+    _ETA_CACHE[key] = value
 
 
 def eta(
@@ -156,15 +272,8 @@ def eta(
     cached = _ETA_CACHE.get(g.key)
     if cached is not None:
         return cached
-    if not g.vertices:
-        value: int | float = 0
-    elif g.has_isolated_vertex():
-        value = INF
-    else:
-        hole, decided = _first_hole(g, None, max_simplices)
-        value = INF if hole is None else hole + 1
-        assert decided
-    _ETA_CACHE[g.key] = value
+    value = _reduced_eta(_adjacency_masks(g), None, max_simplices)
+    _remember(g.key, value)
     return value
 
 
@@ -183,18 +292,11 @@ def eta_at_least(
     cached = _ETA_CACHE.get(g.key)
     if cached is not None:
         return cached >= t
-    if not g.vertices:
-        return False
-    if g.has_isolated_vertex():
-        _ETA_CACHE[g.key] = INF
+    value = _reduced_eta(_adjacency_masks(g), t, max_simplices)
+    if value is None:
         return True
-    hole, decided = _first_hole(g, t - 2, max_simplices)
-    if hole is not None:
-        _ETA_CACHE[g.key] = hole + 1
-        return hole + 1 >= t
-    if decided:
-        _ETA_CACHE[g.key] = INF
-    return True
+    _remember(g.key, value)
+    return value >= t
 
 
 def homology_profile(
@@ -205,27 +307,15 @@ def homology_profile(
 ) -> HomologyProfile:
     """Full reduced-homology rank profile of the independence complex.
 
-    Deliberately avoids the cone shortcut so it can serve as an
-    independent oracle for eta.
+    Deliberately applies no fold, component or cone shortcut, so it can
+    serve as an independent oracle for eta.
     """
     if len(g.vertices) > max_vertices:
         raise EtaCapError(f"{len(g.vertices)} vertices exceeds cap {max_vertices}")
-    n = len(g.vertices)
-    if n == 0:
+    if not g.vertices:
         return HomologyProfile({-1: 1})
     ranks: dict[int, int] = {-1: 0}
-    adj = _adjacency_masks(g)
-    level = [(1 << i, i, adj[i] | (1 << i)) for i in range(n)]
-    rank_down = 1
-    d = 0
-    while level:
-        nxt = _next_level(level, adj, n, max_simplices)
-        lower_index = {mask: j for j, (mask, _, _) in enumerate(level)}
-        rank_up = _boundary_rank(nxt, lower_index)
-        ranks[d] = len(level) - rank_down - rank_up
-        level = nxt
-        rank_down = rank_up
-        d += 1
+    ranks.update(enumerate(_betti_numbers(_adjacency_masks(g), max_simplices)))
     return HomologyProfile(ranks)
 
 

@@ -172,3 +172,38 @@ def test_json_instance_input(tmp_path):
     code, out, _ = run_cli(["tstar", str(path)])
     assert code == 0
     assert json.loads(out)["t_star"] == "1/2"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"vertices": [0, 1, 2], "edges": [[0, 1], [0, -1]]},
+        {"vertices": [0, 1, 2], "edges": [[0, 1], [True, 2]]},
+        {"vertices": [0, 1, 2], "edges": [[0, 1], [0, 5]]},
+        {"vertices": [0, 1, 2], "edges": [[0, 1, 2]]},
+        {"vertices": [{"owner": "p"}, 1], "edges": []},
+        {"vertices": [0, 1], "edges": [[0, 1]], "parts": {"a": 3}},
+    ],
+    ids=[
+        "negative-index",
+        "boolean-index",
+        "out-of-range-index",
+        "not-a-pair",
+        "bad-descriptor",
+        "bad-parts",
+    ],
+)
+def test_eta_rejects_malformed_graph(tmp_path, doc):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(["eta", str(path)])
+    assert code == 1
+    assert "error" in json.loads(out)
+
+
+def test_eta_rejects_invalid_json(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text('{"vertices": [0, 1], "edges": [[0, 1]')
+    code, out, _ = run_cli(["eta", str(path)])
+    assert code == 1
+    assert "error" in json.loads(out)

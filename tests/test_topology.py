@@ -198,6 +198,80 @@ def test_eta_at_least_agrees_with_eta():
             assert tp.eta_at_least(g, t) == (value >= t)
 
 
+def _disjoint_union(g1: Graph, g2: Graph) -> Graph:
+    shift = len(g1.vertices)
+    return Graph(
+        list(range(shift + len(g2.vertices))),
+        list(g1.edges) + [(u + shift, v + shift) for u, v in g2.edges],
+    )
+
+
+def _graph_with_shape(rng: random.Random, shape: str) -> Graph:
+    """A random graph of at most 12 vertices with the named shape."""
+    if shape == "any":
+        n = rng.randint(0, 12)
+        p = rng.choice([0.15, 0.3, 0.5, 0.7, 0.9])
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        return Graph(range(n), edges)
+    if shape == "disconnected":
+        return _disjoint_union(random_graph(rng, 6), random_graph(rng, 6))
+    g = random_graph(rng, 10)
+    n = len(g.vertices)
+    if shape == "isolated":
+        return Graph(range(n + rng.randint(1, 2)), g.edges)
+    # dominated: a new vertex w whose neighbourhood contains that of some u
+    u = rng.randrange(n)
+    extra = [v for v in range(n) if v != u and rng.random() < 0.3]
+    neighbours = set(g.neighbors(u)) | set(extra)
+    return Graph(range(n + 1), list(g.edges) + [(v, n) for v in neighbours])
+
+
+def test_eta_differential_against_homology_profile():
+    """eta and eta_at_least, with fold and component reductions, agree with
+    the unreduced homology profile on seeded random graphs."""
+    rng = random.Random(2024)
+    shapes = ("any", "disconnected", "isolated", "dominated")
+    for i in range(2000):
+        g = _graph_with_shape(rng, shapes[i % len(shapes)])
+        expected = tp.eta_from_profile(tp.homology_profile(g))
+        tp.clear_eta_cache()
+        assert tp.eta(g) == expected, g.key
+        for t in range(len(g.vertices) + 2):
+            tp.clear_eta_cache()
+            assert tp.eta_at_least(g, t) == (expected >= t), (g.key, t)
+    tp.clear_eta_cache()
+
+
+def test_eta_adds_over_components():
+    c5 = cycle_graph(5)
+    assert tp.eta(_disjoint_union(c5, c5)) == 2 * tp.eta(c5) == 4
+    k2 = complete_graph(2)
+    assert tp.eta(_disjoint_union(k2, k2)) == 2
+
+
+def test_vertex_cap_applies_to_unreduced_input():
+    # 25 vertices with isolated ones: fold would reduce it to a cone at once
+    g = Graph(range(25), [(0, 1)])
+    with pytest.raises(tp.EtaCapError):
+        tp.eta(g)
+    with pytest.raises(tp.EtaCapError):
+        tp.eta_at_least(g, 2)
+
+
+def test_eta_cache_is_bounded(monkeypatch):
+    from santagap.topology import homology
+
+    monkeypatch.setattr(homology, "ETA_CACHE_MAX", 8)
+    tp.clear_eta_cache()
+    rng = random.Random(31)
+    graphs = [random_graph(rng, 7) for _ in range(40)]
+    for _ in range(2):  # the second round reads values stored after evictions
+        for g in graphs:
+            assert tp.eta(g) == tp.eta_from_profile(tp.homology_profile(g))
+            assert len(homology._ETA_CACHE) <= 8
+    tp.clear_eta_cache()
+
+
 # -- delete / explode -----------------------------------------------------------
 
 def test_delete_keeps_vertices():

@@ -1,5 +1,4 @@
 import math
-import os
 from fractions import Fraction
 
 import pytest
@@ -322,10 +321,6 @@ def test_driver_one_fifth_instance():
     assert brute_force_opt(inst).opt_value >= r_c(5) * Fraction(1, 5)
 
 
-@pytest.mark.skipif(
-    not os.environ.get("SANTAGAP_SLOW"),
-    reason="tens of seconds; set SANTAGAP_SLOW=1 to run",
-)
 def test_driver_one_fifth_symmetric_phases():
     # fully shared eps-pool: the full player set certifies by length,
     # running phases X = 5..2 on a 20-vertex thin graph
