@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .graphs import Graph
 from .instance import Instance
+from .lp_core import fat_for_players
 from .subsets import SubsetCapError, max_value_below, minimal_subsets_at_least
 
 DEFAULT_TRANSVERSAL_VERTEX_CAP = 60
@@ -52,10 +53,7 @@ class FatReport:
     threshold: Fraction
 
     def fat_for(self, inst: Instance, U) -> frozenset[str]:
-        coveted = set()
-        for p in U:
-            coveted |= inst.covets[p]
-        return frozenset(self.fat_set & coveted)
+        return fat_for_players(inst, U, self.fat_set)
 
 
 @dataclass(frozen=True)

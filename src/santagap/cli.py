@@ -48,6 +48,23 @@ def _fail(message: str, code: int = 1) -> int:
     return code
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _unit_interval_rational(text: str) -> Fraction:
+    try:
+        value = parse_rational(text)
+    except RationalParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"expected a rational in (0, 1], got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="santagap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -81,11 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thin", action="store_true", help="emit J(alpha) instead")
 
     p = sub.add_parser("rc-table", help="(c, r_c, c/r_c) table")
-    p.add_argument("--max", type=int, default=30)
+    p.add_argument("--max", type=_positive_int, default=30)
     p.add_argument("--tsv", action="store_true")
 
     p = sub.add_parser("f-gap", help="two-values gap bound f(x)")
-    p.add_argument("x")
+    p.add_argument("x", type=_unit_interval_rational)
 
     p = sub.add_parser("verify-coefficients", help="53/15 convex combination")
     p.add_argument("--T", required=True)
@@ -98,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="integrality-gap batch")
     p.add_argument("--kind", choices=["random", "two_value"], default="random")
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=_positive_int, default=10)
     p.add_argument("--players", type=int, default=3)
     p.add_argument("--resources", type=int, default=7)
     p.add_argument("--density", type=float, default=0.6)
@@ -125,6 +142,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         RationalParseError,
         FileNotFoundError,
         json.JSONDecodeError,
+        topology.SequenceError,
     ) as exc:
         return _fail(str(exc))
     except (OracleCapError, LpCapError, topology.EtaCapError) as exc:
@@ -261,11 +279,10 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "f-gap":
-        x = parse_rational(args.x)
-        value = f_gap(x)
+        value = f_gap(args.x)
         _emit(
             {
-                "x": format_rational(x),
+                "x": format_rational(args.x),
                 "f": format_rational(value),
                 "decimal": float(value),
             }
@@ -282,11 +299,20 @@ def _dispatch(args) -> int:
         target = parse_rational(args.target)
         with open(args.dual, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not (
+            isinstance(doc, dict)
+            and isinstance(doc.get("y"), dict)
+            and isinstance(doc.get("z"), dict)
+        ):
+            return _fail('dual document must be an object with "y" and "z" objects')
         sol = DualSolution(
             {p: parse_rational(str(v)) for p, v in doc["y"].items()},
             {r: parse_rational(str(v)) for r, v in doc["z"].items()},
         )
-        check = verify_dual(inst, target, sol)
+        try:
+            check = verify_dual(inst, target, sol)
+        except ValueError as exc:  # players or resources do not match the instance
+            return _fail(str(exc))
         out = {
             "feasible": check.feasible,
             "objective": format_rational(check.objective),

@@ -8,9 +8,11 @@ lexicographic so that all downstream computations are deterministic.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from .rational import format_rational, parse_rational
 
@@ -261,7 +263,8 @@ def brute_force_opt(
     Every resource is assigned to one of its coveters or to nobody.  The
     search is pruned with the optimistic bound min_p(value_p + remaining
     potential of p), so equal-value instances finish in well under the
-    worst-case product.
+    worst-case product.  The search adds and compares integers: every
+    value times the lcm of the value denominators.
     """
     if len(inst.resources) > max_resources or len(inst.players) > max_players:
         raise OracleCapError(
@@ -279,26 +282,28 @@ def brute_force_opt(
     ]
     relevant.sort(key=lambda t: (-t[1], t[0]))
     n = len(relevant)
-    # potential[p][i] = total value of resources i.. coveted by p
-    potential = [[Fraction(0)] * (n + 1) for _ in players]
+    scale = math.lcm(*(val.denominator for _, val, _ in relevant))
+    ints = [int(val * scale) for _, val, _ in relevant]
+    # potential[i][p] = scaled total value of resources i.. coveted by p
+    potential = [[0] * len(players) for _ in range(n + 1)]
     for i in range(n - 1, -1, -1):
-        _, val, coveters = relevant[i]
-        for p in range(len(players)):
-            potential[p][i] = potential[p][i + 1] + (val if p in coveters else 0)
+        coveters = relevant[i][2]
+        potential[i] = [
+            later + (ints[i] if p in coveters else 0)
+            for p, later in enumerate(potential[i + 1])
+        ]
 
-    best_value = Fraction(-1)
+    best_value = -1
     best_choice: list[int | None] = [None] * n
     choice: list[int | None] = [None] * n
-    values = [Fraction(0)] * len(players)
+    values = [0] * len(players)
     nodes = 0
-
-    def bound(i: int) -> Fraction:
-        return min(values[p] + potential[p][i] for p in range(len(players)))
 
     def dfs(i: int) -> None:
         nonlocal best_value, nodes
         nodes += 1
-        if bound(i) <= best_value:
+        # Optimistic bound: min over p of value_p + remaining potential of p.
+        if min(map(add, values, potential[i])) <= best_value:
             return
         if i == n:
             current = min(values)
@@ -306,8 +311,8 @@ def brute_force_opt(
                 best_value = current
                 best_choice[:] = choice
             return
-        _, val, coveters = relevant[i]
-        for p in coveters:
+        val = ints[i]
+        for p in relevant[i][2]:
             values[p] += val
             choice[i] = p
             dfs(i + 1)
@@ -318,7 +323,7 @@ def brute_force_opt(
     if players:
         dfs(0)
     else:
-        best_value = Fraction(0)
+        best_value = 0
 
     assignment: dict[str, set[str]] = {p: set() for p in players}
     for i, owner in enumerate(best_choice):
@@ -326,7 +331,7 @@ def brute_force_opt(
             assignment[players[owner]].add(relevant[i][0])
     witness = Allocation({p: frozenset(s) for p, s in assignment.items()})
     witness.validate(inst)
-    opt = best_value if best_value >= 0 else Fraction(0)
+    opt = Fraction(max(best_value, 0), scale)
     if players and witness.min_value(inst) != opt:
         raise AssertionError("oracle witness does not achieve its optimum")
     return OptResult(opt, witness, nodes)

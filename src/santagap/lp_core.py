@@ -2,11 +2,13 @@
 
 The configuration LP for target T has one column per (player, minimal
 configuration) pair, a covering constraint per player and a packing
-constraint per resource.  Feasibility is decided by an exact-rational
-phase-1 simplex with Bland's smallest-index rule, so identical inputs
-always pivot identically.  Restricting columns to inclusion-minimal
-configurations is valid: shrinking a configuration only relaxes packing
-constraints, and every configuration contains a minimal one.
+constraint per resource.  Feasibility is decided by an exact phase-1
+simplex with Bland's smallest-index rule, so identical inputs always
+pivot identically; its tableau holds integers over one common
+denominator, and only the values it returns are Fractions.  Restricting
+columns to inclusion-minimal configurations is valid: shrinking a
+configuration only relaxes packing constraints, and every configuration
+contains a minimal one.
 
 When the LP is infeasible the phase-1 dual prices form a feasible dual
 solution with strictly positive objective, which is returned as the
@@ -146,35 +148,40 @@ def build_clp_model(inst: Instance, target: Fraction, **caps) -> ClpModel:
 
 def _phase1_simplex(
     nrows: int,
-    columns: list[list[tuple[int, Fraction]]],
+    columns: list[list[tuple[int, int]]],
 ) -> tuple[Fraction, list[Fraction], list[Fraction]]:
-    """Minimize the artificial sum of {Ax = 1, x >= 0} given sparse columns.
+    """Minimize the artificial sum of {Ax = 1, x >= 0} given sparse integer columns.
 
     Returns (optimum, x values for the given columns, dual prices pi).
     Artificial variables are appended internally, start basic, and are
     barred from re-entering once they leave.
+
+    The tableau is fraction-free (Edmonds 1967; Bareiss 1968): integer
+    entries over one common denominator ``den``, the previous pivot
+    element (1 at the start).  Pivoting on p in column k keeps the pivot
+    row, turns every other row r into (p*r - r[k]*pivot row) / den and
+    makes p the new ``den``; every such division is exact.  Entering and
+    leaving choices follow Bland's rule as on a rational tableau, so the
+    pivot sequence and every returned value are the same.
     """
-    one = Fraction(1)
     ncols = len(columns)
     art0 = ncols
     total = ncols + nrows
     # Dense tableau: rows x (total + rhs); artificial j occupies art0 + j.
-    rows = [[Fraction(0)] * (total + 1) for _ in range(nrows)]
+    rows = [[0] * (total + 1) for _ in range(nrows)]
     for j, col in enumerate(columns):
         for i, coef in col:
             rows[i][j] = coef
     for i in range(nrows):
-        rows[i][art0 + i] = one
-        rows[i][total] = one
+        rows[i][art0 + i] = 1
+        rows[i][total] = 1
     # Reduced-cost row for cost = 1 on artificials: subtract each row.
-    obj = [Fraction(0)] * (total + 1)
-    for j in range(art0, total):
-        obj[j] = one
-    for i in range(nrows):
-        for j in range(total + 1):
-            obj[j] -= rows[i][j]
+    obj = [0] * art0 + [1] * nrows + [0]
+    for row in rows:
+        obj = [o - a for o, a in zip(obj, row)]
     basis = list(range(art0, total))
     banned = [False] * total
+    den = 1
 
     while True:
         enter = -1
@@ -184,52 +191,44 @@ def _phase1_simplex(
                 break
         if enter < 0:
             break
+        # Ratio test b_i / a_i over a_i > 0, compared by cross-multiplying.
         leave = -1
-        best_ratio = None
         for i in range(nrows):
             a = rows[i][enter]
             if a > 0:
-                ratio = rows[i][total] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
+                if leave < 0:
+                    leave = i
+                    continue
+                lhs = rows[i][total] * rows[leave][enter]
+                rhs = rows[leave][total] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             raise AssertionError("phase-1 objective unbounded below (impossible)")
         if basis[leave] >= art0:
             banned[basis[leave]] = True
-        piv = rows[leave][enter]
         prow = rows[leave]
-        if piv != 1:
-            inv = one / piv
-            for j in range(total + 1):
-                if prow[j]:
-                    prow[j] *= inv
-        for row in rows:
+        piv = prow[enter]
+        for i, row in enumerate(rows):
             if row is prow:
                 continue
-            factor = row[enter]
-            if factor:
-                for j in range(total + 1):
-                    if prow[j]:
-                        row[j] -= factor * prow[j]
-        factor = obj[enter]
-        if factor:
-            for j in range(total + 1):
-                if prow[j]:
-                    obj[j] -= factor * prow[j]
+            f = row[enter]
+            if f:
+                rows[i] = [(a * piv - f * b) // den for a, b in zip(row, prow)]
+            elif piv != den:
+                rows[i] = [a * piv // den for a in row]
+        f = obj[enter]
+        obj = [(a * piv - f * b) // den for a, b in zip(obj, prow)]
+        den = piv
         basis[leave] = enter
 
-    optimum = -obj[total]
+    optimum = Fraction(-obj[total], den)
     x = [Fraction(0)] * ncols
     for i, bj in enumerate(basis):
         if bj < ncols:
-            x[bj] = rows[i][total]
+            x[bj] = Fraction(rows[i][total], den)
     # pi_i = cost(artificial_i) - reduced_cost(artificial_i)
-    pi = [one - obj[art0 + i] for i in range(nrows)]
+    pi = [Fraction(den - obj[art0 + i], den) for i in range(nrows)]
     return optimum, x, pi
 
 
@@ -247,16 +246,15 @@ def clp_feasible(inst: Instance, target: Fraction, **caps) -> LpFeasibilityResul
     rrow = {r: len(players) + i for i, r in enumerate(resource_ids)}
     nrows = len(players) + len(resource_ids)
 
-    columns: list[list[tuple[int, Fraction]]] = []
-    one = Fraction(1)
+    columns: list[list[tuple[int, int]]] = []
     for cfg in model.columns:
-        col = [(prow[cfg.owner], one)]
-        col.extend((rrow[r], one) for r in cfg.sorted_resources())
+        col = [(prow[cfg.owner], 1)]
+        col.extend((rrow[r], 1) for r in cfg.sorted_resources())
         columns.append(col)
     for p in players:  # surplus for covering rows
-        columns.append([(prow[p], -one)])
+        columns.append([(prow[p], -1)])
     for r in resource_ids:  # slack for packing rows
-        columns.append([(rrow[r], one)])
+        columns.append([(rrow[r], 1)])
 
     optimum, x, pi = _phase1_simplex(nrows, columns)
     if optimum == 0:

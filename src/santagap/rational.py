@@ -1,8 +1,12 @@
 """Exact rational parsing and formatting.
 
-All feasibility decisions in this package are made with exact rationals
-(stdlib ``fractions.Fraction``); floating point appears only in reports
-and in the closed-form limit constant.
+All feasibility decisions in this package are exact; floating point
+appears only in reports and in the closed-form limit constant.  Values
+are exact rationals (stdlib ``fractions.Fraction``).  The two hot
+kernels compute on Python integers and build Fractions only for what
+they return: the phase-1 simplex pivots an integer tableau over one
+common denominator, and the exhaustive OPT search runs on values scaled
+by the lcm of their denominators.
 """
 
 from __future__ import annotations

@@ -1,0 +1,129 @@
+"""Slow reference implementations that the fast exact kernels are checked against.
+
+``dense_phase1_simplex`` is the rational-tableau phase-1 simplex that
+``lp_core._phase1_simplex`` replaced: same Bland rule, every entry a
+``Fraction``.  ``exhaustive_opt`` tries every assignment of every
+coveted resource, with no pruning.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+from santagap.instance import Allocation, Instance
+
+EXHAUSTIVE_RESOURCE_CAP = 7
+
+
+def dense_phase1_simplex(
+    nrows: int,
+    columns: list[list[tuple[int, Fraction]]],
+) -> tuple[Fraction, list[Fraction], list[Fraction]]:
+    """Minimize the artificial sum of {Ax = 1, x >= 0} given sparse columns.
+
+    Returns (optimum, x values for the given columns, dual prices pi).
+    Artificial variables are appended internally, start basic, and are
+    barred from re-entering once they leave.
+    """
+    one = Fraction(1)
+    ncols = len(columns)
+    art0 = ncols
+    total = ncols + nrows
+    # Dense tableau: rows x (total + rhs); artificial j occupies art0 + j.
+    rows = [[Fraction(0)] * (total + 1) for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, coef in col:
+            rows[i][j] = coef
+    for i in range(nrows):
+        rows[i][art0 + i] = one
+        rows[i][total] = one
+    # Reduced-cost row for cost = 1 on artificials: subtract each row.
+    obj = [Fraction(0)] * (total + 1)
+    for j in range(art0, total):
+        obj[j] = one
+    for i in range(nrows):
+        for j in range(total + 1):
+            obj[j] -= rows[i][j]
+    basis = list(range(art0, total))
+    banned = [False] * total
+
+    while True:
+        enter = -1
+        for j in range(total):
+            if not banned[j] and obj[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best_ratio = None
+        for i in range(nrows):
+            a = rows[i][enter]
+            if a > 0:
+                ratio = rows[i][total] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave < 0:
+            raise AssertionError("phase-1 objective unbounded below (impossible)")
+        if basis[leave] >= art0:
+            banned[basis[leave]] = True
+        piv = rows[leave][enter]
+        prow = rows[leave]
+        if piv != 1:
+            inv = one / piv
+            for j in range(total + 1):
+                if prow[j]:
+                    prow[j] *= inv
+        for row in rows:
+            if row is prow:
+                continue
+            factor = row[enter]
+            if factor:
+                for j in range(total + 1):
+                    if prow[j]:
+                        row[j] -= factor * prow[j]
+        factor = obj[enter]
+        if factor:
+            for j in range(total + 1):
+                if prow[j]:
+                    obj[j] -= factor * prow[j]
+        basis[leave] = enter
+
+    optimum = -obj[total]
+    x = [Fraction(0)] * ncols
+    for i, bj in enumerate(basis):
+        if bj < ncols:
+            x[bj] = rows[i][total]
+    # pi_i = cost(artificial_i) - reduced_cost(artificial_i)
+    pi = [one - obj[art0 + i] for i in range(nrows)]
+    return optimum, x, pi
+
+
+def exhaustive_opt(inst: Instance) -> tuple[Fraction, Allocation]:
+    """OPT and one optimal allocation, from every assignment of the coveted
+    resources to a coveter or to nobody."""
+    if len(inst.resources) > EXHAUSTIVE_RESOURCE_CAP:
+        raise ValueError(f"more than {EXHAUSTIVE_RESOURCE_CAP} resources")
+    rids = [
+        r for r in inst.resource_ids if any(r in inst.covets[p] for p in inst.players)
+    ]
+    choices = [
+        [p for p in inst.players if r in inst.covets[p]] + [None] for r in rids
+    ]
+    best_value, best = None, None
+    for owners in itertools.product(*choices):
+        assignment = {p: frozenset() for p in inst.players}
+        for r, owner in zip(rids, owners):
+            if owner is not None:
+                assignment[owner] |= {r}
+        alloc = Allocation(assignment)
+        value = alloc.min_value(inst) if inst.players else Fraction(0)
+        if best_value is None or value > best_value:
+            best_value, best = value, alloc
+    return best_value, best

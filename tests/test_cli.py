@@ -207,3 +207,49 @@ def test_eta_rejects_invalid_json(tmp_path):
     code, out, _ = run_cli(["eta", str(path)])
     assert code == 1
     assert "error" in json.loads(out)
+
+
+def test_de_verify_unknown_op_is_json_error(tmp_path):
+    gpath = tmp_path / "k2.json"
+    gpath.write_text(json.dumps({"vertices": [0, 1], "edges": [[0, 1]]}))
+    tpath = tmp_path / "trace.json"
+    tpath.write_text(json.dumps({"steps": [{"op": "flip", "edge": [0, 1]}]}))
+    code, out, _ = run_cli(["de-verify", str(gpath), str(tpath)])
+    assert code == 1
+    assert "flip" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"y": {"p1": "0", "p2": "0"}},
+        {"z": {"a": "0", "b": "0", "c": "0", "d": "0"}},
+        [1, 2],
+        {"y": [0, 0], "z": {"a": "0"}},
+        {"y": {"p1": "0"}, "z": {"a": "0", "b": "0", "c": "0", "d": "0"}},
+    ],
+    ids=["no-z", "no-y", "not-an-object", "y-not-an-object", "missing-player"],
+)
+def test_dual_check_rejects_bad_document(instance_file, tmp_path, doc):
+    dpath = tmp_path / "dual.json"
+    dpath.write_text(json.dumps(doc))
+    code, out, _ = run_cli(["dual-check", instance_file, "1", str(dpath)])
+    assert code == 1
+    assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rc-table", "--max", "0"],
+        ["f-gap", "0"],
+        ["f-gap", "3/2"],
+        ["experiment", "--count", "-1"],
+    ],
+    ids=["rc-table-max-0", "f-gap-0", "f-gap-above-1", "experiment-count-negative"],
+)
+def test_out_of_range_arguments_exit_64(argv):
+    code, out, err = run_cli(argv)
+    assert code == 64
+    assert out == ""
+    assert "error:" in err
