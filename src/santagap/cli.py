@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("de-search", help="search for a DE-sequence")
     p.add_argument("graph")
     p.add_argument("--objective", choices=["ko", "edgeless"], default="ko")
-    p.add_argument("--budget", type=int, default=5000)
+    p.add_argument("--budget", type=_positive_int, default=5000)
 
     p = sub.add_parser("hypergraph", help="emit H(alpha) (or its thin part) as JSON")
     p.add_argument("instance")
@@ -116,8 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="integrality-gap batch")
     p.add_argument("--kind", choices=["random", "two_value"], default="random")
     p.add_argument("--count", type=_positive_int, default=10)
-    p.add_argument("--players", type=int, default=3)
-    p.add_argument("--resources", type=int, default=7)
+    p.add_argument("--players", type=_positive_int, default=3)
+    p.add_argument("--resources", type=_positive_int, default=7)
     p.add_argument("--density", type=float, default=0.6)
     p.add_argument("--eps", default="1/4")
     p.add_argument("--seed", type=int, default=0)

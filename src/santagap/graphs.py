@@ -4,6 +4,13 @@ Allocation-graph vertices are (owner, sorted resource tuple) pairs;
 generic test graphs use plain strings or ints.  Vertices and edges are
 kept in sorted order so that every traversal, search, and hash is
 deterministic.
+
+``Graph(...)`` sorts its input and checks every edge.  The derived graphs
+(``delete_edge``, ``explode_edge``, ``induced``) are subgraphs of a graph
+that has passed those checks, so they reuse its sorted tuples and
+neighbour sets instead: filtering a sorted tuple keeps it sorted, and a
+subgraph of a valid graph is valid.  Either way, equal graphs have equal
+``key``, hash and ``neighbors``.
 """
 
 from __future__ import annotations
@@ -37,11 +44,24 @@ class Graph:
             eset.add((a, b))
             adj[a].add(b)
             adj[b].add(a)
-        self.vertices: tuple[Vertex, ...] = tuple(vs)
-        self.edges: tuple[tuple[Vertex, Vertex], ...] = tuple(sorted(eset))
-        self._adj = {v: frozenset(ns) for v, ns in adj.items()}
-        self._key = (self.vertices, self.edges)
+        self._assign(
+            tuple(vs), tuple(sorted(eset)), {v: frozenset(ns) for v, ns in adj.items()}
+        )
+
+    def _assign(self, vertices: tuple, edges: tuple, adj: dict) -> None:
+        self.vertices: tuple[Vertex, ...] = vertices
+        self.edges: tuple[tuple[Vertex, Vertex], ...] = edges
+        self._adj = adj
+        self._key = (vertices, edges)
         self._hash = hash(self._key)
+
+    @classmethod
+    def _derived(cls, vertices: tuple, edges: tuple, adj: dict) -> "Graph":
+        """A subgraph of a validated graph, from its already sorted tuples
+        and neighbour sets; nothing is sorted or checked again."""
+        g = object.__new__(cls)
+        g._assign(vertices, edges, adj)
+        return g
 
     # -- basic queries ------------------------------------------------------
 
@@ -72,7 +92,11 @@ class Graph:
     def delete_edge(self, e: Iterable[Vertex]) -> "Graph":
         """Remove the edge but keep both end vertices."""
         a, b = self.normalize_edge(e)
-        return Graph(self.vertices, (x for x in self.edges if x != (a, b)))
+        i = self.edges.index((a, b))
+        adj = dict(self._adj)
+        adj[a] = adj[a] - {b}
+        adj[b] = adj[b] - {a}
+        return Graph._derived(self.vertices, self.edges[:i] + self.edges[i + 1 :], adj)
 
     def explode_edge(self, e: Iterable[Vertex]) -> "Graph":
         """Remove both endpoints and all of their neighbors."""
@@ -82,10 +106,13 @@ class Graph:
         return self.induced(keep)
 
     def induced(self, keep: Iterable[Vertex]) -> "Graph":
+        """The subgraph on the vertices of ``keep`` that this graph has."""
         kset = set(keep)
-        return Graph(
-            (v for v in self.vertices if v in kset),
-            ((u, v) for (u, v) in self.edges if u in kset and v in kset),
+        vertices = tuple(v for v in self.vertices if v in kset)
+        return Graph._derived(
+            vertices,
+            tuple((u, v) for (u, v) in self.edges if u in kset and v in kset),
+            {v: self._adj[v] & kset for v in vertices},
         )
 
     # -- identity -----------------------------------------------------------

@@ -27,7 +27,7 @@ class SequenceError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeStep:
     op: str
     edge: tuple
@@ -44,13 +44,20 @@ class DeStep:
 
 
 def step_from_json(obj: dict) -> DeStep:
+    """Read one ``{"op": ..., "edge": [u, v]}`` step; malformed input raises
+    SequenceError."""
     from ..graphs import vertex_from_json
 
-    u, v = obj["edge"]
+    if not isinstance(obj, dict) or "op" not in obj or "edge" not in obj:
+        raise SequenceError(f'trace step {obj!r} is not an object with "op" and "edge"')
+    edge = obj["edge"]
+    if not isinstance(edge, (list, tuple)) or len(edge) != 2:
+        raise SequenceError(f"trace step edge {edge!r} is not a pair of vertices")
+    u, v = edge
     return DeStep(obj["op"], (vertex_from_json(u), vertex_from_json(v)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeSequence:
     """An ordered list of steps tied to the graph they start from."""
 
@@ -70,7 +77,11 @@ class DeSequence:
 
 def sequence_from_json(start: Graph, doc) -> DeSequence:
     """Accept either the enveloped {"steps": [...]} form or a bare step list."""
-    steps = doc["steps"] if isinstance(doc, dict) else doc
+    steps = doc.get("steps") if isinstance(doc, dict) else doc
+    if not isinstance(steps, list):
+        raise SequenceError(
+            'trace is neither a step list nor an object with a "steps" list'
+        )
     return DeSequence(start, tuple(step_from_json(s) for s in steps))
 
 

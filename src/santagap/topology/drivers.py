@@ -26,10 +26,10 @@ from .desequence import (
     search_de_sequence,
     shrink_cover,
 )
-from .homology import eta_at_least
+from .homology import eta, eta_at_least
 
 
-@dataclass
+@dataclass(slots=True)
 class HallResult:
     holds: bool
     violating_U: tuple | None
@@ -56,19 +56,27 @@ def hall_eta_check(
 
 
 def all_deletions(g: Graph, **eta_caps) -> tuple[Graph, list[DeStep]]:
-    """Perform deletable-edge deletions until none remains."""
+    """Perform deletable-edge deletions until none remains.
+
+    This decides deletability only: the first edge e in edge order with
+    eta(G-e) <= eta(G) (``classify_edge(...).deletable``) is deleted and
+    the scan restarts on G-e.  G*e is never built, because nothing here
+    reads whether an edge is explodable.
+    """
     steps: list[DeStep] = []
     while True:
+        before = eta(g, **eta_caps)
         for edge in g.edges:
-            if classify_edge(g, edge, **eta_caps).deletable:
+            smaller = g.delete_edge(edge)
+            if eta(smaller, **eta_caps) <= before:
                 steps.append(DeStep(DELETE, edge))
-                g = g.delete_edge(edge)
+                g = smaller
                 break
         else:
             return g, steps
 
 
-@dataclass
+@dataclass(slots=True)
 class PhaseLedger:
     """Explosion counts and cover unions per accounting class."""
 
@@ -98,7 +106,7 @@ class PhaseLedger:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class FourPhaseResult:
     outcome: str  # "KO" | "edgeless" | "inconclusive"
     ledger: PhaseLedger

@@ -3,7 +3,9 @@
 ``dense_phase1_simplex`` is the rational-tableau phase-1 simplex that
 ``lp_core._phase1_simplex`` replaced: same Bland rule, every entry a
 ``Fraction``.  ``exhaustive_opt`` tries every assignment of every
-coveted resource, with no pruning.
+coveted resource, with no pruning.  ``classify_all_deletions`` is the
+``all_deletions`` loop that classified every edge in full and rebuilt
+each smaller graph with ``Graph(...)``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from santagap.graphs import Graph
 from santagap.instance import Allocation, Instance
+from santagap.topology import DELETE, DeStep, classify_edge
 
 EXHAUSTIVE_RESOURCE_CAP = 7
 
@@ -127,3 +131,17 @@ def exhaustive_opt(inst: Instance) -> tuple[Fraction, Allocation]:
         if best_value is None or value > best_value:
             best_value, best = value, alloc
     return best_value, best
+
+
+def classify_all_deletions(g: Graph, **eta_caps) -> tuple[Graph, list[DeStep]]:
+    """Delete the first edge that ``classify_edge`` calls deletable, in edge
+    order, until none is; each smaller graph is built from scratch."""
+    steps: list[DeStep] = []
+    while True:
+        for edge in g.edges:
+            if classify_edge(g, edge, **eta_caps).deletable:
+                steps.append(DeStep(DELETE, edge))
+                g = Graph(g.vertices, [e for e in g.edges if e != edge])
+                break
+        else:
+            return g, steps

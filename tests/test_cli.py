@@ -220,6 +220,42 @@ def test_de_verify_unknown_op_is_json_error(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "trace",
+    [
+        {"foo": 1},
+        {"steps": {"op": "delete", "edge": [0, 1]}},
+        [{"op": "delete"}],
+        [{"edge": [0, 1]}],
+        ["delete"],
+        [[0, 1]],
+        [{"op": "delete", "edge": [0]}],
+        [{"op": "delete", "edge": 0}],
+        7,
+    ],
+    ids=[
+        "no-steps",
+        "steps-not-a-list",
+        "step-without-edge",
+        "step-without-op",
+        "step-a-string",
+        "step-a-list",
+        "edge-not-a-pair",
+        "edge-a-scalar",
+        "trace-a-number",
+    ],
+)
+def test_de_verify_malformed_trace_is_json_error(tmp_path, trace):
+    gpath = tmp_path / "k2.json"
+    gpath.write_text(json.dumps({"vertices": [0, 1], "edges": [[0, 1]]}))
+    tpath = tmp_path / "trace.json"
+    tpath.write_text(json.dumps(trace))
+    code, out, err = run_cli(["de-verify", str(gpath), str(tpath)])
+    assert code == 1
+    assert "error" in json.loads(out)
+    assert err == ""
+
+
+@pytest.mark.parametrize(
     "doc",
     [
         {"y": {"p1": "0", "p2": "0"}},
@@ -245,8 +281,21 @@ def test_dual_check_rejects_bad_document(instance_file, tmp_path, doc):
         ["f-gap", "0"],
         ["f-gap", "3/2"],
         ["experiment", "--count", "-1"],
+        ["de-search", "g.json", "--budget", "0"],
+        ["de-search", "g.json", "--budget", "-5"],
+        ["experiment", "--players", "0"],
+        ["experiment", "--resources", "-1"],
     ],
-    ids=["rc-table-max-0", "f-gap-0", "f-gap-above-1", "experiment-count-negative"],
+    ids=[
+        "rc-table-max-0",
+        "f-gap-0",
+        "f-gap-above-1",
+        "experiment-count-negative",
+        "de-search-budget-0",
+        "de-search-budget-negative",
+        "experiment-players-0",
+        "experiment-resources-negative",
+    ],
 )
 def test_out_of_range_arguments_exit_64(argv):
     code, out, err = run_cli(argv)

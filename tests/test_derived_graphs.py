@@ -1,0 +1,131 @@
+"""Derived graphs (delete_edge, explode_edge, induced) reuse their parent's
+sorted tuples and neighbour sets; they must equal the same graph built
+from scratch with ``Graph(...)``, and ``all_deletions`` must take the steps
+of the full-classification loop it replaced."""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from oracles import classify_all_deletions
+from santagap import topology as tp
+from santagap.allocation_graph import build_H, build_J
+from santagap.graphs import Graph
+from santagap.instance import gen_two_value
+
+
+def _labels(kind: str, n: int) -> list:
+    if kind == "str":
+        # "v10" sorts before "v2": the order is the labels', not creation's
+        return [f"v{i}" for i in range(n)]
+    return [(f"p{i % 3}", tuple(sorted({f"r{i}", f"s{i % 4}"}))) for i in range(n)]
+
+
+def _random_labelled_graph(rng: random.Random, kind: str) -> Graph:
+    labels = _labels(kind, rng.randint(0, 12))
+    rng.shuffle(labels)
+    p = rng.choice([0.2, 0.4, 0.6, 0.85])
+    edges = [
+        (u, v) if rng.random() < 0.5 else (v, u)
+        for u, v in itertools.combinations(labels, 2)
+        if rng.random() < p
+    ]
+    return Graph(labels, edges)
+
+
+def _from_scratch(g: Graph, keep) -> Graph:
+    kset = set(keep)
+    return Graph(
+        [v for v in g.vertices if v in kset],
+        [(u, v) for u, v in g.edges if u in kset and v in kset],
+    )
+
+
+def assert_same_graph(derived: Graph, fresh: Graph) -> None:
+    assert derived.key == fresh.key
+    assert hash(derived) == hash(fresh)
+    assert derived == fresh
+    assert derived.vertices == fresh.vertices
+    assert derived.edges == fresh.edges
+    for v in fresh.vertices:
+        assert derived.neighbors(v) == fresh.neighbors(v), v
+        assert derived.degree(v) == fresh.degree(v)
+    assert derived.isolated_vertices() == fresh.isolated_vertices()
+
+
+@pytest.mark.parametrize("kind", ["str", "owner-resources"])
+def test_derived_graphs_equal_fresh_graphs(kind):
+    rng = random.Random(f"derived-{kind}")
+    for _ in range(60):
+        g = _random_labelled_graph(rng, kind)
+        for a, b in g.edges:
+            fresh = Graph(g.vertices, [e for e in g.edges if e != (a, b)])
+            assert_same_graph(g.delete_edge((a, b)), fresh)
+            assert_same_graph(g.delete_edge((b, a)), fresh)
+            gone = {a, b} | g.neighbors(a) | g.neighbors(b)
+            assert_same_graph(
+                g.explode_edge((a, b)),
+                _from_scratch(g, [v for v in g.vertices if v not in gone]),
+            )
+        keep = [v for v in g.vertices if rng.random() < 0.6]
+        assert_same_graph(g.induced(keep), _from_scratch(g, keep))
+        # labels the graph does not have are ignored
+        stranger = ("zz", ("zz",)) if kind != "str" else "zz"
+        assert_same_graph(g.induced(keep + [stranger]), _from_scratch(g, keep))
+
+
+@pytest.mark.parametrize("kind", ["str", "owner-resources"])
+def test_chains_of_derived_graphs_equal_fresh_graphs(kind):
+    """Derived graphs derived again, as the dismantling drivers use them."""
+    rng = random.Random(f"chains-{kind}")
+    for _ in range(40):
+        g = _random_labelled_graph(rng, kind)
+        while g.edges:
+            a, b = rng.choice(g.edges)
+            move = rng.choice(["delete", "delete", "explode", "induced"])
+            if move == "delete":
+                fresh = Graph(g.vertices, [e for e in g.edges if e != (a, b)])
+                g = g.delete_edge((a, b))
+            elif move == "explode":
+                gone = {a, b} | g.neighbors(a) | g.neighbors(b)
+                fresh = _from_scratch(g, [v for v in g.vertices if v not in gone])
+                g = g.explode_edge((a, b))
+            else:
+                keep = [v for v in g.vertices if rng.random() < 0.8]
+                fresh = _from_scratch(g, keep)
+                g = g.induced(keep)
+            assert_same_graph(g, fresh)
+
+
+def _assert_same_deletions(g: Graph) -> None:
+    got_graph, got_steps = tp.all_deletions(g)
+    want_graph, want_steps = classify_all_deletions(g)
+    assert got_steps == want_steps
+    assert_same_graph(got_graph, want_graph)
+
+
+def test_all_deletions_matches_classify_edge_loop_on_random_graphs():
+    rng = random.Random("all-deletions")
+    for kind in ("str", "owner-resources"):
+        for _ in range(60):
+            _assert_same_deletions(_random_labelled_graph(rng, kind))
+
+
+def test_all_deletions_matches_classify_edge_loop_on_thin_graphs():
+    rng = random.Random("all-deletions-thin")
+    checked = 0
+    for _ in range(40):
+        inst = gen_two_value(
+            rng.randint(2, 3),
+            rng.choice((Fraction(1, 4), Fraction(1, 5))),
+            {"num_fat": 1, "num_thin": rng.randint(3, 5), "density": 0.8},
+            rng.randrange(2**32),
+        )
+        j = build_J(build_H(inst, Fraction(1), Fraction(1, 2))).graph
+        if len(j.vertices) > 12 or not j.edges:
+            continue
+        _assert_same_deletions(j)
+        checked += 1
+    assert checked >= 10
