@@ -32,19 +32,17 @@ from .lp_core import (
     build_dual_refined,
     clp_feasible,
     compute_t_star,
-    enumerate_configurations,
+    minimal_configurations,
     verify_dual,
 )
 from .allocation_graph import (
     AllocationGraph,
-    AlphaHyperedge,
     FatReport,
     MAlpha,
     build_H,
     build_J,
     compute_fat,
     compute_m,
-    enumerate_alpha_hyperedges,
     find_independent_transversal,
     is_block,
     restrict,
@@ -72,7 +70,6 @@ from .two_values import (
 __all__ = [
     "Allocation",
     "AllocationGraph",
-    "AlphaHyperedge",
     "ClpModel",
     "CoefficientCertificate",
     "Configuration",
@@ -100,8 +97,6 @@ __all__ = [
     "compute_fat",
     "compute_m",
     "compute_t_star",
-    "enumerate_alpha_hyperedges",
-    "enumerate_configurations",
     "f_gap",
     "find_independent_transversal",
     "gen_random",
@@ -110,6 +105,7 @@ __all__ = [
     "is_block",
     "limit_bound",
     "load_instance",
+    "minimal_configurations",
     "parse_instance",
     "parse_instance_json",
     "r_c",

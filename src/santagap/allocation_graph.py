@@ -1,7 +1,8 @@
 """Alpha-hyperedges and the partite allocation graph H / its thin part J.
 
-A vertex of H is the pair (owner, resource set): the same set coveted by
-two players yields two distinct vertices.  Edges join intersecting
+An alpha-hyperedge is a ``Configuration`` at threshold alpha*T, and a
+vertex of H is its (owner, sorted resources) label: the same set coveted
+by two players yields two distinct vertices.  Edges join intersecting
 hyperedges of distinct owners.  Each fat resource induces a clique
 component, and J is H with those components removed.
 """
@@ -13,8 +14,8 @@ from fractions import Fraction
 
 from .graphs import Graph
 from .instance import Instance
-from .lp_core import fat_for_players
-from .subsets import SubsetCapError, max_value_below, minimal_subsets_at_least
+from .lp_core import Configuration, fat_for_players, minimal_configurations
+from .subsets import max_value_below
 
 DEFAULT_TRANSVERSAL_VERTEX_CAP = 60
 DEFAULT_TRANSVERSAL_PART_CAP = 8
@@ -26,23 +27,6 @@ class AllocationGraphError(ValueError):
 
 class TransversalCapError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class AlphaHyperedge:
-    """Inclusion-minimal coveted set of value >= alpha*T, fat iff a single
-    resource of that value."""
-
-    owner: str
-    resources: frozenset[str]
-    is_fat: bool
-
-    def sorted_resources(self) -> tuple[str, ...]:
-        return tuple(sorted(self.resources))
-
-    @property
-    def vertex(self) -> tuple[str, tuple[str, ...]]:
-        return (self.owner, self.sorted_resources())
 
 
 @dataclass(frozen=True)
@@ -69,7 +53,7 @@ class AllocationGraph:
     alpha: Fraction
     target: Fraction
     parts: dict[str, tuple[tuple[str, tuple[str, ...]], ...]]
-    hyperedges: dict[tuple[str, tuple[str, ...]], AlphaHyperedge]
+    hyperedges: dict[tuple[str, tuple[str, ...]], Configuration]
     graph: Graph
 
     @property
@@ -82,34 +66,6 @@ class AllocationGraph:
 
 def alpha_threshold(alpha: Fraction, target: Fraction) -> Fraction:
     return Fraction(alpha) * Fraction(target)
-
-
-def enumerate_alpha_hyperedges(
-    inst: Instance,
-    target: Fraction,
-    alpha: Fraction,
-    player: str,
-    *,
-    max_pool: int = 20,
-    max_edges: int = 100_000,
-) -> list[AlphaHyperedge]:
-    """All alpha-hyperedges of one player, fat/thin tagged, sorted."""
-    threshold = alpha_threshold(alpha, target)
-    if threshold <= 0:
-        raise AllocationGraphError("alpha*T must be positive")
-    pool = {rid: inst.resources[rid] for rid in inst.covets[player]}
-    try:
-        subsets = minimal_subsets_at_least(
-            pool, threshold, max_items=max_pool, max_results=max_edges
-        )
-    except SubsetCapError as exc:
-        raise AllocationGraphError(str(exc)) from exc
-    out = []
-    for s in subsets:
-        fat = len(s) == 1 and inst.value(s) >= threshold
-        out.append(AlphaHyperedge(player, s, fat))
-    out.sort(key=lambda h: (len(h.resources), h.sorted_resources()))
-    return out
 
 
 def compute_fat(inst: Instance, target: Fraction, alpha: Fraction) -> FatReport:
@@ -136,18 +92,22 @@ def is_block(inst: Instance, m: MAlpha, resources) -> bool:
     return inst.value(resources) <= m.m
 
 
-def build_H(inst: Instance, target: Fraction, alpha: Fraction, **caps) -> AllocationGraph:
+def build_H(inst: Instance, target: Fraction, alpha: Fraction) -> AllocationGraph:
     """The |P|-partite allocation graph on all alpha-hyperedge vertices."""
+    threshold = alpha_threshold(alpha, target)
+    if threshold <= 0:
+        raise AllocationGraphError("alpha*T must be positive")
     parts: dict[str, tuple] = {}
-    hyperedges: dict[tuple, AlphaHyperedge] = {}
+    hyperedges: dict[tuple, Configuration] = {}
     by_resource: dict[str, list[tuple]] = {}
     for p in inst.players:
         vertices = []
-        for h in enumerate_alpha_hyperedges(inst, target, alpha, p, **caps):
-            vertices.append(h.vertex)
-            hyperedges[h.vertex] = h
+        for h in minimal_configurations(inst, p, threshold):
+            v = h.vertex
+            vertices.append(v)
+            hyperedges[v] = h
             for rid in h.resources:
-                by_resource.setdefault(rid, []).append(h.vertex)
+                by_resource.setdefault(rid, []).append(v)
         parts[p] = tuple(vertices)
     edges = set()
     for rid, touching in by_resource.items():
@@ -196,7 +156,7 @@ def find_independent_transversal(
     *,
     max_vertices: int = DEFAULT_TRANSVERSAL_VERTEX_CAP,
     max_parts: int = DEFAULT_TRANSVERSAL_PART_CAP,
-) -> dict[str, AlphaHyperedge] | None:
+) -> dict[str, Configuration] | None:
     """One independent vertex per part, or None when provably impossible.
 
     Backtracking over parts in increasing size order, pruning vertices
@@ -231,7 +191,7 @@ def find_independent_transversal(
 
 
 def transversal_to_allocation(
-    inst: Instance, transversal: dict[str, AlphaHyperedge]
+    inst: Instance, transversal: dict[str, Configuration]
 ):
     """Turn a transversal into a validated Allocation covering its players."""
     from .instance import Allocation

@@ -13,10 +13,11 @@ import sys
 from fractions import Fraction
 
 from . import topology
-from .allocation_graph import build_H, build_J
+from .allocation_graph import AllocationGraphError, build_H, build_J
 from .gap_report import (
     TSV_HEADER,
     BatchConfig,
+    evaluate_instance,
     run_gap_experiment,
     verify_convex_combination,
 )
@@ -138,6 +139,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         return _dispatch(args)
     except (
         InstanceError,
+        AllocationGraphError,
         GraphError,
         RationalParseError,
         FileNotFoundError,
@@ -178,23 +180,20 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "gap":
-        inst = load_instance(args.instance)
-        bound = parse_rational(args.bound)
-        t_star = compute_t_star(inst).t_star
-        opt = brute_force_opt(inst).opt_value
-        doc = {
-            "schema": "santa-gap/1",
-            "t_star": format_rational(t_star),
-            "opt": format_rational(opt),
-        }
-        if opt == 0:
-            doc["gap"] = "inf"
-            doc["bound_respected"] = False
-        else:
-            gap = t_star / opt
-            doc["gap"] = format_rational(gap)
-            doc["bound_respected"] = gap <= bound
-        _emit(doc)
+        report = evaluate_instance(
+            load_instance(args.instance), args.instance, parse_rational(args.bound)
+        )
+        if report.skipped is not None:
+            return _fail(f"cap exceeded: {report.skipped}")
+        _emit(
+            {
+                "schema": "santa-gap/1",
+                "t_star": format_rational(report.t_star),
+                "opt": format_rational(report.opt),
+                "gap": "inf" if report.gap_infinite else format_rational(report.gap),
+                "bound_respected": report.bound_respected,
+            }
+        )
         return 0
 
     if args.command == "eta":

@@ -61,8 +61,10 @@ class Instance:
                     f"covet list of {pid!r} references undeclared resource "
                     f"{sorted(missing)[0]!r}"
                 )
+        covets = dict(self.covets)  # the caller's dict stays as it was
         for pid in self.players:
-            self.covets.setdefault(pid, frozenset())
+            covets.setdefault(pid, frozenset())
+        object.__setattr__(self, "covets", covets)
 
     @staticmethod
     def build(players, resources, covets) -> "Instance":

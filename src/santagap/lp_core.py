@@ -25,22 +25,40 @@ from .subsets import SubsetCapError, min_cost_subset_reaching, minimal_subsets_a
 
 DEFAULT_POOL_CAP = 20
 DEFAULT_COLUMN_CAP = 100_000
+DEFAULT_CANDIDATE_CAP = 200_000
 
 
 class LpCapError(RuntimeError):
-    """Raised when column enumeration would exceed the configured caps."""
+    """Raised when an enumeration would exceed its cap."""
 
 
 @dataclass(frozen=True)
 class Configuration:
-    """An inclusion-minimal resource set of value >= the current target."""
+    """A player's inclusion-minimal coveted set whose value reaches a threshold.
+
+    At threshold T it is a column of CLP(T); at alpha*T it is an
+    alpha-hyperedge, a vertex of the allocation graph H.
+    """
 
     owner: str
     resources: frozenset[str]
-    total_value: Fraction
 
     def sorted_resources(self) -> tuple[str, ...]:
         return tuple(sorted(self.resources))
+
+    @property
+    def vertex(self) -> tuple[str, tuple[str, ...]]:
+        """The (owner, sorted resources) label of this vertex of H."""
+        return (self.owner, self.sorted_resources())
+
+    @property
+    def is_fat(self) -> bool:
+        """One resource worth the threshold on its own.
+
+        Minimality records a singleton only when its value reaches the
+        (positive) threshold, so the size alone decides.
+        """
+        return len(self.resources) == 1
 
 
 @dataclass
@@ -90,53 +108,39 @@ class DualCheck:
 # Column enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_configurations(
+def minimal_configurations(
     inst: Instance,
     player: str,
-    target: Fraction,
+    threshold: Fraction,
     *,
-    max_pool: int = DEFAULT_POOL_CAP,
-    max_columns: int = DEFAULT_COLUMN_CAP,
+    exclude: frozenset[str] = frozenset(),
 ) -> list[Configuration]:
-    """All inclusion-minimal configurations of a player at the given target."""
-    pool = {rid: inst.resources[rid] for rid in inst.covets[player]}
+    """All minimal configurations of a player at ``threshold``, drawn from
+    the coveted resources outside ``exclude``.
+
+    Sorted by (size, sorted resources): the order fixes Bland's pivot
+    sequence over CLP columns and the transversal search over the parts
+    of H.
+    """
+    pool = {rid: inst.resources[rid] for rid in inst.covets[player] - exclude}
     try:
         subsets = minimal_subsets_at_least(
-            pool, Fraction(target), max_items=max_pool, max_results=max_columns
+            pool,
+            Fraction(threshold),
+            max_items=DEFAULT_POOL_CAP,
+            max_results=DEFAULT_COLUMN_CAP,
         )
     except SubsetCapError as exc:
         raise LpCapError(str(exc)) from exc
-    configs = [Configuration(player, s, inst.value(s)) for s in subsets]
+    configs = [Configuration(player, s) for s in subsets]
     configs.sort(key=lambda c: (len(c.resources), c.sorted_resources()))
     return configs
 
 
-def enumerate_thin_configurations(
-    inst: Instance,
-    player: str,
-    target: Fraction,
-    fat_set: frozenset[str],
-    **caps,
-) -> list[Configuration]:
-    """Minimal configurations drawn from the player's thin resources only."""
-    pool = {
-        rid: inst.resources[rid]
-        for rid in inst.covets[player]
-        if rid not in fat_set
-    }
-    try:
-        subsets = minimal_subsets_at_least(pool, Fraction(target), **caps)
-    except SubsetCapError as exc:
-        raise LpCapError(str(exc)) from exc
-    configs = [Configuration(player, s, inst.value(s)) for s in subsets]
-    configs.sort(key=lambda c: (len(c.resources), c.sorted_resources()))
-    return configs
-
-
-def build_clp_model(inst: Instance, target: Fraction, **caps) -> ClpModel:
+def build_clp_model(inst: Instance, target: Fraction) -> ClpModel:
     columns: list[Configuration] = []
     for player in inst.players:
-        columns.extend(enumerate_configurations(inst, player, target, **caps))
+        columns.extend(minimal_configurations(inst, player, target))
     if len(columns) > DEFAULT_COLUMN_CAP:
         raise LpCapError(f"{len(columns)} columns exceeds cap {DEFAULT_COLUMN_CAP}")
     return ClpModel(Fraction(target), columns, inst.players, inst.resource_ids)
@@ -232,14 +236,14 @@ def _phase1_simplex(
     return optimum, x, pi
 
 
-def clp_feasible(inst: Instance, target: Fraction, **caps) -> LpFeasibilityResult:
+def clp_feasible(inst: Instance, target: Fraction) -> LpFeasibilityResult:
     """Exact feasibility of CLP(target); certificate on either outcome.
 
     Feasible: a primal solution satisfying every covering and packing
     constraint exactly.  Infeasible: a feasible dual solution with
     strictly positive objective (the phase-1 Farkas certificate).
     """
-    model = build_clp_model(inst, target, **caps)
+    model = build_clp_model(inst, target)
     players = model.players
     resource_ids = model.resource_ids
     prow = {p: i for i, p in enumerate(players)}
@@ -295,12 +299,7 @@ def _check_primal(
 # T*
 # ---------------------------------------------------------------------------
 
-def subset_sum_candidates(
-    inst: Instance,
-    *,
-    max_pool: int = DEFAULT_POOL_CAP,
-    max_candidates: int = 200_000,
-) -> list[Fraction]:
+def subset_sum_candidates(inst: Instance) -> list[Fraction]:
     """Distinct positive subset-sum values of the covet lists.
 
     CLP(T) feasibility changes only where some configuration family
@@ -310,22 +309,22 @@ def subset_sum_candidates(
     sums: set[Fraction] = set()
     for p in inst.players:
         pool = inst.covet_list(p)
-        if len(pool) > max_pool:
-            raise LpCapError(f"covet list of {p!r} exceeds cap {max_pool}")
+        if len(pool) > DEFAULT_POOL_CAP:
+            raise LpCapError(f"covet list of {p!r} exceeds cap {DEFAULT_POOL_CAP}")
         acc: set[Fraction] = {Fraction(0)}
         for rid in pool:
             v = inst.resources[rid]
             acc |= {s + v for s in acc}
-            if len(acc) > max_candidates:
-                raise LpCapError(f"more than {max_candidates} subset sums")
+            if len(acc) > DEFAULT_CANDIDATE_CAP:
+                raise LpCapError(f"more than {DEFAULT_CANDIDATE_CAP} subset sums")
         sums |= acc
     sums.discard(Fraction(0))
     return sorted(sums)
 
 
-def compute_t_star(inst: Instance, **caps) -> TStarResult:
+def compute_t_star(inst: Instance) -> TStarResult:
     """Exact T* = max{T : CLP(T) feasible} by binary search on candidates."""
-    candidates = subset_sum_candidates(inst, **caps)
+    candidates = subset_sum_candidates(inst)
     probes = 0
     if not candidates or not inst.players:
         witness = clp_feasible(inst, Fraction(0))
@@ -425,7 +424,7 @@ def fat_for_players(
     return frozenset(set(fat_set) & coveted)
 
 
-def verify_dual(inst: Instance, target: Fraction, sol: DualSolution, **caps) -> DualCheck:
+def verify_dual(inst: Instance, target: Fraction, sol: DualSolution) -> DualCheck:
     """Exact feasibility check of a DCLP(target) solution.
 
     Non-negativity plus, for every player with y_p > 0, the constraint
@@ -446,8 +445,7 @@ def verify_dual(inst: Instance, target: Fraction, sol: DualSolution, **caps) -> 
         yp = sol.y[p]
         if yp == 0:
             continue
-        configs = enumerate_configurations(inst, p, target, **caps)
-        for cfg in configs:
+        for cfg in minimal_configurations(inst, p, target):
             weight = sum((sol.z[r] for r in cfg.resources), Fraction(0))
             if weight < yp:
                 return DualCheck(False, sol.objective, cfg)
@@ -457,11 +455,7 @@ def verify_dual(inst: Instance, target: Fraction, sol: DualSolution, **caps) -> 
         if found is not None:
             best_cost, best_set = found
             if best_cost < yp:
-                return DualCheck(
-                    False,
-                    sol.objective,
-                    Configuration(p, best_set, inst.value(best_set)),
-                )
+                return DualCheck(False, sol.objective, Configuration(p, best_set))
     return DualCheck(True, sol.objective, None)
 
 
@@ -471,7 +465,7 @@ def hypothesis_holds_basic(
     """Scan: v(Y n S) >= c for every thin configuration S of players in U."""
     Y = set(Y)
     for p in U:
-        for cfg in enumerate_thin_configurations(inst, p, target, frozenset(fat_set)):
+        for cfg in minimal_configurations(inst, p, target, exclude=frozenset(fat_set)):
             if inst.value(cfg.resources & Y) < c:
                 return False
     return True
@@ -489,7 +483,7 @@ def hypothesis_holds_refined(
     y_hi = {r for r in Y if inst.resources[r] > d}
     y_lo = Y - y_hi
     for p in U:
-        for cfg in enumerate_thin_configurations(inst, p, target, frozenset(fat_set)):
+        for cfg in minimal_configurations(inst, p, target, exclude=frozenset(fat_set)):
             hi = len(cfg.resources & y_hi)
             if hi > 1:
                 continue

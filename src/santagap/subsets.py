@@ -1,7 +1,7 @@
 """Branch-and-bound searches over valued resource subsets.
 
-Shared by configuration enumeration, hyperedge enumeration, the block
-bound m, and dual verification.  All arithmetic is exact.
+Shared by minimal-configuration enumeration, the block bound m, and dual
+verification.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ def minimal_subsets_at_least(
     items: dict[str, Fraction],
     threshold: Fraction,
     *,
-    max_items: int = 20,
-    max_results: int = 100_000,
+    max_items: int,
+    max_results: int,
 ) -> list[frozenset[str]]:
     """All inclusion-minimal subsets of ``items`` with total value >= threshold.
 

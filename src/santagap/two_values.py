@@ -301,10 +301,6 @@ def _final_transversal(inst: Instance, H):
     return transversal_to_allocation(inst, transversal)
 
 
-def _thin_pool(inst: Instance, player: str, fat_ids: frozenset[str]) -> frozenset[str]:
-    return frozenset(inst.covets[player] - fat_ids)
-
-
 def _certify_subset(
     inst, J, U, fat, target, eps, c, r, search_budget, dual_snapshots, eta_caps
 ):
@@ -333,7 +329,8 @@ def _certify_subset(
                 return info
             candidate = None
             for p in U:
-                pool = _thin_pool(inst, p, fat.fat_set)
+                # the thin pool minimal_configurations draws from with exclude=F
+                pool = inst.covets[p] - fat.fat_set
                 if inst.value(pool) >= target and len(pool - W) >= X:
                     candidate = (p, pool - W)
                     break

@@ -11,7 +11,6 @@ from santagap.allocation_graph import (
     build_J,
     compute_fat,
     compute_m,
-    enumerate_alpha_hyperedges,
     fat_clique_components,
     find_independent_transversal,
     is_block,
@@ -19,7 +18,7 @@ from santagap.allocation_graph import (
     transversal_to_allocation,
 )
 from santagap.instance import parse_instance
-from santagap.lp_core import clp_feasible
+from santagap.lp_core import clp_feasible, minimal_configurations
 
 
 THREE_PLAYER_PATH = """\
@@ -36,14 +35,14 @@ covets p3 c d
 
 def test_hyperedges_single_fat():
     inst = parse_instance("players p\nresource a 1\ncovets p a\n")
-    edges = enumerate_alpha_hyperedges(inst, Fraction(1), Fraction(1), "p")
+    edges = minimal_configurations(inst, "p", Fraction(1))  # alpha*T = 1
     assert len(edges) == 1 and edges[0].is_fat
     assert edges[0].resources == frozenset({"a"})
 
 
 def test_hyperedges_thin_pair():
     inst = parse_instance("players p\nresource a 1/2\nresource b 1/2\ncovets p a b\n")
-    edges = enumerate_alpha_hyperedges(inst, Fraction(1), Fraction(1), "p")
+    edges = minimal_configurations(inst, "p", Fraction(1))  # alpha*T = 1
     assert len(edges) == 1 and not edges[0].is_fat
     assert edges[0].resources == frozenset({"a", "b"})
 
@@ -58,7 +57,7 @@ def test_hyperedges_common_size_in_two_values():
     inst = parse_instance(doc)
     for r in (2, 3):
         alpha_t = r * eps
-        edges = enumerate_alpha_hyperedges(inst, Fraction(1), alpha_t, "p")
+        edges = minimal_configurations(inst, "p", alpha_t)  # T = 1
         thin = [e for e in edges if not e.is_fat]
         assert thin and all(len(e.resources) == r for e in thin)
 
@@ -71,7 +70,7 @@ def test_hyperedge_minimality_scan():
         alpha = Fraction(rng.randint(1, 3), 4)
         threshold = alpha * t
         for p in inst.players:
-            for he in enumerate_alpha_hyperedges(inst, t, alpha, p):
+            for he in minimal_configurations(inst, p, threshold):
                 assert inst.value(he.resources) >= threshold
                 for r in he.resources:
                     assert inst.value(he.resources - {r}) < threshold

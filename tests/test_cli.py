@@ -302,3 +302,54 @@ def test_out_of_range_arguments_exit_64(argv):
     assert code == 64
     assert out == ""
     assert "error:" in err
+
+
+WIDE_COVET_DOC = (
+    "players p\n"
+    + "".join(f"resource r{i} 1\n" for i in range(21))
+    + "covets p " + " ".join(f"r{i}" for i in range(21)) + "\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--alpha", "0", "--target", "1"],
+        ["--alpha=-1/2", "--target", "1"],
+        ["--alpha", "1/2", "--target", "0"],
+    ],
+    ids=["alpha-0", "alpha-negative", "target-0"],
+)
+def test_hypergraph_non_positive_threshold_is_json_error(instance_file, argv):
+    code, out, err = run_cli(["hypergraph", instance_file, *argv])
+    assert code == 1
+    assert json.loads(out) == {"error": "alpha*T must be positive"}
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["hypergraph", "--alpha", "1", "--target", "1"], ["gap"]],
+    ids=["hypergraph", "gap"],
+)
+def test_over_cap_covet_list_is_cap_error(tmp_path, command):
+    path = tmp_path / "wide.txt"
+    path.write_text(WIDE_COVET_DOC)
+    code, out, err = run_cli([command[0], str(path), *command[1:]])
+    assert code == 1
+    assert json.loads(out)["error"].startswith("cap exceeded: ")
+    assert err == ""
+
+
+def test_gap_zero_opt_is_infinite(tmp_path):
+    path = tmp_path / "inst.txt"
+    path.write_text("players p1 p2\nresource a 1\ncovets p1 a\n")
+    code, out, _ = run_cli(["gap", str(path)])
+    assert code == 0
+    assert json.loads(out) == {
+        "schema": "santa-gap/1",
+        "t_star": "0",
+        "opt": "0",
+        "gap": "inf",
+        "bound_respected": False,
+    }

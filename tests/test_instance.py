@@ -79,6 +79,13 @@ def test_serialize_parse_round_trip():
         assert parse_instance(inst.serialize()) == inst
 
 
+def test_construction_leaves_callers_covets_unchanged():
+    cov = {"p": frozenset({"a"})}
+    inst = Instance(("p", "q"), {"a": Fraction(1)}, cov)
+    assert cov == {"p": frozenset({"a"})}
+    assert inst.covets == {"p": frozenset({"a"}), "q": frozenset()}
+
+
 def test_value_sums_exactly():
     inst = parse_instance("players p\nresource a 1/3\nresource b 1/6\ncovets p a b\n")
     assert inst.value([]) == 0

@@ -13,10 +13,9 @@ from santagap.lp_core import (
     build_dual_refined,
     clp_feasible,
     compute_t_star,
-    enumerate_configurations,
-    enumerate_thin_configurations,
     hypothesis_holds_basic,
     hypothesis_holds_refined,
+    minimal_configurations,
     verify_dual,
 )
 
@@ -34,17 +33,17 @@ def brute_minimal_subsets(values: dict, threshold: Fraction) -> set[frozenset]:
     }
 
 
-# -- enumerate_configurations -------------------------------------------------
+# -- minimal_configurations ---------------------------------------------------
 
 def test_enumerate_single_resource():
     inst = parse_instance("players p\nresource a 1\ncovets p a\n")
-    cfgs = enumerate_configurations(inst, "p", Fraction(1))
+    cfgs = minimal_configurations(inst, "p", Fraction(1))
     assert [c.resources for c in cfgs] == [frozenset({"a"})]
 
 
 def test_enumerate_drops_non_minimal():
     inst = parse_instance("players p\nresource a 1\nresource b 1\ncovets p a b\n")
-    cfgs = enumerate_configurations(inst, "p", Fraction(1))
+    cfgs = minimal_configurations(inst, "p", Fraction(1))
     assert {c.resources for c in cfgs} == {frozenset({"a"}), frozenset({"b"})}
 
 
@@ -52,7 +51,7 @@ def test_enumerate_three_halves_against_oracle():
     inst = parse_instance(
         "players p\nresource a 1/2\nresource b 1/2\nresource c 1/2\ncovets p a b c\n"
     )
-    cfgs = enumerate_configurations(inst, "p", Fraction(1))
+    cfgs = minimal_configurations(inst, "p", Fraction(1))
     expected = brute_minimal_subsets(
         {r: Fraction(1, 2) for r in "abc"}, Fraction(1)
     )
@@ -66,7 +65,7 @@ def test_enumerate_matches_oracle_on_randoms():
         inst = random_small_instance(rng)
         p = inst.players[0]
         t = Fraction(rng.randint(1, 4), rng.choice([2, 3, 4]))
-        got = {c.resources for c in enumerate_configurations(inst, p, t)}
+        got = {c.resources for c in minimal_configurations(inst, p, t)}
         pool = {r: inst.resources[r] for r in inst.covets[p]}
         assert got == brute_minimal_subsets(pool, t)
 
@@ -77,10 +76,33 @@ def test_enumerate_minimality_invariant():
         inst = random_small_instance(rng)
         p = inst.players[0]
         t = Fraction(1)
-        for cfg in enumerate_configurations(inst, p, t):
-            assert cfg.total_value >= t
+        for cfg in minimal_configurations(inst, p, t):
+            assert inst.value(cfg.resources) >= t
             for r in cfg.resources:
                 assert inst.value(cfg.resources - {r}) < t
+
+
+def test_minimal_configurations_differential():
+    """Against the every-subset oracle, at several thresholds and with
+    non-empty exclusions: same sets, (size, sorted resources) order, and
+    fat exactly for singletons that reach the threshold alone."""
+    rng = random.Random(11)
+    for _ in range(60):
+        inst = random_small_instance(rng)
+        for p in inst.players:
+            covets = sorted(inst.covets[p])
+            for t in (Fraction(1, 4), Fraction(2, 3), Fraction(1), Fraction(3, 2)):
+                exclude = frozenset(rng.sample(covets, rng.randint(1, len(covets))))
+                cfgs = minimal_configurations(inst, p, t, exclude=exclude)
+                pool = {r: inst.resources[r] for r in covets if r not in exclude}
+                assert {c.resources for c in cfgs} == brute_minimal_subsets(pool, t)
+                assert len(cfgs) == len({c.resources for c in cfgs})
+                keys = [(len(c.resources), sorted(c.resources)) for c in cfgs]
+                assert keys == sorted(keys)
+                for c in cfgs:
+                    assert c.owner == p and c.vertex == (p, tuple(sorted(c.resources)))
+                    alone = len(c.resources) == 1 and inst.value(c.resources) >= t
+                    assert c.is_fat == alone
 
 
 # -- clp_feasible ---------------------------------------------------------------

@@ -25,8 +25,8 @@ from santagap.lp_core import (
     build_dual_basic,
     clp_feasible,
     compute_t_star,
-    enumerate_thin_configurations,
     hypothesis_holds_basic,
+    minimal_configurations,
     verify_dual,
 )
 
@@ -710,7 +710,7 @@ def test_fat_only_players_dual_bound():
     U = ("p2", "p3")
     # neither player in U has a thin configuration
     for p in U:
-        assert not enumerate_thin_configurations(inst, p, t, fat.fat_set)
+        assert not minimal_configurations(inst, p, t, exclude=fat.fat_set)
     c_dual = 3 * m.m
     assert hypothesis_holds_basic(inst, t, U, frozenset(), c_dual, fat.fat_set)
     sol = build_dual_basic(inst, U, frozenset(), c_dual, fat.fat_set)
