@@ -79,13 +79,12 @@ def compute_m(inst: Instance, target: Fraction, alpha: Fraction) -> MAlpha:
     threshold = alpha_threshold(alpha, target)
     if threshold <= 0:
         raise AllocationGraphError("alpha*T must be positive")
-    best = Fraction(0)
+    below = inst.int_threshold(threshold)
+    best = 0
     for p in inst.players:
-        pool = {rid: inst.resources[rid] for rid in inst.covets[p]}
-        candidate = max_value_below(pool, threshold)
-        if candidate > best:
-            best = candidate
-    return MAlpha(best, threshold)
+        pool = {rid: inst.int_values[rid] for rid in inst.covets[p]}
+        best = max(best, max_value_below(pool, below))
+    return MAlpha(Fraction(best, inst.scale), threshold)
 
 
 def is_block(inst: Instance, m: MAlpha, resources) -> bool:

@@ -116,7 +116,7 @@ def verify_convex_combination(T: Fraction, m: Fraction) -> CoefficientCertificat
 # Experiments
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class GapReport:
     instance_id: str
     t_star: Fraction | None = None

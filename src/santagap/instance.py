@@ -45,17 +45,22 @@ class Instance:
     players: tuple[str, ...]
     resources: dict[str, Fraction]
     covets: dict[str, frozenset[str]]
+    # Every value times ``scale``, the lcm of the value denominators: the
+    # exact integer table that the subset searches and OPT add up.
+    scale: int = field(init=False, repr=False, compare=False)
+    int_values: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.players)) != len(self.players):
             raise InstanceError("duplicate player id")
-        for rid, value in self.resources.items():
+        resources = dict(self.resources)  # later edits by the caller do not reach it
+        for rid, value in resources.items():
             if value <= 0:
                 raise InstanceError(f"resource {rid!r} has non-positive value {value}")
         for pid, wants in self.covets.items():
             if pid not in self.players:
                 raise InstanceError(f"covet list for undeclared player {pid!r}")
-            missing = wants - self.resources.keys()
+            missing = wants - resources.keys()
             if missing:
                 raise InstanceError(
                     f"covet list of {pid!r} references undeclared resource "
@@ -64,7 +69,14 @@ class Instance:
         covets = dict(self.covets)  # the caller's dict stays as it was
         for pid in self.players:
             covets.setdefault(pid, frozenset())
+        exact = {rid: Fraction(value) for rid, value in resources.items()}
+        scale = math.lcm(*(value.denominator for value in exact.values()))
+        object.__setattr__(self, "resources", resources)
         object.__setattr__(self, "covets", covets)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(
+            self, "int_values", {rid: int(v * scale) for rid, v in exact.items()}
+        )
 
     @staticmethod
     def build(players, resources, covets) -> "Instance":
@@ -80,6 +92,13 @@ class Instance:
 
     def covet_list(self, player: str) -> tuple[str, ...]:
         return tuple(sorted(self.covets[player]))
+
+    def int_threshold(self, threshold) -> int:
+        """ceil(threshold * scale), the least integer sum of ``int_values``
+        that reaches ``threshold``: an integer sum s reaches it exactly when
+        s >= this, and falls short exactly when s < this."""
+        t = Fraction(threshold)
+        return -(-t.numerator * self.scale // t.denominator)
 
     def value(self, ids) -> Fraction:
         """Exact total value of a set of resource ids."""
@@ -109,7 +128,7 @@ class Instance:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Allocation:
     """A disjoint assignment of coveted resources to players."""
 
@@ -132,7 +151,7 @@ class Allocation:
             seen |= got
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OptResult:
     """Exact optimum of an instance with a witnessing allocation."""
 
@@ -265,8 +284,8 @@ def brute_force_opt(
     Every resource is assigned to one of its coveters or to nobody.  The
     search is pruned with the optimistic bound min_p(value_p + remaining
     potential of p), so equal-value instances finish in well under the
-    worst-case product.  The search adds and compares integers: every
-    value times the lcm of the value denominators.
+    worst-case product.  The search adds and compares the instance's
+    integer value table (every value times ``inst.scale``).
     """
     if len(inst.resources) > max_resources or len(inst.players) > max_players:
         raise OracleCapError(
@@ -278,14 +297,13 @@ def brute_force_opt(
     pidx = {p: i for i, p in enumerate(players)}
     # Only resources somebody covets can matter; order by descending value.
     relevant = [
-        (rid, inst.resources[rid], [pidx[p] for p in players if rid in inst.covets[p]])
+        (rid, inst.int_values[rid], [pidx[p] for p in players if rid in inst.covets[p]])
         for rid in inst.resource_ids
         if any(rid in inst.covets[p] for p in players)
     ]
     relevant.sort(key=lambda t: (-t[1], t[0]))
     n = len(relevant)
-    scale = math.lcm(*(val.denominator for _, val, _ in relevant))
-    ints = [int(val * scale) for _, val, _ in relevant]
+    ints = [val for _, val, _ in relevant]
     # potential[i][p] = scaled total value of resources i.. coveted by p
     potential = [[0] * len(players) for _ in range(n + 1)]
     for i in range(n - 1, -1, -1):
@@ -333,7 +351,7 @@ def brute_force_opt(
             assignment[players[owner]].add(relevant[i][0])
     witness = Allocation({p: frozenset(s) for p, s in assignment.items()})
     witness.validate(inst)
-    opt = Fraction(max(best_value, 0), scale)
+    opt = Fraction(max(best_value, 0), inst.scale)
     if players and witness.min_value(inst) != opt:
         raise AssertionError("oracle witness does not achieve its optimum")
     return OptResult(opt, witness, nodes)

@@ -2,13 +2,20 @@
 
 The configuration LP for target T has one column per (player, minimal
 configuration) pair, a covering constraint per player and a packing
-constraint per resource.  Feasibility is decided by an exact phase-1
-simplex with Bland's smallest-index rule, so identical inputs always
-pivot identically; its tableau holds integers over one common
-denominator, and only the values it returns are Fractions.  Restricting
-columns to inclusion-minimal configurations is valid: shrinking a
-configuration only relaxes packing constraints, and every configuration
-contains a minimal one.
+constraint per resource.  Restricting columns to inclusion-minimal
+configurations is valid: shrinking a configuration only relaxes packing
+constraints, and every configuration contains a minimal one.
+
+Everything up to the returned values is integer arithmetic.  Columns and
+T* candidates come from searches on the instance's integer value table
+(``Instance.int_values``, every value times ``Instance.scale``), with a
+threshold T rounded up to ``Instance.int_threshold(T)``.  Feasibility is
+decided by a revised, fraction-free phase-1 simplex with Bland's
+smallest-index rule: it keeps only den * B^-1 (m x m, for m players plus
+resources), the right-hand side and the prices of the artificials over
+one common denominator, and prices the sparse columns on demand.  Its
+pivot sequence is that of a dense rational tableau, so identical inputs
+always pivot identically, and only the values it returns are Fractions.
 
 When the LP is infeasible the phase-1 dual prices form a feasible dual
 solution with strictly positive objective, which is returned as the
@@ -17,8 +24,10 @@ infeasibility certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .instance import Instance
 from .subsets import SubsetCapError, min_cost_subset_reaching, minimal_subsets_at_least
@@ -122,11 +131,11 @@ def minimal_configurations(
     sequence over CLP columns and the transversal search over the parts
     of H.
     """
-    pool = {rid: inst.resources[rid] for rid in inst.covets[player] - exclude}
+    pool = {rid: inst.int_values[rid] for rid in inst.covets[player] - exclude}
     try:
         subsets = minimal_subsets_at_least(
             pool,
-            Fraction(threshold),
+            inst.int_threshold(threshold),
             max_items=DEFAULT_POOL_CAP,
             max_results=DEFAULT_COLUMN_CAP,
         )
@@ -160,79 +169,82 @@ def _phase1_simplex(
     Artificial variables are appended internally, start basic, and are
     barred from re-entering once they leave.
 
-    The tableau is fraction-free (Edmonds 1967; Bareiss 1968): integer
-    entries over one common denominator ``den``, the previous pivot
-    element (1 at the start).  Pivoting on p in column k keeps the pivot
-    row, turns every other row r into (p*r - r[k]*pivot row) / den and
-    makes p the new ``den``; every such division is exact.  Entering and
-    leaving choices follow Bland's rule as on a rational tableau, so the
-    pivot sequence and every returned value are the same.
+    A revised, fraction-free simplex (Edmonds 1967; Bareiss 1968).  With
+    ``den`` the previous pivot element (1 at the start), it keeps three
+    integer arrays: ``inv`` = den * B^-1 (m x m, the artificial block of
+    the full tableau), ``rhs`` = den * B^-1 * 1, and ``obj`` = den times
+    the reduced costs of the artificials, whose prices give every other
+    reduced cost: den * rc_j = -sum_i (den - obj[i]) * a_ij.  Pricing
+    runs over the sparse columns under Bland's rule, and the entering
+    column is inv * a_j.  Pivoting on p in row l keeps row l and turns
+    every other row r into (p*r - d_r*row l) / den, where d is the
+    entering column; every division is exact.  These are the integers a
+    dense tableau over all columns would hold, so the pivot sequence and
+    every returned value are those of a rational tableau.
     """
     ncols = len(columns)
-    art0 = ncols
-    total = ncols + nrows
-    # Dense tableau: rows x (total + rhs); artificial j occupies art0 + j.
-    rows = [[0] * (total + 1) for _ in range(nrows)]
-    for j, col in enumerate(columns):
-        for i, coef in col:
-            rows[i][j] = coef
-    for i in range(nrows):
-        rows[i][art0 + i] = 1
-        rows[i][total] = 1
-    # Reduced-cost row for cost = 1 on artificials: subtract each row.
-    obj = [0] * art0 + [1] * nrows + [0]
-    for row in rows:
-        obj = [o - a for o, a in zip(obj, row)]
-    basis = list(range(art0, total))
-    banned = [False] * total
+    # Each column as (row indices, coefficients), for C-level dot products.
+    sparse = [tuple(zip(*col)) or ((), ()) for col in columns]
+    inv = [[int(i == k) for k in range(nrows)] for i in range(nrows)]
+    rhs = [1] * nrows
+    obj = [0] * nrows
+    # basis[i] is the column basic in row i; artificial i is ncols + i.
+    basis = list(range(ncols, ncols + nrows))
     den = 1
 
     while True:
+        # Bland: the first column with a negative reduced cost.  Basic
+        # artificials price at 0 and left ones are barred, so only the
+        # given columns can enter.
+        price = [den - o for o in obj].__getitem__
         enter = -1
-        for j in range(total):
-            if not banned[j] and obj[j] < 0:
-                enter = j
+        for j, (rows, coefs) in enumerate(sparse):
+            weight = sum(map(mul, map(price, rows), coefs))
+            if weight > 0:
+                enter, f = j, -weight
                 break
         if enter < 0:
             break
-        # Ratio test b_i / a_i over a_i > 0, compared by cross-multiplying.
+        rows, coefs = sparse[enter]
+        d = [sum(map(mul, map(row.__getitem__, rows), coefs)) for row in inv]
+        # Ratio test b_i / d_i over d_i > 0, compared by cross-multiplying.
         leave = -1
         for i in range(nrows):
-            a = rows[i][enter]
+            a = d[i]
             if a > 0:
                 if leave < 0:
                     leave = i
                     continue
-                lhs = rows[i][total] * rows[leave][enter]
-                rhs = rows[leave][total] * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                lhs = rhs[i] * d[leave]
+                rhs_leave = rhs[leave] * a
+                if lhs < rhs_leave or (lhs == rhs_leave and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             raise AssertionError("phase-1 objective unbounded below (impossible)")
-        if basis[leave] >= art0:
-            banned[basis[leave]] = True
-        prow = rows[leave]
-        piv = prow[enter]
-        for i, row in enumerate(rows):
-            if row is prow:
+        piv = d[leave]
+        prow, pb = inv[leave], rhs[leave]
+        for i in range(nrows):
+            if i == leave:
                 continue
-            f = row[enter]
-            if f:
-                rows[i] = [(a * piv - f * b) // den for a, b in zip(row, prow)]
+            g = d[i]
+            if g:
+                inv[i] = [(a * piv - g * b) // den for a, b in zip(inv[i], prow)]
+                rhs[i] = (rhs[i] * piv - g * pb) // den
             elif piv != den:
-                rows[i] = [a * piv // den for a in row]
-        f = obj[enter]
+                inv[i] = [a * piv // den for a in inv[i]]
+                rhs[i] = rhs[i] * piv // den
         obj = [(a * piv - f * b) // den for a, b in zip(obj, prow)]
         den = piv
         basis[leave] = enter
 
-    optimum = Fraction(-obj[total], den)
+    # The phase-1 optimum is c_B B^-1 1 = sum_i pi_i over the unit rhs.
+    optimum = Fraction(sum(den - o for o in obj), den)
     x = [Fraction(0)] * ncols
     for i, bj in enumerate(basis):
         if bj < ncols:
-            x[bj] = Fraction(rows[i][total], den)
+            x[bj] = Fraction(rhs[i], den)
     # pi_i = cost(artificial_i) - reduced_cost(artificial_i)
-    pi = [Fraction(den - obj[art0 + i], den) for i in range(nrows)]
+    pi = [Fraction(den - o, den) for o in obj]
     return optimum, x, pi
 
 
@@ -306,20 +318,20 @@ def subset_sum_candidates(inst: Instance) -> list[Fraction]:
     changes, i.e. at these thresholds, so T* is always one of them
     (or 0 when none is feasible).
     """
-    sums: set[Fraction] = set()
+    sums: set[int] = set()
     for p in inst.players:
         pool = inst.covet_list(p)
         if len(pool) > DEFAULT_POOL_CAP:
             raise LpCapError(f"covet list of {p!r} exceeds cap {DEFAULT_POOL_CAP}")
-        acc: set[Fraction] = {Fraction(0)}
+        acc = {0}
         for rid in pool:
-            v = inst.resources[rid]
+            v = inst.int_values[rid]
             acc |= {s + v for s in acc}
             if len(acc) > DEFAULT_CANDIDATE_CAP:
                 raise LpCapError(f"more than {DEFAULT_CANDIDATE_CAP} subset sums")
         sums |= acc
-    sums.discard(Fraction(0))
-    return sorted(sums)
+    sums.discard(0)
+    return [Fraction(s, inst.scale) for s in sorted(sums)]
 
 
 def compute_t_star(inst: Instance) -> TStarResult:
@@ -440,21 +452,25 @@ def verify_dual(inst: Instance, target: Fraction, sol: DualSolution) -> DualChec
     for r, zv in sol.z.items():
         if zv < 0:
             return DualCheck(False, sol.objective, None)
-    target = Fraction(target)
+    # Both checks add integers: z times the lcm of its denominators.
+    z_exact = {r: Fraction(zv) for r, zv in sol.z.items()}
+    z_scale = math.lcm(*(zv.denominator for zv in z_exact.values()))
+    z = {r: int(zv * z_scale) for r, zv in z_exact.items()}
+    threshold = inst.int_threshold(target)
     for p in inst.players:
         yp = sol.y[p]
         if yp == 0:
             continue
+        need = yp * z_scale
         for cfg in minimal_configurations(inst, p, target):
-            weight = sum((sol.z[r] for r in cfg.resources), Fraction(0))
-            if weight < yp:
+            if sum(z[r] for r in cfg.resources) < need:
                 return DualCheck(False, sol.objective, cfg)
         # Independent certification of the same constraint family.
-        pool = {rid: inst.resources[rid] for rid in inst.covets[p]}
-        found = min_cost_subset_reaching(pool, {r: sol.z[r] for r in pool}, target)
+        pool = {rid: inst.int_values[rid] for rid in inst.covets[p]}
+        found = min_cost_subset_reaching(pool, {r: z[r] for r in pool}, threshold)
         if found is not None:
             best_cost, best_set = found
-            if best_cost < yp:
+            if best_cost < need:
                 return DualCheck(False, sol.objective, Configuration(p, best_set))
     return DualCheck(True, sol.objective, None)
 

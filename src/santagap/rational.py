@@ -2,11 +2,12 @@
 
 All feasibility decisions in this package are exact; floating point
 appears only in reports and in the closed-form limit constant.  Values
-are exact rationals (stdlib ``fractions.Fraction``).  The two hot
-kernels compute on Python integers and build Fractions only for what
-they return: the phase-1 simplex pivots an integer tableau over one
-common denominator, and the exhaustive OPT search runs on values scaled
-by the lcm of their denominators.
+are exact rationals (stdlib ``fractions.Fraction``).  The hot kernels
+compute on Python integers and build Fractions only for what they
+return: each instance keeps its values times the lcm of their
+denominators (``Instance.int_values``), which the subset searches and
+the exhaustive OPT search add up, and the revised phase-1 simplex pivots
+den * B^-1 over one common denominator.
 """
 
 from __future__ import annotations

@@ -1,21 +1,32 @@
 """Branch-and-bound searches over valued resource subsets.
 
 Shared by minimal-configuration enumeration, the block bound m, and dual
-verification.  All arithmetic is exact.
+verification.  Values, costs and thresholds are integers: callers pass an
+instance's integer value table (``Instance.int_values``) and a threshold
+scaled by the same ``Instance.scale`` and rounded up, which decides
+``sum >= threshold`` and ``sum < threshold`` exactly for integer sums.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 class SubsetCapError(RuntimeError):
     """Raised when a subset search would exceed its configured caps."""
 
 
+def _descending(items: dict[str, int]) -> tuple[list[str], list[int], list[int]]:
+    """Ids by descending value (ties by id), their values, and suffix sums."""
+    order = sorted(items, key=lambda rid: (-items[rid], rid))
+    values = [items[rid] for rid in order]
+    suffix = [0] * (len(order) + 1)
+    for i in range(len(order) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + values[i]
+    return order, values, suffix
+
+
 def minimal_subsets_at_least(
-    items: dict[str, Fraction],
-    threshold: Fraction,
+    items: dict[str, int],
+    threshold: int,
     *,
     max_items: int,
     max_results: int,
@@ -31,18 +42,13 @@ def minimal_subsets_at_least(
         raise SubsetCapError(f"{len(items)} items exceeds cap {max_items}")
     if threshold <= 0:
         return [frozenset()]
-    order = sorted(items, key=lambda rid: (-items[rid], rid))
-    values = [items[rid] for rid in order]
-    suffix = [Fraction(0)] * (len(order) + 1)
-    for i in range(len(order) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + values[i]
+    order, values, suffix = _descending(items)
+    n = len(order)
     out: list[frozenset[str]] = []
     chosen: list[str] = []
 
-    def dfs(i: int, total: Fraction) -> None:
-        if total + suffix[i] < threshold:
-            return
-        if i == len(order):
+    def dfs(i: int, total: int) -> None:
+        if i == n or total + suffix[i] < threshold:
             return
         chosen.append(order[i])
         new_total = total + values[i]
@@ -55,45 +61,40 @@ def minimal_subsets_at_least(
         chosen.pop()
         dfs(i + 1, total)
 
-    dfs(0, Fraction(0))
+    dfs(0, 0)
     return out
 
 
-def max_value_below(items: dict[str, Fraction], threshold: Fraction) -> Fraction:
+def max_value_below(items: dict[str, int], threshold: int) -> int:
     """Largest subset value strictly below ``threshold`` (0 for the empty set)."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    order = sorted(items, key=lambda rid: (-items[rid], rid))
-    values = [items[rid] for rid in order]
-    suffix = [Fraction(0)] * (len(order) + 1)
-    for i in range(len(order) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + values[i]
-    best = Fraction(0)
+    order, values, suffix = _descending(items)
+    n = len(order)
+    best = 0
 
-    def dfs(i: int, total: Fraction) -> None:
+    def dfs(i: int, total: int) -> None:
         nonlocal best
         take_all = total + suffix[i]
         if take_all < threshold:
             if take_all > best:
                 best = take_all
             return
-        if take_all <= best:
-            return
-        if i == len(order):
+        if take_all <= best or i == n:
             return
         if total + values[i] < threshold:
             dfs(i + 1, total + values[i])
         dfs(i + 1, total)
 
-    dfs(0, Fraction(0))
+    dfs(0, 0)
     return best
 
 
 def min_cost_subset_reaching(
-    items: dict[str, Fraction],
-    costs: dict[str, Fraction],
-    threshold: Fraction,
-) -> tuple[Fraction, frozenset[str]] | None:
+    items: dict[str, int],
+    costs: dict[str, int],
+    threshold: int,
+) -> tuple[int, frozenset[str]] | None:
     """Minimize total cost over subsets with value >= threshold.
 
     Returns (cost, subset) or None when even the full set falls short.
@@ -103,16 +104,17 @@ def min_cost_subset_reaching(
     order = sorted(items, key=lambda rid: (costs[rid], -items[rid], rid))
     values = [items[rid] for rid in order]
     cost_of = [costs[rid] for rid in order]
-    suffix = [Fraction(0)] * (len(order) + 1)
-    for i in range(len(order) - 1, -1, -1):
+    n = len(order)
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + values[i]
     if suffix[0] < threshold:
         return None
-    best_cost: Fraction | None = None
+    best_cost: int | None = None
     best_set: frozenset[str] = frozenset()
     chosen: list[str] = []
 
-    def dfs(i: int, total: Fraction, cost: Fraction) -> None:
+    def dfs(i: int, total: int, cost: int) -> None:
         nonlocal best_cost, best_set
         if best_cost is not None and cost >= best_cost and total < threshold:
             return
@@ -121,13 +123,13 @@ def min_cost_subset_reaching(
                 best_cost = cost
                 best_set = frozenset(chosen)
             return
-        if i == len(order) or total + suffix[i] < threshold:
+        if i == n or total + suffix[i] < threshold:
             return
         chosen.append(order[i])
         dfs(i + 1, total + values[i], cost + cost_of[i])
         chosen.pop()
         dfs(i + 1, total, cost)
 
-    dfs(0, Fraction(0), Fraction(0))
+    dfs(0, 0, 0)
     assert best_cost is not None
     return best_cost, best_set

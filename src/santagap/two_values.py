@@ -175,7 +175,7 @@ def rescale_small_target(inst: Instance, t_star: Fraction) -> Instance:
     return Instance.build(inst.players, resources, {p: set(inst.covets[p]) for p in inst.players})
 
 
-@dataclass
+@dataclass(slots=True)
 class PhaseXLedger:
     counts: dict[int, int] = field(default_factory=dict)
     covers: dict[int, frozenset[str]] = field(default_factory=dict)
@@ -192,7 +192,7 @@ class PhaseXLedger:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class TwoValueResult:
     outcome: str  # "certified" | "trivial" | "additive-regime" | "inconclusive"
     alpha: Fraction | None = None

@@ -2,8 +2,11 @@
 
 ``dense_phase1_simplex`` is the rational-tableau phase-1 simplex that
 ``lp_core._phase1_simplex`` replaced: same Bland rule, every entry a
-``Fraction``.  ``exhaustive_opt`` tries every assignment of every
-coveted resource, with no pruning.  ``classify_all_deletions`` is the
+``Fraction``, every column of the tableau updated at every pivot.
+``rational_max_value_below`` and ``rational_min_cost_subset_reaching``
+are the ``Fraction`` searches that ``subsets`` replaced with searches on
+the integer value table.  ``exhaustive_opt`` tries every assignment of
+every coveted resource, with no pruning.  ``classify_all_deletions`` is the
 ``all_deletions`` loop that classified every edge in full and rebuilt
 each smaller graph with ``Graph(...)``.
 """
@@ -107,6 +110,76 @@ def dense_phase1_simplex(
     # pi_i = cost(artificial_i) - reduced_cost(artificial_i)
     pi = [one - obj[art0 + i] for i in range(nrows)]
     return optimum, x, pi
+
+
+def rational_max_value_below(items: dict[str, Fraction], threshold: Fraction) -> Fraction:
+    """Largest subset value strictly below ``threshold`` (0 for the empty set)."""
+    if threshold <= 0:
+        raise ValueError("threshold must be positive")
+    order = sorted(items, key=lambda rid: (-items[rid], rid))
+    values = [items[rid] for rid in order]
+    suffix = [Fraction(0)] * (len(order) + 1)
+    for i in range(len(order) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + values[i]
+    best = Fraction(0)
+
+    def dfs(i: int, total: Fraction) -> None:
+        nonlocal best
+        take_all = total + suffix[i]
+        if take_all < threshold:
+            if take_all > best:
+                best = take_all
+            return
+        if take_all <= best:
+            return
+        if i == len(order):
+            return
+        if total + values[i] < threshold:
+            dfs(i + 1, total + values[i])
+        dfs(i + 1, total)
+
+    dfs(0, Fraction(0))
+    return best
+
+
+def rational_min_cost_subset_reaching(
+    items: dict[str, Fraction],
+    costs: dict[str, Fraction],
+    threshold: Fraction,
+) -> tuple[Fraction, frozenset[str]] | None:
+    """Minimize total cost over subsets with value >= threshold; None when
+    even the full set falls short."""
+    order = sorted(items, key=lambda rid: (costs[rid], -items[rid], rid))
+    values = [items[rid] for rid in order]
+    cost_of = [costs[rid] for rid in order]
+    suffix = [Fraction(0)] * (len(order) + 1)
+    for i in range(len(order) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + values[i]
+    if suffix[0] < threshold:
+        return None
+    best_cost: Fraction | None = None
+    best_set: frozenset[str] = frozenset()
+    chosen: list[str] = []
+
+    def dfs(i: int, total: Fraction, cost: Fraction) -> None:
+        nonlocal best_cost, best_set
+        if best_cost is not None and cost >= best_cost and total < threshold:
+            return
+        if total >= threshold:
+            if best_cost is None or cost < best_cost:
+                best_cost = cost
+                best_set = frozenset(chosen)
+            return
+        if i == len(order) or total + suffix[i] < threshold:
+            return
+        chosen.append(order[i])
+        dfs(i + 1, total + values[i], cost + cost_of[i])
+        chosen.pop()
+        dfs(i + 1, total, cost)
+
+    dfs(0, Fraction(0), Fraction(0))
+    assert best_cost is not None
+    return best_cost, best_set
 
 
 def exhaustive_opt(inst: Instance) -> tuple[Fraction, Allocation]:

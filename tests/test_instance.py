@@ -86,6 +86,33 @@ def test_construction_leaves_callers_covets_unchanged():
     assert inst.covets == {"p": frozenset({"a"}), "q": frozenset()}
 
 
+def test_instance_keeps_its_own_copy_of_resources():
+    res = {"a": Fraction(1), "b": Fraction(1, 2)}
+    inst = Instance(("p",), res, {"p": frozenset({"a", "b"})})
+    res["a"] = Fraction(-5)
+    res["c"] = Fraction(1, 7)
+    assert inst.resources == {"a": Fraction(1), "b": Fraction(1, 2)}
+    assert inst.value(["a"]) == 1
+    assert (inst.scale, inst.int_values) == (2, {"a": 2, "b": 1})
+
+
+def test_integer_value_table():
+    inst = Instance.build(
+        ["p"], {"a": Fraction(1, 6), "b": Fraction(4, 9), "c": 2}, {"p": {"a", "b"}}
+    )
+    assert inst.scale == 18
+    assert inst.int_values == {"a": 3, "b": 8, "c": 36}
+    for rid, v in inst.int_values.items():
+        assert Fraction(v, inst.scale) == inst.resources[rid]
+    # The least integer sum that reaches a threshold, on and off the grid.
+    assert inst.int_threshold(Fraction(1, 2)) == 9
+    assert inst.int_threshold(Fraction(1, 5)) == 4
+    assert inst.int_threshold(0) == 0
+    assert inst.int_threshold(Fraction(-1, 5)) == -3
+    empty = Instance((), {}, {})
+    assert (empty.scale, empty.int_values) == (1, {})
+
+
 def test_value_sums_exactly():
     inst = parse_instance("players p\nresource a 1/3\nresource b 1/6\ncovets p a b\n")
     assert inst.value([]) == 0

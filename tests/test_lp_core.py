@@ -105,6 +105,29 @@ def test_minimal_configurations_differential():
                     assert c.is_fat == alone
 
 
+def test_minimal_configurations_between_integer_sums():
+    """Thresholds alpha*T that are not multiples of 1/scale fall strictly
+    between two sums of the integer value table; the enumeration rounds them
+    up and must still match the every-subset oracle, in order."""
+    rng = random.Random(12)
+    checked = 0
+    for _ in range(60):
+        inst = random_small_instance(rng)
+        totals = sorted({inst.value(inst.covets[p]) for p in inst.players})
+        for alpha in (Fraction(3, 7), Fraction(6, 11), Fraction(9, 13), Fraction(12, 17)):
+            t = alpha * rng.choice(totals)
+            if (t * inst.scale).denominator == 1:
+                continue
+            checked += 1
+            for p in inst.players:
+                cfgs = minimal_configurations(inst, p, t)
+                pool = {r: inst.resources[r] for r in inst.covets[p]}
+                assert {c.resources for c in cfgs} == brute_minimal_subsets(pool, t)
+                keys = [(len(c.resources), sorted(c.resources)) for c in cfgs]
+                assert keys == sorted(keys) and len(set(map(str, keys))) == len(keys)
+    assert checked > 150
+
+
 # -- clp_feasible ---------------------------------------------------------------
 
 def test_clp_single_player_unit():
