@@ -24,7 +24,12 @@ from .gap_report import (
 from .graphs import GraphError, graph_to_json, load_graph
 from .instance import InstanceError, OracleCapError, brute_force_opt, load_instance
 from .lp_core import DualSolution, LpCapError, compute_t_star, verify_dual
-from .rational import RationalParseError, format_rational, parse_rational
+from .rational import (
+    RationalFormatError,
+    RationalParseError,
+    format_rational,
+    parse_rational,
+)
 from .two_values import f_gap, rc_table
 
 USAGE_EXIT = 64
@@ -142,6 +147,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         AllocationGraphError,
         GraphError,
         RationalParseError,
+        RationalFormatError,
         FileNotFoundError,
         json.JSONDecodeError,
         topology.SequenceError,

@@ -165,7 +165,9 @@ def evaluate_instance(
     inst: Instance, instance_id: str, bound: Fraction = GAP_BOUND
 ) -> GapReport:
     """Exact T* and OPT for one instance; loud artifact on exceedance."""
-    report = GapReport(instance_id, bound_claimed=Fraction(bound))
+    # Reports share the caller's Fraction instead of each holding a copy.
+    bound = bound if isinstance(bound, Fraction) else Fraction(bound)
+    report = GapReport(instance_id, bound_claimed=bound)
     try:
         t_star = compute_t_star(inst).t_star
         opt = brute_force_opt(inst).opt_value
@@ -181,7 +183,7 @@ def evaluate_instance(
         report.bound_respected = False
     else:
         report.gap = t_star / opt
-        report.bound_respected = report.gap <= Fraction(bound)
+        report.bound_respected = report.gap <= bound
     if not report.bound_respected:
         report.instance_doc = inst.serialize()
     return report

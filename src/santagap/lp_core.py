@@ -20,6 +20,16 @@ always pivot identically, and only the values it returns are Fractions.
 When the LP is infeasible the phase-1 dual prices form a feasible dual
 solution with strictly positive objective, which is returned as the
 infeasibility certificate.
+
+The T* bisection first tries a cheaper certificate, the capped-value
+dual.  With t = ``Instance.int_threshold(T)`` and every integer value
+capped at t, CLP(T) is infeasible when a set P of players, one player or
+all of them, has coveted capped values summing to less than |P| * t: y = 1
+on P and z_r = min(v_r, T) / T on the resources P covets satisfy every
+DCLP constraint (a configuration holds a resource with z_r = 1, or all
+its values are below T and its z-weight is its value over T, at least 1)
+and have objective |P| - sum z_r > 0.  A probe that this rules out is
+answered without building the LP.
 """
 
 from __future__ import annotations
@@ -334,8 +344,41 @@ def subset_sum_candidates(inst: Instance) -> list[Fraction]:
     return [Fraction(s, inst.scale) for s in sorted(sums)]
 
 
+def capped_value_violation(inst: Instance, target: Fraction) -> tuple[str, ...] | None:
+    """A player set whose capped-value dual proves CLP(target) infeasible.
+
+    With t = ``inst.int_threshold(target)``, returns the first player
+    whose coveted values, each capped at t, sum to less than t; failing
+    that, all players when the capped values of every coveted resource,
+    each counted once, sum to less than |players| * t; else None.  For
+    the returned set P, y = 1 on P and z_r = min(v_r, target) / target on
+    the resources P covets is a feasible DCLP(target) solution with
+    positive objective.  Integer sums only.
+    """
+    t = inst.int_threshold(target)
+    int_values = inst.int_values
+    coveted: set[str] = set()
+    for p in inst.players:
+        wants = inst.covets[p]
+        if sum(min(int_values[r], t) for r in wants) < t:
+            return (p,)
+        coveted |= wants
+    if sum(min(int_values[r], t) for r in coveted) < len(inst.players) * t:
+        return inst.players
+    return None
+
+
 def compute_t_star(inst: Instance) -> TStarResult:
-    """Exact T* = max{T : CLP(T) feasible} by binary search on candidates."""
+    """Exact T* = max{T : CLP(T) feasible} by binary search on candidates.
+
+    Each bisection step first asks ``capped_value_violation``; a candidate
+    it rules out is infeasible by a dual certificate, so the search moves
+    down without an LP.  Only a candidate that passes is probed with
+    ``clp_feasible``, and ``probes`` counts those LP solves.  The filter
+    never rejects a feasible candidate, so the search visits the same
+    candidates, finds the same T* and returns the same witness LP as a
+    plain bisection.
+    """
     candidates = subset_sum_candidates(inst)
     probes = 0
     if not candidates or not inst.players:
@@ -343,22 +386,21 @@ def compute_t_star(inst: Instance) -> TStarResult:
         return TStarResult(Fraction(0), len(candidates), witness, 1)
     lo, hi = 0, len(candidates) - 1
     best: int | None = None
-    results: dict[int, LpFeasibilityResult] = {}
     while lo <= hi:
         mid = (lo + hi) // 2
-        res = clp_feasible(inst, candidates[mid])
-        probes += 1
-        results[mid] = res
-        if res.feasible:
-            best = mid
-            lo = mid + 1
-        else:
-            hi = mid - 1
+        if capped_value_violation(inst, candidates[mid]) is None:
+            res = clp_feasible(inst, candidates[mid])
+            probes += 1
+            if res.feasible:
+                best, witness = mid, res
+                lo = mid + 1
+                continue
+        hi = mid - 1
     if best is None:
         witness = clp_feasible(inst, Fraction(0))
         probes += 1
         return TStarResult(Fraction(0), len(candidates), witness, probes)
-    return TStarResult(candidates[best], len(candidates), results[best], probes)
+    return TStarResult(candidates[best], len(candidates), witness, probes)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,19 @@ class RationalParseError(ValueError):
     """Raised when a string is not a valid 'a' or 'a/b' rational."""
 
 
+class RationalFormatError(ValueError):
+    """Raised when a rational has more digits than Python will print."""
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse 'a' or 'a/b' into an exact Fraction."""
+    """Parse 'a' or 'a/b' into an exact Fraction.
+
+    Exponent notation is refused: for '1e-99999999' Fraction would build
+    a power of ten with as many digits as the exponent.
+    """
     s = text.strip()
+    if "e" in s or "E" in s:
+        raise RationalParseError(f"not a rational: {text!r}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -36,8 +46,16 @@ def parse_positive_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction as 'a' or 'a/b' (lowest terms)."""
+    """Render a Fraction as 'a' or 'a/b' (lowest terms).
+
+    Exact sums of long input values can exceed Python's limit on the
+    digits of an int converted to a string (``sys.get_int_max_str_digits``);
+    that raises ``RationalFormatError``.
+    """
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:
+        raise RationalFormatError(f"a rational too long to print: {exc}") from None

@@ -6,7 +6,9 @@
 ``rational_max_value_below`` and ``rational_min_cost_subset_reaching``
 are the ``Fraction`` searches that ``subsets`` replaced with searches on
 the integer value table.  ``exhaustive_opt`` tries every assignment of
-every coveted resource, with no pruning.  ``classify_all_deletions`` is the
+every coveted resource, with no pruning.  ``bisection_t_star`` is the T*
+search that probes every bisection candidate with the LP, with no
+capped-value filter.  ``classify_all_deletions`` is the
 ``all_deletions`` loop that classified every edge in full and rebuilt
 each smaller graph with ``Graph(...)``.
 """
@@ -18,6 +20,7 @@ from fractions import Fraction
 
 from santagap.graphs import Graph
 from santagap.instance import Allocation, Instance
+from santagap.lp_core import TStarResult, clp_feasible, subset_sum_candidates
 from santagap.topology import DELETE, DeStep, classify_edge
 
 EXHAUSTIVE_RESOURCE_CAP = 7
@@ -180,6 +183,27 @@ def rational_min_cost_subset_reaching(
     dfs(0, Fraction(0), Fraction(0))
     assert best_cost is not None
     return best_cost, best_set
+
+
+def bisection_t_star(inst: Instance) -> TStarResult:
+    """T* by binary search on the subset-sum candidates, one LP per step."""
+    candidates = subset_sum_candidates(inst)
+    if not candidates or not inst.players:
+        return TStarResult(Fraction(0), len(candidates), clp_feasible(inst, Fraction(0)), 1)
+    lo, hi = 0, len(candidates) - 1
+    best, probes, results = None, 0, {}
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        results[mid] = clp_feasible(inst, candidates[mid])
+        probes += 1
+        if results[mid].feasible:
+            best, lo = mid, mid + 1
+        else:
+            hi = mid - 1
+    if best is None:
+        witness = clp_feasible(inst, Fraction(0))
+        return TStarResult(Fraction(0), len(candidates), witness, probes + 1)
+    return TStarResult(candidates[best], len(candidates), results[best], probes)
 
 
 def exhaustive_opt(inst: Instance) -> tuple[Fraction, Allocation]:

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from conftest import random_small_instance
 from oracles import (
+    bisection_t_star,
     dense_phase1_simplex,
     exhaustive_opt,
     rational_max_value_below,
@@ -46,14 +47,14 @@ def test_simplex_matches_dense_on_every_t_star_probe(monkeypatch):
 
     monkeypatch.setattr(lp_core, "_phase1_simplex", checked)
     shapes = [(3, 6, 0.7), (4, 7, 0.8), (5, 6, 0.9), (2, 8, 0.6)]
-    for seed in range(6):
+    for seed in range(7):
         for players, resources, density in shapes:
             inst = gen_random(
                 players, resources, (Fraction(1, 6), Fraction(1)), density,
                 seed=seed, grid=12,
             )
             lp_core.compute_t_star(inst)
-    assert len(probes) >= 24 * 3
+    assert len(probes) >= 72
     assert max(probes) > 40
 
 
@@ -123,12 +124,12 @@ def test_simplex_matches_dense_on_wide_lps():
 
 
 def test_t_star_golden_at_the_oracle_caps(monkeypatch):
-    """The 6-player, 14-resource instance: T* = 53/36 after 8 probes of 327
-    candidates, with 334 columns at T*, and the primal there is the dense
-    oracle's."""
-    inst = gen_random(6, 14, (Fraction(1, 6), Fraction(1)), 0.8, seed=1, grid=12)
+    """The 6-player, 14-resource instance: T* = 53/36 after 5 LP probes of
+    327 candidates, with 334 columns at T*, and the primal there is the
+    dense oracle's."""
+    inst = _six_by_fourteen()
     res = lp_core.compute_t_star(inst)
-    assert (res.t_star, res.probes, res.candidates_examined) == (Fraction(53, 36), 8, 327)
+    assert (res.t_star, res.probes, res.candidates_examined) == (Fraction(53, 36), 5, 327)
     witness = res.feasibility_witness
     assert witness.feasible and len(witness.model.columns) == 334
     calls = []
@@ -144,6 +145,97 @@ def test_t_star_golden_at_the_oracle_caps(monkeypatch):
     assert witness.primal == {
         cfg: w for cfg, w in zip(witness.model.columns, x) if w != 0
     }
+
+
+# -- compute_t_star: the capped-value filter ------------------------------------
+
+def _gap_random_instances(seeds):
+    """The benchmark's gap-random shapes: 4 x 7 at density 0.8 and 5 x 6 at
+    0.9, values on a grid of 4 in [1/6, 1]."""
+    for seed in seeds:
+        for players, resources, density in ((4, 7, 0.8), (5, 6, 0.9)):
+            yield gen_random(
+                players, resources, (Fraction(1, 6), Fraction(1)), density,
+                seed=seed, grid=4,
+            )
+
+
+def _six_by_fourteen():
+    return gen_random(6, 14, (Fraction(1, 6), Fraction(1)), 0.8, seed=1, grid=12)
+
+
+def _capped_value_dual(inst, target, group):
+    """y = 1 on ``group``, z_r = min(v_r, T) / T on the resources it covets."""
+    coveted = set().union(*(inst.covets[p] for p in group))
+    y = {p: Fraction(int(p in group)) for p in inst.players}
+    z = {
+        r: min(v, target) / target if r in coveted else Fraction(0)
+        for r, v in inst.resources.items()
+    }
+    return lp_core.DualSolution(y, z)
+
+
+def _assert_rejection_certified(inst, target):
+    """When the filter rejects ``target``, the capped-value dual of the set
+    it names is DCLP-feasible with positive objective.  Returns whether it
+    rejected."""
+    group = lp_core.capped_value_violation(inst, target)
+    if group is None:
+        return False
+    assert len(group) == 1 or group == inst.players
+    check = lp_core.verify_dual(inst, target, _capped_value_dual(inst, target, group))
+    assert check.feasible and check.objective > 0, (inst.serialize(), target, group)
+    return True
+
+
+def test_capped_value_filter_is_sound_on_every_candidate():
+    """Every rejected candidate carries a verified dual certificate, and no
+    candidate where CLP is feasible is rejected."""
+    rng = random.Random(61)
+    instances = list(_gap_random_instances(range(8)))
+    instances += [random_small_instance(rng) for _ in range(20)]
+    verdicts = set()
+    for inst in instances:
+        for target in lp_core.subset_sum_candidates(inst):
+            rejected = _assert_rejection_certified(inst, target)
+            feasible = lp_core.clp_feasible(inst, target).feasible
+            assert not (rejected and feasible), (inst.serialize(), target)
+            verdicts.add((rejected, feasible))
+    # Both kinds of infeasible candidate occur: ruled out, and left to the LP.
+    assert verdicts == {(True, False), (False, False), (False, True)}
+
+
+def test_capped_value_filter_is_sound_at_the_oracle_caps():
+    """On the 6 x 14 instance CLP is feasible exactly up to T* (monotone in
+    T), so no candidate up to T* may be rejected; every candidate rejected
+    above it carries a verified dual certificate."""
+    inst = _six_by_fourteen()
+    t_star = Fraction(53, 36)
+    rejected = 0
+    for target in lp_core.subset_sum_candidates(inst):
+        if _assert_rejection_certified(inst, target):
+            assert target > t_star
+            rejected += 1
+    assert rejected > 100
+
+
+def test_t_star_matches_plain_bisection():
+    """Same T*, candidate count and witness LP as the bisection that probes
+    every step with the LP, in no more LP solves."""
+    rng = random.Random(67)
+    instances = list(_gap_random_instances(range(100, 115)))
+    instances += [random_small_instance(rng) for _ in range(30)]
+    instances.append(_six_by_fourteen())
+    fewer = 0
+    for inst in instances:
+        got, want = lp_core.compute_t_star(inst), bisection_t_star(inst)
+        assert (got.t_star, got.candidates_examined) == (want.t_star, want.candidates_examined)
+        got_w, want_w = got.feasibility_witness, want.feasibility_witness
+        assert (got_w.feasible, got_w.primal) == (want_w.feasible, want_w.primal)
+        assert got_w.model.columns == want_w.model.columns
+        assert got.probes <= want.probes
+        fewer += got.probes < want.probes
+    assert fewer > len(instances) // 2
 
 
 # -- brute_force_opt ------------------------------------------------------------
