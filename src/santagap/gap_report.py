@@ -165,8 +165,6 @@ def evaluate_instance(
     inst: Instance, instance_id: str, bound: Fraction = GAP_BOUND
 ) -> GapReport:
     """Exact T* and OPT for one instance; loud artifact on exceedance."""
-    # Reports share the caller's Fraction instead of each holding a copy.
-    bound = bound if isinstance(bound, Fraction) else Fraction(bound)
     report = GapReport(instance_id, bound_claimed=bound)
     try:
         t_star = compute_t_star(inst).t_star

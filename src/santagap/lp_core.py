@@ -23,11 +23,12 @@ infeasibility certificate.
 
 The T* bisection first tries a cheaper certificate, the capped-value
 dual.  With t = ``Instance.int_threshold(T)`` and every integer value
-capped at t, CLP(T) is infeasible when a set P of players, one player or
-all of them, has coveted capped values summing to less than |P| * t: y = 1
-on P and z_r = min(v_r, T) / T on the resources P covets satisfy every
-DCLP constraint (a configuration holds a resource with z_r = 1, or all
-its values are below T and its z-weight is its value over T, at least 1)
+V_r = ``Instance.int_values[r]`` capped at t, CLP(T) is infeasible when a
+set P of players, one player or all of them, has coveted capped values
+summing to less than |P| * t: y = 1 on P and z_r = min(V_r, t) / t on the
+resources P covets satisfy every DCLP constraint (a configuration of
+value at least T has an integer value at least t, so it holds a resource
+with z_r = 1 or its z-weight is its integer value over t, at least 1)
 and have objective |P| - sum z_r > 0.  A probe that this rules out is
 answered without building the LP.
 """
@@ -351,9 +352,10 @@ def capped_value_violation(inst: Instance, target: Fraction) -> tuple[str, ...] 
     whose coveted values, each capped at t, sum to less than t; failing
     that, all players when the capped values of every coveted resource,
     each counted once, sum to less than |players| * t; else None.  For
-    the returned set P, y = 1 on P and z_r = min(v_r, target) / target on
+    the returned set P, y = 1 on P and z_r = min(int_values[r], t) / t on
     the resources P covets is a feasible DCLP(target) solution with
-    positive objective.  Integer sums only.
+    positive objective, for any target (z_r = min(v_r, target) / target is
+    one only when target is a multiple of 1 / scale).  Integer sums only.
     """
     t = inst.int_threshold(target)
     int_values = inst.int_values

@@ -12,7 +12,13 @@ den * B^-1 over one common denominator.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+# Every float repr has an exponent within e-324..e+308, so JSON numbers
+# such as 1e-05 parse exactly; larger exponents are refused.
+MAX_EXPONENT = 400
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 
 
 class RationalParseError(ValueError):
@@ -24,14 +30,18 @@ class RationalFormatError(ValueError):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'a' or 'a/b' into an exact Fraction.
+    """Parse 'a', 'a/b' or a decimal such as '1.5e-3' into an exact Fraction.
 
-    Exponent notation is refused: for '1e-99999999' Fraction would build
+    An exponent above ``MAX_EXPONENT`` in absolute value, or written with
+    more than 12 digits, is refused: for '1e-99999999' Fraction would build
     a power of ten with as many digits as the exponent.
     """
     s = text.strip()
-    if "e" in s or "E" in s:
-        raise RationalParseError(f"not a rational: {text!r}")
+    exponent = _EXPONENT.search(s)
+    if exponent is not None:
+        digits = exponent.group(1).replace("_", "")
+        if len(digits) > 12 or int(digits) > MAX_EXPONENT:
+            raise RationalParseError(f"exponent too large: {text!r}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:

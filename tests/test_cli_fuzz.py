@@ -120,13 +120,37 @@ def test_arbitrary_text_exits_zero_or_one(text, doc_path):
     _run_all(text, doc_path)
 
 
-@pytest.mark.parametrize("value", ["1e-20000", "1E5", "2e0", "1.5e-1"])
-def test_exponent_values_exit_one(value, doc_path):
-    """Exponent notation is not part of the format; accepted, "1e-20000"
-    made a T* too long to print."""
+@pytest.mark.parametrize(
+    "value, exact",
+    [("1E5", "100000"), ("2e0", "2"), ("1.5e-1", "3/20"), ("1e-05", "1/100000"),
+     ("1e+16", "10000000000000000"), ("1e-400", "1/" + "1" + "0" * 400)],
+)
+def test_exponent_values_parse_exactly(value, exact, doc_path):
+    text = f"players p\nresource a {value}\ncovets p a\n"
+    for command, (code, doc) in _run_all(text, doc_path).items():
+        assert code == 0 and doc["t_star" if command == "tstar" else "opt"] == exact
+
+
+@pytest.mark.parametrize("value", ["1e-20000", "1E401", "1e99999999", "1e-0000000000001"])
+def test_large_exponents_exit_one(value, doc_path):
+    """An exponent past MAX_EXPONENT is refused; accepted, "1e-20000" made a
+    T* too long to print."""
     text = f"players p\nresource a {value}\ncovets p a\n"
     for code, doc in _run_all(text, doc_path).values():
         assert code == 1 and "bad value" in doc["error"]
+
+
+def test_json_float_values_parse_exactly(tmp_path):
+    """JSON numbers reach the parser through their repr, which for small and
+    large floats is exponent notation ('1e-05', '1e+16')."""
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "players": ["p", "q"],
+        "resources": {"a": 0.00001, "b": 1e16, "c": 0.5},
+        "covets": {"p": ["a", "c"], "q": ["b"]},
+    }))
+    code, doc = _run("tstar", path)
+    assert code == 0 and doc["t_star"] == "50001/100000"
 
 
 def test_values_too_long_to_print_exit_one(doc_path):

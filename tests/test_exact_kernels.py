@@ -165,12 +165,14 @@ def _six_by_fourteen():
 
 
 def _capped_value_dual(inst, target, group):
-    """y = 1 on ``group``, z_r = min(v_r, T) / T on the resources it covets."""
+    """y = 1 on ``group``, z_r = min(V_r, t) / t on the resources it covets,
+    with V the integer value table and t = int_threshold(target)."""
+    t = inst.int_threshold(target)
     coveted = set().union(*(inst.covets[p] for p in group))
     y = {p: Fraction(int(p in group)) for p in inst.players}
     z = {
-        r: min(v, target) / target if r in coveted else Fraction(0)
-        for r, v in inst.resources.items()
+        r: Fraction(min(v, t), t) if r in coveted else Fraction(0)
+        for r, v in inst.int_values.items()
     }
     return lp_core.DualSolution(y, z)
 
@@ -217,6 +219,30 @@ def test_capped_value_filter_is_sound_at_the_oracle_caps():
             assert target > t_star
             rejected += 1
     assert rejected > 100
+
+
+def test_capped_value_certificate_between_candidates():
+    """Between candidates the certificate is taken at t = int_threshold(T):
+    two players sharing three unit resources at T = 3/2 are ruled out
+    (capped sum 3 < 2 * 2), and z_r = 1/2 proves it while z_r = 2/3 has
+    objective 0.  Every rejected midpoint of adjacent candidates on small
+    random instances is certified the same way."""
+    inst = Instance.build(
+        ["p", "q"], {r: Fraction(1) for r in "abc"}, {"p": set("abc"), "q": set("abc")}
+    )
+    assert _assert_rejection_certified(inst, Fraction(3, 2))
+    naive = lp_core.DualSolution(
+        {"p": Fraction(1), "q": Fraction(1)}, {r: Fraction(2, 3) for r in "abc"}
+    )
+    assert lp_core.verify_dual(inst, Fraction(3, 2), naive).objective == 0
+    rng = random.Random(67)
+    rejected = 0
+    for _ in range(20):
+        inst = random_small_instance(rng)
+        candidates = lp_core.subset_sum_candidates(inst)
+        for lo, hi in zip(candidates, candidates[1:]):
+            rejected += _assert_rejection_certified(inst, (lo + hi) / 2)
+    assert rejected > 0
 
 
 def test_t_star_matches_plain_bisection():

@@ -5,7 +5,6 @@ import pytest
 
 from santagap.gap_report import (
     CONVEX_WEIGHTS,
-    GAP_BOUND,
     BatchConfig,
     CoefficientError,
     evaluate_instance,
@@ -90,17 +89,6 @@ def test_evaluate_instance_gap_one():
     report = evaluate_instance(inst, "unit")
     assert report.t_star == 1 and report.opt == 1
     assert report.gap == 1 and report.bound_respected
-
-
-def test_evaluate_instance_shares_the_bound():
-    """Every report refers to the caller's Fraction bound rather than a
-    copy; other rationals are converted."""
-    inst = parse_instance("players p\nresource a 1\ncovets p a\n")
-    bound = Fraction(7, 2)
-    assert evaluate_instance(inst, "shared", bound).bound_claimed is bound
-    assert evaluate_instance(inst, "default").bound_claimed is GAP_BOUND
-    report = evaluate_instance(inst, "int", 2)
-    assert type(report.bound_claimed) is Fraction and report.bound_claimed == 2
 
 
 def test_evaluate_instance_opt_zero_is_flagged():
