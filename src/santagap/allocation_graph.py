@@ -195,9 +195,9 @@ def transversal_to_allocation(
     """Turn a transversal into a validated Allocation covering its players."""
     from .instance import Allocation
 
-    assignment = {p: frozenset() for p in inst.players}
+    assignment = {p: () for p in inst.players}
     for p, he in transversal.items():
-        assignment[p] = frozenset(he.resources)
+        assignment[p] = he.sorted_resources()
     alloc = Allocation(assignment)
     alloc.validate(inst)
     return alloc

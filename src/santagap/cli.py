@@ -22,7 +22,13 @@ from .gap_report import (
     verify_convex_combination,
 )
 from .graphs import GraphError, graph_to_json, load_graph
-from .instance import InstanceError, OracleCapError, brute_force_opt, load_instance
+from .instance import (
+    InstanceError,
+    OracleCapError,
+    brute_force_opt,
+    check_oracle_caps,
+    load_instance,
+)
 from .lp_core import DualSolution, LpCapError, compute_t_star, verify_dual
 from .rational import (
     RationalFormatError,
@@ -78,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tstar", help="exact configuration-LP optimum T*")
     p.add_argument("instance")
 
-    p = sub.add_parser("opt", help="exact OPT by exhaustive search")
+    p = sub.add_parser("opt", help="exact OPT by branch-and-bound up to T*")
     p.add_argument("instance")
 
     p = sub.add_parser("gap", help="T*, OPT and their ratio")
@@ -173,7 +179,9 @@ def _dispatch(args) -> int:
 
     if args.command == "opt":
         inst = load_instance(args.instance)
-        res = brute_force_opt(inst)
+        check_oracle_caps(inst)  # before T*, which an over-cap instance would waste
+        # T* bounds OPT from above, so the search stops once it reaches T*.
+        res = brute_force_opt(inst, upper_bound=compute_t_star(inst).t_star)
         _emit(
             {
                 "schema": "santa-gap/1",

@@ -168,7 +168,8 @@ def evaluate_instance(
     report = GapReport(instance_id, bound_claimed=bound)
     try:
         t_star = compute_t_star(inst).t_star
-        opt = brute_force_opt(inst).opt_value
+        # OPT <= T* (the LP is a relaxation): the search stops once it reaches T*.
+        opt = brute_force_opt(inst, upper_bound=t_star).opt_value
     except (OracleCapError, LpCapError) as exc:
         report.skipped = str(exc)
         return report

@@ -130,25 +130,36 @@ class Instance:
 
 @dataclass(frozen=True, slots=True)
 class Allocation:
-    """A disjoint assignment of coveted resources to players."""
+    """A disjoint assignment of coveted resources to players.
 
-    assignment: dict[str, frozenset[str]]
+    Each bundle is a sorted tuple of resource ids, the convention of
+    ``Configuration.vertex``; ``validate`` and ``min_value`` accept any
+    sequence of ids.  A player left out of ``assignment`` holds nothing.
+    """
+
+    assignment: dict[str, tuple[str, ...]]
 
     def min_value(self, inst: Instance) -> Fraction:
-        return min(inst.value(self.assignment.get(p, frozenset())) for p in inst.players)
+        return min(inst.value(self.assignment.get(p, ())) for p in inst.players)
 
     def validate(self, inst: Instance) -> None:
+        """Every bundle names a declared player's coveted resources, each
+        once, and no resource is in two bundles."""
         seen: set[str] = set()
         for pid, got in self.assignment.items():
             if pid not in inst.players:
                 raise InstanceError(f"allocation names unknown player {pid!r}")
-            if not got <= inst.covets[pid]:
-                extra = sorted(got - inst.covets[pid])[0]
+            bundle = set(got)
+            if len(bundle) != len(got):
+                twice = min(r for r in bundle if got.count(r) > 1)
+                raise InstanceError(f"{pid!r} allocated resource {twice!r} twice")
+            if not bundle <= inst.covets[pid]:
+                extra = sorted(bundle - inst.covets[pid])[0]
                 raise InstanceError(f"{pid!r} allocated uncoveted resource {extra!r}")
-            overlap = seen & got
+            overlap = seen & bundle
             if overlap:
                 raise InstanceError(f"resource {sorted(overlap)[0]!r} allocated twice")
-            seen |= got
+            seen |= bundle
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,27 +239,49 @@ def parse_instance(text: str) -> Instance:
     return Instance.build(players, resources, covets)
 
 
+def _is_id(item) -> bool:
+    """An id as the text format spells it: a non-empty string without whitespace."""
+    return isinstance(item, str) and item.split() == [item]
+
+
 def parse_instance_json(text: str) -> Instance:
-    """Parse the JSON mirror of the instance document."""
+    """Parse the JSON mirror of the instance document: an object with a
+    ``players`` list, a ``resources`` object of id to value (a number or an
+    integer/``a/b`` string) and a ``covets`` object of player to id list."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long ints, deep nesting
         raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("instance document must be a JSON object")
     for key in ("players", "resources", "covets"):
         if key not in doc:
             raise ParseError(f"missing key {key!r}")
-    players = list(doc["players"])
+    players = doc["players"]
+    if not isinstance(players, list) or not all(map(_is_id, players)):
+        raise ParseError("'players' must be a list of ids")
+    for key in ("resources", "covets"):
+        if not isinstance(doc[key], dict):
+            raise ParseError(f"{key!r} must be an object")
     resources = {}
-    for rid, value_text in doc["resources"].items():
-        value = parse_rational(str(value_text))
-        if value <= 0:
+    for rid, value in doc["resources"].items():
+        if not _is_id(rid):
+            raise ParseError(f"bad resource id {rid!r}")
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ParseError(f"bad value for resource {rid!r}: {value!r}")
+        try:
+            resources[rid] = parse_rational(str(value))
+        except ValueError:
+            raise ParseError(f"bad value for resource {rid!r}: {value!r}") from None
+        if resources[rid] <= 0:
             raise ParseError(f"non-positive value for resource {rid!r}")
-        resources[rid] = value
     covets = {}
     declared = set(players)
     for pid, wants in doc["covets"].items():
         if pid not in declared:
             raise ParseError(f"covets entry for undeclared player {pid!r}")
+        if not isinstance(wants, list) or not all(map(_is_id, wants)):
+            raise ParseError(f"covet list of {pid!r} must be a list of ids")
         for rid in wants:
             if rid not in resources:
                 raise ParseError(
@@ -262,8 +295,11 @@ def parse_instance_json(text: str) -> Instance:
 
 def load_instance(path: str) -> Instance:
     """Load an instance from a file; .json selects the JSON mirror format."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}") from None
     if path.endswith(".json"):
         return parse_instance_json(text)
     return parse_instance(text)
@@ -273,11 +309,31 @@ def load_instance(path: str) -> Instance:
 # Exhaustive optimum
 # ---------------------------------------------------------------------------
 
+def check_oracle_caps(
+    inst: Instance,
+    *,
+    max_resources: int = DEFAULT_ORACLE_RESOURCE_CAP,
+    max_players: int = DEFAULT_ORACLE_PLAYER_CAP,
+) -> None:
+    """Raise ``OracleCapError`` when ``inst`` is too large for ``brute_force_opt``."""
+    if len(inst.resources) > max_resources or len(inst.players) > max_players:
+        raise OracleCapError(
+            f"instance too large for oracle "
+            f"({len(inst.players)} players, {len(inst.resources)} resources; "
+            f"caps {max_players}/{max_resources})"
+        )
+
+
+class _BoundReached(Exception):
+    """Ends ``brute_force_opt``'s search at an allocation that meets its bound."""
+
+
 def brute_force_opt(
     inst: Instance,
     *,
     max_resources: int = DEFAULT_ORACLE_RESOURCE_CAP,
     max_players: int = DEFAULT_ORACLE_PLAYER_CAP,
+    upper_bound: Fraction | None = None,
 ) -> OptResult:
     """Exact OPT by exhaustive assignment with branch-and-bound pruning.
 
@@ -286,13 +342,18 @@ def brute_force_opt(
     potential of p), so equal-value instances finish in well under the
     worst-case product.  The search adds and compares the instance's
     integer value table (every value times ``inst.scale``).
+
+    ``upper_bound`` is a proven upper bound on OPT, such as T*, the
+    optimum of the configuration LP (a relaxation).  OPT is a sum of
+    table values, so it is at most floor(upper_bound * scale) / scale,
+    and the search stops at the first allocation that reaches that; with
+    no bound it exhausts the tree, which proves optimality on its own.
+    The witness is the first optimal allocation in search order either
+    way (the best is replaced only on a strict improvement), so a bound
+    changes only ``nodes_explored``.  An allocation found above the bound
+    shows that it was no bound, and raises ``AssertionError``.
     """
-    if len(inst.resources) > max_resources or len(inst.players) > max_players:
-        raise OracleCapError(
-            f"instance too large for oracle "
-            f"({len(inst.players)} players, {len(inst.resources)} resources; "
-            f"caps {max_players}/{max_resources})"
-        )
+    check_oracle_caps(inst, max_resources=max_resources, max_players=max_players)
     players = inst.players
     pidx = {p: i for i, p in enumerate(players)}
     # Only resources somebody covets can matter; order by descending value.
@@ -312,6 +373,7 @@ def brute_force_opt(
             later + (ints[i] if p in coveters else 0)
             for p, later in enumerate(potential[i + 1])
         ]
+    bound = None if upper_bound is None else math.floor(Fraction(upper_bound) * inst.scale)
 
     best_value = -1
     best_choice: list[int | None] = [None] * n
@@ -330,6 +392,8 @@ def brute_force_opt(
             if current > best_value:
                 best_value = current
                 best_choice[:] = choice
+                if bound is not None and current >= bound:
+                    raise _BoundReached
             return
         val = ints[i]
         for p in relevant[i][2]:
@@ -341,15 +405,22 @@ def brute_force_opt(
         dfs(i + 1)
 
     if players:
-        dfs(0)
+        try:
+            dfs(0)
+        except _BoundReached:
+            pass
     else:
         best_value = 0
+    if bound is not None and best_value > bound:
+        raise AssertionError(
+            f"OPT >= {Fraction(best_value, inst.scale)} beats the upper bound {upper_bound}"
+        )
 
-    assignment: dict[str, set[str]] = {p: set() for p in players}
+    bundles: dict[str, list[str]] = {p: [] for p in players}
     for i, owner in enumerate(best_choice):
         if owner is not None:
-            assignment[players[owner]].add(relevant[i][0])
-    witness = Allocation({p: frozenset(s) for p, s in assignment.items()})
+            bundles[players[owner]].append(relevant[i][0])
+    witness = Allocation({p: tuple(sorted(b)) for p, b in bundles.items()})
     witness.validate(inst)
     opt = Fraction(max(best_value, 0), inst.scale)
     if players and witness.min_value(inst) != opt:

@@ -301,20 +301,23 @@ def clp_feasible(inst: Instance, target: Fraction) -> LpFeasibilityResult:
 def _check_primal(
     inst: Instance, model: ClpModel, primal: dict[Configuration, Fraction]
 ) -> None:
+    """Weights >= 0, covering >= 1 and packing <= 1, exactly: one pass over
+    the support adds the weights times the lcm of their denominators."""
+    scale = math.lcm(*(w.denominator for w in primal.values()))
+    covered = dict.fromkeys(model.players, 0)
+    packed = dict.fromkeys(model.resource_ids, 0)
     for cfg, weight in primal.items():
-        if weight < 0:
+        w = weight.numerator * (scale // weight.denominator)
+        if w < 0:
             raise AssertionError("negative primal weight")
-    for p in model.players:
-        covered = sum(
-            (w for cfg, w in primal.items() if cfg.owner == p), Fraction(0)
-        )
-        if covered < 1:
+        covered[cfg.owner] += w
+        for r in cfg.resources:
+            packed[r] += w
+    for p, total in covered.items():
+        if total < scale:
             raise AssertionError(f"covering constraint violated for {p}")
-    for r in model.resource_ids:
-        packed = sum(
-            (w for cfg, w in primal.items() if r in cfg.resources), Fraction(0)
-        )
-        if packed > 1:
+    for r, total in packed.items():
+        if total > scale:
             raise AssertionError(f"packing constraint violated for {r}")
 
 

@@ -46,6 +46,38 @@ def test_opt(instance_file):
     assert doc["opt"] == "1"
 
 
+MIXED_DENOMINATOR_DOC = """\
+players p1 p2
+resource a 1/6
+resource b 4/9
+resource c 1
+resource d 4/9
+resource e 1/6
+covets p1 a b c
+covets p2 b c d e
+"""
+
+
+@pytest.mark.parametrize(
+    "doc, opt, witness",
+    [
+        (INSTANCE_DOC, "1", {"p1": ["a", "b"], "p2": ["c", "d"]}),
+        (MIXED_DENOMINATOR_DOC, "19/18", {"p1": ["a", "c"], "p2": ["b", "d", "e"]}),
+    ],
+    ids=["halves", "mixed-denominators"],
+)
+def test_opt_output_is_exact(tmp_path, doc, opt, witness):
+    """The whole document, byte for byte: the search stops at T*, and the
+    witness is still the first optimal allocation in search order, printed
+    as sorted lists."""
+    path = tmp_path / "inst.txt"
+    path.write_text(doc)
+    code, out, err = run_cli(["opt", str(path)])
+    assert code == 0 and err == ""
+    expected = {"schema": "santa-gap/1", "opt": opt, "witness": witness}
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
 def test_gap(instance_file):
     code, out, _ = run_cli(["gap", instance_file])
     assert code == 0
@@ -329,8 +361,8 @@ def test_hypergraph_non_positive_threshold_is_json_error(instance_file, argv):
 
 @pytest.mark.parametrize(
     "command",
-    [["hypergraph", "--alpha", "1", "--target", "1"], ["gap"]],
-    ids=["hypergraph", "gap"],
+    [["hypergraph", "--alpha", "1", "--target", "1"], ["gap"], ["opt"]],
+    ids=["hypergraph", "gap", "opt"],
 )
 def test_over_cap_covet_list_is_cap_error(tmp_path, command):
     path = tmp_path / "wide.txt"

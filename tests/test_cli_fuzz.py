@@ -1,4 +1,5 @@
-"""Fuzzing ``tstar``, ``opt`` and ``gap`` through ``cli_main`` on instance text.
+"""Fuzzing ``tstar``, ``opt`` and ``gap`` through ``cli_main`` on instance
+documents, in the text format and in its JSON mirror.
 
 Every input must end with a documented exit code and a JSON document on
 stdout, never with a traceback: 0 with the command's report for a valid
@@ -118,6 +119,132 @@ def test_mutated_instances_exit_zero_or_one(text, doc_path):
 @given(text=st.lists(_lines, max_size=6).map("\n".join))
 def test_arbitrary_text_exits_zero_or_one(text, doc_path):
     _run_all(text, doc_path)
+
+
+# -- the JSON mirror ------------------------------------------------------------
+
+# Any JSON value, NaN and the infinities included (``json.dumps`` writes them).
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=5), children, max_size=4),
+    max_leaves=10,
+)
+_json_values = st.one_of(
+    _values, st.integers(1, 12), st.sampled_from([0.5, 0.25, 1.5, 1e-05, 1e16])
+)
+
+
+@st.composite
+def instance_docs(draw):
+    """A valid JSON instance of at most 3 players and 6 resources."""
+    players = [f"p{i}" for i in range(draw(st.integers(1, 3)))]
+    resources = [f"r{i}" for i in range(draw(st.integers(0, 6)))]
+    wants = st.lists(st.sampled_from(resources), unique=True) if resources else st.just([])
+    return {
+        "players": players,
+        "resources": {r: draw(_json_values) for r in resources},
+        "covets": {p: draw(wants) for p in players},
+    }
+
+
+def _as_text(doc):
+    lines = ["players " + " ".join(doc["players"])]
+    lines += [f"resource {r} {v}" for r, v in doc["resources"].items()]
+    lines += [f"covets {p} " + " ".join(w) for p, w in doc["covets"].items() if w]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def mutated_docs(draw):
+    """A valid JSON instance with top-level keys dropped or replaced, or one
+    entry of a players list, resources object or covets object replaced,
+    by arbitrary JSON."""
+    doc = draw(instance_docs())
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(("players", "resources", "covets")))
+        op = draw(st.sampled_from(("drop", "replace", "entry")))
+        part = doc.get(key)
+        if op == "drop":
+            doc.pop(key, None)
+        elif op == "replace" or not part or not isinstance(part, (list, dict)):
+            doc[key] = draw(_json)
+        elif isinstance(part, list):
+            part[draw(st.integers(0, len(part) - 1))] = draw(_json)
+        else:
+            part[draw(st.sampled_from(sorted(part)) | st.text(max_size=3))] = draw(_json)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def json_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "inst.json"
+
+
+@FUZZ
+@given(doc=instance_docs())
+def test_valid_json_instances_match_the_text_format(doc, json_path, doc_path):
+    results = _run_all(json.dumps(doc), json_path)
+    assert {code for code, _ in results.values()} == {0}, results
+    assert results == _run_all(_as_text(doc), doc_path)
+
+
+@FUZZ
+@given(doc=mutated_docs())
+def test_mutated_json_instances_exit_zero_or_one(doc, json_path):
+    results = _run_all(json.dumps(doc), json_path)
+    assert len({code for code, _ in results.values()}) == 1, results
+
+
+@FUZZ
+@given(doc=_json)
+def test_arbitrary_json_exits_zero_or_one(doc, json_path):
+    _run_all(json.dumps(doc), json_path)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"players": 5, "resources": {}, "covets": {}},
+        {"players": ["p"], "resources": [], "covets": {}},
+        {"players": ["p"], "resources": {"a": 1}, "covets": {"p": 3}},
+        {"players": ["p"], "resources": {"a": 1}, "covets": {"p": "a"}},
+        {"players": ["p", 1], "resources": {}, "covets": {}},
+        {"players": ["p"], "resources": {"a": True}, "covets": {}},
+        {"players": ["p"], "resources": {"a": [1]}, "covets": {}},
+        {"players": ["p"], "resources": {"a": 1}, "covets": {"p": [["a"]]}},
+        {"players": ["p q"], "resources": {}, "covets": {}},
+        {"players": ["p"], "resources": {"": 1}, "covets": {}},
+        ["players", "resources", "covets"],
+    ],
+    ids=[
+        "players-a-number", "resources-a-list", "covets-a-number", "covets-a-string",
+        "player-a-number", "value-a-bool", "value-a-list", "covet-a-list",
+        "player-with-a-space", "resource-an-empty-id", "not-an-object",
+    ],
+)
+def test_json_wrong_shapes_exit_one(doc, json_path):
+    """Most of these shapes ended in a traceback, and "covets-a-string" read
+    "a" as a list of one-letter ids."""
+    for code, out in _run_all(json.dumps(doc), json_path).values():
+        assert code == 1 and "error" in out
+
+
+@pytest.mark.parametrize(
+    "text", ["[" * 100_000, '{"a": 1' + "0" * 5000 + "}"],
+    ids=["deep-nesting", "long-int"],
+)
+def test_json_decoder_failures_exit_one(text, json_path):
+    for code, out in _run_all(text, json_path).values():
+        assert code == 1 and out["error"].startswith("invalid JSON")
+
+
+def test_non_utf8_instance_exits_one(doc_path, json_path):
+    for path in (doc_path, json_path):
+        path.write_bytes(b"players p\xff\n")
+        for command in REPORT_KEYS:
+            code, doc = _run(command, path)
+            assert code == 1 and doc["error"].startswith("not UTF-8 text")
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,8 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from conftest import random_small_instance
 from oracles import (
     bisection_t_star,
@@ -285,8 +287,8 @@ def test_brute_force_opt_matches_exhaustive_on_randoms():
         _check_against_exhaustive(inst)
 
 
-def test_brute_force_opt_mixed_denominators():
-    inst = Instance.build(
+def _mixed_denominators():
+    return Instance.build(
         ["p1", "p2"],
         {
             "a": Fraction(1, 6),
@@ -297,9 +299,64 @@ def test_brute_force_opt_mixed_denominators():
         },
         {"p1": {"a", "b", "c"}, "p2": {"b", "c", "d", "e"}},
     )
-    res = _check_against_exhaustive(inst)
+
+
+def test_brute_force_opt_mixed_denominators():
+    res = _check_against_exhaustive(_mixed_denominators())
     assert res.opt_value == Fraction(19, 18)
-    assert res.witness.assignment["p2"] == frozenset({"b", "d", "e"})
+    assert res.witness.assignment["p2"] == ("b", "d", "e")
+
+
+def test_brute_force_opt_stops_at_t_star():
+    """Bounded by T*, the search returns the exhaustive search's OPT and
+    witness, and explores strictly fewer nodes wherever OPT reaches T*
+    (the exhaustive search then goes on to prove optimality)."""
+    rng = random.Random(23)
+    instances = [*_gap_random_instances(range(10)), _mixed_denominators()]
+    instances += [random_small_instance(rng) for _ in range(30)]
+    reached = 0
+    for inst in instances:
+        t_star = lp_core.compute_t_star(inst).t_star
+        want = brute_force_opt(inst)
+        got = brute_force_opt(inst, upper_bound=t_star)
+        assert got == want and got.witness == want.witness, inst
+        if want.opt_value == t_star:
+            reached += 1
+            assert got.nodes_explored < want.nodes_explored, inst
+        else:
+            assert got.nodes_explored == want.nodes_explored, inst
+    assert reached > len(instances) // 2
+
+
+def test_brute_force_opt_bound_never_reached():
+    """A bound above OPT (T* + 1) is never reached: the search is the
+    exhaustive one, node for node."""
+    rng = random.Random(29)
+    for inst in [_mixed_denominators(), *(random_small_instance(rng) for _ in range(10))]:
+        want = brute_force_opt(inst)
+        got = brute_force_opt(inst, upper_bound=lp_core.compute_t_star(inst).t_star + 1)
+        assert got == want and got.witness == want.witness
+        assert got.nodes_explored == want.nodes_explored
+
+
+def test_brute_force_opt_beaten_bound_raises():
+    """OPT = 19/18; the search finds 11/18 first, above 1/2, and 19/18
+    above 1 (no allocation is worth exactly 1 on the way)."""
+    inst = _mixed_denominators()
+    for bound in (Fraction(1, 2), Fraction(1)):
+        with pytest.raises(AssertionError, match="beats the upper bound"):
+            brute_force_opt(inst, upper_bound=bound)
+
+
+def test_brute_force_opt_golden_at_the_oracle_caps():
+    """The 6 x 14 instance, bounded by its T* = 53/36 only: the exhaustive
+    search takes 12.6 M nodes, too slow here."""
+    inst = _six_by_fourteen()
+    res = brute_force_opt(inst, upper_bound=Fraction(53, 36))
+    assert res.opt_value == Fraction(53, 36)
+    res.witness.validate(inst)
+    assert res.witness.min_value(inst) == Fraction(53, 36)
+    assert res.nodes_explored == 699_402
 
 
 # -- integer subset searches ----------------------------------------------------

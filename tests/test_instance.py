@@ -131,11 +131,20 @@ def test_value_of_generated_eps_pool():
 
 def test_allocation_validation():
     inst = parse_instance(MINIMAL)
-    Allocation({"p1": frozenset({"a"}), "p2": frozenset({"b"})}).validate(inst)
+    Allocation({"p1": ("a",), "p2": ("b",)}).validate(inst)
+    Allocation({"p1": frozenset({"a"}), "p2": ["b"]}).validate(inst)  # any sequence
     with pytest.raises(InstanceError):
-        Allocation({"p1": frozenset({"a"}), "p2": frozenset({"a"})}).validate(inst)
+        Allocation({"p1": ("a",), "p2": ("a",)}).validate(inst)
     with pytest.raises(InstanceError):
-        Allocation({"p1": frozenset({"zz"})}).validate(inst)
+        Allocation({"p1": ("zz",)}).validate(inst)
+
+
+def test_allocation_rejects_a_repeated_resource():
+    inst = parse_instance(MINIMAL)
+    with pytest.raises(InstanceError, match="'p1' allocated resource 'a' twice"):
+        Allocation({"p1": ("a", "a")}).validate(inst)
+    with pytest.raises(InstanceError, match="allocated resource 'b' twice"):
+        Allocation({"p2": ["b", "b"], "p1": ()}).validate(inst)
 
 
 # -- brute force ------------------------------------------------------------
@@ -144,7 +153,7 @@ def test_opt_single_player_single_resource():
     inst = parse_instance("players p\nresource a 5\ncovets p a\n")
     res = brute_force_opt(inst)
     assert res.opt_value == 5
-    assert res.witness.assignment["p"] == frozenset({"a"})
+    assert res.witness.assignment["p"] == ("a",)
 
 
 def test_opt_two_players_one_resource():

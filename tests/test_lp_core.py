@@ -8,7 +8,9 @@ from conftest import random_small_instance
 from santagap.allocation_graph import compute_fat
 from santagap.instance import brute_force_opt, parse_instance
 from santagap.lp_core import (
+    Configuration,
     DualSolution,
+    _check_primal,
     build_dual_basic,
     build_dual_refined,
     clp_feasible,
@@ -161,6 +163,32 @@ def test_clp_fractional_regime(shared_halves):
     assert res.feasible
     for cfg, w in res.primal.items():
         assert 0 <= w <= 1
+
+
+def test_check_primal_catches_each_tampering(shared_halves):
+    """Each of the three exact checks fires on a primal tampered to break
+    it, over mixed denominators; the untampered primal meets every covering
+    constraint with equality and passes."""
+    model = clp_feasible(shared_halves, Fraction(1)).model
+
+    def cfg(owner, *resources):
+        return Configuration(owner, frozenset(resources))
+
+    exact = {
+        cfg("p1", "c", "d"): Fraction(1),
+        cfg("p2", "a"): Fraction(1, 2),
+        cfg("p2", "b"): Fraction(1, 3),
+        cfg("p2", "a", "b"): Fraction(1, 6),
+    }
+    _check_primal(shared_halves, model, exact)
+    tampered = [
+        ({cfg("p2", "a", "b"): Fraction(-1, 6)}, "negative primal weight"),
+        ({cfg("p2", "b"): Fraction(1, 3) - Fraction(1, 12)}, "covering .* for p2"),
+        ({cfg("p1", "a"): Fraction(1, 3) + Fraction(1, 7)}, "packing .* for a"),
+    ]
+    for change, message in tampered:
+        with pytest.raises(AssertionError, match=message):
+            _check_primal(shared_halves, model, {**exact, **change})
 
 
 # -- compute_t_star ---------------------------------------------------------------
