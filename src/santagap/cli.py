@@ -21,10 +21,11 @@ from .gap_report import (
     run_gap_experiment,
     verify_convex_combination,
 )
-from .graphs import GraphError, graph_to_json, load_graph
+from .graphs import GraphError, graph_to_json, load_graph, load_json
 from .instance import (
     InstanceError,
     OracleCapError,
+    ParseError,
     brute_force_opt,
     check_oracle_caps,
     load_instance,
@@ -155,7 +156,6 @@ def cli_main(argv: list[str] | None = None) -> int:
         RationalParseError,
         RationalFormatError,
         FileNotFoundError,
-        json.JSONDecodeError,
         topology.SequenceError,
     ) as exc:
         return _fail(str(exc))
@@ -218,8 +218,7 @@ def _dispatch(args) -> int:
 
     if args.command == "de-verify":
         g, _ = load_graph(args.graph)
-        with open(args.trace, "r", encoding="utf-8") as fh:
-            trace = json.load(fh)
+        trace = load_json(args.trace, topology.SequenceError)
         seq = topology.sequence_from_json(g, trace)
         res = topology.execute_sequence(g, seq)
         doc = {
@@ -310,8 +309,7 @@ def _dispatch(args) -> int:
     if args.command == "dual-check":
         inst = load_instance(args.instance)
         target = parse_rational(args.target)
-        with open(args.dual, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = load_json(args.dual, ParseError)
         if not (
             isinstance(doc, dict)
             and isinstance(doc.get("y"), dict)

@@ -5,12 +5,16 @@ generic test graphs use plain strings or ints.  Vertices and edges are
 kept in sorted order so that every traversal, search, and hash is
 deterministic.
 
+A graph's adjacency is ``masks``: one int per vertex, in the sorted
+vertex order, with bit j set when the vertex is adjacent to vertex j.
 ``Graph(...)`` sorts its input and checks every edge.  The derived graphs
 (``delete_edge``, ``explode_edge``, ``induced``) are subgraphs of a graph
-that has passed those checks, so they reuse its sorted tuples and
-neighbour sets instead: filtering a sorted tuple keeps it sorted, and a
-subgraph of a valid graph is valid.  Either way, equal graphs have equal
-``key``, hash and ``neighbors``.
+that has passed those checks, so they only clear bits or restrict and
+re-index the masks, and they reuse the parent's label tuples and edge
+pairs: filtering a sorted tuple keeps it sorted, and a subgraph of a
+valid graph is valid.  Either way, equal graphs have equal masks, edges
+and hash.  Equality and hash are over labels and masks; code that needs
+only the structure (the eta cache) reads ``masks`` alone.
 """
 
 from __future__ import annotations
@@ -27,104 +31,177 @@ class GraphError(ValueError):
 
 
 class Graph:
-    __slots__ = ("vertices", "edges", "_adj", "_key", "_hash")
+    __slots__ = ("vertices", "edges", "masks", "_index", "_hash")
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Iterable[Vertex]] = ()):
-        vs = sorted(set(vertices))
-        vset = set(vs)
-        adj: dict[Vertex, set[Vertex]] = {v: set() for v in vs}
-        eset: set[tuple[Vertex, Vertex]] = set()
+        try:
+            vs = tuple(sorted(set(vertices)))
+        except TypeError as exc:  # unhashable labels, or labels of types that do not compare
+            raise GraphError(f"vertex labels cannot be sorted: {exc}") from None
+        index = {v: i for i, v in enumerate(vs)}
+        masks = [0] * len(vs)
         for e in edges:
             u, v = e
-            if u not in vset or v not in vset:
+            i, j = index.get(u), index.get(v)
+            if i is None or j is None:
                 raise GraphError(f"edge {e!r} uses an undeclared vertex")
-            if u == v:
+            if i == j:
                 raise GraphError(f"self-loop at {u!r}")
-            a, b = (u, v) if u < v else (v, u)
-            eset.add((a, b))
-            adj[a].add(b)
-            adj[b].add(a)
-        self._assign(
-            tuple(vs), tuple(sorted(eset)), {v: frozenset(ns) for v, ns in adj.items()}
-        )
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        pairs = []
+        for i, m in enumerate(masks):
+            later = m >> (i + 1)
+            while later:
+                low = later & -later
+                pairs.append((vs[i], vs[i + low.bit_length()]))
+                later ^= low
+        self._assign(vs, tuple(pairs), tuple(masks), index)
 
-    def _assign(self, vertices: tuple, edges: tuple, adj: dict) -> None:
+    def _assign(self, vertices: tuple, edges: tuple, masks: tuple, index: dict | None) -> None:
         self.vertices: tuple[Vertex, ...] = vertices
         self.edges: tuple[tuple[Vertex, Vertex], ...] = edges
-        self._adj = adj
-        self._key = (vertices, edges)
-        self._hash = hash(self._key)
+        self.masks: tuple[int, ...] = masks
+        self._index = index
+        self._hash = None
 
     @classmethod
-    def _derived(cls, vertices: tuple, edges: tuple, adj: dict) -> "Graph":
+    def _derived(cls, vertices: tuple, edges: tuple, masks: tuple, index: dict | None) -> "Graph":
         """A subgraph of a validated graph, from its already sorted tuples
-        and neighbour sets; nothing is sorted or checked again."""
+        and masks; nothing is sorted or checked again.  ``index`` is shared
+        with a graph over the same vertices, or None to build on demand."""
         g = object.__new__(cls)
-        g._assign(vertices, edges, adj)
+        g._assign(vertices, edges, masks, index)
         return g
+
+    def _position(self, v: Vertex) -> int | None:
+        if self._index is None:
+            self._index = {u: i for i, u in enumerate(self.vertices)}
+        return self._index.get(v)
 
     # -- basic queries ------------------------------------------------------
 
     def neighbors(self, v: Vertex) -> frozenset:
-        return self._adj[v]
+        i = self._position(v)
+        if i is None:
+            raise KeyError(v)
+        vs = self.vertices
+        return frozenset(vs[j] for j in range(len(vs)) if (self.masks[i] >> j) & 1)
 
     def degree(self, v: Vertex) -> int:
-        return len(self._adj[v])
+        i = self._position(v)
+        if i is None:
+            raise KeyError(v)
+        return self.masks[i].bit_count()
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        return v in self._adj.get(u, frozenset())
+        i, j = self._position(u), self._position(v)
+        return i is not None and j is not None and bool((self.masks[i] >> j) & 1)
 
     def isolated_vertices(self) -> tuple[Vertex, ...]:
-        return tuple(v for v in self.vertices if not self._adj[v])
+        return tuple(v for v, m in zip(self.vertices, self.masks) if not m)
 
     def has_isolated_vertex(self) -> bool:
-        return any(not self._adj[v] for v in self.vertices)
+        return 0 in self.masks
+
+    def _ends(self, e: Iterable[Vertex]) -> tuple[int, int]:
+        """Positions (i, j), i < j, of the ends of an edge of this graph."""
+        u, v = e
+        i, j = self._position(u), self._position(v)
+        if i is None or j is None or not (self.masks[i] >> j) & 1:
+            raise GraphError(f"edge {e!r} not present")
+        return (i, j) if i < j else (j, i)
 
     def normalize_edge(self, e: Iterable[Vertex]) -> tuple[Vertex, Vertex]:
-        u, v = e
-        a, b = (u, v) if u < v else (v, u)
-        if not self.has_edge(a, b):
-            raise GraphError(f"edge {e!r} not present")
-        return (a, b)
+        i, j = self._ends(e)
+        return (self.vertices[i], self.vertices[j])
 
     # -- derived graphs -----------------------------------------------------
 
     def delete_edge(self, e: Iterable[Vertex]) -> "Graph":
         """Remove the edge but keep both end vertices."""
-        a, b = self.normalize_edge(e)
-        i = self.edges.index((a, b))
-        adj = dict(self._adj)
-        adj[a] = adj[a] - {b}
-        adj[b] = adj[b] - {a}
-        return Graph._derived(self.vertices, self.edges[:i] + self.edges[i + 1 :], adj)
+        i, j = self._ends(e)
+        vs = self.vertices
+        k = self.edges.index((vs[i], vs[j]))
+        masks = list(self.masks)
+        masks[i] ^= 1 << j
+        masks[j] ^= 1 << i
+        return Graph._derived(
+            vs, self.edges[:k] + self.edges[k + 1 :], tuple(masks), self._index
+        )
 
     def explode_edge(self, e: Iterable[Vertex]) -> "Graph":
         """Remove both endpoints and all of their neighbors."""
-        a, b = self.normalize_edge(e)
-        gone = {a, b} | set(self._adj[a]) | set(self._adj[b])
-        keep = [v for v in self.vertices if v not in gone]
-        return self.induced(keep)
+        i, j = self._ends(e)
+        gone = self.masks[i] | self.masks[j]  # holds i and j, which are adjacent
+        return self._restrict(((1 << len(self.vertices)) - 1) & ~gone)
 
     def induced(self, keep: Iterable[Vertex]) -> "Graph":
         """The subgraph on the vertices of ``keep`` that this graph has."""
-        kset = set(keep)
-        vertices = tuple(v for v in self.vertices if v in kset)
+        kept = 0
+        for v in keep:
+            i = self._position(v)
+            if i is not None:
+                kept |= 1 << i
+        return self._restrict(kept)
+
+    def _restrict(self, kept: int) -> "Graph":
+        """The subgraph on the vertex positions set in ``kept``."""
+        masks, edges = self.masks, self.edges
+        if kept == (1 << len(masks)) - 1:
+            return self
+        new = {}  # old position -> new position
+        rest = kept
+        while rest:
+            low = rest & -rest
+            new[low.bit_length() - 1] = len(new)
+            rest ^= low
+        out_masks = []
+        for i in new:
+            m = masks[i] & kept
+            out = 0
+            while m:
+                low = m & -m
+                out |= 1 << new[low.bit_length() - 1]
+                m ^= low
+            out_masks.append(out)
+        # edges are sorted by the positions of their ends: row i holds the
+        # edges to later neighbours, in order
+        out_edges = []
+        k = 0
+        for i, m in enumerate(masks):
+            later = m >> (i + 1)
+            count = later.bit_count()
+            if (kept >> i) & 1:
+                both = later & (kept >> (i + 1))
+                if both == later:
+                    out_edges.extend(edges[k : k + count])
+                elif both:
+                    row = k
+                    while later:
+                        low = later & -later
+                        if both & low:
+                            out_edges.append(edges[row])
+                        row += 1
+                        later ^= low
+            k += count
+        vs = self.vertices
         return Graph._derived(
-            vertices,
-            tuple((u, v) for (u, v) in self.edges if u in kset and v in kset),
-            {v: self._adj[v] & kset for v in vertices},
+            tuple(vs[i] for i in new), tuple(out_edges), tuple(out_masks), None
         )
 
     # -- identity -----------------------------------------------------------
 
-    @property
-    def key(self):
-        return self._key
-
     def __eq__(self, other):
-        return isinstance(other, Graph) and self._key == other._key
+        return (
+            isinstance(other, Graph)
+            and self.masks == other.masks
+            and self.vertices == other.vertices
+        )
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.vertices, self.masks))
         return self._hash
 
     def __repr__(self):
@@ -146,7 +223,10 @@ def vertex_from_json(obj) -> Vertex:
     if isinstance(obj, dict):
         if "owner" not in obj or not isinstance(obj.get("resources"), list):
             raise GraphError(f"bad vertex descriptor {obj!r}")
-        return (obj["owner"], tuple(sorted(obj["resources"])))
+        try:
+            return (obj["owner"], tuple(sorted(obj["resources"])))
+        except TypeError:  # resource ids of types that do not compare
+            raise GraphError(f"bad vertex descriptor {obj!r}") from None
     if isinstance(obj, list):
         raise GraphError(f"bad vertex descriptor {obj!r}")
     return obj
@@ -179,8 +259,11 @@ def graph_from_json(doc: dict) -> tuple[Graph, dict[str, tuple] | None]:
             )
         return vertices[i]
 
+    pairs = doc.get("edges", [])
+    if not isinstance(pairs, (list, tuple)):
+        raise GraphError("'edges' must be a list of vertex index pairs")
     edges = []
-    for e in doc.get("edges", ()):
+    for e in pairs:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise GraphError(f"edge {e!r} is not a pair of vertex indices")
         edges.append((at(e[0]), at(e[1])))
@@ -197,6 +280,16 @@ def graph_from_json(doc: dict) -> tuple[Graph, dict[str, tuple] | None]:
     return g, parts
 
 
+def load_json(path: str, error: type[Exception]):
+    """The JSON document in a file; text that is not UTF-8 JSON raises ``error``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # also over-long ints, deep nesting
+        raise error(f"{path}: invalid JSON: {exc}") from None
+
+
 def load_graph(path: str) -> tuple[Graph, dict[str, tuple] | None]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_json(json.load(fh))
+    return graph_from_json(load_json(path, GraphError))

@@ -329,9 +329,9 @@ def search_de_sequence(
             exhausted = False
             return False
         if graph_state_objective:
-            if g.key in seen:
+            if g in seen:
                 return False
-            seen.add(g.key)
+            seen.add(g)
         first_deletion_done = False
         for edge in g.edges:
             cls = classify_edge(g, edge, **eta_caps)

@@ -1,4 +1,4 @@
-"""Independence complexes and reduced Z2 homology.
+"""Reduced Z2 homology of independence complexes, and eta.
 
 eta(G) is 1 plus the first dimension with nonvanishing reduced homology
 of the independence complex Ind(G) over GF(2), and infinity when every
@@ -21,13 +21,18 @@ bitmasks) and boundary ranks are computed by bitwise GF(2) elimination,
 stopping as soon as the answer is decided.  homology_profile runs the
 same level loop on the whole graph with no shortcut, so it serves as
 the oracle for eta.
+
+All of this works on the graph's adjacency masks (``Graph.masks``).  The
+eta cache is keyed on those masks alone, not on the vertex labels: eta
+is a graph invariant, so two graphs with the same masks over their
+sorted vertex order share one entry whatever their labels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from ..graphs import Graph
 
@@ -42,17 +47,6 @@ class EtaCapError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SimplicialComplex:
-    """A complex given by its facets (maximal simplices)."""
-
-    vertices: tuple
-    facets: tuple[frozenset, ...]
-
-    def dimension(self) -> int:
-        return max((len(f) for f in self.facets), default=0) - 1
-
-
-@dataclass(frozen=True)
 class HomologyProfile:
     """Reduced Z2 Betti numbers, dimension -1 up to the complex dimension."""
 
@@ -61,15 +55,6 @@ class HomologyProfile:
     def first_nonvanishing(self) -> int | None:
         hits = [d for d, r in sorted(self.ranks.items()) if r > 0]
         return hits[0] if hits else None
-
-
-def _adjacency_masks(g: Graph) -> list[int]:
-    index = {v: i for i, v in enumerate(g.vertices)}
-    adj = [0] * len(g.vertices)
-    for u, v in g.edges:
-        adj[index[u]] |= 1 << index[v]
-        adj[index[v]] |= 1 << index[u]
-    return adj
 
 
 def _rank_gf2(columns: list[int]) -> int:
@@ -89,7 +74,7 @@ def _rank_gf2(columns: list[int]) -> int:
 
 
 def _next_level(
-    level: list[tuple[int, int, int]], adj: list[int], n: int, cap: int
+    level: list[tuple[int, int, int]], adj: Sequence[int], n: int, cap: int
 ) -> list[tuple[int, int, int]]:
     """Extend independent sets by one vertex each; entries are
     (member mask, last vertex, blocked mask)."""
@@ -118,7 +103,7 @@ def _boundary_rank(
     return _rank_gf2(columns)
 
 
-def _betti_numbers(adj: list[int], max_simplices: int) -> Iterator[int]:
+def _betti_numbers(adj: Sequence[int], max_simplices: int) -> Iterator[int]:
     """Reduced Z2 Betti numbers of Ind(G) in dimensions 0, 1, ..., one
     level of independent sets at a time; G has at least one vertex."""
     n = len(adj)
@@ -134,7 +119,7 @@ def _betti_numbers(adj: list[int], max_simplices: int) -> Iterator[int]:
 
 
 def _first_hole(
-    adj: list[int], stop_dim: int | None, max_simplices: int
+    adj: Sequence[int], stop_dim: int | None, max_simplices: int
 ) -> tuple[int | None, bool]:
     """(first dimension with nonzero reduced homology, decided).
 
@@ -159,7 +144,7 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _fold_components(adj: list[int]) -> list[list[int]] | None:
+def _fold_components(adj: Sequence[int]) -> list[list[int]] | None:
     """Fold dominated vertices away, then split into connected components.
 
     Returns the components' adjacency masks, each re-indexed from 0 and
@@ -218,7 +203,7 @@ def _fold_components(adj: list[int]) -> list[list[int]] | None:
 
 
 def _reduced_eta(
-    adj: list[int], t: int | None, max_simplices: int
+    adj: Sequence[int], t: int | None, max_simplices: int
 ) -> int | float | None:
     """eta of the graph with adjacency masks adj, by fold and components.
 
@@ -243,11 +228,21 @@ def _reduced_eta(
     return total
 
 
-# Keyed by the full (vertices, edges) structure; plain dict get/set are
-# atomic under the GIL, so concurrent eta calls may share this cache.
+# Keyed by _cache_key, which ignores vertex labels; plain dict get/set
+# are atomic under the GIL, so concurrent eta calls may share this cache.
 # It is emptied whenever it reaches ETA_CACHE_MAX entries.
 ETA_CACHE_MAX = 1 << 16
 _ETA_CACHE: dict = {}
+
+
+def _cache_key(masks: tuple[int, ...]) -> int:
+    """One int for (n, masks): the n masks of n bits each, below a
+    sentinel bit at n*n, so that no two graphs of any sizes share it."""
+    n = len(masks)
+    key = 1
+    for m in reversed(masks):
+        key = (key << n) | m
+    return key
 
 
 def clear_eta_cache() -> None:
@@ -269,11 +264,12 @@ def eta(
     """1 + first nonvanishing reduced Z2 homology dimension, or infinity."""
     if len(g.vertices) > max_vertices:
         raise EtaCapError(f"{len(g.vertices)} vertices exceeds cap {max_vertices}")
-    cached = _ETA_CACHE.get(g.key)
+    key = _cache_key(g.masks)
+    cached = _ETA_CACHE.get(key)
     if cached is not None:
         return cached
-    value = _reduced_eta(_adjacency_masks(g), None, max_simplices)
-    _remember(g.key, value)
+    value = _reduced_eta(g.masks, None, max_simplices)
+    _remember(key, value)
     return value
 
 
@@ -289,13 +285,14 @@ def eta_at_least(
         return True
     if len(g.vertices) > max_vertices:
         raise EtaCapError(f"{len(g.vertices)} vertices exceeds cap {max_vertices}")
-    cached = _ETA_CACHE.get(g.key)
+    key = _cache_key(g.masks)
+    cached = _ETA_CACHE.get(key)
     if cached is not None:
         return cached >= t
-    value = _reduced_eta(_adjacency_masks(g), t, max_simplices)
+    value = _reduced_eta(g.masks, t, max_simplices)
     if value is None:
         return True
-    _remember(g.key, value)
+    _remember(key, value)
     return value >= t
 
 
@@ -315,62 +312,10 @@ def homology_profile(
     if not g.vertices:
         return HomologyProfile({-1: 1})
     ranks: dict[int, int] = {-1: 0}
-    ranks.update(enumerate(_betti_numbers(_adjacency_masks(g), max_simplices)))
+    ranks.update(enumerate(_betti_numbers(g.masks, max_simplices)))
     return HomologyProfile(ranks)
 
 
 def eta_from_profile(profile: HomologyProfile) -> int | float:
     hole = profile.first_nonvanishing()
     return INF if hole is None else hole + 1
-
-
-# ---------------------------------------------------------------------------
-# Maximal independent sets (facets of the independence complex)
-# ---------------------------------------------------------------------------
-
-def independence_complex(
-    g: Graph, *, max_vertices: int = DEFAULT_VERTEX_CAP
-) -> SimplicialComplex:
-    """Facets = maximal independent sets, via pivoting Bron-Kerbosch on
-    the complement graph."""
-    n = len(g.vertices)
-    if n > max_vertices:
-        raise EtaCapError(f"{n} vertices exceeds cap {max_vertices}")
-    if n == 0:
-        return SimplicialComplex((), ())
-    adj = _adjacency_masks(g)
-    full = (1 << n) - 1
-    comp = [full & ~adj[i] & ~(1 << i) for i in range(n)]
-    found: list[int] = []
-
-    def expand(r: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            found.append(r)
-            return
-        px = p | x
-        best_u, best_cnt = -1, -1
-        mm = px
-        while mm:
-            bit = mm & -mm
-            u = bit.bit_length() - 1
-            cnt = bin(p & comp[u]).count("1")
-            if cnt > best_cnt:
-                best_cnt, best_u = cnt, u
-            mm ^= bit
-        cand = p & ~comp[best_u]
-        while cand:
-            bit = cand & -cand
-            v = bit.bit_length() - 1
-            expand(r | bit, p & comp[v], x & comp[v])
-            p &= ~bit
-            x |= bit
-            cand ^= bit
-
-    expand(0, full, 0)
-    labels = g.vertices
-    facets = []
-    for mask in found:
-        members = frozenset(labels[i] for i in range(n) if (mask >> i) & 1)
-        facets.append(members)
-    facets.sort(key=lambda f: tuple(sorted(f)))
-    return SimplicialComplex(labels, tuple(facets))

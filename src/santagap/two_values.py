@@ -177,18 +177,19 @@ def rescale_small_target(inst: Instance, t_star: Fraction) -> Instance:
 
 @dataclass(slots=True)
 class PhaseXLedger:
-    counts: dict[int, int] = field(default_factory=dict)
-    covers: dict[int, frozenset[str]] = field(default_factory=dict)
+    """Per phase X: the explosions counted there and the union of their covers."""
+
+    entries: dict[int, tuple[int, frozenset[str]]] = field(default_factory=dict)
 
     def add(self, X: int, ell: int, cover: frozenset[str]) -> None:
-        self.counts[X] = self.counts.get(X, 0) + ell
-        self.covers[X] = self.covers.get(X, frozenset()) | cover
+        count, covered = self.entries.get(X, (0, frozenset()))
+        self.entries[X] = (count + ell, covered | cover)
 
     def checks(self, r: int) -> dict[int, bool]:
+        """|W_X| <= n_X * a_r(X) in every phase X that recorded explosions."""
         return {
-            X: Fraction(len(self.covers.get(X, frozenset())))
-            <= self.counts.get(X, 0) * a_coeff(r, X)
-            for X in self.counts
+            X: len(covered) <= count * a_coeff(r, X)
+            for X, (count, covered) in self.entries.items()
         }
 
 
@@ -311,7 +312,6 @@ def _certify_subset(
     steps: list[DeStep] = []
     W: frozenset[str] = frozenset()
     info = {
-        "U": U,
         "need": need,
         "ledger": ledger,
         "certified": False,

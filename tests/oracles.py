@@ -10,12 +10,15 @@ every coveted resource, with no pruning.  ``bisection_t_star`` is the T*
 search that probes every bisection candidate with the LP, with no
 capped-value filter.  ``classify_all_deletions`` is the
 ``all_deletions`` loop that classified every edge in full and rebuilt
-each smaller graph with ``Graph(...)``.
+each smaller graph with ``Graph(...)``.  ``independence_complex`` lists
+the facets of Ind(G), the maximal independent sets, by Bron-Kerbosch;
+nothing in the package needs them, since eta works on chain groups.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 from santagap.graphs import Graph
@@ -242,3 +245,46 @@ def classify_all_deletions(g: Graph, **eta_caps) -> tuple[Graph, list[DeStep]]:
                 break
         else:
             return g, steps
+
+
+@dataclass(frozen=True)
+class SimplicialComplex:
+    """A complex given by its facets (maximal simplices)."""
+
+    vertices: tuple
+    facets: tuple[frozenset, ...]
+
+
+def independence_complex(g: Graph) -> SimplicialComplex:
+    """Facets = maximal independent sets, via pivoting Bron-Kerbosch on
+    the complement graph."""
+    n = len(g.vertices)
+    if n == 0:
+        return SimplicialComplex((), ())
+    full = (1 << n) - 1
+    comp = [full & ~g.masks[i] & ~(1 << i) for i in range(n)]
+    found: list[int] = []
+
+    def expand(r: int, p: int, x: int) -> None:
+        if p == 0 and x == 0:
+            found.append(r)
+            return
+        # pivot on the vertex of p | x with the most complement neighbours in p
+        pivot = max(
+            (u for u in range(n) if ((p | x) >> u) & 1),
+            key=lambda u: bin(p & comp[u]).count("1"),
+        )
+        cand = p & ~comp[pivot]
+        while cand:
+            bit = cand & -cand
+            v = bit.bit_length() - 1
+            expand(r | bit, p & comp[v], x & comp[v])
+            p &= ~bit
+            x |= bit
+            cand ^= bit
+
+    expand(0, full, 0)
+    labels = g.vertices
+    facets = [frozenset(labels[i] for i in range(n) if (mask >> i) & 1) for mask in found]
+    facets.sort(key=lambda f: tuple(sorted(f)))
+    return SimplicialComplex(labels, tuple(facets))

@@ -131,7 +131,7 @@ def test_criterion_05_meshulam_suite():
         graphs += 1
         for e in g.edges:
             cls = tp.classify_edge(g, e)
-            assert cls.deletable or cls.explodable, (g.key, e)
+            assert cls.deletable or cls.explodable, (g.edges, e)
             assert cls.eta_before >= min(cls.eta_deleted, cls.eta_exploded + 1)
             edges_checked += 1
     elapsed = time.monotonic() - start
@@ -149,7 +149,7 @@ def test_criterion_06_transversal_criterion_suite():
         if not res.holds:
             continue
         holds_count += 1
-        assert _brute_transversal_exists(g, parts), (g.key, parts)
+        assert _brute_transversal_exists(g, parts), (g.edges, parts)
     elapsed = time.monotonic() - start
     assert elapsed < 300
     assert holds_count >= 20  # the suite must exercise the implication

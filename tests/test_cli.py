@@ -241,6 +241,64 @@ def test_eta_rejects_invalid_json(tmp_path):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"vertices": [0, "a"], "edges": []},
+        {"vertices": [None, 1], "edges": [[0, 1]]},
+        {"vertices": [{"owner": "p", "resources": ["a", 1]}], "edges": []},
+    ],
+    ids=["int-and-string", "null-and-int", "resources-string-and-int"],
+)
+def test_eta_rejects_labels_that_do_not_sort(tmp_path, doc):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["eta", str(path)])
+    assert code == 1
+    assert "error" in json.loads(out)
+    assert err == ""
+
+
+def _not_utf8(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff")
+    return str(path)
+
+
+def _k2(tmp_path):
+    path = tmp_path / "k2.json"
+    path.write_text(json.dumps({"vertices": [0, 1], "edges": [[0, 1]]}))
+    return str(path)
+
+
+def test_eta_non_utf8_graph_is_json_error(tmp_path):
+    code, out, err = run_cli(["eta", _not_utf8(tmp_path, "g.json")])
+    assert code == 1
+    assert "UTF-8" in json.loads(out)["error"]
+    assert err == ""
+
+
+@pytest.mark.parametrize("bad", ["graph", "trace"])
+def test_de_verify_non_utf8_file_is_json_error(tmp_path, bad):
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({"steps": []}))
+    argv = ["de-verify", _k2(tmp_path), str(trace)]
+    argv[1 if bad == "graph" else 2] = _not_utf8(tmp_path, "bad.json")
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert "UTF-8" in json.loads(out)["error"]
+    assert err == ""
+
+
+def test_dual_check_non_utf8_dual_is_json_error(instance_file, tmp_path):
+    code, out, err = run_cli(
+        ["dual-check", instance_file, "1", _not_utf8(tmp_path, "dual.json")]
+    )
+    assert code == 1
+    assert "UTF-8" in json.loads(out)["error"]
+    assert err == ""
+
+
 def test_de_verify_unknown_op_is_json_error(tmp_path):
     gpath = tmp_path / "k2.json"
     gpath.write_text(json.dumps({"vertices": [0, 1], "edges": [[0, 1]]}))

@@ -1,9 +1,10 @@
 """Fuzzing ``tstar``, ``opt`` and ``gap`` through ``cli_main`` on instance
-documents, in the text format and in its JSON mirror.
+documents, in the text format and in its JSON mirror, and ``eta`` on graph
+documents.
 
 Every input must end with a documented exit code and a JSON document on
 stdout, never with a traceback: 0 with the command's report for a valid
-instance, 1 with ``{"error": ...}`` for a malformed one.  The runs are
+document, 1 with ``{"error": ...}`` for a malformed one.  The runs are
 derandomized, so every run tries the same inputs.
 """
 
@@ -16,7 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from santagap import topology
 from santagap.cli import cli_main
+from santagap.graphs import Graph
 
 REPORT_KEYS = {
     "tstar": {"schema", "t_star", "candidates", "probes"},
@@ -78,6 +81,7 @@ def _run(command, path):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli_main([command, str(path)])
+    assert err.getvalue() == "", (command, err.getvalue())
     return code, json.loads(out.getvalue())
 
 
@@ -292,3 +296,121 @@ def test_values_too_long_to_print_exit_one(doc_path):
             assert "too long to print" in doc["error"]
         else:
             assert doc[key[command]] == f"{a + b}/{a * b}"
+
+
+# -- graph documents through ``eta`` ---------------------------------------------
+
+_labels = st.one_of(
+    st.lists(st.integers(-5, 40), unique=True, max_size=8),
+    st.lists(st.text(max_size=3), unique=True, max_size=8),
+    st.lists(
+        st.tuples(st.sampled_from("pq"), st.lists(st.sampled_from("abcde"), min_size=1,
+                                                  max_size=3, unique=True)),
+        unique_by=lambda v: (v[0], tuple(sorted(v[1]))),
+        max_size=8,
+    ).map(lambda vs: [{"owner": o, "resources": rs} for o, rs in vs]),
+)
+
+
+@st.composite
+def graph_docs(draw):
+    """A valid santa-graph/1 document of at most 8 distinct vertices, its
+    edges as index pairs in either order, and some parts."""
+    vertices = draw(_labels)
+    n = len(vertices)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [[j, i] if draw(st.booleans()) else [i, j] for i, j in chosen]
+    doc = {"schema": "santa-graph/1", "vertices": vertices, "edges": edges}
+    if n and draw(st.booleans()):
+        doc["parts"] = {"p": draw(st.lists(st.integers(0, n - 1), unique=True))}
+    return doc
+
+
+def _oracle_eta(doc):
+    """eta from the full homology profile of the same structure on 0..n-1."""
+    n = len(doc["vertices"])
+    g = Graph(range(n), [tuple(e) for e in doc["edges"]])
+    value = topology.eta_from_profile(topology.homology_profile(g))
+    return "inf" if value == topology.INF else value
+
+
+@st.composite
+def mutated_graph_docs(draw):
+    """A valid graph document with top-level keys dropped or replaced, or one
+    vertex, edge or edge end replaced, by arbitrary JSON."""
+    doc = draw(graph_docs())
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(("vertices", "edges", "parts")))
+        op = draw(st.sampled_from(("drop", "replace", "entry", "end")))
+        part = doc.get(key)
+        if op == "drop":
+            doc.pop(key, None)
+        elif op == "replace" or not part or not isinstance(part, list):
+            doc[key] = draw(_json)
+        elif op == "end" and isinstance(part[0], list) and part[0]:
+            part[0][draw(st.integers(0, len(part[0]) - 1))] = draw(_json)
+        else:
+            part[draw(st.integers(0, len(part) - 1))] = draw(_json)
+    return doc
+
+
+def _run_eta(doc, path):
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = _run("eta", path)
+    if code == 0:
+        assert set(out) == {"eta"}, (doc, out)
+    else:
+        assert code == 1 and set(out) == {"error"}, (doc, code, out)
+        assert isinstance(out["error"], str)
+    return code, out
+
+
+@pytest.fixture(scope="module")
+def graph_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "graph.json"
+
+
+@FUZZ
+@given(doc=graph_docs())
+def test_valid_graphs_give_the_oracle_eta(doc, graph_path):
+    assert _run_eta(doc, graph_path) == (0, {"eta": _oracle_eta(doc)})
+
+
+@FUZZ
+@given(doc=mutated_graph_docs())
+def test_mutated_graphs_exit_zero_or_one(doc, graph_path):
+    _run_eta(doc, graph_path)
+
+
+@FUZZ
+@given(doc=_json)
+def test_arbitrary_json_graphs_exit_zero_or_one(doc, graph_path):
+    _run_eta(doc, graph_path)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"vertices": [], "edges": None},
+        {"vertices": [0], "edges": 5},
+        {"vertices": [0, 1], "edges": {"0": 1}},
+        {"vertices": [0, "a"], "edges": []},
+        {"vertices": [None, 1], "edges": [[0, 1]]},
+        {"vertices": [{"owner": "p", "resources": ["a", 1]}], "edges": []},
+        {"vertices": [{"owner": [], "resources": ["a"]}], "edges": []},
+        {"vertices": [{"owner": "p", "resources": [{}, {}]}], "edges": []},
+        {"vertices": [{"owner": "p", "resources": [[]]}], "edges": []},
+        {"vertices": [1, True], "edges": [[0, 1]]},
+    ],
+    ids=[
+        "edges-null", "edges-a-number", "edges-an-object", "labels-int-and-string",
+        "labels-null-and-int", "resources-string-and-int", "owner-a-list",
+        "resources-objects", "resource-a-list", "labels-equal-as-values",
+    ],
+)
+def test_graph_wrong_shapes_exit_one(doc, graph_path):
+    """All but "edges-an-object" and "labels-equal-as-values" (a self-loop,
+    since 1 == True) ended in a traceback."""
+    code, out = _run_eta(doc, graph_path)
+    assert code == 1, out

@@ -1,7 +1,9 @@
 """Derived graphs (delete_edge, explode_edge, induced) reuse their parent's
-sorted tuples and neighbour sets; they must equal the same graph built
-from scratch with ``Graph(...)``, and ``all_deletions`` must take the steps
-of the full-classification loop it replaced."""
+sorted tuples and re-index its adjacency masks; they must equal the same
+graph built from scratch with ``Graph(...)``, and ``all_deletions`` must
+take the steps of the full-classification loop it replaced.  The eta
+cache is keyed on masks alone, so graphs that differ only in their labels
+share an entry."""
 
 import itertools
 import random
@@ -14,6 +16,8 @@ from santagap import topology as tp
 from santagap.allocation_graph import build_H, build_J
 from santagap.graphs import Graph
 from santagap.instance import gen_two_value
+from santagap.topology import homology
+from santagap.two_values import PhaseXLedger, a_coeff
 
 
 def _labels(kind: str, n: int) -> list:
@@ -44,7 +48,7 @@ def _from_scratch(g: Graph, keep) -> Graph:
 
 
 def assert_same_graph(derived: Graph, fresh: Graph) -> None:
-    assert derived.key == fresh.key
+    assert derived.masks == fresh.masks
     assert hash(derived) == hash(fresh)
     assert derived == fresh
     assert derived.vertices == fresh.vertices
@@ -129,3 +133,74 @@ def test_all_deletions_matches_classify_edge_loop_on_thin_graphs():
         _assert_same_deletions(j)
         checked += 1
     assert checked >= 10
+
+
+def _relabelled(g: Graph, label) -> Graph:
+    """The same structure over new labels that sort as the old ones do."""
+    new = {v: label(i) for i, v in enumerate(g.vertices)}
+    return Graph(new.values(), [(new[u], new[v]) for u, v in g.edges])
+
+
+def test_eta_cache_is_shared_by_graphs_that_differ_only_in_labels():
+    rng = random.Random("label-free-cache")
+    for kind in ("str", "owner-resources"):
+        for _ in range(30):
+            g = _random_labelled_graph(rng, kind)
+            twin = _relabelled(g, lambda i: ("q", (f"t{i:02d}",)))
+            assert twin != g or not g.vertices
+            assert twin.masks == g.masks
+            tp.clear_eta_cache()
+            value = tp.eta(g)
+            assert len(homology._ETA_CACHE) == 1
+            assert tp.eta(twin) == value
+            assert tp.eta_at_least(twin, 1) == (value >= 1)
+            assert len(homology._ETA_CACHE) == 1
+            for h in (g, twin):
+                assert value == tp.eta_from_profile(tp.homology_profile(h))
+    tp.clear_eta_cache()
+
+
+def test_eta_cache_keys_differ_for_every_small_graph():
+    keys = set()
+    count = 0
+    for n in range(5):
+        pairs = list(itertools.combinations(range(n), 2))
+        for chosen in itertools.product((False, True), repeat=len(pairs)):
+            g = Graph(range(n), [e for e, take in zip(pairs, chosen) if take])
+            keys.add(homology._cache_key(g.masks))
+            count += 1
+    assert len(keys) == count == 1 + 1 + 2 + 8 + 64
+
+
+class _TwoDictLedger:
+    """The phase-X ledger as two dicts, one of counts and one of covers."""
+
+    def __init__(self):
+        self.counts, self.covers = {}, {}
+
+    def add(self, X, ell, cover):
+        self.counts[X] = self.counts.get(X, 0) + ell
+        self.covers[X] = self.covers.get(X, frozenset()) | cover
+
+    def checks(self, r):
+        return {
+            X: Fraction(len(self.covers.get(X, frozenset())))
+            <= self.counts.get(X, 0) * a_coeff(r, X)
+            for X in self.counts
+        }
+
+
+def test_phase_x_ledger_checks_match_the_two_dict_ledger():
+    rng = random.Random("phase-x-ledger")
+    resources = [f"t{i}" for i in range(12)]
+    for _ in range(200):
+        r = rng.randint(1, 4)
+        ledger, reference = PhaseXLedger(), _TwoDictLedger()
+        for _ in range(rng.randint(0, 6)):
+            X = rng.randint(r, 3 * r + 1)
+            ell = rng.randint(0, 3)
+            cover = frozenset(rng.sample(resources, rng.randint(0, 6)))
+            ledger.add(X, ell, cover)
+            reference.add(X, ell, cover)
+        assert ledger.checks(r) == reference.checks(r)
+        assert list(ledger.checks(r)) == list(reference.checks(r))

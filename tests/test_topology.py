@@ -11,6 +11,7 @@ from conftest import (
     random_graph,
     random_partite_graph,
 )
+from oracles import independence_complex
 from santagap import topology as tp
 from santagap.allocation_graph import (
     build_H,
@@ -34,17 +35,17 @@ from santagap.lp_core import (
 # -- independence complexes ---------------------------------------------------
 
 def test_complex_edgeless_single_facet():
-    comp = tp.independence_complex(Graph(range(4), []))
+    comp = independence_complex(Graph(range(4), []))
     assert comp.facets == (frozenset({0, 1, 2, 3}),)
 
 
 def test_complex_complete_graph_singletons():
-    comp = tp.independence_complex(complete_graph(4))
+    comp = independence_complex(complete_graph(4))
     assert sorted(comp.facets, key=sorted) == [frozenset({i}) for i in range(4)]
 
 
 def test_complex_c5_is_a_five_cycle():
-    comp = tp.independence_complex(cycle_graph(5))
+    comp = independence_complex(cycle_graph(5))
     assert len(comp.facets) == 5
     assert all(len(f) == 2 for f in comp.facets)
     # the five nonadjacent pairs form a cycle themselves
@@ -57,7 +58,7 @@ def test_facets_are_maximal_independent_sets():
     rng = random.Random(8)
     for _ in range(30):
         g = random_graph(rng, 7)
-        comp = tp.independence_complex(g)
+        comp = independence_complex(g)
         facets = set(comp.facets)
         for f in facets:
             assert all(not g.has_edge(u, v) for u in f for v in f if u < v)
@@ -160,7 +161,7 @@ def test_homology_against_independent_brute_force():
         got = tp.homology_profile(g).ranks
         # the production profile reports -1..dim; compare the union support
         for d in set(expected) | set(got):
-            assert expected.get(d, 0) == got.get(d, 0), (g.key, d)
+            assert expected.get(d, 0) == got.get(d, 0), (g.edges, d)
 
 
 def test_eta_disjoint_union_inequality():
@@ -235,10 +236,10 @@ def test_eta_differential_against_homology_profile():
         g = _graph_with_shape(rng, shapes[i % len(shapes)])
         expected = tp.eta_from_profile(tp.homology_profile(g))
         tp.clear_eta_cache()
-        assert tp.eta(g) == expected, g.key
+        assert tp.eta(g) == expected, g.edges
         for t in range(len(g.vertices) + 2):
             tp.clear_eta_cache()
-            assert tp.eta_at_least(g, t) == (expected >= t), (g.key, t)
+            assert tp.eta_at_least(g, t) == (expected >= t), (g.edges, t)
     tp.clear_eta_cache()
 
 
