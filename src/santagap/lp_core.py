@@ -41,7 +41,7 @@ from fractions import Fraction
 from operator import mul
 
 from .instance import Instance
-from .subsets import SubsetCapError, min_cost_subset_reaching, minimal_subsets_at_least
+from .subsets import SubsetCapError, minimal_subsets_at_least
 
 DEFAULT_POOL_CAP = 20
 DEFAULT_COLUMN_CAP = 100_000
@@ -487,9 +487,10 @@ def verify_dual(inst: Instance, target: Fraction, sol: DualSolution) -> DualChec
     """Exact feasibility check of a DCLP(target) solution.
 
     Non-negativity plus, for every player with y_p > 0, the constraint
-    y_p <= sum of z over each minimal configuration; z >= 0 makes minimal
-    configurations the binding ones.  A min-cost covering search over the
-    covet list independently certifies the scan.
+    y_p <= sum of z over each minimal configuration, the first violated one
+    in ``minimal_configurations`` order reported.  This one pricing scan
+    decides the whole constraint family: every configuration contains a
+    minimal one, and with z >= 0 it weighs at least as much.
     """
     if set(sol.y) != set(inst.players) or set(sol.z) != set(inst.resource_ids):
         raise ValueError("dual solution dimensions do not match the instance")
@@ -499,11 +500,10 @@ def verify_dual(inst: Instance, target: Fraction, sol: DualSolution) -> DualChec
     for r, zv in sol.z.items():
         if zv < 0:
             return DualCheck(False, sol.objective, None)
-    # Both checks add integers: z times the lcm of its denominators.
+    # The scan adds integers: z times the lcm of its denominators.
     z_exact = {r: Fraction(zv) for r, zv in sol.z.items()}
     z_scale = math.lcm(*(zv.denominator for zv in z_exact.values()))
     z = {r: int(zv * z_scale) for r, zv in z_exact.items()}
-    threshold = inst.int_threshold(target)
     for p in inst.players:
         yp = sol.y[p]
         if yp == 0:
@@ -512,13 +512,6 @@ def verify_dual(inst: Instance, target: Fraction, sol: DualSolution) -> DualChec
         for cfg in minimal_configurations(inst, p, target):
             if sum(z[r] for r in cfg.resources) < need:
                 return DualCheck(False, sol.objective, cfg)
-        # Independent certification of the same constraint family.
-        pool = {rid: inst.int_values[rid] for rid in inst.covets[p]}
-        found = min_cost_subset_reaching(pool, {r: z[r] for r in pool}, threshold)
-        if found is not None:
-            best_cost, best_set = found
-            if best_cost < need:
-                return DualCheck(False, sol.objective, Configuration(p, best_set))
     return DualCheck(True, sol.objective, None)
 
 

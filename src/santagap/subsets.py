@@ -1,10 +1,12 @@
 """Branch-and-bound searches over valued resource subsets.
 
-Shared by minimal-configuration enumeration, the block bound m, and dual
-verification.  Values, costs and thresholds are integers: callers pass an
-instance's integer value table (``Instance.int_values``) and a threshold
-scaled by the same ``Instance.scale`` and rounded up, which decides
-``sum >= threshold`` and ``sum < threshold`` exactly for integer sums.
+Two searches: ``minimal_subsets_at_least`` enumerates the minimal
+configurations (CLP columns, alpha-hyperedges and the one pricing scan of
+``lp_core.verify_dual``), and ``max_value_below`` gives the block bound m.
+Values and thresholds are integers: callers pass an instance's integer
+value table (``Instance.int_values``) and a threshold scaled by the same
+``Instance.scale`` and rounded up, which decides ``sum >= threshold`` and
+``sum < threshold`` exactly for integer sums.
 """
 
 from __future__ import annotations
@@ -89,47 +91,3 @@ def max_value_below(items: dict[str, int], threshold: int) -> int:
     dfs(0, 0)
     return best
 
-
-def min_cost_subset_reaching(
-    items: dict[str, int],
-    costs: dict[str, int],
-    threshold: int,
-) -> tuple[int, frozenset[str]] | None:
-    """Minimize total cost over subsets with value >= threshold.
-
-    Returns (cost, subset) or None when even the full set falls short.
-    Used to certify dual feasibility independently of the minimal-
-    configuration scan.
-    """
-    order = sorted(items, key=lambda rid: (costs[rid], -items[rid], rid))
-    values = [items[rid] for rid in order]
-    cost_of = [costs[rid] for rid in order]
-    n = len(order)
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + values[i]
-    if suffix[0] < threshold:
-        return None
-    best_cost: int | None = None
-    best_set: frozenset[str] = frozenset()
-    chosen: list[str] = []
-
-    def dfs(i: int, total: int, cost: int) -> None:
-        nonlocal best_cost, best_set
-        if best_cost is not None and cost >= best_cost and total < threshold:
-            return
-        if total >= threshold:
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_set = frozenset(chosen)
-            return
-        if i == n or total + suffix[i] < threshold:
-            return
-        chosen.append(order[i])
-        dfs(i + 1, total + values[i], cost + cost_of[i])
-        chosen.pop()
-        dfs(i + 1, total, cost)
-
-    dfs(0, 0, 0)
-    assert best_cost is not None
-    return best_cost, best_set

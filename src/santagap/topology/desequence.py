@@ -161,14 +161,6 @@ def vertex_resources(v) -> frozenset[str]:
     return frozenset(v[1])
 
 
-@dataclass(frozen=True)
-class CoverRecord:
-    cover: frozenset[str]
-    start: Graph
-    end: Graph
-    star_verified: bool
-
-
 def verify_star(start: Graph, end: Graph, cover) -> bool:
     """Property (*): every start vertex disjoint from the cover survives."""
     cover = frozenset(cover)
@@ -177,31 +169,6 @@ def verify_star(start: Graph, end: Graph, cover) -> bool:
         if not (vertex_resources(v) & cover) and v not in end_vertices:
             return False
     return True
-
-
-def replay_structurally(start: Graph, steps) -> Graph:
-    g = start
-    for step in steps:
-        edge = g.normalize_edge(step.edge)
-        g = g.delete_edge(edge) if step.op == DELETE else g.explode_edge(edge)
-    return g
-
-
-def basic_cover(seq: DeSequence) -> CoverRecord:
-    """Union of e u f over exploded edges, with the (*) check recorded."""
-    g = seq.start
-    cover: set[str] = set()
-    for step in seq.steps:
-        edge = g.normalize_edge(step.edge)
-        if step.op == EXPLODE:
-            u, v = edge
-            cover |= vertex_resources(u) | vertex_resources(v)
-            g = g.explode_edge(edge)
-        else:
-            g = g.delete_edge(edge)
-    record = CoverRecord(frozenset(cover), seq.start, g, False)
-    verified = verify_star(seq.start, g, record.cover)
-    return CoverRecord(record.cover, seq.start, g, verified)
 
 
 def shrink_cover(start: Graph, end: Graph, cover) -> frozenset[str]:
@@ -250,6 +217,8 @@ class SearchOutcome:
     sequence: DeSequence | None
     conclusive: bool
     nodes: int
+    end: Graph | None = None
+    cover: frozenset[str] | None = None
 
     @property
     def found(self) -> bool:
@@ -268,7 +237,6 @@ def search_de_sequence(
     avg_cap: Fraction | None = None,
     based_in: frozenset[str] | None = None,
     owner: str | None = None,
-    shrink: bool = True,
     **eta_caps,
 ) -> SearchOutcome:
     """Depth-first search for a legal sequence meeting an objective.
@@ -278,11 +246,15 @@ def search_de_sequence(
     some cover of value <= 2 m ell), ``gamma`` (>=1 explosion, cover
     cardinality <= gamma ell), ``based`` (every explosion consumes a
     fresh hyperedge inside ``based_in`` owned by ``owner``; average cover
-    cost <= avg_cap).
+    cost <= avg_cap).  A cover objective is tested on the union of e u f
+    over the exploded edges, shrunk by ``shrink_cover``.
 
-    ``conclusive`` is True only when the search space was provably
-    exhausted (graph-state objectives); for cover-dependent objectives a
-    miss is always reported as inconclusive.
+    A found sequence comes with ``end``, the graph it ends in, and for
+    the cover objectives ``cover``, the shrunk cover it was accepted on
+    (``None`` for ``ko`` and ``edgeless``, which track no cover), so
+    callers need not replay it.  ``conclusive`` is True only when the
+    search space was provably exhausted (graph-state objectives); for
+    cover-dependent objectives a miss is always reported as inconclusive.
     """
     if objective not in ("ko", "edgeless", "cheap", "gamma", "based"):
         raise SequenceError(f"unknown objective {objective!r}")
@@ -301,28 +273,33 @@ def search_de_sequence(
     exhausted = True
     seen: set = set()
 
-    def accept(g: Graph, steps: list[DeStep], ell: int, cover: set[str]) -> bool:
-        if objective == "ko":
-            return g.has_isolated_vertex()
-        if objective == "edgeless":
-            return not g.edges
-        if ell == 0:
-            return False
-        w: frozenset[str] = frozenset(cover)
-        if shrink:
-            w = shrink_cover(start, g, w)
-        if objective == "cheap":
-            return is_cheap(values, w, ell, m)
-        if objective == "gamma":
-            return is_gamma(w, ell, gamma)
-        return average_cost(w, ell) <= avg_cap
+    # The steps, end graph and shrunk cover of the accepted sequence.
+    found: tuple[tuple[DeStep, ...], Graph, frozenset[str] | None] | None = None
 
-    found: list[DeStep] | None = None
+    def accept(g: Graph, steps: list[DeStep], ell: int, cover: set[str]) -> bool:
+        nonlocal found
+        w = None
+        if objective == "ko":
+            ok = g.has_isolated_vertex()
+        elif objective == "edgeless":
+            ok = not g.edges
+        elif ell == 0:
+            ok = False
+        else:
+            w = shrink_cover(start, g, cover)
+            if objective == "cheap":
+                ok = is_cheap(values, w, ell, m)
+            elif objective == "gamma":
+                ok = is_gamma(w, ell, gamma)
+            else:
+                ok = average_cost(w, ell) <= avg_cap
+        if ok:
+            found = (tuple(steps), g, w)
+        return ok
 
     def dfs(g: Graph, steps: list[DeStep], ell: int, cover: set[str]) -> bool:
-        nonlocal nodes, exhausted, found
+        nonlocal nodes, exhausted
         if accept(g, steps, ell, cover):
-            found = list(steps)
             return True
         nodes += 1
         if nodes > budget:
@@ -361,9 +338,9 @@ def search_de_sequence(
                 steps.pop()
         return False
 
-    hit = dfs(start, [], 0, set())
-    if hit:
+    if dfs(start, [], 0, set()):
         assert found is not None
-        return SearchOutcome(DeSequence(start, tuple(found)), True, nodes)
+        steps, end, cover = found
+        return SearchOutcome(DeSequence(start, steps), True, nodes, end, cover)
     conclusive = graph_state_objective and exhausted
     return SearchOutcome(None, conclusive, nodes)

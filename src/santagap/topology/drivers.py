@@ -20,11 +20,11 @@ from .desequence import (
     EXPLODE,
     DeSequence,
     DeStep,
-    basic_cover,
+    SearchOutcome,
     classify_edge,
     cover_value,
     search_de_sequence,
-    shrink_cover,
+    vertex_resources,
 )
 from .homology import eta, eta_at_least
 
@@ -142,27 +142,22 @@ def four_phase_driver(
     notes: list[str] = []
     remaining = step_budget
 
-    def perform(seq: DeSequence, bucket: str) -> None:
+    def perform(found: SearchOutcome, bucket: str) -> None:
+        """Take a found sequence, its end graph and its shrunk cover."""
         nonlocal g
-        record = basic_cover(seq)
-        ell = seq.ell
-        cover = shrink_cover(seq.start, record.end, record.cover)
-        steps.extend(seq.steps)
-        g = record.end
-        if bucket == "ko":
-            pass  # a KO-sequence certifies eta = infinity; no accounting needed
-        elif bucket == "n1":
+        steps.extend(found.sequence.steps)
+        g = found.end
+        ell = found.sequence.ell
+        if bucket == "n1":
             ledger.n1 += ell
-            ledger.w1 |= cover
+            ledger.w1 |= found.cover
         elif bucket == "n2":
             ledger.n2 += ell
-            ledger.w2 |= cover
+            ledger.w2 |= found.cover
         elif bucket == "n3":
             ledger.n3 += ell
-            ledger.w3 |= cover
-        else:
-            ledger.n4 += ell
-            ledger.w4 |= record.cover
+            ledger.w3 |= found.cover
+        # a KO-sequence certifies eta = infinity; no accounting needed
 
     def drain_cheap(allow_ko: bool = True) -> str | None:
         """Deletions, KO-sequences and cheap sequences until none remains."""
@@ -183,13 +178,13 @@ def four_phase_driver(
             if allow_ko:
                 ko = search_de_sequence(g, "ko", budget=search_budget, **eta_caps)
                 if ko.found:
-                    perform(ko.sequence, "ko")
+                    perform(ko, "ko")
                     return "ko"
             cheap = search_de_sequence(
                 g, "cheap", budget=search_budget, values=values, m=m, **eta_caps
             )
             if cheap.found:
-                perform(cheap.sequence, "n1")
+                perform(cheap, "n1")
                 continue
             return None
 
@@ -218,7 +213,7 @@ def four_phase_driver(
             )
             if not found.found:
                 break
-            perform(found.sequence, bucket)
+            perform(found, bucket)
             status = drain_cheap()
             if status == "ko":
                 return FourPhaseResult(
@@ -247,8 +242,12 @@ def four_phase_driver(
             steps.append(DeStep(DELETE, edge))
             g = g.delete_edge(edge)
         elif cls.explodable:
-            seq = DeSequence(g, (DeStep(EXPLODE, edge),))
-            perform(seq, "n4")
+            # Phase 4 charges the unshrunk cover e u f of each explosion.
+            u, v = edge
+            steps.append(DeStep(EXPLODE, edge))
+            ledger.n4 += 1
+            ledger.w4 |= vertex_resources(u) | vertex_resources(v)
+            g = g.explode_edge(edge)
         else:
             notes.append(f"edge {edge!r} neither deletable nor explodable")
             return FourPhaseResult(

@@ -23,13 +23,7 @@ from functools import lru_cache
 from .allocation_graph import build_H, build_J, compute_fat, restrict
 from .instance import Instance, InstanceError
 from .lp_core import build_dual_basic, hypothesis_holds_basic, verify_dual
-from .topology import (
-    DeStep,
-    all_deletions,
-    basic_cover,
-    search_de_sequence,
-    shrink_cover,
-)
+from .topology import all_deletions, search_de_sequence
 
 
 @dataclass(frozen=True)
@@ -210,7 +204,6 @@ def two_value_driver(
     *,
     search_budget: int = 1500,
     max_players: int = 6,
-    dual_snapshots: bool = True,
     **eta_caps,
 ) -> TwoValueResult:
     """Run the descending phase-X process and certify an allocation.
@@ -239,7 +232,6 @@ def two_value_driver(
             Fraction(1),
             search_budget=search_budget,
             max_players=max_players,
-            dual_snapshots=dual_snapshots,
             **eta_caps,
         )
         result.notes.append(f"rescaled from T={target} (eps'={eps/target})")
@@ -275,7 +267,6 @@ def two_value_driver(
                 c,
                 r,
                 search_budget,
-                dual_snapshots,
                 eta_caps,
             )
             per_U[U] = info
@@ -302,14 +293,11 @@ def _final_transversal(inst: Instance, H):
     return transversal_to_allocation(inst, transversal)
 
 
-def _certify_subset(
-    inst, J, U, fat, target, eps, c, r, search_budget, dual_snapshots, eta_caps
-):
+def _certify_subset(inst, J, U, fat, target, eps, c, r, search_budget, eta_caps):
     g = restrict(J, U).graph
     f_u = fat.fat_for(inst, U)
     need = len(U) - len(f_u)
     ledger = PhaseXLedger()
-    steps: list[DeStep] = []
     W: frozenset[str] = frozenset()
     info = {
         "need": need,
@@ -319,8 +307,7 @@ def _certify_subset(
         "dual_ok": None,
     }
 
-    g, dsteps = all_deletions(g, **eta_caps)
-    steps.extend(dsteps)
+    g, _ = all_deletions(g, **eta_caps)
     ell_total = 0
     for X in range(c, r - 1, -1):
         while True:
@@ -349,16 +336,11 @@ def _certify_subset(
             if not found.found:
                 info.update(how=f"search failed in phase {X}")
                 return info
-            record = basic_cover(found.sequence)
-            cover = shrink_cover(found.sequence.start, record.end, record.cover)
-            ledger.add(X, found.sequence.ell, cover)
+            ledger.add(X, found.sequence.ell, found.cover)
             ell_total += found.sequence.ell
-            W |= cover
-            steps.extend(found.sequence.steps)
-            g = record.end
-            g, dsteps = all_deletions(g, **eta_caps)
-            steps.extend(dsteps)
-        if dual_snapshots and W:
+            W |= found.cover
+            g, _ = all_deletions(found.end, **eta_caps)
+        if W:
             c_dual = eps * (c - X + 1)
             if hypothesis_holds_basic(inst, target, U, W, c_dual, fat.fat_set):
                 sol = build_dual_basic(inst, U, W, c_dual, fat.fat_set)

@@ -3,16 +3,20 @@
 ``dense_phase1_simplex`` is the rational-tableau phase-1 simplex that
 ``lp_core._phase1_simplex`` replaced: same Bland rule, every entry a
 ``Fraction``, every column of the tableau updated at every pivot.
-``rational_max_value_below`` and ``rational_min_cost_subset_reaching``
-are the ``Fraction`` searches that ``subsets`` replaced with searches on
-the integer value table.  ``exhaustive_opt`` tries every assignment of
-every coveted resource, with no pruning.  ``bisection_t_star`` is the T*
-search that probes every bisection candidate with the LP, with no
-capped-value filter.  ``classify_all_deletions`` is the
-``all_deletions`` loop that classified every edge in full and rebuilt
-each smaller graph with ``Graph(...)``.  ``independence_complex`` lists
-the facets of Ind(G), the maximal independent sets, by Bron-Kerbosch;
-nothing in the package needs them, since eta works on chain groups.
+``rational_max_value_below`` is the ``Fraction`` search that ``subsets``
+replaced with a search on the integer value table.
+``rational_min_cost_subset_reaching`` is a min-cost covering search over a
+covet list, the pricing check that ``verify_dual``'s scan is compared
+against.  ``exhaustive_opt`` tries every assignment of every coveted
+resource, with no pruning.  ``bisection_t_star`` is the T* search that
+probes every bisection candidate with the LP, with no capped-value
+filter.  ``classify_all_deletions`` is the ``all_deletions`` loop that
+classified every edge in full and rebuilt each smaller graph with
+``Graph(...)``.  ``basic_cover`` replays a DE-sequence for the end graph
+and basic cover that ``search_de_sequence`` returns with a found one.
+``independence_complex`` lists the facets of Ind(G), the maximal
+independent sets, by Bron-Kerbosch; nothing in the package needs them,
+since eta works on chain groups.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from fractions import Fraction
 from santagap.graphs import Graph
 from santagap.instance import Allocation, Instance
 from santagap.lp_core import TStarResult, clp_feasible, subset_sum_candidates
-from santagap.topology import DELETE, DeStep, classify_edge
+from santagap.topology import DELETE, EXPLODE, DeSequence, DeStep, classify_edge, vertex_resources
 
 EXHAUSTIVE_RESOURCE_CAP = 7
 
@@ -245,6 +249,22 @@ def classify_all_deletions(g: Graph, **eta_caps) -> tuple[Graph, list[DeStep]]:
                 break
         else:
             return g, steps
+
+
+def basic_cover(seq: DeSequence) -> tuple[Graph, frozenset[str]]:
+    """Replay ``seq`` without legality checks: its end graph and its basic
+    cover, the union of e u f over the exploded edges e = (u, v)."""
+    g = seq.start
+    cover: set[str] = set()
+    for step in seq.steps:
+        edge = g.normalize_edge(step.edge)
+        if step.op == EXPLODE:
+            u, v = edge
+            cover |= vertex_resources(u) | vertex_resources(v)
+            g = g.explode_edge(edge)
+        else:
+            g = g.delete_edge(edge)
+    return g, frozenset(cover)
 
 
 @dataclass(frozen=True)

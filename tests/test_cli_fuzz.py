@@ -1,11 +1,13 @@
 """Fuzzing ``tstar``, ``opt`` and ``gap`` through ``cli_main`` on instance
-documents, in the text format and in its JSON mirror, and ``eta`` on graph
+documents, in the text format and in its JSON mirror, ``eta`` on graph
+documents, ``de-verify`` on DE-sequence traces and ``dual-check`` on dual
 documents.
 
 Every input must end with a documented exit code and a JSON document on
 stdout, never with a traceback: 0 with the command's report for a valid
-document, 1 with ``{"error": ...}`` for a malformed one.  The runs are
-derandomized, so every run tries the same inputs.
+document, 1 with ``{"error": ...}`` for a malformed one (``de-verify`` also
+exits 1 with its report for a well-formed trace with an illegal step).
+The runs are derandomized, so every run tries the same inputs.
 """
 
 import io
@@ -17,9 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import rational_min_cost_subset_reaching
 from santagap import topology
 from santagap.cli import cli_main
-from santagap.graphs import Graph
+from santagap.graphs import Graph, graph_from_json
+from santagap.instance import parse_instance
+from santagap.rational import parse_rational
 
 REPORT_KEYS = {
     "tstar": {"schema", "t_star", "candidates", "probes"},
@@ -77,11 +82,11 @@ def doc_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "inst.txt"
 
 
-def _run(command, path):
+def _run(*argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = cli_main([command, str(path)])
-    assert err.getvalue() == "", (command, err.getvalue())
+        code = cli_main([str(a) for a in argv])
+    assert err.getvalue() == "", (argv, err.getvalue())
     return code, json.loads(out.getvalue())
 
 
@@ -313,13 +318,14 @@ _labels = st.one_of(
 
 
 @st.composite
-def graph_docs(draw):
-    """A valid santa-graph/1 document of at most 8 distinct vertices, its
-    edges as index pairs in either order, and some parts."""
-    vertices = draw(_labels)
+def graph_docs(draw, min_edges=0):
+    """A valid santa-graph/1 document of at most 8 distinct vertices and at
+    least ``min_edges`` edges, as index pairs in either order, and some
+    parts."""
+    vertices = draw(_labels.filter(lambda vs: len(vs) * (len(vs) - 1) >= 2 * min_edges))
     n = len(vertices)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=min_edges)) if pairs else []
     edges = [[j, i] if draw(st.booleans()) else [i, j] for i, j in chosen]
     doc = {"schema": "santa-graph/1", "vertices": vertices, "edges": edges}
     if n and draw(st.booleans()):
@@ -414,3 +420,234 @@ def test_graph_wrong_shapes_exit_one(doc, graph_path):
     since 1 == True) ended in a traceback."""
     code, out = _run_eta(doc, graph_path)
     assert code == 1, out
+
+
+# -- DE-sequence traces through ``de-verify`` --------------------------------------
+
+REPLAY_KEYS = {"valid", "ell", "final_vertices", "final_edges", "eta_drop_certified"}
+
+
+@st.composite
+def legal_traces(draw):
+    """A graph document, a legal sequence on it, each step drawn among the
+    legal moves of a random edge of the current graph, its edge in either
+    orientation, and the report of its replay."""
+    doc = draw(graph_docs(min_edges=3))
+    g, _ = graph_from_json(doc)
+    steps = []
+    for _ in range(draw(st.integers(1, 6))):
+        if not g.edges:
+            break
+        edge = draw(st.sampled_from(g.edges))
+        cls = topology.classify_edge(g, edge)
+        ops = [op for op, ok in ((topology.DELETE, cls.deletable),
+                                 (topology.EXPLODE, cls.explodable)) if ok]
+        op = draw(st.sampled_from(ops))
+        steps.append(topology.DeStep(op, edge[::-1] if draw(st.booleans()) else edge))
+        g = g.delete_edge(edge) if op == topology.DELETE else g.explode_edge(edge)
+    report = {
+        "valid": True,
+        "ell": sum(step.op == topology.EXPLODE for step in steps),
+        "final_vertices": len(g.vertices),
+        "final_edges": len(g.edges),
+        "eta_drop_certified": True,
+    }
+    return doc, [step.to_json() for step in steps], report
+
+
+@st.composite
+def mutated_traces(draw):
+    """A legal trace with steps dropped, duplicated or swapped, ops flipped,
+    or a step, an op, an edge or an edge end replaced by arbitrary JSON."""
+    doc, steps, _ = draw(legal_traces())
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("drop", "duplicate", "swap", "flip", "step", "op",
+                                   "edge", "end")))
+        if not steps:
+            steps.append(draw(_json))
+            continue
+        i = draw(st.integers(0, len(steps) - 1))
+        step = steps[i]
+        if op == "drop":
+            del steps[i]
+        elif op == "duplicate":
+            steps.insert(i, step)
+        elif op == "swap":
+            j = draw(st.integers(0, len(steps) - 1))
+            steps[i], steps[j] = steps[j], steps[i]
+        elif not isinstance(step, dict) or op == "step":
+            steps[i] = draw(_json)
+        elif op == "flip":
+            steps[i] = dict(step, op="explode" if step.get("op") == "delete" else "delete")
+        elif op == "op":
+            steps[i] = dict(step, op=draw(_json))
+        elif op == "edge" or not isinstance(step.get("edge"), list) or not step["edge"]:
+            steps[i] = dict(step, edge=draw(_json))
+        else:
+            edge = list(step["edge"])
+            edge[draw(st.integers(0, len(edge) - 1))] = draw(_json)
+            steps[i] = dict(step, edge=edge)
+    trace = {"schema": "santa-trace/1", "steps": steps} if draw(st.booleans()) else steps
+    return doc, trace
+
+
+@pytest.fixture(scope="module")
+def trace_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "trace.json"
+
+
+def _run_de_verify(doc, trace, graph_path, trace_path):
+    graph_path.write_text(json.dumps(doc), encoding="utf-8")
+    trace_path.write_text(json.dumps(trace), encoding="utf-8")
+    code, out = _run("de-verify", graph_path, trace_path)
+    if code == 0:
+        assert set(out) == REPLAY_KEYS and out["valid"] is True, (doc, trace, out)
+    elif "error" in out:
+        assert code == 1 and set(out) == {"error"}, (doc, trace, code, out)
+        assert isinstance(out["error"], str)
+    else:
+        assert code == 1 and set(out) == REPLAY_KEYS | {"failed_at"}, (doc, trace, out)
+        assert out["valid"] is False and isinstance(out["failed_at"], int)
+    return code, out
+
+
+@FUZZ
+@given(case=legal_traces())
+def test_legal_traces_replay(case, graph_path, trace_path):
+    """A legal trace replays with its explosion count and end graph, and
+    certifies the eta drop."""
+    doc, steps, report = case
+    assert _run_de_verify(doc, {"steps": steps}, graph_path, trace_path) == (0, report)
+
+
+@FUZZ
+@given(case=mutated_traces())
+def test_mutated_traces_exit_zero_or_one(case, graph_path, trace_path):
+    _run_de_verify(*case, graph_path, trace_path)
+
+
+@FUZZ
+@given(doc=graph_docs(), trace=_json)
+def test_arbitrary_json_traces_exit_zero_or_one(doc, trace, graph_path, trace_path):
+    _run_de_verify(doc, trace, graph_path, trace_path)
+
+
+def test_de_search_trace_replays(graph_path, trace_path):
+    """The trace ``de-search`` prints for the five-cycle replays as valid."""
+    doc = {"vertices": list(range(5)), "edges": [[i, (i + 1) % 5] for i in range(5)]}
+    graph_path.write_text(json.dumps(doc), encoding="utf-8")
+    code, found = _run("de-search", graph_path, "--objective", "edgeless")
+    assert code == 0 and found["found"]
+    code, out = _run_de_verify(doc, found["trace"], graph_path, trace_path)
+    assert out["valid"] and out["ell"] == 2 and out["eta_drop_certified"]
+
+
+# -- dual documents through ``dual-check`` ------------------------------------------
+
+DUAL_KEYS = {"feasible", "objective"}
+_dual_values = st.one_of(st.just("0"), _values, _values.map(lambda v: "-" + v))
+_targets = st.one_of(_values, st.sampled_from(["0", "-1", "1e-05", "x", "1/0", ""]))
+
+
+@st.composite
+def dual_cases(draw):
+    """A valid instance, a target, and a dual document over its players and
+    resources, values drawn as strings or JSON numbers."""
+    text = "\n".join(draw(instance_lines())) + "\n"
+    inst = parse_instance(text)
+    value = st.one_of(_dual_values, _dual_values.map(Fraction).map(float))
+    dual = {
+        "y": {p: draw(value) for p in inst.players},
+        "z": {r: draw(value) for r in inst.resource_ids},
+    }
+    return text, draw(_targets), dual
+
+
+@st.composite
+def mutated_dual_cases(draw):
+    """A dual case with "y" or "z" dropped or replaced by arbitrary JSON, an
+    entry added to one of them, or the value of one entry replaced by
+    arbitrary JSON or by another value string."""
+    text, target, dual = draw(dual_cases())
+    for _ in range(draw(st.integers(1, 2))):
+        key = draw(st.sampled_from(("y", "z")))
+        op = draw(st.sampled_from(("drop", "replace", "add", "value", "value")))
+        part = dual.get(key)
+        if op == "drop":
+            dual.pop(key, None)
+        elif op == "replace" or not isinstance(part, dict):
+            dual[key] = draw(_json)
+        elif op == "add" or not part:
+            part[draw(st.text(max_size=3))] = draw(_json)
+        else:
+            part[draw(st.sampled_from(sorted(part)))] = draw(_dual_values | _json)
+    return text, target, dual
+
+
+@pytest.fixture(scope="module")
+def dual_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "dual.json"
+
+
+def _run_dual_check(text, target, dual, doc_path, dual_path):
+    doc_path.write_text(text, encoding="utf-8")
+    dual_path.write_text(json.dumps(dual), encoding="utf-8")
+    code, out = _run("dual-check", doc_path, target, dual_path)
+    if code == 0:
+        assert DUAL_KEYS <= set(out) <= DUAL_KEYS | {"violated"}, (dual, out)
+        assert isinstance(out["feasible"], bool)
+        assert not (out["feasible"] and "violated" in out), out
+    else:
+        assert code == 1 and set(out) == {"error"}, (text, target, dual, code, out)
+        assert isinstance(out["error"], str)
+    return code, out
+
+
+def _reference_feasible(inst, target, y, z):
+    """DCLP(target) feasibility from the Fraction min-cost covering search."""
+    if any(v < 0 for v in (*y.values(), *z.values())):
+        return False
+    for p in inst.players:
+        pool = {r: inst.resources[r] for r in inst.covets[p]}
+        found = rational_min_cost_subset_reaching(pool, {r: z[r] for r in pool}, target)
+        if y[p] > 0 and found is not None and found[0] < y[p]:
+            return False
+    return True
+
+
+@FUZZ
+@given(case=dual_cases())
+def test_valid_duals_match_the_min_cost_reference(case, doc_path, dual_path):
+    """A dual over the instance's ids is checked whenever the target parses;
+    the verdict is the min-cost reference's, the objective is sum y - sum z,
+    and a reported violation is a coveted set of its owner that reaches the
+    target with z-weight below the owner's y."""
+    text, target, dual = case
+    code, out = _run_dual_check(text, target, dual, doc_path, dual_path)
+    try:
+        t = parse_rational(target)
+    except ValueError:
+        assert code == 1
+        return
+    inst = parse_instance(text)
+    y = {p: parse_rational(str(v)) for p, v in dual["y"].items()}
+    z = {r: parse_rational(str(v)) for r, v in dual["z"].items()}
+    assert code == 0, out
+    assert out["feasible"] == _reference_feasible(inst, t, y, z), (text, target, dual, out)
+    assert parse_rational(out["objective"]) == sum(y.values()) - sum(z.values())
+    if "violated" in out:
+        owner, cfg = out["violated"]["owner"], out["violated"]["resources"]
+        assert set(cfg) <= inst.covets[owner] and inst.value(cfg) >= t
+        assert sum((z[r] for r in cfg), Fraction(0)) < y[owner]
+
+
+@FUZZ
+@given(case=mutated_dual_cases())
+def test_mutated_duals_exit_zero_or_one(case, doc_path, dual_path):
+    _run_dual_check(*case, doc_path, dual_path)
+
+
+@FUZZ
+@given(lines=instance_lines(), target=_targets, dual=_json)
+def test_arbitrary_json_duals_exit_zero_or_one(lines, target, dual, doc_path, dual_path):
+    _run_dual_check("\n".join(lines) + "\n", target, dual, doc_path, dual_path)

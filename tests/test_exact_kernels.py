@@ -6,7 +6,6 @@ instance's integer value table; each must return exactly what the
 rational oracles in ``oracles.py`` return.
 """
 
-import math
 import random
 from fractions import Fraction
 
@@ -20,7 +19,7 @@ from oracles import (
     rational_max_value_below,
     rational_min_cost_subset_reaching,
 )
-from santagap import lp_core, subsets
+from santagap import lp_core
 from santagap.allocation_graph import compute_m
 from santagap.instance import Instance, brute_force_opt, gen_random
 
@@ -396,37 +395,10 @@ def _random_costs(rng, ids):
     return {r: Fraction(rng.randint(0, 9), rng.choice((1, 2, 5, 7, 9))) for r in ids}
 
 
-def test_min_cost_subset_matches_rational_oracle():
-    """Same cost and the same subset as the Fraction search, zero costs and
-    cost ties included; None exactly when the pool cannot reach."""
-    rng = random.Random(41)
-    reached = unreachable = 0
-    for _ in range(80):
-        inst = random_small_instance(rng)
-        for p in inst.players:
-            pool = sorted(inst.covets[p])
-            costs = _random_costs(rng, pool)
-            z_scale = math.lcm(*(c.denominator for c in costs.values()))
-            for threshold in _off_grid_thresholds(rng, inst) + [inst.value(pool) + 1]:
-                got = subsets.min_cost_subset_reaching(
-                    {r: inst.int_values[r] for r in pool},
-                    {r: int(c * z_scale) for r, c in costs.items()},
-                    inst.int_threshold(threshold),
-                )
-                want = rational_min_cost_subset_reaching(
-                    {r: inst.resources[r] for r in pool}, costs, threshold
-                )
-                if want is None:
-                    unreachable += 1
-                    assert got is None
-                else:
-                    reached += 1
-                    assert (Fraction(got[0], z_scale), got[1]) == want
-    assert reached > 100 and unreachable > 100
-
-
 def _rational_verify_dual(inst, target, sol):
-    """``verify_dual``'s two checks on Fraction sums: (feasible, violated)."""
+    """(feasible, violated) from the minimal-configuration scan and, as an
+    independent pricing check, the min-cost covering search, on Fraction
+    sums."""
     for p in inst.players:
         yp = sol.y[p]
         if yp == 0:

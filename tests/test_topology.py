@@ -11,7 +11,7 @@ from conftest import (
     random_graph,
     random_partite_graph,
 )
-from oracles import independence_complex
+from oracles import basic_cover, independence_complex
 from santagap import topology as tp
 from santagap.allocation_graph import (
     build_H,
@@ -21,7 +21,7 @@ from santagap.allocation_graph import (
     restrict,
 )
 from santagap.graphs import Graph, graph_from_json, graph_to_json
-from santagap.instance import parse_instance
+from santagap.instance import gen_two_value, parse_instance
 from santagap.lp_core import (
     build_dual_basic,
     clp_feasible,
@@ -414,18 +414,18 @@ def _tiny_allocation_graph():
 def test_basic_cover_single_explosion():
     g, u, v = _tiny_allocation_graph()
     seq = tp.DeSequence(g, (tp.DeStep(tp.EXPLODE, (u, v)),))
-    record = tp.basic_cover(seq)
-    assert record.cover == frozenset({"a", "b", "c"})
-    assert record.star_verified
+    end, cover = basic_cover(seq)
+    assert cover == frozenset({"a", "b", "c"})
+    assert tp.verify_star(g, end, cover)
 
 
 def test_deletion_only_cover_is_empty_and_cheap():
     g, u, v = _tiny_allocation_graph()
     seq = tp.DeSequence(g, (tp.DeStep(tp.DELETE, (u, v)),))
-    record = tp.basic_cover(seq)
-    assert record.cover == frozenset()
+    _, cover = basic_cover(seq)
+    assert cover == frozenset()
     values = {"a": Fraction(1, 2), "b": Fraction(1, 2), "c": Fraction(1, 2)}
-    assert tp.is_cheap(values, record.cover, 0, Fraction(1, 2))
+    assert tp.is_cheap(values, cover, 0, Fraction(1, 2))
 
 
 def test_shrink_cover_finds_shared_resource():
@@ -473,11 +473,12 @@ def test_basic_cover_always_satisfies_star(shared_halves):
                 steps.append(tp.DeStep(tp.DELETE, e))
                 cur = cur.delete_edge(e)
         seq = tp.DeSequence(j.graph, tuple(steps))
-        record = tp.basic_cover(seq)
-        assert record.star_verified
-        shrunk = tp.shrink_cover(j.graph, record.end, record.cover)
-        assert shrunk <= record.cover
-        assert tp.verify_star(j.graph, record.end, shrunk)
+        end, cover = basic_cover(seq)
+        assert end == cur
+        assert tp.verify_star(j.graph, end, cover)
+        shrunk = tp.shrink_cover(j.graph, end, cover)
+        assert shrunk <= cover
+        assert tp.verify_star(j.graph, end, shrunk)
 
 
 # -- search ----------------------------------------------------------------------
@@ -513,6 +514,52 @@ def test_search_respects_budget():
     g = cycle_graph(6)
     out = tp.search_de_sequence(g, "ko", budget=1)
     assert not out.found and not out.conclusive
+
+
+def test_search_returns_the_replayed_end_and_shrunk_cover():
+    """On thin graphs of seeded (1, eps) instances, a found sequence's
+    ``end`` is the graph its replay ends in; for the cover objectives its
+    ``cover`` is the replay's basic cover after ``shrink_cover``, and the
+    graph-state objectives return no cover."""
+    rng = random.Random("search-result-replay")
+    found = dict.fromkeys(("ko", "edgeless", "cheap", "gamma", "based"), 0)
+    shrunk = 0
+    for _ in range(40):
+        inst = gen_two_value(
+            rng.randint(2, 3),
+            rng.choice((Fraction(1, 4), Fraction(1, 5))),
+            {"num_fat": 1, "num_thin": rng.randint(3, 5), "density": 0.8},
+            rng.randrange(2**32),
+        )
+        target, alpha = Fraction(1), Fraction(1, 2)
+        g = build_J(build_H(inst, target, alpha)).graph
+        if len(g.vertices) > 12 or not g.edges:
+            continue
+        p = inst.players[0]
+        objectives = {
+            "ko": {},
+            "edgeless": {},
+            "cheap": {"values": inst, "m": compute_m(inst, target, alpha).m},
+            "gamma": {"gamma": Fraction(5, 2)},
+            "based": {
+                "based_in": inst.covets[p] - compute_fat(inst, target, alpha).fat_set,
+                "owner": p,
+                "avg_cap": Fraction(3),
+            },
+        }
+        for objective, kwargs in objectives.items():
+            out = tp.search_de_sequence(g, objective, budget=300, **kwargs)
+            if not out.found:
+                continue
+            found[objective] += 1
+            end, cover = basic_cover(out.sequence)
+            assert out.end == end, (objective, g.edges)
+            if objective in ("ko", "edgeless"):
+                assert out.cover is None
+            else:
+                assert out.cover == tp.shrink_cover(g, end, cover), (objective, g.edges)
+                shrunk += out.cover != cover
+    assert min(found.values()) >= 5 and shrunk >= 20, (found, shrunk)
 
 
 # -- hall check -------------------------------------------------------------------
@@ -628,9 +675,10 @@ def test_cover_dual_accounting_all_player_sets(shared_halves):
         seq = out.sequence
         replay = tp.execute_sequence(sub.graph, seq)
         assert replay.valid
-        record = tp.basic_cover(seq)
-        assert record.star_verified
-        W, ell = record.cover, replay.ell
+        end, W = basic_cover(seq)
+        assert end == out.end == replay.final
+        assert tp.verify_star(sub.graph, end, W)
+        ell = replay.ell
         # per-explosion cover bound v(e u f) <= 3m
         assert inst.value(W) <= 3 * m.m * ell
         if replay.final.vertices:

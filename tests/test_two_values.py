@@ -266,6 +266,7 @@ def test_driver_certifies_and_allocates():
     assert res.allocation.min_value(inst) >= res.r * Fraction(1, 4)
     full = res.per_U[("p1", "p2")]
     assert full["certified"]
+    assert full["dual_ok"] is True
     # ledger: |W_X| <= n_X a(X) in every phase that ran
     assert all(full["ledger"].checks(res.r).values())
 
@@ -330,6 +331,7 @@ def test_driver_one_fifth_symmetric_phases():
     assert res.outcome == "certified"
     full = res.per_U[("p1", "p2")]
     assert full["how"] == "length" and full["need"] == 1
+    assert full["dual_ok"] is True
     assert all(full["ledger"].checks(res.r).values())
     assert res.allocation.min_value(inst) >= Fraction(2, 5)
 
