@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from .gap_report import (
     BatchConfig,
     evaluate_instance,
     run_gap_experiment,
+    t_star_and_opt,
     verify_convex_combination,
 )
 from .graphs import GraphError, graph_to_json, load_graph, load_json
@@ -26,7 +28,6 @@ from .instance import (
     InstanceError,
     OracleCapError,
     ParseError,
-    brute_force_opt,
     check_oracle_caps,
     load_instance,
 )
@@ -47,6 +48,13 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A token such as -1/2 or -1e3 is a negative rational, not an option;
+        # argparse's own pattern takes only -1 and -0.5 as numbers.  No
+        # option of this parser starts with a digit.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
 
@@ -85,7 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tstar", help="exact configuration-LP optimum T*")
     p.add_argument("instance")
 
-    p = sub.add_parser("opt", help="exact OPT by branch-and-bound up to T*")
+    p = sub.add_parser(
+        "opt", help="exact OPT: a 0/1 T* witness, else branch-and-bound up to T*"
+    )
     p.add_argument("instance")
 
     p = sub.add_parser("gap", help="T*, OPT and their ratio")
@@ -180,8 +190,7 @@ def _dispatch(args) -> int:
     if args.command == "opt":
         inst = load_instance(args.instance)
         check_oracle_caps(inst)  # before T*, which an over-cap instance would waste
-        # T* bounds OPT from above, so the search stops once it reaches T*.
-        res = brute_force_opt(inst, upper_bound=compute_t_star(inst).t_star)
+        _, res = t_star_and_opt(inst)
         _emit(
             {
                 "schema": "santa-gap/1",

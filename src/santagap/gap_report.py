@@ -14,12 +14,13 @@ from fractions import Fraction
 
 from .instance import (
     Instance,
+    OptResult,
     OracleCapError,
     brute_force_opt,
     gen_random,
     gen_two_value,
 )
-from .lp_core import LpCapError, compute_t_star
+from .lp_core import LpCapError, TStarResult, compute_t_star, integral_allocation
 from .rational import format_rational
 
 SCHEMA = "santa-gap/1"
@@ -118,15 +119,34 @@ def verify_convex_combination(T: Fraction, m: Fraction) -> CoefficientCertificat
 
 @dataclass(slots=True)
 class GapReport:
+    """T* and OPT of one instance, or why they were skipped; the gap and
+    the bound verdict are derived from them."""
+
     instance_id: str
     t_star: Fraction | None = None
     opt: Fraction | None = None
-    gap: Fraction | None = None
-    gap_infinite: bool = False
     bound_claimed: Fraction = GAP_BOUND
-    bound_respected: bool | None = None
     skipped: str | None = None
     instance_doc: str | None = None
+
+    @property
+    def gap_infinite(self) -> bool:
+        """OPT = 0, degenerate but representable (some player covets nothing)."""
+        return self.skipped is None and self.opt == 0
+
+    @property
+    def gap(self) -> Fraction | None:
+        """T* / OPT; None when skipped or infinite."""
+        if self.skipped is not None or self.gap_infinite:
+            return None
+        return self.t_star / self.opt
+
+    @property
+    def bound_respected(self) -> bool | None:
+        """gap <= bound_claimed (False when infinite); None when skipped."""
+        if self.skipped is not None:
+            return None
+        return not self.gap_infinite and self.gap <= self.bound_claimed
 
     def to_json(self) -> dict:
         doc = {
@@ -137,12 +157,11 @@ class GapReport:
         if self.skipped is not None:
             doc["skipped"] = self.skipped
             return doc
+        gap = self.gap  # None exactly when infinite, once not skipped
         doc["t_star"] = format_rational(self.t_star)
         doc["opt"] = format_rational(self.opt)
-        doc["gap"] = "inf" if self.gap_infinite else format_rational(self.gap)
-        doc["gap_decimal"] = (
-            None if self.gap_infinite else round(float(self.gap), 6)
-        )
+        doc["gap"] = "inf" if gap is None else format_rational(gap)
+        doc["gap_decimal"] = None if gap is None else round(float(gap), 6)
         doc["bound_respected"] = self.bound_respected
         if self.instance_doc is not None:
             doc["instance_doc"] = self.instance_doc
@@ -151,14 +170,27 @@ class GapReport:
     def to_tsv_row(self) -> str:
         if self.skipped is not None:
             return f"{self.instance_id}\tskipped\t{self.skipped}"
-        gap = "inf" if self.gap_infinite else format_rational(self.gap)
+        gap = self.gap
+        shown = "inf" if gap is None else format_rational(gap)
         return (
             f"{self.instance_id}\t{format_rational(self.t_star)}"
-            f"\t{format_rational(self.opt)}\t{gap}\t{self.bound_respected}"
+            f"\t{format_rational(self.opt)}\t{shown}\t{self.bound_respected}"
         )
 
 
 TSV_HEADER = "instance\tt_star\topt\tgap\tbound_respected"
+
+
+def t_star_and_opt(inst: Instance) -> tuple[TStarResult, OptResult]:
+    """Exact T* and OPT from one LP pass and at most one OPT search.
+
+    OPT <= T* (the LP is a relaxation), so the search stops once it
+    reaches T*.  When the T* witness is 0/1 its allocation reaches T* and
+    is returned as OPT's witness with no search.
+    """
+    res = compute_t_star(inst)
+    start = integral_allocation(res.feasibility_witness)
+    return res, brute_force_opt(inst, upper_bound=res.t_star, start=start)
 
 
 def evaluate_instance(
@@ -167,22 +199,12 @@ def evaluate_instance(
     """Exact T* and OPT for one instance; loud artifact on exceedance."""
     report = GapReport(instance_id, bound_claimed=bound)
     try:
-        t_star = compute_t_star(inst).t_star
-        # OPT <= T* (the LP is a relaxation): the search stops once it reaches T*.
-        opt = brute_force_opt(inst, upper_bound=t_star).opt_value
+        res, opt_res = t_star_and_opt(inst)
     except (OracleCapError, LpCapError) as exc:
         report.skipped = str(exc)
         return report
-    report.t_star = t_star
-    report.opt = opt
-    if opt == 0:
-        # Degenerate but representable (some player covets nothing).
-        report.gap_infinite = True
-        report.gap = None
-        report.bound_respected = False
-    else:
-        report.gap = t_star / opt
-        report.bound_respected = report.gap <= bound
+    report.t_star = res.t_star
+    report.opt = opt_res.opt_value
     if not report.bound_respected:
         report.instance_doc = inst.serialize()
     return report

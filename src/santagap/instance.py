@@ -334,6 +334,7 @@ def brute_force_opt(
     max_resources: int = DEFAULT_ORACLE_RESOURCE_CAP,
     max_players: int = DEFAULT_ORACLE_PLAYER_CAP,
     upper_bound: Fraction | None = None,
+    start: Allocation | None = None,
 ) -> OptResult:
     """Exact OPT by exhaustive assignment with branch-and-bound pruning.
 
@@ -348,12 +349,25 @@ def brute_force_opt(
     table values, so it is at most floor(upper_bound * scale) / scale,
     and the search stops at the first allocation that reaches that; with
     no bound it exhausts the tree, which proves optimality on its own.
-    The witness is the first optimal allocation in search order either
-    way (the best is replaced only on a strict improvement), so a bound
-    changes only ``nodes_explored``.  An allocation found above the bound
-    shows that it was no bound, and raises ``AssertionError``.
+    An allocation found above the bound shows that it was no bound, and
+    raises ``AssertionError``.
+
+    ``start`` is a known allocation, such as ``lp_core.integral_allocation``
+    of the T* witness; it is validated first.  When it reaches the bound
+    it is returned at once, with 0 nodes.  Otherwise it is the incumbent:
+    the search prunes against its value and replaces it only on a strict
+    improvement.  The witness is thus ``start`` when nothing beats it, and
+    otherwise the first optimal allocation in search order; a bound alone
+    changes only ``nodes_explored``.
     """
     check_oracle_caps(inst, max_resources=max_resources, max_players=max_players)
+    bound = None if upper_bound is None else math.floor(Fraction(upper_bound) * inst.scale)
+    best_value = -1
+    if start is not None:
+        start.validate(inst)
+        best_value = int(start.min_value(inst) * inst.scale) if inst.players else 0
+        if bound is not None and best_value >= bound:
+            return _checked_opt(inst, best_value, start, bound, upper_bound, 0)
     players = inst.players
     pidx = {p: i for i, p in enumerate(players)}
     # Only resources somebody covets can matter; order by descending value.
@@ -373,16 +387,13 @@ def brute_force_opt(
             later + (ints[i] if p in coveters else 0)
             for p, later in enumerate(potential[i + 1])
         ]
-    bound = None if upper_bound is None else math.floor(Fraction(upper_bound) * inst.scale)
-
-    best_value = -1
-    best_choice: list[int | None] = [None] * n
+    best_choice: list[int | None] | None = None
     choice: list[int | None] = [None] * n
     values = [0] * len(players)
     nodes = 0
 
     def dfs(i: int) -> None:
-        nonlocal best_value, nodes
+        nonlocal best_value, best_choice, nodes
         nodes += 1
         # Optimistic bound: min over p of value_p + remaining potential of p.
         if min(map(add, values, potential[i])) <= best_value:
@@ -391,7 +402,7 @@ def brute_force_opt(
             current = min(values)
             if current > best_value:
                 best_value = current
-                best_choice[:] = choice
+                best_choice = choice[:]
                 if bound is not None and current >= bound:
                     raise _BoundReached
             return
@@ -411,19 +422,34 @@ def brute_force_opt(
             pass
     else:
         best_value = 0
+    witness = start
+    if best_choice is not None or witness is None:
+        bundles: dict[str, list[str]] = {p: [] for p in players}
+        for i, owner in enumerate(best_choice or ()):
+            if owner is not None:
+                bundles[players[owner]].append(relevant[i][0])
+        witness = Allocation({p: tuple(sorted(b)) for p, b in bundles.items()})
+    return _checked_opt(inst, best_value, witness, bound, upper_bound, nodes)
+
+
+def _checked_opt(
+    inst: Instance,
+    best_value: int,
+    witness: Allocation,
+    bound: int | None,
+    upper_bound: Fraction | None,
+    nodes: int,
+) -> OptResult:
+    """``brute_force_opt``'s answer, once its witness validates, reaches
+    ``best_value`` (an integer over ``inst.scale``) and stays within the
+    bound."""
     if bound is not None and best_value > bound:
         raise AssertionError(
             f"OPT >= {Fraction(best_value, inst.scale)} beats the upper bound {upper_bound}"
         )
-
-    bundles: dict[str, list[str]] = {p: [] for p in players}
-    for i, owner in enumerate(best_choice):
-        if owner is not None:
-            bundles[players[owner]].append(relevant[i][0])
-    witness = Allocation({p: tuple(sorted(b)) for p, b in bundles.items()})
     witness.validate(inst)
     opt = Fraction(max(best_value, 0), inst.scale)
-    if players and witness.min_value(inst) != opt:
+    if inst.players and witness.min_value(inst) != opt:
         raise AssertionError("oracle witness does not achieve its optimum")
     return OptResult(opt, witness, nodes)
 

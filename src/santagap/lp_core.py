@@ -21,26 +21,35 @@ When the LP is infeasible the phase-1 dual prices form a feasible dual
 solution with strictly positive objective, which is returned as the
 infeasibility certificate.
 
-The T* bisection first tries a cheaper certificate, the capped-value
-dual.  With t = ``Instance.int_threshold(T)`` and every integer value
-V_r = ``Instance.int_values[r]`` capped at t, CLP(T) is infeasible when a
-set P of players, one player or all of them, has coveted capped values
-summing to less than |P| * t: y = 1 on P and z_r = min(V_r, t) / t on the
-resources P covets satisfy every DCLP constraint (a configuration of
-value at least T has an integer value at least t, so it holds a resource
-with z_r = 1 or its z-weight is its integer value over t, at least 1)
-and have objective |P| - sum z_r > 0.  A probe that this rules out is
-answered without building the LP.
+T* is the first feasible candidate of a descending scan
+(``compute_t_star``), and two cheaper certificates spare most LP
+probes.  One is the Farkas certificate of the last infeasible probe,
+re-checked at each lower candidate with ``verify_dual``.  The other is
+the capped-value dual.  With t = ``Instance.int_threshold(T)`` and every
+integer value V_r = ``Instance.int_values[r]`` capped at t, CLP(T) is
+infeasible when a set P of players, one player or all of them, has
+coveted capped values summing to less than |P| * t: y = 1 on P and
+z_r = min(V_r, t) / t on the resources P covets satisfy every DCLP
+constraint (a configuration of value at least T has an integer value at
+least t, so it holds a resource with z_r = 1 or its z-weight is its
+integer value over t, at least 1) and have objective |P| - sum z_r > 0.
+A probe that this rules out is answered without building the LP.
+
+The witness of T* is the LP solution at T*.  When every weight in it is
+1, its support is an optimal allocation (``integral_allocation``): the
+configurations are disjoint, each player has one, and each is worth at
+least T* >= OPT.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from .instance import Instance
+from .instance import Allocation, Instance
 from .subsets import SubsetCapError, minimal_subsets_at_least
 
 DEFAULT_POOL_CAP = 20
@@ -298,6 +307,26 @@ def clp_feasible(inst: Instance, target: Fraction) -> LpFeasibilityResult:
     return LpFeasibilityResult(False, None, certificate, model)
 
 
+def integral_allocation(witness: LpFeasibilityResult) -> Allocation | None:
+    """The allocation a 0/1 primal solution spells out, else None.
+
+    When every primal weight is 1, packing <= 1 makes the chosen
+    configurations pairwise disjoint, and covering >= 1 gives each player
+    one; a player's bundle is the union of its configurations.  At T*
+    every bundle is worth at least T*, and OPT <= T*, so the allocation
+    is optimal.  None when the LP is infeasible, a weight is fractional
+    or a player owns no configuration.
+    """
+    if not witness.feasible or any(w != 1 for w in witness.primal.values()):
+        return None
+    bundles: dict[str, set[str]] = {}
+    for cfg in witness.primal:
+        bundles.setdefault(cfg.owner, set()).update(cfg.resources)
+    if len(bundles) != len(witness.model.players):
+        return None
+    return Allocation({p: tuple(sorted(bundles[p])) for p in witness.model.players})
+
+
 def _check_primal(
     inst: Instance, model: ClpModel, primal: dict[Configuration, Fraction]
 ) -> None:
@@ -374,38 +403,55 @@ def capped_value_violation(inst: Instance, target: Fraction) -> tuple[str, ...] 
 
 
 def compute_t_star(inst: Instance) -> TStarResult:
-    """Exact T* = max{T : CLP(T) feasible} by binary search on candidates.
+    """Exact T* = max{T : CLP(T) feasible} by a descending scan of candidates.
 
-    Each bisection step first asks ``capped_value_violation``; a candidate
-    it rules out is infeasible by a dual certificate, so the search moves
-    down without an LP.  Only a candidate that passes is probed with
-    ``clp_feasible``, and ``probes`` counts those LP solves.  The filter
-    never rejects a feasible candidate, so the search visits the same
-    candidates, finds the same T* and returns the same witness LP as a
-    plain bisection.
+    Feasibility is monotone: a configuration at T is one at every T' < T,
+    so CLP(T) feasible makes CLP(T') feasible.  The first feasible
+    candidate from the top is therefore T*, and its LP is the witness.
+
+    1. Capped-value filter.  For a player set P of size k and
+       f(t) = sum over the resources P covets of min(V_r, t) - k*t,
+       ``capped_value_violation`` rules T out when f(t) < 0 for one of
+       its sets, at t = ``int_threshold(T)``, which grows with T.  Each f
+       is concave (a sum of concave terms) with f(0) = 0, so for
+       0 < t < t', f(t) >= (t/t') f(t') + (1 - t/t') f(0) = (t/t') f(t'):
+       f(t) < 0 makes f(t') < 0.  The filter is thus monotone in T, and
+       one bisection on it finds the highest candidate it lets pass;
+       every candidate above is infeasible and no LP is built there.
+    2. Certificate reuse.  From there down, the Farkas certificate of
+       the last infeasible probe is kept.  A candidate where
+       ``verify_dual`` accepts it is infeasible by weak duality (its
+       objective is positive whatever the target), and no LP is built.
+       Going down, the dual constraints only grow (a configuration at T'
+       contains a minimal one at T < T', and z >= 0 weighs it at least
+       as much), so once the certificate fails it would fail at every
+       lower candidate: an older certificate is never worth trying.
+    3. Otherwise ``clp_feasible`` decides the candidate; ``probes`` counts
+       those LP solves.
+
+    Every skip is exact, so T*, ``candidates_examined`` and the witness
+    LP are those of a plain bisection that probes every step.
     """
     candidates = subset_sum_candidates(inst)
     probes = 0
-    if not candidates or not inst.players:
-        witness = clp_feasible(inst, Fraction(0))
-        return TStarResult(Fraction(0), len(candidates), witness, 1)
-    lo, hi = 0, len(candidates) - 1
-    best: int | None = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if capped_value_violation(inst, candidates[mid]) is None:
-            res = clp_feasible(inst, candidates[mid])
+    if inst.players:
+        top = bisect.bisect_left(
+            candidates, True,
+            key=lambda target: capped_value_violation(inst, target) is not None,
+        )
+        certificate: DualSolution | None = None
+        for target in reversed(candidates[:top]):
+            if certificate is not None:
+                check = verify_dual(inst, target, certificate)
+                if check.feasible and check.objective > 0:
+                    continue
+            res = clp_feasible(inst, target)
             probes += 1
             if res.feasible:
-                best, witness = mid, res
-                lo = mid + 1
-                continue
-        hi = mid - 1
-    if best is None:
-        witness = clp_feasible(inst, Fraction(0))
-        probes += 1
-        return TStarResult(Fraction(0), len(candidates), witness, probes)
-    return TStarResult(candidates[best], len(candidates), witness, probes)
+                return TStarResult(target, len(candidates), res, probes)
+            certificate = res.infeasibility_certificate
+    witness = clp_feasible(inst, Fraction(0))
+    return TStarResult(Fraction(0), len(candidates), witness, probes + 1)
 
 
 # ---------------------------------------------------------------------------

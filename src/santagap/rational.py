@@ -48,13 +48,6 @@ def parse_rational(text: str) -> Fraction:
         raise RationalParseError(f"not a rational: {text!r}") from exc
 
 
-def parse_positive_rational(text: str) -> Fraction:
-    value = parse_rational(text)
-    if value <= 0:
-        raise RationalParseError(f"expected a positive rational, got {text!r}")
-    return value
-
-
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as 'a' or 'a/b' (lowest terms).
 

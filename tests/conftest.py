@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -6,6 +7,9 @@ import pytest
 from santagap.graphs import Graph
 from santagap.instance import Instance, parse_instance
 
+
+# T* = 1, OPT = 1/2: a gap of 2 with a fractional T* witness.
+GAP_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "gap_4x6.txt")
 
 def cycle_graph(n: int) -> Graph:
     return Graph(range(n), [(i, (i + 1) % n) for i in range(n)])

@@ -5,6 +5,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from conftest import GAP_GOLDEN
 from santagap.cli import cli_main
 
 INSTANCE_DOC = """\
@@ -61,15 +62,16 @@ covets p2 b c d e
 @pytest.mark.parametrize(
     "doc, opt, witness",
     [
-        (INSTANCE_DOC, "1", {"p1": ["a", "b"], "p2": ["c", "d"]}),
+        (INSTANCE_DOC, "1", {"p1": ["c", "d"], "p2": ["a", "b"]}),
         (MIXED_DENOMINATOR_DOC, "19/18", {"p1": ["a", "c"], "p2": ["b", "d", "e"]}),
     ],
     ids=["halves", "mixed-denominators"],
 )
 def test_opt_output_is_exact(tmp_path, doc, opt, witness):
-    """The whole document, byte for byte: the search stops at T*, and the
-    witness is still the first optimal allocation in search order, printed
-    as sorted lists."""
+    """The whole document, byte for byte, bundles printed as sorted lists.
+    Both T* witnesses are 0/1, so OPT = T* and the witness is the LP's
+    allocation, found with no search.  For "halves" that is not the first
+    optimal allocation in search order (p1 a b, p2 c d)."""
     path = tmp_path / "inst.txt"
     path.write_text(doc)
     code, out, err = run_cli(["opt", str(path)])
@@ -181,6 +183,31 @@ def test_dual_check_cli(instance_file, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["feasible"] is True and doc["objective"] == "0"
+
+
+def test_dual_check_negative_rational_target(instance_file, tmp_path):
+    """A target of -1/2 is a negative rational, not an option: the verdict
+    is the one for -0.5 (every configuration at a negative target is the
+    empty set, whose z-weight 0 is below y_p1 = 1)."""
+    dual = {"y": {"p1": "1", "p2": "0"}, "z": {"a": "0", "b": "0", "c": "0", "d": "0"}}
+    dpath = tmp_path / "dual.json"
+    dpath.write_text(json.dumps(dual))
+    outs = []
+    for target in ("-1/2", "-0.5", "-5e-1"):
+        code, out, err = run_cli(["dual-check", instance_file, target, str(dpath)])
+        assert code == 0 and err == ""
+        outs.append(json.loads(out))
+    assert outs[0] == outs[1] == outs[2]
+    assert outs[0]["feasible"] is False
+    assert outs[0]["violated"] == {"owner": "p1", "resources": []}
+
+
+def test_gap_golden_4x6():
+    code, out, _ = run_cli(["gap", GAP_GOLDEN])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["t_star"], doc["opt"], doc["gap"]) == ("1", "1/2", "2")
+    assert doc["bound_respected"] is True
 
 
 def test_experiment_cli_tsv():

@@ -21,7 +21,14 @@ from oracles import (
 )
 from santagap import lp_core
 from santagap.allocation_graph import compute_m
-from santagap.instance import Instance, brute_force_opt, gen_random
+from santagap.instance import (
+    Allocation,
+    Instance,
+    InstanceError,
+    brute_force_opt,
+    gen_random,
+    gen_two_value,
+)
 
 _integer_simplex = lp_core._phase1_simplex
 
@@ -48,7 +55,9 @@ def test_simplex_matches_dense_on_every_t_star_probe(monkeypatch):
 
     monkeypatch.setattr(lp_core, "_phase1_simplex", checked)
     shapes = [(3, 6, 0.7), (4, 7, 0.8), (5, 6, 0.9), (2, 8, 0.6)]
-    for seed in range(7):
+    # The descending scan probes few candidates per instance, so it takes
+    # 14 seeds of these shapes to reach 72 probes.
+    for seed in range(14):
         for players, resources, density in shapes:
             inst = gen_random(
                 players, resources, (Fraction(1, 6), Fraction(1)), density,
@@ -125,12 +134,12 @@ def test_simplex_matches_dense_on_wide_lps():
 
 
 def test_t_star_golden_at_the_oracle_caps(monkeypatch):
-    """The 6-player, 14-resource instance: T* = 53/36 after 5 LP probes of
+    """The 6-player, 14-resource instance: T* = 53/36 after 3 LP probes of
     327 candidates, with 334 columns at T*, and the primal there is the
     dense oracle's."""
     inst = _six_by_fourteen()
     res = lp_core.compute_t_star(inst)
-    assert (res.t_star, res.probes, res.candidates_examined) == (Fraction(53, 36), 5, 327)
+    assert (res.t_star, res.probes, res.candidates_examined) == (Fraction(53, 36), 3, 327)
     witness = res.feasibility_witness
     assert witness.feasible and len(witness.model.columns) == 334
     calls = []
@@ -255,14 +264,84 @@ def test_t_star_matches_plain_bisection():
     instances.append(_six_by_fourteen())
     fewer = 0
     for inst in instances:
-        got, want = lp_core.compute_t_star(inst), bisection_t_star(inst)
-        assert (got.t_star, got.candidates_examined) == (want.t_star, want.candidates_examined)
-        got_w, want_w = got.feasibility_witness, want.feasibility_witness
-        assert (got_w.feasible, got_w.primal) == (want_w.feasible, want_w.primal)
-        assert got_w.model.columns == want_w.model.columns
-        assert got.probes <= want.probes
+        got, want = _assert_same_as_bisection(inst)
         fewer += got.probes < want.probes
     assert fewer > len(instances) // 2
+
+
+def _assert_same_as_bisection(inst):
+    got, want = lp_core.compute_t_star(inst), bisection_t_star(inst)
+    assert (got.t_star, got.candidates_examined) == (want.t_star, want.candidates_examined)
+    got_w, want_w = got.feasibility_witness, want.feasibility_witness
+    assert (got_w.feasible, got_w.primal) == (want_w.feasible, want_w.primal)
+    assert got_w.model.columns == want_w.model.columns
+    assert got.probes <= want.probes, inst.serialize()
+    return got, want
+
+
+def test_descending_scan_matches_bisection_on_seeded_suites():
+    """The same on two-value instances (fat and thin items, the shape of
+    the two-value and four-phase workloads) and on the simplex-oracle
+    shapes on a grid of 12: T*, candidate count and witness LP are the
+    bisection's, in no more LP probes."""
+    instances = [
+        gen_two_value(players, eps, {"density": density}, seed)
+        for seed in range(6)
+        for players, eps, density in ((2, Fraction(1, 5), 0.8), (3, Fraction(1, 4), 0.6))
+    ]
+    instances += [
+        gen_random(players, resources, (Fraction(1, 6), Fraction(1)), density,
+                   seed=seed, grid=12)
+        for seed in range(4)
+        for players, resources, density in ((3, 6, 0.7), (2, 8, 0.6), (4, 8, 0.5))
+    ]
+    for inst in instances:
+        _assert_same_as_bisection(inst)
+
+
+def test_reused_certificates_rule_out_only_infeasible_candidates(monkeypatch):
+    """Every candidate at which a kept Farkas certificate passes
+    ``verify_dual`` lies above T* and is infeasible by ``clp_feasible``,
+    and no LP is built there."""
+    checks = []
+    verify = lp_core.verify_dual
+
+    def recorded(inst, target, sol):
+        checks.append((target, verify(inst, target, sol)))
+        return checks[-1][1]
+
+    probed = []
+    clp = lp_core.clp_feasible
+
+    def counted(inst, target):
+        probed.append(target)
+        return clp(inst, target)
+
+    monkeypatch.setattr(lp_core, "verify_dual", recorded)
+    monkeypatch.setattr(lp_core, "clp_feasible", counted)
+    rng = random.Random(71)
+    instances = [*_gap_random_instances(range(40)), _six_by_fourteen()]
+    instances += [random_small_instance(rng) for _ in range(30)]
+    instances += [
+        gen_random(players, resources, (Fraction(1, 6), Fraction(1)), density,
+                   seed=seed, grid=12)
+        for seed in range(14)
+        for players, resources, density in ((3, 6, 0.7), (6, 10, 0.6), (2, 8, 0.6))
+    ]
+    ruled_out = []
+    for inst in instances:
+        checks.clear()
+        probed.clear()
+        t_star = lp_core.compute_t_star(inst).t_star
+        for target, check in checks:
+            if check.feasible:
+                assert check.objective > 0 and target > t_star
+                assert target not in probed
+                ruled_out.append((inst, target))
+    monkeypatch.undo()
+    for inst, target in ruled_out:
+        assert not lp_core.clp_feasible(inst, target).feasible, (inst.serialize(), target)
+    assert len(ruled_out) > 20
 
 
 # -- brute_force_opt ------------------------------------------------------------
@@ -345,6 +424,58 @@ def test_brute_force_opt_beaten_bound_raises():
     for bound in (Fraction(1, 2), Fraction(1)):
         with pytest.raises(AssertionError, match="beats the upper bound"):
             brute_force_opt(inst, upper_bound=bound)
+
+
+def test_brute_force_opt_from_the_t_star_witness():
+    """Started from ``integral_allocation`` of the T* witness, the search
+    gives the OPT of the plain search on the gap-random shapes, and of
+    ``exhaustive_opt`` (0.6 s an instance) on the first ten, with a witness
+    that validates and reaches it.  A 0/1 witness is returned as is, with
+    0 nodes; a fractional one (seed 3 is the first) gives no start, and
+    the search runs as before."""
+    integral = fractional = 0
+    for k, inst in enumerate(_gap_random_instances(range(40))):
+        res = lp_core.compute_t_star(inst)
+        start = lp_core.integral_allocation(res.feasibility_witness)
+        got = brute_force_opt(inst, upper_bound=res.t_star, start=start)
+        want = brute_force_opt(inst).opt_value
+        if k < 10:
+            assert exhaustive_opt(inst)[0] == want
+        assert got.opt_value == want
+        got.witness.validate(inst)
+        assert got.witness.min_value(inst) == want
+        if start is None:
+            fractional += 1
+            assert got == brute_force_opt(inst, upper_bound=res.t_star)
+        else:
+            integral += 1
+            assert want == res.t_star
+            assert got.witness is start and got.nodes_explored == 0
+    assert integral > fractional > 0
+
+
+def test_brute_force_opt_start_is_the_incumbent():
+    """A start below the bound is the incumbent: the search replaces it
+    only on a strict improvement, and keeps it when nothing beats it."""
+    inst = _mixed_denominators()
+    plain = brute_force_opt(inst)
+    got = brute_force_opt(inst, upper_bound=Fraction(19, 18), start=Allocation({}))
+    assert got.opt_value == plain.opt_value and got.witness == plain.witness
+    with pytest.raises(InstanceError, match="uncoveted"):
+        brute_force_opt(inst, start=Allocation({"p1": ("d",)}))
+    # Two players share four halves: OPT = 1, reached by many allocations.
+    # With no bound, the exhaustive search finds none better than a start
+    # that is optimal, and keeps it.
+    inst = Instance.build(
+        ["p1", "p2"], {r: Fraction(1, 2) for r in "abcd"},
+        {"p1": set("abcd"), "p2": set("abcd")},
+    )
+    plain = brute_force_opt(inst)
+    other = Allocation({"p1": ("c", "d"), "p2": ("a", "b")})
+    assert other.min_value(inst) == plain.opt_value and other != plain.witness
+    got = brute_force_opt(inst, start=other)
+    assert got.opt_value == plain.opt_value and got.witness is other
+    assert 0 < got.nodes_explored < plain.nodes_explored
 
 
 def test_brute_force_opt_golden_at_the_oracle_caps():

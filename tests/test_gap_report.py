@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import GAP_GOLDEN
+from oracles import exhaustive_opt
+from santagap import gap_report, lp_core
 from santagap.gap_report import (
     CONVEX_WEIGHTS,
     BatchConfig,
@@ -11,9 +14,10 @@ from santagap.gap_report import (
     generate_batch,
     phase_inequality_coefficients,
     run_gap_experiment,
+    t_star_and_opt,
     verify_convex_combination,
 )
-from santagap.instance import parse_instance
+from santagap.instance import load_instance, parse_instance
 
 
 def test_weights_sum_to_one_exactly():
@@ -89,6 +93,54 @@ def test_evaluate_instance_gap_one():
     report = evaluate_instance(inst, "unit")
     assert report.t_star == 1 and report.opt == 1
     assert report.gap == 1 and report.bound_respected
+
+
+def test_gap_golden_4x6():
+    """T* = 1 in one LP probe, OPT = 1/2 and a gap of 2 (``f-gap 1/2``).
+    The T* witness is fractional, so OPT comes from the search, which the
+    exhaustive oracle confirms.  At the next candidate, 3/2, the LP's
+    Farkas certificate passes ``verify_dual``."""
+    inst = load_instance(GAP_GOLDEN)
+    res, opt = t_star_and_opt(inst)
+    assert (res.t_star, res.probes) == (1, 1)
+    assert lp_core.integral_allocation(res.feasibility_witness) is None
+    assert opt.opt_value == Fraction(1, 2) == exhaustive_opt(inst)[0]
+    assert opt.nodes_explored > 0
+    opt.witness.validate(inst)
+    assert opt.witness.min_value(inst) == Fraction(1, 2)
+    report = evaluate_instance(inst, "gap-4x6")
+    assert (report.t_star, report.opt, report.gap) == (1, Fraction(1, 2), 2)
+    assert report.bound_respected
+    nxt = min(c for c in lp_core.subset_sum_candidates(inst) if c > res.t_star)
+    assert nxt == Fraction(3, 2)
+    above = lp_core.clp_feasible(inst, nxt)
+    assert not above.feasible
+    check = lp_core.verify_dual(inst, nxt, above.infeasibility_certificate)
+    assert check.feasible and check.objective > 0
+
+
+def test_t_star_and_opt_calls_the_search_once(monkeypatch):
+    """The module attribute ``brute_force_opt`` is called exactly once per
+    instance, bounded by T*, whether or not the T* witness is integral."""
+    calls = []
+    search = gap_report.brute_force_opt
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(gap_report, "brute_force_opt", recorded)
+    halves = parse_instance(
+        "players p1 p2\nresource a 1/2\nresource b 1/2\nresource c 1/2\n"
+        "resource d 1/2\ncovets p1 a b c d\ncovets p2 a b c d\n"
+    )
+    for inst, integral in ((halves, True), (load_instance(GAP_GOLDEN), False)):
+        calls.clear()
+        res, opt = t_star_and_opt(inst)
+        (kwargs,) = calls
+        assert kwargs["upper_bound"] == res.t_star
+        assert (kwargs["start"] is not None) == integral
+        assert (opt.nodes_explored == 0) == integral
 
 
 def test_evaluate_instance_opt_zero_is_flagged():
