@@ -28,7 +28,6 @@ from .instance import (
     InstanceError,
     OracleCapError,
     ParseError,
-    check_oracle_caps,
     load_instance,
 )
 from .lp_core import DualSolution, LpCapError, compute_t_star, verify_dual
@@ -189,7 +188,6 @@ def _dispatch(args) -> int:
 
     if args.command == "opt":
         inst = load_instance(args.instance)
-        check_oracle_caps(inst)  # before T*, which an over-cap instance would waste
         _, res = t_star_and_opt(inst)
         _emit(
             {

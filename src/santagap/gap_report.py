@@ -17,6 +17,7 @@ from .instance import (
     OptResult,
     OracleCapError,
     brute_force_opt,
+    check_oracle_caps,
     gen_random,
     gen_two_value,
 )
@@ -186,8 +187,10 @@ def t_star_and_opt(inst: Instance) -> tuple[TStarResult, OptResult]:
 
     OPT <= T* (the LP is a relaxation), so the search stops once it
     reaches T*.  When the T* witness is 0/1 its allocation reaches T* and
-    is returned as OPT's witness with no search.
+    is returned as OPT's witness with no search.  The OPT caps are
+    checked first, so an instance over them costs no T* either.
     """
+    check_oracle_caps(inst)
     res = compute_t_star(inst)
     start = integral_allocation(res.feasibility_witness)
     return res, brute_force_opt(inst, upper_bound=res.t_star, start=start)

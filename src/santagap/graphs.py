@@ -15,6 +15,12 @@ pairs: filtering a sorted tuple keeps it sorted, and a subgraph of a
 valid graph is valid.  Either way, equal graphs have equal masks, edges
 and hash.  Equality and hash are over labels and masks; code that needs
 only the structure (the eta cache) reads ``masks`` alone.
+
+``edges`` is always in mask order: row i of the masks, then its later
+neighbours j ascending, each edge once as (vertices[i], vertices[j]).
+``Graph(...)`` builds that order and every derived graph keeps it, so
+code may walk the edges off ``masks`` and use the count as an index into
+``edges`` (``homology.first_deletable`` does).
 """
 
 from __future__ import annotations

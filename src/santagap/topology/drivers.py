@@ -26,7 +26,7 @@ from .desequence import (
     search_de_sequence,
     vertex_resources,
 )
-from .homology import eta, eta_at_least
+from .homology import eta_at_least, first_deletable
 
 
 @dataclass(slots=True)
@@ -60,20 +60,17 @@ def all_deletions(g: Graph, **eta_caps) -> tuple[Graph, list[DeStep]]:
 
     This decides deletability only: the first edge e in edge order with
     eta(G-e) <= eta(G) (``classify_edge(...).deletable``) is deleted and
-    the scan restarts on G-e.  G*e is never built, because nothing here
-    reads whether an edge is explodable.
+    the scan restarts on G-e.  ``first_deletable`` probes each G-e on the
+    eta cache key of G, so a Graph is built only for the edge deleted,
+    and G*e is never built, because nothing here reads whether an edge
+    is explodable.
     """
     steps: list[DeStep] = []
-    while True:
-        before = eta(g, **eta_caps)
-        for edge in g.edges:
-            smaller = g.delete_edge(edge)
-            if eta(smaller, **eta_caps) <= before:
-                steps.append(DeStep(DELETE, edge))
-                g = smaller
-                break
-        else:
-            return g, steps
+    while (k := first_deletable(g, **eta_caps)) is not None:
+        edge = g.edges[k]
+        steps.append(DeStep(DELETE, edge))
+        g = g.delete_edge(edge)
+    return g, steps
 
 
 @dataclass(slots=True)

@@ -26,6 +26,12 @@ All of this works on the graph's adjacency masks (``Graph.masks``).  The
 eta cache is keyed on those masks alone, not on the vertex labels: eta
 is a graph invariant, so two graphs with the same masks over their
 sorted vertex order share one entry whatever their labels.
+
+The key packs mask i into bits i*n .. i*n+n-1, so deleting edge {i, j}
+flips exactly bits i*n+j and j*n+i of it.  first_deletable probes every
+G-e on the key of G flipped that way: a cache hit costs two shifts and a
+dict lookup, and only a miss copies the masks to compute eta(G-e).  No
+Graph is built for an edge that is only probed.
 """
 
 from __future__ import annotations
@@ -294,6 +300,46 @@ def eta_at_least(
         return True
     _remember(key, value)
     return value >= t
+
+
+def first_deletable(
+    g: Graph,
+    *,
+    max_vertices: int = DEFAULT_VERTEX_CAP,
+    max_simplices: int = DEFAULT_SIMPLEX_CAP,
+) -> int | None:
+    """Index in ``g.edges`` of the first edge e with eta(G-e) <= eta(G),
+    or None when no edge is deletable.
+
+    The edges are walked straight off the masks, row i and then its later
+    neighbours j ascending, which is the order of ``g.edges``.  Each G-e
+    is looked up on the key of G with its two bits flipped; a miss is
+    computed on flipped masks and remembered, in the same order as eta
+    calls on each G-e would remember it.
+    """
+    before = eta(g, max_vertices=max_vertices, max_simplices=max_simplices)
+    masks = g.masks
+    n = len(masks)
+    key = _cache_key(masks)
+    k = 0
+    for i, m in enumerate(masks):
+        later = m >> (i + 1)
+        while later:
+            low = later & -later
+            j = i + low.bit_length()
+            probe = key ^ (1 << (i * n + j)) ^ (1 << (j * n + i))
+            value = _ETA_CACHE.get(probe)
+            if value is None:
+                adj = list(masks)
+                adj[i] ^= 1 << j
+                adj[j] ^= 1 << i
+                value = _reduced_eta(adj, None, max_simplices)
+                _remember(probe, value)
+            if value <= before:
+                return k
+            k += 1
+            later ^= low
+    return None
 
 
 def homology_profile(

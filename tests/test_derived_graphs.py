@@ -3,7 +3,8 @@ sorted tuples and re-index its adjacency masks; they must equal the same
 graph built from scratch with ``Graph(...)``, and ``all_deletions`` must
 take the steps of the full-classification loop it replaced.  The eta
 cache is keyed on masks alone, so graphs that differ only in their labels
-share an entry."""
+share an entry, and ``first_deletable`` probes each G-e on the key of G
+with two bits flipped."""
 
 import itertools
 import random
@@ -117,10 +118,11 @@ def test_all_deletions_matches_classify_edge_loop_on_random_graphs():
             _assert_same_deletions(_random_labelled_graph(rng, kind))
 
 
-def test_all_deletions_matches_classify_edge_loop_on_thin_graphs():
-    rng = random.Random("all-deletions-thin")
-    checked = 0
-    for _ in range(40):
+def _thin_graphs(rng: random.Random, tries: int) -> list[Graph]:
+    """Thin graphs J of seeded (1, eps) instances with 12 vertices or fewer
+    and at least one edge."""
+    out = []
+    for _ in range(tries):
         inst = gen_two_value(
             rng.randint(2, 3),
             rng.choice((Fraction(1, 4), Fraction(1, 5))),
@@ -128,11 +130,117 @@ def test_all_deletions_matches_classify_edge_loop_on_thin_graphs():
             rng.randrange(2**32),
         )
         j = build_J(build_H(inst, Fraction(1), Fraction(1, 2))).graph
-        if len(j.vertices) > 12 or not j.edges:
-            continue
+        if len(j.vertices) <= 12 and j.edges:
+            out.append(j)
+    return out
+
+
+def test_all_deletions_matches_classify_edge_loop_on_thin_graphs():
+    thin = _thin_graphs(random.Random("all-deletions-thin"), 40)
+    assert len(thin) >= 10
+    for j in thin:
         _assert_same_deletions(j)
-        checked += 1
-    assert checked >= 10
+
+
+class _RecordingCache(dict):
+    """An eta cache that records the keys looked up, the number looked up
+    at each clear, and the most entries it held."""
+
+    def __init__(self):
+        super().__init__()
+        self.looked_up: list = []
+        self.cleared_at: list[int] = []
+        self.largest = 0
+
+    def get(self, key, default=None):
+        self.looked_up.append(key)
+        return super().get(key, default)
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.largest = max(self.largest, len(self))
+
+    def clear(self):
+        self.cleared_at.append(len(self.looked_up))
+        super().clear()
+
+
+def test_deletions_are_probed_on_flipped_keys(monkeypatch):
+    """first_deletable looks G-e up on the key of G with two bits flipped:
+    that must be the key of G-e itself, and a miss must store eta(G-e)."""
+    rng = random.Random("flipped-keys")
+    graphs = [
+        _random_labelled_graph(rng, kind)
+        for kind in ("str", "owner-resources")
+        for _ in range(40)
+    ]
+    graphs += _thin_graphs(rng, 30)
+    probed = 0
+    for g in graphs:
+        cache = _RecordingCache()
+        monkeypatch.setattr(homology, "_ETA_CACHE", cache)
+        # eta(G) read as -1 makes no deletion legal, so every edge is probed
+        cache[homology._cache_key(g.masks)] = -1
+        assert homology.first_deletable(g) is None
+        smaller = [g.delete_edge(e) for e in g.edges]
+        keys = [homology._cache_key(h.masks) for h in smaller]
+        assert cache.looked_up[1:] == keys
+        for key, h in zip(keys, smaller):
+            assert cache[key] == tp.eta_from_profile(tp.homology_profile(h))
+        # probed again, every G-e is a hit and nothing is written
+        entries = dict(cache)
+        assert homology.first_deletable(g) is None
+        assert cache == entries
+        probed += len(keys)
+    assert probed > 1000
+
+
+def test_all_deletions_matches_the_classify_loop_with_a_tiny_cache(monkeypatch):
+    """With room for 8 entries the cache is emptied in the middle of
+    first_deletable's scans; the deletions taken must not change."""
+    monkeypatch.setattr(homology, "ETA_CACHE_MAX", 8)
+    rng = random.Random("tiny-cache")
+    cleared_mid_scan = 0
+    for kind in ("str", "owner-resources"):
+        for _ in range(30):
+            g = _random_labelled_graph(rng, kind)
+            cache = _RecordingCache()
+            monkeypatch.setattr(homology, "_ETA_CACHE", cache)
+            got_graph, got_steps = tp.all_deletions(g)
+            # after the first scan's eta(G), each eta(G) is a hit, so a
+            # clear after the second lookup is one on a probe's miss
+            cleared_mid_scan += sum(at > 1 for at in cache.cleared_at)
+            want_graph, want_steps = classify_all_deletions(g)
+            assert got_steps == want_steps
+            assert_same_graph(got_graph, want_graph)
+            assert cache.largest <= 8
+    assert cleared_mid_scan > 0
+
+
+def _petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(range(10), outer + spokes + inner)
+
+
+def test_first_deletable_honours_the_eta_caps():
+    """Petersen minus an edge has girth 5 and no vertex of degree 1, so no
+    vertex folds and eta(G-e) needs homology."""
+    g = _petersen()
+    tp.clear_eta_cache()
+    with pytest.raises(tp.EtaCapError):
+        homology.first_deletable(g, max_vertices=9)
+    with pytest.raises(tp.EtaCapError):
+        tp.all_deletions(g, max_vertices=9)
+    tp.eta(g)  # eta(G) is now a hit and every G-e a miss
+    with pytest.raises(tp.EtaCapError):
+        homology.first_deletable(g, max_simplices=1)
+    k = homology.first_deletable(g)
+    assert k is not None
+    # every G-e it probed is now cached, so the tiny cap is never reached
+    assert homology.first_deletable(g, max_simplices=1) == k
+    tp.clear_eta_cache()
 
 
 def _relabelled(g: Graph, label) -> Graph:

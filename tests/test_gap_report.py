@@ -17,7 +17,7 @@ from santagap.gap_report import (
     t_star_and_opt,
     verify_convex_combination,
 )
-from santagap.instance import load_instance, parse_instance
+from santagap.instance import gen_random, load_instance, parse_instance
 
 
 def test_weights_sum_to_one_exactly():
@@ -141,6 +141,19 @@ def test_t_star_and_opt_calls_the_search_once(monkeypatch):
         assert kwargs["upper_bound"] == res.t_star
         assert (kwargs["start"] is not None) == integral
         assert (opt.nodes_explored == 0) == integral
+
+
+def test_over_cap_instance_is_skipped_before_t_star(monkeypatch):
+    """An instance over the OPT caps reports the cap and computes no T*."""
+    calls = []
+    monkeypatch.setattr(
+        gap_report, "compute_t_star", lambda *a, **k: calls.append(a) or None
+    )
+    inst = gen_random(7, 14, (Fraction(1, 6), Fraction(1)), 0.6, seed=1, grid=12)
+    report = evaluate_instance(inst, "over-cap")
+    assert report.skipped.startswith("instance too large for oracle (7 players")
+    assert report.t_star is None and report.opt is None
+    assert calls == []
 
 
 def test_evaluate_instance_opt_zero_is_flagged():
