@@ -140,32 +140,20 @@ def restrict(g: AllocationGraph, U) -> AllocationGraph:
     return AllocationGraph(g.alpha, g.target, parts, hyperedges, g.graph.induced(keep))
 
 
-def fat_clique_components(h: AllocationGraph) -> dict[str, tuple]:
-    """C_r for each fat resource r: the clique of fat vertices {r}^p."""
-    cliques: dict[str, list] = {}
-    for v, he in h.hyperedges.items():
-        if he.is_fat:
-            (rid,) = he.resources
-            cliques.setdefault(rid, []).append(v)
-    return {rid: tuple(sorted(vs)) for rid, vs in cliques.items()}
-
-
-def find_independent_transversal(
-    g: AllocationGraph,
-    *,
-    max_vertices: int = DEFAULT_TRANSVERSAL_VERTEX_CAP,
-    max_parts: int = DEFAULT_TRANSVERSAL_PART_CAP,
-) -> dict[str, Configuration] | None:
+def find_independent_transversal(g: AllocationGraph) -> dict[str, Configuration] | None:
     """One independent vertex per part, or None when provably impossible.
 
     Backtracking over parts in increasing size order, pruning vertices
     adjacent to the partial selection; exhausting the tree is a proof of
     non-existence.
     """
-    if g.vertex_count() > max_vertices or len(g.parts) > max_parts:
+    if (
+        g.vertex_count() > DEFAULT_TRANSVERSAL_VERTEX_CAP
+        or len(g.parts) > DEFAULT_TRANSVERSAL_PART_CAP
+    ):
         raise TransversalCapError(
             f"{g.vertex_count()} vertices / {len(g.parts)} parts exceed caps "
-            f"{max_vertices}/{max_parts}"
+            f"{DEFAULT_TRANSVERSAL_VERTEX_CAP}/{DEFAULT_TRANSVERSAL_PART_CAP}"
         )
     order = sorted(g.parts, key=lambda p: (len(g.parts[p]), p))
     if any(not g.parts[p] for p in order):

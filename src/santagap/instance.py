@@ -309,18 +309,16 @@ def load_instance(path: str) -> Instance:
 # Exhaustive optimum
 # ---------------------------------------------------------------------------
 
-def check_oracle_caps(
-    inst: Instance,
-    *,
-    max_resources: int = DEFAULT_ORACLE_RESOURCE_CAP,
-    max_players: int = DEFAULT_ORACLE_PLAYER_CAP,
-) -> None:
+def check_oracle_caps(inst: Instance) -> None:
     """Raise ``OracleCapError`` when ``inst`` is too large for ``brute_force_opt``."""
-    if len(inst.resources) > max_resources or len(inst.players) > max_players:
+    if (
+        len(inst.resources) > DEFAULT_ORACLE_RESOURCE_CAP
+        or len(inst.players) > DEFAULT_ORACLE_PLAYER_CAP
+    ):
         raise OracleCapError(
             f"instance too large for oracle "
             f"({len(inst.players)} players, {len(inst.resources)} resources; "
-            f"caps {max_players}/{max_resources})"
+            f"caps {DEFAULT_ORACLE_PLAYER_CAP}/{DEFAULT_ORACLE_RESOURCE_CAP})"
         )
 
 
@@ -331,8 +329,6 @@ class _BoundReached(Exception):
 def brute_force_opt(
     inst: Instance,
     *,
-    max_resources: int = DEFAULT_ORACLE_RESOURCE_CAP,
-    max_players: int = DEFAULT_ORACLE_PLAYER_CAP,
     upper_bound: Fraction | None = None,
     start: Allocation | None = None,
 ) -> OptResult:
@@ -360,7 +356,7 @@ def brute_force_opt(
     otherwise the first optimal allocation in search order; a bound alone
     changes only ``nodes_explored``.
     """
-    check_oracle_caps(inst, max_resources=max_resources, max_players=max_players)
+    check_oracle_caps(inst)
     bound = None if upper_bound is None else math.floor(Fraction(upper_bound) * inst.scale)
     best_value = -1
     if start is not None:

@@ -94,12 +94,12 @@ class EdgeClassification:
     eta_exploded: int | float
 
 
-def classify_edge(g: Graph, edge, **eta_caps) -> EdgeClassification:
+def classify_edge(g: Graph, edge) -> EdgeClassification:
     """Deletable iff eta(G-e) <= eta(G); explodable iff eta(G*e) <= eta(G)-1."""
     e = g.normalize_edge(edge)
-    before = eta(g, **eta_caps)
-    deleted = eta(g.delete_edge(e), **eta_caps)
-    exploded = eta(g.explode_edge(e), **eta_caps)
+    before = eta(g)
+    deleted = eta(g.delete_edge(e))
+    exploded = eta(g.explode_edge(e))
     return EdgeClassification(
         deletable=deleted <= before,
         explodable=exploded <= before - 1,
@@ -120,7 +120,7 @@ class ExecutionResult:
     eta_final: int | float | None = None
 
 
-def execute_sequence(start: Graph, seq: DeSequence | tuple, **eta_caps) -> ExecutionResult:
+def execute_sequence(start: Graph, seq: DeSequence | tuple) -> ExecutionResult:
     """Replay a sequence, checking each step's legality at its own graph.
 
     On success also certifies eta(start) >= eta(final) + ell directly;
@@ -135,7 +135,7 @@ def execute_sequence(start: Graph, seq: DeSequence | tuple, **eta_caps) -> Execu
             edge = g.normalize_edge(step.edge)
         except Exception:
             return ExecutionResult(g, False, ell, False, i)
-        cls = classify_edge(g, edge, **eta_caps)
+        cls = classify_edge(g, edge)
         if step.op == DELETE:
             if not cls.deletable:
                 return ExecutionResult(g, False, ell, False, i)
@@ -145,8 +145,8 @@ def execute_sequence(start: Graph, seq: DeSequence | tuple, **eta_caps) -> Execu
                 return ExecutionResult(g, False, ell, False, i)
             g = g.explode_edge(edge)
             ell += 1
-    eta_start = eta(start, **eta_caps)
-    eta_final = eta(g, **eta_caps)
+    eta_start = eta(start)
+    eta_final = eta(g)
     certified = eta_start >= eta_final + ell
     return ExecutionResult(g, True, ell, certified, None, eta_start, eta_final)
 
@@ -237,7 +237,6 @@ def search_de_sequence(
     avg_cap: Fraction | None = None,
     based_in: frozenset[str] | None = None,
     owner: str | None = None,
-    **eta_caps,
 ) -> SearchOutcome:
     """Depth-first search for a legal sequence meeting an objective.
 
@@ -311,7 +310,7 @@ def search_de_sequence(
             seen.add(g)
         first_deletion_done = False
         for edge in g.edges:
-            cls = classify_edge(g, edge, **eta_caps)
+            cls = classify_edge(g, edge)
             if cls.explodable and (max_explosions is None or ell < max_explosions):
                 u, v = edge
                 if objective == "based":

@@ -28,6 +28,9 @@ from .desequence import (
 )
 from .homology import eta_at_least, first_deletable
 
+# hall_eta_check tries every nonempty set of parts, 2^parts - 1 of them.
+DEFAULT_HALL_PART_CAP = 10
+
 
 @dataclass(slots=True)
 class HallResult:
@@ -35,27 +38,21 @@ class HallResult:
     violating_U: tuple | None
 
 
-def hall_eta_check(
-    graph: Graph,
-    parts: dict,
-    *,
-    max_parts: int = 10,
-    **eta_caps,
-) -> HallResult:
+def hall_eta_check(graph: Graph, parts: dict) -> HallResult:
     """Check eta(J restricted to U) >= |U| for every nonempty part set U."""
     names = sorted(parts)
-    if len(names) > max_parts:
-        raise ValueError(f"{len(names)} parts exceeds cap {max_parts}")
+    if len(names) > DEFAULT_HALL_PART_CAP:
+        raise ValueError(f"{len(names)} parts exceeds cap {DEFAULT_HALL_PART_CAP}")
     for size in range(1, len(names) + 1):
         for U in itertools.combinations(names, size):
             keep = {v for p in U for v in parts[p]}
             sub = graph.induced(keep)
-            if not eta_at_least(sub, len(U), **eta_caps):
+            if not eta_at_least(sub, len(U)):
                 return HallResult(False, U)
     return HallResult(True, None)
 
 
-def all_deletions(g: Graph, **eta_caps) -> tuple[Graph, list[DeStep]]:
+def all_deletions(g: Graph) -> tuple[Graph, list[DeStep]]:
     """Perform deletable-edge deletions until none remains.
 
     This decides deletability only: the first edge e in edge order with
@@ -66,7 +63,7 @@ def all_deletions(g: Graph, **eta_caps) -> tuple[Graph, list[DeStep]]:
     is explodable.
     """
     steps: list[DeStep] = []
-    while (k := first_deletable(g, **eta_caps)) is not None:
+    while (k := first_deletable(g)) is not None:
         edge = g.edges[k]
         steps.append(DeStep(DELETE, edge))
         g = g.delete_edge(edge)
@@ -120,7 +117,6 @@ def four_phase_driver(
     *,
     search_budget: int = 2000,
     step_budget: int = 2000,
-    **eta_caps,
 ) -> FourPhaseResult:
     """Run the four dismantling phases on a thin allocation graph.
 
@@ -156,7 +152,7 @@ def four_phase_driver(
             ledger.w3 |= found.cover
         # a KO-sequence certifies eta = infinity; no accounting needed
 
-    def drain_cheap(allow_ko: bool = True) -> str | None:
+    def drain_cheap() -> str | None:
         """Deletions, KO-sequences and cheap sequences until none remains."""
         nonlocal g, remaining
         while True:
@@ -165,20 +161,19 @@ def four_phase_driver(
                 return "budget"
             if g.has_isolated_vertex():
                 return "ko"
-            g2, dsteps = all_deletions(g, **eta_caps)
+            g2, dsteps = all_deletions(g)
             if dsteps:
                 steps.extend(dsteps)
                 g = g2
                 continue
             if not g.edges:
                 return None
-            if allow_ko:
-                ko = search_de_sequence(g, "ko", budget=search_budget, **eta_caps)
-                if ko.found:
-                    perform(ko, "ko")
-                    return "ko"
+            ko = search_de_sequence(g, "ko", budget=search_budget)
+            if ko.found:
+                perform(ko, "ko")
+                return "ko"
             cheap = search_de_sequence(
-                g, "cheap", budget=search_budget, values=values, m=m, **eta_caps
+                g, "cheap", budget=search_budget, values=values, m=m
             )
             if cheap.found:
                 perform(cheap, "n1")
@@ -206,7 +201,6 @@ def four_phase_driver(
                 budget=search_budget,
                 gamma=gamma,
                 max_explosions=maxexp,
-                **eta_caps,
             )
             if not found.found:
                 break
@@ -234,7 +228,7 @@ def four_phase_driver(
                 "inconclusive", ledger, DeSequence(start, tuple(steps)), g, 4, notes
             )
         edge = g.edges[0]
-        cls = classify_edge(g, edge, **eta_caps)
+        cls = classify_edge(g, edge)
         if cls.deletable:
             steps.append(DeStep(DELETE, edge))
             g = g.delete_edge(edge)

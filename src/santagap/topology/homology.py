@@ -44,12 +44,16 @@ from ..graphs import Graph
 
 INF = math.inf
 
+# Fixed caps, read at each call: eta, eta_at_least, first_deletable and
+# homology_profile refuse a graph of more than DEFAULT_VERTEX_CAP vertices,
+# and the level loop a dimension of more than DEFAULT_SIMPLEX_CAP
+# independent sets.
 DEFAULT_VERTEX_CAP = 24
 DEFAULT_SIMPLEX_CAP = 500_000
 
 
 class EtaCapError(RuntimeError):
-    """Raised when a complex outgrows the configured caps."""
+    """Raised when a complex outgrows the caps."""
 
 
 @dataclass(frozen=True)
@@ -80,10 +84,11 @@ def _rank_gf2(columns: list[int]) -> int:
 
 
 def _next_level(
-    level: list[tuple[int, int, int]], adj: Sequence[int], n: int, cap: int
+    level: list[tuple[int, int, int]], adj: Sequence[int], n: int
 ) -> list[tuple[int, int, int]]:
     """Extend independent sets by one vertex each; entries are
     (member mask, last vertex, blocked mask)."""
+    cap = DEFAULT_SIMPLEX_CAP
     out = []
     for mask, last, blocked in level:
         for v in range(last + 1, n):
@@ -109,14 +114,14 @@ def _boundary_rank(
     return _rank_gf2(columns)
 
 
-def _betti_numbers(adj: Sequence[int], max_simplices: int) -> Iterator[int]:
+def _betti_numbers(adj: Sequence[int]) -> Iterator[int]:
     """Reduced Z2 Betti numbers of Ind(G) in dimensions 0, 1, ..., one
     level of independent sets at a time; G has at least one vertex."""
     n = len(adj)
     level = [(1 << i, i, adj[i] | (1 << i)) for i in range(n)]
     rank_down = 1  # augmentation: every vertex maps to the empty simplex
     while level:
-        nxt = _next_level(level, adj, n, max_simplices)
+        nxt = _next_level(level, adj, n)
         lower_index = {mask: j for j, (mask, _, _) in enumerate(level)}
         rank_up = _boundary_rank(nxt, lower_index)
         yield len(level) - rank_down - rank_up
@@ -124,9 +129,7 @@ def _betti_numbers(adj: Sequence[int], max_simplices: int) -> Iterator[int]:
         rank_down = rank_up
 
 
-def _first_hole(
-    adj: Sequence[int], stop_dim: int | None, max_simplices: int
-) -> tuple[int | None, bool]:
+def _first_hole(adj: Sequence[int], stop_dim: int | None) -> tuple[int | None, bool]:
     """(first dimension with nonzero reduced homology, decided).
 
     Returns (None, True) when the whole complex was exhausted with every
@@ -135,7 +138,7 @@ def _first_hole(
     """
     if stop_dim is not None and stop_dim < 0:
         return None, False
-    for d, betti in enumerate(_betti_numbers(adj, max_simplices)):
+    for d, betti in enumerate(_betti_numbers(adj)):
         if betti > 0:
             return d, True
         if d == stop_dim:
@@ -208,9 +211,7 @@ def _fold_components(adj: Sequence[int]) -> list[list[int]] | None:
     return comps
 
 
-def _reduced_eta(
-    adj: Sequence[int], t: int | None, max_simplices: int
-) -> int | float | None:
+def _reduced_eta(adj: Sequence[int], t: int | None) -> int | float | None:
     """eta of the graph with adjacency masks adj, by fold and components.
 
     With t given, homology stops once eta >= t is certain; the result is
@@ -225,7 +226,7 @@ def _reduced_eta(
         if t is not None:
             # every later component is nonempty and adds at least 1
             stop = t - total - (len(comps) - 1 - i) - 2
-        hole, decided = _first_hole(comp, stop, max_simplices)
+        hole, decided = _first_hole(comp, stop)
         if not decided:
             return None
         if hole is None:
@@ -261,53 +262,37 @@ def _remember(key, value: int | float) -> None:
     _ETA_CACHE[key] = value
 
 
-def eta(
-    g: Graph,
-    *,
-    max_vertices: int = DEFAULT_VERTEX_CAP,
-    max_simplices: int = DEFAULT_SIMPLEX_CAP,
-) -> int | float:
+def eta(g: Graph) -> int | float:
     """1 + first nonvanishing reduced Z2 homology dimension, or infinity."""
-    if len(g.vertices) > max_vertices:
-        raise EtaCapError(f"{len(g.vertices)} vertices exceeds cap {max_vertices}")
+    if len(g.vertices) > DEFAULT_VERTEX_CAP:
+        raise EtaCapError(f"{len(g.vertices)} vertices exceeds cap {DEFAULT_VERTEX_CAP}")
     key = _cache_key(g.masks)
     cached = _ETA_CACHE.get(key)
     if cached is not None:
         return cached
-    value = _reduced_eta(g.masks, None, max_simplices)
+    value = _reduced_eta(g.masks, None)
     _remember(key, value)
     return value
 
 
-def eta_at_least(
-    g: Graph,
-    t: int,
-    *,
-    max_vertices: int = DEFAULT_VERTEX_CAP,
-    max_simplices: int = DEFAULT_SIMPLEX_CAP,
-) -> bool:
+def eta_at_least(g: Graph, t: int) -> bool:
     """Decide eta(g) >= t without computing homology past dimension t-2."""
     if t <= 0:
         return True
-    if len(g.vertices) > max_vertices:
-        raise EtaCapError(f"{len(g.vertices)} vertices exceeds cap {max_vertices}")
+    if len(g.vertices) > DEFAULT_VERTEX_CAP:
+        raise EtaCapError(f"{len(g.vertices)} vertices exceeds cap {DEFAULT_VERTEX_CAP}")
     key = _cache_key(g.masks)
     cached = _ETA_CACHE.get(key)
     if cached is not None:
         return cached >= t
-    value = _reduced_eta(g.masks, t, max_simplices)
+    value = _reduced_eta(g.masks, t)
     if value is None:
         return True
     _remember(key, value)
     return value >= t
 
 
-def first_deletable(
-    g: Graph,
-    *,
-    max_vertices: int = DEFAULT_VERTEX_CAP,
-    max_simplices: int = DEFAULT_SIMPLEX_CAP,
-) -> int | None:
+def first_deletable(g: Graph) -> int | None:
     """Index in ``g.edges`` of the first edge e with eta(G-e) <= eta(G),
     or None when no edge is deletable.
 
@@ -317,7 +302,7 @@ def first_deletable(
     computed on flipped masks and remembered, in the same order as eta
     calls on each G-e would remember it.
     """
-    before = eta(g, max_vertices=max_vertices, max_simplices=max_simplices)
+    before = eta(g)
     masks = g.masks
     n = len(masks)
     key = _cache_key(masks)
@@ -333,7 +318,7 @@ def first_deletable(
                 adj = list(masks)
                 adj[i] ^= 1 << j
                 adj[j] ^= 1 << i
-                value = _reduced_eta(adj, None, max_simplices)
+                value = _reduced_eta(adj, None)
                 _remember(probe, value)
             if value <= before:
                 return k
@@ -342,23 +327,18 @@ def first_deletable(
     return None
 
 
-def homology_profile(
-    g: Graph,
-    *,
-    max_vertices: int = DEFAULT_VERTEX_CAP,
-    max_simplices: int = DEFAULT_SIMPLEX_CAP,
-) -> HomologyProfile:
+def homology_profile(g: Graph) -> HomologyProfile:
     """Full reduced-homology rank profile of the independence complex.
 
     Deliberately applies no fold, component or cone shortcut, so it can
     serve as an independent oracle for eta.
     """
-    if len(g.vertices) > max_vertices:
-        raise EtaCapError(f"{len(g.vertices)} vertices exceeds cap {max_vertices}")
+    if len(g.vertices) > DEFAULT_VERTEX_CAP:
+        raise EtaCapError(f"{len(g.vertices)} vertices exceeds cap {DEFAULT_VERTEX_CAP}")
     if not g.vertices:
         return HomologyProfile({-1: 1})
     ranks: dict[int, int] = {-1: 0}
-    ranks.update(enumerate(_betti_numbers(g.masks, max_simplices)))
+    ranks.update(enumerate(_betti_numbers(g.masks)))
     return HomologyProfile(ranks)
 
 

@@ -25,6 +25,9 @@ from .instance import Instance, InstanceError
 from .lp_core import build_dual_basic, hypothesis_holds_basic, verify_dual
 from .topology import all_deletions, search_de_sequence
 
+# two_value_driver certifies every nonempty player subset, 2^players - 1.
+DEFAULT_DRIVER_PLAYER_CAP = 6
+
 
 @dataclass(frozen=True)
 class RcEntry:
@@ -203,8 +206,6 @@ def two_value_driver(
     target: Fraction,
     *,
     search_budget: int = 1500,
-    max_players: int = 6,
-    **eta_caps,
 ) -> TwoValueResult:
     """Run the descending phase-X process and certify an allocation.
 
@@ -227,20 +228,14 @@ def two_value_driver(
         )
     if target < 1:
         scaled = rescale_small_target(inst, target)
-        result = two_value_driver(
-            scaled,
-            Fraction(1),
-            search_budget=search_budget,
-            max_players=max_players,
-            **eta_caps,
-        )
+        result = two_value_driver(scaled, Fraction(1), search_budget=search_budget)
         result.notes.append(f"rescaled from T={target} (eps'={eps/target})")
         return result
     c = math.ceil(target / eps)
     if c < 4:
         raise InstanceError(f"driver needs ceil(T/eps) >= 4, got c={c}")
-    if len(inst.players) > max_players:
-        raise InstanceError(f"more than {max_players} players")
+    if len(inst.players) > DEFAULT_DRIVER_PLAYER_CAP:
+        raise InstanceError(f"more than {DEFAULT_DRIVER_PLAYER_CAP} players")
     r = r_c(c)
     alpha = r * eps / target
     H = build_H(inst, target, alpha)
@@ -257,18 +252,7 @@ def two_value_driver(
 
     for size in range(1, len(players) + 1):
         for U in itertools.combinations(players, size):
-            info = _certify_subset(
-                inst,
-                J,
-                U,
-                fat,
-                target,
-                eps,
-                c,
-                r,
-                search_budget,
-                eta_caps,
-            )
+            info = _certify_subset(inst, J, U, fat, target, eps, c, r, search_budget)
             per_U[U] = info
             if not info["certified"]:
                 all_certified = False
@@ -293,7 +277,7 @@ def _final_transversal(inst: Instance, H):
     return transversal_to_allocation(inst, transversal)
 
 
-def _certify_subset(inst, J, U, fat, target, eps, c, r, search_budget, eta_caps):
+def _certify_subset(inst, J, U, fat, target, eps, c, r, search_budget):
     g = restrict(J, U).graph
     f_u = fat.fat_for(inst, U)
     need = len(U) - len(f_u)
@@ -307,7 +291,7 @@ def _certify_subset(inst, J, U, fat, target, eps, c, r, search_budget, eta_caps)
         "dual_ok": None,
     }
 
-    g, _ = all_deletions(g, **eta_caps)
+    g, _ = all_deletions(g)
     ell_total = 0
     for X in range(c, r - 1, -1):
         while True:
@@ -331,7 +315,6 @@ def _certify_subset(inst, J, U, fat, target, eps, c, r, search_budget, eta_caps)
                 based_in=based,
                 owner=p,
                 avg_cap=a_coeff(r, X),
-                **eta_caps,
             )
             if not found.found:
                 info.update(how=f"search failed in phase {X}")
@@ -339,7 +322,7 @@ def _certify_subset(inst, J, U, fat, target, eps, c, r, search_budget, eta_caps)
             ledger.add(X, found.sequence.ell, found.cover)
             ell_total += found.sequence.ell
             W |= found.cover
-            g, _ = all_deletions(found.end, **eta_caps)
+            g, _ = all_deletions(found.end)
         if W:
             c_dual = eps * (c - X + 1)
             if hypothesis_holds_basic(inst, target, U, W, c_dual, fat.fat_set):

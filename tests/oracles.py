@@ -237,13 +237,13 @@ def exhaustive_opt(inst: Instance) -> tuple[Fraction, Allocation]:
     return best_value, best
 
 
-def classify_all_deletions(g: Graph, **eta_caps) -> tuple[Graph, list[DeStep]]:
+def classify_all_deletions(g: Graph) -> tuple[Graph, list[DeStep]]:
     """Delete the first edge that ``classify_edge`` calls deletable, in edge
     order, until none is; each smaller graph is built from scratch."""
     steps: list[DeStep] = []
     while True:
         for edge in g.edges:
-            if classify_edge(g, edge, **eta_caps).deletable:
+            if classify_edge(g, edge).deletable:
                 steps.append(DeStep(DELETE, edge))
                 g = Graph(g.vertices, [e for e in g.edges if e != edge])
                 break

@@ -7,11 +7,11 @@ import pytest
 from conftest import random_small_instance
 from santagap.allocation_graph import (
     AllocationGraphError,
+    TransversalCapError,
     build_H,
     build_J,
     compute_fat,
     compute_m,
-    fat_clique_components,
     find_independent_transversal,
     is_block,
     restrict,
@@ -87,8 +87,8 @@ def test_build_H_shared_fat_resource():
     h = build_H(inst, Fraction(1), Fraction(1, 2))
     assert h.vertex_count() == 2
     assert len(h.graph.edges) == 1  # the clique C_f
-    cliques = fat_clique_components(h)
-    assert set(cliques) == {"f"} and len(cliques["f"]) == 2
+    assert h.graph.vertices == (("p1", ("f",)), ("p2", ("f",)))
+    assert all(he.is_fat for he in h.hyperedges.values())
     j = build_J(h)
     assert j.vertex_count() == 0
 
@@ -137,30 +137,29 @@ def test_fat_report():
 
 def test_fat_vertices_form_clique_components():
     """Minimality keeps a fat resource out of every other hyperedge, so its
-    vertices are a clique that no thin vertex touches."""
+    vertices are a clique of its coveting players that no thin vertex
+    touches, and build_J drops exactly those vertices."""
     rng = random.Random(47)
     for _ in range(20):
         inst = random_small_instance(rng)
         alpha = Fraction(rng.randint(1, 3), 4)
         h = build_H(inst, Fraction(1), alpha)
-        cliques = fat_clique_components(h)
         fat = compute_fat(inst, Fraction(1), alpha)
-        for rid, members in cliques.items():
-            assert rid in fat.fat_set
-            expected = tuple(
-                sorted(
-                    (p, (rid,))
-                    for p in inst.players
-                    if rid in inst.covets[p]
-                )
-            )
-            assert members == expected
+        fat_vertices = {v for v, he in h.hyperedges.items() if he.is_fat}
+        cliques = {
+            rid: {(p, (rid,)) for p in inst.players if rid in inst.covets[p]}
+            for rid in fat.fat_set
+        }
+        assert fat_vertices == set().union(*cliques.values())
+        for members in cliques.values():
             for u in members:
                 for v in members:
                     if u < v:
                         assert h.graph.has_edge(u, v)
                 for w in h.graph.neighbors(u):
                     assert w in members
+        j = build_J(h)
+        assert set(j.graph.vertices) == set(h.graph.vertices) - fat_vertices
 
 
 # -- m and blocks ---------------------------------------------------------------
@@ -246,6 +245,32 @@ def test_transversal_three_player_path_impossible():
         for sel in combos
     )
     assert find_independent_transversal(h) is None
+
+
+@pytest.mark.parametrize(
+    "pools, over",
+    [
+        ([(11, "1/2"), (5, "1")], False),  # 55 pairs + 5 singletons
+        ([(11, "1/2"), (6, "1")], True),
+        ([(1, "1")] * 8, False),
+        ([(1, "1")] * 9, True),
+    ],
+    ids=["60-vertices", "61-vertices", "8-parts", "9-parts"],
+)
+def test_transversal_caps(pools, over):
+    """Player i covets pools[i][0] resources of its own, each worth
+    pools[i][1]; at alpha*T = 1 each pair of halves is one vertex."""
+    lines = ["players " + " ".join(f"p{i}" for i in range(len(pools)))]
+    owned = [[f"r{i}_{k}" for k in range(count)] for i, (count, _) in enumerate(pools)]
+    for ids, (_, value) in zip(owned, pools):
+        lines += [f"resource {rid} {value}" for rid in ids]
+    lines += [" ".join([f"covets p{i}", *ids]) for i, ids in enumerate(owned)]
+    h = build_H(parse_instance("\n".join(lines) + "\n"), Fraction(1), Fraction(1))
+    if not over:
+        assert find_independent_transversal(h) is not None
+        return
+    with pytest.raises(TransversalCapError, match="exceed caps 60/8"):
+        find_independent_transversal(h)
 
 
 def test_transversal_matches_brute_force_on_randoms():

@@ -470,3 +470,21 @@ def test_gap_zero_opt_is_infinite(tmp_path):
         "gap": "inf",
         "bound_respected": False,
     }
+
+
+@pytest.mark.parametrize(
+    "command", [["eta"], ["de-search"], ["de-verify", "trace"]], ids=lambda c: c[0]
+)
+def test_over_cap_graph_is_cap_error(tmp_path, command):
+    """A 25-vertex cycle is one vertex over the eta cap."""
+    n = 25
+    graph = tmp_path / "cycle.json"
+    edges = [[i, (i + 1) % n] for i in range(n)]
+    graph.write_text(json.dumps({"vertices": list(range(n)), "edges": edges}))
+    trace = tmp_path / "trace"
+    trace.write_text(json.dumps({"steps": [{"op": "delete", "edge": [0, 1]}]}))
+    argv = [command[0], str(graph)] + [str(tmp_path / f) for f in command[1:]]
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert json.loads(out) == {"error": "cap exceeded: 25 vertices exceeds cap 24"}
+    assert err == ""

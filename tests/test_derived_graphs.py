@@ -224,22 +224,27 @@ def _petersen() -> Graph:
     return Graph(range(10), outer + spokes + inner)
 
 
-def test_first_deletable_honours_the_eta_caps():
+def test_first_deletable_honours_the_eta_caps(monkeypatch):
     """Petersen minus an edge has girth 5 and no vertex of degree 1, so no
     vertex folds and eta(G-e) needs homology."""
     g = _petersen()
     tp.clear_eta_cache()
-    with pytest.raises(tp.EtaCapError):
-        homology.first_deletable(g, max_vertices=9)
-    with pytest.raises(tp.EtaCapError):
-        tp.all_deletions(g, max_vertices=9)
+    with monkeypatch.context() as patch:
+        patch.setattr(homology, "DEFAULT_VERTEX_CAP", 9)
+        with pytest.raises(tp.EtaCapError, match="10 vertices exceeds cap 9"):
+            homology.first_deletable(g)
+        with pytest.raises(tp.EtaCapError, match="10 vertices exceeds cap 9"):
+            tp.all_deletions(g)
     tp.eta(g)  # eta(G) is now a hit and every G-e a miss
-    with pytest.raises(tp.EtaCapError):
-        homology.first_deletable(g, max_simplices=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(homology, "DEFAULT_SIMPLEX_CAP", 1)
+        with pytest.raises(tp.EtaCapError, match="more than 1 simplices"):
+            homology.first_deletable(g)
     k = homology.first_deletable(g)
     assert k is not None
     # every G-e it probed is now cached, so the tiny cap is never reached
-    assert homology.first_deletable(g, max_simplices=1) == k
+    monkeypatch.setattr(homology, "DEFAULT_SIMPLEX_CAP", 1)
+    assert homology.first_deletable(g) == k
     tp.clear_eta_cache()
 
 

@@ -576,6 +576,15 @@ def test_hall_check_edgeless_holds():
     assert res.holds
 
 
+def test_hall_check_refuses_more_than_ten_parts():
+    g = Graph(range(11), [])
+    parts = {f"P{i:02d}": (i,) for i in range(11)}
+    with pytest.raises(ValueError, match="11 parts exceeds cap 10"):
+        tp.hall_eta_check(g, parts)
+    del parts["P10"]
+    assert tp.hall_eta_check(g.induced(range(10)), parts).holds
+
+
 def test_hall_check_bipartite_encoding():
     # J(B) for B satisfying Hall: parts V_x = {y^x : y in N(x)},
     # edges between equal-y vertices of different parts

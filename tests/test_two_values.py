@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from santagap import two_values
 from santagap.instance import InstanceError, brute_force_opt, parse_instance
 from santagap.lp_core import clp_feasible, compute_t_star
 from santagap.two_values import (
@@ -281,10 +282,12 @@ def test_driver_cross_checks_brute_force():
     assert t_star / opt <= f_gap(eps / t_star)
 
 
-def test_driver_hypothesis_violations():
+def test_driver_hypothesis_violations(monkeypatch):
     inst = parse_instance(SHARED_FAT)
-    with pytest.raises(InstanceError):
-        two_value_driver(inst, Fraction(1), max_players=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(two_values, "DEFAULT_DRIVER_PLAYER_CAP", 1)
+        with pytest.raises(InstanceError, match="more than 1 players"):
+            two_value_driver(inst, Fraction(1))
     big_eps = parse_instance(
         "players p\nresource f 1\nresource t 3/4\ncovets p f t\n"
     )
