@@ -32,7 +32,6 @@ from .lp_core import (
     build_dual_refined,
     clp_feasible,
     compute_t_star,
-    integral_allocation,
     minimal_configurations,
     verify_dual,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "gen_random",
     "gen_two_value",
     "harmonic_sums",
-    "integral_allocation",
     "is_block",
     "limit_bound",
     "load_instance",

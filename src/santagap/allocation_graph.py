@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph
-from .instance import Instance
+from .instance import Allocation, Instance
 from .lp_core import Configuration, fat_for_players, minimal_configurations
-from .subsets import max_value_below
+from .subsets import first_disjoint_choice, max_value_below
 
 DEFAULT_TRANSVERSAL_VERTEX_CAP = 60
 DEFAULT_TRANSVERSAL_PART_CAP = 8
@@ -143,9 +143,10 @@ def restrict(g: AllocationGraph, U) -> AllocationGraph:
 def find_independent_transversal(g: AllocationGraph) -> dict[str, Configuration] | None:
     """One independent vertex per part, or None when provably impossible.
 
-    Backtracking over parts in increasing size order, pruning vertices
-    adjacent to the partial selection; exhausting the tree is a proof of
-    non-existence.
+    Two vertices of distinct parts are adjacent exactly when their
+    resources meet, so this is ``subsets.first_disjoint_choice`` over the
+    parts in increasing size order (ties by player), each vertex a mask of
+    its resources; exhausting the search is a proof of non-existence.
     """
     if (
         g.vertex_count() > DEFAULT_TRANSVERSAL_VERTEX_CAP
@@ -156,33 +157,24 @@ def find_independent_transversal(g: AllocationGraph) -> dict[str, Configuration]
             f"{DEFAULT_TRANSVERSAL_VERTEX_CAP}/{DEFAULT_TRANSVERSAL_PART_CAP}"
         )
     order = sorted(g.parts, key=lambda p: (len(g.parts[p]), p))
-    if any(not g.parts[p] for p in order):
+    bit: dict[str, int] = {}
+    masks = [
+        [
+            sum(bit.setdefault(r, 1 << len(bit)) for r in g.hyperedges[v].resources)
+            for v in g.parts[p]
+        ]
+        for p in order
+    ]
+    choice, _ = first_disjoint_choice(masks)
+    if choice is None:
         return None
-    graph = g.graph
-    chosen: list = []
-
-    def dfs(k: int) -> bool:
-        if k == len(order):
-            return True
-        for v in g.parts[order[k]]:
-            if all(not graph.has_edge(v, u) for u in chosen):
-                chosen.append(v)
-                if dfs(k + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if not dfs(0):
-        return None
-    return {v[0]: g.hyperedges[v] for v in chosen}
+    return {p: g.hyperedges[g.parts[p][i]] for p, i in zip(order, choice)}
 
 
 def transversal_to_allocation(
     inst: Instance, transversal: dict[str, Configuration]
-):
+) -> Allocation:
     """Turn a transversal into a validated Allocation covering its players."""
-    from .instance import Allocation
-
     assignment = {p: () for p in inst.players}
     for p, he in transversal.items():
         assignment[p] = he.sorted_resources()

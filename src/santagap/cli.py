@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
 
     p = sub.add_parser(
-        "opt", help="exact OPT: a 0/1 T* witness, else branch-and-bound up to T*"
+        "opt", help="exact OPT: disjoint minimal configurations, scanned down from T*"
     )
     p.add_argument("instance")
 

@@ -21,7 +21,7 @@ from .instance import (
     gen_random,
     gen_two_value,
 )
-from .lp_core import LpCapError, TStarResult, compute_t_star, integral_allocation
+from .lp_core import LpCapError, TStarResult, compute_t_star
 from .rational import format_rational
 
 SCHEMA = "santa-gap/1"
@@ -183,17 +183,15 @@ TSV_HEADER = "instance\tt_star\topt\tgap\tbound_respected"
 
 
 def t_star_and_opt(inst: Instance) -> tuple[TStarResult, OptResult]:
-    """Exact T* and OPT from one LP pass and at most one OPT search.
+    """Exact T* and OPT from one LP pass and one OPT scan.
 
-    OPT <= T* (the LP is a relaxation), so the search stops once it
-    reaches T*.  When the T* witness is 0/1 its allocation reaches T* and
-    is returned as OPT's witness with no search.  The OPT caps are
-    checked first, so an instance over them costs no T* either.
+    The scan starts at T* on the witness LP's columns (``brute_force_opt``),
+    so a 0/1 T* witness is OPT's witness at its first leaf.  The OPT caps
+    are checked first, so an instance over them costs no T* either.
     """
     check_oracle_caps(inst)
     res = compute_t_star(inst)
-    start = integral_allocation(res.feasibility_witness)
-    return res, brute_force_opt(inst, upper_bound=res.t_star, start=start)
+    return res, brute_force_opt(inst, res)
 
 
 def evaluate_instance(

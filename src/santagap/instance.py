@@ -12,9 +12,9 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
 
 from .rational import format_rational, parse_rational
+from .subsets import first_disjoint_choice
 
 DEFAULT_ORACLE_RESOURCE_CAP = 14
 DEFAULT_ORACLE_PLAYER_CAP = 6
@@ -306,7 +306,7 @@ def load_instance(path: str) -> Instance:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive optimum
+# Optimum
 # ---------------------------------------------------------------------------
 
 def check_oracle_caps(inst: Instance) -> None:
@@ -322,132 +322,61 @@ def check_oracle_caps(inst: Instance) -> None:
         )
 
 
-class _BoundReached(Exception):
-    """Ends ``brute_force_opt``'s search at an allocation that meets its bound."""
+def brute_force_opt(inst: Instance, t_star) -> OptResult:
+    """Exact OPT by a descending scan: the first candidate t from the top
+    at which every player can get a minimal configuration at t, these
+    pairwise disjoint.
 
+    ``t_star`` is ``lp_core.compute_t_star(inst)``.  OPT >= t exactly
+    when such a choice exists: every bundle of an allocation worth t holds
+    one, and the choice is an allocation worth t.  OPT <= T* (the LP is a
+    relaxation), and OPT is 0 or a subset sum of a covet list, so the scan
+    tries T*, then each lower value of 0 and ``subset_sum_candidates``,
+    with ``subsets.first_disjoint_choice`` over the players in order.
 
-def brute_force_opt(
-    inst: Instance,
-    *,
-    upper_bound: Fraction | None = None,
-    start: Allocation | None = None,
-) -> OptResult:
-    """Exact OPT by exhaustive assignment with branch-and-bound pruning.
-
-    Every resource is assigned to one of its coveters or to nobody.  The
-    search is pruned with the optimistic bound min_p(value_p + remaining
-    potential of p), so equal-value instances finish in well under the
-    worst-case product.  The search adds and compares the instance's
-    integer value table (every value times ``inst.scale``).
-
-    ``upper_bound`` is a proven upper bound on OPT, such as T*, the
-    optimum of the configuration LP (a relaxation).  OPT is a sum of
-    table values, so it is at most floor(upper_bound * scale) / scale,
-    and the search stops at the first allocation that reaches that; with
-    no bound it exhausts the tree, which proves optimality on its own.
-    An allocation found above the bound shows that it was no bound, and
-    raises ``AssertionError``.
-
-    ``start`` is a known allocation, such as ``lp_core.integral_allocation``
-    of the T* witness; it is validated first.  When it reaches the bound
-    it is returned at once, with 0 nodes.  Otherwise it is the incumbent:
-    the search prunes against its value and replaces it only on a strict
-    improvement.  The witness is thus ``start`` when nothing beats it, and
-    otherwise the first optimal allocation in search order; a bound alone
-    changes only ``nodes_explored``.
+    At T* each player's choices are its columns of the witness LP, the
+    support first by descending weight: a 0/1 witness holds one
+    weight-1 column per player, pairwise disjoint, and the search takes
+    them at its first leaf.  Below T* they are ``minimal_configurations``.
+    Where OPT < T*, the exhausted searches above OPT are the proof, and
+    ``nodes_explored`` counts the nodes of every search.  The witness
+    gives each player its chosen configuration.
     """
+    # lp_core imports this module, so the import waits for the call.
+    from .lp_core import minimal_configurations, subset_sum_candidates
+
     check_oracle_caps(inst)
-    bound = None if upper_bound is None else math.floor(Fraction(upper_bound) * inst.scale)
-    best_value = -1
-    if start is not None:
-        start.validate(inst)
-        best_value = int(start.min_value(inst) * inst.scale) if inst.players else 0
-        if bound is not None and best_value >= bound:
-            return _checked_opt(inst, best_value, start, bound, upper_bound, 0)
     players = inst.players
-    pidx = {p: i for i, p in enumerate(players)}
-    # Only resources somebody covets can matter; order by descending value.
-    relevant = [
-        (rid, inst.int_values[rid], [pidx[p] for p in players if rid in inst.covets[p]])
-        for rid in inst.resource_ids
-        if any(rid in inst.covets[p] for p in players)
-    ]
-    relevant.sort(key=lambda t: (-t[1], t[0]))
-    n = len(relevant)
-    ints = [val for _, val, _ in relevant]
-    # potential[i][p] = scaled total value of resources i.. coveted by p
-    potential = [[0] * len(players) for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        coveters = relevant[i][2]
-        potential[i] = [
-            later + (ints[i] if p in coveters else 0)
-            for p, later in enumerate(potential[i + 1])
-        ]
-    best_choice: list[int | None] | None = None
-    choice: list[int | None] = [None] * n
-    values = [0] * len(players)
+    bit = {r: 1 << i for i, r in enumerate(inst.resource_ids)}
+
+    def levels():
+        primal = t_star.feasibility_witness.primal
+        parts: dict[str, list] = {p: [] for p in players}
+        for cfg in sorted(primal, key=primal.get, reverse=True):
+            parts[cfg.owner].append(cfg)
+        for cfg in t_star.feasibility_witness.model.columns:
+            if cfg not in primal:
+                parts[cfg.owner].append(cfg)
+        yield t_star.t_star, list(parts.values())
+        below = [t for t in (Fraction(0), *subset_sum_candidates(inst)) if t < t_star.t_star]
+        for t in reversed(below):
+            yield t, [minimal_configurations(inst, p, t) for p in players]
+
     nodes = 0
-
-    def dfs(i: int) -> None:
-        nonlocal best_value, best_choice, nodes
-        nodes += 1
-        # Optimistic bound: min over p of value_p + remaining potential of p.
-        if min(map(add, values, potential[i])) <= best_value:
-            return
-        if i == n:
-            current = min(values)
-            if current > best_value:
-                best_value = current
-                best_choice = choice[:]
-                if bound is not None and current >= bound:
-                    raise _BoundReached
-            return
-        val = ints[i]
-        for p in relevant[i][2]:
-            values[p] += val
-            choice[i] = p
-            dfs(i + 1)
-            values[p] -= val
-        choice[i] = None
-        dfs(i + 1)
-
-    if players:
-        try:
-            dfs(0)
-        except _BoundReached:
-            pass
-    else:
-        best_value = 0
-    witness = start
-    if best_choice is not None or witness is None:
-        bundles: dict[str, list[str]] = {p: [] for p in players}
-        for i, owner in enumerate(best_choice or ()):
-            if owner is not None:
-                bundles[players[owner]].append(relevant[i][0])
-        witness = Allocation({p: tuple(sorted(b)) for p, b in bundles.items()})
-    return _checked_opt(inst, best_value, witness, bound, upper_bound, nodes)
-
-
-def _checked_opt(
-    inst: Instance,
-    best_value: int,
-    witness: Allocation,
-    bound: int | None,
-    upper_bound: Fraction | None,
-    nodes: int,
-) -> OptResult:
-    """``brute_force_opt``'s answer, once its witness validates, reaches
-    ``best_value`` (an integer over ``inst.scale``) and stays within the
-    bound."""
-    if bound is not None and best_value > bound:
-        raise AssertionError(
-            f"OPT >= {Fraction(best_value, inst.scale)} beats the upper bound {upper_bound}"
+    for t, parts in levels():
+        choice, explored = first_disjoint_choice(
+            [[sum(bit[r] for r in cfg.resources) for cfg in part] for part in parts]
         )
-    witness.validate(inst)
-    opt = Fraction(max(best_value, 0), inst.scale)
-    if inst.players and witness.min_value(inst) != opt:
-        raise AssertionError("oracle witness does not achieve its optimum")
-    return OptResult(opt, witness, nodes)
+        nodes += explored
+        if choice is not None:
+            break
+    alloc = Allocation({
+        p: part[i].sorted_resources() for p, part, i in zip(players, parts, choice)
+    })
+    alloc.validate(inst)
+    if players and alloc.min_value(inst) != t:
+        raise AssertionError("OPT witness does not reach OPT")
+    return OptResult(t, alloc, nodes)
 
 
 # ---------------------------------------------------------------------------

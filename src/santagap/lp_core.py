@@ -35,10 +35,11 @@ least t, so it holds a resource with z_r = 1 or its z-weight is its
 integer value over t, at least 1) and have objective |P| - sum z_r > 0.
 A probe that this rules out is answered without building the LP.
 
-The witness of T* is the LP solution at T*.  When every weight in it is
-1, its support is an optimal allocation (``integral_allocation``): the
-configurations are disjoint, each player has one, and each is worth at
-least T* >= OPT.
+The witness of T* is the LP solution at T*.  ``instance.brute_force_opt``
+orders each player's columns by their weight in it and looks for OPT
+there first: when every weight is 1, the support holds one configuration
+per player, pairwise disjoint and each worth at least T* >= OPT, and the
+search takes it at its first leaf.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from .instance import Allocation, Instance
+from .instance import Instance
 from .subsets import SubsetCapError, minimal_subsets_at_least
 
 DEFAULT_POOL_CAP = 20
@@ -305,26 +306,6 @@ def clp_feasible(inst: Instance, target: Fraction) -> LpFeasibilityResult:
     if certificate.objective <= 0:
         raise AssertionError("infeasibility certificate has non-positive objective")
     return LpFeasibilityResult(False, None, certificate, model)
-
-
-def integral_allocation(witness: LpFeasibilityResult) -> Allocation | None:
-    """The allocation a 0/1 primal solution spells out, else None.
-
-    When every primal weight is 1, packing <= 1 makes the chosen
-    configurations pairwise disjoint, and covering >= 1 gives each player
-    one; a player's bundle is the union of its configurations.  At T*
-    every bundle is worth at least T*, and OPT <= T*, so the allocation
-    is optimal.  None when the LP is infeasible, a weight is fractional
-    or a player owns no configuration.
-    """
-    if not witness.feasible or any(w != 1 for w in witness.primal.values()):
-        return None
-    bundles: dict[str, set[str]] = {}
-    for cfg in witness.primal:
-        bundles.setdefault(cfg.owner, set()).update(cfg.resources)
-    if len(bundles) != len(witness.model.players):
-        return None
-    return Allocation({p: tuple(sorted(bundles[p])) for p in witness.model.players})
 
 
 def _check_primal(

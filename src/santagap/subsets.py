@@ -1,12 +1,17 @@
-"""Branch-and-bound searches over valued resource subsets.
+"""Branch-and-bound searches over resource subsets.
 
-Two searches: ``minimal_subsets_at_least`` enumerates the minimal
-configurations (CLP columns, alpha-hyperedges and the one pricing scan of
-``lp_core.verify_dual``), and ``max_value_below`` gives the block bound m.
-Values and thresholds are integers: callers pass an instance's integer
-value table (``Instance.int_values``) and a threshold scaled by the same
-``Instance.scale`` and rounded up, which decides ``sum >= threshold`` and
-``sum < threshold`` exactly for integer sums.
+Two searches add values: ``minimal_subsets_at_least`` enumerates the
+minimal configurations (CLP columns, alpha-hyperedges and the one pricing
+scan of ``lp_core.verify_dual``), and ``max_value_below`` gives the block
+bound m.  Values and thresholds are integers: callers pass an instance's
+integer value table (``Instance.int_values``) and a threshold scaled by
+the same ``Instance.scale`` and rounded up, which decides
+``sum >= threshold`` and ``sum < threshold`` exactly for integer sums.
+
+The third, ``first_disjoint_choice``, picks one subset per part, pairwise
+disjoint, with each subset an int mask over a resource index: it finds
+OPT (``instance.brute_force_opt``) and independent transversals of H
+(``allocation_graph.find_independent_transversal``).
 """
 
 from __future__ import annotations
@@ -91,3 +96,35 @@ def max_value_below(items: dict[str, int], threshold: int) -> int:
     dfs(0, 0)
     return best
 
+
+
+def first_disjoint_choice(parts: list[list[int]]) -> tuple[list[int] | None, int]:
+    """The first pairwise-disjoint choice of one mask per part, and the
+    number of search nodes.
+
+    The choice is a list of indices, one into each part, and is the first
+    that backtracking finds when it branches over the parts in order and
+    over each part's masks in order; None when no choice exists.  A node
+    fails as soon as some part still to choose has no mask disjoint from
+    those chosen.  Such a node roots no solution, so this changes the
+    node count and never the choice.
+    """
+    n = len(parts)
+    chosen = [0] * n
+    nodes = 0
+
+    def dfs(k: int, used: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if any(all(mask & used for mask in part) for part in parts[k:]):
+            return False
+        if k == n:
+            return True
+        for i, mask in enumerate(parts[k]):
+            if not mask & used:
+                chosen[k] = i
+                if dfs(k + 1, used | mask):
+                    return True
+        return False
+
+    return (chosen if dfs(0, 0) else None), nodes

@@ -135,6 +135,11 @@ def four_phase_driver(
     notes: list[str] = []
     remaining = step_budget
 
+    def finish(outcome: str, phase: int) -> FourPhaseResult:
+        return FourPhaseResult(
+            outcome, ledger, DeSequence(start, tuple(steps)), g, phase, notes
+        )
+
     def perform(found: SearchOutcome, bucket: str) -> None:
         """Take a found sequence, its end graph and its shrunk cover."""
         nonlocal g
@@ -153,14 +158,15 @@ def four_phase_driver(
         # a KO-sequence certifies eta = infinity; no accounting needed
 
     def drain_cheap() -> str | None:
-        """Deletions, KO-sequences and cheap sequences until none remains."""
+        """Deletions, KO-sequences and cheap sequences until none remains;
+        the outcome that ends the driver, if any."""
         nonlocal g, remaining
         while True:
             remaining -= 1
             if remaining < 0:
-                return "budget"
+                return "inconclusive"
             if g.has_isolated_vertex():
-                return "ko"
+                return "KO"
             g2, dsteps = all_deletions(g)
             if dsteps:
                 steps.extend(dsteps)
@@ -171,7 +177,7 @@ def four_phase_driver(
             ko = search_de_sequence(g, "ko", budget=search_budget)
             if ko.found:
                 perform(ko, "ko")
-                return "ko"
+                return "KO"
             cheap = search_de_sequence(
                 g, "cheap", budget=search_budget, values=values, m=m
             )
@@ -182,12 +188,8 @@ def four_phase_driver(
 
     # Phase 1
     status = drain_cheap()
-    if status == "ko":
-        return FourPhaseResult("KO", ledger, DeSequence(start, tuple(steps)), g, 1, notes)
-    if status == "budget":
-        return FourPhaseResult(
-            "inconclusive", ledger, DeSequence(start, tuple(steps)), g, 1, notes
-        )
+    if status is not None:
+        return finish(status, 1)
 
     # Phases 2 and 3
     for phase, (gamma, bucket, maxexp) in (
@@ -206,27 +208,14 @@ def four_phase_driver(
                 break
             perform(found, bucket)
             status = drain_cheap()
-            if status == "ko":
-                return FourPhaseResult(
-                    "KO", ledger, DeSequence(start, tuple(steps)), g, phase, notes
-                )
-            if status == "budget":
-                return FourPhaseResult(
-                    "inconclusive",
-                    ledger,
-                    DeSequence(start, tuple(steps)),
-                    g,
-                    phase,
-                    notes,
-                )
+            if status is not None:
+                return finish(status, phase)
 
     # Phase 4: arbitrary legal steps until no edge remains
     while g.edges:
         remaining -= 1
         if remaining < 0:
-            return FourPhaseResult(
-                "inconclusive", ledger, DeSequence(start, tuple(steps)), g, 4, notes
-            )
+            return finish("inconclusive", 4)
         edge = g.edges[0]
         cls = classify_edge(g, edge)
         if cls.deletable:
@@ -241,9 +230,6 @@ def four_phase_driver(
             g = g.explode_edge(edge)
         else:
             notes.append(f"edge {edge!r} neither deletable nor explodable")
-            return FourPhaseResult(
-                "inconclusive", ledger, DeSequence(start, tuple(steps)), g, 4, notes
-            )
+            return finish("inconclusive", 4)
 
-    outcome = "KO" if g.vertices else "edgeless"
-    return FourPhaseResult(outcome, ledger, DeSequence(start, tuple(steps)), g, 4, notes)
+    return finish("KO" if g.vertices else "edgeless", 4)

@@ -20,7 +20,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .allocation_graph import build_H, build_J, compute_fat, restrict
+from .allocation_graph import (
+    build_H,
+    build_J,
+    compute_fat,
+    find_independent_transversal,
+    restrict,
+    transversal_to_allocation,
+)
 from .instance import Instance, InstanceError
 from .lp_core import build_dual_basic, hypothesis_holds_basic, verify_dual
 from .topology import all_deletions, search_de_sequence
@@ -269,8 +276,6 @@ def two_value_driver(
 
 
 def _final_transversal(inst: Instance, H):
-    from .allocation_graph import find_independent_transversal, transversal_to_allocation
-
     transversal = find_independent_transversal(H)
     if transversal is None:
         return None

@@ -8,7 +8,11 @@ replaced with a search on the integer value table.
 ``rational_min_cost_subset_reaching`` is a min-cost covering search over a
 covet list, the pricing check that ``verify_dual``'s scan is compared
 against.  ``exhaustive_opt`` tries every assignment of every coveted
-resource, with no pruning.  ``bisection_t_star`` is the T* search that
+resource, with no pruning.  ``branch_and_bound_opt`` is the
+resource-by-resource search that ``instance.brute_force_opt`` replaced
+with a descending scan of disjoint configuration choices, and
+``backtrack_transversal`` is the search of H's adjacency that
+``find_independent_transversal`` replaced with the same choice search.  ``bisection_t_star`` is the T* search that
 probes every bisection candidate with the LP, with no capped-value
 filter.  ``classify_all_deletions`` is the ``all_deletions`` loop that
 classified every edge in full and rebuilt each smaller graph with
@@ -22,12 +26,15 @@ since eta works on chain groups.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
+from santagap.allocation_graph import AllocationGraph
 from santagap.graphs import Graph
-from santagap.instance import Allocation, Instance
-from santagap.lp_core import TStarResult, clp_feasible, subset_sum_candidates
+from santagap.instance import Allocation, Instance, OptResult, check_oracle_caps
+from santagap.lp_core import Configuration, TStarResult, clp_feasible, subset_sum_candidates
 from santagap.topology import DELETE, EXPLODE, DeSequence, DeStep, classify_edge, vertex_resources
 
 EXHAUSTIVE_RESOURCE_CAP = 7
@@ -235,6 +242,126 @@ def exhaustive_opt(inst: Instance) -> tuple[Fraction, Allocation]:
         if best_value is None or value > best_value:
             best_value, best = value, alloc
     return best_value, best
+
+
+class _BoundReached(Exception):
+    """Ends ``branch_and_bound_opt``'s search at an allocation that meets its bound."""
+
+
+def branch_and_bound_opt(inst: Instance, *, upper_bound: Fraction | None = None) -> OptResult:
+    """Exact OPT by assigning each resource to a coveter or to nobody, with
+    branch-and-bound pruning.
+
+    The search is pruned with the optimistic bound min_p(value_p +
+    remaining potential of p), and adds and compares the instance's
+    integer value table (every value times ``inst.scale``).
+
+    ``upper_bound`` is a proven upper bound on OPT, such as T*.  OPT is a
+    sum of table values, so it is at most floor(upper_bound * scale) /
+    scale, and the search stops at the first allocation that reaches
+    that; with no bound it exhausts the tree, which proves optimality on
+    its own.  An allocation found above the bound shows that it was no
+    bound, and raises ``AssertionError``.  The witness is the first
+    optimal allocation in search order; a bound changes only
+    ``nodes_explored``.
+    """
+    check_oracle_caps(inst)
+    bound = None if upper_bound is None else math.floor(Fraction(upper_bound) * inst.scale)
+    best_value = -1
+    players = inst.players
+    pidx = {p: i for i, p in enumerate(players)}
+    # Only resources somebody covets can matter; order by descending value.
+    relevant = [
+        (rid, inst.int_values[rid], [pidx[p] for p in players if rid in inst.covets[p]])
+        for rid in inst.resource_ids
+        if any(rid in inst.covets[p] for p in players)
+    ]
+    relevant.sort(key=lambda t: (-t[1], t[0]))
+    n = len(relevant)
+    ints = [val for _, val, _ in relevant]
+    # potential[i][p] = scaled total value of resources i.. coveted by p
+    potential = [[0] * len(players) for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        coveters = relevant[i][2]
+        potential[i] = [
+            later + (ints[i] if p in coveters else 0)
+            for p, later in enumerate(potential[i + 1])
+        ]
+    best_choice: list[int | None] | None = None
+    choice: list[int | None] = [None] * n
+    values = [0] * len(players)
+    nodes = 0
+
+    def dfs(i: int) -> None:
+        nonlocal best_value, best_choice, nodes
+        nodes += 1
+        # Optimistic bound: min over p of value_p + remaining potential of p.
+        if min(map(add, values, potential[i])) <= best_value:
+            return
+        if i == n:
+            current = min(values)
+            if current > best_value:
+                best_value = current
+                best_choice = choice[:]
+                if bound is not None and current >= bound:
+                    raise _BoundReached
+            return
+        val = ints[i]
+        for p in relevant[i][2]:
+            values[p] += val
+            choice[i] = p
+            dfs(i + 1)
+            values[p] -= val
+        choice[i] = None
+        dfs(i + 1)
+
+    if players:
+        try:
+            dfs(0)
+        except _BoundReached:
+            pass
+    else:
+        best_value = 0
+    if bound is not None and best_value > bound:
+        raise AssertionError(
+            f"OPT >= {Fraction(best_value, inst.scale)} beats the upper bound {upper_bound}"
+        )
+    bundles: dict[str, list[str]] = {p: [] for p in players}
+    for i, owner in enumerate(best_choice or ()):
+        if owner is not None:
+            bundles[players[owner]].append(relevant[i][0])
+    witness = Allocation({p: tuple(sorted(b)) for p, b in bundles.items()})
+    witness.validate(inst)
+    opt = Fraction(max(best_value, 0), inst.scale)
+    if players and witness.min_value(inst) != opt:
+        raise AssertionError("oracle witness does not achieve its optimum")
+    return OptResult(opt, witness, nodes)
+
+
+def backtrack_transversal(g: AllocationGraph) -> dict[str, Configuration] | None:
+    """One vertex per part of H, pairwise non-adjacent in ``g.graph``, by
+    backtracking over the parts in increasing size order; None when there
+    is none."""
+    order = sorted(g.parts, key=lambda p: (len(g.parts[p]), p))
+    if any(not g.parts[p] for p in order):
+        return None
+    graph = g.graph
+    chosen: list = []
+
+    def dfs(k: int) -> bool:
+        if k == len(order):
+            return True
+        for v in g.parts[order[k]]:
+            if all(not graph.has_edge(v, u) for u in chosen):
+                chosen.append(v)
+                if dfs(k + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    if not dfs(0):
+        return None
+    return {v[0]: g.hyperedges[v] for v in chosen}
 
 
 def classify_all_deletions(g: Graph) -> tuple[Graph, list[DeStep]]:

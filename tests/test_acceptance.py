@@ -22,12 +22,13 @@ from conftest import (
     random_partite_graph,
     random_small_instance,
 )
+from oracles import branch_and_bound_opt
 from santagap import topology as tp
 from santagap.allocation_graph import compute_fat
 from santagap.cli import cli_main
 from santagap.gap_report import CONVEX_WEIGHTS, verify_convex_combination
 from santagap.graphs import Graph
-from santagap.instance import Instance, brute_force_opt, gen_two_value
+from santagap.instance import Instance, gen_two_value
 from santagap.lp_core import (
     build_dual_basic,
     build_dual_refined,
@@ -172,7 +173,7 @@ def test_criterion_07_duality_suite():
     for _ in range(200):
         inst = random_small_instance(rng)
         t_star = compute_t_star(inst).t_star
-        opt = brute_force_opt(inst).opt_value
+        opt = branch_and_bound_opt(inst).opt_value
         assert opt <= t_star  # exact
         if t_star == 0:
             continue
@@ -227,7 +228,7 @@ def test_criterion_08_integrality_gap_consistency():
     while accepted < 100 and attempts < 400:
         attempts += 1
         inst = random_small_instance(rng)
-        opt = brute_force_opt(inst).opt_value
+        opt = branch_and_bound_opt(inst).opt_value
         if opt == 0:
             continue
         t_star = compute_t_star(inst).t_star
@@ -261,7 +262,7 @@ def test_criterion_08_integrality_gap_consistency():
         if c < 4:
             continue
         two_value_accepted += 1
-        opt = brute_force_opt(inst).opt_value
+        opt = branch_and_bound_opt(inst).opt_value
         assert opt >= r_c(c) * eps, inst.serialize()
         assert t_star / opt <= f_gap(eps / t_star), inst.serialize()
     elapsed = time.monotonic() - start

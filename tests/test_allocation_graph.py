@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_small_instance
+from oracles import backtrack_transversal
 from santagap.allocation_graph import (
     AllocationGraphError,
     TransversalCapError,
@@ -17,7 +18,7 @@ from santagap.allocation_graph import (
     restrict,
     transversal_to_allocation,
 )
-from santagap.instance import parse_instance
+from santagap.instance import gen_two_value, parse_instance
 from santagap.lp_core import clp_feasible, minimal_configurations
 
 
@@ -291,6 +292,37 @@ def test_transversal_matches_brute_force_on_randoms():
         if got is not None:
             alloc = transversal_to_allocation(inst, got)
             assert alloc.min_value(inst) >= alpha * 1
+
+
+def test_transversal_is_the_backtracking_one():
+    """On full and thin H of seeded two-value and random instances, the
+    disjoint-choice search returns the very dict that backtracking over
+    H's adjacency returns."""
+    rng = random.Random(37)
+    found = absent = 0
+    for seed in range(40):
+        instances = [
+            gen_two_value(
+                rng.randint(2, 5),
+                Fraction(1, rng.randint(2, 5)),
+                {"num_fat": rng.randint(1, 4), "num_thin": rng.randint(2, 8),
+                 "density": rng.choice((0.4, 0.6, 0.8))},
+                seed,
+            ),
+            random_small_instance(rng),
+        ]
+        for inst in instances:
+            for alpha in (Fraction(1, 2), Fraction(1)):
+                h = build_H(inst, Fraction(1), alpha)
+                for g in (h, build_J(h)):
+                    if g.vertex_count() > 60:
+                        continue
+                    got = find_independent_transversal(g)
+                    want = backtrack_transversal(g)
+                    assert got == want and list(got or ()) == list(want or ())
+                    found += got is not None
+                    absent += got is None
+    assert found > 100 and absent > 100
 
 
 def test_transversal_iff_allocation_at_alpha_t(shared_halves):

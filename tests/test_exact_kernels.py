@@ -1,9 +1,10 @@
 """The integer kernels for T* and OPT against their slow oracles.
 
-``lp_core._phase1_simplex`` is a revised fraction-free simplex, and
-``brute_force_opt``, ``compute_m`` and ``verify_dual`` search on the
-instance's integer value table; each must return exactly what the
-rational oracles in ``oracles.py`` return.
+``lp_core._phase1_simplex`` is a revised fraction-free simplex,
+``compute_m`` and ``verify_dual`` search on the instance's integer value
+table, and ``brute_force_opt`` scans disjoint configuration choices down
+from T*; each must return exactly what the oracles in ``oracles.py``
+return.
 """
 
 import random
@@ -11,9 +12,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_small_instance
+from conftest import GAP_GOLDEN, random_small_instance
 from oracles import (
+    EXHAUSTIVE_RESOURCE_CAP,
     bisection_t_star,
+    branch_and_bound_opt,
     dense_phase1_simplex,
     exhaustive_opt,
     rational_max_value_below,
@@ -22,12 +25,12 @@ from oracles import (
 from santagap import lp_core
 from santagap.allocation_graph import compute_m
 from santagap.instance import (
-    Allocation,
     Instance,
-    InstanceError,
     brute_force_opt,
     gen_random,
     gen_two_value,
+    load_instance,
+    parse_instance,
 )
 
 _integer_simplex = lp_core._phase1_simplex
@@ -346,10 +349,15 @@ def test_reused_certificates_rule_out_only_infeasible_candidates(monkeypatch):
 
 # -- brute_force_opt ------------------------------------------------------------
 
+def _opt(inst):
+    """The OPT scan from the instance's T*."""
+    return brute_force_opt(inst, lp_core.compute_t_star(inst))
+
+
 def _check_against_exhaustive(inst):
-    res = brute_force_opt(inst)
+    res = _opt(inst)
     opt, _ = exhaustive_opt(inst)
-    assert res.opt_value == opt
+    assert res.opt_value == opt == branch_and_bound_opt(inst).opt_value
     assert type(res.opt_value) is Fraction
     res.witness.validate(inst)
     assert res.witness.min_value(inst) == opt
@@ -382,22 +390,24 @@ def _mixed_denominators():
 def test_brute_force_opt_mixed_denominators():
     res = _check_against_exhaustive(_mixed_denominators())
     assert res.opt_value == Fraction(19, 18)
-    assert res.witness.assignment["p2"] == ("b", "d", "e")
+    assert res.witness.assignment == {"p1": ("a", "c"), "p2": ("b", "d", "e")}
 
 
 def test_brute_force_opt_stops_at_t_star():
-    """Bounded by T*, the search returns the exhaustive search's OPT and
-    witness, and explores strictly fewer nodes wherever OPT reaches T*
-    (the exhaustive search then goes on to prove optimality)."""
+    """Bounded by T*, the branch-and-bound oracle returns its exhaustive
+    search's OPT and witness, and explores strictly fewer nodes wherever
+    OPT reaches T* (the exhaustive search then goes on to prove
+    optimality).  The scan, which starts at T*, gives the same OPT."""
     rng = random.Random(23)
     instances = [*_gap_random_instances(range(10)), _mixed_denominators()]
     instances += [random_small_instance(rng) for _ in range(30)]
     reached = 0
     for inst in instances:
         t_star = lp_core.compute_t_star(inst).t_star
-        want = brute_force_opt(inst)
-        got = brute_force_opt(inst, upper_bound=t_star)
+        want = branch_and_bound_opt(inst)
+        got = branch_and_bound_opt(inst, upper_bound=t_star)
         assert got == want and got.witness == want.witness, inst
+        assert _opt(inst).opt_value == want.opt_value, inst
         if want.opt_value == t_star:
             reached += 1
             assert got.nodes_explored < want.nodes_explored, inst
@@ -407,86 +417,163 @@ def test_brute_force_opt_stops_at_t_star():
 
 
 def test_brute_force_opt_bound_never_reached():
-    """A bound above OPT (T* + 1) is never reached: the search is the
-    exhaustive one, node for node."""
+    """A bound above OPT (T* + 1) is never reached: the oracle's search is
+    the exhaustive one, node for node."""
     rng = random.Random(29)
     for inst in [_mixed_denominators(), *(random_small_instance(rng) for _ in range(10))]:
-        want = brute_force_opt(inst)
-        got = brute_force_opt(inst, upper_bound=lp_core.compute_t_star(inst).t_star + 1)
+        want = branch_and_bound_opt(inst)
+        got = branch_and_bound_opt(inst, upper_bound=lp_core.compute_t_star(inst).t_star + 1)
         assert got == want and got.witness == want.witness
         assert got.nodes_explored == want.nodes_explored
 
 
 def test_brute_force_opt_beaten_bound_raises():
-    """OPT = 19/18; the search finds 11/18 first, above 1/2, and 19/18
+    """OPT = 19/18; the oracle finds 11/18 first, above 1/2, and 19/18
     above 1 (no allocation is worth exactly 1 on the way)."""
     inst = _mixed_denominators()
     for bound in (Fraction(1, 2), Fraction(1)):
         with pytest.raises(AssertionError, match="beats the upper bound"):
-            brute_force_opt(inst, upper_bound=bound)
+            branch_and_bound_opt(inst, upper_bound=bound)
 
 
 def test_brute_force_opt_from_the_t_star_witness():
-    """Started from ``integral_allocation`` of the T* witness, the search
-    gives the OPT of the plain search on the gap-random shapes, and of
-    ``exhaustive_opt`` (0.6 s an instance) on the first ten, with a witness
-    that validates and reaches it.  A 0/1 witness is returned as is, with
-    0 nodes; a fractional one (seed 3 is the first) gives no start, and
-    the search runs as before."""
+    """On the gap-random shapes the scan gives the oracle's OPT, and
+    ``exhaustive_opt``'s (0.6 s an instance) on the first ten, with a
+    witness that validates and reaches it.  A 0/1 T* witness ends the scan
+    at its first leaf, one node per player and one for the leaf, with
+    each bundle one of the player's weight-1 columns; with a fractional
+    one (seed 3 is the first) the scan may take more."""
     integral = fractional = 0
     for k, inst in enumerate(_gap_random_instances(range(40))):
         res = lp_core.compute_t_star(inst)
-        start = lp_core.integral_allocation(res.feasibility_witness)
-        got = brute_force_opt(inst, upper_bound=res.t_star, start=start)
-        want = brute_force_opt(inst).opt_value
+        got = brute_force_opt(inst, res)
+        want = branch_and_bound_opt(inst, upper_bound=res.t_star).opt_value
         if k < 10:
             assert exhaustive_opt(inst)[0] == want
         assert got.opt_value == want
         got.witness.validate(inst)
         assert got.witness.min_value(inst) == want
-        if start is None:
+        primal = res.feasibility_witness.primal
+        if any(w != 1 for w in primal.values()):
             fractional += 1
-            assert got == brute_force_opt(inst, upper_bound=res.t_star)
         else:
             integral += 1
             assert want == res.t_star
-            assert got.witness is start and got.nodes_explored == 0
+            assert got.nodes_explored == len(inst.players) + 1
+            for p, bundle in got.witness.assignment.items():
+                assert primal[lp_core.Configuration(p, frozenset(bundle))] == 1
     assert integral > fractional > 0
 
 
-def test_brute_force_opt_start_is_the_incumbent():
-    """A start below the bound is the incumbent: the search replaces it
-    only on a strict improvement, and keeps it when nothing beats it."""
-    inst = _mixed_denominators()
-    plain = brute_force_opt(inst)
-    got = brute_force_opt(inst, upper_bound=Fraction(19, 18), start=Allocation({}))
-    assert got.opt_value == plain.opt_value and got.witness == plain.witness
-    with pytest.raises(InstanceError, match="uncoveted"):
-        brute_force_opt(inst, start=Allocation({"p1": ("d",)}))
-    # Two players share four halves: OPT = 1, reached by many allocations.
-    # With no bound, the exhaustive search finds none better than a start
-    # that is optimal, and keeps it.
-    inst = Instance.build(
-        ["p1", "p2"], {r: Fraction(1, 2) for r in "abcd"},
-        {"p1": set("abcd"), "p2": set("abcd")},
-    )
-    plain = brute_force_opt(inst)
-    other = Allocation({"p1": ("c", "d"), "p2": ("a", "b")})
-    assert other.min_value(inst) == plain.opt_value and other != plain.witness
-    got = brute_force_opt(inst, start=other)
-    assert got.opt_value == plain.opt_value and got.witness is other
-    assert 0 < got.nodes_explored < plain.nodes_explored
-
-
 def test_brute_force_opt_golden_at_the_oracle_caps():
-    """The 6 x 14 instance, bounded by its T* = 53/36 only: the exhaustive
-    search takes 12.6 M nodes, too slow here."""
+    """The 6 x 14 instance: its T* witness is 0/1, so the scan takes 7
+    nodes.  The oracle, bounded by T* = 53/36 only, takes 699,402 (with
+    no bound, 12.6 M, too slow here)."""
     inst = _six_by_fourteen()
-    res = brute_force_opt(inst, upper_bound=Fraction(53, 36))
-    assert res.opt_value == Fraction(53, 36)
+    res = _opt(inst)
+    assert (res.opt_value, res.nodes_explored) == (Fraction(53, 36), 7)
     res.witness.validate(inst)
     assert res.witness.min_value(inst) == Fraction(53, 36)
-    assert res.nodes_explored == 699_402
+    want = branch_and_bound_opt(inst, upper_bound=Fraction(53, 36))
+    assert (want.opt_value, want.nodes_explored) == (Fraction(53, 36), 699_402)
+
+
+# Cyclic-window instances: each player covets each fat item (value 1) with
+# probability 1/2, plus a window of 2-4 consecutive thin items on a cycle.
+# Each has OPT < T*, so the scan must exhaust its search at T* and at every
+# candidate between OPT and T*.
+WINDOW_GAPS = {
+    "window-4x7-halves": """\
+players p1 p2 p3 p4
+resource F1 1
+resource s1 1/2
+resource s2 1/2
+resource s3 1/2
+resource s4 1/2
+resource s5 1/2
+resource s6 1/2
+covets p1 F1 s4 s5 s6
+covets p2 F1 s1 s2 s3
+covets p3 F1 s5 s6
+covets p4 F1 s1 s2
+""",
+    "window-4x7-thirds": """\
+players p1 p2 p3 p4
+resource F1 1
+resource s1 1/3
+resource s2 1/3
+resource s3 1/3
+resource s4 1/3
+resource s5 1/3
+resource s6 1/3
+covets p1 s1 s2 s3
+covets p2 F1 s4 s5
+covets p3 F1 s4 s5 s6
+covets p4 F1 s2 s3
+""",
+    "window-4x7-split": """\
+players p1 p2 p3 p4
+resource F1 1
+resource s1 1/2
+resource s2 1/2
+resource s3 1/2
+resource s4 1/2
+resource s5 1/2
+resource s6 1/2
+covets p1 F1 s1 s2
+covets p2 s4 s5 s6
+covets p3 s1 s2 s3
+covets p4 F1 s4 s5
+""",
+    "window-6x12": """\
+players p1 p2 p3 p4 p5 p6
+resource F1 1
+resource s1 1/2
+resource s2 1/2
+resource s3 1/2
+resource s4 1/2
+resource s5 1/2
+resource s6 1/2
+resource s7 1/2
+resource s8 1/2
+resource s9 1/2
+resource s10 1/2
+resource s11 1/2
+covets p1 F1 s2 s3 s4
+covets p2 s6 s7 s8
+covets p3 F1 s1 s11 s2 s3
+covets p4 F1 s2 s3 s4
+covets p5 F1 s10 s7 s8 s9
+covets p6 F1 s7 s8
+""",
+}
+
+
+# T*, OPT and the scan's nodes.
+BELOW_T_STAR = {
+    "window-4x7-halves": (Fraction(1), Fraction(1, 2), 34),
+    "window-4x7-thirds": (Fraction(2, 3), Fraction(1, 3), 18),
+    "window-4x7-split": (Fraction(1), Fraction(1, 2), 11),
+    "window-6x12": (Fraction(1), Fraction(1, 2), 75),
+    "gap-4x6": (Fraction(1), Fraction(1, 2), 12),
+}
+
+
+@pytest.mark.parametrize("name", BELOW_T_STAR)
+def test_opt_below_t_star(name):
+    """OPT < T*: the scan's OPT is the oracle's, and ``exhaustive_opt``'s
+    up to 7 resources; its witness validates and reaches OPT; and its node
+    count, which the failing searches above OPT make up, is pinned."""
+    t_star, opt, nodes = BELOW_T_STAR[name]
+    inst = load_instance(GAP_GOLDEN) if name == "gap-4x6" else parse_instance(WINDOW_GAPS[name])
+    res = lp_core.compute_t_star(inst)
+    got = brute_force_opt(inst, res)
+    assert (res.t_star, got.opt_value, got.nodes_explored) == (t_star, opt, nodes)
+    assert branch_and_bound_opt(inst, upper_bound=t_star).opt_value == opt
+    if len(inst.resources) <= EXHAUSTIVE_RESOURCE_CAP:
+        assert exhaustive_opt(inst)[0] == opt
+    got.witness.validate(inst)
+    assert got.witness.min_value(inst) == opt
 
 
 # -- integer subset searches ----------------------------------------------------

@@ -97,13 +97,13 @@ def test_evaluate_instance_gap_one():
 
 def test_gap_golden_4x6():
     """T* = 1 in one LP probe, OPT = 1/2 and a gap of 2 (``f-gap 1/2``).
-    The T* witness is fractional, so OPT comes from the search, which the
-    exhaustive oracle confirms.  At the next candidate, 3/2, the LP's
+    The T* witness is fractional and no disjoint choice exists at T*, so
+    OPT comes from the scan below T*, which the exhaustive oracle confirms.  At the next candidate, 3/2, the LP's
     Farkas certificate passes ``verify_dual``."""
     inst = load_instance(GAP_GOLDEN)
     res, opt = t_star_and_opt(inst)
     assert (res.t_star, res.probes) == (1, 1)
-    assert lp_core.integral_allocation(res.feasibility_witness) is None
+    assert any(w != 1 for w in res.feasibility_witness.primal.values())
     assert opt.opt_value == Fraction(1, 2) == exhaustive_opt(inst)[0]
     assert opt.nodes_explored > 0
     opt.witness.validate(inst)
@@ -121,12 +121,13 @@ def test_gap_golden_4x6():
 
 def test_t_star_and_opt_calls_the_search_once(monkeypatch):
     """The module attribute ``brute_force_opt`` is called exactly once per
-    instance, bounded by T*, whether or not the T* witness is integral."""
+    instance, with its T*, whether or not the T* witness is integral; an
+    integral one ends the scan at its first leaf."""
     calls = []
     search = gap_report.brute_force_opt
 
     def recorded(*args, **kwargs):
-        calls.append(kwargs)
+        calls.append(args)
         return search(*args, **kwargs)
 
     monkeypatch.setattr(gap_report, "brute_force_opt", recorded)
@@ -137,10 +138,9 @@ def test_t_star_and_opt_calls_the_search_once(monkeypatch):
     for inst, integral in ((halves, True), (load_instance(GAP_GOLDEN), False)):
         calls.clear()
         res, opt = t_star_and_opt(inst)
-        (kwargs,) = calls
-        assert kwargs["upper_bound"] == res.t_star
-        assert (kwargs["start"] is not None) == integral
-        assert (opt.nodes_explored == 0) == integral
+        ((_, t_star),) = calls
+        assert t_star is res
+        assert (opt.nodes_explored == len(inst.players) + 1) == integral
 
 
 def test_over_cap_instance_is_skipped_before_t_star(monkeypatch):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import branch_and_bound_opt
 from santagap.instance import (
     Allocation,
     Instance,
@@ -15,6 +16,7 @@ from santagap.instance import (
     parse_instance,
     parse_instance_json,
 )
+from santagap.lp_core import compute_t_star
 
 
 MINIMAL = """\
@@ -147,18 +149,26 @@ def test_allocation_rejects_a_repeated_resource():
         Allocation({"p2": ["b", "b"], "p1": ()}).validate(inst)
 
 
-# -- brute force ------------------------------------------------------------
+# -- OPT ------------------------------------------------------------------------
+
+def _opt(inst):
+    """The production OPT scan, once its value equals the branch-and-bound
+    oracle's."""
+    res = brute_force_opt(inst, compute_t_star(inst))
+    assert res.opt_value == branch_and_bound_opt(inst).opt_value
+    return res
+
 
 def test_opt_single_player_single_resource():
     inst = parse_instance("players p\nresource a 5\ncovets p a\n")
-    res = brute_force_opt(inst)
+    res = _opt(inst)
     assert res.opt_value == 5
     assert res.witness.assignment["p"] == ("a",)
 
 
 def test_opt_two_players_one_resource():
     inst = parse_instance("players p1 p2\nresource a 1\ncovets p1 a\ncovets p2 a\n")
-    assert brute_force_opt(inst).opt_value == 0
+    assert _opt(inst).opt_value == 0
 
 
 def test_opt_two_values_six_eps():
@@ -166,7 +176,7 @@ def test_opt_two_values_six_eps():
         f"resource t{i} 1/3\n" for i in range(1, 7)
     )
     doc += "covets p1 t1 t2 t3 t4 t5 t6\ncovets p2 t1 t2 t3 t4 t5 t6\n"
-    res = brute_force_opt(parse_instance(doc))
+    res = _opt(parse_instance(doc))
     assert res.opt_value == 1  # three eps each
     res.witness.validate(parse_instance(doc))
 
@@ -177,9 +187,9 @@ def test_opt_witness_always_consistent():
 
     for _ in range(25):
         inst = random_small_instance(rng)
-        res = brute_force_opt(inst)
-        res.witness.validate(inst)
-        assert res.witness.min_value(inst) == res.opt_value
+        for res in (_opt(inst), branch_and_bound_opt(inst)):
+            res.witness.validate(inst)
+            assert res.witness.min_value(inst) == res.opt_value
 
 
 def test_opt_uniform_full_covet_is_floor():
@@ -190,7 +200,7 @@ def test_opt_uniform_full_covet_is_floor():
             resources = {f"r{i}": Fraction(1) for i in range(num_resources)}
             covets = {p: set(resources) for p in players}
             inst = Instance.build(players, resources, covets)
-            assert brute_force_opt(inst).opt_value == num_resources // num_players
+            assert _opt(inst).opt_value == num_resources // num_players
 
 
 def test_opt_cap_errors():
@@ -199,7 +209,9 @@ def test_opt_cap_errors():
     covets = {p: {"a"} for p in players}
     inst = Instance.build(players, resources, covets)
     with pytest.raises(OracleCapError):
-        brute_force_opt(inst)
+        brute_force_opt(inst, compute_t_star(inst))
+    with pytest.raises(OracleCapError):
+        branch_and_bound_opt(inst)
 
 
 # -- generators ---------------------------------------------------------------

@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import GAP_GOLDEN, random_small_instance
+from conftest import random_small_instance
 from santagap.allocation_graph import compute_fat
-from santagap.instance import brute_force_opt, load_instance, parse_instance
+from oracles import branch_and_bound_opt
+from santagap.instance import brute_force_opt, parse_instance
 from santagap.lp_core import (
     Configuration,
     DualSolution,
-    LpFeasibilityResult,
     _check_primal,
     build_dual_basic,
     build_dual_refined,
@@ -18,7 +18,6 @@ from santagap.lp_core import (
     compute_t_star,
     hypothesis_holds_basic,
     hypothesis_holds_refined,
-    integral_allocation,
     minimal_configurations,
     verify_dual,
 )
@@ -245,39 +244,20 @@ def test_simplex_deterministic(shared_halves):
 
 # -- duals -----------------------------------------------------------------------
 
-def test_integral_allocation_reads_a_0_1_witness(shared_halves):
-    """All weights 1: the witness's configurations are disjoint bundles,
-    one per player, each worth at least T*."""
+def test_opt_takes_a_0_1_witness_at_the_first_leaf(shared_halves):
+    """All weights 1: each player's first column at T* is one of its
+    weight-1 configurations, these are disjoint, and the OPT scan takes
+    them at its first leaf, one node per player and one for the leaf."""
     res = compute_t_star(shared_halves)
-    assert set(res.feasibility_witness.primal.values()) == {1}
-    alloc = integral_allocation(res.feasibility_witness)
-    alloc.validate(shared_halves)
-    assert set(alloc.assignment) == set(shared_halves.players)
-    assert alloc.min_value(shared_halves) == res.t_star == 1
-
-
-def test_integral_allocation_unions_a_players_configurations(shared_halves):
-    witness = clp_feasible(shared_halves, Fraction(1))
-    model = witness.model
-    two = {
-        Configuration("p1", frozenset("a")): Fraction(1),
-        Configuration("p1", frozenset("b")): Fraction(1),
-        Configuration("p2", frozenset("cd")): Fraction(1),
-    }
-    alloc = integral_allocation(LpFeasibilityResult(True, two, None, model))
-    assert alloc.assignment == {"p1": ("a", "b"), "p2": ("c", "d")}
-    del two[Configuration("p2", frozenset("cd"))]
-    assert integral_allocation(LpFeasibilityResult(True, two, None, model)) is None
-
-
-def test_integral_allocation_none_on_a_fractional_or_infeasible_witness():
-    """The 4 x 6 golden's T* witness is fractional (each player takes half
-    a fat item and half a thin pair), so there is no start allocation."""
-    inst = load_instance(GAP_GOLDEN)
-    res = compute_t_star(inst)
-    assert res.t_star == 1 and any(w != 1 for w in res.feasibility_witness.primal.values())
-    assert integral_allocation(res.feasibility_witness) is None
-    assert integral_allocation(clp_feasible(inst, Fraction(3, 2))) is None
+    primal = res.feasibility_witness.primal
+    assert set(primal.values()) == {1}
+    opt = brute_force_opt(shared_halves, res)
+    assert opt.opt_value == res.t_star == 1
+    assert opt.nodes_explored == len(shared_halves.players) + 1
+    opt.witness.validate(shared_halves)
+    assert {
+        Configuration(p, frozenset(b)) for p, b in opt.witness.assignment.items()
+    } == set(primal)
 
 
 def test_build_dual_basic_empty_U():
@@ -424,7 +404,7 @@ def test_opt_never_exceeds_t_star():
     rng = random.Random(2024)
     for _ in range(40):
         inst = random_small_instance(rng)
-        assert brute_force_opt(inst).opt_value <= compute_t_star(inst).t_star
+        assert branch_and_bound_opt(inst).opt_value <= compute_t_star(inst).t_star
 
 
 def test_feasibility_certificates_both_directions():

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from santagap import two_values
-from santagap.instance import InstanceError, brute_force_opt, parse_instance
+from oracles import branch_and_bound_opt
+from santagap.instance import InstanceError, parse_instance
 from santagap.lp_core import clp_feasible, compute_t_star
 from santagap.two_values import (
     a_coeff,
@@ -277,7 +278,7 @@ def test_driver_cross_checks_brute_force():
     t_star = compute_t_star(inst).t_star
     eps = Fraction(1, 4)
     c = math.ceil(t_star / eps)
-    opt = brute_force_opt(inst).opt_value
+    opt = branch_and_bound_opt(inst).opt_value
     assert opt >= r_c(c) * eps
     assert t_star / opt <= f_gap(eps / t_star)
 
@@ -322,7 +323,7 @@ def test_driver_one_fifth_instance():
     assert res.outcome == "certified"
     assert (res.c, res.r, res.alpha) == (5, 2, Fraction(2, 5))
     assert res.allocation.min_value(inst) >= Fraction(2, 5)
-    assert brute_force_opt(inst).opt_value >= r_c(5) * Fraction(1, 5)
+    assert branch_and_bound_opt(inst).opt_value >= r_c(5) * Fraction(1, 5)
 
 
 def test_driver_one_fifth_symmetric_phases():
