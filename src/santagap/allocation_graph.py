@@ -17,15 +17,8 @@ from .instance import Allocation, Instance
 from .lp_core import Configuration, fat_for_players, minimal_configurations
 from .subsets import first_disjoint_choice, max_value_below
 
-DEFAULT_TRANSVERSAL_VERTEX_CAP = 60
-DEFAULT_TRANSVERSAL_PART_CAP = 8
-
 
 class AllocationGraphError(ValueError):
-    pass
-
-
-class TransversalCapError(RuntimeError):
     pass
 
 
@@ -146,16 +139,9 @@ def find_independent_transversal(g: AllocationGraph) -> dict[str, Configuration]
     Two vertices of distinct parts are adjacent exactly when their
     resources meet, so this is ``subsets.first_disjoint_choice`` over the
     parts in increasing size order (ties by player), each vertex a mask of
-    its resources; exhausting the search is a proof of non-existence.
+    its resources; exhausting the search is a proof of non-existence.  A
+    search past ``subsets.DEFAULT_NODE_CAP`` nodes raises ``SubsetCapError``.
     """
-    if (
-        g.vertex_count() > DEFAULT_TRANSVERSAL_VERTEX_CAP
-        or len(g.parts) > DEFAULT_TRANSVERSAL_PART_CAP
-    ):
-        raise TransversalCapError(
-            f"{g.vertex_count()} vertices / {len(g.parts)} parts exceed caps "
-            f"{DEFAULT_TRANSVERSAL_VERTEX_CAP}/{DEFAULT_TRANSVERSAL_PART_CAP}"
-        )
     order = sorted(g.parts, key=lambda p: (len(g.parts[p]), p))
     bit: dict[str, int] = {}
     masks = [

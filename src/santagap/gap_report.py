@@ -17,7 +17,6 @@ from .instance import (
     OptResult,
     OracleCapError,
     brute_force_opt,
-    check_oracle_caps,
     gen_random,
     gen_two_value,
 )
@@ -186,10 +185,9 @@ def t_star_and_opt(inst: Instance) -> tuple[TStarResult, OptResult]:
     """Exact T* and OPT from one LP pass and one OPT scan.
 
     The scan starts at T* on the witness LP's columns (``brute_force_opt``),
-    so a 0/1 T* witness is OPT's witness at its first leaf.  The OPT caps
-    are checked first, so an instance over them costs no T* either.
+    so a 0/1 T* witness is OPT's witness at its first leaf.  An OPT
+    search past its node cap raises ``OracleCapError`` after T* is known.
     """
-    check_oracle_caps(inst)
     res = compute_t_star(inst)
     return res, brute_force_opt(inst, res)
 

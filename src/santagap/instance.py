@@ -14,10 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rational import format_rational, parse_rational
-from .subsets import first_disjoint_choice
-
-DEFAULT_ORACLE_RESOURCE_CAP = 14
-DEFAULT_ORACLE_PLAYER_CAP = 6
+from .subsets import SubsetCapError, first_disjoint_choice
 
 
 class InstanceError(ValueError):
@@ -35,7 +32,8 @@ class ParseError(InstanceError):
 
 
 class OracleCapError(RuntimeError):
-    """Raised when an instance is too large for an exhaustive oracle."""
+    """Raised when the OPT search of ``brute_force_opt`` passes
+    ``subsets.DEFAULT_NODE_CAP`` nodes."""
 
 
 @dataclass(frozen=True)
@@ -309,19 +307,6 @@ def load_instance(path: str) -> Instance:
 # Optimum
 # ---------------------------------------------------------------------------
 
-def check_oracle_caps(inst: Instance) -> None:
-    """Raise ``OracleCapError`` when ``inst`` is too large for ``brute_force_opt``."""
-    if (
-        len(inst.resources) > DEFAULT_ORACLE_RESOURCE_CAP
-        or len(inst.players) > DEFAULT_ORACLE_PLAYER_CAP
-    ):
-        raise OracleCapError(
-            f"instance too large for oracle "
-            f"({len(inst.players)} players, {len(inst.resources)} resources; "
-            f"caps {DEFAULT_ORACLE_PLAYER_CAP}/{DEFAULT_ORACLE_RESOURCE_CAP})"
-        )
-
-
 def brute_force_opt(inst: Instance, t_star) -> OptResult:
     """Exact OPT by a descending scan: the first candidate t from the top
     at which every player can get a minimal configuration at t, these
@@ -331,21 +316,22 @@ def brute_force_opt(inst: Instance, t_star) -> OptResult:
     when such a choice exists: every bundle of an allocation worth t holds
     one, and the choice is an allocation worth t.  OPT <= T* (the LP is a
     relaxation), and OPT is 0 or a subset sum of a covet list, so the scan
-    tries T*, then each lower value of 0 and ``subset_sum_candidates``,
-    with ``subsets.first_disjoint_choice`` over the players in order.
+    tries T*, then each lower value of 0 and ``t_star.candidates``, with
+    ``subsets.first_disjoint_choice`` over the players in order.
 
     At T* each player's choices are its columns of the witness LP, the
     support first by descending weight: a 0/1 witness holds one
     weight-1 column per player, pairwise disjoint, and the search takes
     them at its first leaf.  Below T* they are ``minimal_configurations``.
     Where OPT < T*, the exhausted searches above OPT are the proof, and
-    ``nodes_explored`` counts the nodes of every search.  The witness
-    gives each player its chosen configuration.
+    ``nodes_explored`` counts the nodes of every search.  The count runs
+    on through the scan, so one answer costs at most
+    ``subsets.DEFAULT_NODE_CAP`` nodes; past it, ``OracleCapError``.  The
+    witness gives each player its chosen configuration.
     """
     # lp_core imports this module, so the import waits for the call.
-    from .lp_core import minimal_configurations, subset_sum_candidates
+    from .lp_core import minimal_configurations
 
-    check_oracle_caps(inst)
     players = inst.players
     bit = {r: 1 << i for i, r in enumerate(inst.resource_ids)}
 
@@ -358,18 +344,21 @@ def brute_force_opt(inst: Instance, t_star) -> OptResult:
             if cfg not in primal:
                 parts[cfg.owner].append(cfg)
         yield t_star.t_star, list(parts.values())
-        below = [t for t in (Fraction(0), *subset_sum_candidates(inst)) if t < t_star.t_star]
+        below = [t for t in (Fraction(0), *t_star.candidates) if t < t_star.t_star]
         for t in reversed(below):
             yield t, [minimal_configurations(inst, p, t) for p in players]
 
     nodes = 0
-    for t, parts in levels():
-        choice, explored = first_disjoint_choice(
-            [[sum(bit[r] for r in cfg.resources) for cfg in part] for part in parts]
-        )
-        nodes += explored
-        if choice is not None:
-            break
+    try:
+        for t, parts in levels():
+            choice, nodes = first_disjoint_choice(
+                [[sum(bit[r] for r in cfg.resources) for cfg in part] for part in parts],
+                nodes,
+            )
+            if choice is not None:
+                break
+    except SubsetCapError as exc:
+        raise OracleCapError(f"OPT search: {exc}") from exc
     alloc = Allocation({
         p: part[i].sorted_resources() for p, part, i in zip(players, parts, choice)
     })

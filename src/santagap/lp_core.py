@@ -122,9 +122,13 @@ class LpFeasibilityResult:
 @dataclass
 class TStarResult:
     t_star: Fraction
-    candidates_examined: int
+    candidates: list[Fraction]  # subset_sum_candidates, ascending
     feasibility_witness: LpFeasibilityResult
     probes: int = 0
+
+    @property
+    def candidates_examined(self) -> int:
+        return len(self.candidates)
 
 
 @dataclass
@@ -429,10 +433,10 @@ def compute_t_star(inst: Instance) -> TStarResult:
             res = clp_feasible(inst, target)
             probes += 1
             if res.feasible:
-                return TStarResult(target, len(candidates), res, probes)
+                return TStarResult(target, candidates, res, probes)
             certificate = res.infeasibility_certificate
     witness = clp_feasible(inst, Fraction(0))
-    return TStarResult(Fraction(0), len(candidates), witness, probes + 1)
+    return TStarResult(Fraction(0), candidates, witness, probes + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,16 @@ the same ``Instance.scale`` and rounded up, which decides
 The third, ``first_disjoint_choice``, picks one subset per part, pairwise
 disjoint, with each subset an int mask over a resource index: it finds
 OPT (``instance.brute_force_opt``) and independent transversals of H
-(``allocation_graph.find_independent_transversal``).
+(``allocation_graph.find_independent_transversal``).  No cap on the
+shape of its input bounds it; ``DEFAULT_NODE_CAP`` bounds the nodes it
+visits, counted on from those its caller has already spent.
 """
 
 from __future__ import annotations
+
+# Search nodes of first_disjoint_choice, summed over the searches that
+# answer one question.
+DEFAULT_NODE_CAP = 1_000_000
 
 
 class SubsetCapError(RuntimeError):
@@ -97,25 +103,29 @@ def max_value_below(items: dict[str, int], threshold: int) -> int:
     return best
 
 
-
-def first_disjoint_choice(parts: list[list[int]]) -> tuple[list[int] | None, int]:
+def first_disjoint_choice(
+    parts: list[list[int]], nodes: int = 0
+) -> tuple[list[int] | None, int]:
     """The first pairwise-disjoint choice of one mask per part, and the
-    number of search nodes.
+    running node count: ``nodes``, those the caller has already spent,
+    plus this search's.
 
     The choice is a list of indices, one into each part, and is the first
     that backtracking finds when it branches over the parts in order and
     over each part's masks in order; None when no choice exists.  A node
     fails as soon as some part still to choose has no mask disjoint from
     those chosen.  Such a node roots no solution, so this changes the
-    node count and never the choice.
+    node count and never the choice.  Raises ``SubsetCapError`` once the
+    running count passes ``DEFAULT_NODE_CAP``.
     """
     n = len(parts)
     chosen = [0] * n
-    nodes = 0
 
     def dfs(k: int, used: int) -> bool:
         nonlocal nodes
         nodes += 1
+        if nodes > DEFAULT_NODE_CAP:
+            raise SubsetCapError(f"more than {DEFAULT_NODE_CAP} search nodes")
         if any(all(mask & used for mask in part) for part in parts[k:]):
             return False
         if k == n:

@@ -202,12 +202,6 @@ def is_gamma(cover, ell: int, gamma: Fraction) -> bool:
     return Fraction(len(cover)) <= Fraction(gamma) * ell
 
 
-def average_cost(cover, ell: int) -> Fraction:
-    if ell == 0:
-        raise SequenceError("average cost undefined for zero explosions")
-    return Fraction(len(cover), ell)
-
-
 # ---------------------------------------------------------------------------
 # Bounded search
 # ---------------------------------------------------------------------------
@@ -234,7 +228,6 @@ def search_de_sequence(
     values=None,
     m: Fraction | None = None,
     gamma: Fraction | None = None,
-    avg_cap: Fraction | None = None,
     based_in: frozenset[str] | None = None,
     owner: str | None = None,
 ) -> SearchOutcome:
@@ -244,9 +237,10 @@ def search_de_sequence(
     ``edgeless`` (reach a graph with no edges), ``cheap`` (>=1 explosion,
     some cover of value <= 2 m ell), ``gamma`` (>=1 explosion, cover
     cardinality <= gamma ell), ``based`` (every explosion consumes a
-    fresh hyperedge inside ``based_in`` owned by ``owner``; average cover
-    cost <= avg_cap).  A cover objective is tested on the union of e u f
-    over the exploded edges, shrunk by ``shrink_cover``.
+    fresh hyperedge inside ``based_in`` owned by ``owner``, and the cover
+    test of ``gamma``: an average cost per explosion of at most gamma).
+    A cover objective is tested on the union of e u f over the exploded
+    edges, shrunk by ``shrink_cover``.
 
     A found sequence comes with ``end``, the graph it ends in, and for
     the cover objectives ``cover``, the shrunk cover it was accepted on
@@ -261,8 +255,8 @@ def search_de_sequence(
         raise SequenceError("cheap objective needs m")
     if objective == "gamma" and gamma is None:
         raise SequenceError("gamma objective needs gamma")
-    if objective == "based" and (based_in is None or owner is None or avg_cap is None):
-        raise SequenceError("based objective needs based_in, owner, avg_cap")
+    if objective == "based" and (based_in is None or owner is None or gamma is None):
+        raise SequenceError("based objective needs based_in, owner, gamma")
     if max_explosions is None:
         max_explosions = {"ko": None, "edgeless": None, "cheap": 3, "gamma": 3, "based": 4}[
             objective
@@ -288,10 +282,8 @@ def search_de_sequence(
             w = shrink_cover(start, g, cover)
             if objective == "cheap":
                 ok = is_cheap(values, w, ell, m)
-            elif objective == "gamma":
-                ok = is_gamma(w, ell, gamma)
             else:
-                ok = average_cost(w, ell) <= avg_cap
+                ok = is_gamma(w, ell, gamma)
         if ok:
             found = (tuple(steps), g, w)
         return ok

@@ -140,7 +140,7 @@ def limit_constants() -> LimitConstants:
 
 def limit_bound() -> float:
     """10/3 - (4/3) ln(4/3) - 4 ln(9/8), the eps -> 0 gap bound (< 2.479)."""
-    return 10 / 3 - (4 / 3) * math.log(4 / 3) - 4 * math.log(9 / 8)
+    return limit_constants().bound
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +319,7 @@ def _certify_subset(inst, J, U, fat, target, eps, c, r, search_budget):
                 budget=search_budget,
                 based_in=based,
                 owner=p,
-                avg_cap=a_coeff(r, X),
+                gamma=a_coeff(r, X),
             )
             if not found.found:
                 info.update(how=f"search failed in phase {X}")

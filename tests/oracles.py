@@ -33,11 +33,14 @@ from operator import add
 
 from santagap.allocation_graph import AllocationGraph
 from santagap.graphs import Graph
-from santagap.instance import Allocation, Instance, OptResult, check_oracle_caps
+from santagap.instance import Allocation, Instance, OptResult, OracleCapError
 from santagap.lp_core import Configuration, TStarResult, clp_feasible, subset_sum_candidates
 from santagap.topology import DELETE, EXPLODE, DeSequence, DeStep, classify_edge, vertex_resources
 
 EXHAUSTIVE_RESOURCE_CAP = 7
+# branch_and_bound_opt exhausts its tree when no bound stops it early.
+BRANCH_AND_BOUND_PLAYER_CAP = 6
+BRANCH_AND_BOUND_RESOURCE_CAP = 14
 
 
 def dense_phase1_simplex(
@@ -203,7 +206,7 @@ def bisection_t_star(inst: Instance) -> TStarResult:
     """T* by binary search on the subset-sum candidates, one LP per step."""
     candidates = subset_sum_candidates(inst)
     if not candidates or not inst.players:
-        return TStarResult(Fraction(0), len(candidates), clp_feasible(inst, Fraction(0)), 1)
+        return TStarResult(Fraction(0), candidates, clp_feasible(inst, Fraction(0)), 1)
     lo, hi = 0, len(candidates) - 1
     best, probes, results = None, 0, {}
     while lo <= hi:
@@ -216,8 +219,8 @@ def bisection_t_star(inst: Instance) -> TStarResult:
             hi = mid - 1
     if best is None:
         witness = clp_feasible(inst, Fraction(0))
-        return TStarResult(Fraction(0), len(candidates), witness, probes + 1)
-    return TStarResult(candidates[best], len(candidates), results[best], probes)
+        return TStarResult(Fraction(0), candidates, witness, probes + 1)
+    return TStarResult(candidates[best], candidates, results[best], probes)
 
 
 def exhaustive_opt(inst: Instance) -> tuple[Fraction, Allocation]:
@@ -263,9 +266,17 @@ def branch_and_bound_opt(inst: Instance, *, upper_bound: Fraction | None = None)
     its own.  An allocation found above the bound shows that it was no
     bound, and raises ``AssertionError``.  The witness is the first
     optimal allocation in search order; a bound changes only
-    ``nodes_explored``.
+    ``nodes_explored``.  More than ``BRANCH_AND_BOUND_PLAYER_CAP`` players
+    or ``BRANCH_AND_BOUND_RESOURCE_CAP`` resources raise ``OracleCapError``.
     """
-    check_oracle_caps(inst)
+    if (
+        len(inst.players) > BRANCH_AND_BOUND_PLAYER_CAP
+        or len(inst.resources) > BRANCH_AND_BOUND_RESOURCE_CAP
+    ):
+        raise OracleCapError(
+            f"{len(inst.players)} players, {len(inst.resources)} resources; caps "
+            f"{BRANCH_AND_BOUND_PLAYER_CAP}/{BRANCH_AND_BOUND_RESOURCE_CAP}"
+        )
     bound = None if upper_bound is None else math.floor(Fraction(upper_bound) * inst.scale)
     best_value = -1
     players = inst.players

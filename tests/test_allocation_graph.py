@@ -6,9 +6,9 @@ import pytest
 
 from conftest import random_small_instance
 from oracles import backtrack_transversal
+from santagap import subsets
 from santagap.allocation_graph import (
     AllocationGraphError,
-    TransversalCapError,
     build_H,
     build_J,
     compute_fat,
@@ -20,6 +20,7 @@ from santagap.allocation_graph import (
 )
 from santagap.instance import gen_two_value, parse_instance
 from santagap.lp_core import clp_feasible, minimal_configurations
+from santagap.subsets import SubsetCapError
 
 
 THREE_PLAYER_PATH = """\
@@ -249,28 +250,31 @@ def test_transversal_three_player_path_impossible():
 
 
 @pytest.mark.parametrize(
-    "pools, over",
+    "pools",
     [
-        ([(11, "1/2"), (5, "1")], False),  # 55 pairs + 5 singletons
-        ([(11, "1/2"), (6, "1")], True),
-        ([(1, "1")] * 8, False),
-        ([(1, "1")] * 9, True),
+        [(11, "1/2"), (5, "1")],  # 55 pairs + 5 singletons
+        [(11, "1/2"), (6, "1")],
+        [(1, "1")] * 8,
+        [(1, "1")] * 9,
     ],
     ids=["60-vertices", "61-vertices", "8-parts", "9-parts"],
 )
-def test_transversal_caps(pools, over):
+def test_transversal_caps(pools, monkeypatch):
     """Player i covets pools[i][0] resources of its own, each worth
-    pools[i][1]; at alpha*T = 1 each pair of halves is one vertex."""
+    pools[i][1]; at alpha*T = 1 each pair of halves is one vertex.  No
+    cap on vertices or parts: every shape has a transversal, found at the
+    first leaf, one node per part plus the leaf.  The node cap bounds the
+    search: one node fewer raises ``SubsetCapError``."""
     lines = ["players " + " ".join(f"p{i}" for i in range(len(pools)))]
     owned = [[f"r{i}_{k}" for k in range(count)] for i, (count, _) in enumerate(pools)]
     for ids, (_, value) in zip(owned, pools):
         lines += [f"resource {rid} {value}" for rid in ids]
     lines += [" ".join([f"covets p{i}", *ids]) for i, ids in enumerate(owned)]
     h = build_H(parse_instance("\n".join(lines) + "\n"), Fraction(1), Fraction(1))
-    if not over:
-        assert find_independent_transversal(h) is not None
-        return
-    with pytest.raises(TransversalCapError, match="exceed caps 60/8"):
+    monkeypatch.setattr(subsets, "DEFAULT_NODE_CAP", len(pools) + 1)
+    assert find_independent_transversal(h) is not None
+    monkeypatch.setattr(subsets, "DEFAULT_NODE_CAP", len(pools))
+    with pytest.raises(SubsetCapError, match=f"^more than {len(pools)} search nodes$"):
         find_independent_transversal(h)
 
 

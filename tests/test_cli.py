@@ -6,6 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from conftest import GAP_GOLDEN
+from santagap import subsets
 from santagap.cli import cli_main
 
 INSTANCE_DOC = """\
@@ -455,6 +456,16 @@ def test_over_cap_covet_list_is_cap_error(tmp_path, command):
     code, out, err = run_cli([command[0], str(path), *command[1:]])
     assert code == 1
     assert json.loads(out)["error"].startswith("cap exceeded: ")
+    assert err == ""
+
+
+@pytest.mark.parametrize("command", ["opt", "gap"])
+def test_over_node_cap_opt_is_cap_error(monkeypatch, command):
+    """The 4x6 golden's OPT scan takes 12 nodes, one over a cap of 11."""
+    monkeypatch.setattr(subsets, "DEFAULT_NODE_CAP", 11)
+    code, out, err = run_cli([command, GAP_GOLDEN])
+    assert code == 1
+    assert json.loads(out) == {"error": "cap exceeded: OPT search: more than 11 search nodes"}
     assert err == ""
 
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from conftest import GAP_GOLDEN, random_small_instance
 from oracles import (
     EXHAUSTIVE_RESOURCE_CAP,
@@ -481,7 +482,9 @@ def test_brute_force_opt_golden_at_the_oracle_caps():
 # Cyclic-window instances: each player covets each fat item (value 1) with
 # probability 1/2, plus a window of 2-4 consecutive thin items on a cycle.
 # Each has OPT < T*, so the scan must exhaust its search at T* and at every
-# candidate between OPT and T*.
+# candidate between OPT and T*.  The 8 x 18 ones (5 fat items, 13 thin
+# ones of value 1/3) are beyond the branch-and-bound oracle's guard of 6
+# players and 14 resources, which the test lifts for them.
 WINDOW_GAPS = {
     "window-4x7-halves": """\
 players p1 p2 p3 p4
@@ -546,6 +549,64 @@ covets p4 F1 s2 s3 s4
 covets p5 F1 s10 s7 s8 s9
 covets p6 F1 s7 s8
 """,
+    "window-8x18-a": """\
+players p1 p2 p3 p4 p5 p6 p7 p8
+resource F1 1
+resource F2 1
+resource F3 1
+resource F4 1
+resource F5 1
+resource s1 1/3
+resource s2 1/3
+resource s3 1/3
+resource s4 1/3
+resource s5 1/3
+resource s6 1/3
+resource s7 1/3
+resource s8 1/3
+resource s9 1/3
+resource s10 1/3
+resource s11 1/3
+resource s12 1/3
+resource s13 1/3
+covets p1 F1 F2 F5 s9 s10
+covets p2 F2 F4 s3 s4
+covets p3 F1 F2 F4 F5 s3 s4
+covets p4 F4 F5 s13 s1 s2 s3
+covets p5 F1 s12 s13 s1 s2
+covets p6 F1 F4 F5 s7 s8 s9 s10
+covets p7 F3 F4 F5 s4 s5 s6
+covets p8 F1 F4 s9 s10 s11
+""",
+    "window-8x18-b": """\
+players p1 p2 p3 p4 p5 p6 p7 p8
+resource F1 1
+resource F2 1
+resource F3 1
+resource F4 1
+resource F5 1
+resource s1 1/3
+resource s2 1/3
+resource s3 1/3
+resource s4 1/3
+resource s5 1/3
+resource s6 1/3
+resource s7 1/3
+resource s8 1/3
+resource s9 1/3
+resource s10 1/3
+resource s11 1/3
+resource s12 1/3
+resource s13 1/3
+covets p1 F1 F3 F4 F5 s3 s4
+covets p2 F4 s4 s5 s6 s7
+covets p3 F5 s3 s4 s5 s6
+covets p4 F1 F2 F3 s4 s5 s6
+covets p5 F1 F4 s10 s11 s12 s13
+covets p6 F1 F4 F5 s12 s13 s1
+covets p7 F3 F5 s10 s11
+covets p8 F1 F5 s10 s11 s12
+""",
 }
 
 
@@ -556,14 +617,20 @@ BELOW_T_STAR = {
     "window-4x7-split": (Fraction(1), Fraction(1, 2), 11),
     "window-6x12": (Fraction(1), Fraction(1, 2), 75),
     "gap-4x6": (Fraction(1), Fraction(1, 2), 12),
+    "window-8x18-a": (Fraction(1), Fraction(2, 3), 233),
+    "window-8x18-b": (Fraction(1), Fraction(2, 3), 475),
 }
 
 
 @pytest.mark.parametrize("name", BELOW_T_STAR)
-def test_opt_below_t_star(name):
+def test_opt_below_t_star(name, monkeypatch):
     """OPT < T*: the scan's OPT is the oracle's, and ``exhaustive_opt``'s
     up to 7 resources; its witness validates and reaches OPT; and its node
-    count, which the failing searches above OPT make up, is pinned."""
+    count, which the failing searches above OPT make up, is pinned.  The
+    oracle, bounded by T*, takes 46,090 and 26,494 nodes on the 8 x 18
+    instances."""
+    monkeypatch.setattr(oracles, "BRANCH_AND_BOUND_PLAYER_CAP", 8)
+    monkeypatch.setattr(oracles, "BRANCH_AND_BOUND_RESOURCE_CAP", 18)
     t_star, opt, nodes = BELOW_T_STAR[name]
     inst = load_instance(GAP_GOLDEN) if name == "gap-4x6" else parse_instance(WINDOW_GAPS[name])
     res = lp_core.compute_t_star(inst)

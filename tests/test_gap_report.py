@@ -5,7 +5,7 @@ import pytest
 
 from conftest import GAP_GOLDEN
 from oracles import exhaustive_opt
-from santagap import gap_report, lp_core
+from santagap import gap_report, lp_core, subsets
 from santagap.gap_report import (
     CONVEX_WEIGHTS,
     BatchConfig,
@@ -17,7 +17,7 @@ from santagap.gap_report import (
     t_star_and_opt,
     verify_convex_combination,
 )
-from santagap.instance import gen_random, load_instance, parse_instance
+from santagap.instance import load_instance, parse_instance
 
 
 def test_weights_sum_to_one_exactly():
@@ -143,17 +143,23 @@ def test_t_star_and_opt_calls_the_search_once(monkeypatch):
         assert (opt.nodes_explored == len(inst.players) + 1) == integral
 
 
-def test_over_cap_instance_is_skipped_before_t_star(monkeypatch):
-    """An instance over the OPT caps reports the cap and computes no T*."""
-    calls = []
-    monkeypatch.setattr(
-        gap_report, "compute_t_star", lambda *a, **k: calls.append(a) or None
-    )
-    inst = gen_random(7, 14, (Fraction(1, 6), Fraction(1)), 0.6, seed=1, grid=12)
-    report = evaluate_instance(inst, "over-cap")
-    assert report.skipped.startswith("instance too large for oracle (7 players")
+def test_over_node_cap_instance_is_skipped(monkeypatch):
+    """An OPT search past the node cap skips the instance: the report
+    names the cap and carries no T* and no OPT."""
+    monkeypatch.setattr(subsets, "DEFAULT_NODE_CAP", 11)
+    report = evaluate_instance(load_instance(GAP_GOLDEN), "gap-4x6")
+    assert report.skipped == "OPT search: more than 11 search nodes"
     assert report.t_star is None and report.opt is None
-    assert calls == []
+    assert report.bound_respected is None
+
+
+def test_experiment_beyond_six_players_is_answered():
+    """8 players and 16 resources, the shape of the CI experiment step:
+    every row is answered, none skipped."""
+    config = BatchConfig(kind="random", count=3, num_players=8, num_resources=16)
+    reports = run_gap_experiment(config, seed=0)
+    assert [r.skipped for r in reports] == [None] * 3
+    assert all(r.opt <= r.t_star and r.bound_respected for r in reports)
 
 
 def test_evaluate_instance_opt_zero_is_flagged():

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import GAP_GOLDEN
 from oracles import branch_and_bound_opt
+from santagap import instance, subsets
 from santagap.instance import (
     Allocation,
     Instance,
@@ -13,6 +15,7 @@ from santagap.instance import (
     brute_force_opt,
     gen_random,
     gen_two_value,
+    load_instance,
     parse_instance,
     parse_instance_json,
 )
@@ -204,14 +207,38 @@ def test_opt_uniform_full_covet_is_floor():
 
 
 def test_opt_cap_errors():
+    """Seven players: the scan has no shape cap and answers, the
+    branch-and-bound oracle keeps its 6-player guard."""
     players = [f"p{i}" for i in range(7)]
     resources = {"a": Fraction(1)}
     covets = {p: {"a"} for p in players}
     inst = Instance.build(players, resources, covets)
-    with pytest.raises(OracleCapError):
-        brute_force_opt(inst, compute_t_star(inst))
+    assert brute_force_opt(inst, compute_t_star(inst)).opt_value == 0
     with pytest.raises(OracleCapError):
         branch_and_bound_opt(inst)
+
+
+def test_opt_node_cap_bounds_the_whole_scan(monkeypatch):
+    """The 4x6 golden's scan searches 7 nodes at T* = 1 and 5 at OPT =
+    1/2.  Each search fits under a cap of 11 nodes, their sum does not,
+    and the scan is refused; a cap of 12 lets it through."""
+    inst = load_instance(GAP_GOLDEN)
+    res = compute_t_star(inst)
+    spent = []
+    search = instance.first_disjoint_choice
+
+    def recorded(parts, nodes=0):
+        choice, total = search(parts, nodes)
+        spent.append(total - nodes)
+        return choice, total
+
+    monkeypatch.setattr(instance, "first_disjoint_choice", recorded)
+    monkeypatch.setattr(subsets, "DEFAULT_NODE_CAP", 12)
+    assert brute_force_opt(inst, res).nodes_explored == 12
+    assert spent == [7, 5]
+    monkeypatch.setattr(subsets, "DEFAULT_NODE_CAP", 11)
+    with pytest.raises(OracleCapError, match="^OPT search: more than 11 search nodes$"):
+        brute_force_opt(inst, res)
 
 
 # -- generators ---------------------------------------------------------------

@@ -437,13 +437,11 @@ def test_shrink_cover_finds_shared_resource():
     assert not tp.verify_star(g, end, frozenset({"c"}))
 
 
-def test_gamma_and_average_cost():
+def test_is_gamma_bounds_the_average_cost():
     cover = frozenset({"a", "b", "c", "d", "e", "f", "g"})
     assert tp.is_gamma(cover, 3, Fraction(7, 3))
     assert not tp.is_gamma(cover, 2, Fraction(7, 3))
-    assert tp.average_cost(cover, 3) == Fraction(7, 3)
-    with pytest.raises(tp.SequenceError):
-        tp.average_cost(cover, 0)
+    assert not tp.is_gamma(cover, 3, Fraction(7, 3) - Fraction(1, 997))
 
 
 def test_two_values_gamma_shape():
@@ -544,7 +542,7 @@ def test_search_returns_the_replayed_end_and_shrunk_cover():
             "based": {
                 "based_in": inst.covets[p] - compute_fat(inst, target, alpha).fat_set,
                 "owner": p,
-                "avg_cap": Fraction(3),
+                "gamma": Fraction(3),
             },
         }
         for objective, kwargs in objectives.items():
