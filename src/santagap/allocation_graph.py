@@ -27,7 +27,6 @@ class FatReport:
     """F(alpha) and the per-player-set restriction F_U."""
 
     fat_set: frozenset[str]
-    threshold: Fraction
 
     def fat_for(self, inst: Instance, U) -> frozenset[str]:
         return fat_for_players(inst, U, self.fat_set)
@@ -38,7 +37,6 @@ class MAlpha:
     """m(alpha): the largest coveted subset value strictly below alpha*T."""
 
     m: Fraction
-    threshold: Fraction
 
 
 @dataclass
@@ -63,8 +61,7 @@ def alpha_threshold(alpha: Fraction, target: Fraction) -> Fraction:
 
 def compute_fat(inst: Instance, target: Fraction, alpha: Fraction) -> FatReport:
     threshold = alpha_threshold(alpha, target)
-    fat = frozenset(r for r, v in inst.resources.items() if v >= threshold)
-    return FatReport(fat, threshold)
+    return FatReport(frozenset(r for r, v in inst.resources.items() if v >= threshold))
 
 
 def compute_m(inst: Instance, target: Fraction, alpha: Fraction) -> MAlpha:
@@ -77,7 +74,7 @@ def compute_m(inst: Instance, target: Fraction, alpha: Fraction) -> MAlpha:
     for p in inst.players:
         pool = {rid: inst.int_values[rid] for rid in inst.covets[p]}
         best = max(best, max_value_below(pool, below))
-    return MAlpha(Fraction(best, inst.scale), threshold)
+    return MAlpha(Fraction(best, inst.scale))
 
 
 def is_block(inst: Instance, m: MAlpha, resources) -> bool:

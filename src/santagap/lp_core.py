@@ -143,20 +143,15 @@ class DualCheck:
 # ---------------------------------------------------------------------------
 
 def minimal_configurations(
-    inst: Instance,
-    player: str,
-    threshold: Fraction,
-    *,
-    exclude: frozenset[str] = frozenset(),
+    inst: Instance, player: str, threshold: Fraction
 ) -> list[Configuration]:
-    """All minimal configurations of a player at ``threshold``, drawn from
-    the coveted resources outside ``exclude``.
+    """All minimal configurations of a player at ``threshold``.
 
     Sorted by (size, sorted resources): the order fixes Bland's pivot
     sequence over CLP columns and the transversal search over the parts
     of H.
     """
-    pool = {rid: inst.int_values[rid] for rid in inst.covets[player] - exclude}
+    pool = {rid: inst.int_values[rid] for rid in inst.covets[player]}
     try:
         subsets = minimal_subsets_at_least(
             pool,
@@ -452,8 +447,10 @@ def build_dual_basic(
 ) -> DualSolution:
     """Dual solution with y = c on U, z = c on F_U, z = v_r on Y.
 
-    Feasible whenever every thin configuration of a player in U meets Y
-    with value at least c; then weak duality gives v(Y) >= c(|U|-|F_U|).
+    Feasible exactly when every thin configuration (one avoiding the fat
+    set) of a player in U meets Y with value at least c: a configuration
+    holding a fat resource holds one of F_U, priced c.  Then weak duality
+    gives v(Y) >= c(|U|-|F_U|).
     """
     c = Fraction(c)
     if c < 0:
@@ -544,37 +541,3 @@ def verify_dual(inst: Instance, target: Fraction, sol: DualSolution) -> DualChec
             if sum(z[r] for r in cfg.resources) < need:
                 return DualCheck(False, sol.objective, cfg)
     return DualCheck(True, sol.objective, None)
-
-
-def hypothesis_holds_basic(
-    inst: Instance, target: Fraction, U, Y, c: Fraction, fat_set
-) -> bool:
-    """Scan: v(Y n S) >= c for every thin configuration S of players in U."""
-    Y = set(Y)
-    for p in U:
-        for cfg in minimal_configurations(inst, p, target, exclude=frozenset(fat_set)):
-            if inst.value(cfg.resources & Y) < c:
-                return False
-    return True
-
-
-def hypothesis_holds_refined(
-    inst: Instance, target: Fraction, U, Y, c: Fraction, d: Fraction, fat_set
-) -> bool:
-    """Scan of the refined hypothesis on thin configurations.
-
-    Checking minimal configurations suffices: enlarging S grows both
-    Y_{>d} n S and v(Y_{<=d} n S), so the requirement only gets easier.
-    """
-    Y = set(Y)
-    y_hi = {r for r in Y if inst.resources[r] > d}
-    y_lo = Y - y_hi
-    for p in U:
-        for cfg in minimal_configurations(inst, p, target, exclude=frozenset(fat_set)):
-            hi = len(cfg.resources & y_hi)
-            if hi > 1:
-                continue
-            need = c if hi == 0 else c - d
-            if inst.value(cfg.resources & y_lo) < need:
-                return False
-    return True

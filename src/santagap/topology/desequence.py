@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..graphs import Graph
+from ..graphs import Graph, vertex_from_json, vertex_to_json
 from .homology import eta
 
 DELETE = "delete"
@@ -37,8 +37,6 @@ class DeStep:
             raise SequenceError(f"unknown op {self.op!r}")
 
     def to_json(self) -> dict:
-        from ..graphs import vertex_to_json
-
         u, v = self.edge
         return {"op": self.op, "edge": [vertex_to_json(u), vertex_to_json(v)]}
 
@@ -46,8 +44,6 @@ class DeStep:
 def step_from_json(obj: dict) -> DeStep:
     """Read one ``{"op": ..., "edge": [u, v]}`` step; malformed input raises
     SequenceError."""
-    from ..graphs import vertex_from_json
-
     if not isinstance(obj, dict) or "op" not in obj or "edge" not in obj:
         raise SequenceError(f'trace step {obj!r} is not an object with "op" and "edge"')
     edge = obj["edge"]

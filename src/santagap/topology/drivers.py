@@ -71,32 +71,39 @@ def all_deletions(g: Graph) -> tuple[Graph, list[DeStep]]:
 
 
 @dataclass(slots=True)
-class PhaseLedger:
-    """Explosion counts and cover unions per accounting class."""
+class CoverLedger:
+    """Per phase: the explosions counted there and the union of their covers."""
 
-    n1: int = 0
-    n2: int = 0
-    n3: int = 0
-    n4: int = 0
-    w1: frozenset[str] = frozenset()
-    w2: frozenset[str] = frozenset()
-    w3: frozenset[str] = frozenset()
-    w4: frozenset[str] = frozenset()
+    entries: dict[int, tuple[int, frozenset[str]]] = field(default_factory=dict)
+
+    def add(self, phase: int, ell: int, cover: frozenset[str]) -> None:
+        count, covered = self.entries.get(phase, (0, frozenset()))
+        self.entries[phase] = (count + ell, covered | cover)
 
     @property
     def ell(self) -> int:
-        return self.n1 + self.n2 + self.n3 + self.n4
+        return sum(count for count, _ in self.entries.values())
+
+
+class PhaseLedger(CoverLedger):
+    """The cover ledger of the four-phase driver, keyed by phase 1..4."""
+
+    __slots__ = ()
 
     def checks(self, values, m: Fraction) -> dict[str, bool]:
         """The four cover inequalities the convex combination relies on."""
         m = Fraction(m)
+        empty = (0, frozenset())
+        (n1, w1), (n2, w2), (n3, w3), (n4, w4) = (
+            self.entries.get(phase, empty) for phase in (1, 2, 3, 4)
+        )
         return {
-            "value_w1": cover_value(values, self.w1) <= 2 * m * self.n1,
-            "card_w2": Fraction(len(self.w2)) <= Fraction(7, 3) * self.n2,
-            "card_w3": Fraction(len(self.w3)) <= Fraction(5, 2) * self.n3,
-            "value_w2": cover_value(values, self.w2) <= Fraction(7, 3) * m * self.n2,
-            "value_w3": cover_value(values, self.w3) <= Fraction(5, 2) * m * self.n3,
-            "value_w4": cover_value(values, self.w4) <= 3 * m * self.n4,
+            "value_w1": cover_value(values, w1) <= 2 * m * n1,
+            "card_w2": Fraction(len(w2)) <= Fraction(7, 3) * n2,
+            "card_w3": Fraction(len(w3)) <= Fraction(5, 2) * n3,
+            "value_w2": cover_value(values, w2) <= Fraction(7, 3) * m * n2,
+            "value_w3": cover_value(values, w3) <= Fraction(5, 2) * m * n3,
+            "value_w4": cover_value(values, w4) <= 3 * m * n4,
         }
 
 
@@ -140,22 +147,14 @@ def four_phase_driver(
             outcome, ledger, DeSequence(start, tuple(steps)), g, phase, notes
         )
 
-    def perform(found: SearchOutcome, bucket: str) -> None:
-        """Take a found sequence, its end graph and its shrunk cover."""
+    def perform(found: SearchOutcome, phase: int | None) -> None:
+        """Take a found sequence, its end graph and its shrunk cover; a
+        KO-sequence (phase None) certifies eta = infinity and is not charged."""
         nonlocal g
         steps.extend(found.sequence.steps)
         g = found.end
-        ell = found.sequence.ell
-        if bucket == "n1":
-            ledger.n1 += ell
-            ledger.w1 |= found.cover
-        elif bucket == "n2":
-            ledger.n2 += ell
-            ledger.w2 |= found.cover
-        elif bucket == "n3":
-            ledger.n3 += ell
-            ledger.w3 |= found.cover
-        # a KO-sequence certifies eta = infinity; no accounting needed
+        if phase is not None:
+            ledger.add(phase, found.sequence.ell, found.cover)
 
     def drain_cheap() -> str | None:
         """Deletions, KO-sequences and cheap sequences until none remains;
@@ -176,13 +175,13 @@ def four_phase_driver(
                 return None
             ko = search_de_sequence(g, "ko", budget=search_budget)
             if ko.found:
-                perform(ko, "ko")
+                perform(ko, None)
                 return "KO"
             cheap = search_de_sequence(
                 g, "cheap", budget=search_budget, values=values, m=m
             )
             if cheap.found:
-                perform(cheap, "n1")
+                perform(cheap, 1)
                 continue
             return None
 
@@ -192,10 +191,7 @@ def four_phase_driver(
         return finish(status, 1)
 
     # Phases 2 and 3
-    for phase, (gamma, bucket, maxexp) in (
-        (2, (Fraction(7, 3), "n2", 3)),
-        (3, (Fraction(5, 2), "n3", 2)),
-    ):
+    for phase, gamma, maxexp in ((2, Fraction(7, 3), 3), (3, Fraction(5, 2), 2)):
         while g.edges:
             found = search_de_sequence(
                 g,
@@ -206,7 +202,7 @@ def four_phase_driver(
             )
             if not found.found:
                 break
-            perform(found, bucket)
+            perform(found, phase)
             status = drain_cheap()
             if status is not None:
                 return finish(status, phase)
@@ -225,8 +221,7 @@ def four_phase_driver(
             # Phase 4 charges the unshrunk cover e u f of each explosion.
             u, v = edge
             steps.append(DeStep(EXPLODE, edge))
-            ledger.n4 += 1
-            ledger.w4 |= vertex_resources(u) | vertex_resources(v)
+            ledger.add(4, 1, vertex_resources(u) | vertex_resources(v))
             g = g.explode_edge(edge)
         else:
             notes.append(f"edge {edge!r} neither deletable nor explodable")

@@ -29,8 +29,8 @@ from .allocation_graph import (
     transversal_to_allocation,
 )
 from .instance import Instance, InstanceError
-from .lp_core import build_dual_basic, hypothesis_holds_basic, verify_dual
-from .topology import all_deletions, search_de_sequence
+from .lp_core import build_dual_basic, verify_dual
+from .topology import CoverLedger, all_deletions, search_de_sequence
 
 # two_value_driver certifies every nonempty player subset, 2^players - 1.
 DEFAULT_DRIVER_PLAYER_CAP = 6
@@ -179,15 +179,10 @@ def rescale_small_target(inst: Instance, t_star: Fraction) -> Instance:
     return Instance.build(inst.players, resources, {p: set(inst.covets[p]) for p in inst.players})
 
 
-@dataclass(slots=True)
-class PhaseXLedger:
-    """Per phase X: the explosions counted there and the union of their covers."""
+class PhaseXLedger(CoverLedger):
+    """The cover ledger keyed by phase X."""
 
-    entries: dict[int, tuple[int, frozenset[str]]] = field(default_factory=dict)
-
-    def add(self, X: int, ell: int, cover: frozenset[str]) -> None:
-        count, covered = self.entries.get(X, (0, frozenset()))
-        self.entries[X] = (count + ell, covered | cover)
+    __slots__ = ()
 
     def checks(self, r: int) -> dict[int, bool]:
         """|W_X| <= n_X * a_r(X) in every phase X that recorded explosions."""
@@ -305,7 +300,6 @@ def _certify_subset(inst, J, U, fat, target, eps, c, r, search_budget):
                 return info
             candidate = None
             for p in U:
-                # the thin pool minimal_configurations draws from with exclude=F
                 pool = inst.covets[p] - fat.fat_set
                 if inst.value(pool) >= target and len(pool - W) >= X:
                     candidate = (p, pool - W)
@@ -329,11 +323,12 @@ def _certify_subset(inst, J, U, fat, target, eps, c, r, search_budget):
             W |= found.cover
             g, _ = all_deletions(found.end)
         if W:
+            # W holds only thin resources: J's vertices are non-fat minimal
+            # configurations at alpha*T, so none contains a fat resource.
             c_dual = eps * (c - X + 1)
-            if hypothesis_holds_basic(inst, target, U, W, c_dual, fat.fat_set):
-                sol = build_dual_basic(inst, U, W, c_dual, fat.fat_set)
-                check = verify_dual(inst, target, sol)
-                ok = check.feasible and inst.value(W) >= c_dual * need
+            sol = build_dual_basic(inst, U, W, c_dual, fat.fat_set)
+            if verify_dual(inst, target, sol).feasible:
+                ok = inst.value(W) >= c_dual * need
                 info["dual_ok"] = bool(ok) if info["dual_ok"] in (None, True) else False
 
     if g.has_isolated_vertex():

@@ -7,10 +7,14 @@
 replaced with a search on the integer value table.
 ``rational_min_cost_subset_reaching`` is a min-cost covering search over a
 covet list, the pricing check that ``verify_dual``'s scan is compared
-against.  ``exhaustive_opt`` tries every assignment of every coveted
-resource, with no pruning.  ``branch_and_bound_opt`` is the
-resource-by-resource search that ``instance.brute_force_opt`` replaced
-with a descending scan of disjoint configuration choices, and
+against.  ``hypothesis_holds_basic`` and ``hypothesis_holds_refined`` scan
+the thin configurations (``thin_configurations``) for the hypotheses of
+``build_dual_basic`` and ``build_dual_refined``, which ``verify_dual``
+decides on the built dual alone.  ``exhaustive_opt`` tries every
+assignment of every coveted resource, with no pruning.
+``branch_and_bound_opt`` is the resource-by-resource search that
+``instance.brute_force_opt`` replaced with a descending scan of disjoint
+configuration choices, and
 ``backtrack_transversal`` is the search of H's adjacency that
 ``find_independent_transversal`` replaced with the same choice search.  ``bisection_t_star`` is the T* search that
 probes every bisection candidate with the LP, with no capped-value
@@ -34,7 +38,13 @@ from operator import add
 from santagap.allocation_graph import AllocationGraph
 from santagap.graphs import Graph
 from santagap.instance import Allocation, Instance, OptResult, OracleCapError
-from santagap.lp_core import Configuration, TStarResult, clp_feasible, subset_sum_candidates
+from santagap.lp_core import (
+    Configuration,
+    TStarResult,
+    clp_feasible,
+    minimal_configurations,
+    subset_sum_candidates,
+)
 from santagap.topology import DELETE, EXPLODE, DeSequence, DeStep, classify_edge, vertex_resources
 
 EXHAUSTIVE_RESOURCE_CAP = 7
@@ -200,6 +210,51 @@ def rational_min_cost_subset_reaching(
     dfs(0, Fraction(0), Fraction(0))
     assert best_cost is not None
     return best_cost, best_set
+
+
+def thin_configurations(
+    inst: Instance, player: str, target: Fraction, fat_set
+) -> list[Configuration]:
+    """The minimal configurations of ``player`` at ``target`` that avoid
+    ``fat_set``: exactly the minimal configurations of the thin pool."""
+    return [
+        cfg for cfg in minimal_configurations(inst, player, target)
+        if not cfg.resources & fat_set
+    ]
+
+
+def hypothesis_holds_basic(
+    inst: Instance, target: Fraction, U, Y, c: Fraction, fat_set
+) -> bool:
+    """Scan: v(Y n S) >= c for every thin configuration S of players in U."""
+    Y = set(Y)
+    for p in U:
+        for cfg in thin_configurations(inst, p, target, fat_set):
+            if inst.value(cfg.resources & Y) < c:
+                return False
+    return True
+
+
+def hypothesis_holds_refined(
+    inst: Instance, target: Fraction, U, Y, c: Fraction, d: Fraction, fat_set
+) -> bool:
+    """Scan of the refined hypothesis on thin configurations.
+
+    Checking minimal configurations suffices: enlarging S grows both
+    Y_{>d} n S and v(Y_{<=d} n S), so the requirement only gets easier.
+    """
+    Y = set(Y)
+    y_hi = {r for r in Y if inst.resources[r] > d}
+    y_lo = Y - y_hi
+    for p in U:
+        for cfg in thin_configurations(inst, p, target, fat_set):
+            hi = len(cfg.resources & y_hi)
+            if hi > 1:
+                continue
+            need = c if hi == 0 else c - d
+            if inst.value(cfg.resources & y_lo) < need:
+                return False
+    return True
 
 
 def bisection_t_star(inst: Instance) -> TStarResult:

@@ -22,19 +22,17 @@ from conftest import (
     random_partite_graph,
     random_small_instance,
 )
-from oracles import branch_and_bound_opt
+from oracles import branch_and_bound_opt, hypothesis_holds_basic, hypothesis_holds_refined
 from santagap import topology as tp
 from santagap.allocation_graph import compute_fat
 from santagap.cli import cli_main
 from santagap.gap_report import CONVEX_WEIGHTS, verify_convex_combination
 from santagap.graphs import Graph
-from santagap.instance import Instance, gen_two_value
+from santagap.instance import gen_two_value
 from santagap.lp_core import (
     build_dual_basic,
     build_dual_refined,
     compute_t_star,
-    hypothesis_holds_basic,
-    hypothesis_holds_refined,
     verify_dual,
 )
 from santagap.two_values import f_gap, limit_bound, r_c
@@ -169,8 +167,9 @@ def _brute_transversal_exists(g: Graph, parts: dict) -> bool:
 def test_criterion_07_duality_suite():
     start = time.monotonic()
     rng = random.Random(70770)
-    basic_applied = refined_applied = 0
-    for _ in range(200):
+    basic = {True: 0, False: 0}
+    refined = {True: 0, False: 0}
+    for _ in range(600):
         inst = random_small_instance(rng)
         t_star = compute_t_star(inst).t_star
         opt = branch_and_bound_opt(inst).opt_value
@@ -184,21 +183,19 @@ def test_criterion_07_duality_suite():
         f_u = fat.fat_for(inst, U)
         Y = frozenset(rng.sample(thin, rng.randint(0, len(thin))))
         c = Fraction(rng.randint(1, 3), rng.choice([3, 4, 6]))
-        if hypothesis_holds_basic(inst, t_star, U, Y, c, fat.fat_set):
-            basic_applied += 1
-            sol = build_dual_basic(inst, U, Y, c, fat.fat_set)
-            check = verify_dual(inst, t_star, sol)
-            assert check.feasible
+        check = verify_dual(inst, t_star, build_dual_basic(inst, U, Y, c, fat.fat_set))
+        assert check.feasible == hypothesis_holds_basic(inst, t_star, U, Y, c, fat.fat_set)
+        basic[check.feasible] += 1
+        if check.feasible:
             assert check.objective == c * len(U) - c * len(f_u) - inst.value(Y)
             assert check.objective <= 0
             assert inst.value(Y) >= c * (len(U) - len(f_u))
         d = Fraction(rng.randint(1, 3), rng.choice([3, 4]))
         c2 = min(2 * d, Fraction(rng.randint(1, 4), rng.choice([3, 4])))
-        if hypothesis_holds_refined(inst, t_star, U, Y, c2, d, fat.fat_set):
-            refined_applied += 1
-            sol = build_dual_refined(inst, U, Y, c2, d, fat.fat_set)
-            check = verify_dual(inst, t_star, sol)
-            assert check.feasible
+        check = verify_dual(inst, t_star, build_dual_refined(inst, U, Y, c2, d, fat.fat_set))
+        assert check.feasible == hypothesis_holds_refined(inst, t_star, U, Y, c2, d, fat.fat_set)
+        refined[check.feasible] += 1
+        if check.feasible:
             assert check.objective <= 0
             y_hi = {r for r in Y if inst.resources[r] > d}
             y_lo = set(Y) - y_hi
@@ -210,10 +207,12 @@ def test_criterion_07_duality_suite():
                 assert lhs <= d * len(y1) + inst.value(set(Y) - y1)
     elapsed = time.monotonic() - start
     assert elapsed < 600
-    assert basic_applied >= 20 and refined_applied >= 20
+    assert basic[True] >= 20 and refined[True] >= 20
+    assert basic[False] >= 10 and refined[False] >= 10, (basic, refined)
     _report(
         7,
-        f"duality suite ({basic_applied} basic / {refined_applied} refined applications)",
+        f"duality suite (basic {basic[True]} feasible / {basic[False]} not, "
+        f"refined {refined[True]} / {refined[False]})",
         elapsed,
     )
 

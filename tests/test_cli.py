@@ -1,6 +1,5 @@
 import io
 import json
-import os
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest

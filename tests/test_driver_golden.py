@@ -44,14 +44,14 @@ def _four_phase(players, eps, pattern, seed) -> dict:
     thin = build_J(build_H(inst, target, alpha))
     hall = topology.hall_eta_check(thin.graph, thin.parts)
     res = topology.four_phase_driver(inst, thin, m, search_budget=400, step_budget=400)
-    ledger = res.ledger
+    phases = [res.ledger.entries.get(phase, (0, frozenset())) for phase in (1, 2, 3, 4)]
     return {
         "seed": seed,
         "hall": {"holds": hall.holds, "violating_U": hall.violating_U},
         "outcome": res.outcome,
         "phase_reached": res.phase_reached,
-        "counts": [ledger.n1, ledger.n2, ledger.n3, ledger.n4],
-        "covers": [sorted(w) for w in (ledger.w1, ledger.w2, ledger.w3, ledger.w4)],
+        "counts": [count for count, _ in phases],
+        "covers": [sorted(covered) for _, covered in phases],
         "steps": [step.to_json() for step in res.sequence.steps],
         "final": graph_to_json(res.final),
         "notes": res.notes,

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_small_instance
 from santagap.allocation_graph import compute_fat
-from oracles import branch_and_bound_opt
+from oracles import branch_and_bound_opt, hypothesis_holds_basic, hypothesis_holds_refined
 from santagap.instance import brute_force_opt, parse_instance
 from santagap.lp_core import (
     Configuration,
@@ -16,8 +16,6 @@ from santagap.lp_core import (
     build_dual_refined,
     clp_feasible,
     compute_t_star,
-    hypothesis_holds_basic,
-    hypothesis_holds_refined,
     minimal_configurations,
     verify_dual,
 )
@@ -86,18 +84,16 @@ def test_enumerate_minimality_invariant():
 
 
 def test_minimal_configurations_differential():
-    """Against the every-subset oracle, at several thresholds and with
-    non-empty exclusions: same sets, (size, sorted resources) order, and
-    fat exactly for singletons that reach the threshold alone."""
+    """Against the every-subset oracle over the whole covet list, at several
+    thresholds: same sets, (size, sorted resources) order, and fat exactly
+    for singletons that reach the threshold alone."""
     rng = random.Random(11)
     for _ in range(60):
         inst = random_small_instance(rng)
         for p in inst.players:
-            covets = sorted(inst.covets[p])
             for t in (Fraction(1, 4), Fraction(2, 3), Fraction(1), Fraction(3, 2)):
-                exclude = frozenset(rng.sample(covets, rng.randint(1, len(covets))))
-                cfgs = minimal_configurations(inst, p, t, exclude=exclude)
-                pool = {r: inst.resources[r] for r in covets if r not in exclude}
+                cfgs = minimal_configurations(inst, p, t)
+                pool = {r: inst.resources[r] for r in inst.covets[p]}
                 assert {c.resources for c in cfgs} == brute_minimal_subsets(pool, t)
                 assert len(cfgs) == len({c.resources for c in cfgs})
                 keys = [(len(c.resources), sorted(c.resources)) for c in cfgs]
@@ -322,34 +318,34 @@ def _dual_fixture(rng):
 
 
 def test_dual_basic_construction_on_randoms():
-    """Whenever the hypothesis scan passes, the constructed dual verifies and
-    weak duality yields v(Y) >= c (|U| - |F_U|)."""
+    """The basic dual verifies exactly when the hypothesis scan passes, and
+    then weak duality yields v(Y) >= c (|U| - |F_U|)."""
     rng = random.Random(99)
-    applied = 0
-    for _ in range(200):
+    outcomes = {True: 0, False: 0}
+    for _ in range(600):
         fx = _dual_fixture(rng)
         if fx is None:
             continue
         inst, t_star, fat, Y, U = fx
         c = Fraction(rng.randint(1, 3), rng.choice([3, 4, 6]))
-        if not hypothesis_holds_basic(inst, t_star, U, Y, c, fat.fat_set):
-            continue
-        applied += 1
         sol = build_dual_basic(inst, U, Y, c, fat.fat_set)
         check = verify_dual(inst, t_star, sol)
-        assert check.feasible
+        assert check.feasible == hypothesis_holds_basic(inst, t_star, U, Y, c, fat.fat_set)
+        outcomes[check.feasible] += 1
         f_u = fat.fat_for(inst, U)
         assert check.objective == c * len(U) - c * len(f_u) - inst.value(Y)
+        if not check.feasible:
+            continue
         # CLP(t_star) is feasible, so the dual objective cannot be positive
         assert check.objective <= 0
         assert inst.value(Y) >= c * (len(U) - len(f_u))
-    assert applied >= 10
+    assert outcomes[True] >= 10 and outcomes[False] >= 10, outcomes
 
 
 def test_dual_refined_construction_on_randoms():
     rng = random.Random(123)
-    applied = 0
-    for _ in range(200):
+    outcomes = {True: 0, False: 0}
+    for _ in range(600):
         fx = _dual_fixture(rng)
         if fx is None:
             continue
@@ -358,12 +354,14 @@ def test_dual_refined_construction_on_randoms():
         c = d * Fraction(rng.choice([1, 2]), rng.choice([1, 2]))
         if c > 2 * d:
             continue
-        if not hypothesis_holds_refined(inst, t_star, U, Y, c, d, fat.fat_set):
-            continue
-        applied += 1
         sol = build_dual_refined(inst, U, Y, c, d, fat.fat_set)
         check = verify_dual(inst, t_star, sol)
-        assert check.feasible
+        assert check.feasible == hypothesis_holds_refined(
+            inst, t_star, U, Y, c, d, fat.fat_set
+        )
+        outcomes[check.feasible] += 1
+        if not check.feasible:
+            continue
         assert check.objective <= 0
         f_u = fat.fat_for(inst, U)
         y_hi = {r for r in Y if inst.resources[r] > d}
@@ -375,29 +373,31 @@ def test_dual_refined_construction_on_randoms():
             y1 = {r for r in Y if rng.random() < 0.5}
             y2 = set(Y) - y1
             assert lhs <= d * len(y1) + inst.value(y2)
-    assert applied >= 10
+    assert outcomes[True] >= 10 and outcomes[False] >= 10, outcomes
 
 
 def test_refined_with_d_equal_c_recovers_basic_bound():
     rng = random.Random(321)
-    applied = 0
-    for _ in range(100):
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
         fx = _dual_fixture(rng)
         if fx is None:
             continue
         inst, t_star, fat, Y, U = fx
         c = Fraction(rng.randint(1, 2), rng.choice([3, 4]))
-        if not hypothesis_holds_basic(inst, t_star, U, Y, c, fat.fat_set):
+        basic = hypothesis_holds_basic(inst, t_star, U, Y, c, fat.fat_set)
+        refined = build_dual_refined(inst, U, Y, c, c, fat.fat_set)
+        refined_ok = verify_dual(inst, t_star, refined).feasible
+        assert refined_ok == hypothesis_holds_refined(inst, t_star, U, Y, c, c, fat.fat_set)
+        outcomes[basic] += 1
+        if not basic:
             continue
         # basic hypothesis implies the refined one at d = c
-        assert hypothesis_holds_refined(inst, t_star, U, Y, c, c, fat.fat_set)
-        applied += 1
-        refined = build_dual_refined(inst, U, Y, c, c, fat.fat_set)
-        assert verify_dual(inst, t_star, refined).feasible
+        assert refined_ok
         f_u = fat.fat_for(inst, U)
         # d |Y_{>d}| <= v(Y_{>d}) turns the refined bound back into the basic one
         assert c * (len(U) - len(f_u)) <= inst.value(Y)
-    assert applied >= 5
+    assert outcomes[True] >= 5 and outcomes[False] >= 5, outcomes
 
 
 def test_opt_never_exceeds_t_star():

@@ -11,7 +11,12 @@ from conftest import (
     random_graph,
     random_partite_graph,
 )
-from oracles import basic_cover, independence_complex
+from oracles import (
+    basic_cover,
+    hypothesis_holds_basic,
+    independence_complex,
+    thin_configurations,
+)
 from santagap import topology as tp
 from santagap.allocation_graph import (
     build_H,
@@ -26,8 +31,6 @@ from santagap.lp_core import (
     build_dual_basic,
     clp_feasible,
     compute_t_star,
-    hypothesis_holds_basic,
-    minimal_configurations,
     verify_dual,
 )
 
@@ -606,8 +609,6 @@ def test_hall_check_bipartite_encoding():
 
 def test_eta_hall_criterion_implies_transversal():
     """hall_eta_check => an independent transversal exists (mini suite)."""
-    from santagap.allocation_graph import AllocationGraph
-
     rng = random.Random(20)
     checked = 0
     for _ in range(40):
@@ -696,10 +697,10 @@ def test_cover_dual_accounting_all_player_sets(shared_halves):
         f_u = fat.fat_for(inst, U)
         need = len(U) - len(f_u)
         c_dual = t - m.m
-        assert hypothesis_holds_basic(inst, t, U, W, c_dual, fat.fat_set)
         sol = build_dual_basic(inst, U, W, c_dual, fat.fat_set)
         check = verify_dual(inst, t, sol)
         assert check.feasible
+        assert hypothesis_holds_basic(inst, t, U, W, c_dual, fat.fat_set) == check.feasible
         assert check.objective <= 0  # weak duality at a feasible target
         assert inst.value(W) >= c_dual * need
         assert ell >= Fraction(c_dual * need, 3 * m.m)
@@ -766,11 +767,12 @@ def test_fat_only_players_dual_bound():
     U = ("p2", "p3")
     # neither player in U has a thin configuration
     for p in U:
-        assert not minimal_configurations(inst, p, t, exclude=fat.fat_set)
+        assert not thin_configurations(inst, p, t, fat.fat_set)
     c_dual = 3 * m.m
-    assert hypothesis_holds_basic(inst, t, U, frozenset(), c_dual, fat.fat_set)
     sol = build_dual_basic(inst, U, frozenset(), c_dual, fat.fat_set)
-    assert verify_dual(inst, t, sol).feasible
+    check = verify_dual(inst, t, sol)
+    assert check.feasible
+    assert hypothesis_holds_basic(inst, t, U, frozenset(), c_dual, fat.fat_set) == check.feasible
     # weak duality: 0 >= objective = c(|U| - |F_U|), so |U| <= |F_U|
     assert len(U) <= len(fat.fat_for(inst, U))
     # and the thin player's part goes KO instantly (isolated vertices)

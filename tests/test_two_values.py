@@ -12,7 +12,6 @@ from santagap.two_values import (
     analyze_two_value,
     check_obs_crc,
     f_gap,
-    harmonic_number,
     harmonic_sums,
     limit_bound,
     limit_constants,
