@@ -37,7 +37,6 @@ from .lp_core import (
 )
 from .allocation_graph import (
     AllocationGraph,
-    FatReport,
     MAlpha,
     build_H,
     build_J,
@@ -74,7 +73,6 @@ __all__ = [
     "CoefficientCertificate",
     "Configuration",
     "DualSolution",
-    "FatReport",
     "GapReport",
     "Graph",
     "Instance",

@@ -1,10 +1,12 @@
 """Alpha-hyperedges and the partite allocation graph H / its thin part J.
 
 An alpha-hyperedge is a ``Configuration`` at threshold alpha*T, and a
-vertex of H is its (owner, sorted resources) label: the same set coveted
-by two players yields two distinct vertices.  Edges join intersecting
-hyperedges of distinct owners.  Each fat resource induces a clique
-component, and J is H with those components removed.
+vertex of H is its label ``Configuration.vertex``, the pair (owner,
+sorted resources): the same set coveted by two players yields two
+distinct vertices.  Edges join intersecting hyperedges of distinct
+owners.  A fat vertex is a single resource worth alpha*T; each fat
+resource induces a clique component, and J is H with those components
+removed.
 """
 
 from __future__ import annotations
@@ -14,22 +16,12 @@ from fractions import Fraction
 
 from .graphs import Graph
 from .instance import Allocation, Instance
-from .lp_core import Configuration, fat_for_players, minimal_configurations
+from .lp_core import Configuration, minimal_configurations
 from .subsets import first_disjoint_choice, max_value_below
 
 
 class AllocationGraphError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class FatReport:
-    """F(alpha) and the per-player-set restriction F_U."""
-
-    fat_set: frozenset[str]
-
-    def fat_for(self, inst: Instance, U) -> frozenset[str]:
-        return fat_for_players(inst, U, self.fat_set)
 
 
 @dataclass(frozen=True)
@@ -44,7 +36,6 @@ class AllocationGraph:
     alpha: Fraction
     target: Fraction
     parts: dict[str, tuple[tuple[str, tuple[str, ...]], ...]]
-    hyperedges: dict[tuple[str, tuple[str, ...]], Configuration]
     graph: Graph
 
     @property
@@ -59,9 +50,11 @@ def alpha_threshold(alpha: Fraction, target: Fraction) -> Fraction:
     return Fraction(alpha) * Fraction(target)
 
 
-def compute_fat(inst: Instance, target: Fraction, alpha: Fraction) -> FatReport:
+def compute_fat(inst: Instance, target: Fraction, alpha: Fraction) -> frozenset[str]:
+    """F(alpha): the resources worth alpha*T on their own.  F_U is
+    ``lp_core.fat_for_players(inst, U, fat)``."""
     threshold = alpha_threshold(alpha, target)
-    return FatReport(frozenset(r for r, v in inst.resources.items() if v >= threshold))
+    return frozenset(r for r, v in inst.resources.items() if v >= threshold)
 
 
 def compute_m(inst: Instance, target: Fraction, alpha: Fraction) -> MAlpha:
@@ -86,36 +79,31 @@ def build_H(inst: Instance, target: Fraction, alpha: Fraction) -> AllocationGrap
     threshold = alpha_threshold(alpha, target)
     if threshold <= 0:
         raise AllocationGraphError("alpha*T must be positive")
-    parts: dict[str, tuple] = {}
-    hyperedges: dict[tuple, Configuration] = {}
+    parts = {
+        p: tuple(h.vertex for h in minimal_configurations(inst, p, threshold))
+        for p in inst.players
+    }
     by_resource: dict[str, list[tuple]] = {}
-    for p in inst.players:
-        vertices = []
-        for h in minimal_configurations(inst, p, threshold):
-            v = h.vertex
-            vertices.append(v)
-            hyperedges[v] = h
-            for rid in h.resources:
+    for vs in parts.values():
+        for v in vs:
+            for rid in v[1]:
                 by_resource.setdefault(rid, []).append(v)
-        parts[p] = tuple(vertices)
     edges = set()
-    for rid, touching in by_resource.items():
+    for touching in by_resource.values():
         for i in range(len(touching)):
             for j in range(i + 1, len(touching)):
                 u, v = touching[i], touching[j]
                 if u[0] != v[0]:
                     edges.add((u, v) if u < v else (v, u))
-    graph = Graph(hyperedges.keys(), edges)
-    return AllocationGraph(Fraction(alpha), Fraction(target), parts, hyperedges, graph)
+    graph = Graph((v for vs in parts.values() for v in vs), edges)
+    return AllocationGraph(Fraction(alpha), Fraction(target), parts, graph)
 
 
 def build_J(h: AllocationGraph) -> AllocationGraph:
-    """The thin part: H minus every fat clique component."""
-    thin = {v: he for v, he in h.hyperedges.items() if not he.is_fat}
-    parts = {
-        p: tuple(v for v in vs if v in thin) for p, vs in h.parts.items()
-    }
-    return AllocationGraph(h.alpha, h.target, parts, thin, h.graph.induced(thin.keys()))
+    """The thin part: H minus every fat clique component, that is, the
+    vertices of two or more resources."""
+    parts = {p: tuple(v for v in vs if len(v[1]) > 1) for p, vs in h.parts.items()}
+    return _on_parts(h, parts)
 
 
 def restrict(g: AllocationGraph, U) -> AllocationGraph:
@@ -124,10 +112,13 @@ def restrict(g: AllocationGraph, U) -> AllocationGraph:
     unknown = U - set(g.parts)
     if unknown:
         raise AllocationGraphError(f"unknown players {sorted(unknown)}")
-    parts = {p: vs for p, vs in g.parts.items() if p in U}
-    keep = {v for vs in parts.values() for v in vs}
-    hyperedges = {v: g.hyperedges[v] for v in keep}
-    return AllocationGraph(g.alpha, g.target, parts, hyperedges, g.graph.induced(keep))
+    return _on_parts(g, {p: vs for p, vs in g.parts.items() if p in U})
+
+
+def _on_parts(g: AllocationGraph, parts: dict) -> AllocationGraph:
+    """``g`` induced on the vertices of ``parts``."""
+    keep = [v for vs in parts.values() for v in vs]
+    return AllocationGraph(g.alpha, g.target, parts, g.graph.induced(keep))
 
 
 def find_independent_transversal(g: AllocationGraph) -> dict[str, Configuration] | None:
@@ -143,7 +134,7 @@ def find_independent_transversal(g: AllocationGraph) -> dict[str, Configuration]
     bit: dict[str, int] = {}
     masks = [
         [
-            sum(bit.setdefault(r, 1 << len(bit)) for r in g.hyperedges[v].resources)
+            sum(bit.setdefault(r, 1 << len(bit)) for r in v[1])
             for v in g.parts[p]
         ]
         for p in order
@@ -151,7 +142,9 @@ def find_independent_transversal(g: AllocationGraph) -> dict[str, Configuration]
     choice, _ = first_disjoint_choice(masks)
     if choice is None:
         return None
-    return {p: g.hyperedges[g.parts[p][i]] for p, i in zip(order, choice)}
+    return {
+        p: Configuration(p, frozenset(g.parts[p][i][1])) for p, i in zip(order, choice)
+    }
 
 
 def transversal_to_allocation(

@@ -139,9 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["random", "two_value"], default="random")
     p.add_argument("--count", type=_positive_int, default=10)
     p.add_argument("--players", type=_positive_int, default=3)
-    p.add_argument("--resources", type=_positive_int, default=7)
+    p.add_argument(
+        "--resources", type=_positive_int, help="random batches only (default 7)"
+    )
     p.add_argument("--density", type=float, default=0.6)
-    p.add_argument("--eps", default="1/4")
+    p.add_argument("--eps", help="two_value batches only (default 1/4)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bound", default="53/15")
     p.add_argument("--tsv", action="store_true")
@@ -152,6 +154,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_batch_kind(args)
     except UsageError as exc:
         sys.stderr.write(parser.format_usage())
         sys.stderr.write(f"error: {exc}\n")
@@ -170,6 +173,15 @@ def cli_main(argv: list[str] | None = None) -> int:
         return _fail(str(exc))
     except (OracleCapError, LpCapError, topology.EtaCapError) as exc:
         return _fail(f"cap exceeded: {exc}", 1)
+
+
+def _check_batch_kind(args) -> None:
+    """An experiment option that its batch kind does not read is an error."""
+    if args.command != "experiment":
+        return
+    ignored = "--eps" if args.kind == "random" else "--resources"
+    if getattr(args, ignored[2:]) is not None:
+        raise UsageError(f"{ignored} does not apply to --kind {args.kind}")
 
 
 def _dispatch(args) -> int:
@@ -344,13 +356,17 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "experiment":
+        options = {}
+        if args.resources is not None:
+            options["num_resources"] = args.resources
+        if args.eps is not None:
+            options["eps"] = parse_rational(args.eps)
         config = BatchConfig(
             kind=args.kind,
             count=args.count,
             num_players=args.players,
-            num_resources=args.resources,
             density=args.density,
-            eps=parse_rational(args.eps),
+            **options,
         )
         reports = run_gap_experiment(config, parse_rational(args.bound), args.seed)
         if args.tsv:

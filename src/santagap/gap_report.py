@@ -209,21 +209,27 @@ def evaluate_instance(
     return report
 
 
+# A random batch draws values on a grid of RANDOM_GRID steps in
+# [RANDOM_VALUE_LO, RANDOM_VALUE_HI]; a two-value batch has TWO_VALUE_FAT
+# unit resources and TWO_VALUE_THIN resources worth eps.
+RANDOM_VALUE_LO = Fraction(1, 6)
+RANDOM_VALUE_HI = Fraction(1)
+RANDOM_GRID = 6
+TWO_VALUE_FAT = 3
+TWO_VALUE_THIN = 6
+
+
 @dataclass(frozen=True)
 class BatchConfig:
-    """Deterministic experiment batch description."""
+    """Deterministic experiment batch description.  ``num_resources`` is
+    read by random batches only, ``eps`` by two-value batches only."""
 
     kind: str = "random"  # "random" | "two_value"
     count: int = 10
     num_players: int = 3
     num_resources: int = 7
-    value_lo: Fraction = Fraction(1, 6)
-    value_hi: Fraction = Fraction(1)
     density: float = 0.6
     eps: Fraction = Fraction(1, 4)
-    num_fat: int = 3
-    num_thin: int = 6
-    grid: int = 6
 
 
 def generate_batch(config: BatchConfig, seed: int) -> list[tuple[str, Instance]]:
@@ -234,18 +240,18 @@ def generate_batch(config: BatchConfig, seed: int) -> list[tuple[str, Instance]]
             inst = gen_random(
                 config.num_players,
                 config.num_resources,
-                (config.value_lo, config.value_hi),
+                (RANDOM_VALUE_LO, RANDOM_VALUE_HI),
                 config.density,
                 sub_seed,
-                grid=config.grid,
+                grid=RANDOM_GRID,
             )
         elif config.kind == "two_value":
             inst = gen_two_value(
                 config.num_players,
                 config.eps,
                 {
-                    "num_fat": config.num_fat,
-                    "num_thin": config.num_thin,
+                    "num_fat": TWO_VALUE_FAT,
+                    "num_thin": TWO_VALUE_THIN,
                     "density": config.density,
                 },
                 sub_seed,

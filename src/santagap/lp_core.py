@@ -81,15 +81,6 @@ class Configuration:
         """The (owner, sorted resources) label of this vertex of H."""
         return (self.owner, self.sorted_resources())
 
-    @property
-    def is_fat(self) -> bool:
-        """One resource worth the threshold on its own.
-
-        Minimality records a singleton only when its value reaches the
-        (positive) threshold, so the size alone decides.
-        """
-        return len(self.resources) == 1
-
 
 @dataclass
 class ClpModel:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..graphs import Graph, vertex_from_json, vertex_to_json
+from ..instance import Instance
 from .homology import eta
 
 DELETE = "delete"
@@ -182,15 +183,9 @@ def shrink_cover(start: Graph, end: Graph, cover) -> frozenset[str]:
     return frozenset(current)
 
 
-def cover_value(values, cover) -> Fraction:
-    if hasattr(values, "value"):
-        return values.value(cover)
-    return sum((Fraction(values[r]) for r in cover), Fraction(0))
-
-
-def is_cheap(values, cover, ell: int, m: Fraction) -> bool:
+def is_cheap(inst: Instance, cover, ell: int, m: Fraction) -> bool:
     """Cover value at most 2 m ell (deletion-only sequences pass with ell 0)."""
-    return cover_value(values, cover) <= 2 * Fraction(m) * ell
+    return inst.value(cover) <= 2 * Fraction(m) * ell
 
 
 def is_gamma(cover, ell: int, gamma: Fraction) -> bool:
@@ -221,7 +216,7 @@ def search_de_sequence(
     *,
     budget: int = 5000,
     max_explosions: int | None = None,
-    values=None,
+    values: Instance | None = None,
     m: Fraction | None = None,
     gamma: Fraction | None = None,
     based_in: frozenset[str] | None = None,
@@ -231,10 +226,11 @@ def search_de_sequence(
 
     Objectives: ``ko`` (reach a graph with an isolated vertex),
     ``edgeless`` (reach a graph with no edges), ``cheap`` (>=1 explosion,
-    some cover of value <= 2 m ell), ``gamma`` (>=1 explosion, cover
-    cardinality <= gamma ell), ``based`` (every explosion consumes a
-    fresh hyperedge inside ``based_in`` owned by ``owner``, and the cover
-    test of ``gamma``: an average cost per explosion of at most gamma).
+    some cover of value <= 2 m ell, valued by the Instance ``values``),
+    ``gamma`` (>=1 explosion, cover cardinality <= gamma ell), ``based``
+    (every explosion consumes a fresh hyperedge inside ``based_in`` owned
+    by ``owner``, and the cover test of ``gamma``: an average cost per
+    explosion of at most gamma).
     A cover objective is tested on the union of e u f over the exploded
     edges, shrunk by ``shrink_cover``.
 
@@ -247,8 +243,8 @@ def search_de_sequence(
     """
     if objective not in ("ko", "edgeless", "cheap", "gamma", "based"):
         raise SequenceError(f"unknown objective {objective!r}")
-    if objective == "cheap" and m is None:
-        raise SequenceError("cheap objective needs m")
+    if objective == "cheap" and (values is None or m is None):
+        raise SequenceError("cheap objective needs values and m")
     if objective == "gamma" and gamma is None:
         raise SequenceError("gamma objective needs gamma")
     if objective == "based" and (based_in is None or owner is None or gamma is None):

@@ -14,7 +14,9 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ..allocation_graph import AllocationGraph, MAlpha
 from ..graphs import Graph
+from ..instance import Instance
 from .desequence import (
     DELETE,
     EXPLODE,
@@ -22,7 +24,6 @@ from .desequence import (
     DeStep,
     SearchOutcome,
     classify_edge,
-    cover_value,
     search_de_sequence,
     vertex_resources,
 )
@@ -90,7 +91,7 @@ class PhaseLedger(CoverLedger):
 
     __slots__ = ()
 
-    def checks(self, values, m: Fraction) -> dict[str, bool]:
+    def checks(self, inst: Instance, m: Fraction) -> dict[str, bool]:
         """The four cover inequalities the convex combination relies on."""
         m = Fraction(m)
         empty = (0, frozenset())
@@ -98,12 +99,12 @@ class PhaseLedger(CoverLedger):
             self.entries.get(phase, empty) for phase in (1, 2, 3, 4)
         )
         return {
-            "value_w1": cover_value(values, w1) <= 2 * m * n1,
+            "value_w1": inst.value(w1) <= 2 * m * n1,
             "card_w2": Fraction(len(w2)) <= Fraction(7, 3) * n2,
             "card_w3": Fraction(len(w3)) <= Fraction(5, 2) * n3,
-            "value_w2": cover_value(values, w2) <= Fraction(7, 3) * m * n2,
-            "value_w3": cover_value(values, w3) <= Fraction(5, 2) * m * n3,
-            "value_w4": cover_value(values, w4) <= 3 * m * n4,
+            "value_w2": inst.value(w2) <= Fraction(7, 3) * m * n2,
+            "value_w3": inst.value(w3) <= Fraction(5, 2) * m * n3,
+            "value_w4": inst.value(w4) <= 3 * m * n4,
         }
 
 
@@ -118,25 +119,22 @@ class FourPhaseResult:
 
 
 def four_phase_driver(
-    values,
-    j_graph,
-    m: Fraction,
+    inst: Instance,
+    thin: AllocationGraph,
+    m: MAlpha,
     *,
     search_budget: int = 2000,
     step_budget: int = 2000,
 ) -> FourPhaseResult:
     """Run the four dismantling phases on a thin allocation graph.
 
-    ``values`` is an Instance (or resource->value map); ``j_graph`` may
-    be an AllocationGraph or a plain Graph over resource-carrying
-    vertices.  Returns the executed sequence, the phase ledger, and the
-    outcome: KO as soon as a KO-sequence fires (or a vertex survives),
-    edgeless when the graph is fully dismantled, inconclusive on budget
-    exhaustion.
+    ``thin`` is J (or J restricted to a player set) and ``m`` is
+    ``compute_m`` at the same alpha*T.  Returns the executed sequence,
+    the phase ledger, and the outcome: KO as soon as a KO-sequence fires
+    (or a vertex survives), edgeless when the graph is fully dismantled,
+    inconclusive on budget exhaustion.
     """
-    g = j_graph.graph if hasattr(j_graph, "graph") else j_graph
-    m = Fraction(m if not hasattr(m, "m") else m.m)
-    start = g
+    g = start = thin.graph
     ledger = PhaseLedger()
     steps: list[DeStep] = []
     notes: list[str] = []
@@ -178,7 +176,7 @@ def four_phase_driver(
                 perform(ko, None)
                 return "KO"
             cheap = search_de_sequence(
-                g, "cheap", budget=search_budget, values=values, m=m
+                g, "cheap", budget=search_budget, values=inst, m=m.m
             )
             if cheap.found:
                 perform(cheap, 1)

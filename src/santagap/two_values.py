@@ -29,7 +29,7 @@ from .allocation_graph import (
     transversal_to_allocation,
 )
 from .instance import Instance, InstanceError
-from .lp_core import build_dual_basic, verify_dual
+from .lp_core import build_dual_basic, fat_for_players, verify_dual
 from .topology import CoverLedger, all_deletions, search_de_sequence
 
 # two_value_driver certifies every nonempty player subset, 2^players - 1.
@@ -244,7 +244,7 @@ def two_value_driver(
     J = build_J(H)
     fat = compute_fat(inst, target, alpha)
 
-    if not J.hyperedges:
+    if not J.graph.vertices:
         transversal = _final_transversal(inst, H)
         return TwoValueResult("trivial", alpha, r, c, transversal, notes=["thin part empty"])
 
@@ -279,7 +279,7 @@ def _final_transversal(inst: Instance, H):
 
 def _certify_subset(inst, J, U, fat, target, eps, c, r, search_budget):
     g = restrict(J, U).graph
-    f_u = fat.fat_for(inst, U)
+    f_u = fat_for_players(inst, U, fat)
     need = len(U) - len(f_u)
     ledger = PhaseXLedger()
     W: frozenset[str] = frozenset()
@@ -300,7 +300,7 @@ def _certify_subset(inst, J, U, fat, target, eps, c, r, search_budget):
                 return info
             candidate = None
             for p in U:
-                pool = inst.covets[p] - fat.fat_set
+                pool = inst.covets[p] - fat
                 if inst.value(pool) >= target and len(pool - W) >= X:
                     candidate = (p, pool - W)
                     break
@@ -326,7 +326,7 @@ def _certify_subset(inst, J, U, fat, target, eps, c, r, search_budget):
             # W holds only thin resources: J's vertices are non-fat minimal
             # configurations at alpha*T, so none contains a fat resource.
             c_dual = eps * (c - X + 1)
-            sol = build_dual_basic(inst, U, W, c_dual, fat.fat_set)
+            sol = build_dual_basic(inst, U, W, c_dual, fat)
             if verify_dual(inst, target, sol).feasible:
                 ok = inst.value(W) >= c_dual * need
                 info["dual_ok"] = bool(ok) if info["dual_ok"] in (None, True) else False

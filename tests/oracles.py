@@ -427,7 +427,7 @@ def backtrack_transversal(g: AllocationGraph) -> dict[str, Configuration] | None
 
     if not dfs(0):
         return None
-    return {v[0]: g.hyperedges[v] for v in chosen}
+    return {v[0]: Configuration(v[0], frozenset(v[1])) for v in chosen}
 
 
 def classify_all_deletions(g: Graph) -> tuple[Graph, list[DeStep]]:

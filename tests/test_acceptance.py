@@ -33,6 +33,7 @@ from santagap.lp_core import (
     build_dual_basic,
     build_dual_refined,
     compute_t_star,
+    fat_for_players,
     verify_dual,
 )
 from santagap.two_values import f_gap, limit_bound, r_c
@@ -178,13 +179,13 @@ def test_criterion_07_duality_suite():
             continue
         alpha = Fraction(rng.choice([1, 1, 2]), rng.choice([3, 4]))
         fat = compute_fat(inst, t_star, alpha)
-        thin = [r for r in inst.resource_ids if r not in fat.fat_set]
+        thin = [r for r in inst.resource_ids if r not in fat]
         U = frozenset(rng.sample(inst.players, rng.randint(1, len(inst.players))))
-        f_u = fat.fat_for(inst, U)
+        f_u = fat_for_players(inst, U, fat)
         Y = frozenset(rng.sample(thin, rng.randint(0, len(thin))))
         c = Fraction(rng.randint(1, 3), rng.choice([3, 4, 6]))
-        check = verify_dual(inst, t_star, build_dual_basic(inst, U, Y, c, fat.fat_set))
-        assert check.feasible == hypothesis_holds_basic(inst, t_star, U, Y, c, fat.fat_set)
+        check = verify_dual(inst, t_star, build_dual_basic(inst, U, Y, c, fat))
+        assert check.feasible == hypothesis_holds_basic(inst, t_star, U, Y, c, fat)
         basic[check.feasible] += 1
         if check.feasible:
             assert check.objective == c * len(U) - c * len(f_u) - inst.value(Y)
@@ -192,8 +193,8 @@ def test_criterion_07_duality_suite():
             assert inst.value(Y) >= c * (len(U) - len(f_u))
         d = Fraction(rng.randint(1, 3), rng.choice([3, 4]))
         c2 = min(2 * d, Fraction(rng.randint(1, 4), rng.choice([3, 4])))
-        check = verify_dual(inst, t_star, build_dual_refined(inst, U, Y, c2, d, fat.fat_set))
-        assert check.feasible == hypothesis_holds_refined(inst, t_star, U, Y, c2, d, fat.fat_set)
+        check = verify_dual(inst, t_star, build_dual_refined(inst, U, Y, c2, d, fat))
+        assert check.feasible == hypothesis_holds_refined(inst, t_star, U, Y, c2, d, fat)
         refined[check.feasible] += 1
         if check.feasible:
             assert check.objective <= 0

@@ -19,7 +19,7 @@ from santagap.allocation_graph import (
     transversal_to_allocation,
 )
 from santagap.instance import gen_two_value, parse_instance
-from santagap.lp_core import clp_feasible, minimal_configurations
+from santagap.lp_core import clp_feasible, fat_for_players, minimal_configurations
 from santagap.subsets import SubsetCapError
 
 
@@ -38,14 +38,14 @@ covets p3 c d
 def test_hyperedges_single_fat():
     inst = parse_instance("players p\nresource a 1\ncovets p a\n")
     edges = minimal_configurations(inst, "p", Fraction(1))  # alpha*T = 1
-    assert len(edges) == 1 and edges[0].is_fat
+    assert len(edges) == 1 and len(edges[0].resources) == 1
     assert edges[0].resources == frozenset({"a"})
 
 
 def test_hyperedges_thin_pair():
     inst = parse_instance("players p\nresource a 1/2\nresource b 1/2\ncovets p a b\n")
     edges = minimal_configurations(inst, "p", Fraction(1))  # alpha*T = 1
-    assert len(edges) == 1 and not edges[0].is_fat
+    assert len(edges) == 1 and len(edges[0].resources) != 1
     assert edges[0].resources == frozenset({"a", "b"})
 
 
@@ -60,7 +60,7 @@ def test_hyperedges_common_size_in_two_values():
     for r in (2, 3):
         alpha_t = r * eps
         edges = minimal_configurations(inst, "p", alpha_t)  # T = 1
-        thin = [e for e in edges if not e.is_fat]
+        thin = [e for e in edges if len(e.resources) != 1]
         assert thin and all(len(e.resources) == r for e in thin)
 
 
@@ -76,10 +76,8 @@ def test_hyperedge_minimality_scan():
                 assert inst.value(he.resources) >= threshold
                 for r in he.resources:
                     assert inst.value(he.resources - {r}) < threshold
-                assert he.is_fat == (
-                    len(he.resources) == 1
-                    and inst.resources[next(iter(he.resources))] >= threshold
-                )
+                if len(he.resources) == 1:
+                    assert inst.resources[next(iter(he.resources))] >= threshold
 
 
 # -- H / J / restrict ---------------------------------------------------------
@@ -90,7 +88,7 @@ def test_build_H_shared_fat_resource():
     assert h.vertex_count() == 2
     assert len(h.graph.edges) == 1  # the clique C_f
     assert h.graph.vertices == (("p1", ("f",)), ("p2", ("f",)))
-    assert all(he.is_fat for he in h.hyperedges.values())
+    assert all(len(v[1]) == 1 for v in h.graph.vertices)
     j = build_J(h)
     assert j.vertex_count() == 0
 
@@ -128,13 +126,12 @@ def test_restrict_keeps_named_parts():
         restrict(h, {"p9"})
 
 
-def test_fat_report():
+def test_compute_fat():
     inst = parse_instance(THREE_PLAYER_PATH)
     fat = compute_fat(inst, Fraction(1), Fraction(1, 4))
-    assert fat.fat_set == frozenset("abcd")  # 1/2 >= 1/4
-    assert fat.fat_for(inst, {"p1"}) == frozenset({"a", "b"})
-    fat2 = compute_fat(inst, Fraction(1), Fraction(3, 4))
-    assert fat2.fat_set == frozenset()
+    assert fat == frozenset("abcd")  # 1/2 >= 1/4
+    assert fat_for_players(inst, {"p1"}, fat) == frozenset({"a", "b"})
+    assert compute_fat(inst, Fraction(1), Fraction(3, 4)) == frozenset()
 
 
 def test_fat_vertices_form_clique_components():
@@ -147,10 +144,10 @@ def test_fat_vertices_form_clique_components():
         alpha = Fraction(rng.randint(1, 3), 4)
         h = build_H(inst, Fraction(1), alpha)
         fat = compute_fat(inst, Fraction(1), alpha)
-        fat_vertices = {v for v, he in h.hyperedges.items() if he.is_fat}
+        fat_vertices = {v for v in h.graph.vertices if len(v[1]) == 1}
         cliques = {
             rid: {(p, (rid,)) for p in inst.players if rid in inst.covets[p]}
-            for rid in fat.fat_set
+            for rid in fat
         }
         assert fat_vertices == set().union(*cliques.values())
         for members in cliques.values():

@@ -402,6 +402,8 @@ def test_dual_check_rejects_bad_document(instance_file, tmp_path, doc):
         ["de-search", "g.json", "--budget", "-5"],
         ["experiment", "--players", "0"],
         ["experiment", "--resources", "-1"],
+        ["experiment", "--kind", "random", "--eps", "7"],
+        ["experiment", "--kind", "two_value", "--resources", "40"],
     ],
     ids=[
         "rc-table-max-0",
@@ -412,6 +414,8 @@ def test_dual_check_rejects_bad_document(instance_file, tmp_path, doc):
         "de-search-budget-negative",
         "experiment-players-0",
         "experiment-resources-negative",
+        "experiment-random-eps",
+        "experiment-two-value-resources",
     ],
 )
 def test_out_of_range_arguments_exit_64(argv):

@@ -17,7 +17,7 @@ from santagap.gap_report import (
     t_star_and_opt,
     verify_convex_combination,
 )
-from santagap.instance import load_instance, parse_instance
+from santagap.instance import gen_random, load_instance, parse_instance
 
 
 def test_weights_sum_to_one_exactly():
@@ -181,16 +181,9 @@ def test_experiment_deterministic():
 
 
 def test_experiment_full_covet_identical_values_gap_one():
-    config = BatchConfig(
-        kind="random",
-        count=4,
-        num_players=3,
-        num_resources=6,
-        value_lo=Fraction(1),
-        value_hi=Fraction(1),
-        density=1.0,
-    )
-    for report in run_gap_experiment(config, seed=1):
+    for seed in range(4):
+        inst = gen_random(3, 6, (Fraction(1), Fraction(1)), 1.0, seed)
+        report = evaluate_instance(inst, f"unit-{seed}")
         assert report.skipped is None
         # unit values + full covets: T* quantizes to the integral split,
         # so the relaxation buys nothing

@@ -16,6 +16,7 @@ from santagap.lp_core import (
     build_dual_refined,
     clp_feasible,
     compute_t_star,
+    fat_for_players,
     minimal_configurations,
     verify_dual,
 )
@@ -100,8 +101,8 @@ def test_minimal_configurations_differential():
                 assert keys == sorted(keys)
                 for c in cfgs:
                     assert c.owner == p and c.vertex == (p, tuple(sorted(c.resources)))
-                    alone = len(c.resources) == 1 and inst.value(c.resources) >= t
-                    assert c.is_fat == alone
+                    if len(c.resources) == 1:
+                        assert inst.value(c.resources) >= t
 
 
 def test_minimal_configurations_between_integer_sums():
@@ -308,7 +309,7 @@ def _dual_fixture(rng):
         return None
     alpha = Fraction(rng.choice([1, 1, 2]), rng.choice([3, 4]))
     fat = compute_fat(inst, t_star, alpha)
-    thin = [r for r in inst.resource_ids if r not in fat.fat_set]
+    thin = [r for r in inst.resource_ids if r not in fat]
     if not thin:
         return None
     y_size = rng.randint(1, len(thin))
@@ -328,11 +329,11 @@ def test_dual_basic_construction_on_randoms():
             continue
         inst, t_star, fat, Y, U = fx
         c = Fraction(rng.randint(1, 3), rng.choice([3, 4, 6]))
-        sol = build_dual_basic(inst, U, Y, c, fat.fat_set)
+        sol = build_dual_basic(inst, U, Y, c, fat)
         check = verify_dual(inst, t_star, sol)
-        assert check.feasible == hypothesis_holds_basic(inst, t_star, U, Y, c, fat.fat_set)
+        assert check.feasible == hypothesis_holds_basic(inst, t_star, U, Y, c, fat)
         outcomes[check.feasible] += 1
-        f_u = fat.fat_for(inst, U)
+        f_u = fat_for_players(inst, U, fat)
         assert check.objective == c * len(U) - c * len(f_u) - inst.value(Y)
         if not check.feasible:
             continue
@@ -354,16 +355,16 @@ def test_dual_refined_construction_on_randoms():
         c = d * Fraction(rng.choice([1, 2]), rng.choice([1, 2]))
         if c > 2 * d:
             continue
-        sol = build_dual_refined(inst, U, Y, c, d, fat.fat_set)
+        sol = build_dual_refined(inst, U, Y, c, d, fat)
         check = verify_dual(inst, t_star, sol)
         assert check.feasible == hypothesis_holds_refined(
-            inst, t_star, U, Y, c, d, fat.fat_set
+            inst, t_star, U, Y, c, d, fat
         )
         outcomes[check.feasible] += 1
         if not check.feasible:
             continue
         assert check.objective <= 0
-        f_u = fat.fat_for(inst, U)
+        f_u = fat_for_players(inst, U, fat)
         y_hi = {r for r in Y if inst.resources[r] > d}
         y_lo = set(Y) - y_hi
         lhs = c * len(U) - c * len(f_u)
@@ -385,16 +386,16 @@ def test_refined_with_d_equal_c_recovers_basic_bound():
             continue
         inst, t_star, fat, Y, U = fx
         c = Fraction(rng.randint(1, 2), rng.choice([3, 4]))
-        basic = hypothesis_holds_basic(inst, t_star, U, Y, c, fat.fat_set)
-        refined = build_dual_refined(inst, U, Y, c, c, fat.fat_set)
+        basic = hypothesis_holds_basic(inst, t_star, U, Y, c, fat)
+        refined = build_dual_refined(inst, U, Y, c, c, fat)
         refined_ok = verify_dual(inst, t_star, refined).feasible
-        assert refined_ok == hypothesis_holds_refined(inst, t_star, U, Y, c, c, fat.fat_set)
+        assert refined_ok == hypothesis_holds_refined(inst, t_star, U, Y, c, c, fat)
         outcomes[basic] += 1
         if not basic:
             continue
         # basic hypothesis implies the refined one at d = c
         assert refined_ok
-        f_u = fat.fat_for(inst, U)
+        f_u = fat_for_players(inst, U, fat)
         # d |Y_{>d}| <= v(Y_{>d}) turns the refined bound back into the basic one
         assert c * (len(U) - len(f_u)) <= inst.value(Y)
     assert outcomes[True] >= 5 and outcomes[False] >= 5, outcomes

@@ -31,6 +31,7 @@ from santagap.lp_core import (
     build_dual_basic,
     clp_feasible,
     compute_t_star,
+    fat_for_players,
     verify_dual,
 )
 
@@ -414,6 +415,12 @@ def _tiny_allocation_graph():
     return Graph([u, v], [(u, v)]), u, v
 
 
+TINY_INSTANCE = (
+    "players p1 p2\nresource a 1/2\nresource b 1/2\nresource c 1/2\n"
+    "covets p1 a b\ncovets p2 b c\n"
+)
+
+
 def test_basic_cover_single_explosion():
     g, u, v = _tiny_allocation_graph()
     seq = tp.DeSequence(g, (tp.DeStep(tp.EXPLODE, (u, v)),))
@@ -427,8 +434,7 @@ def test_deletion_only_cover_is_empty_and_cheap():
     seq = tp.DeSequence(g, (tp.DeStep(tp.DELETE, (u, v)),))
     _, cover = basic_cover(seq)
     assert cover == frozenset()
-    values = {"a": Fraction(1, 2), "b": Fraction(1, 2), "c": Fraction(1, 2)}
-    assert tp.is_cheap(values, cover, 0, Fraction(1, 2))
+    assert tp.is_cheap(parse_instance(TINY_INSTANCE), cover, 0, Fraction(1, 2))
 
 
 def test_shrink_cover_finds_shared_resource():
@@ -506,8 +512,8 @@ def test_search_ko_conclusive_negative_on_k2():
 
 def test_search_cheap_single_explosion():
     g, u, v = _tiny_allocation_graph()
-    values = {"a": Fraction(1, 2), "b": Fraction(1, 2), "c": Fraction(1, 2)}
-    out = tp.search_de_sequence(g, "cheap", values=values, m=Fraction(1, 2))
+    inst = parse_instance(TINY_INSTANCE)
+    out = tp.search_de_sequence(g, "cheap", values=inst, m=Fraction(1, 2))
     assert out.found and out.sequence.ell == 1
 
 
@@ -543,7 +549,7 @@ def test_search_returns_the_replayed_end_and_shrunk_cover():
             "cheap": {"values": inst, "m": compute_m(inst, target, alpha).m},
             "gamma": {"gamma": Fraction(5, 2)},
             "based": {
-                "based_in": inst.covets[p] - compute_fat(inst, target, alpha).fat_set,
+                "based_in": inst.covets[p] - compute_fat(inst, target, alpha),
                 "owner": p,
                 "gamma": Fraction(3),
             },
@@ -636,8 +642,10 @@ def _brute_force_transversal(g: Graph, parts: dict) -> bool:
 # -- four-phase driver ---------------------------------------------------------
 
 def test_four_phase_on_edgeless_graph():
-    g = Graph([], [])
-    res = tp.four_phase_driver({}, g, Fraction(1, 2))
+    inst = parse_instance("players p\nresource a 1\ncovets p a\n")
+    j = build_J(build_H(inst, Fraction(1), Fraction(1, 2)))
+    assert j.vertex_count() == 0
+    res = tp.four_phase_driver(inst, j, compute_m(inst, Fraction(1), Fraction(1, 2)))
     assert res.outcome == "edgeless" and res.ledger.ell == 0
 
 
@@ -694,13 +702,13 @@ def test_cover_dual_accounting_all_player_sets(shared_halves):
             assert replay.final.has_isolated_vertex()
             assert tp.eta(sub.graph) == tp.INF
             continue
-        f_u = fat.fat_for(inst, U)
+        f_u = fat_for_players(inst, U, fat)
         need = len(U) - len(f_u)
         c_dual = t - m.m
-        sol = build_dual_basic(inst, U, W, c_dual, fat.fat_set)
+        sol = build_dual_basic(inst, U, W, c_dual, fat)
         check = verify_dual(inst, t, sol)
         assert check.feasible
-        assert hypothesis_holds_basic(inst, t, U, W, c_dual, fat.fat_set) == check.feasible
+        assert hypothesis_holds_basic(inst, t, U, W, c_dual, fat) == check.feasible
         assert check.objective <= 0  # weak duality at a feasible target
         assert inst.value(W) >= c_dual * need
         assert ell >= Fraction(c_dual * need, 3 * m.m)
@@ -762,19 +770,19 @@ def test_fat_only_players_dual_bound():
     assert t == 1
     alpha = Fraction(1, 4)
     fat = compute_fat(inst, t, alpha)
-    assert fat.fat_set == frozenset({"g", "h"})
+    assert fat == frozenset({"g", "h"})
     m = compute_m(inst, t, alpha)
     U = ("p2", "p3")
     # neither player in U has a thin configuration
     for p in U:
-        assert not thin_configurations(inst, p, t, fat.fat_set)
+        assert not thin_configurations(inst, p, t, fat)
     c_dual = 3 * m.m
-    sol = build_dual_basic(inst, U, frozenset(), c_dual, fat.fat_set)
+    sol = build_dual_basic(inst, U, frozenset(), c_dual, fat)
     check = verify_dual(inst, t, sol)
     assert check.feasible
-    assert hypothesis_holds_basic(inst, t, U, frozenset(), c_dual, fat.fat_set) == check.feasible
+    assert hypothesis_holds_basic(inst, t, U, frozenset(), c_dual, fat) == check.feasible
     # weak duality: 0 >= objective = c(|U| - |F_U|), so |U| <= |F_U|
-    assert len(U) <= len(fat.fat_for(inst, U))
+    assert len(U) <= len(fat_for_players(inst, U, fat))
     # and the thin player's part goes KO instantly (isolated vertices)
     j = build_J(build_H(inst, t, alpha))
     sub = restrict(j, ("p1",))

@@ -254,9 +254,7 @@ def test_driver_thin_hyperedges_have_common_size():
     from santagap.allocation_graph import build_H, build_J
 
     j = build_J(build_H(inst, Fraction(1), res.alpha))
-    assert j.hyperedges and all(
-        len(he.resources) == res.r for he in j.hyperedges.values()
-    )
+    assert j.graph.vertices and all(len(v[1]) == res.r for v in j.graph.vertices)
 
 
 def test_driver_certifies_and_allocates():
