@@ -53,6 +53,7 @@ from .gap_report import (
     verify_convex_combination,
 )
 from .graphs import Graph
+from .subsets import CapError
 from .two_values import (
     LimitConstants,
     RcEntry,
@@ -69,6 +70,7 @@ from .two_values import (
 __all__ = [
     "Allocation",
     "AllocationGraph",
+    "CapError",
     "ClpModel",
     "CoefficientCertificate",
     "Configuration",

@@ -128,7 +128,7 @@ def find_independent_transversal(g: AllocationGraph) -> dict[str, Configuration]
     resources meet, so this is ``subsets.first_disjoint_choice`` over the
     parts in increasing size order (ties by player), each vertex a mask of
     its resources; exhausting the search is a proof of non-existence.  A
-    search past ``subsets.DEFAULT_NODE_CAP`` nodes raises ``SubsetCapError``.
+    search past ``subsets.DEFAULT_NODE_CAP`` nodes raises ``subsets.CapError``.
     """
     order = sorted(g.parts, key=lambda p: (len(g.parts[p]), p))
     bit: dict[str, int] = {}

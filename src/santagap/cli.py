@@ -24,19 +24,15 @@ from .gap_report import (
     verify_convex_combination,
 )
 from .graphs import GraphError, graph_to_json, load_graph, load_json
-from .instance import (
-    InstanceError,
-    OracleCapError,
-    ParseError,
-    load_instance,
-)
-from .lp_core import DualSolution, LpCapError, compute_t_star, verify_dual
+from .instance import InstanceError, ParseError, load_instance
+from .lp_core import DualSolution, compute_t_star, verify_dual
 from .rational import (
     RationalFormatError,
     RationalParseError,
     format_rational,
     parse_rational,
 )
+from .subsets import CapError
 from .two_values import f_gap, rc_table
 
 USAGE_EXIT = 64
@@ -72,6 +68,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0 <= value <= 1:  # also NaN
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
     return value
 
 
@@ -142,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--resources", type=_positive_int, help="random batches only (default 7)"
     )
-    p.add_argument("--density", type=float, default=0.6)
+    p.add_argument("--density", type=_probability, default=0.6)
     p.add_argument("--eps", help="two_value batches only (default 1/4)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bound", default="53/15")
@@ -171,8 +174,8 @@ def cli_main(argv: list[str] | None = None) -> int:
         topology.SequenceError,
     ) as exc:
         return _fail(str(exc))
-    except (OracleCapError, LpCapError, topology.EtaCapError) as exc:
-        return _fail(f"cap exceeded: {exc}", 1)
+    except CapError as exc:
+        return _fail(f"cap exceeded: {exc}")
 
 
 def _check_batch_kind(args) -> None:

@@ -15,13 +15,13 @@ from fractions import Fraction
 from .instance import (
     Instance,
     OptResult,
-    OracleCapError,
     brute_force_opt,
     gen_random,
     gen_two_value,
 )
-from .lp_core import LpCapError, TStarResult, compute_t_star
+from .lp_core import TStarResult, compute_t_star
 from .rational import format_rational
+from .subsets import CapError
 
 SCHEMA = "santa-gap/1"
 
@@ -186,7 +186,7 @@ def t_star_and_opt(inst: Instance) -> tuple[TStarResult, OptResult]:
 
     The scan starts at T* on the witness LP's columns (``brute_force_opt``),
     so a 0/1 T* witness is OPT's witness at its first leaf.  An OPT
-    search past its node cap raises ``OracleCapError`` after T* is known.
+    search past its node cap raises ``CapError`` after T* is known.
     """
     res = compute_t_star(inst)
     return res, brute_force_opt(inst, res)
@@ -199,7 +199,7 @@ def evaluate_instance(
     report = GapReport(instance_id, bound_claimed=bound)
     try:
         res, opt_res = t_star_and_opt(inst)
-    except (OracleCapError, LpCapError) as exc:
+    except CapError as exc:
         report.skipped = str(exc)
         return report
     report.t_star = res.t_star

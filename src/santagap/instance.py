@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rational import format_rational, parse_rational
-from .subsets import SubsetCapError, first_disjoint_choice
+from .subsets import first_disjoint_choice
 
 
 class InstanceError(ValueError):
@@ -29,11 +29,6 @@ class ParseError(InstanceError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-class OracleCapError(RuntimeError):
-    """Raised when the OPT search of ``brute_force_opt`` passes
-    ``subsets.DEFAULT_NODE_CAP`` nodes."""
 
 
 @dataclass(frozen=True)
@@ -326,7 +321,7 @@ def brute_force_opt(inst: Instance, t_star) -> OptResult:
     Where OPT < T*, the exhausted searches above OPT are the proof, and
     ``nodes_explored`` counts the nodes of every search.  The count runs
     on through the scan, so one answer costs at most
-    ``subsets.DEFAULT_NODE_CAP`` nodes; past it, ``OracleCapError``.  The
+    ``subsets.DEFAULT_NODE_CAP`` nodes; past it, ``subsets.CapError``.  The
     witness gives each player its chosen configuration.
     """
     # lp_core imports this module, so the import waits for the call.
@@ -349,16 +344,13 @@ def brute_force_opt(inst: Instance, t_star) -> OptResult:
             yield t, [minimal_configurations(inst, p, t) for p in players]
 
     nodes = 0
-    try:
-        for t, parts in levels():
-            choice, nodes = first_disjoint_choice(
-                [[sum(bit[r] for r in cfg.resources) for cfg in part] for part in parts],
-                nodes,
-            )
-            if choice is not None:
-                break
-    except SubsetCapError as exc:
-        raise OracleCapError(f"OPT search: {exc}") from exc
+    for t, parts in levels():
+        choice, nodes = first_disjoint_choice(
+            [[sum(bit[r] for r in cfg.resources) for cfg in part] for part in parts],
+            nodes,
+        )
+        if choice is not None:
+            break
     alloc = Allocation({
         p: part[i].sorted_resources() for p, part, i in zip(players, parts, choice)
     })
@@ -379,7 +371,12 @@ def _sample_covets(
     density: float,
 ) -> dict[str, set[str]]:
     """Sample covet rows; resample so that no player row and no resource
-    column comes out empty (when the shape makes that possible)."""
+    column comes out empty (when the shape makes that possible).
+
+    ``density`` must lie in [0, 1]: NaN fails every ``rng.random() <
+    density`` and every ``density <= 0``, and would resample forever."""
+    if not 0 <= density <= 1:
+        raise InstanceError(f"density must lie in [0, 1], got {density}")
     covets: dict[str, set[str]] = {}
     for pid in players:
         row = {rid for rid in resource_ids if rng.random() < density}
@@ -442,8 +439,6 @@ def gen_random(
     lo, hi = Fraction(value_range[0]), Fraction(value_range[1])
     if lo <= 0 or hi < lo:
         raise InstanceError(f"bad value range [{lo}, {hi}]")
-    if not 0 <= covet_density <= 1:
-        raise InstanceError(f"density must lie in [0, 1], got {covet_density}")
     if num_resources == 0 and covet_density > 0 and num_players > 0:
         raise InstanceError("cannot covet among zero resources")
     rng = random.Random(seed)

@@ -50,16 +50,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
+from . import subsets
 from .instance import Instance
-from .subsets import SubsetCapError, minimal_subsets_at_least
+from .subsets import CapError, minimal_subsets_at_least
 
-DEFAULT_POOL_CAP = 20
-DEFAULT_COLUMN_CAP = 100_000
+# Distinct subset sums of one covet list, the T* candidates.  The pool and
+# column caps are subsets.DEFAULT_POOL_CAP and subsets.DEFAULT_COLUMN_CAP.
 DEFAULT_CANDIDATE_CAP = 200_000
-
-
-class LpCapError(RuntimeError):
-    """Raised when an enumeration would exceed its cap."""
 
 
 @dataclass(frozen=True)
@@ -143,16 +140,10 @@ def minimal_configurations(
     of H.
     """
     pool = {rid: inst.int_values[rid] for rid in inst.covets[player]}
-    try:
-        subsets = minimal_subsets_at_least(
-            pool,
-            inst.int_threshold(threshold),
-            max_items=DEFAULT_POOL_CAP,
-            max_results=DEFAULT_COLUMN_CAP,
-        )
-    except SubsetCapError as exc:
-        raise LpCapError(str(exc)) from exc
-    configs = [Configuration(player, s) for s in subsets]
+    configs = [
+        Configuration(player, s)
+        for s in minimal_subsets_at_least(pool, inst.int_threshold(threshold))
+    ]
     configs.sort(key=lambda c: (len(c.resources), c.sorted_resources()))
     return configs
 
@@ -161,8 +152,8 @@ def build_clp_model(inst: Instance, target: Fraction) -> ClpModel:
     columns: list[Configuration] = []
     for player in inst.players:
         columns.extend(minimal_configurations(inst, player, target))
-    if len(columns) > DEFAULT_COLUMN_CAP:
-        raise LpCapError(f"{len(columns)} columns exceeds cap {DEFAULT_COLUMN_CAP}")
+    if len(columns) > subsets.DEFAULT_COLUMN_CAP:
+        raise CapError(f"{len(columns)} columns exceeds cap {subsets.DEFAULT_COLUMN_CAP}")
     return ClpModel(Fraction(target), columns, inst.players, inst.resource_ids)
 
 
@@ -335,14 +326,14 @@ def subset_sum_candidates(inst: Instance) -> list[Fraction]:
     sums: set[int] = set()
     for p in inst.players:
         pool = inst.covet_list(p)
-        if len(pool) > DEFAULT_POOL_CAP:
-            raise LpCapError(f"covet list of {p!r} exceeds cap {DEFAULT_POOL_CAP}")
+        if len(pool) > subsets.DEFAULT_POOL_CAP:
+            raise CapError(f"covet list of {p!r} exceeds cap {subsets.DEFAULT_POOL_CAP}")
         acc = {0}
         for rid in pool:
             v = inst.int_values[rid]
             acc |= {s + v for s in acc}
             if len(acc) > DEFAULT_CANDIDATE_CAP:
-                raise LpCapError(f"more than {DEFAULT_CANDIDATE_CAP} subset sums")
+                raise CapError(f"more than {DEFAULT_CANDIDATE_CAP} subset sums")
         sums |= acc
     sums.discard(0)
     return [Fraction(s, inst.scale) for s in sorted(sums)]

@@ -14,17 +14,27 @@ OPT (``instance.brute_force_opt``) and independent transversals of H
 (``allocation_graph.find_independent_transversal``).  No cap on the
 shape of its input bounds it; ``DEFAULT_NODE_CAP`` bounds the nodes it
 visits, counted on from those its caller has already spent.
+
+``CapError`` is the one error of every fixed cap in the package.  Each
+cap is a module constant of the module that enforces it, read at each
+call, so a test reaches another value by monkeypatching the constant.
 """
 
 from __future__ import annotations
 
+# Coveted resources per player: the items of minimal_subsets_at_least,
+# and the covet lists whose subset sums lp_core takes as T* candidates.
+DEFAULT_POOL_CAP = 20
+# Minimal subsets from one minimal_subsets_at_least call, and the columns
+# of one CLP model in lp_core.
+DEFAULT_COLUMN_CAP = 100_000
 # Search nodes of first_disjoint_choice, summed over the searches that
 # answer one question.
 DEFAULT_NODE_CAP = 1_000_000
 
 
-class SubsetCapError(RuntimeError):
-    """Raised when a subset search would exceed its configured caps."""
+class CapError(RuntimeError):
+    """Raised when a computation would pass one of the fixed caps."""
 
 
 def _descending(items: dict[str, int]) -> tuple[list[str], list[int], list[int]]:
@@ -38,25 +48,23 @@ def _descending(items: dict[str, int]) -> tuple[list[str], list[int], list[int]]
 
 
 def minimal_subsets_at_least(
-    items: dict[str, int],
-    threshold: int,
-    *,
-    max_items: int,
-    max_results: int,
+    items: dict[str, int], threshold: int
 ) -> list[frozenset[str]]:
     """All inclusion-minimal subsets of ``items`` with total value >= threshold.
 
     Items are scanned in descending value order; a branch is recorded and
     closed the first time its running sum crosses the threshold, which for
     positive values yields exactly the inclusion-minimal subsets, each once,
-    in a deterministic order.
+    in a deterministic order.  More than ``DEFAULT_POOL_CAP`` items, or
+    more than ``DEFAULT_COLUMN_CAP`` subsets, raise ``CapError``.
     """
-    if len(items) > max_items:
-        raise SubsetCapError(f"{len(items)} items exceeds cap {max_items}")
+    if len(items) > DEFAULT_POOL_CAP:
+        raise CapError(f"{len(items)} items exceeds cap {DEFAULT_POOL_CAP}")
     if threshold <= 0:
         return [frozenset()]
     order, values, suffix = _descending(items)
     n = len(order)
+    cap = DEFAULT_COLUMN_CAP
     out: list[frozenset[str]] = []
     chosen: list[str] = []
 
@@ -66,8 +74,8 @@ def minimal_subsets_at_least(
         chosen.append(order[i])
         new_total = total + values[i]
         if new_total >= threshold:
-            if len(out) >= max_results:
-                raise SubsetCapError(f"more than {max_results} minimal subsets")
+            if len(out) >= cap:
+                raise CapError(f"more than {cap} minimal subsets")
             out.append(frozenset(chosen))
         else:
             dfs(i + 1, new_total)
@@ -115,7 +123,7 @@ def first_disjoint_choice(
     over each part's masks in order; None when no choice exists.  A node
     fails as soon as some part still to choose has no mask disjoint from
     those chosen.  Such a node roots no solution, so this changes the
-    node count and never the choice.  Raises ``SubsetCapError`` once the
+    node count and never the choice.  Raises ``CapError`` once the
     running count passes ``DEFAULT_NODE_CAP``.
     """
     n = len(parts)
@@ -125,7 +133,7 @@ def first_disjoint_choice(
         nonlocal nodes
         nodes += 1
         if nodes > DEFAULT_NODE_CAP:
-            raise SubsetCapError(f"more than {DEFAULT_NODE_CAP} search nodes")
+            raise CapError(f"more than {DEFAULT_NODE_CAP} search nodes")
         if any(all(mask & used for mask in part) for part in parts[k:]):
             return False
         if k == n:

@@ -117,17 +117,16 @@ class ExecutionResult:
     eta_final: int | float | None = None
 
 
-def execute_sequence(start: Graph, seq: DeSequence | tuple) -> ExecutionResult:
+def execute_sequence(start: Graph, seq: DeSequence) -> ExecutionResult:
     """Replay a sequence, checking each step's legality at its own graph.
 
     On success also certifies eta(start) >= eta(final) + ell directly;
     the per-step inequalities make that automatic, so a failure here
     would expose an eta bug rather than a bad sequence.
     """
-    steps = seq.steps if isinstance(seq, DeSequence) else tuple(seq)
     g = start
     ell = 0
-    for i, step in enumerate(steps):
+    for i, step in enumerate(seq.steps):
         try:
             edge = g.normalize_edge(step.edge)
         except Exception:

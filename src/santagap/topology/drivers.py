@@ -17,6 +17,7 @@ from fractions import Fraction
 from ..allocation_graph import AllocationGraph, MAlpha
 from ..graphs import Graph
 from ..instance import Instance
+from ..subsets import CapError
 from .desequence import (
     DELETE,
     EXPLODE,
@@ -43,7 +44,7 @@ def hall_eta_check(graph: Graph, parts: dict) -> HallResult:
     """Check eta(J restricted to U) >= |U| for every nonempty part set U."""
     names = sorted(parts)
     if len(names) > DEFAULT_HALL_PART_CAP:
-        raise ValueError(f"{len(names)} parts exceeds cap {DEFAULT_HALL_PART_CAP}")
+        raise CapError(f"{len(names)} parts exceeds cap {DEFAULT_HALL_PART_CAP}")
     for size in range(1, len(names) + 1):
         for U in itertools.combinations(names, size):
             keep = {v for p in U for v in parts[p]}

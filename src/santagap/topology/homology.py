@@ -41,19 +41,16 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from ..graphs import Graph
+from ..subsets import CapError
 
 INF = math.inf
 
 # Fixed caps, read at each call: eta, eta_at_least, first_deletable and
 # homology_profile refuse a graph of more than DEFAULT_VERTEX_CAP vertices,
 # and the level loop a dimension of more than DEFAULT_SIMPLEX_CAP
-# independent sets.
+# independent sets.  Both raise CapError.
 DEFAULT_VERTEX_CAP = 24
 DEFAULT_SIMPLEX_CAP = 500_000
-
-
-class EtaCapError(RuntimeError):
-    """Raised when a complex outgrows the caps."""
 
 
 @dataclass(frozen=True)
@@ -95,7 +92,7 @@ def _next_level(
             if not (blocked >> v) & 1:
                 out.append((mask | (1 << v), v, blocked | adj[v] | (1 << v)))
                 if len(out) > cap:
-                    raise EtaCapError(f"more than {cap} simplices in one dimension")
+                    raise CapError(f"more than {cap} simplices in one dimension")
     return out
 
 
@@ -262,10 +259,14 @@ def _remember(key, value: int | float) -> None:
     _ETA_CACHE[key] = value
 
 
+def _check_vertex_cap(g: Graph) -> None:
+    if len(g.vertices) > DEFAULT_VERTEX_CAP:
+        raise CapError(f"{len(g.vertices)} vertices exceeds cap {DEFAULT_VERTEX_CAP}")
+
+
 def eta(g: Graph) -> int | float:
     """1 + first nonvanishing reduced Z2 homology dimension, or infinity."""
-    if len(g.vertices) > DEFAULT_VERTEX_CAP:
-        raise EtaCapError(f"{len(g.vertices)} vertices exceeds cap {DEFAULT_VERTEX_CAP}")
+    _check_vertex_cap(g)
     key = _cache_key(g.masks)
     cached = _ETA_CACHE.get(key)
     if cached is not None:
@@ -279,8 +280,7 @@ def eta_at_least(g: Graph, t: int) -> bool:
     """Decide eta(g) >= t without computing homology past dimension t-2."""
     if t <= 0:
         return True
-    if len(g.vertices) > DEFAULT_VERTEX_CAP:
-        raise EtaCapError(f"{len(g.vertices)} vertices exceeds cap {DEFAULT_VERTEX_CAP}")
+    _check_vertex_cap(g)
     key = _cache_key(g.masks)
     cached = _ETA_CACHE.get(key)
     if cached is not None:
@@ -333,8 +333,7 @@ def homology_profile(g: Graph) -> HomologyProfile:
     Deliberately applies no fold, component or cone shortcut, so it can
     serve as an independent oracle for eta.
     """
-    if len(g.vertices) > DEFAULT_VERTEX_CAP:
-        raise EtaCapError(f"{len(g.vertices)} vertices exceeds cap {DEFAULT_VERTEX_CAP}")
+    _check_vertex_cap(g)
     if not g.vertices:
         return HomologyProfile({-1: 1})
     ranks: dict[int, int] = {-1: 0}

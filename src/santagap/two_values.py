@@ -30,6 +30,7 @@ from .allocation_graph import (
 )
 from .instance import Instance, InstanceError
 from .lp_core import build_dual_basic, fat_for_players, verify_dual
+from .subsets import CapError
 from .topology import CoverLedger, all_deletions, search_de_sequence
 
 # two_value_driver certifies every nonempty player subset, 2^players - 1.
@@ -237,7 +238,7 @@ def two_value_driver(
     if c < 4:
         raise InstanceError(f"driver needs ceil(T/eps) >= 4, got c={c}")
     if len(inst.players) > DEFAULT_DRIVER_PLAYER_CAP:
-        raise InstanceError(f"more than {DEFAULT_DRIVER_PLAYER_CAP} players")
+        raise CapError(f"more than {DEFAULT_DRIVER_PLAYER_CAP} players")
     r = r_c(c)
     alpha = r * eps / target
     H = build_H(inst, target, alpha)

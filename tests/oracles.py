@@ -37,7 +37,7 @@ from operator import add
 
 from santagap.allocation_graph import AllocationGraph
 from santagap.graphs import Graph
-from santagap.instance import Allocation, Instance, OptResult, OracleCapError
+from santagap.instance import Allocation, Instance, OptResult
 from santagap.lp_core import (
     Configuration,
     TStarResult,
@@ -45,6 +45,7 @@ from santagap.lp_core import (
     minimal_configurations,
     subset_sum_candidates,
 )
+from santagap.subsets import CapError
 from santagap.topology import DELETE, EXPLODE, DeSequence, DeStep, classify_edge, vertex_resources
 
 EXHAUSTIVE_RESOURCE_CAP = 7
@@ -322,13 +323,13 @@ def branch_and_bound_opt(inst: Instance, *, upper_bound: Fraction | None = None)
     bound, and raises ``AssertionError``.  The witness is the first
     optimal allocation in search order; a bound changes only
     ``nodes_explored``.  More than ``BRANCH_AND_BOUND_PLAYER_CAP`` players
-    or ``BRANCH_AND_BOUND_RESOURCE_CAP`` resources raise ``OracleCapError``.
+    or ``BRANCH_AND_BOUND_RESOURCE_CAP`` resources raise ``CapError``.
     """
     if (
         len(inst.players) > BRANCH_AND_BOUND_PLAYER_CAP
         or len(inst.resources) > BRANCH_AND_BOUND_RESOURCE_CAP
     ):
-        raise OracleCapError(
+        raise CapError(
             f"{len(inst.players)} players, {len(inst.resources)} resources; caps "
             f"{BRANCH_AND_BOUND_PLAYER_CAP}/{BRANCH_AND_BOUND_RESOURCE_CAP}"
         )

@@ -281,7 +281,7 @@ def test_criterion_09_c5_trace_replay():
     second = tp.classify_edge(p5, (2, 3))
     assert second.deletable and not second.explodable
     steps = (tp.DeStep(tp.DELETE, (0, 1)), tp.DeStep(tp.DELETE, (2, 3)))
-    res = tp.execute_sequence(g, steps)
+    res = tp.execute_sequence(g, tp.DeSequence(g, steps))
     assert res.valid and res.ell == 0 and res.eta_drop_certified
     # final graph is P2 + P3, and the chained inequality certifies eta(C5) >= 2
     final_parts = sorted(

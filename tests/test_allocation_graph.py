@@ -20,7 +20,7 @@ from santagap.allocation_graph import (
 )
 from santagap.instance import gen_two_value, parse_instance
 from santagap.lp_core import clp_feasible, fat_for_players, minimal_configurations
-from santagap.subsets import SubsetCapError
+from santagap.subsets import CapError
 
 
 THREE_PLAYER_PATH = """\
@@ -261,7 +261,7 @@ def test_transversal_caps(pools, monkeypatch):
     pools[i][1]; at alpha*T = 1 each pair of halves is one vertex.  No
     cap on vertices or parts: every shape has a transversal, found at the
     first leaf, one node per part plus the leaf.  The node cap bounds the
-    search: one node fewer raises ``SubsetCapError``."""
+    search: one node fewer raises ``CapError``."""
     lines = ["players " + " ".join(f"p{i}" for i in range(len(pools)))]
     owned = [[f"r{i}_{k}" for k in range(count)] for i, (count, _) in enumerate(pools)]
     for ids, (_, value) in zip(owned, pools):
@@ -271,7 +271,7 @@ def test_transversal_caps(pools, monkeypatch):
     monkeypatch.setattr(subsets, "DEFAULT_NODE_CAP", len(pools) + 1)
     assert find_independent_transversal(h) is not None
     monkeypatch.setattr(subsets, "DEFAULT_NODE_CAP", len(pools))
-    with pytest.raises(SubsetCapError, match=f"^more than {len(pools)} search nodes$"):
+    with pytest.raises(CapError, match=f"^more than {len(pools)} search nodes$"):
         find_independent_transversal(h)
 
 

@@ -404,6 +404,8 @@ def test_dual_check_rejects_bad_document(instance_file, tmp_path, doc):
         ["experiment", "--resources", "-1"],
         ["experiment", "--kind", "random", "--eps", "7"],
         ["experiment", "--kind", "two_value", "--resources", "40"],
+        ["experiment", "--kind", "two_value", "--density", "nan"],
+        ["experiment", "--kind", "two_value", "--density", "7"],
     ],
     ids=[
         "rc-table-max-0",
@@ -416,6 +418,8 @@ def test_dual_check_rejects_bad_document(instance_file, tmp_path, doc):
         "experiment-resources-negative",
         "experiment-random-eps",
         "experiment-two-value-resources",
+        "experiment-density-nan",
+        "experiment-density-7",
     ],
 )
 def test_out_of_range_arguments_exit_64(argv):
@@ -468,7 +472,7 @@ def test_over_node_cap_opt_is_cap_error(monkeypatch, command):
     monkeypatch.setattr(subsets, "DEFAULT_NODE_CAP", 11)
     code, out, err = run_cli([command, GAP_GOLDEN])
     assert code == 1
-    assert json.loads(out) == {"error": "cap exceeded: OPT search: more than 11 search nodes"}
+    assert json.loads(out) == {"error": "cap exceeded: more than 11 search nodes"}
     assert err == ""
 
 

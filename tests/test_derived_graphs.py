@@ -17,6 +17,7 @@ from santagap import topology as tp
 from santagap.allocation_graph import build_H, build_J
 from santagap.graphs import Graph
 from santagap.instance import gen_two_value
+from santagap.subsets import CapError
 from santagap.topology import homology
 from santagap.two_values import PhaseXLedger, a_coeff
 
@@ -231,14 +232,14 @@ def test_first_deletable_honours_the_eta_caps(monkeypatch):
     tp.clear_eta_cache()
     with monkeypatch.context() as patch:
         patch.setattr(homology, "DEFAULT_VERTEX_CAP", 9)
-        with pytest.raises(tp.EtaCapError, match="10 vertices exceeds cap 9"):
+        with pytest.raises(CapError, match="10 vertices exceeds cap 9"):
             homology.first_deletable(g)
-        with pytest.raises(tp.EtaCapError, match="10 vertices exceeds cap 9"):
+        with pytest.raises(CapError, match="10 vertices exceeds cap 9"):
             tp.all_deletions(g)
     tp.eta(g)  # eta(G) is now a hit and every G-e a miss
     with monkeypatch.context() as patch:
         patch.setattr(homology, "DEFAULT_SIMPLEX_CAP", 1)
-        with pytest.raises(tp.EtaCapError, match="more than 1 simplices"):
+        with pytest.raises(CapError, match="more than 1 simplices"):
             homology.first_deletable(g)
     k = homology.first_deletable(g)
     assert k is not None

@@ -148,7 +148,7 @@ def test_over_node_cap_instance_is_skipped(monkeypatch):
     names the cap and carries no T* and no OPT."""
     monkeypatch.setattr(subsets, "DEFAULT_NODE_CAP", 11)
     report = evaluate_instance(load_instance(GAP_GOLDEN), "gap-4x6")
-    assert report.skipped == "OPT search: more than 11 search nodes"
+    assert report.skipped == "more than 11 search nodes"
     assert report.t_star is None and report.opt is None
     assert report.bound_respected is None
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from santagap.instance import (
     Allocation,
     Instance,
     InstanceError,
-    OracleCapError,
     ParseError,
     brute_force_opt,
     gen_random,
@@ -20,6 +20,7 @@ from santagap.instance import (
     parse_instance_json,
 )
 from santagap.lp_core import compute_t_star
+from santagap.subsets import CapError
 
 
 MINIMAL = """\
@@ -214,7 +215,7 @@ def test_opt_cap_errors():
     covets = {p: {"a"} for p in players}
     inst = Instance.build(players, resources, covets)
     assert brute_force_opt(inst, compute_t_star(inst)).opt_value == 0
-    with pytest.raises(OracleCapError):
+    with pytest.raises(CapError):
         branch_and_bound_opt(inst)
 
 
@@ -237,7 +238,7 @@ def test_opt_node_cap_bounds_the_whole_scan(monkeypatch):
     assert brute_force_opt(inst, res).nodes_explored == 12
     assert spent == [7, 5]
     monkeypatch.setattr(subsets, "DEFAULT_NODE_CAP", 11)
-    with pytest.raises(OracleCapError, match="^OPT search: more than 11 search nodes$"):
+    with pytest.raises(CapError, match="^more than 11 search nodes$"):
         brute_force_opt(inst, res)
 
 
@@ -257,6 +258,16 @@ def test_gen_two_value_rejects_bad_eps():
         gen_two_value(2, Fraction(3, 2), None, 0)
     with pytest.raises(InstanceError):
         gen_two_value(2, Fraction(0), None, 0)
+
+
+@pytest.mark.parametrize("density", [math.nan, 7, -0.1], ids=["nan", "7", "-0.1"])
+def test_generators_reject_density_outside_unit_interval(density):
+    """NaN fails both ``rng.random() < density`` and ``density <= 0``, so
+    unchecked it would resample a covet row forever."""
+    with pytest.raises(InstanceError, match=r"^density must lie in \[0, 1\]"):
+        gen_two_value(2, Fraction(1, 4), {"density": density}, 0)
+    with pytest.raises(InstanceError, match=r"^density must lie in \[0, 1\]"):
+        gen_random(2, 3, (Fraction(1, 2), Fraction(1)), density, 0)
 
 
 def test_gen_two_value_single_player_single_fat():

@@ -34,6 +34,7 @@ from santagap.lp_core import (
     fat_for_players,
     verify_dual,
 )
+from santagap.subsets import CapError
 
 
 # -- independence complexes ---------------------------------------------------
@@ -257,9 +258,9 @@ def test_eta_adds_over_components():
 def test_vertex_cap_applies_to_unreduced_input():
     # 25 vertices with isolated ones: fold would reduce it to a cone at once
     g = Graph(range(25), [(0, 1)])
-    with pytest.raises(tp.EtaCapError):
+    with pytest.raises(CapError):
         tp.eta(g)
-    with pytest.raises(tp.EtaCapError):
+    with pytest.raises(CapError):
         tp.eta_at_least(g, 2)
 
 
@@ -331,7 +332,7 @@ def test_meshulam_every_edge_classifies():
 
 def test_execute_empty_sequence():
     g = cycle_graph(5)
-    res = tp.execute_sequence(g, ())
+    res = tp.execute_sequence(g, tp.DeSequence(g, ()))
     assert res.valid and res.ell == 0 and res.eta_drop_certified
 
 
@@ -341,7 +342,7 @@ def test_execute_c5_double_deletion_trace():
         tp.DeStep(tp.DELETE, (0, 1)),
         tp.DeStep(tp.DELETE, (2, 3)),  # middle edge of the remaining path
     )
-    res = tp.execute_sequence(g, steps)
+    res = tp.execute_sequence(g, tp.DeSequence(g, steps))
     assert res.valid and res.ell == 0
     # final graph is P2 + P3
     comps = sorted(len(c) for c in _components(res.final))
@@ -352,13 +353,13 @@ def test_execute_c5_double_deletion_trace():
 
 def test_execute_rejects_illegal_explosion():
     g = cycle_graph(5)
-    res = tp.execute_sequence(g, (tp.DeStep(tp.EXPLODE, (0, 1)),))
+    res = tp.execute_sequence(g, tp.DeSequence(g, (tp.DeStep(tp.EXPLODE, (0, 1)),)))
     assert not res.valid and res.failed_at == 0
 
 
 def test_execute_reports_missing_edge():
     g = path_graph(3)
-    res = tp.execute_sequence(g, (tp.DeStep(tp.DELETE, (0, 2)),))
+    res = tp.execute_sequence(g, tp.DeSequence(g, (tp.DeStep(tp.DELETE, (0, 2)),)))
     assert not res.valid and res.failed_at == 0
 
 
@@ -383,7 +384,7 @@ def test_executed_sequences_drop_eta_by_ell():
             elif cls.explodable:
                 steps.append(tp.DeStep(tp.EXPLODE, e))
                 cur = cur.explode_edge(e)
-        res = tp.execute_sequence(g, tuple(steps))
+        res = tp.execute_sequence(g, tp.DeSequence(g, tuple(steps)))
         assert res.valid
         assert res.eta_start >= res.eta_final + res.ell
 
@@ -586,7 +587,7 @@ def test_hall_check_edgeless_holds():
 def test_hall_check_refuses_more_than_ten_parts():
     g = Graph(range(11), [])
     parts = {f"P{i:02d}": (i,) for i in range(11)}
-    with pytest.raises(ValueError, match="11 parts exceeds cap 10"):
+    with pytest.raises(CapError, match="^11 parts exceeds cap 10$"):
         tp.hall_eta_check(g, parts)
     del parts["P10"]
     assert tp.hall_eta_check(g.induced(range(10)), parts).holds

@@ -7,6 +7,7 @@ from santagap import two_values
 from oracles import branch_and_bound_opt
 from santagap.instance import InstanceError, parse_instance
 from santagap.lp_core import clp_feasible, compute_t_star
+from santagap.subsets import CapError
 from santagap.two_values import (
     a_coeff,
     analyze_two_value,
@@ -284,7 +285,7 @@ def test_driver_hypothesis_violations(monkeypatch):
     inst = parse_instance(SHARED_FAT)
     with monkeypatch.context() as patch:
         patch.setattr(two_values, "DEFAULT_DRIVER_PLAYER_CAP", 1)
-        with pytest.raises(InstanceError, match="more than 1 players"):
+        with pytest.raises(CapError, match="^more than 1 players$"):
             two_value_driver(inst, Fraction(1))
     big_eps = parse_instance(
         "players p\nresource f 1\nresource t 3/4\ncovets p f t\n"
