@@ -28,8 +28,7 @@ from .lp_core import (
     DualSolution,
     LpFeasibilityResult,
     TStarResult,
-    build_dual_basic,
-    build_dual_refined,
+    build_dual,
     clp_feasible,
     compute_t_star,
     minimal_configurations,
@@ -90,8 +89,7 @@ __all__ = [
     "brute_force_opt",
     "build_H",
     "build_J",
-    "build_dual_basic",
-    "build_dual_refined",
+    "build_dual",
     "check_obs_crc",
     "clp_feasible",
     "compute_fat",

@@ -11,13 +11,17 @@ removed.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph
 from .instance import Allocation, Instance
-from .lp_core import Configuration, minimal_configurations
-from .subsets import first_disjoint_choice, max_value_below
+from .lp_core import Configuration, int_subset_sums, minimal_configurations
+from .subsets import CapError, first_disjoint_choice
+
+# Edges of one H, checked as build_H adds them.
+DEFAULT_EDGE_CAP = 100_000
 
 
 class AllocationGraphError(ValueError):
@@ -58,16 +62,19 @@ def compute_fat(inst: Instance, target: Fraction, alpha: Fraction) -> frozenset[
 
 
 def compute_m(inst: Instance, target: Fraction, alpha: Fraction) -> MAlpha:
-    """m = max over players of the best coveted subset value below alpha*T."""
+    """m = the largest T* candidate below alpha*T, or 0 if none is.
+
+    The candidates (``lp_core.subset_sum_candidates``) are every player's
+    covet-list subset sums, so this is the best coveted subset value below
+    alpha*T, under the same pool and candidate caps.  An integer sum falls
+    short of alpha*T exactly when it is below ``Instance.int_threshold``.
+    """
     threshold = alpha_threshold(alpha, target)
     if threshold <= 0:
         raise AllocationGraphError("alpha*T must be positive")
-    below = inst.int_threshold(threshold)
-    best = 0
-    for p in inst.players:
-        pool = {rid: inst.int_values[rid] for rid in inst.covets[p]}
-        best = max(best, max_value_below(pool, below))
-    return MAlpha(Fraction(best, inst.scale))
+    sums = int_subset_sums(inst)
+    below = bisect.bisect_left(sums, inst.int_threshold(threshold))
+    return MAlpha(Fraction(sums[below - 1], inst.scale) if below else Fraction(0))
 
 
 def is_block(inst: Instance, m: MAlpha, resources) -> bool:
@@ -75,7 +82,11 @@ def is_block(inst: Instance, m: MAlpha, resources) -> bool:
 
 
 def build_H(inst: Instance, target: Fraction, alpha: Fraction) -> AllocationGraph:
-    """The |P|-partite allocation graph on all alpha-hyperedge vertices."""
+    """The |P|-partite allocation graph on all alpha-hyperedge vertices.
+
+    More than ``DEFAULT_EDGE_CAP`` edges raise ``CapError`` before the
+    graph is built.
+    """
     threshold = alpha_threshold(alpha, target)
     if threshold <= 0:
         raise AllocationGraphError("alpha*T must be positive")
@@ -95,6 +106,8 @@ def build_H(inst: Instance, target: Fraction, alpha: Fraction) -> AllocationGrap
                 u, v = touching[i], touching[j]
                 if u[0] != v[0]:
                     edges.add((u, v) if u < v else (v, u))
+            if len(edges) > DEFAULT_EDGE_CAP:
+                raise CapError(f"more than {DEFAULT_EDGE_CAP} edges")
     graph = Graph((v for vs in parts.values() for v in vs), edges)
     return AllocationGraph(Fraction(alpha), Fraction(target), parts, graph)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -65,14 +66,20 @@ def _fail(message: str, code: int = 1) -> int:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:  # not an integer: refused as out of range is
+        value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
 
 
 def _probability(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:  # not a number: refused as NaN is
+        value = math.nan
     if not 0 <= value <= 1:  # also NaN
         raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
     return value

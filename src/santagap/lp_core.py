@@ -317,12 +317,17 @@ def _check_primal(
 # ---------------------------------------------------------------------------
 
 def subset_sum_candidates(inst: Instance) -> list[Fraction]:
-    """Distinct positive subset-sum values of the covet lists.
+    """Distinct positive subset-sum values of the covet lists, ascending.
 
     CLP(T) feasibility changes only where some configuration family
     changes, i.e. at these thresholds, so T* is always one of them
     (or 0 when none is feasible).
     """
+    return [Fraction(s, inst.scale) for s in int_subset_sums(inst)]
+
+
+def int_subset_sums(inst: Instance) -> list[int]:
+    """``subset_sum_candidates`` on the integer value table, ascending."""
     sums: set[int] = set()
     for p in inst.players:
         pool = inst.covet_list(p)
@@ -336,7 +341,7 @@ def subset_sum_candidates(inst: Instance) -> list[Fraction]:
                 raise CapError(f"more than {DEFAULT_CANDIDATE_CAP} subset sums")
         sums |= acc
     sums.discard(0)
-    return [Fraction(s, inst.scale) for s in sorted(sums)]
+    return sorted(sums)
 
 
 def capped_value_violation(inst: Instance, target: Fraction) -> tuple[str, ...] | None:
@@ -420,23 +425,30 @@ def compute_t_star(inst: Instance) -> TStarResult:
 # Dual constructions and verification
 # ---------------------------------------------------------------------------
 
-def build_dual_basic(
+def build_dual(
     inst: Instance,
     U: frozenset[str] | set[str],
     Y: frozenset[str] | set[str],
     c: Fraction,
     fat_set: frozenset[str] | set[str],
+    d: Fraction | None = None,
 ) -> DualSolution:
-    """Dual solution with y = c on U, z = c on F_U, z = v_r on Y.
+    """Dual solution with y = c on U, z = c on F_U, z = v_r on Y, or
+    z = min(v_r, d) on Y when ``d`` is given (the refined form, which
+    needs c <= 2d).
 
-    Feasible exactly when every thin configuration (one avoiding the fat
-    set) of a player in U meets Y with value at least c: a configuration
-    holding a fat resource holds one of F_U, priced c.  Then weak duality
-    gives v(Y) >= c(|U|-|F_U|).
+    Without ``d`` it is feasible exactly when every thin configuration
+    (one avoiding the fat set) of a player in U meets Y with value at
+    least c: a configuration holding a fat resource holds one of F_U,
+    priced c.  Then weak duality gives v(Y) >= c(|U|-|F_U|).
     """
     c = Fraction(c)
     if c < 0:
         raise ValueError("c must be non-negative")
+    if d is not None:
+        d = Fraction(d)
+        if c > 2 * d:
+            raise ValueError(f"need c <= 2d, got c={c}, d={d}")
     if set(Y) & set(fat_set):
         raise ValueError("Y intersects the fat set")
     f_u = fat_for_players(inst, U, fat_set)
@@ -446,38 +458,8 @@ def build_dual_basic(
         if rid in f_u:
             z[rid] = c
         elif rid in Y:
-            z[rid] = inst.resources[rid]
-        else:
-            z[rid] = Fraction(0)
-    return DualSolution(y, z)
-
-
-def build_dual_refined(
-    inst: Instance,
-    U: frozenset[str] | set[str],
-    Y: frozenset[str] | set[str],
-    c: Fraction,
-    d: Fraction,
-    fat_set: frozenset[str] | set[str],
-) -> DualSolution:
-    """Refined dual: z is capped at d on the high-value part of Y.
-
-    y = c on U; z = c on F_U, d on Y_{>d} = {r in Y : v_r > d}, v_r on
-    the rest of Y.  Requires 0 <= c <= 2d.
-    """
-    c, d = Fraction(c), Fraction(d)
-    if c < 0 or c > 2 * d:
-        raise ValueError(f"need 0 <= c <= 2d, got c={c}, d={d}")
-    if set(Y) & set(fat_set):
-        raise ValueError("Y intersects the fat set")
-    f_u = fat_for_players(inst, U, fat_set)
-    y = {p: (c if p in U else Fraction(0)) for p in inst.players}
-    z = {}
-    for rid in inst.resource_ids:
-        if rid in f_u:
-            z[rid] = c
-        elif rid in Y:
-            z[rid] = d if inst.resources[rid] > d else inst.resources[rid]
+            v = inst.resources[rid]
+            z[rid] = v if d is None else min(v, d)
         else:
             z[rid] = Fraction(0)
     return DualSolution(y, z)

@@ -1,14 +1,13 @@
 """Branch-and-bound searches over resource subsets.
 
-Two searches add values: ``minimal_subsets_at_least`` enumerates the
-minimal configurations (CLP columns, alpha-hyperedges and the one pricing
-scan of ``lp_core.verify_dual``), and ``max_value_below`` gives the block
-bound m.  Values and thresholds are integers: callers pass an instance's
-integer value table (``Instance.int_values``) and a threshold scaled by
-the same ``Instance.scale`` and rounded up, which decides
-``sum >= threshold`` and ``sum < threshold`` exactly for integer sums.
+``minimal_subsets_at_least`` adds values: it enumerates the minimal
+configurations (CLP columns, alpha-hyperedges and the one pricing scan
+of ``lp_core.verify_dual``).  Values and thresholds are integers: callers
+pass an instance's integer value table (``Instance.int_values``) and a
+threshold scaled by the same ``Instance.scale`` and rounded up, which
+decides ``sum >= threshold`` exactly for integer sums.
 
-The third, ``first_disjoint_choice``, picks one subset per part, pairwise
+The other, ``first_disjoint_choice``, picks one subset per part, pairwise
 disjoint, with each subset an int mask over a resource index: it finds
 OPT (``instance.brute_force_opt``) and independent transversals of H
 (``allocation_graph.find_independent_transversal``).  No cap on the
@@ -37,16 +36,6 @@ class CapError(RuntimeError):
     """Raised when a computation would pass one of the fixed caps."""
 
 
-def _descending(items: dict[str, int]) -> tuple[list[str], list[int], list[int]]:
-    """Ids by descending value (ties by id), their values, and suffix sums."""
-    order = sorted(items, key=lambda rid: (-items[rid], rid))
-    values = [items[rid] for rid in order]
-    suffix = [0] * (len(order) + 1)
-    for i in range(len(order) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + values[i]
-    return order, values, suffix
-
-
 def minimal_subsets_at_least(
     items: dict[str, int], threshold: int
 ) -> list[frozenset[str]]:
@@ -62,8 +51,12 @@ def minimal_subsets_at_least(
         raise CapError(f"{len(items)} items exceeds cap {DEFAULT_POOL_CAP}")
     if threshold <= 0:
         return [frozenset()]
-    order, values, suffix = _descending(items)
+    order = sorted(items, key=lambda rid: (-items[rid], rid))
+    values = [items[rid] for rid in order]
     n = len(order)
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + values[i]
     cap = DEFAULT_COLUMN_CAP
     out: list[frozenset[str]] = []
     chosen: list[str] = []
@@ -84,31 +77,6 @@ def minimal_subsets_at_least(
 
     dfs(0, 0)
     return out
-
-
-def max_value_below(items: dict[str, int], threshold: int) -> int:
-    """Largest subset value strictly below ``threshold`` (0 for the empty set)."""
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    order, values, suffix = _descending(items)
-    n = len(order)
-    best = 0
-
-    def dfs(i: int, total: int) -> None:
-        nonlocal best
-        take_all = total + suffix[i]
-        if take_all < threshold:
-            if take_all > best:
-                best = take_all
-            return
-        if take_all <= best or i == n:
-            return
-        if total + values[i] < threshold:
-            dfs(i + 1, total + values[i])
-        dfs(i + 1, total)
-
-    dfs(0, 0)
-    return best
 
 
 def first_disjoint_choice(

@@ -29,12 +29,15 @@ from .allocation_graph import (
     transversal_to_allocation,
 )
 from .instance import Instance, InstanceError
-from .lp_core import build_dual_basic, fat_for_players, verify_dual
+from .lp_core import build_dual, fat_for_players, verify_dual
 from .subsets import CapError
 from .topology import CoverLedger, all_deletions, search_de_sequence
 
 # two_value_driver certifies every nonempty player subset, 2^players - 1.
 DEFAULT_DRIVER_PLAYER_CAP = 6
+# c of r_c(c), which scans r down from c at O(c) terms each; it also
+# bounds the cache of r_c.
+DEFAULT_RC_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -76,11 +79,21 @@ def reciprocal_sum(r: int, c: int) -> Fraction:
     return sum((Fraction(1) / a_coeff(r, X) for X in range(r, c + 1)), Fraction(0))
 
 
-@lru_cache(maxsize=None)
 def r_c(c: int) -> int:
-    """Largest r with reciprocal_sum(r, c) >= 1; r = 1 always qualifies."""
+    """Largest r with reciprocal_sum(r, c) >= 1; r = 1 always qualifies.
+
+    c above ``DEFAULT_RC_CAP`` raises ``CapError``, checked before the
+    cache is read.
+    """
     if c < 1:
         raise ValueError("c must be a positive integer")
+    if c > DEFAULT_RC_CAP:
+        raise CapError(f"c = {c} exceeds cap {DEFAULT_RC_CAP}")
+    return _r_c(c)
+
+
+@lru_cache(maxsize=None)
+def _r_c(c: int) -> int:
     for r in range(c, 0, -1):
         if reciprocal_sum(r, c) >= 1:
             return r
@@ -90,6 +103,7 @@ def r_c(c: int) -> int:
 def rc_table(max_c: int) -> list[RcEntry]:
     if max_c < 1:
         raise ValueError("max_c must be >= 1")
+    r_c(max_c)  # over the cap, fail before computing the rows below it
     return [RcEntry(c, r_c(c), Fraction(c, r_c(c))) for c in range(1, max_c + 1)]
 
 
@@ -293,7 +307,6 @@ def _certify_subset(inst, J, U, fat, target, eps, c, r, search_budget):
     }
 
     g, _ = all_deletions(g)
-    ell_total = 0
     for X in range(c, r - 1, -1):
         while True:
             if g.has_isolated_vertex():
@@ -320,22 +333,21 @@ def _certify_subset(inst, J, U, fat, target, eps, c, r, search_budget):
                 info.update(how=f"search failed in phase {X}")
                 return info
             ledger.add(X, found.sequence.ell, found.cover)
-            ell_total += found.sequence.ell
             W |= found.cover
             g, _ = all_deletions(found.end)
         if W:
             # W holds only thin resources: J's vertices are non-fat minimal
             # configurations at alpha*T, so none contains a fat resource.
             c_dual = eps * (c - X + 1)
-            sol = build_dual_basic(inst, U, W, c_dual, fat)
+            sol = build_dual(inst, U, W, c_dual, fat)
             if verify_dual(inst, target, sol).feasible:
                 ok = inst.value(W) >= c_dual * need
                 info["dual_ok"] = bool(ok) if info["dual_ok"] in (None, True) else False
 
-    if g.has_isolated_vertex():
-        info.update(certified=True, how="ko")
-    elif ell_total >= need:
+    # Each phase ends on a break just after g showed no isolated vertex,
+    # and g has not changed since, so no KO is left to find here.
+    if ledger.ell >= need:
         info.update(certified=True, how="length")
     else:
-        info.update(how=f"ell={ell_total} < need={need}")
+        info.update(how=f"ell={ledger.ell} < need={need}")
     return info

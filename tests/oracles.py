@@ -3,14 +3,15 @@
 ``dense_phase1_simplex`` is the rational-tableau phase-1 simplex that
 ``lp_core._phase1_simplex`` replaced: same Bland rule, every entry a
 ``Fraction``, every column of the tableau updated at every pivot.
-``rational_max_value_below`` is the ``Fraction`` search that ``subsets``
-replaced with a search on the integer value table.
+``rational_max_value_below`` is a ``Fraction`` branch-and-bound for the
+best subset value below a threshold, the m that ``compute_m`` reads off
+the T* candidates.
 ``rational_min_cost_subset_reaching`` is a min-cost covering search over a
 covet list, the pricing check that ``verify_dual``'s scan is compared
 against.  ``hypothesis_holds_basic`` and ``hypothesis_holds_refined`` scan
 the thin configurations (``thin_configurations``) for the hypotheses of
-``build_dual_basic`` and ``build_dual_refined``, which ``verify_dual``
-decides on the built dual alone.  ``exhaustive_opt`` tries every
+``build_dual`` without and with ``d``, which ``verify_dual`` decides on
+the built dual alone.  ``exhaustive_opt`` tries every
 assignment of every coveted resource, with no pruning.
 ``branch_and_bound_opt`` is the resource-by-resource search that
 ``instance.brute_force_opt`` replaced with a descending scan of disjoint

@@ -30,8 +30,7 @@ from santagap.gap_report import CONVEX_WEIGHTS, verify_convex_combination
 from santagap.graphs import Graph
 from santagap.instance import gen_two_value
 from santagap.lp_core import (
-    build_dual_basic,
-    build_dual_refined,
+    build_dual,
     compute_t_star,
     fat_for_players,
     verify_dual,
@@ -184,7 +183,7 @@ def test_criterion_07_duality_suite():
         f_u = fat_for_players(inst, U, fat)
         Y = frozenset(rng.sample(thin, rng.randint(0, len(thin))))
         c = Fraction(rng.randint(1, 3), rng.choice([3, 4, 6]))
-        check = verify_dual(inst, t_star, build_dual_basic(inst, U, Y, c, fat))
+        check = verify_dual(inst, t_star, build_dual(inst, U, Y, c, fat))
         assert check.feasible == hypothesis_holds_basic(inst, t_star, U, Y, c, fat)
         basic[check.feasible] += 1
         if check.feasible:
@@ -193,7 +192,7 @@ def test_criterion_07_duality_suite():
             assert inst.value(Y) >= c * (len(U) - len(f_u))
         d = Fraction(rng.randint(1, 3), rng.choice([3, 4]))
         c2 = min(2 * d, Fraction(rng.randint(1, 4), rng.choice([3, 4])))
-        check = verify_dual(inst, t_star, build_dual_refined(inst, U, Y, c2, d, fat))
+        check = verify_dual(inst, t_star, build_dual(inst, U, Y, c2, fat, d))
         assert check.feasible == hypothesis_holds_refined(inst, t_star, U, Y, c2, d, fat)
         refined[check.feasible] += 1
         if check.feasible:

@@ -3,7 +3,9 @@
 Each case lowers one cap constant on the module that holds it and runs a
 call that passes it; the same call answers at the default value.  The
 pool and column caps are each checked in two places, and one monkeypatch
-of the ``subsets`` constant reaches both.
+of the ``subsets`` constant reaches both; ``compute_m`` reaches the pool
+check of the T* candidates.  The r_c case reads a value the first call
+cached, so it also shows that the cap is checked before the cache.
 """
 
 import re
@@ -12,13 +14,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import cycle_graph
-from santagap import CapError, lp_core, subsets, two_values
+from santagap import CapError, allocation_graph, lp_core, subsets, two_values
 from santagap.graphs import Graph
 from santagap.instance import parse_instance
 from santagap.topology import drivers, homology
 
 # Two players, each coveting four halves: six minimal configurations each
-# at T = 1, and subset sums 0, 1/2, ..., 2.
+# at T = 1, 30 edges in H at alpha*T = 1, and subset sums 0, 1/2, ..., 2.
 HALVES = parse_instance(
     "players p1 p2\n"
     + "".join(f"resource {r} 1/2\n" for r in "abcd")
@@ -50,6 +52,11 @@ CASES = {
         lambda: lp_core.subset_sum_candidates(HALVES),
         "covet list of 'p1' exceeds cap 3",
     ),
+    "POOL-m": (
+        subsets, "DEFAULT_POOL_CAP", 3,
+        lambda: allocation_graph.compute_m(HALVES, Fraction(1), Fraction(1)),
+        "covet list of 'p1' exceeds cap 3",
+    ),
     "COLUMN-subsets": (
         subsets, "DEFAULT_COLUMN_CAP", 5,
         lambda: lp_core.minimal_configurations(HALVES, "p1", Fraction(1)),
@@ -64,6 +71,11 @@ CASES = {
         lp_core, "DEFAULT_CANDIDATE_CAP", 3,
         lambda: lp_core.subset_sum_candidates(HALVES),
         "more than 3 subset sums",
+    ),
+    "EDGE": (
+        allocation_graph, "DEFAULT_EDGE_CAP", 29,
+        lambda: allocation_graph.build_H(HALVES, Fraction(1), Fraction(1)),
+        "more than 29 edges",
     ),
     "VERTEX-eta": (
         homology, "DEFAULT_VERTEX_CAP", 4,
@@ -89,6 +101,11 @@ CASES = {
         drivers, "DEFAULT_HALL_PART_CAP", 1,
         lambda: drivers.hall_eta_check(Graph("ab", []), {"P1": ("a",), "P2": ("b",)}),
         "2 parts exceeds cap 1",
+    ),
+    "RC": (
+        two_values, "DEFAULT_RC_CAP", 3,
+        lambda: two_values.r_c(4),
+        "c = 4 exceeds cap 3",
     ),
     "DRIVER_PLAYER": (
         two_values, "DEFAULT_DRIVER_PLAYER_CAP", 1,

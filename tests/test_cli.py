@@ -1,11 +1,12 @@
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from conftest import GAP_GOLDEN
-from santagap import subsets
+from santagap import allocation_graph, subsets
 from santagap.cli import cli_main
 
 INSTANCE_DOC = """\
@@ -406,6 +407,8 @@ def test_dual_check_rejects_bad_document(instance_file, tmp_path, doc):
         ["experiment", "--kind", "two_value", "--resources", "40"],
         ["experiment", "--kind", "two_value", "--density", "nan"],
         ["experiment", "--kind", "two_value", "--density", "7"],
+        ["experiment", "--count", "abc"],
+        ["experiment", "--density", "abc"],
     ],
     ids=[
         "rc-table-max-0",
@@ -420,6 +423,8 @@ def test_dual_check_rejects_bad_document(instance_file, tmp_path, doc):
         "experiment-two-value-resources",
         "experiment-density-nan",
         "experiment-density-7",
+        "experiment-count-not-integer",
+        "experiment-density-not-number",
     ],
 )
 def test_out_of_range_arguments_exit_64(argv):
@@ -427,6 +432,7 @@ def test_out_of_range_arguments_exit_64(argv):
     assert code == 64
     assert out == ""
     assert "error:" in err
+    assert not re.search(r"\b_[a-z]", err), err  # no private function named
 
 
 WIDE_COVET_DOC = (
@@ -473,6 +479,26 @@ def test_over_node_cap_opt_is_cap_error(monkeypatch, command):
     code, out, err = run_cli([command, GAP_GOLDEN])
     assert code == 1
     assert json.loads(out) == {"error": "cap exceeded: more than 11 search nodes"}
+    assert err == ""
+
+
+def test_rc_cap_answers_at_the_cap_and_fails_above():
+    code, out, _ = run_cli(["f-gap", "1/200"])
+    assert code == 0
+    assert json.loads(out)["f"] == "200/81"
+    for argv in (["f-gap", "1/201"], ["rc-table", "--max", "201"]):
+        code, out, err = run_cli(argv)
+        assert code == 1
+        assert json.loads(out) == {"error": "cap exceeded: c = 201 exceeds cap 200"}
+        assert err == ""
+
+
+def test_over_edge_cap_hypergraph_is_cap_error(monkeypatch, instance_file):
+    """H of two players coveting four halves has 30 edges at alpha*T = 1."""
+    monkeypatch.setattr(allocation_graph, "DEFAULT_EDGE_CAP", 29)
+    code, out, err = run_cli(["hypergraph", instance_file, "--alpha", "1", "--target", "1"])
+    assert code == 1
+    assert json.loads(out) == {"error": "cap exceeded: more than 29 edges"}
     assert err == ""
 
 

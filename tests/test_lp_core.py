@@ -12,8 +12,7 @@ from santagap.lp_core import (
     Configuration,
     DualSolution,
     _check_primal,
-    build_dual_basic,
-    build_dual_refined,
+    build_dual,
     clp_feasible,
     compute_t_star,
     fat_for_players,
@@ -259,7 +258,7 @@ def test_opt_takes_a_0_1_witness_at_the_first_leaf(shared_halves):
 
 def test_build_dual_basic_empty_U():
     inst = parse_instance("players p\nresource a 1\nresource b 1/4\ncovets p a b\n")
-    sol = build_dual_basic(inst, frozenset(), {"b"}, Fraction(0), frozenset({"a"}))
+    sol = build_dual(inst, frozenset(), {"b"}, Fraction(0), frozenset({"a"}))
     assert all(v == 0 for v in sol.y.values())
     assert sol.z["b"] == Fraction(1, 4) and sol.z["a"] == 0
     assert sol.objective == -Fraction(1, 4)
@@ -270,7 +269,7 @@ def test_build_dual_basic_empty_U():
 def test_build_dual_rejects_fat_overlap():
     inst = parse_instance("players p\nresource a 1\ncovets p a\n")
     with pytest.raises(ValueError):
-        build_dual_basic(inst, {"p"}, {"a"}, Fraction(1), frozenset({"a"}))
+        build_dual(inst, {"p"}, {"a"}, Fraction(1), frozenset({"a"}))
 
 
 def test_verify_dual_all_zero():
@@ -291,12 +290,12 @@ def test_verify_dual_flags_uncovered_player():
 def test_refined_rejects_large_c():
     inst = parse_instance("players p\nresource a 1\ncovets p a\n")
     with pytest.raises(ValueError):
-        build_dual_refined(inst, {"p"}, set(), Fraction(3), Fraction(1), frozenset())
+        build_dual(inst, {"p"}, set(), Fraction(3), frozenset(), Fraction(1))
 
 
 def test_refined_zero_solution():
     inst = parse_instance("players p\nresource a 1\ncovets p a\n")
-    sol = build_dual_refined(inst, set(), set(), Fraction(0), Fraction(0), frozenset())
+    sol = build_dual(inst, set(), set(), Fraction(0), frozenset(), Fraction(0))
     assert sol.objective == 0
     assert verify_dual(inst, Fraction(1), sol).feasible
 
@@ -329,7 +328,7 @@ def test_dual_basic_construction_on_randoms():
             continue
         inst, t_star, fat, Y, U = fx
         c = Fraction(rng.randint(1, 3), rng.choice([3, 4, 6]))
-        sol = build_dual_basic(inst, U, Y, c, fat)
+        sol = build_dual(inst, U, Y, c, fat)
         check = verify_dual(inst, t_star, sol)
         assert check.feasible == hypothesis_holds_basic(inst, t_star, U, Y, c, fat)
         outcomes[check.feasible] += 1
@@ -355,7 +354,7 @@ def test_dual_refined_construction_on_randoms():
         c = d * Fraction(rng.choice([1, 2]), rng.choice([1, 2]))
         if c > 2 * d:
             continue
-        sol = build_dual_refined(inst, U, Y, c, d, fat)
+        sol = build_dual(inst, U, Y, c, fat, d)
         check = verify_dual(inst, t_star, sol)
         assert check.feasible == hypothesis_holds_refined(
             inst, t_star, U, Y, c, d, fat
@@ -387,7 +386,7 @@ def test_refined_with_d_equal_c_recovers_basic_bound():
         inst, t_star, fat, Y, U = fx
         c = Fraction(rng.randint(1, 2), rng.choice([3, 4]))
         basic = hypothesis_holds_basic(inst, t_star, U, Y, c, fat)
-        refined = build_dual_refined(inst, U, Y, c, c, fat)
+        refined = build_dual(inst, U, Y, c, fat, c)
         refined_ok = verify_dual(inst, t_star, refined).feasible
         assert refined_ok == hypothesis_holds_refined(inst, t_star, U, Y, c, c, fat)
         outcomes[basic] += 1

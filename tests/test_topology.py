@@ -28,7 +28,7 @@ from santagap.allocation_graph import (
 from santagap.graphs import Graph, graph_from_json, graph_to_json
 from santagap.instance import gen_two_value, parse_instance
 from santagap.lp_core import (
-    build_dual_basic,
+    build_dual,
     clp_feasible,
     compute_t_star,
     fat_for_players,
@@ -706,7 +706,7 @@ def test_cover_dual_accounting_all_player_sets(shared_halves):
         f_u = fat_for_players(inst, U, fat)
         need = len(U) - len(f_u)
         c_dual = t - m.m
-        sol = build_dual_basic(inst, U, W, c_dual, fat)
+        sol = build_dual(inst, U, W, c_dual, fat)
         check = verify_dual(inst, t, sol)
         assert check.feasible
         assert hypothesis_holds_basic(inst, t, U, W, c_dual, fat) == check.feasible
@@ -778,7 +778,7 @@ def test_fat_only_players_dual_bound():
     for p in U:
         assert not thin_configurations(inst, p, t, fat)
     c_dual = 3 * m.m
-    sol = build_dual_basic(inst, U, frozenset(), c_dual, fat)
+    sol = build_dual(inst, U, frozenset(), c_dual, fat)
     check = verify_dual(inst, t, sol)
     assert check.feasible
     assert hypothesis_holds_basic(inst, t, U, frozenset(), c_dual, fat) == check.feasible

@@ -294,6 +294,15 @@ def test_driver_hypothesis_violations(monkeypatch):
         two_value_driver(big_eps, Fraction(1))
 
 
+def test_driver_refuses_c_over_the_rc_cap():
+    """eps = 1/201 at T = 1 makes c = 201, one over the r_c cap."""
+    tiny_eps = parse_instance(
+        "players p\nresource f 1\nresource t 1/201\ncovets p f t\n"
+    )
+    with pytest.raises(CapError, match="^c = 201 exceeds cap 200$"):
+        two_value_driver(tiny_eps, Fraction(1))
+
+
 def test_driver_additive_regime():
     inst = parse_instance(SHARED_FAT)
     res = two_value_driver(inst, Fraction(2))
