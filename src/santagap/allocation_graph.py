@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .graphs import Graph
 from .instance import Allocation, Instance
-from .lp_core import Configuration, int_subset_sums, minimal_configurations
+from .lp_core import Configuration, int_subset_sums, minimal_labels
 from .subsets import CapError, first_disjoint_choice
 
 # Edges of one H, checked as build_H adds them.
@@ -84,31 +84,36 @@ def is_block(inst: Instance, m: MAlpha, resources) -> bool:
 def build_H(inst: Instance, target: Fraction, alpha: Fraction) -> AllocationGraph:
     """The |P|-partite allocation graph on all alpha-hyperedge vertices.
 
-    More than ``DEFAULT_EDGE_CAP`` edges raise ``CapError`` before the
-    graph is built.
+    A vertex's adjacency mask is the OR of the masks of the vertices that
+    hold each of its resources, less its own part.  The degrees are summed
+    as the masks are made, so more than ``DEFAULT_EDGE_CAP`` edges raise
+    ``CapError`` before the edge list is built.
     """
     threshold = alpha_threshold(alpha, target)
     if threshold <= 0:
         raise AllocationGraphError("alpha*T must be positive")
-    parts = {
-        p: tuple(h.vertex for h in minimal_configurations(inst, p, threshold))
-        for p in inst.players
-    }
-    by_resource: dict[str, list[tuple]] = {}
-    for vs in parts.values():
-        for v in vs:
-            for rid in v[1]:
-                by_resource.setdefault(rid, []).append(v)
-    edges = set()
-    for touching in by_resource.values():
-        for i in range(len(touching)):
-            for j in range(i + 1, len(touching)):
-                u, v = touching[i], touching[j]
-                if u[0] != v[0]:
-                    edges.add((u, v) if u < v else (v, u))
-            if len(edges) > DEFAULT_EDGE_CAP:
-                raise CapError(f"more than {DEFAULT_EDGE_CAP} edges")
-    graph = Graph((v for vs in parts.values() for v in vs), edges)
+    parts = {p: tuple(minimal_labels(inst, p, threshold)) for p in inst.players}
+    vertices = tuple(sorted(v for vs in parts.values() for v in vs))
+    # holders[r]: the vertices that hold r; own[p]: the vertices of p's part
+    holders: dict[str, int] = {}
+    own = dict.fromkeys(parts, 0)
+    for i, (owner, resources) in enumerate(vertices):
+        bit = 1 << i
+        own[owner] |= bit
+        for rid in resources:
+            holders[rid] = holders.get(rid, 0) | bit
+    masks = []
+    degrees = 0
+    for owner, resources in vertices:
+        mask = 0
+        for rid in resources:
+            mask |= holders[rid]
+        mask &= ~own[owner]
+        masks.append(mask)
+        degrees += mask.bit_count()
+        if degrees > 2 * DEFAULT_EDGE_CAP:  # twice the edges, once all are in
+            raise CapError(f"more than {DEFAULT_EDGE_CAP} edges")
+    graph = Graph._from_masks(vertices, masks)
     return AllocationGraph(Fraction(alpha), Fraction(target), parts, graph)
 
 

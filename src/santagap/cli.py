@@ -40,7 +40,11 @@ USAGE_EXIT = 64
 
 
 class UsageError(Exception):
-    pass
+    """A usage error, with the usage line of the (sub)parser it concerns."""
+
+    def __init__(self, message: str, usage: str):
+        super().__init__(message)
+        self.usage = usage
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,7 +56,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
-        raise UsageError(message)
+        raise UsageError(message, self.format_usage())
 
 
 def _emit(doc) -> None:
@@ -146,6 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dual")
 
     p = sub.add_parser("experiment", help="integrality-gap batch")
+    p.set_defaults(parser=p)  # _check_batch_kind reports through it
     p.add_argument("--kind", choices=["random", "two_value"], default="random")
     p.add_argument("--count", type=_positive_int, default=10)
     p.add_argument("--players", type=_positive_int, default=3)
@@ -166,7 +171,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         _check_batch_kind(args)
     except UsageError as exc:
-        sys.stderr.write(parser.format_usage())
+        sys.stderr.write(exc.usage)
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT
     try:
@@ -191,7 +196,7 @@ def _check_batch_kind(args) -> None:
         return
     ignored = "--eps" if args.kind == "random" else "--resources"
     if getattr(args, ignored[2:]) is not None:
-        raise UsageError(f"{ignored} does not apply to --kind {args.kind}")
+        args.parser.error(f"{ignored} does not apply to --kind {args.kind}")
 
 
 def _dispatch(args) -> int:

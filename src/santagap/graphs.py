@@ -7,7 +7,9 @@ deterministic.
 
 A graph's adjacency is ``masks``: one int per vertex, in the sorted
 vertex order, with bit j set when the vertex is adjacent to vertex j.
-``Graph(...)`` sorts its input and checks every edge.  The derived graphs
+``Graph(...)`` sorts its input and checks every edge;
+``Graph._from_masks`` takes sorted labels and masks that its caller built
+valid (``allocation_graph.build_H``).  The derived graphs
 (``delete_edge``, ``explode_edge``, ``induced``) are subgraphs of a graph
 that has passed those checks, so they only clear bits or restrict and
 re-index the masks, and they reuse the parent's label tuples and edge
@@ -18,9 +20,9 @@ only the structure (the eta cache) reads ``masks`` alone.
 
 ``edges`` is always in mask order: row i of the masks, then its later
 neighbours j ascending, each edge once as (vertices[i], vertices[j]).
-``Graph(...)`` builds that order and every derived graph keeps it, so
-code may walk the edges off ``masks`` and use the count as an index into
-``edges`` (``homology.first_deletable`` does).
+Both constructors list the edges in that order and every derived graph
+keeps it, so code may walk the edges off ``masks`` and use the count as
+an index into ``edges`` (``homology.first_deletable`` does).
 """
 
 from __future__ import annotations
@@ -55,14 +57,7 @@ class Graph:
                 raise GraphError(f"self-loop at {u!r}")
             masks[i] |= 1 << j
             masks[j] |= 1 << i
-        pairs = []
-        for i, m in enumerate(masks):
-            later = m >> (i + 1)
-            while later:
-                low = later & -later
-                pairs.append((vs[i], vs[i + low.bit_length()]))
-                later ^= low
-        self._assign(vs, tuple(pairs), tuple(masks), index)
+        self._assign(vs, _mask_order_edges(vs, masks), tuple(masks), index)
 
     def _assign(self, vertices: tuple, edges: tuple, masks: tuple, index: dict | None) -> None:
         self.vertices: tuple[Vertex, ...] = vertices
@@ -79,6 +74,13 @@ class Graph:
         g = object.__new__(cls)
         g._assign(vertices, edges, masks, index)
         return g
+
+    @classmethod
+    def _from_masks(cls, vertices: tuple, masks: list[int]) -> "Graph":
+        """The graph on sorted, distinct ``vertices`` with symmetric,
+        loop-free adjacency ``masks``, its edges listed as ``Graph(...)``
+        lists them."""
+        return cls._derived(vertices, _mask_order_edges(vertices, masks), tuple(masks), None)
 
     def _position(self, v: Vertex) -> int | None:
         if self._index is None:
@@ -212,6 +214,19 @@ class Graph:
 
     def __repr__(self):
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
+
+
+def _mask_order_edges(vertices: tuple, masks) -> tuple[Edge, ...]:
+    """Each edge once, in mask order: row i, then its later neighbours j
+    ascending, as (vertices[i], vertices[j])."""
+    pairs = []
+    for i, m in enumerate(masks):
+        later = m >> (i + 1)
+        while later:
+            low = later & -later
+            pairs.append((vertices[i], vertices[i + low.bit_length()]))
+            later ^= low
+    return tuple(pairs)
 
 
 # ---------------------------------------------------------------------------

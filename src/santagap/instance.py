@@ -31,6 +31,11 @@ class ParseError(InstanceError):
         super().__init__(message)
 
 
+def _exact(value) -> Fraction:
+    """``value`` as a Fraction, without a second conversion of one."""
+    return value if type(value) is Fraction else Fraction(value)
+
+
 @dataclass(frozen=True)
 class Instance:
     """A restricted max-min allocation instance (players, resources, covets)."""
@@ -62,20 +67,21 @@ class Instance:
         covets = dict(self.covets)  # the caller's dict stays as it was
         for pid in self.players:
             covets.setdefault(pid, frozenset())
-        exact = {rid: Fraction(value) for rid, value in resources.items()}
-        scale = math.lcm(*(value.denominator for value in exact.values()))
+        exact = [_exact(value) for value in resources.values()]
+        scale = math.lcm(*(value.denominator for value in exact))
         object.__setattr__(self, "resources", resources)
         object.__setattr__(self, "covets", covets)
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(
-            self, "int_values", {rid: int(v * scale) for rid, v in exact.items()}
-        )
+        object.__setattr__(self, "int_values", {
+            rid: v.numerator * (scale // v.denominator)
+            for rid, v in zip(resources, exact)
+        })
 
     @staticmethod
     def build(players, resources, covets) -> "Instance":
         """Construct a canonical (sorted) instance from loose mappings."""
         players = tuple(sorted(players))
-        res = {rid: Fraction(v) for rid, v in sorted(dict(resources).items())}
+        res = {rid: _exact(v) for rid, v in sorted(dict(resources).items())}
         cov = {pid: frozenset(covets.get(pid, ())) for pid in players}
         return Instance(players, res, cov)
 
@@ -94,13 +100,13 @@ class Instance:
         return -(-t.numerator * self.scale // t.denominator)
 
     def value(self, ids) -> Fraction:
-        """Exact total value of a set of resource ids."""
-        total = Fraction(0)
-        for rid in ids:
-            if rid not in self.resources:
-                raise InstanceError(f"unknown resource id {rid!r}")
-            total += self.resources[rid]
-        return total
+        """Exact total value of a set of resource ids: the sum of their
+        ``int_values`` over ``scale``."""
+        try:
+            total = sum(map(self.int_values.__getitem__, ids))
+        except KeyError as exc:
+            raise InstanceError(f"unknown resource id {exc.args[0]!r}") from None
+        return Fraction(total, self.scale)
 
     def serialize(self) -> str:
         """Render the canonical text document for this instance."""
@@ -346,8 +352,7 @@ def brute_force_opt(inst: Instance, t_star) -> OptResult:
     nodes = 0
     for t, parts in levels():
         choice, nodes = first_disjoint_choice(
-            [[sum(bit[r] for r in cfg.resources) for cfg in part] for part in parts],
-            nodes,
+            [_Masks(part, bit) for part in parts], nodes
         )
         if choice is not None:
             break
@@ -358,6 +363,29 @@ def brute_force_opt(inst: Instance, t_star) -> OptResult:
     if players and alloc.min_value(inst) != t:
         raise AssertionError("OPT witness does not reach OPT")
     return OptResult(t, alloc, nodes)
+
+
+class _Masks:
+    """One part of ``brute_force_opt``'s search: its configurations as
+    resource masks, each built when the search first reads it.  A 0/1 T*
+    witness ends the search having read one mask per part."""
+
+    __slots__ = ("configs", "bit", "masks")
+
+    def __init__(self, configs: list, bit: dict[str, int]):
+        self.configs, self.bit, self.masks = configs, bit, []
+
+    def __iter__(self):
+        if len(self.masks) == len(self.configs):
+            return iter(self.masks)
+        return self._build()
+
+    def _build(self):
+        masks, bit = self.masks, self.bit
+        for i, cfg in enumerate(self.configs):
+            if i == len(masks):
+                masks.append(sum(bit[r] for r in cfg.resources))
+            yield masks[i]
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,17 @@ T* candidates come from searches on the instance's integer value table
 (``Instance.int_values``, every value times ``Instance.scale``), with a
 threshold T rounded up to ``Instance.int_threshold(T)``.  Feasibility is
 decided by a revised, fraction-free phase-1 simplex with Bland's
-smallest-index rule: it keeps only den * B^-1 (m x m, for m players plus
-resources), the right-hand side and the prices of the artificials over
-one common denominator, and prices the sparse columns on demand.  Its
+smallest-index rule, started with each resource row's slack basic: it
+keeps only den * B^-1 (m x m, for m players plus resources), the
+right-hand side and the prices of the rows over one common denominator,
+and prices the sparse columns on demand.  Its
 pivot sequence is that of a dense rational tableau, so identical inputs
 always pivot identically, and only the values it returns are Fractions.
 
 When the LP is infeasible the phase-1 dual prices form a feasible dual
 solution with strictly positive objective, which is returned as the
-infeasibility certificate.
+infeasibility certificate: the surplus columns price out, so y >= 0, the
+slacks do, so z >= 0, and the objective is the phase-1 optimum.
 
 T* is the first feasible candidate of a descending scan
 (``compute_t_star``), and two cheaper certificates spare most LP
@@ -139,13 +141,30 @@ def minimal_configurations(
     sequence over CLP columns and the transversal search over the parts
     of H.
     """
+    return [
+        Configuration(player, resources)
+        for _, resources in _minimal_subsets(inst, player, threshold)
+    ]
+
+
+def minimal_labels(
+    inst: Instance, player: str, threshold: Fraction
+) -> list[tuple[str, tuple[str, ...]]]:
+    """``[c.vertex for c in minimal_configurations(inst, player, threshold)]``,
+    without building the configurations."""
+    return [(player, label) for label, _ in _minimal_subsets(inst, player, threshold)]
+
+
+def _minimal_subsets(inst, player, threshold):
+    """(sorted resource tuple, resource set) of each minimal configuration,
+    in ``minimal_configurations`` order."""
     pool = {rid: inst.int_values[rid] for rid in inst.covets[player]}
-    configs = [
-        Configuration(player, s)
+    found = [
+        (tuple(sorted(s)), s)
         for s in minimal_subsets_at_least(pool, inst.int_threshold(threshold))
     ]
-    configs.sort(key=lambda c: (len(c.resources), c.sorted_resources()))
-    return configs
+    found.sort(key=lambda pair: (len(pair[0]), pair[0]))
+    return found
 
 
 def build_clp_model(inst: Instance, target: Fraction) -> ClpModel:
@@ -168,15 +187,22 @@ def _phase1_simplex(
     """Minimize the artificial sum of {Ax = 1, x >= 0} given sparse integer columns.
 
     Returns (optimum, x values for the given columns, dual prices pi).
-    Artificial variables are appended internally, start basic, and are
-    barred from re-entering once they leave.
+    The start is a crash basis: a row that has a unit column (its only
+    entry a 1 in that row, such as a packing row's slack) starts with the
+    first such column basic at cost 0, and every other row with an
+    artificial variable, appended internally.  Both bases are the
+    identity, so the start is exact and feasible, and Bland's rule runs
+    from it unchanged.  Artificials are barred from re-entering once they
+    leave, and a row that starts on a unit column has none to enter.
 
     A revised, fraction-free simplex (Edmonds 1967; Bareiss 1968).  With
     ``den`` the previous pivot element (1 at the start), it keeps three
     integer arrays: ``inv`` = den * B^-1 (m x m, the artificial block of
     the full tableau), ``rhs`` = den * B^-1 * 1, and ``obj`` = den times
     the reduced costs of the artificials, whose prices give every other
-    reduced cost: den * rc_j = -sum_i (den - obj[i]) * a_ij.  Pricing
+    reduced cost: den * rc_j = -sum_i (den - obj[i]) * a_ij.  A row that
+    starts on a unit column counts as having a barred artificial of cost
+    1, so its ``obj`` starts at den and its price at 0.  Pricing
     runs over the sparse columns under Bland's rule, and the entering
     column is inv * a_j.  Pivoting on p in row l keeps row l and turns
     every other row r into (p*r - d_r*row l) / den, where d is the
@@ -192,11 +218,15 @@ def _phase1_simplex(
     obj = [0] * nrows
     # basis[i] is the column basic in row i; artificial i is ncols + i.
     basis = list(range(ncols, ncols + nrows))
+    for j, (rows, coefs) in enumerate(sparse):
+        if coefs == (1,) and basis[rows[0]] >= ncols:
+            basis[rows[0]] = j
+            obj[rows[0]] = 1
     den = 1
 
     while True:
         # Bland: the first column with a negative reduced cost.  Basic
-        # artificials price at 0 and left ones are barred, so only the
+        # artificials price at 0 and the others are barred, so only the
         # given columns can enter.
         price = [den - o for o in obj].__getitem__
         enter = -1

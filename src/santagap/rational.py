@@ -5,8 +5,9 @@ appears only in reports and in the closed-form limit constant.  Values
 are exact rationals (stdlib ``fractions.Fraction``).  The hot kernels
 compute on Python integers and build Fractions only for what they
 return: each instance keeps its values times the lcm of their
-denominators (``Instance.int_values``), which the subset searches and
-the exhaustive OPT search add up, and the revised phase-1 simplex pivots
+denominators (``Instance.int_values``), which the subset searches, the
+exhaustive OPT search and ``Instance.value`` add up, and the revised
+phase-1 simplex pivots
 den * B^-1 over one common denominator.
 """
 

@@ -21,6 +21,8 @@ call, so a test reaches another value by monkeypatching the constant.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 # Coveted resources per player: the items of minimal_subsets_at_least,
 # and the covet lists whose subset sums lp_core takes as T* candidates.
 DEFAULT_POOL_CAP = 20
@@ -80,11 +82,12 @@ def minimal_subsets_at_least(
 
 
 def first_disjoint_choice(
-    parts: list[list[int]], nodes: int = 0
+    parts: list[Iterable[int]], nodes: int = 0
 ) -> tuple[list[int] | None, int]:
     """The first pairwise-disjoint choice of one mask per part, and the
     running node count: ``nodes``, those the caller has already spent,
-    plus this search's.
+    plus this search's.  Each part is iterated afresh, front to back and
+    often only partly, every time the search reads it.
 
     The choice is a list of indices, one into each part, and is the first
     that backtracking finds when it branches over the parts in order and

@@ -14,6 +14,7 @@ The resulting integrality-gap bound is f(x) = 1/(x * r_ceil(1/x)).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -35,7 +36,7 @@ from .topology import CoverLedger, all_deletions, search_de_sequence
 
 # two_value_driver certifies every nonempty player subset, 2^players - 1.
 DEFAULT_DRIVER_PLAYER_CAP = 6
-# c of r_c(c), which scans r down from c at O(c) terms each; it also
+# c of r_c(c), which bisects r over 1..c at O(c) terms a step; it also
 # bounds the cache of r_c.
 DEFAULT_RC_CAP = 200
 
@@ -94,10 +95,12 @@ def r_c(c: int) -> int:
 
 @lru_cache(maxsize=None)
 def _r_c(c: int) -> int:
-    for r in range(c, 0, -1):
-        if reciprocal_sum(r, c) >= 1:
-            return r
-    raise AssertionError("unreachable: r = 1 gives a sum of c >= 1")
+    # reciprocal_sum(r, c) falls as r grows: the range X = r..c shrinks,
+    # and a_r(X) does not fall as r grows.  So the first r in 1..c whose
+    # sum is below 1 is r_c + 1, found by bisection; r = 1 sums to c >= 1.
+    return bisect.bisect_left(
+        range(1, c + 1), True, key=lambda r: reciprocal_sum(r, c) < 1
+    )
 
 
 def rc_table(max_c: int) -> list[RcEntry]:

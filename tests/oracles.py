@@ -1,8 +1,9 @@
 """Slow reference implementations that the fast exact kernels are checked against.
 
 ``dense_phase1_simplex`` is the rational-tableau phase-1 simplex that
-``lp_core._phase1_simplex`` replaced: same Bland rule, every entry a
-``Fraction``, every column of the tableau updated at every pivot.
+``lp_core._phase1_simplex`` replaced: same crash start and Bland rule,
+every entry a ``Fraction``, every column of the tableau updated at every
+pivot.
 ``rational_max_value_below`` is a ``Fraction`` branch-and-bound for the
 best subset value below a threshold, the m that ``compute_m`` reads off
 the T* candidates.
@@ -17,7 +18,11 @@ assignment of every coveted resource, with no pruning.
 ``instance.brute_force_opt`` replaced with a descending scan of disjoint
 configuration choices, and
 ``backtrack_transversal`` is the search of H's adjacency that
-``find_independent_transversal`` replaced with the same choice search.  ``bisection_t_star`` is the T* search that
+``find_independent_transversal`` replaced with the same choice search.
+``pairwise_build_H`` is ``build_H`` from pairs of vertices that share a
+resource, before it built adjacency masks from per-resource holder
+masks.  ``scan_r_c`` is the descending scan over r that ``two_values.r_c``
+replaced with a bisection.  ``bisection_t_star`` is the T* search that
 probes every bisection candidate with the LP, with no capped-value
 filter.  ``classify_all_deletions`` is the ``all_deletions`` loop that
 classified every edge in full and rebuilt each smaller graph with
@@ -36,7 +41,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from santagap.allocation_graph import AllocationGraph
+from santagap import allocation_graph
+from santagap.allocation_graph import AllocationGraph, alpha_threshold
 from santagap.graphs import Graph
 from santagap.instance import Allocation, Instance, OptResult
 from santagap.lp_core import (
@@ -48,6 +54,7 @@ from santagap.lp_core import (
 )
 from santagap.subsets import CapError
 from santagap.topology import DELETE, EXPLODE, DeSequence, DeStep, classify_edge, vertex_resources
+from santagap.two_values import reciprocal_sum
 
 EXHAUSTIVE_RESOURCE_CAP = 7
 # branch_and_bound_opt exhausts its tree when no bound stops it early.
@@ -62,8 +69,10 @@ def dense_phase1_simplex(
     """Minimize the artificial sum of {Ax = 1, x >= 0} given sparse columns.
 
     Returns (optimum, x values for the given columns, dual prices pi).
-    Artificial variables are appended internally, start basic, and are
-    barred from re-entering once they leave.
+    The same crash start as ``_phase1_simplex``: a row with a unit column
+    starts with the first one basic at cost 0 and its artificial barred;
+    every other row starts on its artificial, which is barred once it
+    leaves.
     """
     one = Fraction(1)
     ncols = len(columns)
@@ -77,15 +86,21 @@ def dense_phase1_simplex(
     for i in range(nrows):
         rows[i][art0 + i] = one
         rows[i][total] = one
-    # Reduced-cost row for cost = 1 on artificials: subtract each row.
+    basis = list(range(art0, total))
+    banned = [False] * total
+    for j, col in enumerate(columns):
+        if len(col) == 1 and col[0][1] == 1 and basis[col[0][0]] >= art0:
+            basis[col[0][0]] = j
+            banned[art0 + col[0][0]] = True
+    # Reduced-cost row for cost = 1 on artificials: subtract each row
+    # whose basic variable is its artificial.
     obj = [Fraction(0)] * (total + 1)
     for j in range(art0, total):
         obj[j] = one
     for i in range(nrows):
-        for j in range(total + 1):
-            obj[j] -= rows[i][j]
-    basis = list(range(art0, total))
-    banned = [False] * total
+        if basis[i] >= art0:
+            for j in range(total + 1):
+                obj[j] -= rows[i][j]
 
     while True:
         enter = -1
@@ -404,6 +419,44 @@ def branch_and_bound_opt(inst: Instance, *, upper_bound: Fraction | None = None)
     if players and witness.min_value(inst) != opt:
         raise AssertionError("oracle witness does not achieve its optimum")
     return OptResult(opt, witness, nodes)
+
+
+def pairwise_build_H(inst: Instance, target, alpha) -> AllocationGraph:
+    """H as ``build_H`` built it from pairs: every two vertices of distinct
+    owners that share a resource make an edge, the edge set checked
+    against ``allocation_graph.DEFAULT_EDGE_CAP`` as it grows, and the
+    graph is ``Graph(vertices, edges)``."""
+    threshold = alpha_threshold(alpha, target)
+    parts = {
+        p: tuple(h.vertex for h in minimal_configurations(inst, p, threshold))
+        for p in inst.players
+    }
+    by_resource: dict[str, list[tuple]] = {}
+    for vs in parts.values():
+        for v in vs:
+            for rid in v[1]:
+                by_resource.setdefault(rid, []).append(v)
+    cap = allocation_graph.DEFAULT_EDGE_CAP
+    edges = set()
+    for touching in by_resource.values():
+        for i in range(len(touching)):
+            for j in range(i + 1, len(touching)):
+                u, v = touching[i], touching[j]
+                if u[0] != v[0]:
+                    edges.add((u, v) if u < v else (v, u))
+            if len(edges) > cap:
+                raise CapError(f"more than {cap} edges")
+    graph = Graph((v for vs in parts.values() for v in vs), edges)
+    return AllocationGraph(Fraction(alpha), Fraction(target), parts, graph)
+
+
+def scan_r_c(c: int) -> int:
+    """r_c by scanning r down from c to the first r whose reciprocal sum
+    reaches 1."""
+    for r in range(c, 0, -1):
+        if reciprocal_sum(r, c) >= 1:
+            return r
+    raise AssertionError("unreachable: r = 1 gives a sum of c >= 1")
 
 
 def backtrack_transversal(g: AllocationGraph) -> dict[str, Configuration] | None:

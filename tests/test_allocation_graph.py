@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_small_instance
-from oracles import backtrack_transversal
-from santagap import subsets
+from oracles import backtrack_transversal, pairwise_build_H
+from santagap import allocation_graph, graphs, subsets
 from santagap.allocation_graph import (
     AllocationGraphError,
     build_H,
@@ -18,7 +18,7 @@ from santagap.allocation_graph import (
     restrict,
     transversal_to_allocation,
 )
-from santagap.instance import gen_two_value, parse_instance
+from santagap.instance import gen_random, gen_two_value, parse_instance
 from santagap.lp_core import clp_feasible, fat_for_players, minimal_configurations
 from santagap.subsets import CapError
 
@@ -114,6 +114,64 @@ def test_build_H_three_player_path():
     for u, v in itertools.combinations(h.graph.vertices, 2):
         expected = u[0] != v[0] and bool(set(u[1]) & set(v[1]))
         assert h.graph.has_edge(u, v) == expected
+
+
+def _assert_same_graph(got, want):
+    assert got.parts == want.parts
+    assert got.graph.vertices == want.graph.vertices
+    assert got.graph.edges == want.graph.edges
+    assert got.graph.masks == want.graph.masks
+    assert got.graph == want.graph
+
+
+def _seeded_instances():
+    for seed in range(25):
+        yield gen_random(4, 7, (Fraction(1, 6), Fraction(1)), 0.8, seed=seed, grid=4)
+        yield gen_random(3, 8, (Fraction(1, 6), Fraction(1)), 0.7, seed=seed, grid=12)
+        yield gen_two_value(
+            2 + seed % 3,
+            Fraction(1, 4 + seed % 2),
+            {"num_fat": 1 + seed % 2, "num_thin": 3 + seed % 4, "density": 0.8},
+            seed,
+        )
+
+
+def test_build_H_is_the_pairwise_construction():
+    """Holder masks give the vertices, edges, masks and parts that the
+    pairwise construction gives, on seeded random and two-value sets."""
+    edges = 0
+    for inst in _seeded_instances():
+        for alpha in (Fraction(1, 3), Fraction(1, 2), Fraction(1)):
+            got = build_H(inst, Fraction(1), alpha)
+            want = pairwise_build_H(inst, Fraction(1), alpha)
+            _assert_same_graph(got, want)
+            _assert_same_graph(build_J(got), build_J(want))
+            edges += len(got.graph.edges)
+    assert edges > 1000
+
+
+def test_build_H_edge_cap_is_exact(monkeypatch):
+    """An H of exactly ``DEFAULT_EDGE_CAP`` edges is built, the pairwise
+    one's; at cap + 1 edges both constructions refuse it, and the masks
+    path fails before the edge list is built."""
+    pattern = {"num_fat": 2, "num_thin": 6, "density": 1.0}
+    inst = gen_two_value(3, Fraction(1, 4), pattern, seed=1)
+    size = len(build_H(inst, Fraction(1), Fraction(1, 2)).graph.edges)
+    assert size > 100
+    monkeypatch.setattr(allocation_graph, "DEFAULT_EDGE_CAP", size)
+    _assert_same_graph(
+        build_H(inst, Fraction(1), Fraction(1, 2)),
+        pairwise_build_H(inst, Fraction(1), Fraction(1, 2)),
+    )
+    monkeypatch.setattr(allocation_graph, "DEFAULT_EDGE_CAP", size - 1)
+
+    def built(*args):
+        raise AssertionError("edge list built past the cap")
+
+    monkeypatch.setattr(graphs.Graph, "_from_masks", built)
+    for construction in (build_H, pairwise_build_H):
+        with pytest.raises(CapError, match=f"^more than {size - 1} edges$"):
+            construction(inst, Fraction(1), Fraction(1, 2))
 
 
 def test_restrict_keeps_named_parts():

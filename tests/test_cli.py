@@ -433,6 +433,8 @@ def test_out_of_range_arguments_exit_64(argv):
     assert out == ""
     assert "error:" in err
     assert not re.search(r"\b_[a-z]", err), err  # no private function named
+    # the usage of the subcommand whose argument was wrong
+    assert err.startswith(f"usage: santagap {argv[0]} "), err
 
 
 WIDE_COVET_DOC = (

@@ -23,7 +23,7 @@ from oracles import (
     rational_max_value_below,
     rational_min_cost_subset_reaching,
 )
-from santagap import lp_core
+from santagap import instance, lp_core, subsets
 from santagap.allocation_graph import compute_m
 from santagap.instance import (
     Instance,
@@ -135,6 +135,35 @@ def test_simplex_matches_dense_on_wide_lps():
         optimum, _, _ = _assert_same_as_dense(nrows, columns)
         outcomes.add(optimum == 0)
     assert outcomes == {True, False}
+
+
+def test_phase1_dual_is_a_dclp_certificate(monkeypatch):
+    """The packing rows start on their slacks, so an infeasible probe's
+    prices are y >= 0 (the surplus columns price out) and z >= 0 (the
+    slacks do), with objective sum(y) - sum(z) equal to the phase-1
+    optimum, and ``verify_dual`` accepts them."""
+    optima = []
+
+    def recorded(nrows, columns):
+        got = _integer_simplex(nrows, columns)
+        optima.append(got[0])
+        return got
+
+    monkeypatch.setattr(lp_core, "_phase1_simplex", recorded)
+    infeasible = 0
+    for inst in _gap_random_instances(range(10)):
+        for target in lp_core.subset_sum_candidates(inst)[-8:]:
+            res = lp_core.clp_feasible(inst, target)
+            if res.feasible:
+                assert optima[-1] == 0
+                continue
+            infeasible += 1
+            cert = res.infeasibility_certificate
+            assert min(cert.y.values()) >= 0 and min(cert.z.values()) >= 0
+            assert cert.objective == optima[-1] > 0
+            check = lp_core.verify_dual(inst, target, cert)
+            assert check.feasible and check.objective == cert.objective
+    assert infeasible > 50
 
 
 def test_t_star_golden_at_the_oracle_caps(monkeypatch):
@@ -443,9 +472,11 @@ def test_brute_force_opt_from_the_t_star_witness():
     witness that validates and reaches it.  A 0/1 T* witness ends the scan
     at its first leaf, one node per player and one for the leaf, with
     each bundle one of the player's weight-1 columns; with a fractional
-    one (seed 3 is the first) the scan may take more."""
+    one the scan may take more.  All 80 gap-random instances have 0/1
+    witnesses, so the 4 x 6 gap golden is the fractional case."""
     integral = fractional = 0
-    for k, inst in enumerate(_gap_random_instances(range(40))):
+    instances = [*_gap_random_instances(range(40)), load_instance(GAP_GOLDEN)]
+    for k, inst in enumerate(instances):
         res = lp_core.compute_t_star(inst)
         got = brute_force_opt(inst, res)
         want = branch_and_bound_opt(inst, upper_bound=res.t_star).opt_value
@@ -463,7 +494,49 @@ def test_brute_force_opt_from_the_t_star_witness():
             assert got.nodes_explored == len(inst.players) + 1
             for p, bundle in got.witness.assignment.items():
                 assert primal[lp_core.Configuration(p, frozenset(bundle))] == 1
-    assert integral > fractional > 0
+    assert (integral, fractional) == (80, 1)
+
+
+def test_brute_force_opt_builds_the_masks_the_search_reads(monkeypatch):
+    """The OPT search's masks are built as it reads them: a 0/1 T*
+    witness builds one per part, and choices and node counts are those
+    of the search on every mask built up front."""
+    made = []
+
+    class Recorded(instance._Masks):
+        __slots__ = ()
+
+        def __init__(self, configs, bit):
+            super().__init__(configs, bit)
+            made.append(self)
+
+    monkeypatch.setattr(instance, "_Masks", Recorded)
+    for inst in [*_gap_random_instances(range(10)), load_instance(GAP_GOLDEN)]:
+        made.clear()
+        res = lp_core.compute_t_star(inst)
+        got = brute_force_opt(inst, res)
+        if all(w == 1 for w in res.feasibility_witness.primal.values()):
+            assert [len(m.masks) for m in made] == [1] * len(inst.players)
+            assert sum(len(m.configs) for m in made) > len(inst.players)
+        eager = [[sum(1 << inst.resource_ids.index(r) for r in cfg.resources)
+                  for cfg in m.configs] for m in made]
+        for lazy, masks in zip(made, eager):
+            assert list(lazy) == masks
+        assert made and got.nodes_explored > 0
+    rng = random.Random(8)
+    for _ in range(200):
+        parts = [[rng.randrange(1, 64) for _ in range(rng.randint(0, 5))]
+                 for _ in range(rng.randint(1, 5))]
+        bit = {f"r{b}": 1 << b for b in range(6)}
+        lazy = [
+            instance._Masks(
+                [lp_core.Configuration("p", frozenset(r for r in bit if m & bit[r]))
+                 for m in part],
+                bit,
+            )
+            for part in parts
+        ]
+        assert subsets.first_disjoint_choice(lazy) == subsets.first_disjoint_choice(parts)
 
 
 def test_brute_force_opt_golden_at_the_oracle_caps():

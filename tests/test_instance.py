@@ -127,6 +127,21 @@ def test_value_sums_exactly():
         inst.value(["nope"])
 
 
+def test_value_is_the_fraction_sum():
+    """The integer-table sum over ``scale`` is the Fraction sum of the
+    values, on seeded subsets of mixed-denominator instances."""
+    rng = random.Random(5)
+    for seed in range(20):
+        inst = gen_random(3, 9, (Fraction(1, 7), Fraction(5, 3)), 0.7, seed=seed, grid=10)
+        for _ in range(10):
+            ids = rng.sample(inst.resource_ids, rng.randint(0, 9))
+            got = inst.value(ids)
+            assert type(got) is Fraction
+            assert got == sum((inst.resources[r] for r in ids), Fraction(0))
+    with pytest.raises(InstanceError, match="^unknown resource id 'nope'$"):
+        inst.value([inst.resource_ids[0], "nope"])
+
+
 def test_value_of_generated_eps_pool():
     eps = Fraction(1, 5)
     inst = gen_two_value(2, eps, {"num_fat": 0, "num_thin": 7}, seed=3)

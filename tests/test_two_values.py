@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from santagap import two_values
-from oracles import branch_and_bound_opt
+from oracles import branch_and_bound_opt, scan_r_c
 from santagap.instance import InstanceError, parse_instance
 from santagap.lp_core import clp_feasible, compute_t_star
 from santagap.subsets import CapError
@@ -91,6 +91,12 @@ def test_rc_table_matches_published_values():
     assert [row.c for row in rows] == list(range(1, 31))
     for row in rows:
         assert row.ratio == Fraction(row.c, row.r_c)
+
+
+def test_rc_is_the_descending_scan_on_the_capped_domain():
+    assert two_values.DEFAULT_RC_CAP == 200
+    for c in range(1, two_values.DEFAULT_RC_CAP + 1):
+        assert r_c(c) == scan_r_c(c), c
 
 
 def test_rc_maximality_up_to_200():
