@@ -1,12 +1,12 @@
 """Alpha-hyperedges and the partite allocation graph H / its thin part J.
 
-An alpha-hyperedge is a ``Configuration`` at threshold alpha*T, and a
-vertex of H is its label ``Configuration.vertex``, the pair (owner,
-sorted resources): the same set coveted by two players yields two
-distinct vertices.  Edges join intersecting hyperedges of distinct
+An alpha-hyperedge is a ``Configuration`` at threshold alpha*T, and each
+one is a vertex of H as it is, the pair (owner, sorted resources) from
+``minimal_configurations``: the same set coveted by two players yields
+two distinct vertices.  Edges join intersecting hyperedges of distinct
 owners.  A fat vertex is a single resource worth alpha*T; each fat
 resource induces a clique component, and J is H with those components
-removed.
+removed.  J, ``restrict`` and the transversals keep H's vertex objects.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .graphs import Graph
 from .instance import Allocation, Instance
-from .lp_core import Configuration, int_subset_sums, minimal_labels
+from .lp_core import Configuration, int_subset_sums, minimal_configurations
 from .subsets import CapError, first_disjoint_choice
 
 # Edges of one H, checked as build_H adds them.
@@ -39,7 +39,7 @@ class MAlpha:
 class AllocationGraph:
     alpha: Fraction
     target: Fraction
-    parts: dict[str, tuple[tuple[str, tuple[str, ...]], ...]]
+    parts: dict[str, tuple[Configuration, ...]]
     graph: Graph
 
     @property
@@ -92,7 +92,7 @@ def build_H(inst: Instance, target: Fraction, alpha: Fraction) -> AllocationGrap
     threshold = alpha_threshold(alpha, target)
     if threshold <= 0:
         raise AllocationGraphError("alpha*T must be positive")
-    parts = {p: tuple(minimal_labels(inst, p, threshold)) for p in inst.players}
+    parts = {p: tuple(minimal_configurations(inst, p, threshold)) for p in inst.players}
     vertices = tuple(sorted(v for vs in parts.values() for v in vs))
     # holders[r]: the vertices that hold r; own[p]: the vertices of p's part
     holders: dict[str, int] = {}
@@ -120,7 +120,9 @@ def build_H(inst: Instance, target: Fraction, alpha: Fraction) -> AllocationGrap
 def build_J(h: AllocationGraph) -> AllocationGraph:
     """The thin part: H minus every fat clique component, that is, the
     vertices of two or more resources."""
-    parts = {p: tuple(v for v in vs if len(v[1]) > 1) for p, vs in h.parts.items()}
+    parts = {
+        p: tuple(v for v in vs if len(v.resources) > 1) for p, vs in h.parts.items()
+    }
     return _on_parts(h, parts)
 
 
@@ -152,7 +154,7 @@ def find_independent_transversal(g: AllocationGraph) -> dict[str, Configuration]
     bit: dict[str, int] = {}
     masks = [
         [
-            sum(bit.setdefault(r, 1 << len(bit)) for r in v[1])
+            sum(bit.setdefault(r, 1 << len(bit)) for r in v.resources)
             for v in g.parts[p]
         ]
         for p in order
@@ -160,9 +162,7 @@ def find_independent_transversal(g: AllocationGraph) -> dict[str, Configuration]
     choice, _ = first_disjoint_choice(masks)
     if choice is None:
         return None
-    return {
-        p: Configuration(p, frozenset(g.parts[p][i][1])) for p, i in zip(order, choice)
-    }
+    return {p: g.parts[p][i] for p, i in zip(order, choice)}
 
 
 def transversal_to_allocation(
@@ -171,7 +171,7 @@ def transversal_to_allocation(
     """Turn a transversal into a validated Allocation covering its players."""
     assignment = {p: () for p in inst.players}
     for p, he in transversal.items():
-        assignment[p] = he.sorted_resources()
+        assignment[p] = he.resources
     alloc = Allocation(assignment)
     alloc.validate(inst)
     return alloc

@@ -89,13 +89,24 @@ def _probability(text: str) -> float:
     return value
 
 
-def _unit_interval_rational(text: str) -> Fraction:
+def _rational(text: str) -> Fraction:
     try:
-        value = parse_rational(text)
+        return parse_rational(text)
     except RationalParseError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _unit_interval_rational(text: str) -> Fraction:
+    value = _rational(text)
     if not 0 < value <= 1:
         raise argparse.ArgumentTypeError(f"expected a rational in (0, 1], got {text!r}")
+    return value
+
+
+def _positive_rational(text: str) -> Fraction:
+    value = _rational(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive rational, got {text!r}")
     return value
 
 
@@ -113,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap", help="T*, OPT and their ratio")
     p.add_argument("instance")
-    p.add_argument("--bound", default="53/15")
+    p.add_argument("--bound", type=_positive_rational, default="53/15")
 
     p = sub.add_parser("eta", help="eta of a graph JSON file")
     p.add_argument("graph")
@@ -160,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=_probability, default=0.6)
     p.add_argument("--eps", help="two_value batches only (default 1/4)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", default="53/15")
+    p.add_argument("--bound", type=_positive_rational, default="53/15")
     p.add_argument("--tsv", action="store_true")
     return parser
 
@@ -229,7 +240,7 @@ def _dispatch(args) -> int:
 
     if args.command == "gap":
         report = evaluate_instance(
-            load_instance(args.instance), args.instance, parse_rational(args.bound)
+            load_instance(args.instance), args.instance, args.bound
         )
         if report.skipped is not None:
             return _fail(f"cap exceeded: {report.skipped}")
@@ -365,7 +376,7 @@ def _dispatch(args) -> int:
         if check.violated is not None:
             out["violated"] = {
                 "owner": check.violated.owner,
-                "resources": sorted(check.violated.resources),
+                "resources": list(check.violated.resources),
             }
         _emit(out)
         return 0
@@ -383,7 +394,7 @@ def _dispatch(args) -> int:
             density=args.density,
             **options,
         )
-        reports = run_gap_experiment(config, parse_rational(args.bound), args.seed)
+        reports = run_gap_experiment(config, args.bound, args.seed)
         if args.tsv:
             sys.stdout.write(TSV_HEADER + "\n")
             for rep in reports:

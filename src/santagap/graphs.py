@@ -1,6 +1,7 @@
 """A small immutable undirected graph over sortable vertex labels.
 
-Allocation-graph vertices are (owner, sorted resource tuple) pairs;
+Allocation-graph vertices are (owner, sorted resource tuple) pairs,
+``lp_core.Configuration``s or the equal plain tuples read from JSON;
 generic test graphs use plain strings or ints.  Vertices and edges are
 kept in sorted order so that every traversal, search, and hash is
 deterministic.

@@ -55,7 +55,9 @@ class Instance:
         for rid, value in resources.items():
             if value <= 0:
                 raise InstanceError(f"resource {rid!r} has non-positive value {value}")
-        for pid, wants in self.covets.items():
+        # Frozen copies: later edits to the caller's dict or sets do not reach it.
+        covets = {pid: frozenset(wants) for pid, wants in self.covets.items()}
+        for pid, wants in covets.items():
             if pid not in self.players:
                 raise InstanceError(f"covet list for undeclared player {pid!r}")
             missing = wants - resources.keys()
@@ -64,7 +66,6 @@ class Instance:
                     f"covet list of {pid!r} references undeclared resource "
                     f"{sorted(missing)[0]!r}"
                 )
-        covets = dict(self.covets)  # the caller's dict stays as it was
         for pid in self.players:
             covets.setdefault(pid, frozenset())
         exact = [_exact(value) for value in resources.values()]
@@ -82,7 +83,8 @@ class Instance:
         """Construct a canonical (sorted) instance from loose mappings."""
         players = tuple(sorted(players))
         res = {rid: _exact(v) for rid, v in sorted(dict(resources).items())}
-        cov = {pid: frozenset(covets.get(pid, ())) for pid in players}
+        cov = dict.fromkeys(players, ())
+        cov.update(covets)  # a list for an undeclared player meets the check
         return Instance(players, res, cov)
 
     @property
@@ -131,8 +133,8 @@ class Instance:
 class Allocation:
     """A disjoint assignment of coveted resources to players.
 
-    Each bundle is a sorted tuple of resource ids, the convention of
-    ``Configuration.vertex``; ``validate`` and ``min_value`` accept any
+    Each bundle is a sorted tuple of resource ids, as the resources of a
+    ``Configuration`` are; ``validate`` and ``min_value`` accept any
     sequence of ids.  A player left out of ``assignment`` holds nothing.
     """
 
@@ -357,7 +359,7 @@ def brute_force_opt(inst: Instance, t_star) -> OptResult:
         if choice is not None:
             break
     alloc = Allocation({
-        p: part[i].sorted_resources() for p, part, i in zip(players, parts, choice)
+        p: part[i].resources for p, part, i in zip(players, parts, choice)
     })
     alloc.validate(inst)
     if players and alloc.min_value(inst) != t:

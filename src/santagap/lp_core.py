@@ -51,6 +51,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from . import subsets
 from .instance import Instance
@@ -61,24 +62,17 @@ from .subsets import CapError, minimal_subsets_at_least
 DEFAULT_CANDIDATE_CAP = 200_000
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     """A player's inclusion-minimal coveted set whose value reaches a threshold.
 
     At threshold T it is a column of CLP(T); at alpha*T it is an
-    alpha-hyperedge, a vertex of the allocation graph H.
+    alpha-hyperedge, and itself the vertex of the allocation graph H: a
+    tuple (owner, sorted resources), equal to and hashed as that plain
+    pair.
     """
 
     owner: str
-    resources: frozenset[str]
-
-    def sorted_resources(self) -> tuple[str, ...]:
-        return tuple(sorted(self.resources))
-
-    @property
-    def vertex(self) -> tuple[str, tuple[str, ...]]:
-        """The (owner, sorted resources) label of this vertex of H."""
-        return (self.owner, self.sorted_resources())
+    resources: tuple[str, ...]
 
 
 @dataclass
@@ -137,33 +131,15 @@ def minimal_configurations(
 ) -> list[Configuration]:
     """All minimal configurations of a player at ``threshold``.
 
-    Sorted by (size, sorted resources): the order fixes Bland's pivot
-    sequence over CLP columns and the transversal search over the parts
-    of H.
+    Sorted by (size, resources): the order fixes Bland's pivot sequence
+    over CLP columns and the transversal search over the parts of H.
     """
-    return [
-        Configuration(player, resources)
-        for _, resources in _minimal_subsets(inst, player, threshold)
-    ]
-
-
-def minimal_labels(
-    inst: Instance, player: str, threshold: Fraction
-) -> list[tuple[str, tuple[str, ...]]]:
-    """``[c.vertex for c in minimal_configurations(inst, player, threshold)]``,
-    without building the configurations."""
-    return [(player, label) for label, _ in _minimal_subsets(inst, player, threshold)]
-
-
-def _minimal_subsets(inst, player, threshold):
-    """(sorted resource tuple, resource set) of each minimal configuration,
-    in ``minimal_configurations`` order."""
     pool = {rid: inst.int_values[rid] for rid in inst.covets[player]}
     found = [
-        (tuple(sorted(s)), s)
+        Configuration(player, tuple(sorted(s)))
         for s in minimal_subsets_at_least(pool, inst.int_threshold(threshold))
     ]
-    found.sort(key=lambda pair: (len(pair[0]), pair[0]))
+    found.sort(key=lambda cfg: (len(cfg.resources), cfg.resources))
     return found
 
 
@@ -297,7 +273,7 @@ def clp_feasible(inst: Instance, target: Fraction) -> LpFeasibilityResult:
     columns: list[list[tuple[int, int]]] = []
     for cfg in model.columns:
         col = [(prow[cfg.owner], 1)]
-        col.extend((rrow[r], 1) for r in cfg.sorted_resources())
+        col.extend((rrow[r], 1) for r in cfg.resources)
         columns.append(col)
     for p in players:  # surplus for covering rows
         columns.append([(prow[p], -1)])

@@ -236,7 +236,7 @@ def thin_configurations(
     ``fat_set``: exactly the minimal configurations of the thin pool."""
     return [
         cfg for cfg in minimal_configurations(inst, player, target)
-        if not cfg.resources & fat_set
+        if fat_set.isdisjoint(cfg.resources)
     ]
 
 
@@ -247,7 +247,7 @@ def hypothesis_holds_basic(
     Y = set(Y)
     for p in U:
         for cfg in thin_configurations(inst, p, target, fat_set):
-            if inst.value(cfg.resources & Y) < c:
+            if inst.value(Y.intersection(cfg.resources)) < c:
                 return False
     return True
 
@@ -265,11 +265,11 @@ def hypothesis_holds_refined(
     y_lo = Y - y_hi
     for p in U:
         for cfg in thin_configurations(inst, p, target, fat_set):
-            hi = len(cfg.resources & y_hi)
+            hi = len(y_hi.intersection(cfg.resources))
             if hi > 1:
                 continue
             need = c if hi == 0 else c - d
-            if inst.value(cfg.resources & y_lo) < need:
+            if inst.value(y_lo.intersection(cfg.resources)) < need:
                 return False
     return True
 
@@ -428,8 +428,7 @@ def pairwise_build_H(inst: Instance, target, alpha) -> AllocationGraph:
     graph is ``Graph(vertices, edges)``."""
     threshold = alpha_threshold(alpha, target)
     parts = {
-        p: tuple(h.vertex for h in minimal_configurations(inst, p, threshold))
-        for p in inst.players
+        p: tuple(minimal_configurations(inst, p, threshold)) for p in inst.players
     }
     by_resource: dict[str, list[tuple]] = {}
     for vs in parts.values():
@@ -482,7 +481,7 @@ def backtrack_transversal(g: AllocationGraph) -> dict[str, Configuration] | None
 
     if not dfs(0):
         return None
-    return {v[0]: Configuration(v[0], frozenset(v[1])) for v in chosen}
+    return {v.owner: v for v in chosen}
 
 
 def classify_all_deletions(g: Graph) -> tuple[Graph, list[DeStep]]:

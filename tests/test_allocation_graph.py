@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -19,7 +20,12 @@ from santagap.allocation_graph import (
     transversal_to_allocation,
 )
 from santagap.instance import gen_random, gen_two_value, parse_instance
-from santagap.lp_core import clp_feasible, fat_for_players, minimal_configurations
+from santagap.lp_core import (
+    Configuration,
+    clp_feasible,
+    fat_for_players,
+    minimal_configurations,
+)
 from santagap.subsets import CapError
 
 
@@ -39,14 +45,14 @@ def test_hyperedges_single_fat():
     inst = parse_instance("players p\nresource a 1\ncovets p a\n")
     edges = minimal_configurations(inst, "p", Fraction(1))  # alpha*T = 1
     assert len(edges) == 1 and len(edges[0].resources) == 1
-    assert edges[0].resources == frozenset({"a"})
+    assert edges[0].resources == ("a",)
 
 
 def test_hyperedges_thin_pair():
     inst = parse_instance("players p\nresource a 1/2\nresource b 1/2\ncovets p a b\n")
     edges = minimal_configurations(inst, "p", Fraction(1))  # alpha*T = 1
     assert len(edges) == 1 and len(edges[0].resources) != 1
-    assert edges[0].resources == frozenset({"a", "b"})
+    assert edges[0].resources == ("a", "b")
 
 
 def test_hyperedges_common_size_in_two_values():
@@ -75,7 +81,7 @@ def test_hyperedge_minimality_scan():
             for he in minimal_configurations(inst, p, threshold):
                 assert inst.value(he.resources) >= threshold
                 for r in he.resources:
-                    assert inst.value(he.resources - {r}) < threshold
+                    assert inst.value(set(he.resources) - {r}) < threshold
                 if len(he.resources) == 1:
                     assert inst.resources[next(iter(he.resources))] >= threshold
 
@@ -148,6 +154,40 @@ def test_build_H_is_the_pairwise_construction():
             _assert_same_graph(build_J(got), build_J(want))
             edges += len(got.graph.edges)
     assert edges > 1000
+
+
+def test_H_vertices_are_the_enumerated_configurations():
+    """H's parts are ``minimal_configurations`` at alpha*T, as returned and in
+    order; J, ``restrict`` and a transversal keep those very objects."""
+    picked = 0
+    for inst in _seeded_instances():
+        for alpha in (Fraction(1, 2), Fraction(1)):
+            h = build_H(inst, Fraction(1), alpha)
+            assert all(type(v) is Configuration for v in h.graph.vertices)
+            for p in inst.players:
+                assert h.parts[p] == tuple(minimal_configurations(inst, p, alpha))
+            owned = {id(v) for vs in h.parts.values() for v in vs}
+            kept = (build_J(h), restrict(h, inst.players[:1]))
+            assert all(id(v) in owned for g in kept for vs in g.parts.values() for v in vs)
+            trans = find_independent_transversal(h) or {}
+            for p, v in trans.items():
+                assert v in h.parts[p] and id(v) in owned
+            picked += len(trans)
+    assert picked > 100
+
+
+def test_H_round_trips_through_json():
+    """Read back from JSON, H's vertices are plain (owner, resources)
+    tuples: equal to its ``Configuration``s and hashed the same, so the
+    graph and the (sorted) parts compare equal."""
+    for inst in itertools.islice(_seeded_instances(), 30):
+        h = build_H(inst, Fraction(1), Fraction(1, 2))
+        doc = json.loads(json.dumps(graphs.graph_to_json(h.graph, parts=h.parts)))
+        g, parts = graphs.graph_from_json(doc)
+        assert all(type(v) is tuple for v in g.vertices)
+        assert g == h.graph and hash(g) == hash(h.graph)
+        assert g.vertices == h.graph.vertices and g.edges == h.graph.edges
+        assert parts == {p: tuple(sorted(vs)) for p, vs in h.parts.items()}
 
 
 def test_build_H_edge_cap_is_exact(monkeypatch):

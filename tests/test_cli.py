@@ -409,6 +409,10 @@ def test_dual_check_rejects_bad_document(instance_file, tmp_path, doc):
         ["experiment", "--kind", "two_value", "--density", "7"],
         ["experiment", "--count", "abc"],
         ["experiment", "--density", "abc"],
+        ["gap", "two.txt", "--bound", "-1"],
+        ["gap", "two.txt", "--bound", "abc"],
+        ["experiment", "--bound", "0"],
+        ["experiment", "--bound", "abc"],
     ],
     ids=[
         "rc-table-max-0",
@@ -425,6 +429,10 @@ def test_dual_check_rejects_bad_document(instance_file, tmp_path, doc):
         "experiment-density-7",
         "experiment-count-not-integer",
         "experiment-density-not-number",
+        "gap-bound-negative",
+        "gap-bound-not-rational",
+        "experiment-bound-0",
+        "experiment-bound-not-rational",
     ],
 )
 def test_out_of_range_arguments_exit_64(argv):

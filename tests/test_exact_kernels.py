@@ -493,7 +493,7 @@ def test_brute_force_opt_from_the_t_star_witness():
             assert want == res.t_star
             assert got.nodes_explored == len(inst.players) + 1
             for p, bundle in got.witness.assignment.items():
-                assert primal[lp_core.Configuration(p, frozenset(bundle))] == 1
+                assert primal[lp_core.Configuration(p, bundle)] == 1
     assert (integral, fractional) == (80, 1)
 
 
@@ -530,7 +530,7 @@ def test_brute_force_opt_builds_the_masks_the_search_reads(monkeypatch):
         bit = {f"r{b}": 1 << b for b in range(6)}
         lazy = [
             instance._Masks(
-                [lp_core.Configuration("p", frozenset(r for r in bit if m & bit[r]))
+                [lp_core.Configuration("p", tuple(r for r in bit if m & bit[r]))
                  for m in part],
                 bit,
             )
@@ -767,7 +767,7 @@ def _rational_verify_dual(inst, target, sol):
         pool = {r: inst.resources[r] for r in inst.covets[p]}
         found = rational_min_cost_subset_reaching(pool, {r: sol.z[r] for r in pool}, target)
         if found is not None and found[0] < yp:
-            return False, lp_core.Configuration(p, found[1])
+            return False, lp_core.Configuration(p, tuple(sorted(found[1])))
     return True, None
 
 

@@ -92,6 +92,20 @@ def test_construction_leaves_callers_covets_unchanged():
     assert inst.covets == {"p": frozenset({"a"}), "q": frozenset()}
 
 
+def test_instance_keeps_frozen_copies_of_the_covet_lists():
+    wants = {"a"}
+    inst = Instance(("p",), {"a": Fraction(1)}, {"p": wants})
+    wants.add("zzz")
+    assert inst.covets == {"p": frozenset({"a"})}
+    assert type(inst.covets["p"]) is frozenset
+    assert compute_t_star(inst).t_star == 1
+
+
+def test_build_checks_covet_lists_of_undeclared_players():
+    with pytest.raises(InstanceError, match="covet list for undeclared player 'q'"):
+        Instance.build(["p"], {"a": 1}, {"q": ["a"]})
+
+
 def test_instance_keeps_its_own_copy_of_resources():
     res = {"a": Fraction(1), "b": Fraction(1, 2)}
     inst = Instance(("p",), res, {"p": frozenset({"a", "b"})})

@@ -39,13 +39,13 @@ def brute_minimal_subsets(values: dict, threshold: Fraction) -> set[frozenset]:
 def test_enumerate_single_resource():
     inst = parse_instance("players p\nresource a 1\ncovets p a\n")
     cfgs = minimal_configurations(inst, "p", Fraction(1))
-    assert [c.resources for c in cfgs] == [frozenset({"a"})]
+    assert [c.resources for c in cfgs] == [("a",)]
 
 
 def test_enumerate_drops_non_minimal():
     inst = parse_instance("players p\nresource a 1\nresource b 1\ncovets p a b\n")
     cfgs = minimal_configurations(inst, "p", Fraction(1))
-    assert {c.resources for c in cfgs} == {frozenset({"a"}), frozenset({"b"})}
+    assert {c.resources for c in cfgs} == {("a",), ("b",)}
 
 
 def test_enumerate_three_halves_against_oracle():
@@ -56,7 +56,7 @@ def test_enumerate_three_halves_against_oracle():
     expected = brute_minimal_subsets(
         {r: Fraction(1, 2) for r in "abc"}, Fraction(1)
     )
-    assert {c.resources for c in cfgs} == expected
+    assert {frozenset(c.resources) for c in cfgs} == expected
     assert len(expected) == 3  # exactly the 2-subsets
 
 
@@ -66,7 +66,7 @@ def test_enumerate_matches_oracle_on_randoms():
         inst = random_small_instance(rng)
         p = inst.players[0]
         t = Fraction(rng.randint(1, 4), rng.choice([2, 3, 4]))
-        got = {c.resources for c in minimal_configurations(inst, p, t)}
+        got = {frozenset(c.resources) for c in minimal_configurations(inst, p, t)}
         pool = {r: inst.resources[r] for r in inst.covets[p]}
         assert got == brute_minimal_subsets(pool, t)
 
@@ -80,7 +80,7 @@ def test_enumerate_minimality_invariant():
         for cfg in minimal_configurations(inst, p, t):
             assert inst.value(cfg.resources) >= t
             for r in cfg.resources:
-                assert inst.value(cfg.resources - {r}) < t
+                assert inst.value(set(cfg.resources) - {r}) < t
 
 
 def test_minimal_configurations_differential():
@@ -94,12 +94,14 @@ def test_minimal_configurations_differential():
             for t in (Fraction(1, 4), Fraction(2, 3), Fraction(1), Fraction(3, 2)):
                 cfgs = minimal_configurations(inst, p, t)
                 pool = {r: inst.resources[r] for r in inst.covets[p]}
-                assert {c.resources for c in cfgs} == brute_minimal_subsets(pool, t)
+                got = {frozenset(c.resources) for c in cfgs}
+                assert got == brute_minimal_subsets(pool, t)
                 assert len(cfgs) == len({c.resources for c in cfgs})
                 keys = [(len(c.resources), sorted(c.resources)) for c in cfgs]
                 assert keys == sorted(keys)
                 for c in cfgs:
-                    assert c.owner == p and c.vertex == (p, tuple(sorted(c.resources)))
+                    assert c.owner == p and c.resources == tuple(sorted(c.resources))
+                    assert c == (p, c.resources) and hash(c) == hash((p, c.resources))
                     if len(c.resources) == 1:
                         assert inst.value(c.resources) >= t
 
@@ -121,7 +123,8 @@ def test_minimal_configurations_between_integer_sums():
             for p in inst.players:
                 cfgs = minimal_configurations(inst, p, t)
                 pool = {r: inst.resources[r] for r in inst.covets[p]}
-                assert {c.resources for c in cfgs} == brute_minimal_subsets(pool, t)
+                got = {frozenset(c.resources) for c in cfgs}
+                assert got == brute_minimal_subsets(pool, t)
                 keys = [(len(c.resources), sorted(c.resources)) for c in cfgs]
                 assert keys == sorted(keys) and len(set(map(str, keys))) == len(keys)
     assert checked > 150
@@ -134,7 +137,7 @@ def test_clp_single_player_unit():
     res = clp_feasible(inst, Fraction(1))
     assert res.feasible
     ((cfg, weight),) = res.primal.items()
-    assert cfg.resources == frozenset({"a"}) and weight == 1
+    assert cfg.resources == ("a",) and weight == 1
 
 
 def test_clp_two_players_one_unit_infeasible():
@@ -169,7 +172,7 @@ def test_check_primal_catches_each_tampering(shared_halves):
     model = clp_feasible(shared_halves, Fraction(1)).model
 
     def cfg(owner, *resources):
-        return Configuration(owner, frozenset(resources))
+        return Configuration(owner, resources)
 
     exact = {
         cfg("p1", "c", "d"): Fraction(1),
@@ -252,7 +255,7 @@ def test_opt_takes_a_0_1_witness_at_the_first_leaf(shared_halves):
     assert opt.nodes_explored == len(shared_halves.players) + 1
     opt.witness.validate(shared_halves)
     assert {
-        Configuration(p, frozenset(b)) for p, b in opt.witness.assignment.items()
+        Configuration(p, b) for p, b in opt.witness.assignment.items()
     } == set(primal)
 
 
