@@ -82,24 +82,62 @@ def is_block(inst: Instance, m: MAlpha, resources) -> bool:
 
 
 def build_H(inst: Instance, target: Fraction, alpha: Fraction) -> AllocationGraph:
-    """The |P|-partite allocation graph on all alpha-hyperedge vertices.
-
-    A vertex's adjacency mask is the OR of the masks of the vertices that
-    hold each of its resources, less its own part.  The degrees are summed
-    as the masks are made, so more than ``DEFAULT_EDGE_CAP`` edges raise
-    ``CapError`` before the edge list is built.
-    """
+    """The |P|-partite allocation graph on all alpha-hyperedge vertices."""
     threshold = alpha_threshold(alpha, target)
     if threshold <= 0:
         raise AllocationGraphError("alpha*T must be positive")
     parts = {p: tuple(minimal_configurations(inst, p, threshold)) for p in inst.players}
     vertices = tuple(sorted(v for vs in parts.values() for v in vs))
+    graph = Graph._from_masks(vertices, _holder_masks(vertices))
+    return AllocationGraph(Fraction(alpha), Fraction(target), parts, graph)
+
+
+def build_J(h: AllocationGraph) -> AllocationGraph:
+    """The thin part: H minus every fat clique component, that is, the
+    vertices of two or more resources.
+
+    Filtering H's sorted vertices and its mask-ordered edges keeps both
+    orders, so J's edges are H's own pairs; its masks are made as
+    ``build_H`` makes them, and are those of the subgraph H induces.
+    """
+
+    def thin(v: Configuration) -> bool:
+        return len(v.resources) > 1
+
+    parts = {p: tuple(filter(thin, vs)) for p, vs in h.parts.items()}
+    vertices = tuple(filter(thin, h.graph.vertices))
+    edges = tuple(e for e in h.graph.edges if thin(e[0]) and thin(e[1]))
+    graph = Graph._derived(vertices, edges, tuple(_holder_masks(vertices)), None)
+    return AllocationGraph(h.alpha, h.target, parts, graph)
+
+
+def restrict(g: AllocationGraph, U) -> AllocationGraph:
+    """Induced subgraph on the parts indexed by U (kept even when empty)."""
+    U = set(U)
+    unknown = U - set(g.parts)
+    if unknown:
+        raise AllocationGraphError(f"unknown players {sorted(unknown)}")
+    parts = {p: vs for p, vs in g.parts.items() if p in U}
+    keep = [v for vs in parts.values() for v in vs]
+    return AllocationGraph(g.alpha, g.target, parts, g.graph.induced(keep))
+
+
+def _holder_masks(vertices: tuple[Configuration, ...]) -> list[int]:
+    """The adjacency masks of the allocation graph on sorted ``vertices``:
+    two vertices of distinct owners are adjacent exactly when their
+    resources meet.
+
+    A vertex's mask is the OR of the masks of the vertices that hold each
+    of its resources, less its own part.  The degrees are summed as the
+    masks are made, so more than ``DEFAULT_EDGE_CAP`` edges raise
+    ``CapError`` before any edge list is built.
+    """
     # holders[r]: the vertices that hold r; own[p]: the vertices of p's part
     holders: dict[str, int] = {}
-    own = dict.fromkeys(parts, 0)
+    own: dict[str, int] = {}
     for i, (owner, resources) in enumerate(vertices):
         bit = 1 << i
-        own[owner] |= bit
+        own[owner] = own.get(owner, 0) | bit
         for rid in resources:
             holders[rid] = holders.get(rid, 0) | bit
     masks = []
@@ -113,32 +151,7 @@ def build_H(inst: Instance, target: Fraction, alpha: Fraction) -> AllocationGrap
         degrees += mask.bit_count()
         if degrees > 2 * DEFAULT_EDGE_CAP:  # twice the edges, once all are in
             raise CapError(f"more than {DEFAULT_EDGE_CAP} edges")
-    graph = Graph._from_masks(vertices, masks)
-    return AllocationGraph(Fraction(alpha), Fraction(target), parts, graph)
-
-
-def build_J(h: AllocationGraph) -> AllocationGraph:
-    """The thin part: H minus every fat clique component, that is, the
-    vertices of two or more resources."""
-    parts = {
-        p: tuple(v for v in vs if len(v.resources) > 1) for p, vs in h.parts.items()
-    }
-    return _on_parts(h, parts)
-
-
-def restrict(g: AllocationGraph, U) -> AllocationGraph:
-    """Induced subgraph on the parts indexed by U (kept even when empty)."""
-    U = set(U)
-    unknown = U - set(g.parts)
-    if unknown:
-        raise AllocationGraphError(f"unknown players {sorted(unknown)}")
-    return _on_parts(g, {p: vs for p, vs in g.parts.items() if p in U})
-
-
-def _on_parts(g: AllocationGraph, parts: dict) -> AllocationGraph:
-    """``g`` induced on the vertices of ``parts``."""
-    keep = [v for vs in parts.values() for v in vs]
-    return AllocationGraph(g.alpha, g.target, parts, g.graph.induced(keep))
+    return masks
 
 
 def find_independent_transversal(g: AllocationGraph) -> dict[str, Configuration] | None:

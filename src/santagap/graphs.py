@@ -296,9 +296,9 @@ def graph_from_json(doc: dict) -> tuple[Graph, dict[str, tuple] | None]:
             isinstance(idxs, (list, tuple)) for idxs in doc["parts"].values()
         ):
             raise GraphError("'parts' must map part names to vertex index lists")
-        parts = {
-            p: tuple(sorted(at(i) for i in idxs)) for p, idxs in doc["parts"].items()
-        }
+        # A part keeps the document's order: H lists each part in the order
+        # that find_independent_transversal searches.
+        parts = {p: tuple(at(i) for i in idxs) for p, idxs in doc["parts"].items()}
     return g, parts
 
 

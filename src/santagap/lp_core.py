@@ -9,13 +9,16 @@ constraints, and every configuration contains a minimal one.
 Everything up to the returned values is integer arithmetic.  Columns and
 T* candidates come from searches on the instance's integer value table
 (``Instance.int_values``, every value times ``Instance.scale``), with a
-threshold T rounded up to ``Instance.int_threshold(T)``.  Feasibility is
-decided by a revised, fraction-free phase-1 simplex with Bland's
-smallest-index rule, started with each resource row's slack basic: it
-keeps only den * B^-1 (m x m, for m players plus resources), the
-right-hand side and the prices of the rows over one common denominator,
-and prices the sparse columns on demand.  Its
-pivot sequence is that of a dense rational tableau, so identical inputs
+threshold T rounded up to ``Instance.int_threshold(T)``.  A probe first
+looks for an integral allocation among its columns, one per player and
+pairwise disjoint, in a search of at most as many nodes as the LP has
+rows; such an allocation is a 0/1 primal and proves feasibility.
+Otherwise feasibility is decided by a revised, fraction-free phase-1
+simplex with Bland's smallest-index rule, started with each resource
+row's slack basic: it keeps only den * B^-1 (m x m, for m players plus
+resources), the right-hand side and the prices of the rows over one
+common denominator, and prices the sparse columns on demand.  Its pivot
+sequence is that of a dense rational tableau, so identical inputs
 always pivot identically, and only the values it returns are Fractions.
 
 When the LP is infeasible the phase-1 dual prices form a feasible dual
@@ -37,11 +40,13 @@ least t, so it holds a resource with z_r = 1 or its z-weight is its
 integer value over t, at least 1) and have objective |P| - sum z_r > 0.
 A probe that this rules out is answered without building the LP.
 
-The witness of T* is the LP solution at T*.  ``instance.brute_force_opt``
-orders each player's columns by their weight in it and looks for OPT
-there first: when every weight is 1, the support holds one configuration
-per player, pairwise disjoint and each worth at least T* >= OPT, and the
-search takes it at its first leaf.
+The witness of T* is the primal of the probe at T*: the integral
+allocation when the search found one, else the simplex's solution, which
+may be fractional.  ``instance.brute_force_opt`` orders each player's
+columns by their weight in it and looks for OPT there first: when every
+weight is 1, the support holds one configuration per player, pairwise
+disjoint and each worth at least T* >= OPT, and the search takes it at
+its first leaf.
 """
 
 from __future__ import annotations
@@ -55,7 +60,12 @@ from typing import NamedTuple
 
 from . import subsets
 from .instance import Instance
-from .subsets import CapError, minimal_subsets_at_least
+from .subsets import (
+    BudgetSpent,
+    CapError,
+    first_disjoint_choice,
+    minimal_subsets_at_least,
+)
 
 # Distinct subset sums of one covet list, the T* candidates.  The pool and
 # column caps are subsets.DEFAULT_POOL_CAP and subsets.DEFAULT_COLUMN_CAP.
@@ -262,8 +272,52 @@ def clp_feasible(inst: Instance, target: Fraction) -> LpFeasibilityResult:
     Feasible: a primal solution satisfying every covering and packing
     constraint exactly.  Infeasible: a feasible dual solution with
     strictly positive objective (the phase-1 Farkas certificate).
+
+    An integral allocation is tried first (``_integral_primal``): one
+    column per player, pairwise disjoint, is a 0/1 primal and proves
+    feasibility with no LP.  Only when that search finds none, or gives
+    up, does the phase-1 simplex decide (``_simplex_feasible``), so every
+    infeasible answer and every certificate is the simplex's, while a
+    feasible answer's primal may be either.
     """
     model = build_clp_model(inst, target)
+    primal = _integral_primal(model)
+    if primal is None:
+        return _simplex_feasible(inst, model)
+    _check_primal(inst, model, primal)
+    return LpFeasibilityResult(True, primal, None, model)
+
+
+def _integral_primal(model: ClpModel) -> dict[Configuration, Fraction] | None:
+    """Weight 1 on one column per player, the columns pairwise disjoint.
+
+    The choice is ``subsets.first_disjoint_choice`` over each player's
+    columns in column order, as resource masks, within as many search
+    nodes as the LP has rows (players plus resources): enough for a
+    choice found with little backtracking, and small beside the simplex.
+    None when no choice exists or the search spends that budget.
+    """
+    bit = {r: 1 << i for i, r in enumerate(model.resource_ids)}
+    columns: dict[str, list[Configuration]] = {p: [] for p in model.players}
+    for cfg in model.columns:
+        columns[cfg.owner].append(cfg)
+    parts = [
+        [sum(bit[r] for r in cfg.resources) for cfg in cols]
+        for cols in columns.values()
+    ]
+    try:
+        choice, _ = first_disjoint_choice(
+            parts, budget=len(model.players) + len(model.resource_ids)
+        )
+    except BudgetSpent:
+        return None
+    if choice is None:
+        return None
+    return {cols[i]: Fraction(1) for cols, i in zip(columns.values(), choice)}
+
+
+def _simplex_feasible(inst: Instance, model: ClpModel) -> LpFeasibilityResult:
+    """CLP feasibility of ``model`` decided by ``_phase1_simplex`` alone."""
     players = model.players
     resource_ids = model.resource_ids
     prow = {p: i for i, p in enumerate(players)}
@@ -380,7 +434,9 @@ def compute_t_star(inst: Instance) -> TStarResult:
 
     Feasibility is monotone: a configuration at T is one at every T' < T,
     so CLP(T) feasible makes CLP(T') feasible.  The first feasible
-    candidate from the top is therefore T*, and its LP is the witness.
+    candidate from the top is therefore T*, and its ``clp_feasible``
+    result is the witness: an integral allocation where one is found
+    within the probe's search budget, else the simplex's primal.
 
     1. Capped-value filter.  For a player set P of size k and
        f(t) = sum over the resources P covets of min(V_r, t) - k*t,
@@ -400,10 +456,12 @@ def compute_t_star(inst: Instance) -> TStarResult:
        as much), so once the certificate fails it would fail at every
        lower candidate: an older certificate is never worth trying.
     3. Otherwise ``clp_feasible`` decides the candidate; ``probes`` counts
-       those LP solves.
+       those calls, whether the integral search or the simplex answered.
+       Every infeasible probe runs the simplex, so each certificate kept
+       in step 2 is a phase-1 Farkas certificate.
 
     Every skip is exact, so T*, ``candidates_examined`` and the witness
-    LP are those of a plain bisection that probes every step.
+    are those of a plain bisection that probes every step.
     """
     candidates = subset_sum_candidates(inst)
     probes = 0

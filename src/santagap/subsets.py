@@ -10,9 +10,13 @@ decides ``sum >= threshold`` exactly for integer sums.
 The other, ``first_disjoint_choice``, picks one subset per part, pairwise
 disjoint, with each subset an int mask over a resource index: it finds
 OPT (``instance.brute_force_opt``) and independent transversals of H
-(``allocation_graph.find_independent_transversal``).  No cap on the
-shape of its input bounds it; ``DEFAULT_NODE_CAP`` bounds the nodes it
-visits, counted on from those its caller has already spent.
+(``allocation_graph.find_independent_transversal``), and tries an
+integral solution before the simplex (``lp_core.clp_feasible``).  No cap
+on the shape of its input bounds it; ``DEFAULT_NODE_CAP`` bounds the nodes
+it visits, counted on from those its caller has already spent.  A caller
+that only hopes for a quick answer passes a ``budget`` of nodes, and a
+search that spends it raises ``BudgetSpent``: that proves nothing, while
+a None choice proves that no choice exists.
 
 ``CapError`` is the one error of every fixed cap in the package.  Each
 cap is a module constant of the module that enforces it, read at each
@@ -36,6 +40,11 @@ DEFAULT_NODE_CAP = 1_000_000
 
 class CapError(RuntimeError):
     """Raised when a computation would pass one of the fixed caps."""
+
+
+class BudgetSpent(Exception):
+    """A budgeted ``first_disjoint_choice`` gave up: it neither found a
+    choice nor proved that none exists."""
 
 
 def minimal_subsets_at_least(
@@ -82,7 +91,7 @@ def minimal_subsets_at_least(
 
 
 def first_disjoint_choice(
-    parts: list[Iterable[int]], nodes: int = 0
+    parts: list[Iterable[int]], nodes: int = 0, budget: int | None = None
 ) -> tuple[list[int] | None, int]:
     """The first pairwise-disjoint choice of one mask per part, and the
     running node count: ``nodes``, those the caller has already spent,
@@ -95,16 +104,22 @@ def first_disjoint_choice(
     fails as soon as some part still to choose has no mask disjoint from
     those chosen.  Such a node roots no solution, so this changes the
     node count and never the choice.  Raises ``CapError`` once the
-    running count passes ``DEFAULT_NODE_CAP``.
+    running count passes ``DEFAULT_NODE_CAP``, and ``BudgetSpent`` once
+    this search passes ``budget`` nodes of its own, when one is given.
     """
     n = len(parts)
     chosen = [0] * n
+    give_up = DEFAULT_NODE_CAP
+    if budget is not None:
+        give_up = min(give_up, nodes + budget)
 
     def dfs(k: int, used: int) -> bool:
         nonlocal nodes
         nodes += 1
-        if nodes > DEFAULT_NODE_CAP:
-            raise CapError(f"more than {DEFAULT_NODE_CAP} search nodes")
+        if nodes > give_up:
+            if nodes > DEFAULT_NODE_CAP:
+                raise CapError(f"more than {DEFAULT_NODE_CAP} search nodes")
+            raise BudgetSpent(f"no choice within {budget} search nodes")
         if any(all(mask & used for mask in part) for part in parts[k:]):
             return False
         if k == n:

@@ -156,6 +156,29 @@ def test_build_H_is_the_pairwise_construction():
     assert edges > 1000
 
 
+def test_J_and_restrict_are_induced_subgraphs_of_H():
+    """J builds its masks as H does, on the thin vertices, and keeps H's
+    edge pairs; it and ``restrict`` are each H's induced subgraph on their
+    vertices, with the same vertices, masks and edge order."""
+    thin = 0
+    for inst in _seeded_instances():
+        for alpha in (Fraction(1, 3), Fraction(1, 2), Fraction(1)):
+            h = build_H(inst, Fraction(1), alpha)
+            j = build_J(h)
+            for g, parts in (
+                (j, j.parts),
+                (restrict(h, inst.players[1:]), {p: h.parts[p] for p in inst.players[1:]}),
+                (restrict(j, inst.players[:2]), {p: j.parts[p] for p in inst.players[:2]}),
+            ):
+                want = h.graph.induced(v for vs in parts.values() for v in vs)
+                assert g.parts == parts
+                assert g.graph.vertices == want.vertices
+                assert g.graph.masks == want.masks
+                assert g.graph.edges == want.edges
+            thin += len(j.graph.edges)
+    assert thin > 200
+
+
 def test_H_vertices_are_the_enumerated_configurations():
     """H's parts are ``minimal_configurations`` at alpha*T, as returned and in
     order; J, ``restrict`` and a transversal keep those very objects."""
@@ -179,7 +202,7 @@ def test_H_vertices_are_the_enumerated_configurations():
 def test_H_round_trips_through_json():
     """Read back from JSON, H's vertices are plain (owner, resources)
     tuples: equal to its ``Configuration``s and hashed the same, so the
-    graph and the (sorted) parts compare equal."""
+    graph and the parts, each in H's order, compare equal."""
     for inst in itertools.islice(_seeded_instances(), 30):
         h = build_H(inst, Fraction(1), Fraction(1, 2))
         doc = json.loads(json.dumps(graphs.graph_to_json(h.graph, parts=h.parts)))
@@ -187,7 +210,7 @@ def test_H_round_trips_through_json():
         assert all(type(v) is tuple for v in g.vertices)
         assert g == h.graph and hash(g) == hash(h.graph)
         assert g.vertices == h.graph.vertices and g.edges == h.graph.edges
-        assert parts == {p: tuple(sorted(vs)) for p, vs in h.parts.items()}
+        assert parts == h.parts and list(parts) == list(h.parts)
 
 
 def test_build_H_edge_cap_is_exact(monkeypatch):

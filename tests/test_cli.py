@@ -63,16 +63,17 @@ covets p2 b c d e
 @pytest.mark.parametrize(
     "doc, opt, witness",
     [
-        (INSTANCE_DOC, "1", {"p1": ["c", "d"], "p2": ["a", "b"]}),
+        (INSTANCE_DOC, "1", {"p1": ["a", "b"], "p2": ["c", "d"]}),
         (MIXED_DENOMINATOR_DOC, "19/18", {"p1": ["a", "c"], "p2": ["b", "d", "e"]}),
     ],
     ids=["halves", "mixed-denominators"],
 )
 def test_opt_output_is_exact(tmp_path, doc, opt, witness):
     """The whole document, byte for byte, bundles printed as sorted lists.
-    Both T* witnesses are 0/1, so OPT = T* and the witness is the LP's
-    allocation, found with no search.  For "halves" that is not the first
-    optimal allocation in search order (p1 a b, p2 c d)."""
+    Both T* witnesses are 0/1, so OPT = T* and the witness is the T*
+    probe's allocation, taken at the first leaf of the OPT search.  For
+    "halves" the probe's integral search found it, so it is the first
+    optimal allocation in search order."""
     path = tmp_path / "inst.txt"
     path.write_text(doc)
     code, out, err = run_cli(["opt", str(path)])

@@ -51,13 +51,30 @@ def _assert_same_as_dense(nrows, columns):
 # -- _phase1_simplex ------------------------------------------------------------
 
 def test_simplex_matches_dense_on_every_t_star_probe(monkeypatch):
+    """The simplex on every probe's columns matches the dense oracle.  A
+    probe that the integral search answers runs the simplex on its model
+    too, and the simplex agrees that it is feasible."""
     probes = []
 
     def checked(nrows, columns):
         probes.append(len(columns))
         return _assert_same_as_dense(nrows, columns)
 
+    answered_integrally = 0
+    real_clp_feasible = lp_core.clp_feasible
+
+    def probe(inst, target):
+        nonlocal answered_integrally
+        before = len(probes)
+        res = real_clp_feasible(inst, target)
+        if len(probes) == before:
+            answered_integrally += 1
+            assert lp_core._simplex_feasible(inst, res.model).feasible
+        assert len(probes) == before + 1
+        return res
+
     monkeypatch.setattr(lp_core, "_phase1_simplex", checked)
+    monkeypatch.setattr(lp_core, "clp_feasible", probe)
     shapes = [(3, 6, 0.7), (4, 7, 0.8), (5, 6, 0.9), (2, 8, 0.6)]
     # The descending scan probes few candidates per instance, so it takes
     # 14 seeds of these shapes to reach 72 probes.
@@ -70,6 +87,7 @@ def test_simplex_matches_dense_on_every_t_star_probe(monkeypatch):
             lp_core.compute_t_star(inst)
     assert len(probes) >= 72
     assert max(probes) > 40
+    assert 0 < answered_integrally < len(probes)
 
 
 def _random_columns(rng, nrows, ncols, density):
@@ -141,7 +159,8 @@ def test_phase1_dual_is_a_dclp_certificate(monkeypatch):
     """The packing rows start on their slacks, so an infeasible probe's
     prices are y >= 0 (the surplus columns price out) and z >= 0 (the
     slacks do), with objective sum(y) - sum(z) equal to the phase-1
-    optimum, and ``verify_dual`` accepts them."""
+    optimum, and ``verify_dual`` accepts them.  A feasible probe that ran
+    the simplex ended at optimum 0."""
     optima = []
 
     def recorded(nrows, columns):
@@ -153,11 +172,15 @@ def test_phase1_dual_is_a_dclp_certificate(monkeypatch):
     infeasible = 0
     for inst in _gap_random_instances(range(10)):
         for target in lp_core.subset_sum_candidates(inst)[-8:]:
+            before = len(optima)
             res = lp_core.clp_feasible(inst, target)
+            ran_simplex = len(optima) == before + 1
+            assert ran_simplex or len(optima) == before
             if res.feasible:
-                assert optima[-1] == 0
+                assert not ran_simplex or optima[-1] == 0
                 continue
             infeasible += 1
+            assert ran_simplex
             cert = res.infeasibility_certificate
             assert min(cert.y.values()) >= 0 and min(cert.z.values()) >= 0
             assert cert.objective == optima[-1] > 0
@@ -166,15 +189,28 @@ def test_phase1_dual_is_a_dclp_certificate(monkeypatch):
     assert infeasible > 50
 
 
+def _assert_integral(inst, res):
+    """``res`` is feasible with a 0/1 primal: one column per player, each
+    at weight 1, pairwise disjoint."""
+    assert res.feasible
+    primal = res.primal
+    assert set(primal.values()) <= {1}
+    assert sorted(cfg.owner for cfg in primal) == sorted(inst.players)
+    held = [r for cfg in primal for r in cfg.resources]
+    assert len(held) == len(set(held))
+
+
 def test_t_star_golden_at_the_oracle_caps(monkeypatch):
-    """The 6-player, 14-resource instance: T* = 53/36 after 3 LP probes of
-    327 candidates, with 334 columns at T*, and the primal there is the
-    dense oracle's."""
+    """The 6-player, 14-resource instance: T* = 53/36 after 3 probes of
+    327 candidates, with 334 columns at T*.  The witness is an integral
+    allocation, and the simplex on the same model is the dense oracle's
+    and gives that witness."""
     inst = _six_by_fourteen()
     res = lp_core.compute_t_star(inst)
     assert (res.t_star, res.probes, res.candidates_examined) == (Fraction(53, 36), 3, 327)
     witness = res.feasibility_witness
-    assert witness.feasible and len(witness.model.columns) == 334
+    assert len(witness.model.columns) == 334
+    _assert_integral(inst, witness)
     calls = []
 
     def recorded(nrows, columns):
@@ -182,12 +218,149 @@ def test_t_star_golden_at_the_oracle_caps(monkeypatch):
         return _integer_simplex(nrows, columns)
 
     monkeypatch.setattr(lp_core, "_phase1_simplex", recorded)
-    assert lp_core.clp_feasible(inst, res.t_star).primal == witness.primal
+    assert lp_core._simplex_feasible(inst, witness.model).primal == witness.primal
     ((nrows, columns),) = calls
     _, x, _ = _assert_same_as_dense(nrows, columns)
     assert witness.primal == {
         cfg: w for cfg, w in zip(witness.model.columns, x) if w != 0
     }
+
+
+# -- clp_feasible: the integral search before the simplex ----------------------
+
+def _dense_clp_feasible(model):
+    """CLP feasibility of ``model`` by the dense oracle: a player row and a
+    resource row per configuration column, a surplus per player row and a
+    slack per resource row, feasible exactly when the phase-1 optimum is 0."""
+    rows = {x: i for i, x in enumerate((*model.players, *model.resource_ids))}
+    one = Fraction(1)
+    columns = [
+        [(rows[cfg.owner], one)] + [(rows[r], one) for r in cfg.resources]
+        for cfg in model.columns
+    ]
+    columns += [[(rows[p], -one)] for p in model.players]
+    columns += [[(rows[r], one)] for r in model.resource_ids]
+    optimum, _, _ = dense_phase1_simplex(len(rows), columns)
+    return optimum == 0
+
+
+def _count_simplex_calls(monkeypatch):
+    calls = []
+    simplex_feasible = lp_core._simplex_feasible
+
+    def recorded(inst, model):
+        calls.append(model.target)
+        return simplex_feasible(inst, model)
+
+    monkeypatch.setattr(lp_core, "_simplex_feasible", recorded)
+    return calls
+
+
+def test_clp_feasible_matches_the_dense_oracle_at_every_candidate(monkeypatch):
+    """On the gap-random shapes, on two-value instances and on the gap
+    instances, ``clp_feasible`` is feasible exactly where the dense
+    oracle's phase-1 optimum is 0, at every T* candidate.  The integral
+    search answers many feasible probes and the simplex decides every
+    infeasible one.  Random instances rarely have a feasible candidate
+    with no integral choice; the gap instances do, between OPT and T*."""
+    calls = _count_simplex_calls(monkeypatch)
+    integral = simplex_feasible = infeasible = 0
+    two_value = ((3, Fraction(1, 4), 2, 5, 0.8), (5, Fraction(1, 3), 3, 7, 0.5))
+    instances = [
+        *_gap_random_instances(range(4)),
+        *(
+            gen_two_value(
+                players, eps, {"num_fat": fat, "num_thin": thin, "density": density},
+                seed,
+            )
+            for players, eps, fat, thin, density in two_value
+            for seed in range(8)
+        ),
+        *(parse_instance(doc) for doc in WINDOW_GAPS.values()),
+        load_instance(GAP_GOLDEN),
+    ]
+    for inst in instances:
+        for target in lp_core.subset_sum_candidates(inst):
+            before = len(calls)
+            res = lp_core.clp_feasible(inst, target)
+            assert res.feasible == _dense_clp_feasible(res.model)
+            if not res.feasible:
+                infeasible += 1
+                assert len(calls) == before + 1
+            elif len(calls) == before:
+                integral += 1
+                _assert_integral(inst, res)
+            else:
+                simplex_feasible += 1
+    assert integral > 80 and simplex_feasible >= 8 and infeasible > 200
+
+
+def test_gap_golden_t_star_runs_the_simplex(monkeypatch):
+    """The 4 x 6 gap golden has OPT = 1/2 < T* = 1, so at T* no integral
+    choice exists: the probe runs the simplex, and its witness is the
+    fractional one, each player half on a fat item and half on a thin
+    pair."""
+    inst = load_instance(GAP_GOLDEN)
+    calls = _count_simplex_calls(monkeypatch)
+    res = lp_core.compute_t_star(inst)
+    assert res.t_star == 1 and calls[-1] == 1
+    primal = res.feasibility_witness.primal
+    assert set(primal.values()) == {Fraction(1, 2)}
+    assert sorted(len(cfg.resources) for cfg in primal) == [1] * 4 + [2] * 4
+
+
+def test_integral_search_past_its_budget_falls_back_to_the_simplex(monkeypatch):
+    """At T* of the 6 x 14 instance the first disjoint choice takes 254
+    nodes, past the probe's budget of 20, its row count.  The search gives
+    up, and the simplex answers feasible, as the dense oracle does."""
+    inst = _six_by_fourteen()
+    target = Fraction(53, 36)
+    model = lp_core.build_clp_model(inst, target)
+    bit = {r: 1 << i for i, r in enumerate(model.resource_ids)}
+    parts = [
+        [sum(bit[r] for r in cfg.resources) for cfg in model.columns if cfg.owner == p]
+        for p in model.players
+    ]
+    choice, nodes = subsets.first_disjoint_choice(parts)
+    budget = len(model.players) + len(model.resource_ids)
+    assert choice is not None and (nodes, budget) == (254, 20)
+    with pytest.raises(subsets.BudgetSpent):
+        subsets.first_disjoint_choice(parts, budget=budget)
+    assert lp_core._integral_primal(model) is None
+    calls = _count_simplex_calls(monkeypatch)
+    res = lp_core.clp_feasible(inst, target)
+    assert calls == [target]
+    assert res.feasible and _dense_clp_feasible(res.model)
+
+
+def test_budgeted_disjoint_choice_gives_up_apart_from_a_proof(monkeypatch):
+    """Within its budget a search returns what the unbudgeted one returns,
+    a choice or the None that proves there is none; past it, it raises
+    ``BudgetSpent``.  The node cap still raises ``CapError`` first."""
+    rng = random.Random(9)
+    found = exhausted = gave_up = 0
+    for _ in range(400):
+        parts = [
+            [rng.randrange(1, 256) for _ in range(rng.randint(0, 5))]
+            for _ in range(rng.randint(1, 6))
+        ]
+        want = subsets.first_disjoint_choice(parts, 5)
+        spent = want[1] - 5
+        budget = rng.randint(1, 2 * spent)
+        if budget >= spent:
+            assert subsets.first_disjoint_choice(parts, 5, budget=budget) == want
+            found += want[0] is not None
+            exhausted += want[0] is None
+        else:
+            with pytest.raises(subsets.BudgetSpent):
+                subsets.first_disjoint_choice(parts, 5, budget=budget)
+            gave_up += 1
+    assert min(found, exhausted, gave_up) > 30
+    monkeypatch.setattr(subsets, "DEFAULT_NODE_CAP", 3)
+    with pytest.raises(subsets.CapError):
+        subsets.first_disjoint_choice([[1], [2], [4]], budget=10)
+    with pytest.raises(subsets.BudgetSpent):
+        subsets.first_disjoint_choice([[1], [2], [4]], budget=2)
 
 
 # -- compute_t_star: the capped-value filter ------------------------------------
