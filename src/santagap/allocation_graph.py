@@ -159,23 +159,15 @@ def find_independent_transversal(g: AllocationGraph) -> dict[str, Configuration]
 
     Two vertices of distinct parts are adjacent exactly when their
     resources meet, so this is ``subsets.first_disjoint_choice`` over the
-    parts in increasing size order (ties by player), each vertex a mask of
-    its resources; exhausting the search is a proof of non-existence.  A
-    search past ``subsets.DEFAULT_NODE_CAP`` nodes raises ``subsets.CapError``.
+    parts in increasing size order (ties by player), and the transversal
+    is the vertices it chooses; exhausting the search is a proof of
+    non-existence.  A search past ``subsets.DEFAULT_NODE_CAP`` nodes raises ``subsets.CapError``.
     """
     order = sorted(g.parts, key=lambda p: (len(g.parts[p]), p))
-    bit: dict[str, int] = {}
-    masks = [
-        [
-            sum(bit.setdefault(r, 1 << len(bit)) for r in v.resources)
-            for v in g.parts[p]
-        ]
-        for p in order
-    ]
-    choice, _ = first_disjoint_choice(masks)
+    choice, _ = first_disjoint_choice([g.parts[p] for p in order])
     if choice is None:
         return None
-    return {p: g.parts[p][i] for p, i in zip(order, choice)}
+    return dict(zip(order, choice))
 
 
 def transversal_to_allocation(

@@ -1,8 +1,8 @@
 """Command-line surface: JSON on stdout, exit 0/1/2/64.
 
 Exit codes: 0 success, 1 validation failure (bad input, infeasible
-verdicts asked to be feasible, missing files), 2 inconclusive within
-budget, 64 usage errors.
+verdicts asked to be feasible, a missing file or a directory given as
+one), 2 inconclusive within budget, 64 usage errors.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .allocation_graph import AllocationGraphError, build_H, build_J
 from .gap_report import (
     TSV_HEADER,
     BatchConfig,
+    CoefficientError,
     evaluate_instance,
     run_gap_experiment,
     t_star_and_opt,
@@ -193,7 +194,10 @@ def cli_main(argv: list[str] | None = None) -> int:
         GraphError,
         RationalParseError,
         RationalFormatError,
+        CoefficientError,
         FileNotFoundError,
+        IsADirectoryError,
+        NotADirectoryError,
         topology.SequenceError,
     ) as exc:
         return _fail(str(exc))

@@ -66,8 +66,11 @@ class CoefficientCertificate:
 
 def phase_inequality_coefficients(T: Fraction, m: Fraction) -> list[tuple[Fraction, ...]]:
     """Right-hand-side coefficient vectors (n1..n4) of the four phase
-    inequalities derived from the dual snapshots."""
+    inequalities derived from the dual snapshots.  They need m >= 0, as
+    every m(alpha) is, and T > 3m."""
     T, m = Fraction(T), Fraction(m)
+    if m < 0:
+        raise CoefficientError(f"need m >= 0, got m={m}")
     if T <= 3 * m:
         raise CoefficientError(f"need T > 3m, got T={T}, m={m}")
     zero = Fraction(0)

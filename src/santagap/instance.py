@@ -330,13 +330,12 @@ def brute_force_opt(inst: Instance, t_star) -> OptResult:
     ``nodes_explored`` counts the nodes of every search.  The count runs
     on through the scan, so one answer costs at most
     ``subsets.DEFAULT_NODE_CAP`` nodes; past it, ``subsets.CapError``.  The
-    witness gives each player its chosen configuration.
+    witness gives each player the configuration the search chose for it.
     """
     # lp_core imports this module, so the import waits for the call.
     from .lp_core import minimal_configurations
 
     players = inst.players
-    bit = {r: 1 << i for i, r in enumerate(inst.resource_ids)}
 
     def levels():
         primal = t_star.feasibility_witness.primal
@@ -353,41 +352,14 @@ def brute_force_opt(inst: Instance, t_star) -> OptResult:
 
     nodes = 0
     for t, parts in levels():
-        choice, nodes = first_disjoint_choice(
-            [_Masks(part, bit) for part in parts], nodes
-        )
+        choice, nodes = first_disjoint_choice(parts, nodes)
         if choice is not None:
             break
-    alloc = Allocation({
-        p: part[i].resources for p, part, i in zip(players, parts, choice)
-    })
+    alloc = Allocation({cfg.owner: cfg.resources for cfg in choice})
     alloc.validate(inst)
     if players and alloc.min_value(inst) != t:
         raise AssertionError("OPT witness does not reach OPT")
     return OptResult(t, alloc, nodes)
-
-
-class _Masks:
-    """One part of ``brute_force_opt``'s search: its configurations as
-    resource masks, each built when the search first reads it.  A 0/1 T*
-    witness ends the search having read one mask per part."""
-
-    __slots__ = ("configs", "bit", "masks")
-
-    def __init__(self, configs: list, bit: dict[str, int]):
-        self.configs, self.bit, self.masks = configs, bit, []
-
-    def __iter__(self):
-        if len(self.masks) == len(self.configs):
-            return iter(self.masks)
-        return self._build()
-
-    def _build(self):
-        masks, bit = self.masks, self.bit
-        for i, cfg in enumerate(self.configs):
-            if i == len(masks):
-                masks.append(sum(bit[r] for r in cfg.resources))
-            yield masks[i]
 
 
 # ---------------------------------------------------------------------------

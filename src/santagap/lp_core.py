@@ -292,28 +292,23 @@ def _integral_primal(model: ClpModel) -> dict[Configuration, Fraction] | None:
     """Weight 1 on one column per player, the columns pairwise disjoint.
 
     The choice is ``subsets.first_disjoint_choice`` over each player's
-    columns in column order, as resource masks, within as many search
-    nodes as the LP has rows (players plus resources): enough for a
+    columns in column order, within as many search nodes as the LP has rows (players plus resources): enough for a
     choice found with little backtracking, and small beside the simplex.
     None when no choice exists or the search spends that budget.
     """
-    bit = {r: 1 << i for i, r in enumerate(model.resource_ids)}
     columns: dict[str, list[Configuration]] = {p: [] for p in model.players}
     for cfg in model.columns:
         columns[cfg.owner].append(cfg)
-    parts = [
-        [sum(bit[r] for r in cfg.resources) for cfg in cols]
-        for cols in columns.values()
-    ]
     try:
         choice, _ = first_disjoint_choice(
-            parts, budget=len(model.players) + len(model.resource_ids)
+            list(columns.values()),
+            budget=len(model.players) + len(model.resource_ids),
         )
     except BudgetSpent:
         return None
     if choice is None:
         return None
-    return {cols[i]: Fraction(1) for cols, i in zip(columns.values(), choice)}
+    return {cfg: Fraction(1) for cfg in choice}
 
 
 def _simplex_feasible(inst: Instance, model: ClpModel) -> LpFeasibilityResult:

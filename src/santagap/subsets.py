@@ -7,12 +7,13 @@ pass an instance's integer value table (``Instance.int_values``) and a
 threshold scaled by the same ``Instance.scale`` and rounded up, which
 decides ``sum >= threshold`` exactly for integer sums.
 
-The other, ``first_disjoint_choice``, picks one subset per part, pairwise
-disjoint, with each subset an int mask over a resource index: it finds
-OPT (``instance.brute_force_opt``) and independent transversals of H
+The other, ``first_disjoint_choice``, picks one configuration per part,
+pairwise disjoint, and returns the configurations it chose: it finds OPT
+(``instance.brute_force_opt``) and independent transversals of H
 (``allocation_graph.find_independent_transversal``), and tries an
-integral solution before the simplex (``lp_core.clp_feasible``).  No cap
-on the shape of its input bounds it; ``DEFAULT_NODE_CAP`` bounds the nodes
+integral solution before the simplex (``lp_core.clp_feasible``).  It is
+the one place that encodes configurations as resource masks.  No cap on
+the shape of its input bounds it; ``DEFAULT_NODE_CAP`` bounds the nodes
 it visits, counted on from those its caller has already spent.  A caller
 that only hopes for a quick answer passes a ``budget`` of nodes, and a
 search that spends it raises ``BudgetSpent``: that proves nothing, while
@@ -25,7 +26,10 @@ call, so a test reaches another value by monkeypatching the constant.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:
+    from .lp_core import Configuration
 
 # Coveted resources per player: the items of minimal_subsets_at_least,
 # and the covet lists whose subset sums lp_core takes as T* candidates.
@@ -91,23 +95,33 @@ def minimal_subsets_at_least(
 
 
 def first_disjoint_choice(
-    parts: list[Iterable[int]], nodes: int = 0, budget: int | None = None
-) -> tuple[list[int] | None, int]:
-    """The first pairwise-disjoint choice of one mask per part, and the
-    running node count: ``nodes``, those the caller has already spent,
-    plus this search's.  Each part is iterated afresh, front to back and
-    often only partly, every time the search reads it.
+    parts: Sequence[Sequence[Configuration]],
+    nodes: int = 0,
+    budget: int | None = None,
+) -> tuple[list[Configuration] | None, int]:
+    """The first pairwise-disjoint choice of one configuration per part,
+    and the running node count: ``nodes``, those the caller has already
+    spent, plus this search's.
 
-    The choice is a list of indices, one into each part, and is the first
-    that backtracking finds when it branches over the parts in order and
-    over each part's masks in order; None when no choice exists.  A node
-    fails as soon as some part still to choose has no mask disjoint from
-    those chosen.  Such a node roots no solution, so this changes the
-    node count and never the choice.  Raises ``CapError`` once the
-    running count passes ``DEFAULT_NODE_CAP``, and ``BudgetSpent`` once
-    this search passes ``budget`` nodes of its own, when one is given.
+    The choice lists the chosen configurations themselves, one from each
+    part, and is the first that backtracking finds when it branches over
+    the parts in order and over each part's configurations in order; None
+    when no choice exists.  Each resource gets a bit when the search
+    first sees it, and every configuration's mask is built before the
+    first node, so which ids the resources have never matters.  A node
+    fails as soon as some part still to choose has no configuration
+    disjoint from those chosen.  Such a node roots no solution, so this
+    changes the node count and never the choice.  Raises ``CapError``
+    once the running count passes ``DEFAULT_NODE_CAP``, and
+    ``BudgetSpent`` once this search passes ``budget`` nodes of its own,
+    when one is given.
     """
-    n = len(parts)
+    bit: dict[str, int] = {}
+    masks = [
+        [sum(bit.setdefault(r, 1 << len(bit)) for r in cfg.resources) for cfg in part]
+        for part in parts
+    ]
+    n = len(masks)
     chosen = [0] * n
     give_up = DEFAULT_NODE_CAP
     if budget is not None:
@@ -120,15 +134,17 @@ def first_disjoint_choice(
             if nodes > DEFAULT_NODE_CAP:
                 raise CapError(f"more than {DEFAULT_NODE_CAP} search nodes")
             raise BudgetSpent(f"no choice within {budget} search nodes")
-        if any(all(mask & used for mask in part) for part in parts[k:]):
+        if any(all(mask & used for mask in part) for part in masks[k:]):
             return False
         if k == n:
             return True
-        for i, mask in enumerate(parts[k]):
+        for i, mask in enumerate(masks[k]):
             if not mask & used:
                 chosen[k] = i
                 if dfs(k + 1, used | mask):
                     return True
         return False
 
-    return (chosen if dfs(0, 0) else None), nodes
+    if not dfs(0, 0):
+        return None, nodes
+    return [part[i] for part, i in zip(parts, chosen)], nodes

@@ -39,7 +39,9 @@ SHARED_FAT = parse_instance(
 CASES = {
     "NODE": (
         subsets, "DEFAULT_NODE_CAP", 1,
-        lambda: subsets.first_disjoint_choice([[1], [2]]),
+        lambda: subsets.first_disjoint_choice(
+            [[lp_core.Configuration("p1", ("a",))], [lp_core.Configuration("p2", ("b",))]]
+        ),
         "more than 1 search nodes",
     ),
     "POOL-subsets": (

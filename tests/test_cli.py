@@ -133,6 +133,55 @@ def test_verify_coefficients_cli():
     assert doc["weights_sum"] == "1"
 
 
+@pytest.mark.parametrize(
+    "T, m, message",
+    [("1", "1", "need T > 3m"), ("3", "1", "need T > 3m"), ("1", "-1", "need m >= 0")],
+)
+def test_verify_coefficients_out_of_range_is_json_error(T, m, message):
+    """T <= 3m has no phase inequalities, and no m(alpha) is negative."""
+    code, out, err = run_cli(["verify-coefficients", "--T", T, "--m", m])
+    assert code == 1 and err == ""
+    assert json.loads(out)["error"].startswith(message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tstar", "DIR"],
+        ["opt", "DIR"],
+        ["gap", "DIR"],
+        ["hypergraph", "DIR", "--alpha", "1"],
+        ["eta", "DIR"],
+        ["de-search", "DIR"],
+        ["de-verify", "DIR", "TRACE"],
+        ["de-verify", "GRAPH", "DIR"],
+        ["dual-check", "DIR", "1", "DUAL"],
+        ["dual-check", "INST", "1", "DIR"],
+    ],
+    ids=[
+        "tstar", "opt", "gap", "hypergraph", "eta", "de-search",
+        "de-verify-graph", "de-verify-trace", "dual-check-instance", "dual-check-dual",
+    ],
+)
+@pytest.mark.parametrize("kind", ["directory", "under-a-file"])
+def test_directory_as_input_file_is_json_error(instance_file, tmp_path, argv, kind):
+    """Every file argument (DIR), given a directory or a path through a
+    file, fails as a missing file does: a JSON error and exit 1."""
+    _k2(tmp_path)
+    (tmp_path / "trace.json").write_text("[]")
+    (tmp_path / "dual.json").write_text('{"y": {}, "z": {}}')
+    files = {
+        "DIR": str(tmp_path) if kind == "directory" else f"{instance_file}/x",
+        "INST": instance_file,
+        "GRAPH": str(tmp_path / "k2.json"),
+        "TRACE": str(tmp_path / "trace.json"),
+        "DUAL": str(tmp_path / "dual.json"),
+    }
+    code, out, err = run_cli([files.get(a, a) for a in argv])
+    assert code == 1 and err == ""
+    assert "error" in json.loads(out)
+
+
 def test_hypergraph_eta_and_trace_pipeline(instance_file, tmp_path):
     code, out, _ = run_cli(
         ["hypergraph", instance_file, "--alpha", "2/3", "--thin"]

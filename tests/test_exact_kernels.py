@@ -7,6 +7,7 @@ from T*; each must return exactly what the oracles in ``oracles.py``
 return.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from oracles import (
     rational_max_value_below,
     rational_min_cost_subset_reaching,
 )
-from santagap import instance, lp_core, subsets
+from santagap import lp_core, subsets
 from santagap.allocation_graph import compute_m
 from santagap.instance import (
     Instance,
@@ -316,11 +317,7 @@ def test_integral_search_past_its_budget_falls_back_to_the_simplex(monkeypatch):
     inst = _six_by_fourteen()
     target = Fraction(53, 36)
     model = lp_core.build_clp_model(inst, target)
-    bit = {r: 1 << i for i, r in enumerate(model.resource_ids)}
-    parts = [
-        [sum(bit[r] for r in cfg.resources) for cfg in model.columns if cfg.owner == p]
-        for p in model.players
-    ]
+    parts = [[cfg for cfg in model.columns if cfg.owner == p] for p in model.players]
     choice, nodes = subsets.first_disjoint_choice(parts)
     budget = len(model.players) + len(model.resource_ids)
     assert choice is not None and (nodes, budget) == (254, 20)
@@ -333,6 +330,23 @@ def test_integral_search_past_its_budget_falls_back_to_the_simplex(monkeypatch):
     assert res.feasible and _dense_clp_feasible(res.model)
 
 
+def _config(owner, mask):
+    """The configuration of ``owner`` on the resources r<b> of the bits b
+    of ``mask``."""
+    return lp_core.Configuration(
+        owner, tuple(f"r{b}" for b in range(mask.bit_length()) if mask >> b & 1)
+    )
+
+
+def _random_parts(rng, configs, masks, sizes):
+    """Random parts of random configurations: one part per player, each
+    configuration on the bits of a mask drawn from ``masks``."""
+    return [
+        [_config(f"p{k}", rng.randrange(*masks)) for _ in range(rng.randint(*configs))]
+        for k in range(rng.randint(*sizes))
+    ]
+
+
 def test_budgeted_disjoint_choice_gives_up_apart_from_a_proof(monkeypatch):
     """Within its budget a search returns what the unbudgeted one returns,
     a choice or the None that proves there is none; past it, it raises
@@ -340,10 +354,7 @@ def test_budgeted_disjoint_choice_gives_up_apart_from_a_proof(monkeypatch):
     rng = random.Random(9)
     found = exhausted = gave_up = 0
     for _ in range(400):
-        parts = [
-            [rng.randrange(1, 256) for _ in range(rng.randint(0, 5))]
-            for _ in range(rng.randint(1, 6))
-        ]
+        parts = _random_parts(rng, (0, 5), (1, 256), (1, 6))
         want = subsets.first_disjoint_choice(parts, 5)
         spent = want[1] - 5
         budget = rng.randint(1, 2 * spent)
@@ -357,10 +368,48 @@ def test_budgeted_disjoint_choice_gives_up_apart_from_a_proof(monkeypatch):
             gave_up += 1
     assert min(found, exhausted, gave_up) > 30
     monkeypatch.setattr(subsets, "DEFAULT_NODE_CAP", 3)
+    singles = [[_config(p, 1 << b)] for b, p in enumerate(["p0", "p1", "p2"])]
     with pytest.raises(subsets.CapError):
-        subsets.first_disjoint_choice([[1], [2], [4]], budget=10)
+        subsets.first_disjoint_choice(singles, budget=10)
     with pytest.raises(subsets.BudgetSpent):
-        subsets.first_disjoint_choice([[1], [2], [4]], budget=2)
+        subsets.first_disjoint_choice(singles, budget=2)
+
+
+def test_disjoint_choice_returns_the_parts_own_configurations():
+    """The choice is the parts' own objects: the first pairwise-disjoint
+    one in the order of ``itertools.product``.  Renaming every resource id
+    changes neither the choice nor the node count, and parts that hold the
+    empty configuration, OPT's level t = 0, are answered."""
+    rng = random.Random(11)
+    found = 0
+    for _ in range(300):
+        parts = _random_parts(rng, (0, 5), (0, 64), (0, 5))
+        choice, nodes = subsets.first_disjoint_choice(parts)
+        renamed = [
+            [lp_core.Configuration(c.owner, tuple(f"x{5 - int(r[1:])}" for r in c.resources))
+             for c in part]
+            for part in parts
+        ]
+        again, again_nodes = subsets.first_disjoint_choice(renamed)
+        assert again_nodes == nodes and (again is None) == (choice is None)
+        first = next(
+            (list(c) for c in itertools.product(*parts)
+             if len({r for x in c for r in x.resources}) == sum(len(x.resources) for x in c)),
+            None,
+        )
+        assert choice == first
+        if choice is None:
+            continue
+        found += 1
+        assert all(any(c is x for x in part) for c, part in zip(choice, parts))
+        assert [part.index(c) for part, c in zip(parts, choice)] == [
+            part.index(c) for part, c in zip(renamed, again)
+        ]
+    assert found > 100
+    empty = [[_config(p, 0)] for p in ["p0", "p1", "p2"]]
+    choice, nodes = subsets.first_disjoint_choice(empty)
+    assert choice == [c for [c] in empty] and nodes == 4
+    assert all(c is x for c, [x] in zip(choice, empty))
 
 
 # -- compute_t_star: the capped-value filter ------------------------------------
@@ -668,48 +717,6 @@ def test_brute_force_opt_from_the_t_star_witness():
             for p, bundle in got.witness.assignment.items():
                 assert primal[lp_core.Configuration(p, bundle)] == 1
     assert (integral, fractional) == (80, 1)
-
-
-def test_brute_force_opt_builds_the_masks_the_search_reads(monkeypatch):
-    """The OPT search's masks are built as it reads them: a 0/1 T*
-    witness builds one per part, and choices and node counts are those
-    of the search on every mask built up front."""
-    made = []
-
-    class Recorded(instance._Masks):
-        __slots__ = ()
-
-        def __init__(self, configs, bit):
-            super().__init__(configs, bit)
-            made.append(self)
-
-    monkeypatch.setattr(instance, "_Masks", Recorded)
-    for inst in [*_gap_random_instances(range(10)), load_instance(GAP_GOLDEN)]:
-        made.clear()
-        res = lp_core.compute_t_star(inst)
-        got = brute_force_opt(inst, res)
-        if all(w == 1 for w in res.feasibility_witness.primal.values()):
-            assert [len(m.masks) for m in made] == [1] * len(inst.players)
-            assert sum(len(m.configs) for m in made) > len(inst.players)
-        eager = [[sum(1 << inst.resource_ids.index(r) for r in cfg.resources)
-                  for cfg in m.configs] for m in made]
-        for lazy, masks in zip(made, eager):
-            assert list(lazy) == masks
-        assert made and got.nodes_explored > 0
-    rng = random.Random(8)
-    for _ in range(200):
-        parts = [[rng.randrange(1, 64) for _ in range(rng.randint(0, 5))]
-                 for _ in range(rng.randint(1, 5))]
-        bit = {f"r{b}": 1 << b for b in range(6)}
-        lazy = [
-            instance._Masks(
-                [lp_core.Configuration("p", tuple(r for r in bit if m & bit[r]))
-                 for m in part],
-                bit,
-            )
-            for part in parts
-        ]
-        assert subsets.first_disjoint_choice(lazy) == subsets.first_disjoint_choice(parts)
 
 
 def test_brute_force_opt_golden_at_the_oracle_caps():
