@@ -338,14 +338,8 @@ def brute_force_opt(inst: Instance, t_star) -> OptResult:
     players = inst.players
 
     def levels():
-        primal = t_star.feasibility_witness.primal
-        parts: dict[str, list] = {p: [] for p in players}
-        for cfg in sorted(primal, key=primal.get, reverse=True):
-            parts[cfg.owner].append(cfg)
-        for cfg in t_star.feasibility_witness.model.columns:
-            if cfg not in primal:
-                parts[cfg.owner].append(cfg)
-        yield t_star.t_star, list(parts.values())
+        witness = t_star.feasibility_witness
+        yield t_star.t_star, witness.model.player_columns(witness.primal)
         below = [t for t in (Fraction(0), *t_star.candidates) if t < t_star.t_star]
         for t in reversed(below):
             yield t, [minimal_configurations(inst, p, t) for p in players]

@@ -14,12 +14,15 @@ looks for an integral allocation among its columns, one per player and
 pairwise disjoint, in a search of at most as many nodes as the LP has
 rows; such an allocation is a 0/1 primal and proves feasibility.
 Otherwise feasibility is decided by a revised, fraction-free phase-1
-simplex with Bland's smallest-index rule, started with each resource
-row's slack basic: it keeps only den * B^-1 (m x m, for m players plus
-resources), the right-hand side and the prices of the rows over one
-common denominator, and prices the sparse columns on demand.  Its pivot
-sequence is that of a dense rational tableau, so identical inputs
-always pivot identically, and only the values it returns are Fractions.
+simplex.  It starts from a triangular crash basis, each resource row on
+its slack and each player row on its first configuration disjoint from
+those chosen before it, enters the column of largest pricing weight, or
+Bland's smallest improving index right after a degenerate pivot, and
+keeps only den * B^-1 (m x m, for m players plus resources), the
+right-hand side and the prices of the rows over one common denominator,
+pricing the sparse columns on demand.  Its pivot sequence is that of a
+dense rational tableau, so identical inputs always pivot identically,
+and only the values it returns are Fractions.
 
 When the LP is infeasible the phase-1 dual prices form a feasible dual
 solution with strictly positive objective, which is returned as the
@@ -92,6 +95,22 @@ class ClpModel:
     players: tuple[str, ...]
     resource_ids: tuple[str, ...]
 
+    def player_columns(
+        self, primal: dict[Configuration, Fraction] | None = None
+    ) -> list[list[Configuration]]:
+        """Each player's columns, the players in order: the support of
+        ``primal`` first, by descending weight, then the other columns in
+        column order."""
+        parts: dict[str, list[Configuration]] = {p: [] for p in self.players}
+        rest = self.columns
+        if primal:
+            for cfg in sorted(primal, key=primal.get, reverse=True):
+                parts[cfg.owner].append(cfg)
+            rest = [cfg for cfg in rest if cfg not in primal]
+        for cfg in rest:
+            parts[cfg.owner].append(cfg)
+        return list(parts.values())
+
 
 @dataclass
 class DualSolution:
@@ -141,8 +160,9 @@ def minimal_configurations(
 ) -> list[Configuration]:
     """All minimal configurations of a player at ``threshold``.
 
-    Sorted by (size, resources): the order fixes Bland's pivot sequence
-    over CLP columns and the transversal search over the parts of H.
+    Sorted by (size, resources): the order fixes the simplex's crash
+    basis and pivot sequence over CLP columns and the transversal search
+    over the parts of H.
     """
     pool = {rid: inst.int_values[rid] for rid in inst.covets[player]}
     found = [
@@ -173,23 +193,42 @@ def _phase1_simplex(
     """Minimize the artificial sum of {Ax = 1, x >= 0} given sparse integer columns.
 
     Returns (optimum, x values for the given columns, dual prices pi).
-    The start is a crash basis: a row that has a unit column (its only
-    entry a 1 in that row, such as a packing row's slack) starts with the
-    first such column basic at cost 0, and every other row with an
-    artificial variable, appended internally.  Both bases are the
-    identity, so the start is exact and feasible, and Bland's rule runs
-    from it unchanged.  Artificials are barred from re-entering once they
-    leave, and a row that starts on a unit column has none to enter.
+
+    The start is a triangular crash basis.  A row that has a unit column
+    (its only entry a 1 in that row, such as a packing row's slack)
+    starts with the first one basic.  Then each row still on its
+    artificial, in row order, starts on the first column whose entry
+    there is 1 and whose other entries are 1 on rows still on their unit
+    column at rhs 1; those rows drop to rhs 0.  On a CLP this puts each
+    player row on its first configuration disjoint from those chosen
+    before it.  With N the off-diagonal entries of the crash columns,
+    B = I + N and N^2 = 0 (N's rows are unit rows, its columns crash
+    rows), so det B = 1, B^-1 = I - N, the rhs is 0/1 and the prices are
+    c_B: every start value is an exact integer.  Every other row starts
+    on an artificial variable, appended internally.  Artificials are
+    barred from entering, so one that leaves never returns, and a row
+    that starts on a given column has none to enter.
+
+    Pricing takes the column of largest pricing weight, ties to the
+    lowest index (Dantzig), except right after a degenerate pivot (the
+    leaving row's rhs 0), where it takes the first column with a positive
+    weight (Bland).  The leaving row is always Bland's: the least ratio,
+    ties to the lowest basic column, artificials last.  So the simplex
+    terminates.  A pivot that is not degenerate lowers the objective, so
+    a cycle would be made of degenerate pivots only, each of which
+    follows a degenerate pivot and is therefore chosen by Bland's rule;
+    no artificial can leave inside it, as it could not re-enter; and
+    Bland's theorem (Math. OR 1977) excludes such a cycle.
 
     A revised, fraction-free simplex (Edmonds 1967; Bareiss 1968).  With
-    ``den`` the previous pivot element (1 at the start), it keeps three
-    integer arrays: ``inv`` = den * B^-1 (m x m, the artificial block of
-    the full tableau), ``rhs`` = den * B^-1 * 1, and ``obj`` = den times
-    the reduced costs of the artificials, whose prices give every other
-    reduced cost: den * rc_j = -sum_i (den - obj[i]) * a_ij.  A row that
-    starts on a unit column counts as having a barred artificial of cost
-    1, so its ``obj`` starts at den and its price at 0.  Pricing
-    runs over the sparse columns under Bland's rule, and the entering
+    ``den`` the previous pivot element (det B = 1 at the start), it keeps
+    three integer arrays: ``inv`` = den * B^-1 (m x m, the artificial
+    block of the full tableau), ``rhs`` = den * B^-1 * 1, and ``obj`` =
+    den times the reduced costs of the artificials, whose prices give
+    every other reduced cost: den * rc_j = -sum_i (den - obj[i]) * a_ij.
+    A row that starts on a given column counts as having a barred
+    artificial of cost 1, so its ``obj`` starts at den and its price at
+    0.  The pricing weight of column j is den * -rc_j, and the entering
     column is inv * a_j.  Pivoting on p in row l keeps row l and turns
     every other row r into (p*r - d_r*row l) / den, where d is the
     entering column; every division is exact.  These are the integers a
@@ -199,7 +238,9 @@ def _phase1_simplex(
     ncols = len(columns)
     # Each column as (row indices, coefficients), for C-level dot products.
     sparse = [tuple(zip(*col)) or ((), ()) for col in columns]
-    inv = [[int(i == k) for k in range(nrows)] for i in range(nrows)]
+    inv = [[0] * nrows for _ in range(nrows)]
+    for i in range(nrows):
+        inv[i][i] = 1
     rhs = [1] * nrows
     obj = [0] * nrows
     # basis[i] is the column basic in row i; artificial i is ncols + i.
@@ -208,21 +249,49 @@ def _phase1_simplex(
         if coefs == (1,) and basis[rows[0]] >= ncols:
             basis[rows[0]] = j
             obj[rows[0]] = 1
+    # The crash candidates of each row on its artificial: columns of ones
+    # whose every other row starts on its unit column.
+    candidates: list[list[int]] = [[] for _ in range(nrows)]
+    for j, (rows, coefs) in enumerate(sparse):
+        if coefs.count(1) == len(coefs):
+            open_rows = [i for i in rows if basis[i] >= ncols]
+            if len(open_rows) == 1:
+                candidates[open_rows[0]].append(j)
+    for i, found in enumerate(candidates):
+        for j in found:
+            rows = sparse[j][0]
+            if all(rhs[k] for k in rows if k != i):
+                basis[i] = j
+                obj[i] = 1
+                for k in rows:
+                    if k != i:
+                        rhs[k] = 0
+                        inv[k][i] = -1
+                break
     den = 1
 
+    bland = False
     while True:
-        # Bland: the first column with a negative reduced cost.  Basic
-        # artificials price at 0 and the others are barred, so only the
-        # given columns can enter.
+        # Dantzig: the largest pricing weight, ties to the lowest index;
+        # right after a degenerate pivot, Bland: the first positive one.
+        # Basic artificials price at 0 and the others are barred, so only
+        # the given columns can enter.
         price = [den - o for o in obj].__getitem__
         enter = -1
-        for j, (rows, coefs) in enumerate(sparse):
-            weight = sum(map(mul, map(price, rows), coefs))
+        if bland:
+            for j, (rows, coefs) in enumerate(sparse):
+                weight = sum(map(mul, map(price, rows), coefs))
+                if weight > 0:
+                    enter = j
+                    break
+        else:
+            weights = [sum(map(mul, map(price, rows), coefs)) for rows, coefs in sparse]
+            weight = max(weights, default=0)
             if weight > 0:
-                enter, f = j, -weight
-                break
+                enter = weights.index(weight)
         if enter < 0:
             break
+        f = -weight
         rows, coefs = sparse[enter]
         d = [sum(map(mul, map(row.__getitem__, rows), coefs)) for row in inv]
         # Ratio test b_i / d_i over d_i > 0, compared by cross-multiplying.
@@ -241,6 +310,7 @@ def _phase1_simplex(
             raise AssertionError("phase-1 objective unbounded below (impossible)")
         piv = d[leave]
         prow, pb = inv[leave], rhs[leave]
+        bland = pb == 0
         for i in range(nrows):
             if i == leave:
                 continue
@@ -291,17 +361,15 @@ def clp_feasible(inst: Instance, target: Fraction) -> LpFeasibilityResult:
 def _integral_primal(model: ClpModel) -> dict[Configuration, Fraction] | None:
     """Weight 1 on one column per player, the columns pairwise disjoint.
 
-    The choice is ``subsets.first_disjoint_choice`` over each player's
-    columns in column order, within as many search nodes as the LP has rows (players plus resources): enough for a
-    choice found with little backtracking, and small beside the simplex.
-    None when no choice exists or the search spends that budget.
+    The choice is ``subsets.first_disjoint_choice`` over
+    ``model.player_columns()``, within as many search nodes as the LP has
+    rows (players plus resources): enough for a choice found with little
+    backtracking, and small beside the simplex.  None when no choice
+    exists or the search spends that budget.
     """
-    columns: dict[str, list[Configuration]] = {p: [] for p in model.players}
-    for cfg in model.columns:
-        columns[cfg.owner].append(cfg)
     try:
         choice, _ = first_disjoint_choice(
-            list(columns.values()),
+            model.player_columns(),
             budget=len(model.players) + len(model.resource_ids),
         )
     except BudgetSpent:

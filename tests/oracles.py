@@ -1,7 +1,7 @@
 """Slow reference implementations that the fast exact kernels are checked against.
 
 ``dense_phase1_simplex`` is the rational-tableau phase-1 simplex that
-``lp_core._phase1_simplex`` replaced: same crash start and Bland rule,
+``lp_core._phase1_simplex`` replaced: same crash start and pivot rules,
 every entry a ``Fraction``, every column of the tableau updated at every
 pivot.
 ``rational_max_value_below`` is a ``Fraction`` branch-and-bound for the
@@ -69,10 +69,15 @@ def dense_phase1_simplex(
     """Minimize the artificial sum of {Ax = 1, x >= 0} given sparse columns.
 
     Returns (optimum, x values for the given columns, dual prices pi).
-    The same crash start as ``_phase1_simplex``: a row with a unit column
-    starts with the first one basic at cost 0 and its artificial barred;
-    every other row starts on its artificial, which is barred once it
-    leaves.
+    The same start and rules as ``_phase1_simplex``.  A row with a unit
+    column starts with the first one basic.  Each other row, in row
+    order, pivots in the first column whose entry there is 1 and whose
+    other entries are 1 on rows still on their unit column at tableau
+    rhs 1; a row with none keeps its artificial.  Every artificial that
+    is not basic is barred.  The entering column has the most negative
+    reduced cost, ties to the lowest index, or after a degenerate pivot
+    the first negative one; the leaving row has the least ratio, ties to
+    the lowest basic column.
     """
     one = Fraction(1)
     ncols = len(columns)
@@ -92,6 +97,7 @@ def dense_phase1_simplex(
         if len(col) == 1 and col[0][1] == 1 and basis[col[0][0]] >= art0:
             basis[col[0][0]] = j
             banned[art0 + col[0][0]] = True
+    unit = [bj < art0 for bj in basis]
     # Reduced-cost row for cost = 1 on artificials: subtract each row
     # whose basic variable is its artificial.
     obj = [Fraction(0)] * (total + 1)
@@ -102,14 +108,45 @@ def dense_phase1_simplex(
             for j in range(total + 1):
                 obj[j] -= rows[i][j]
 
-    while True:
-        enter = -1
-        for j in range(total):
-            if not banned[j] and obj[j] < 0:
-                enter = j
+    def pivot(leave: int, enter: int) -> None:
+        if basis[leave] >= art0:
+            banned[basis[leave]] = True
+        prow = rows[leave]
+        piv = prow[enter]
+        if piv != 1:
+            inv = one / piv
+            for j in range(total + 1):
+                if prow[j]:
+                    prow[j] *= inv
+        for row in (*rows, obj):
+            if row is prow:
+                continue
+            factor = row[enter]
+            if factor:
+                for j in range(total + 1):
+                    if prow[j]:
+                        row[j] -= factor * prow[j]
+        basis[leave] = enter
+
+    for i in range(nrows):
+        if unit[i]:
+            continue
+        for j, col in enumerate(columns):
+            if (i, 1) in col and all(
+                c == 1 and (k == i or (unit[k] and rows[k][total] == 1)) for k, c in col
+            ):
+                pivot(i, j)
                 break
-        if enter < 0:
+
+    degenerate = False
+    while True:
+        improving = [j for j in range(total) if not banned[j] and obj[j] < 0]
+        if not improving:
             break
+        if degenerate:
+            enter = improving[0]
+        else:
+            enter = min(improving, key=lambda j: obj[j])
         leave = -1
         best_ratio = None
         for i in range(nrows):
@@ -125,29 +162,8 @@ def dense_phase1_simplex(
                     leave = i
         if leave < 0:
             raise AssertionError("phase-1 objective unbounded below (impossible)")
-        if basis[leave] >= art0:
-            banned[basis[leave]] = True
-        piv = rows[leave][enter]
-        prow = rows[leave]
-        if piv != 1:
-            inv = one / piv
-            for j in range(total + 1):
-                if prow[j]:
-                    prow[j] *= inv
-        for row in rows:
-            if row is prow:
-                continue
-            factor = row[enter]
-            if factor:
-                for j in range(total + 1):
-                    if prow[j]:
-                        row[j] -= factor * prow[j]
-        factor = obj[enter]
-        if factor:
-            for j in range(total + 1):
-                if prow[j]:
-                    obj[j] -= factor * prow[j]
-        basis[leave] = enter
+        degenerate = best_ratio == 0
+        pivot(leave, enter)
 
     optimum = -obj[total]
     x = [Fraction(0)] * ncols

@@ -156,6 +156,58 @@ def test_simplex_matches_dense_on_wide_lps():
     assert outcomes == {True, False}
 
 
+def _clp_simplex_input(monkeypatch, inst, target):
+    """The (nrows, columns) that ``_simplex_feasible`` gives the simplex
+    for CLP(target), and the model: configuration columns, then a surplus
+    per player row, then a slack per resource row."""
+    calls = []
+
+    def recorded(nrows, columns):
+        calls.append((nrows, columns))
+        return _integer_simplex(nrows, columns)
+
+    model = lp_core.build_clp_model(inst, target)
+    with monkeypatch.context() as patch:
+        patch.setattr(lp_core, "_phase1_simplex", recorded)
+        lp_core._simplex_feasible(inst, model)
+    ((nrows, columns),) = calls
+    return nrows, columns, model
+
+
+def test_crash_starts_player_rows_on_disjoint_configurations(monkeypatch, shared_halves):
+    """The crash puts each player row on its first configuration disjoint
+    from those chosen before it.  Two players sharing four halves at T = 1
+    start on {a, b} and {c, d}, an allocation, so the start is optimal:
+    that 0/1 primal, every price 0.  On the 4 x 6 gap golden at T* = 1,
+    p1, p2 and p3 start on F1, F2 and {s3, s4}, p4 keeps its artificial,
+    and the pivots from there reach the half-and-half primal; both match
+    the dense oracle."""
+    nrows, columns, model = _clp_simplex_input(monkeypatch, shared_halves, Fraction(1))
+    optimum, x, pi = _assert_same_as_dense(nrows, columns)
+    chosen = {cfg for cfg, w in zip(model.columns, x) if w}
+    assert optimum == 0 and set(pi) == {0} and set(x) == {0, 1}
+    assert chosen == {
+        lp_core.Configuration("p1", ("a", "b")),
+        lp_core.Configuration("p2", ("c", "d")),
+    }
+    nrows, columns, model = _clp_simplex_input(
+        monkeypatch, load_instance(GAP_GOLDEN), Fraction(1)
+    )
+    optimum, x, _ = _assert_same_as_dense(nrows, columns)
+    assert optimum == 0 and set(x[: len(model.columns)]) == {Fraction(1, 2)}
+
+
+def test_simplex_matches_dense_after_a_degenerate_pivot():
+    """Row 0 starts on its unit column 1.  Column 0 enters with the
+    largest weight and a step of 1/2, then column 2 with a degenerate
+    pivot in row 1.  Bland's rule then enters column 1, where column 3
+    has the largest weight, and the simplex ends on x = (1/2, 1/2, 1/2,
+    0); Dantzig's rule there would end on (1/2, 0, 1/2, 1/4)."""
+    columns = [[(0, 2), (1, 2)], [(0, 1)], [(0, -1), (2, 2)], [(0, 2)]]
+    half = Fraction(1, 2)
+    assert _assert_same_as_dense(3, columns) == (0, [half, half, half, 0], [0, 0, 0])
+
+
 def test_phase1_dual_is_a_dclp_certificate(monkeypatch):
     """The packing rows start on their slacks, so an infeasible probe's
     prices are y >= 0 (the surplus columns price out) and z >= 0 (the
@@ -203,15 +255,10 @@ def _assert_integral(inst, res):
 
 def test_t_star_golden_at_the_oracle_caps(monkeypatch):
     """The 6-player, 14-resource instance: T* = 53/36 after 3 probes of
-    327 candidates, with 334 columns at T*.  The witness is an integral
-    allocation, and the simplex on the same model is the dense oracle's
-    and gives that witness."""
-    inst = _six_by_fourteen()
-    res = lp_core.compute_t_star(inst)
-    assert (res.t_star, res.probes, res.candidates_examined) == (Fraction(53, 36), 3, 327)
-    witness = res.feasibility_witness
-    assert len(witness.model.columns) == 334
-    _assert_integral(inst, witness)
+    327 candidates, with 334 columns at T*.  The integral search gives up
+    at T* (``test_integral_search_past_its_budget_falls_back_to_the_simplex``),
+    so the witness is the simplex's primal, fractional on 16 columns, and
+    the simplex's pivots there are the dense oracle's."""
     calls = []
 
     def recorded(nrows, columns):
@@ -219,12 +266,17 @@ def test_t_star_golden_at_the_oracle_caps(monkeypatch):
         return _integer_simplex(nrows, columns)
 
     monkeypatch.setattr(lp_core, "_phase1_simplex", recorded)
-    assert lp_core._simplex_feasible(inst, witness.model).primal == witness.primal
-    ((nrows, columns),) = calls
+    inst = _six_by_fourteen()
+    res = lp_core.compute_t_star(inst)
+    assert (res.t_star, res.probes, res.candidates_examined) == (Fraction(53, 36), 3, 327)
+    witness = res.feasibility_witness
+    assert len(witness.model.columns) == 334
+    nrows, columns = calls[-1]
     _, x, _ = _assert_same_as_dense(nrows, columns)
     assert witness.primal == {
         cfg: w for cfg, w in zip(witness.model.columns, x) if w != 0
     }
+    assert len(witness.primal) == 16 and Fraction(1, 16) in witness.primal.values()
 
 
 # -- clp_feasible: the integral search before the simplex ----------------------
@@ -317,7 +369,7 @@ def test_integral_search_past_its_budget_falls_back_to_the_simplex(monkeypatch):
     inst = _six_by_fourteen()
     target = Fraction(53, 36)
     model = lp_core.build_clp_model(inst, target)
-    parts = [[cfg for cfg in model.columns if cfg.owner == p] for p in model.players]
+    parts = model.player_columns()
     choice, nodes = subsets.first_disjoint_choice(parts)
     budget = len(model.players) + len(model.resource_ids)
     assert choice is not None and (nodes, budget) == (254, 20)
