@@ -185,11 +185,12 @@ TSV_HEADER = "instance\tt_star\topt\tgap\tbound_respected"
 
 
 def t_star_and_opt(inst: Instance) -> tuple[TStarResult, OptResult]:
-    """Exact T* and OPT from one LP pass and one OPT scan.
+    """Exact T* and OPT from one LP pass and at most one OPT scan.
 
-    The scan starts at T* on the witness LP's columns (``brute_force_opt``),
-    so a 0/1 T* witness is OPT's witness at its first leaf.  An OPT
-    search past its node cap raises ``CapError`` after T* is known.
+    ``brute_force_opt`` reads a 0/1 T* witness as OPT's witness, with
+    OPT = T* and no search; otherwise its scan starts at T* on the
+    witness LP's columns.  An OPT search past its node cap raises
+    ``CapError`` after T* is known.
     """
     res = compute_t_star(inst)
     return res, brute_force_opt(inst, res)

@@ -311,44 +311,55 @@ def load_instance(path: str) -> Instance:
 # ---------------------------------------------------------------------------
 
 def brute_force_opt(inst: Instance, t_star) -> OptResult:
-    """Exact OPT by a descending scan: the first candidate t from the top
-    at which every player can get a minimal configuration at t, these
-    pairwise disjoint.
+    """Exact OPT, read off a 0/1 T* witness or found by a descending scan:
+    the first candidate t from the top at which every player can get a
+    minimal configuration at t, these pairwise disjoint.
 
-    ``t_star`` is ``lp_core.compute_t_star(inst)``.  OPT >= t exactly
-    when such a choice exists: every bundle of an allocation worth t holds
-    one, and the choice is an allocation worth t.  OPT <= T* (the LP is a
-    relaxation), and OPT is 0 or a subset sum of a covet list, so the scan
-    tries T*, then each lower value of 0 and ``t_star.candidates``, with
-    ``subsets.first_disjoint_choice`` over the players in order.
+    ``t_star`` is ``lp_core.compute_t_star(inst)``.  OPT <= T* (the LP is
+    a relaxation).  When every weight of the T* witness is 1, no search
+    runs: packing makes its columns pairwise disjoint, covering gives
+    each player one, and each is worth at least T*, so giving every
+    player its first column of the witness is an allocation worth T*,
+    and OPT = T* with ``nodes_explored`` 0.
 
-    At T* each player's choices are its columns of the witness LP, the
-    support first by descending weight: a 0/1 witness holds one
-    weight-1 column per player, pairwise disjoint, and the search takes
-    them at its first leaf.  Below T* they are ``minimal_configurations``.
-    Where OPT < T*, the exhausted searches above OPT are the proof, and
-    ``nodes_explored`` counts the nodes of every search.  The count runs
-    on through the scan, so one answer costs at most
-    ``subsets.DEFAULT_NODE_CAP`` nodes; past it, ``subsets.CapError``.  The
-    witness gives each player the configuration the search chose for it.
+    Otherwise OPT >= t exactly when such a choice exists: every bundle of
+    an allocation worth t holds one, and the choice is an allocation
+    worth t.  OPT is 0 or a subset sum of a covet list, so the scan tries
+    T*, then each lower value of 0 and the candidates (``t_star.sums``
+    over ``t_star.scale``), with ``subsets.first_disjoint_choice`` over
+    the players in order.  At T* each player's choices are its columns
+    of the witness LP, the support first by descending weight; below T*
+    they are ``minimal_configurations``.  Where OPT < T*, the exhausted
+    searches above OPT are the proof, and ``nodes_explored`` counts the
+    nodes of every search.  The count runs on through the scan, so one
+    answer costs at most ``subsets.DEFAULT_NODE_CAP`` nodes; past it,
+    ``subsets.CapError``.  The witness gives each player the
+    configuration the search chose for it.
     """
     # lp_core imports this module, so the import waits for the call.
     from .lp_core import minimal_configurations
 
     players = inst.players
+    witness = t_star.feasibility_witness
 
     def levels():
-        witness = t_star.feasibility_witness
         yield t_star.t_star, witness.model.player_columns(witness.primal)
-        below = [t for t in (Fraction(0), *t_star.candidates) if t < t_star.t_star]
-        for t in reversed(below):
+        top = inst.int_threshold(t_star.t_star)
+        for s in reversed([s for s in (0, *t_star.sums) if s < top]):
+            t = Fraction(s, t_star.scale)
             yield t, [minimal_configurations(inst, p, t) for p in players]
 
     nodes = 0
-    for t, parts in levels():
-        choice, nodes = first_disjoint_choice(parts, nodes)
-        if choice is not None:
-            break
+    if all(w == 1 for w in witness.primal.values()):
+        first: dict = {}
+        for cfg in witness.primal:
+            first.setdefault(cfg.owner, cfg)
+        t, choice = t_star.t_star, [first[p] for p in players]
+    else:
+        for t, parts in levels():
+            choice, nodes = first_disjoint_choice(parts, nodes)
+            if choice is not None:
+                break
     alloc = Allocation({cfg.owner: cfg.resources for cfg in choice})
     alloc.validate(inst)
     if players and alloc.min_value(inst) != t:

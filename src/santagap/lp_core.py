@@ -30,31 +30,35 @@ infeasibility certificate: the surplus columns price out, so y >= 0, the
 slacks do, so z >= 0, and the objective is the phase-1 optimum.
 
 T* is the first feasible candidate of a descending scan
-(``compute_t_star``), and two cheaper certificates spare most LP
-probes.  One is the Farkas certificate of the last infeasible probe,
-re-checked at each lower candidate with ``verify_dual``.  The other is
-the capped-value dual.  With t = ``Instance.int_threshold(T)`` and every
-integer value V_r = ``Instance.int_values[r]`` capped at t, CLP(T) is
-infeasible when a set P of players, one player or all of them, has
-coveted capped values summing to less than |P| * t: y = 1 on P and
+(``compute_t_star``) over the integer subset sums, each candidate times
+``Instance.scale``; a candidate becomes a Fraction only where a
+certificate or a probe needs it.  Two cheaper certificates spare most LP
+probes.  One is the capped-value dual.  With t = ``Instance.int_threshold(T)``
+and every integer value V_r = ``Instance.int_values[r]`` capped at t,
+CLP(T) is infeasible when a set P of players, one player or all of them,
+has coveted capped values summing to less than |P| * t: y = 1 on P and
 z_r = min(V_r, t) / t on the resources P covets satisfy every DCLP
 constraint (a configuration of value at least T has an integer value at
 least t, so it holds a resource with z_r = 1 or its z-weight is its
 integer value over t, at least 1) and have objective |P| - sum z_r > 0.
-A probe that this rules out is answered without building the LP.
+It rules out exactly the sums above one integer, which
+``capped_value_bound`` computes in closed form, so the scan starts below
+it.  The other is the Farkas certificate of the last infeasible probe,
+re-checked at each lower candidate with ``verify_dual``.
 
 The witness of T* is the primal of the probe at T*: the integral
 allocation when the search found one, else the simplex's solution, which
-may be fractional.  ``instance.brute_force_opt`` orders each player's
-columns by their weight in it and looks for OPT there first: when every
-weight is 1, the support holds one configuration per player, pairwise
-disjoint and each worth at least T* >= OPT, and the search takes it at
-its first leaf.
+may be fractional.  When every weight is 1, the support holds a
+configuration per player, pairwise disjoint and each worth at least
+T* >= OPT, so ``instance.brute_force_opt`` reads OPT = T* and its
+witness off it with no search.  Otherwise it orders each player's
+columns by their weight and looks for OPT there first.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -135,13 +139,19 @@ class LpFeasibilityResult:
 @dataclass
 class TStarResult:
     t_star: Fraction
-    candidates: list[Fraction]  # subset_sum_candidates, ascending
+    sums: list[int]  # int_subset_sums, ascending: the candidates times scale
+    scale: int
     feasibility_witness: LpFeasibilityResult
     probes: int = 0
 
     @property
+    def candidates(self) -> list[Fraction]:
+        """``subset_sum_candidates``: the sums over the scale."""
+        return [Fraction(s, self.scale) for s in self.sums]
+
+    @property
     def candidates_examined(self) -> int:
-        return len(self.candidates)
+        return len(self.sums)
 
 
 @dataclass
@@ -478,6 +488,7 @@ def capped_value_violation(inst: Instance, target: Fraction) -> tuple[str, ...] 
     the resources P covets is a feasible DCLP(target) solution with
     positive objective, for any target (z_r = min(v_r, target) / target is
     one only when target is a multiple of 1 / scale).  Integer sums only.
+    ``capped_value_bound`` gives the thresholds t it passes in closed form.
     """
     t = inst.int_threshold(target)
     int_values = inst.int_values
@@ -492,6 +503,36 @@ def capped_value_violation(inst: Instance, target: Fraction) -> tuple[str, ...] 
     return None
 
 
+def capped_value_bound(inst: Instance) -> int:
+    """The largest integer t at which ``capped_value_violation`` names no
+    player set: a target whose ``int_threshold`` is t passes exactly when
+    t <= this bound.  The instance needs at least one player.
+
+    It is the lower of two bounds, one per kind of set.  A player's
+    coveted values, each capped at t, sum to at least t exactly when t is
+    at most their uncapped total V(C_p): if some value reaches t, its
+    term alone is t, and otherwise the terms are the values.  For all n
+    players, with V_1 <= ... <= V_m the coveted values (each resource
+    once) and S_k the sum of the k smallest, the capped sum is the least
+    of S_k + (m - k) * t over k = 0..m, so
+    g(t) = sum of min(V_r, t) - n * t is at least 0 exactly when every
+    S_k + (m - k - n) * t is.  A term of slope >= 0 is, for every t >= 0;
+    one of negative slope is up to S_k // (n + k - m).  One pass over the
+    sorted values takes the least of these.  Integer sums only.
+    """
+    if not inst.players:
+        raise ValueError("the capped-value bound needs at least one player")
+    value = inst.int_values.__getitem__
+    wants = [inst.covets[p] for p in inst.players]
+    bound = min(sum(map(value, w)) for w in wants)
+    values = sorted(map(value, set().union(*wants)))
+    n, m = len(wants), len(values)
+    for k, s_k in enumerate(itertools.accumulate(values, initial=0)):
+        if n + k > m:
+            bound = min(bound, s_k // (n + k - m))
+    return bound
+
+
 def compute_t_star(inst: Instance) -> TStarResult:
     """Exact T* = max{T : CLP(T) feasible} by a descending scan of candidates.
 
@@ -499,17 +540,20 @@ def compute_t_star(inst: Instance) -> TStarResult:
     so CLP(T) feasible makes CLP(T') feasible.  The first feasible
     candidate from the top is therefore T*, and its ``clp_feasible``
     result is the witness: an integral allocation where one is found
-    within the probe's search budget, else the simplex's primal.
+    within the probe's search budget, else the simplex's primal.  The
+    scan walks the integer sums (``int_subset_sums``) and builds the
+    candidate ``Fraction(s, inst.scale)`` only for a sum it reaches in
+    step 2 or 3.
 
-    1. Capped-value filter.  For a player set P of size k and
-       f(t) = sum over the resources P covets of min(V_r, t) - k*t,
-       ``capped_value_violation`` rules T out when f(t) < 0 for one of
-       its sets, at t = ``int_threshold(T)``, which grows with T.  Each f
-       is concave (a sum of concave terms) with f(0) = 0, so for
-       0 < t < t', f(t) >= (t/t') f(t') + (1 - t/t') f(0) = (t/t') f(t'):
-       f(t) < 0 makes f(t') < 0.  The filter is thus monotone in T, and
-       one bisection on it finds the highest candidate it lets pass;
-       every candidate above is infeasible and no LP is built there.
+    1. Capped-value filter.  ``capped_value_violation`` rules a candidate
+       out when one of its player sets P of size k has
+       f(t) = sum over the resources P covets of min(V_r, t) - k*t < 0 at
+       t = ``int_threshold(T)``, the sum s itself.  Each f is concave (a
+       sum of concave terms) with f(0) = 0, so for 0 < t < t',
+       f(t) >= (t/t') f(t') + (1 - t/t') f(0) = (t/t') f(t'): f(t) < 0
+       makes f(t') < 0.  The filter thus passes exactly the sums up to a
+       bound, which ``capped_value_bound`` gives in closed form; every
+       candidate above it is infeasible and is not looked at again.
     2. Certificate reuse.  From there down, the Farkas certificate of
        the last infeasible probe is kept.  A candidate where
        ``verify_dual`` accepts it is infeasible by weak duality (its
@@ -526,15 +570,14 @@ def compute_t_star(inst: Instance) -> TStarResult:
     Every skip is exact, so T*, ``candidates_examined`` and the witness
     are those of a plain bisection that probes every step.
     """
-    candidates = subset_sum_candidates(inst)
+    sums = int_subset_sums(inst)
+    scale = inst.scale
     probes = 0
     if inst.players:
-        top = bisect.bisect_left(
-            candidates, True,
-            key=lambda target: capped_value_violation(inst, target) is not None,
-        )
+        top = bisect.bisect_right(sums, capped_value_bound(inst))
         certificate: DualSolution | None = None
-        for target in reversed(candidates[:top]):
+        for s in reversed(sums[:top]):
+            target = Fraction(s, scale)
             if certificate is not None:
                 check = verify_dual(inst, target, certificate)
                 if check.feasible and check.objective > 0:
@@ -542,10 +585,10 @@ def compute_t_star(inst: Instance) -> TStarResult:
             res = clp_feasible(inst, target)
             probes += 1
             if res.feasible:
-                return TStarResult(target, candidates, res, probes)
+                return TStarResult(target, sums, scale, res, probes)
             certificate = res.infeasibility_certificate
     witness = clp_feasible(inst, Fraction(0))
-    return TStarResult(Fraction(0), candidates, witness, probes + 1)
+    return TStarResult(Fraction(0), sums, scale, witness, probes + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,8 @@ from santagap.lp_core import (
     Configuration,
     TStarResult,
     clp_feasible,
+    int_subset_sums,
     minimal_configurations,
-    subset_sum_candidates,
 )
 from santagap.subsets import CapError
 from santagap.topology import DELETE, EXPLODE, DeSequence, DeStep, classify_edge, vertex_resources
@@ -292,14 +292,14 @@ def hypothesis_holds_refined(
 
 def bisection_t_star(inst: Instance) -> TStarResult:
     """T* by binary search on the subset-sum candidates, one LP per step."""
-    candidates = subset_sum_candidates(inst)
-    if not candidates or not inst.players:
-        return TStarResult(Fraction(0), candidates, clp_feasible(inst, Fraction(0)), 1)
-    lo, hi = 0, len(candidates) - 1
+    sums, scale = int_subset_sums(inst), inst.scale
+    if not sums or not inst.players:
+        return TStarResult(Fraction(0), sums, scale, clp_feasible(inst, Fraction(0)), 1)
+    lo, hi = 0, len(sums) - 1
     best, probes, results = None, 0, {}
     while lo <= hi:
         mid = (lo + hi) // 2
-        results[mid] = clp_feasible(inst, candidates[mid])
+        results[mid] = clp_feasible(inst, Fraction(sums[mid], scale))
         probes += 1
         if results[mid].feasible:
             best, lo = mid, mid + 1
@@ -307,8 +307,8 @@ def bisection_t_star(inst: Instance) -> TStarResult:
             hi = mid - 1
     if best is None:
         witness = clp_feasible(inst, Fraction(0))
-        return TStarResult(Fraction(0), candidates, witness, probes + 1)
-    return TStarResult(candidates[best], candidates, results[best], probes)
+        return TStarResult(Fraction(0), sums, scale, witness, probes + 1)
+    return TStarResult(Fraction(sums[best], scale), sums, scale, results[best], probes)
 
 
 def exhaustive_opt(inst: Instance) -> tuple[Fraction, Allocation]:

@@ -562,6 +562,62 @@ def test_capped_value_certificate_between_candidates():
     assert rejected > 0
 
 
+def _assert_capped_bound(inst):
+    """``capped_value_violation`` passes the target s / scale exactly when
+    s <= ``capped_value_bound``: on every candidate sum, on the bound
+    itself and on the integer above it.  Returns the verdicts on the
+    candidates."""
+    bound = lp_core.capped_value_bound(inst)
+
+    def passes(s):
+        return lp_core.capped_value_violation(inst, Fraction(s, inst.scale)) is None
+
+    verdicts = set()
+    for s in lp_core.int_subset_sums(inst):
+        verdicts.add(passes(s))
+        assert passes(s) == (s <= bound), (inst.serialize(), s, bound)
+    assert passes(bound) and not passes(bound + 1), (inst.serialize(), bound)
+    return verdicts
+
+
+def test_capped_value_bound_is_the_filter_on_seeded_suites():
+    """On the gap-random shapes, small random instances and the 6 x 14
+    instance, the closed form passes exactly the candidates the filter
+    does; on most of them it cuts the candidate list."""
+    rng = random.Random(73)
+    instances = [*_gap_random_instances(range(40)), _six_by_fourteen()]
+    instances += [random_small_instance(rng) for _ in range(40)]
+    cut = 0
+    for inst in instances:
+        cut += _assert_capped_bound(inst) == {True, False}
+    assert cut > len(instances) // 2
+
+
+def test_capped_value_bound_edge_cases():
+    """Pinned bounds, each the filter's and giving the bisection's T*:
+    a player with an empty covet list (bound 0, T* = 0); a single player
+    (its total coveted value, 3 halves); more players than coveted
+    resources (0); and two players on values 1, 1, 10, where the capped
+    sum of the two smallest values binds (t = 2: 1 + 1 + 2 = 2 * 2)."""
+    half = Fraction(1, 2)
+    cases = [
+        (Instance.build(["p", "q"], {"a": 1, "b": half}, {"p": {"a", "b"}}), 0),
+        (Instance.build(["p"], {"a": 1, "b": half}, {"p": {"a", "b"}}), 3),
+        (Instance.build(
+            ["p", "q", "s"], {"a": 1, "b": 1},
+            {"p": {"a", "b"}, "q": {"a", "b"}, "s": {"a", "b"}}), 0),
+        (Instance.build(
+            ["p", "q"], {"a": 1, "b": 1, "c": 10},
+            {"p": {"a", "b", "c"}, "q": {"a", "b", "c"}}), 2),
+    ]
+    for inst, bound in cases:
+        assert lp_core.capped_value_bound(inst) == bound
+        _assert_capped_bound(inst)
+        _assert_same_as_bisection(inst)
+    with pytest.raises(ValueError, match="at least one player"):
+        lp_core.capped_value_bound(Instance.build([], {"a": 1}, {}))
+
+
 def test_t_star_matches_plain_bisection():
     """Same T*, candidate count and witness LP as the bisection that probes
     every step with the LP, in no more LP solves."""
@@ -743,11 +799,11 @@ def test_brute_force_opt_beaten_bound_raises():
 def test_brute_force_opt_from_the_t_star_witness():
     """On the gap-random shapes the scan gives the oracle's OPT, and
     ``exhaustive_opt``'s (0.6 s an instance) on the first ten, with a
-    witness that validates and reaches it.  A 0/1 T* witness ends the scan
-    at its first leaf, one node per player and one for the leaf, with
-    each bundle one of the player's weight-1 columns; with a fractional
-    one the scan may take more.  All 80 gap-random instances have 0/1
-    witnesses, so the 4 x 6 gap golden is the fractional case."""
+    witness that validates and reaches it.  A 0/1 T* witness is read off
+    with no search (0 nodes): the bundles are its support, one weight-1
+    column per player.  With a fractional one the scan searches.  All 80
+    gap-random instances have 0/1 witnesses, so the 4 x 6 gap golden is
+    the fractional case."""
     integral = fractional = 0
     instances = [*_gap_random_instances(range(40)), load_instance(GAP_GOLDEN)]
     for k, inst in enumerate(instances):
@@ -765,16 +821,20 @@ def test_brute_force_opt_from_the_t_star_witness():
         else:
             integral += 1
             assert want == res.t_star
-            assert got.nodes_explored == len(inst.players) + 1
-            for p, bundle in got.witness.assignment.items():
-                assert primal[lp_core.Configuration(p, bundle)] == 1
+            assert got.nodes_explored == 0
+            assert {
+                lp_core.Configuration(p, bundle)
+                for p, bundle in got.witness.assignment.items()
+            } == set(primal)
     assert (integral, fractional) == (80, 1)
+    assert got.nodes_explored > 0  # the 4 x 6 golden, last, searched
 
 
 def test_brute_force_opt_golden_at_the_oracle_caps():
-    """The 6 x 14 instance: its T* witness is 0/1, so the scan takes 7
-    nodes.  The oracle, bounded by T* = 53/36 only, takes 699,402 (with
-    no bound, 12.6 M, too slow here)."""
+    """The 6 x 14 instance: its T* witness is fractional, but its support,
+    taken first, holds a disjoint choice, so the scan takes 7 nodes.  The
+    oracle, bounded by T* = 53/36 only, takes 699,402 (with no bound,
+    12.6 M, too slow here)."""
     inst = _six_by_fourteen()
     res = _opt(inst)
     assert (res.opt_value, res.nodes_explored) == (Fraction(53, 36), 7)

@@ -122,7 +122,8 @@ def test_gap_golden_4x6():
 def test_t_star_and_opt_calls_the_search_once(monkeypatch):
     """The module attribute ``brute_force_opt`` is called exactly once per
     instance, with its T*, whether or not the T* witness is integral; an
-    integral one ends the scan at its first leaf."""
+    integral one is read off with no search, and its support is the OPT
+    witness."""
     calls = []
     search = gap_report.brute_force_opt
 
@@ -140,7 +141,12 @@ def test_t_star_and_opt_calls_the_search_once(monkeypatch):
         res, opt = t_star_and_opt(inst)
         ((_, t_star),) = calls
         assert t_star is res
-        assert (opt.nodes_explored == len(inst.players) + 1) == integral
+        assert (opt.nodes_explored == 0) == integral
+        if integral:
+            assert {
+                lp_core.Configuration(p, bundle)
+                for p, bundle in opt.witness.assignment.items()
+            } == set(res.feasibility_witness.primal)
 
 
 def test_over_node_cap_instance_is_skipped(monkeypatch):

@@ -243,16 +243,17 @@ def test_simplex_deterministic(shared_halves):
 
 # -- duals -----------------------------------------------------------------------
 
-def test_opt_takes_a_0_1_witness_at_the_first_leaf(shared_halves):
-    """All weights 1: each player's first column at T* is one of its
-    weight-1 configurations, these are disjoint, and the OPT scan takes
-    them at its first leaf, one node per player and one for the leaf."""
+def test_opt_reads_a_0_1_witness_without_search(shared_halves):
+    """All weights 1: the support holds one configuration per player,
+    these are disjoint and each is worth T*, so OPT = T* is read off it
+    with no search, and its witness is the support."""
     res = compute_t_star(shared_halves)
     primal = res.feasibility_witness.primal
     assert set(primal.values()) == {1}
     opt = brute_force_opt(shared_halves, res)
     assert opt.opt_value == res.t_star == 1
-    assert opt.nodes_explored == len(shared_halves.players) + 1
+    assert opt.opt_value == branch_and_bound_opt(shared_halves).opt_value
+    assert opt.nodes_explored == 0
     opt.witness.validate(shared_halves)
     assert {
         Configuration(p, b) for p, b in opt.witness.assignment.items()
