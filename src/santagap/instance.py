@@ -7,11 +7,13 @@ lexicographic so that all downstream computations are deterministic.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .rational import format_rational, parse_rational
 from .subsets import first_disjoint_choice
@@ -36,17 +38,32 @@ def _exact(value) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
 
+class CovetTable(NamedTuple):
+    """One player's covet list as the configuration search walks it."""
+
+    ids: tuple[str, ...]  # the coveted resources by descending value, then id
+    values: tuple[int, ...]  # their ``Instance.int_values``
+    suffix: tuple[int, ...]  # suffix[i] = sum(values[i:]); suffix[-1] = 0
+
+
 @dataclass(frozen=True)
 class Instance:
-    """A restricted max-min allocation instance (players, resources, covets)."""
+    """A restricted max-min allocation instance (players, resources, covets).
+
+    Construction derives the integer tables every exact search reads:
+    ``scale``, the lcm of the value denominators; ``int_values``, every
+    value times ``scale``; and ``covet_tables``, one ``CovetTable`` per
+    player in player order, which ``lp_core.minimal_configurations``
+    walks.  They are built once, here, and never checked against a cap:
+    the searches that read them enforce the caps.
+    """
 
     players: tuple[str, ...]
     resources: dict[str, Fraction]
     covets: dict[str, frozenset[str]]
-    # Every value times ``scale``, the lcm of the value denominators: the
-    # exact integer table that the subset searches and OPT add up.
     scale: int = field(init=False, repr=False, compare=False)
     int_values: dict[str, int] = field(init=False, repr=False, compare=False)
+    covet_tables: dict[str, CovetTable] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.players)) != len(self.players):
@@ -73,10 +90,21 @@ class Instance:
         object.__setattr__(self, "resources", resources)
         object.__setattr__(self, "covets", covets)
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "int_values", {
+        int_values = {
             rid: v.numerator * (scale // v.denominator)
             for rid, v in zip(resources, exact)
-        })
+        }
+        object.__setattr__(self, "int_values", int_values)
+        value = int_values.__getitem__
+        tables = {}
+        for pid in self.players:
+            ids = sorted(covets[pid])
+            ids.sort(key=value, reverse=True)  # stable: equal values stay in id order
+            values = tuple(map(value, ids))
+            suffix = [*itertools.accumulate(reversed(values), initial=0)]
+            suffix.reverse()
+            tables[pid] = CovetTable(tuple(ids), values, tuple(suffix))
+        object.__setattr__(self, "covet_tables", tables)
 
     @staticmethod
     def build(players, resources, covets) -> "Instance":
@@ -141,7 +169,14 @@ class Allocation:
     assignment: dict[str, tuple[str, ...]]
 
     def min_value(self, inst: Instance) -> Fraction:
-        return min(inst.value(self.assignment.get(p, ())) for p in inst.players)
+        """The least bundle value over ``inst.players``: the least integer
+        sum of ``int_values``, over ``scale``."""
+        value = inst.int_values.__getitem__
+        try:
+            least = min(sum(map(value, self.assignment.get(p, ()))) for p in inst.players)
+        except KeyError as exc:
+            raise InstanceError(f"unknown resource id {exc.args[0]!r}") from None
+        return Fraction(least, inst.scale)
 
     def validate(self, inst: Instance) -> None:
         """Every bundle names a declared player's coveted resources, each

@@ -6,10 +6,14 @@ constraint per resource.  Restricting columns to inclusion-minimal
 configurations is valid: shrinking a configuration only relaxes packing
 constraints, and every configuration contains a minimal one.
 
-Everything up to the returned values is integer arithmetic.  Columns and
-T* candidates come from searches on the instance's integer value table
-(``Instance.int_values``, every value times ``Instance.scale``), with a
-threshold T rounded up to ``Instance.int_threshold(T)``.  A probe first
+Everything up to the returned values is integer arithmetic.  Columns
+come from one search per player (``minimal_configurations``) over the
+tables the instance builds once: its coveted ids by descending integer
+value, their values and suffix sums (``Instance.covet_tables``, every
+value times ``Instance.scale``), against a threshold T rounded up to
+``Instance.int_threshold(T)``.  A model keeps them grouped by player, as
+the integral search reads them.  T* candidates are the subset sums of
+the same integer values (``Instance.int_values``).  A probe first
 looks for an integral allocation among its columns, one per player and
 pairwise disjoint, in a search of at most as many nodes as the LP has
 rows; such an allocation is a 0/1 primal and proves feasibility.
@@ -67,12 +71,7 @@ from typing import NamedTuple
 
 from . import subsets
 from .instance import Instance
-from .subsets import (
-    BudgetSpent,
-    CapError,
-    first_disjoint_choice,
-    minimal_subsets_at_least,
-)
+from .subsets import BudgetSpent, CapError, first_disjoint_choice
 
 # Distinct subset sums of one covet list, the T* candidates.  The pool and
 # column caps are subsets.DEFAULT_POOL_CAP and subsets.DEFAULT_COLUMN_CAP.
@@ -94,25 +93,33 @@ class Configuration(NamedTuple):
 
 @dataclass
 class ClpModel:
+    """CLP(target): ``by_player`` holds each player's columns, the players
+    in order, as ``minimal_configurations`` returns them."""
+
     target: Fraction
-    columns: list[Configuration]
+    by_player: list[list[Configuration]]
     players: tuple[str, ...]
     resource_ids: tuple[str, ...]
+
+    @property
+    def columns(self) -> list[Configuration]:
+        """Every column, player by player: the LP's column order."""
+        return [cfg for part in self.by_player for cfg in part]
 
     def player_columns(
         self, primal: dict[Configuration, Fraction] | None = None
     ) -> list[list[Configuration]]:
         """Each player's columns, the players in order: the support of
         ``primal`` first, by descending weight, then the other columns in
-        column order."""
+        column order.  Without a primal it is ``by_player`` itself, which
+        the caller must not change."""
+        if not primal:
+            return self.by_player
         parts: dict[str, list[Configuration]] = {p: [] for p in self.players}
-        rest = self.columns
-        if primal:
-            for cfg in sorted(primal, key=primal.get, reverse=True):
-                parts[cfg.owner].append(cfg)
-            rest = [cfg for cfg in rest if cfg not in primal]
-        for cfg in rest:
+        for cfg in sorted(primal, key=primal.get, reverse=True):
             parts[cfg.owner].append(cfg)
+        for part, cols in zip(parts.values(), self.by_player):
+            part.extend(cfg for cfg in cols if cfg not in primal)
         return list(parts.values())
 
 
@@ -170,26 +177,60 @@ def minimal_configurations(
 ) -> list[Configuration]:
     """All minimal configurations of a player at ``threshold``.
 
+    A search over the player's ``Instance.covet_tables`` entry, the
+    resources by descending integer value: a branch adds resources in
+    table order and is recorded, and closed, where its sum first reaches
+    ``inst.int_threshold(threshold)``, and is cut where the rest of the
+    table cannot reach it.  For positive values this yields exactly the
+    inclusion-minimal sets, each once: dropping any resource of a
+    recorded set leaves a sum no larger than the one before its last
+    resource, which fell short.  A threshold <= 0 gives the one empty
+    configuration.  More than ``subsets.DEFAULT_POOL_CAP`` coveted
+    resources, or more than ``subsets.DEFAULT_COLUMN_CAP`` configurations,
+    raise ``CapError``.
+
     Sorted by (size, resources): the order fixes the simplex's crash
     basis and pivot sequence over CLP columns and the transversal search
     over the parts of H.
     """
-    pool = {rid: inst.int_values[rid] for rid in inst.covets[player]}
-    found = [
-        Configuration(player, tuple(sorted(s)))
-        for s in minimal_subsets_at_least(pool, inst.int_threshold(threshold))
-    ]
-    found.sort(key=lambda cfg: (len(cfg.resources), cfg.resources))
-    return found
+    ids, values, suffix = inst.covet_tables[player]
+    n = len(ids)
+    if n > subsets.DEFAULT_POOL_CAP:
+        raise CapError(f"{n} items exceeds cap {subsets.DEFAULT_POOL_CAP}")
+    need = inst.int_threshold(threshold)
+    if need <= 0:
+        return [Configuration(player, ())]
+    cap = subsets.DEFAULT_COLUMN_CAP
+    found: list[tuple[str, ...]] = []
+    # Open branches: (next table index, integer value still needed, chosen).
+    # Each takes ids[j] for every j from its index while the rest of the
+    # table can still reach the need; suffix falls with j, so once it
+    # falls short every later j does.  Taking ids[j] either closes the
+    # branch or opens one that continues after j.
+    branches = [(0, need, ())]
+    while branches:
+        i, need, chosen = branches.pop()
+        for j in range(i, n):
+            if suffix[j] < need:
+                break
+            if values[j] >= need:
+                found.append(tuple(sorted(chosen + (ids[j],))))
+            else:
+                branches.append((j + 1, need - values[j], chosen + (ids[j],)))
+        if len(found) > cap:
+            raise CapError(f"more than {cap} minimal subsets")
+    found.sort()
+    found.sort(key=len)
+    # tuple.__new__ builds each named tuple without a Python-level __new__.
+    return [tuple.__new__(Configuration, (player, resources)) for resources in found]
 
 
 def build_clp_model(inst: Instance, target: Fraction) -> ClpModel:
-    columns: list[Configuration] = []
-    for player in inst.players:
-        columns.extend(minimal_configurations(inst, player, target))
-    if len(columns) > subsets.DEFAULT_COLUMN_CAP:
-        raise CapError(f"{len(columns)} columns exceeds cap {subsets.DEFAULT_COLUMN_CAP}")
-    return ClpModel(Fraction(target), columns, inst.players, inst.resource_ids)
+    by_player = [minimal_configurations(inst, p, target) for p in inst.players]
+    count = sum(map(len, by_player))
+    if count > subsets.DEFAULT_COLUMN_CAP:
+        raise CapError(f"{count} columns exceeds cap {subsets.DEFAULT_COLUMN_CAP}")
+    return ClpModel(Fraction(target), by_player, inst.players, inst.resource_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +239,13 @@ def build_clp_model(inst: Instance, target: Fraction) -> ClpModel:
 
 def _phase1_simplex(
     nrows: int,
-    columns: list[list[tuple[int, int]]],
+    columns: list[tuple[tuple[int, ...], tuple[int, ...]]],
 ) -> tuple[Fraction, list[Fraction], list[Fraction]]:
     """Minimize the artificial sum of {Ax = 1, x >= 0} given sparse integer columns.
 
-    Returns (optimum, x values for the given columns, dual prices pi).
+    Each column is (row indices, coefficients), two tuples of one length,
+    so that a dot product is one C-level ``sum(map(mul, ...))``.  Returns
+    (optimum, x values for the given columns, dual prices pi).
 
     The start is a triangular crash basis.  A row that has a unit column
     (its only entry a 1 in that row, such as a packing row's slack)
@@ -246,8 +289,6 @@ def _phase1_simplex(
     every returned value are those of a rational tableau.
     """
     ncols = len(columns)
-    # Each column as (row indices, coefficients), for C-level dot products.
-    sparse = [tuple(zip(*col)) or ((), ()) for col in columns]
     inv = [[0] * nrows for _ in range(nrows)]
     for i in range(nrows):
         inv[i][i] = 1
@@ -255,21 +296,21 @@ def _phase1_simplex(
     obj = [0] * nrows
     # basis[i] is the column basic in row i; artificial i is ncols + i.
     basis = list(range(ncols, ncols + nrows))
-    for j, (rows, coefs) in enumerate(sparse):
+    for j, (rows, coefs) in enumerate(columns):
         if coefs == (1,) and basis[rows[0]] >= ncols:
             basis[rows[0]] = j
             obj[rows[0]] = 1
     # The crash candidates of each row on its artificial: columns of ones
     # whose every other row starts on its unit column.
     candidates: list[list[int]] = [[] for _ in range(nrows)]
-    for j, (rows, coefs) in enumerate(sparse):
+    for j, (rows, coefs) in enumerate(columns):
         if coefs.count(1) == len(coefs):
             open_rows = [i for i in rows if basis[i] >= ncols]
             if len(open_rows) == 1:
                 candidates[open_rows[0]].append(j)
     for i, found in enumerate(candidates):
         for j in found:
-            rows = sparse[j][0]
+            rows = columns[j][0]
             if all(rhs[k] for k in rows if k != i):
                 basis[i] = j
                 obj[i] = 1
@@ -289,20 +330,20 @@ def _phase1_simplex(
         price = [den - o for o in obj].__getitem__
         enter = -1
         if bland:
-            for j, (rows, coefs) in enumerate(sparse):
+            for j, (rows, coefs) in enumerate(columns):
                 weight = sum(map(mul, map(price, rows), coefs))
                 if weight > 0:
                     enter = j
                     break
         else:
-            weights = [sum(map(mul, map(price, rows), coefs)) for rows, coefs in sparse]
+            weights = [sum(map(mul, map(price, rows), coefs)) for rows, coefs in columns]
             weight = max(weights, default=0)
             if weight > 0:
                 enter = weights.index(weight)
         if enter < 0:
             break
         f = -weight
-        rows, coefs = sparse[enter]
+        rows, coefs = columns[enter]
         d = [sum(map(mul, map(row.__getitem__, rows), coefs)) for row in inv]
         # Ratio test b_i / d_i over d_i > 0, compared by cross-multiplying.
         leave = -1
@@ -397,20 +438,18 @@ def _simplex_feasible(inst: Instance, model: ClpModel) -> LpFeasibilityResult:
     rrow = {r: len(players) + i for i, r in enumerate(resource_ids)}
     nrows = len(players) + len(resource_ids)
 
-    columns: list[list[tuple[int, int]]] = []
-    for cfg in model.columns:
-        col = [(prow[cfg.owner], 1)]
-        col.extend((rrow[r], 1) for r in cfg.resources)
-        columns.append(col)
-    for p in players:  # surplus for covering rows
-        columns.append([(prow[p], -1)])
-    for r in resource_ids:  # slack for packing rows
-        columns.append([(rrow[r], 1)])
+    configurations = model.columns
+    columns: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    for cfg in configurations:
+        rows = (prow[cfg.owner], *map(rrow.__getitem__, cfg.resources))
+        columns.append((rows, (1,) * len(rows)))
+    columns += [((prow[p],), (-1,)) for p in players]  # surplus for covering rows
+    columns += [((rrow[r],), (1,)) for r in resource_ids]  # slack for packing rows
 
     optimum, x, pi = _phase1_simplex(nrows, columns)
     if optimum == 0:
         primal = {
-            cfg: x[j] for j, cfg in enumerate(model.columns) if x[j] != 0
+            cfg: x[j] for j, cfg in enumerate(configurations) if x[j] != 0
         }
         _check_primal(inst, model, primal)
         return LpFeasibilityResult(True, primal, None, model)
@@ -460,7 +499,15 @@ def subset_sum_candidates(inst: Instance) -> list[Fraction]:
 
 
 def int_subset_sums(inst: Instance) -> list[int]:
-    """``subset_sum_candidates`` on the integer value table, ascending."""
+    """``subset_sum_candidates`` on the integer value table, ascending.
+
+    Each covet list's sums are a set, grown one resource at a time and
+    bounded by ``DEFAULT_CANDIDATE_CAP`` sums.  A big-int bitset
+    (``acc |= acc << v``) would be faster on small values, but its width
+    is the integer total of the list, which grows with ``Instance.scale``:
+    one value of 1/10**9 makes rows of 10**9 bits, whatever the number of
+    distinct sums.
+    """
     sums: set[int] = set()
     for p in inst.players:
         pool = inst.covet_list(p)
@@ -662,16 +709,18 @@ def verify_dual(inst: Instance, target: Fraction, sol: DualSolution) -> DualChec
     for r, zv in sol.z.items():
         if zv < 0:
             return DualCheck(False, sol.objective, None)
-    # The scan adds integers: z times the lcm of its denominators.
-    z_exact = {r: Fraction(zv) for r, zv in sol.z.items()}
-    z_scale = math.lcm(*(zv.denominator for zv in z_exact.values()))
-    z = {r: int(zv * z_scale) for r, zv in z_exact.items()}
+    # The scan adds integers: z times the lcm of its denominators, against
+    # y_p times that lcm rounded up, which an integer sum reaches exactly
+    # when the rational sum reaches y_p.
+    z_scale = math.lcm(*(zv.denominator for zv in sol.z.values()))
+    z = {r: zv.numerator * (z_scale // zv.denominator) for r, zv in sol.z.items()}
+    weight = z.__getitem__
     for p in inst.players:
         yp = sol.y[p]
         if yp == 0:
             continue
-        need = yp * z_scale
+        need = -(-yp.numerator * z_scale // yp.denominator)
         for cfg in minimal_configurations(inst, p, target):
-            if sum(z[r] for r in cfg.resources) < need:
+            if sum(map(weight, cfg.resources)) < need:
                 return DualCheck(False, sol.objective, cfg)
     return DualCheck(True, sol.objective, None)

@@ -1,14 +1,7 @@
-"""Branch-and-bound searches over resource subsets.
+"""The disjoint configuration search, and the caps of the subset searches.
 
-``minimal_subsets_at_least`` adds values: it enumerates the minimal
-configurations (CLP columns, alpha-hyperedges and the one pricing scan
-of ``lp_core.verify_dual``).  Values and thresholds are integers: callers
-pass an instance's integer value table (``Instance.int_values``) and a
-threshold scaled by the same ``Instance.scale`` and rounded up, which
-decides ``sum >= threshold`` exactly for integer sums.
-
-The other, ``first_disjoint_choice``, picks one configuration per part,
-pairwise disjoint, and returns the configurations it chose: it finds OPT
+``first_disjoint_choice`` picks one configuration per part, pairwise
+disjoint, and returns the configurations it chose: it finds OPT
 (``instance.brute_force_opt``) and independent transversals of H
 (``allocation_graph.find_independent_transversal``), and tries an
 integral solution before the simplex (``lp_core.clp_feasible``).  It is
@@ -31,11 +24,12 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:
     from .lp_core import Configuration
 
-# Coveted resources per player: the items of minimal_subsets_at_least,
-# and the covet lists whose subset sums lp_core takes as T* candidates.
+# Coveted resources per player: the covet lists that
+# lp_core.minimal_configurations searches, and whose subset sums lp_core
+# takes as T* candidates.
 DEFAULT_POOL_CAP = 20
-# Minimal subsets from one minimal_subsets_at_least call, and the columns
-# of one CLP model in lp_core.
+# Configurations from one lp_core.minimal_configurations call, and the
+# columns of one CLP model in lp_core.
 DEFAULT_COLUMN_CAP = 100_000
 # Search nodes of first_disjoint_choice, summed over the searches that
 # answer one question.
@@ -49,49 +43,6 @@ class CapError(RuntimeError):
 class BudgetSpent(Exception):
     """A budgeted ``first_disjoint_choice`` gave up: it neither found a
     choice nor proved that none exists."""
-
-
-def minimal_subsets_at_least(
-    items: dict[str, int], threshold: int
-) -> list[frozenset[str]]:
-    """All inclusion-minimal subsets of ``items`` with total value >= threshold.
-
-    Items are scanned in descending value order; a branch is recorded and
-    closed the first time its running sum crosses the threshold, which for
-    positive values yields exactly the inclusion-minimal subsets, each once,
-    in a deterministic order.  More than ``DEFAULT_POOL_CAP`` items, or
-    more than ``DEFAULT_COLUMN_CAP`` subsets, raise ``CapError``.
-    """
-    if len(items) > DEFAULT_POOL_CAP:
-        raise CapError(f"{len(items)} items exceeds cap {DEFAULT_POOL_CAP}")
-    if threshold <= 0:
-        return [frozenset()]
-    order = sorted(items, key=lambda rid: (-items[rid], rid))
-    values = [items[rid] for rid in order]
-    n = len(order)
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + values[i]
-    cap = DEFAULT_COLUMN_CAP
-    out: list[frozenset[str]] = []
-    chosen: list[str] = []
-
-    def dfs(i: int, total: int) -> None:
-        if i == n or total + suffix[i] < threshold:
-            return
-        chosen.append(order[i])
-        new_total = total + values[i]
-        if new_total >= threshold:
-            if len(out) >= cap:
-                raise CapError(f"more than {cap} minimal subsets")
-            out.append(frozenset(chosen))
-        else:
-            dfs(i + 1, new_total)
-        chosen.pop()
-        dfs(i + 1, total)
-
-    dfs(0, 0)
-    return out
 
 
 def first_disjoint_choice(

@@ -64,11 +64,14 @@ BRANCH_AND_BOUND_RESOURCE_CAP = 14
 
 def dense_phase1_simplex(
     nrows: int,
-    columns: list[list[tuple[int, Fraction]]],
+    columns: list[tuple[tuple[int, ...], tuple[int, ...]]],
 ) -> tuple[Fraction, list[Fraction], list[Fraction]]:
     """Minimize the artificial sum of {Ax = 1, x >= 0} given sparse columns.
 
-    Returns (optimum, x values for the given columns, dual prices pi).
+    Each column is (row indices, coefficients), as ``_phase1_simplex``
+    takes it.  Returns (optimum, x values for the given columns, dual
+    prices pi).
+
     The same start and rules as ``_phase1_simplex``.  A row with a unit
     column starts with the first one basic.  Each other row, in row
     order, pivots in the first column whose entry there is 1 and whose
@@ -80,6 +83,7 @@ def dense_phase1_simplex(
     the lowest basic column.
     """
     one = Fraction(1)
+    columns = [[(i, Fraction(c)) for i, c in zip(*col)] for col in columns]
     ncols = len(columns)
     art0 = ncols
     total = ncols + nrows

@@ -39,10 +39,9 @@ _integer_simplex = lp_core._phase1_simplex
 
 
 def _assert_same_as_dense(nrows, columns):
+    """Both simplexes on the same (row indices, coefficients) columns."""
     got = _integer_simplex(nrows, columns)
-    want = dense_phase1_simplex(
-        nrows, [[(i, Fraction(c)) for i, c in col] for col in columns]
-    )
+    want = dense_phase1_simplex(nrows, columns)
     assert got == want, (nrows, columns)
     optimum, x, pi = got
     assert all(type(v) is Fraction for v in [optimum, *x, *pi])
@@ -91,7 +90,13 @@ def test_simplex_matches_dense_on_every_t_star_probe(monkeypatch):
     assert 0 < answered_integrally < len(probes)
 
 
+def _sparse(col):
+    """A column of (row, coefficient) pairs as (rows, coefficients)."""
+    return tuple(zip(*col)) or ((), ())
+
+
 def _random_columns(rng, nrows, ncols, density):
+    """Columns as (row, coefficient) pairs; ``_sparse`` gives the simplex's form."""
     columns = []
     for _ in range(ncols):
         col = [
@@ -110,7 +115,7 @@ def test_simplex_matches_dense_on_sparse_column_sets():
         nrows = rng.randint(1, 7)
         ncols = rng.randint(0, 14)
         columns = _random_columns(rng, nrows, ncols, rng.choice((0.3, 0.5, 0.8)))
-        optimum, _, _ = _assert_same_as_dense(nrows, columns)
+        optimum, _, _ = _assert_same_as_dense(nrows, list(map(_sparse, columns)))
         outcomes.add(optimum == 0)
     assert outcomes == {True, False}
 
@@ -132,7 +137,7 @@ def test_simplex_matches_dense_on_tied_ratio_column_sets():
                 col + [(base + k, coef[src]) for k, src in enumerate(copies) if src in coef]
             )
         dup += [list(col) for col in dup[: rng.randint(0, len(dup))]]
-        _assert_same_as_dense(nrows, dup)
+        _assert_same_as_dense(nrows, list(map(_sparse, dup)))
 
 
 def test_simplex_matches_dense_on_wide_lps():
@@ -151,7 +156,7 @@ def test_simplex_matches_dense_on_wide_lps():
         columns += [[(p, -1)] for p in range(players)]
         columns += [[(r, 1)] for r in range(players, nrows)]
         assert len(columns) >= 300
-        optimum, _, _ = _assert_same_as_dense(nrows, columns)
+        optimum, _, _ = _assert_same_as_dense(nrows, list(map(_sparse, columns)))
         outcomes.add(optimum == 0)
     assert outcomes == {True, False}
 
@@ -203,7 +208,7 @@ def test_simplex_matches_dense_after_a_degenerate_pivot():
     pivot in row 1.  Bland's rule then enters column 1, where column 3
     has the largest weight, and the simplex ends on x = (1/2, 1/2, 1/2,
     0); Dantzig's rule there would end on (1/2, 0, 1/2, 1/4)."""
-    columns = [[(0, 2), (1, 2)], [(0, 1)], [(0, -1), (2, 2)], [(0, 2)]]
+    columns = [((0, 1), (2, 2)), ((0,), (1,)), ((0, 2), (-1, 2)), ((0,), (2,))]
     half = Fraction(1, 2)
     assert _assert_same_as_dense(3, columns) == (0, [half, half, half, 0], [0, 0, 0])
 
@@ -286,14 +291,13 @@ def _dense_clp_feasible(model):
     resource row per configuration column, a surplus per player row and a
     slack per resource row, feasible exactly when the phase-1 optimum is 0."""
     rows = {x: i for i, x in enumerate((*model.players, *model.resource_ids))}
-    one = Fraction(1)
     columns = [
-        [(rows[cfg.owner], one)] + [(rows[r], one) for r in cfg.resources]
+        [(rows[cfg.owner], 1)] + [(rows[r], 1) for r in cfg.resources]
         for cfg in model.columns
     ]
-    columns += [[(rows[p], -one)] for p in model.players]
-    columns += [[(rows[r], one)] for r in model.resource_ids]
-    optimum, _, _ = dense_phase1_simplex(len(rows), columns)
+    columns += [[(rows[p], -1)] for p in model.players]
+    columns += [[(rows[r], 1)] for r in model.resource_ids]
+    optimum, _, _ = dense_phase1_simplex(len(rows), list(map(_sparse, columns)))
     return optimum == 0
 
 

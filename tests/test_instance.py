@@ -9,6 +9,7 @@ from oracles import branch_and_bound_opt
 from santagap import instance, subsets
 from santagap.instance import (
     Allocation,
+    CovetTable,
     Instance,
     InstanceError,
     ParseError,
@@ -129,8 +130,10 @@ def test_integer_value_table():
     assert inst.int_threshold(Fraction(1, 5)) == 4
     assert inst.int_threshold(0) == 0
     assert inst.int_threshold(Fraction(-1, 5)) == -3
+    # Each covet list by descending integer value, then id, with suffix sums.
+    assert inst.covet_tables == {"p": CovetTable(("b", "a"), (8, 3), (11, 3, 0))}
     empty = Instance((), {}, {})
-    assert (empty.scale, empty.int_values) == (1, {})
+    assert (empty.scale, empty.int_values, empty.covet_tables) == (1, {}, {})
 
 
 def test_value_sums_exactly():
@@ -180,6 +183,25 @@ def test_allocation_rejects_a_repeated_resource():
         Allocation({"p1": ("a", "a")}).validate(inst)
     with pytest.raises(InstanceError, match="allocated resource 'b' twice"):
         Allocation({"p2": ["b", "b"], "p1": ()}).validate(inst)
+
+
+def test_allocation_min_value_from_integer_sums():
+    """The least bundle value is one integer minimum over ``scale``: a
+    player left out of the assignment holds 0, an unknown id raises as
+    ``Instance.value`` does, and on seeded OPT witnesses it equals the
+    least ``Instance.value`` of a bundle."""
+    inst = parse_instance(MINIMAL)
+    assert Allocation({"p1": ("a",), "p2": ("b",)}).min_value(inst) == 1
+    left_out = Allocation({"p1": ("a", "b")}).min_value(inst)
+    assert left_out == 0 and type(left_out) is Fraction
+    with pytest.raises(InstanceError, match="^unknown resource id 'zz'$"):
+        Allocation({"p1": ("a",), "p2": ("zz",)}).min_value(inst)
+    for seed in range(20):
+        inst = gen_random(4, 8, (Fraction(1, 6), Fraction(5, 4)), 0.7, seed=seed, grid=10)
+        alloc = brute_force_opt(inst, compute_t_star(inst)).witness
+        got = alloc.min_value(inst)
+        assert type(got) is Fraction
+        assert got == min(inst.value(alloc.assignment.get(p, ())) for p in inst.players)
 
 
 # -- OPT ------------------------------------------------------------------------

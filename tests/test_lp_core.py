@@ -7,7 +7,7 @@ import pytest
 from conftest import random_small_instance
 from santagap.allocation_graph import compute_fat
 from oracles import branch_and_bound_opt, hypothesis_holds_basic, hypothesis_holds_refined
-from santagap.instance import brute_force_opt, parse_instance
+from santagap.instance import Instance, brute_force_opt, parse_instance
 from santagap.lp_core import (
     Configuration,
     DualSolution,
@@ -128,6 +128,42 @@ def test_minimal_configurations_between_integer_sums():
                 keys = [(len(c.resources), sorted(c.resources)) for c in cfgs]
                 assert keys == sorted(keys) and len(set(map(str, keys))) == len(keys)
     assert checked > 150
+
+
+def test_enumerate_a_pool_at_the_cap():
+    """20 coveted resources of value 1, the pool cap, at threshold 2: the
+    190 two-subsets, in lexicographic order."""
+    ids = [f"r{i:02d}" for i in range(20)]
+    doc = "players p\n" + "".join(f"resource {r} 1\n" for r in ids)
+    inst = parse_instance(doc + "covets p " + " ".join(ids) + "\n")
+    cfgs = minimal_configurations(inst, "p", Fraction(2))
+    assert len(cfgs) == 190
+    assert cfgs == [Configuration("p", pair) for pair in itertools.combinations(ids, 2)]
+
+
+@pytest.mark.parametrize("threshold", [Fraction(0), Fraction(-1, 3)])
+def test_enumerate_at_a_threshold_of_at_most_zero(threshold):
+    """The empty set reaches it: one empty configuration, also for a
+    player who covets nothing."""
+    inst = parse_instance("players p q\nresource a 1\ncovets p a\n")
+    for p in inst.players:
+        assert minimal_configurations(inst, p, threshold) == [Configuration(p, ())]
+
+
+def test_enumerate_ignores_later_edits_to_the_callers_data():
+    """The search reads the tables built at construction, so changing the
+    caller's covet sets, covet map or values afterwards changes nothing."""
+    wants = {"a", "b"}
+    covets = {"p": wants}
+    values = {"a": Fraction(1), "b": Fraction(1, 2), "c": Fraction(1)}
+    inst = Instance.build(["p"], values, covets)
+    before = minimal_configurations(inst, "p", Fraction(1))
+    assert before == [Configuration("p", ("a",))]
+    wants.discard("a")
+    wants.add("c")
+    covets["p"] = {"b", "c"}
+    values["b"] = Fraction(1)
+    assert minimal_configurations(inst, "p", Fraction(1)) == before
 
 
 # -- clp_feasible ---------------------------------------------------------------
