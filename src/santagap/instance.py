@@ -44,6 +44,7 @@ class CovetTable(NamedTuple):
     ids: tuple[str, ...]  # the coveted resources by descending value, then id
     values: tuple[int, ...]  # their ``Instance.int_values``
     suffix: tuple[int, ...]  # suffix[i] = sum(values[i:]); suffix[-1] = 0
+    singles: tuple[tuple[str], ...]  # the instance's one (ids[i],) tuple, per i
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,10 @@ class Instance:
     ``scale``, the lcm of the value denominators; ``int_values``, every
     value times ``scale``; and ``covet_tables``, one ``CovetTable`` per
     player in player order, which ``lp_core.minimal_configurations``
-    walks.  They are built once, here, and never checked against a cap:
-    the searches that read them enforce the caps.
+    walks, and whose ``singles`` it returns as the resources of a
+    single-resource configuration: one ``(rid,)`` tuple per resource,
+    shared by every player's table.  They are built once, here, and never
+    checked against a cap: the searches that read them enforce the caps.
     """
 
     players: tuple[str, ...]
@@ -96,6 +99,7 @@ class Instance:
         }
         object.__setattr__(self, "int_values", int_values)
         value = int_values.__getitem__
+        single = {rid: (rid,) for rid in resources}.__getitem__
         tables = {}
         for pid in self.players:
             ids = sorted(covets[pid])
@@ -103,7 +107,9 @@ class Instance:
             values = tuple(map(value, ids))
             suffix = [*itertools.accumulate(reversed(values), initial=0)]
             suffix.reverse()
-            tables[pid] = CovetTable(tuple(ids), values, tuple(suffix))
+            tables[pid] = CovetTable(
+                tuple(ids), values, tuple(suffix), tuple(map(single, ids))
+            )
         object.__setattr__(self, "covet_tables", tables)
 
     @staticmethod
@@ -126,7 +132,7 @@ class Instance:
         """ceil(threshold * scale), the least integer sum of ``int_values``
         that reaches ``threshold``: an integer sum s reaches it exactly when
         s >= this, and falls short exactly when s < this."""
-        t = Fraction(threshold)
+        t = _exact(threshold)
         return -(-t.numerator * self.scale // t.denominator)
 
     def value(self, ids) -> Fraction:

@@ -36,18 +36,24 @@ slacks do, so z >= 0, and the objective is the phase-1 optimum.
 T* is the first feasible candidate of a descending scan
 (``compute_t_star``) over the integer subset sums, each candidate times
 ``Instance.scale``; a candidate becomes a Fraction only where a
-certificate or a probe needs it.  Two cheaper certificates spare most LP
-probes.  One is the capped-value dual.  With t = ``Instance.int_threshold(T)``
-and every integer value V_r = ``Instance.int_values[r]`` capped at t,
-CLP(T) is infeasible when a set P of players, one player or all of them,
-has coveted capped values summing to less than |P| * t: y = 1 on P and
-z_r = min(V_r, t) / t on the resources P covets satisfy every DCLP
-constraint (a configuration of value at least T has an integer value at
-least t, so it holds a resource with z_r = 1 or its z-weight is its
-integer value over t, at least 1) and have objective |P| - sum z_r > 0.
-It rules out exactly the sums above one integer, which
-``capped_value_bound`` computes in closed form, so the scan starts below
-it.  The other is the Farkas certificate of the last infeasible probe,
+certificate or a probe needs it.  Three cheaper certificates spare most
+LP probes.  The first is the capped-value dual.  With
+t = ``Instance.int_threshold(T)`` and every integer value
+V_r = ``Instance.int_values[r]`` capped at t, CLP(T) is infeasible
+when a set P of players, one player or all of them, has coveted capped
+values summing to less than |P| * t: y = 1 on P and z_r = min(V_r, t) / t
+on the resources P covets satisfy every DCLP constraint (a configuration
+of value at least T has an integer value at least t, so it holds a
+resource with z_r = 1 or its z-weight is its integer value over t, at
+least 1) and have objective |P| - sum z_r > 0.  It rules out exactly the
+sums above one integer, which ``capped_value_bound`` computes in closed
+form, so the scan starts below it.  The second is the fat-count dual
+(``fat_count_violation``), the paper's fat/thin split priced by count:
+y = 1 on every player, z = 1 on the coveted resources of integer value
+at least t and 1/kappa on the other coveted ones, where kappa is the
+fewest values below t that reach t in any one covet list.  It is not
+monotone in T, so the scan asks it at each candidate, on the integer
+sum.  The third is the Farkas certificate of the last infeasible probe,
 re-checked at each lower candidate with ``verify_dual``.
 
 The witness of T* is the primal of the probe at T*: the integral
@@ -66,7 +72,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import mul, neg
 from typing import NamedTuple
 
 from . import subsets
@@ -191,9 +197,10 @@ def minimal_configurations(
 
     Sorted by (size, resources): the order fixes the simplex's crash
     basis and pivot sequence over CLP columns and the transversal search
-    over the parts of H.
+    over the parts of H.  A single-resource configuration holds the
+    table's ``singles`` tuple, the same object on every call.
     """
-    ids, values, suffix = inst.covet_tables[player]
+    ids, values, suffix, singles = inst.covet_tables[player]
     n = len(ids)
     if n > subsets.DEFAULT_POOL_CAP:
         raise CapError(f"{n} items exceeds cap {subsets.DEFAULT_POOL_CAP}")
@@ -214,7 +221,7 @@ def minimal_configurations(
             if suffix[j] < need:
                 break
             if values[j] >= need:
-                found.append(tuple(sorted(chosen + (ids[j],))))
+                found.append(tuple(sorted(chosen + (ids[j],))) if chosen else singles[j])
             else:
                 branches.append((j + 1, need - values[j], chosen + (ids[j],)))
         if len(found) > cap:
@@ -580,6 +587,43 @@ def capped_value_bound(inst: Instance) -> int:
     return bound
 
 
+def fat_count_violation(inst: Instance, t: int) -> bool:
+    """Whether the fat-count dual proves CLP infeasible at the integer
+    threshold t, ``inst.int_threshold(T)`` of a target T.
+
+    Let F be the coveted resources of integer value at least t, R the
+    other coveted ones, and kappa the fewest values below t of one
+    player's covet list that together reach t (the least over players;
+    infinite when no list's values below t reach t).  Every configuration
+    of value at least T holds a resource of F, or at least kappa
+    resources below t, so y = 1 on every player, z = 1 on F and
+    z = 1/kappa on R (0 when kappa is infinite) is DCLP(T)-feasible.  Its
+    objective n - |F| - |R|/kappa is positive exactly when
+    (n - |F|) * kappa > |R|, or n > |F| when kappa is infinite.  A
+    player's kappa is read off its ``CovetTable``: bisecting the values
+    finds the first one below t, and bisecting the suffix sums from there
+    the fewest that reach t.  At t <= 0 the empty set reaches t, so
+    kappa = 0 and nothing is ruled out.  Integer counts and sums only.
+    Not monotone in t, so it is no bound: it must be asked at each
+    threshold.
+    """
+    value = inst.int_values.__getitem__
+    coveted = set().union(*inst.covets.values())
+    fat = sum(value(r) >= t for r in coveted)
+    slack, thin = len(inst.players) - fat, len(coveted) - fat
+    if slack <= 0:
+        return False
+    for _, values, suffix, _ in inst.covet_tables.values():
+        # Both tables fall, so bisect their negations.  From index i on
+        # the values are below t, and the k largest of them reach t
+        # exactly when suffix[i + k] <= suffix[i] - t.
+        i = bisect.bisect_right(values, -t, key=neg)
+        reach = suffix[i] - t
+        if reach >= 0 and (bisect.bisect_left(suffix, -reach, i, key=neg) - i) * slack <= thin:
+            return False
+    return True
+
+
 def compute_t_star(inst: Instance) -> TStarResult:
     """Exact T* = max{T : CLP(T) feasible} by a descending scan of candidates.
 
@@ -589,8 +633,8 @@ def compute_t_star(inst: Instance) -> TStarResult:
     result is the witness: an integral allocation where one is found
     within the probe's search budget, else the simplex's primal.  The
     scan walks the integer sums (``int_subset_sums``) and builds the
-    candidate ``Fraction(s, inst.scale)`` only for a sum it reaches in
-    step 2 or 3.
+    candidate ``Fraction(s, inst.scale)`` only for a sum that passes
+    step 2.
 
     1. Capped-value filter.  ``capped_value_violation`` rules a candidate
        out when one of its player sets P of size k has
@@ -601,18 +645,26 @@ def compute_t_star(inst: Instance) -> TStarResult:
        makes f(t') < 0.  The filter thus passes exactly the sums up to a
        bound, which ``capped_value_bound`` gives in closed form; every
        candidate above it is infeasible and is not looked at again.
-    2. Certificate reuse.  From there down, the Farkas certificate of
-       the last infeasible probe is kept.  A candidate where
-       ``verify_dual`` accepts it is infeasible by weak duality (its
-       objective is positive whatever the target), and no LP is built.
-       Going down, the dual constraints only grow (a configuration at T'
-       contains a minimal one at T < T', and z >= 0 weighs it at least
-       as much), so once the certificate fails it would fail at every
-       lower candidate: an older certificate is never worth trying.
-    3. Otherwise ``clp_feasible`` decides the candidate; ``probes`` counts
+    2. Fat-count dual.  From there down, ``fat_count_violation`` on the
+       sum s itself rules out a candidate with integer counts alone, no
+       Fraction and no LP.  It is not monotone in T (at a higher T
+       fat resources turn thin, and joining the thin ones can bring kappa
+       down), so it passes no closed-form set of sums and is asked at
+       every candidate the scan reaches, first because it is the
+       cheapest.
+    3. Certificate reuse.  The Farkas certificate of the last infeasible
+       probe is kept.  A candidate where ``verify_dual`` accepts it is
+       infeasible by weak duality (its objective is positive whatever
+       the target), and no LP is built.  Going down, the dual
+       constraints only grow (a configuration at T' contains a minimal
+       one at T < T', and z >= 0 weighs it at least as much), so once
+       the certificate fails it would fail at every lower candidate: an
+       older certificate is never worth trying.  A candidate ruled out
+       in step 2 leaves the kept certificate as it is.
+    4. Otherwise ``clp_feasible`` decides the candidate; ``probes`` counts
        those calls, whether the integral search or the simplex answered.
        Every infeasible probe runs the simplex, so each certificate kept
-       in step 2 is a phase-1 Farkas certificate.
+       in step 3 is a phase-1 Farkas certificate.
 
     Every skip is exact, so T*, ``candidates_examined`` and the witness
     are those of a plain bisection that probes every step.
@@ -624,6 +676,8 @@ def compute_t_star(inst: Instance) -> TStarResult:
         top = bisect.bisect_right(sums, capped_value_bound(inst))
         certificate: DualSolution | None = None
         for s in reversed(sums[:top]):
+            if fat_count_violation(inst, s):
+                continue
             target = Fraction(s, scale)
             if certificate is not None:
                 check = verify_dual(inst, target, certificate)

@@ -24,9 +24,11 @@ resource, before it built adjacency masks from per-resource holder
 masks.  ``scan_r_c`` is the descending scan over r that ``two_values.r_c``
 replaced with a bisection.  ``bisection_t_star`` is the T* search that
 probes every bisection candidate with the LP, with no capped-value
-filter.  ``classify_all_deletions`` is the ``all_deletions`` loop that
-classified every edge in full and rebuilt each smaller graph with
-``Graph(...)``.  ``basic_cover`` replays a DE-sequence for the end graph
+filter.  ``fat_count_dual`` builds the dual that
+``lp_core.fat_count_violation`` prices by counts, from its definition on
+``Fraction`` values.  ``classify_all_deletions`` is the
+``all_deletions`` loop that classified every edge in full and rebuilt
+each smaller graph with ``Graph(...)``.  ``basic_cover`` replays a DE-sequence for the end graph
 and basic cover that ``search_de_sequence`` returns with a found one.
 ``independence_complex`` lists the facets of Ind(G), the maximal
 independent sets, by Bron-Kerbosch; nothing in the package needs them,
@@ -47,6 +49,7 @@ from santagap.graphs import Graph
 from santagap.instance import Allocation, Instance, OptResult
 from santagap.lp_core import (
     Configuration,
+    DualSolution,
     TStarResult,
     clp_feasible,
     int_subset_sums,
@@ -313,6 +316,33 @@ def bisection_t_star(inst: Instance) -> TStarResult:
         witness = clp_feasible(inst, Fraction(0))
         return TStarResult(Fraction(0), sums, scale, witness, probes + 1)
     return TStarResult(Fraction(sums[best], scale), sums, scale, results[best], probes)
+
+
+def fat_count_dual(inst: Instance, target: Fraction) -> DualSolution:
+    """The fat-count dual of CLP(target), target > 0: y = 1 on every
+    player, z = 1 on the coveted resources worth at least target (F), and
+    z = 1/kappa on the other coveted ones (R), or 0 when kappa is
+    infinite.  kappa is the least, over players and over subsets of a
+    player's resources worth less than target whose values sum to at least
+    target, of the subset's size, found by trying every subset."""
+    coveted = set().union(*inst.covets.values())
+    fat = {r for r in coveted if inst.resources[r] >= target}
+    kappa = None
+    for p in inst.players:
+        below = sorted(inst.covets[p] - fat)
+        for k in range(1, len(below) + 1):
+            if kappa is not None and k >= kappa:
+                break
+            if any(inst.value(combo) >= target for combo in itertools.combinations(below, k)):
+                kappa = k
+                break
+    thin = Fraction(0) if kappa is None else Fraction(1, kappa)
+    y = {p: Fraction(1) for p in inst.players}
+    z = {
+        r: Fraction(1) if r in fat else thin if r in coveted else Fraction(0)
+        for r in inst.resource_ids
+    }
+    return DualSolution(y, z)
 
 
 def exhaustive_opt(inst: Instance) -> tuple[Fraction, Allocation]:

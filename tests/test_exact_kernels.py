@@ -21,6 +21,7 @@ from oracles import (
     branch_and_bound_opt,
     dense_phase1_simplex,
     exhaustive_opt,
+    fat_count_dual,
     rational_max_value_below,
     rational_min_cost_subset_reaching,
 )
@@ -77,8 +78,8 @@ def test_simplex_matches_dense_on_every_t_star_probe(monkeypatch):
     monkeypatch.setattr(lp_core, "clp_feasible", probe)
     shapes = [(3, 6, 0.7), (4, 7, 0.8), (5, 6, 0.9), (2, 8, 0.6)]
     # The descending scan probes few candidates per instance, so it takes
-    # 14 seeds of these shapes to reach 72 probes.
-    for seed in range(14):
+    # 15 seeds of these shapes to reach 72 probes.
+    for seed in range(15):
         for players, resources, density in shapes:
             inst = gen_random(
                 players, resources, (Fraction(1, 6), Fraction(1)), density,
@@ -692,7 +693,7 @@ def test_reused_certificates_rule_out_only_infeasible_candidates(monkeypatch):
     instances += [
         gen_random(players, resources, (Fraction(1, 6), Fraction(1)), density,
                    seed=seed, grid=12)
-        for seed in range(14)
+        for seed in range(30)
         for players, resources, density in ((3, 6, 0.7), (6, 10, 0.6), (2, 8, 0.6))
     ]
     ruled_out = []
@@ -709,6 +710,120 @@ def test_reused_certificates_rule_out_only_infeasible_candidates(monkeypatch):
     for inst, target in ruled_out:
         assert not lp_core.clp_feasible(inst, target).feasible, (inst.serialize(), target)
     assert len(ruled_out) > 20
+
+
+# -- compute_t_star: the fat-count dual -----------------------------------------
+
+def _up_to_two(grid, seeds):
+    """``gen_random`` shapes with values on a grid in [1/6, 2]."""
+    return [
+        gen_random(players, resources, (Fraction(1, 6), Fraction(2)), density,
+                   seed=seed, grid=grid)
+        for seed in seeds
+        for players, resources, density in ((3, 6, 0.7), (4, 7, 0.6), (5, 8, 0.5))
+    ]
+
+
+FAT_COUNT_SUITES = {
+    "gap-random": lambda: list(_gap_random_instances(range(30))),
+    "grid-3": lambda: _up_to_two(3, range(12)),
+    "grid-5": lambda: _up_to_two(5, range(12)),
+    "grid-12": lambda: _up_to_two(12, range(8)),
+    "two-value": lambda: [
+        gen_two_value(players, eps, {"density": density}, seed)
+        for seed in range(10)
+        for players, eps, density in ((2, Fraction(1, 5), 0.8), (3, Fraction(1, 4), 0.6))
+    ],
+    "random-small": lambda: [random_small_instance(random.Random(79)) for _ in range(40)],
+}
+
+
+def _scanned_targets(monkeypatch, inst):
+    """The targets that ``compute_t_star`` hands to ``verify_dual`` or
+    ``clp_feasible``."""
+    targets = set()
+    with monkeypatch.context() as patch:
+        for name in ("verify_dual", "clp_feasible"):
+            def recorded(inst, target, *rest, _real=getattr(lp_core, name)):
+                targets.add(target)
+                return _real(inst, target, *rest)
+
+            patch.setattr(lp_core, name, recorded)
+        lp_core.compute_t_star(inst)
+    return targets
+
+
+@pytest.mark.parametrize("suite", FAT_COUNT_SUITES)
+def test_fat_count_dual_certifies_every_ruled_out_candidate(suite, monkeypatch):
+    """At every T* candidate the dual built from the definition is
+    DCLP-feasible, and ``fat_count_violation`` rules the candidate out
+    exactly where that dual's objective is positive; each candidate it
+    rules out is infeasible by ``clp_feasible``.  The scan hands none of
+    them to ``verify_dual`` or ``clp_feasible``, and keeps T*, the
+    candidate count and the witness LP of the bisection."""
+    ruled_out = passed = 0
+    for inst in FAT_COUNT_SUITES[suite]():
+        scanned = _scanned_targets(monkeypatch, inst)
+        for s in lp_core.int_subset_sums(inst):
+            target = Fraction(s, inst.scale)
+            dual = fat_count_dual(inst, target)
+            check = lp_core.verify_dual(inst, target, dual)
+            assert check.feasible, (inst.serialize(), target)
+            ruled = lp_core.fat_count_violation(inst, s)
+            assert ruled == (dual.objective > 0), (inst.serialize(), target)
+            if ruled:
+                ruled_out += 1
+                assert target not in scanned
+                assert not lp_core.clp_feasible(inst, target).feasible
+            else:
+                passed += 1
+        _assert_same_as_bisection(inst)
+    assert ruled_out > 0 and passed > 0
+
+
+def test_fat_count_dual_is_not_monotone(monkeypatch):
+    """Pinned: the dual rules out T = 2 but not the higher 15/7, so it is
+    no bound on the candidates and must be asked at each of them.  At 2
+    the fat resources are r2 and r3, two for three players, and no list's
+    values below 2 reach 2.  At 15/7 none is fat, and every player
+    reaches it with two resources: (3 - 0) * 2 = 6, not above the 6 thin
+    ones.  The scan starts at 15/7, the capped-value bound, and probes
+    it, rules out 2 with no LP and probes T* = 29/21, as the bisection
+    finds."""
+    inst = Instance.build(
+        ["p1", "p2", "p3"],
+        {
+            "r1": Fraction(1, 7), "r2": 2, "r3": 2,
+            "r4": Fraction(29, 21), "r5": Fraction(16, 21), "r6": Fraction(1, 7),
+        },
+        {"p1": {"r1", "r2"}, "p2": {"r3", "r5", "r6"}, "p3": {"r2", "r3", "r4"}},
+    )
+    assert lp_core.fat_count_violation(inst, inst.int_threshold(Fraction(2)))
+    assert not lp_core.fat_count_violation(inst, inst.int_threshold(Fraction(15, 7)))
+    for target, objective in ((Fraction(2), 1), (Fraction(15, 7), 0)):
+        assert fat_count_dual(inst, target).objective == objective
+    assert not lp_core.clp_feasible(inst, Fraction(15, 7)).feasible
+    assert lp_core.capped_value_bound(inst) == inst.int_threshold(Fraction(15, 7))
+    assert _scanned_targets(monkeypatch, inst) == {Fraction(15, 7), Fraction(29, 21)}
+    got, _ = _assert_same_as_bisection(inst)
+    assert (got.t_star, got.probes) == (Fraction(29, 21), 2)
+
+
+def test_fat_count_dual_rules_out_the_16x30_candidates():
+    """``gen_random(16, 30, (1/6, 1), 0.5, seed=1, grid=12)``: T* = 1 of
+    807 candidates in 1 probe (3 with the other two certificates alone)."""
+    inst = gen_random(16, 30, (Fraction(1, 6), Fraction(1)), 0.5, seed=1, grid=12)
+    res = lp_core.compute_t_star(inst)
+    assert (res.t_star, res.candidates_examined, res.probes) == (1, 807, 1)
+
+
+def test_fat_count_dual_needs_a_positive_threshold():
+    """At t <= 0 the empty set reaches t, so kappa = 0, no dual with y = 1
+    is feasible, and the check rules nothing out."""
+    inst = Instance.build(["p", "q"], {"a": 1}, {"p": {"a"}, "q": {"a"}})
+    assert lp_core.fat_count_violation(inst, 1)
+    assert not lp_core.fat_count_violation(inst, 0)
+    assert not lp_core.fat_count_violation(inst, -1)
 
 
 # -- brute_force_opt ------------------------------------------------------------

@@ -130,8 +130,11 @@ def test_integer_value_table():
     assert inst.int_threshold(Fraction(1, 5)) == 4
     assert inst.int_threshold(0) == 0
     assert inst.int_threshold(Fraction(-1, 5)) == -3
-    # Each covet list by descending integer value, then id, with suffix sums.
-    assert inst.covet_tables == {"p": CovetTable(("b", "a"), (8, 3), (11, 3, 0))}
+    # Each covet list by descending integer value, then id, with suffix
+    # sums and the instance's one singleton tuple of each id.
+    assert inst.covet_tables == {
+        "p": CovetTable(("b", "a"), (8, 3), (11, 3, 0), (("b",), ("a",)))
+    }
     empty = Instance((), {}, {})
     assert (empty.scale, empty.int_values, empty.covet_tables) == (1, {}, {})
 

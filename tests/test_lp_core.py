@@ -42,6 +42,29 @@ def test_enumerate_single_resource():
     assert [c.resources for c in cfgs] == [("a",)]
 
 
+def test_single_resource_configurations_share_the_instance_tuple():
+    """Every call returns the instance's one ``(rid,)`` tuple for a
+    single-resource configuration, whichever player and threshold, and a
+    configuration on it equals, and hashes as, one on a fresh tuple and
+    the plain pair."""
+    inst = parse_instance(
+        "players p q\nresource a 1\nresource b 1/2\nresource c 1/2\n"
+        "covets p a b c\ncovets q a c\n"
+    )
+    first = minimal_configurations(inst, "p", Fraction(1))
+    again = minimal_configurations(inst, "p", Fraction(1))
+    other = minimal_configurations(inst, "q", Fraction(1, 2))
+    assert first == again and first[0] == Configuration("p", ("a",))
+    assert first[0].resources is again[0].resources is other[0].resources
+    assert [c.resources for c in other] == [("a",), ("c",)]
+    assert other[1].resources is minimal_configurations(inst, "p", Fraction(1, 2))[2].resources
+    fresh = Configuration("p", tuple(["a"]))
+    assert fresh.resources is not first[0].resources
+    assert fresh == first[0] == ("p", ("a",))
+    assert hash(fresh) == hash(first[0]) == hash(("p", ("a",)))
+    assert first[1:] == [Configuration("p", ("b", "c"))]
+
+
 def test_enumerate_drops_non_minimal():
     inst = parse_instance("players p\nresource a 1\nresource b 1\ncovets p a b\n")
     cfgs = minimal_configurations(inst, "p", Fraction(1))
