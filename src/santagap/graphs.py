@@ -23,7 +23,7 @@ only the structure (the eta cache) reads ``masks`` alone.
 neighbours j ascending, each edge once as (vertices[i], vertices[j]).
 Both constructors list the edges in that order and every derived graph
 keeps it, so code may walk the edges off ``masks`` and use the count as
-an index into ``edges`` (``homology.first_deletable`` does).
+an index into ``edges`` (``homology.deletion_walk`` does).
 """
 
 from __future__ import annotations

@@ -57,8 +57,11 @@ class Instance:
     player in player order, which ``lp_core.minimal_configurations``
     walks, and whose ``singles`` it returns as the resources of a
     single-resource configuration: one ``(rid,)`` tuple per resource,
-    shared by every player's table.  They are built once, here, and never
-    checked against a cap: the searches that read them enforce the caps.
+    shared by every player's table; and ``coveted_values``, the
+    ``int_values`` of the resources some player covets, ascending, in
+    which ``lp_core.fat_count_violation`` counts the fat ones by
+    bisection.  They are built once, here, and never checked against a
+    cap: the searches that read them enforce the caps.
     """
 
     players: tuple[str, ...]
@@ -67,6 +70,7 @@ class Instance:
     scale: int = field(init=False, repr=False, compare=False)
     int_values: dict[str, int] = field(init=False, repr=False, compare=False)
     covet_tables: dict[str, CovetTable] = field(init=False, repr=False, compare=False)
+    coveted_values: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.players)) != len(self.players):
@@ -111,6 +115,8 @@ class Instance:
                 tuple(ids), values, tuple(suffix), tuple(map(single, ids))
             )
         object.__setattr__(self, "covet_tables", tables)
+        coveted = set().union(*covets.values())
+        object.__setattr__(self, "coveted_values", tuple(sorted(map(value, coveted))))
 
     @staticmethod
     def build(players, resources, covets) -> "Instance":

@@ -599,7 +599,8 @@ def fat_count_violation(inst: Instance, t: int) -> bool:
     resources below t, so y = 1 on every player, z = 1 on F and
     z = 1/kappa on R (0 when kappa is infinite) is DCLP(T)-feasible.  Its
     objective n - |F| - |R|/kappa is positive exactly when
-    (n - |F|) * kappa > |R|, or n > |F| when kappa is infinite.  A
+    (n - |F|) * kappa > |R|, or n > |F| when kappa is infinite.  |R| is
+    one bisection of ``inst.coveted_values`` at t, and |F| the rest.  A
     player's kappa is read off its ``CovetTable``: bisecting the values
     finds the first one below t, and bisecting the suffix sums from there
     the fewest that reach t.  At t <= 0 the empty set reaches t, so
@@ -607,10 +608,9 @@ def fat_count_violation(inst: Instance, t: int) -> bool:
     Not monotone in t, so it is no bound: it must be asked at each
     threshold.
     """
-    value = inst.int_values.__getitem__
-    coveted = set().union(*inst.covets.values())
-    fat = sum(value(r) >= t for r in coveted)
-    slack, thin = len(inst.players) - fat, len(coveted) - fat
+    coveted = inst.coveted_values
+    thin = bisect.bisect_left(coveted, t)
+    slack = len(inst.players) - (len(coveted) - thin)
     if slack <= 0:
         return False
     for _, values, suffix, _ in inst.covet_tables.values():

@@ -28,7 +28,7 @@ from .desequence import (
     search_de_sequence,
     vertex_resources,
 )
-from .homology import eta_at_least, first_deletable
+from .homology import deletion_walk, eta_at_least
 
 # hall_eta_check tries every nonempty set of parts, 2^parts - 1 of them.
 DEFAULT_HALL_PART_CAP = 10
@@ -59,17 +59,24 @@ def all_deletions(g: Graph) -> tuple[Graph, list[DeStep]]:
 
     This decides deletability only: the first edge e in edge order with
     eta(G-e) <= eta(G) (``classify_edge(...).deletable``) is deleted and
-    the scan restarts on G-e.  ``first_deletable`` probes each G-e on the
-    eta cache key of G, so a Graph is built only for the edge deleted,
-    and G*e is never built, because nothing here reads whether an edge
-    is explodable.
+    the scan restarts on G-e.  ``homology.deletion_walk`` runs that loop
+    on the eta cache key of G and memoizes it per start key, so the
+    steps name ``g``'s own edge pairs, the end graph is the one Graph
+    built, and G*e is never built, because nothing here reads whether an
+    edge is explodable.
     """
-    steps: list[DeStep] = []
-    while (k := first_deletable(g)) is not None:
-        edge = g.edges[k]
-        steps.append(DeStep(DELETE, edge))
-        g = g.delete_edge(edge)
-    return g, steps
+    deleted, masks = deletion_walk(g)
+    if not deleted:
+        return g, []
+    edges = g.edges
+    gone = set(deleted)
+    end = Graph._derived(
+        g.vertices,
+        tuple(e for k, e in enumerate(edges) if k not in gone),
+        masks,
+        g._index,
+    )
+    return end, [DeStep(DELETE, edges[k]) for k in deleted]
 
 
 @dataclass(slots=True)

@@ -28,10 +28,14 @@ is a graph invariant, so two graphs with the same masks over their
 sorted vertex order share one entry whatever their labels.
 
 The key packs mask i into bits i*n .. i*n+n-1, so deleting edge {i, j}
-flips exactly bits i*n+j and j*n+i of it.  first_deletable probes every
-G-e on the key of G flipped that way: a cache hit costs two shifts and a
-dict lookup, and only a miss copies the masks to compute eta(G-e).  No
-Graph is built for an edge that is only probed.
+flips exactly bits i*n+j and j*n+i of it.  deletion_walk packs the key
+of G once and walks Meshulam's deletions on it: each G-e is looked up
+on the current key with the edge's two bits flipped, a hit costs an
+xor and a dict lookup, only a miss copies the masks to compute
+eta(G-e), and a deletion flips the two bits for good.  No Graph is
+built along the walk.  Which edges the walk deletes depends on the
+masks alone, so its result is memoized per start key in a second dict,
+bounded and emptied like the eta cache.
 """
 
 from __future__ import annotations
@@ -45,10 +49,12 @@ from ..subsets import CapError
 
 INF = math.inf
 
-# Fixed caps, read at each call: eta, eta_at_least, first_deletable and
+# Fixed caps, read at each call: eta, eta_at_least, deletion_walk and
 # homology_profile refuse a graph of more than DEFAULT_VERTEX_CAP vertices,
 # and the level loop a dimension of more than DEFAULT_SIMPLEX_CAP
-# independent sets.  Both raise CapError.
+# independent sets.  Both raise CapError.  The vertex cap is checked on
+# every call; the simplex cap can be met only on a cache miss, since a
+# cached eta or walk computes no homology.
 DEFAULT_VERTEX_CAP = 24
 DEFAULT_SIMPLEX_CAP = 500_000
 
@@ -232,11 +238,13 @@ def _reduced_eta(adj: Sequence[int], t: int | None) -> int | float | None:
     return total
 
 
-# Keyed by _cache_key, which ignores vertex labels; plain dict get/set
-# are atomic under the GIL, so concurrent eta calls may share this cache.
-# It is emptied whenever it reaches ETA_CACHE_MAX entries.
+# Both keyed by _cache_key, which ignores vertex labels: _ETA_CACHE maps a
+# graph to its eta, _WALK_CACHE to its deletion walk.  Plain dict get/set
+# are atomic under the GIL, so concurrent calls may share them.  Each is
+# emptied whenever it reaches ETA_CACHE_MAX entries.
 ETA_CACHE_MAX = 1 << 16
 _ETA_CACHE: dict = {}
+_WALK_CACHE: dict = {}
 
 
 def _cache_key(masks: tuple[int, ...]) -> int:
@@ -250,13 +258,15 @@ def _cache_key(masks: tuple[int, ...]) -> int:
 
 
 def clear_eta_cache() -> None:
+    """Empty the eta cache and the deletion-walk memo."""
     _ETA_CACHE.clear()
+    _WALK_CACHE.clear()
 
 
-def _remember(key, value: int | float) -> None:
-    if len(_ETA_CACHE) >= ETA_CACHE_MAX:
-        _ETA_CACHE.clear()
-    _ETA_CACHE[key] = value
+def _remember(cache: dict, key, value) -> None:
+    if len(cache) >= ETA_CACHE_MAX:
+        cache.clear()
+    cache[key] = value
 
 
 def _check_vertex_cap(g: Graph) -> None:
@@ -264,16 +274,19 @@ def _check_vertex_cap(g: Graph) -> None:
         raise CapError(f"{len(g.vertices)} vertices exceeds cap {DEFAULT_VERTEX_CAP}")
 
 
+def _cached_eta(key: int, adj: Sequence[int]) -> int | float:
+    """eta of the graph with masks ``adj`` and cache key ``key``."""
+    value = _ETA_CACHE.get(key)
+    if value is None:
+        value = _reduced_eta(adj, None)
+        _remember(_ETA_CACHE, key, value)
+    return value
+
+
 def eta(g: Graph) -> int | float:
     """1 + first nonvanishing reduced Z2 homology dimension, or infinity."""
     _check_vertex_cap(g)
-    key = _cache_key(g.masks)
-    cached = _ETA_CACHE.get(key)
-    if cached is not None:
-        return cached
-    value = _reduced_eta(g.masks, None)
-    _remember(key, value)
-    return value
+    return _cached_eta(_cache_key(g.masks), g.masks)
 
 
 def eta_at_least(g: Graph, t: int) -> bool:
@@ -288,43 +301,66 @@ def eta_at_least(g: Graph, t: int) -> bool:
     value = _reduced_eta(g.masks, t)
     if value is None:
         return True
-    _remember(key, value)
+    _remember(_ETA_CACHE, key, value)
     return value >= t
 
 
-def first_deletable(g: Graph) -> int | None:
-    """Index in ``g.edges`` of the first edge e with eta(G-e) <= eta(G),
-    or None when no edge is deletable.
+def deletion_walk(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Meshulam's deletions from G: (the indices in ``g.edges`` of the
+    edges deleted, in order, and the masks of the graph left).
 
-    The edges are walked straight off the masks, row i and then its later
-    neighbours j ascending, which is the order of ``g.edges``.  Each G-e
-    is looked up on the key of G with its two bits flipped; a miss is
-    computed on flipped masks and remembered, in the same order as eta
-    calls on each G-e would remember it.
+    Each step deletes the first edge e in the order of ``g.edges`` with
+    eta(G-e) <= eta(G), then rescans from the first edge; the walk stops
+    when no edge qualifies.  The edges are walked straight off the masks,
+    row i and then its later neighbours j ascending, which is the order
+    of ``g.edges``.  Each G-e is looked up on the key of G with its two
+    bits flipped; a miss is computed on flipped masks and remembered, in
+    the same order as eta calls on each G-e would remember it.  The
+    result is memoized on the key of G, so a graph with the same masks
+    costs one lookup.
     """
-    before = eta(g)
+    _check_vertex_cap(g)
     masks = g.masks
-    n = len(masks)
     key = _cache_key(masks)
-    k = 0
+    walk = _WALK_CACHE.get(key)
+    if walk is not None:
+        return walk
+    start = key
+    before = _cached_eta(key, masks)
+    n = len(masks)
+    edges = []  # (bits of the edge in the key, i, j), in the order of g.edges
     for i, m in enumerate(masks):
         later = m >> (i + 1)
         while later:
             low = later & -later
             j = i + low.bit_length()
-            probe = key ^ (1 << (i * n + j)) ^ (1 << (j * n + i))
-            value = _ETA_CACHE.get(probe)
-            if value is None:
-                adj = list(masks)
-                adj[i] ^= 1 << j
-                adj[j] ^= 1 << i
-                value = _reduced_eta(adj, None)
-                _remember(probe, value)
-            if value <= before:
-                return k
-            k += 1
+            edges.append(((1 << (i * n + j)) | (1 << (j * n + i)), i, j))
             later ^= low
-    return None
+    adj = list(masks)
+    deleted = []
+    k = 0
+    while k < len(edges):
+        bits, i, j = edges[k]
+        k += 1
+        if not key & bits:  # deleted earlier in the walk
+            continue
+        probe = key ^ bits
+        value = _ETA_CACHE.get(probe)
+        if value is None:
+            smaller = adj.copy()
+            smaller[i] ^= 1 << j
+            smaller[j] ^= 1 << i
+            value = _reduced_eta(smaller, None)
+            _remember(_ETA_CACHE, probe, value)
+        if value <= before:
+            adj[i] ^= 1 << j
+            adj[j] ^= 1 << i
+            key, before = probe, value
+            deleted.append(k - 1)
+            k = 0
+    walk = (tuple(deleted), tuple(adj))
+    _remember(_WALK_CACHE, start, walk)
+    return walk
 
 
 def homology_profile(g: Graph) -> HomologyProfile:

@@ -89,6 +89,11 @@ CASES = {
         lambda: homology.eta_at_least(cycle_graph(5), 2),
         "5 vertices exceeds cap 4",
     ),
+    "VERTEX-deletion-walk": (  # the first call leaves the walk memoized
+        homology, "DEFAULT_VERTEX_CAP", 4,
+        lambda: homology.deletion_walk(cycle_graph(5)),
+        "5 vertices exceeds cap 4",
+    ),
     "VERTEX-profile": (
         homology, "DEFAULT_VERTEX_CAP", 4,
         lambda: homology.homology_profile(cycle_graph(5)),

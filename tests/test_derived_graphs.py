@@ -3,8 +3,8 @@ sorted tuples and re-index its adjacency masks; they must equal the same
 graph built from scratch with ``Graph(...)``, and ``all_deletions`` must
 take the steps of the full-classification loop it replaced.  The eta
 cache is keyed on masks alone, so graphs that differ only in their labels
-share an entry, and ``first_deletable`` probes each G-e on the key of G
-with two bits flipped."""
+share an entry; ``deletion_walk`` probes each G-e on the key of G with
+two bits flipped, and is memoized on the key of the graph it starts from."""
 
 import itertools
 import random
@@ -105,11 +105,24 @@ def test_chains_of_derived_graphs_equal_fresh_graphs(kind):
             assert_same_graph(g, fresh)
 
 
-def _assert_same_deletions(g: Graph) -> None:
-    got_graph, got_steps = tp.all_deletions(g)
+def _cold_and_warm_deletions(g: Graph) -> list:
+    """all_deletions from cold caches, then warm (a second call, answered
+    by the walk memo)."""
+    tp.clear_eta_cache()
+    return [tp.all_deletions(g) for _ in ("cold", "warm")]
+
+
+def _assert_same_deletions(g: Graph, got: list | None = None) -> None:
+    """Cold and warm all_deletions against the oracle: the same steps,
+    naming g's own edge pairs, and the end graph built from scratch."""
+    if got is None:
+        got = _cold_and_warm_deletions(g)
     want_graph, want_steps = classify_all_deletions(g)
-    assert got_steps == want_steps
-    assert_same_graph(got_graph, want_graph)
+    for got_graph, got_steps in got:
+        assert got_steps == want_steps
+        for step in got_steps:
+            assert step.edge is g.edges[g.edges.index(step.edge)]
+        assert_same_graph(got_graph, want_graph)
 
 
 def test_all_deletions_matches_classify_edge_loop_on_random_graphs():
@@ -167,7 +180,7 @@ class _RecordingCache(dict):
 
 
 def test_deletions_are_probed_on_flipped_keys(monkeypatch):
-    """first_deletable looks G-e up on the key of G with two bits flipped:
+    """deletion_walk looks G-e up on the key of G with two bits flipped:
     that must be the key of G-e itself, and a miss must store eta(G-e)."""
     rng = random.Random("flipped-keys")
     graphs = [
@@ -180,42 +193,69 @@ def test_deletions_are_probed_on_flipped_keys(monkeypatch):
     for g in graphs:
         cache = _RecordingCache()
         monkeypatch.setattr(homology, "_ETA_CACHE", cache)
+        monkeypatch.setattr(homology, "_WALK_CACHE", {})
         # eta(G) read as -1 makes no deletion legal, so every edge is probed
         cache[homology._cache_key(g.masks)] = -1
-        assert homology.first_deletable(g) is None
+        assert homology.deletion_walk(g) == ((), g.masks)
         smaller = [g.delete_edge(e) for e in g.edges]
         keys = [homology._cache_key(h.masks) for h in smaller]
         assert cache.looked_up[1:] == keys
         for key, h in zip(keys, smaller):
             assert cache[key] == tp.eta_from_profile(tp.homology_profile(h))
-        # probed again, every G-e is a hit and nothing is written
+        # walked again, the memo answers and the eta cache is not read
         entries = dict(cache)
-        assert homology.first_deletable(g) is None
+        assert homology.deletion_walk(g) == ((), g.masks)
+        assert len(cache.looked_up) == 1 + len(keys)
+        # with the memo emptied, every G-e is a hit and nothing is written
+        homology._WALK_CACHE.clear()
+        assert homology.deletion_walk(g) == ((), g.masks)
         assert cache == entries
         probed += len(keys)
     assert probed > 1000
 
 
 def test_all_deletions_matches_the_classify_loop_with_a_tiny_cache(monkeypatch):
-    """With room for 8 entries the cache is emptied in the middle of
-    first_deletable's scans; the deletions taken must not change."""
+    """With room for 8 entries the eta cache is emptied in the middle of
+    the walk's scans, and the walk memo between graphs; the deletions
+    taken must not change, cold or warm."""
     monkeypatch.setattr(homology, "ETA_CACHE_MAX", 8)
     rng = random.Random("tiny-cache")
     cleared_mid_scan = 0
     for kind in ("str", "owner-resources"):
         for _ in range(30):
             g = _random_labelled_graph(rng, kind)
-            cache = _RecordingCache()
+            cache, walks = _RecordingCache(), _RecordingCache()
             monkeypatch.setattr(homology, "_ETA_CACHE", cache)
-            got_graph, got_steps = tp.all_deletions(g)
-            # after the first scan's eta(G), each eta(G) is a hit, so a
-            # clear after the second lookup is one on a probe's miss
+            monkeypatch.setattr(homology, "_WALK_CACHE", walks)
+            got = _cold_and_warm_deletions(g)
+            # the walk reads eta(G) once, so a clear after the first
+            # lookup is one on a probe's miss
             cleared_mid_scan += sum(at > 1 for at in cache.cleared_at)
+            _assert_same_deletions(g, got)
+            assert cache.largest <= 8 and walks.largest <= 8
+    assert cleared_mid_scan > 0
+
+
+def test_the_walk_memo_is_bounded_and_cleared(monkeypatch):
+    """With ETA_CACHE_MAX at 4 the memo never holds more than 4 walks,
+    results stay those of the oracle, and clear_eta_cache empties both
+    dicts."""
+    monkeypatch.setattr(homology, "ETA_CACHE_MAX", 4)
+    walks = _RecordingCache()
+    monkeypatch.setattr(homology, "_WALK_CACHE", walks)
+    rng = random.Random("bounded-memo")
+    graphs = [_random_labelled_graph(rng, "str") for _ in range(30)]
+    for _ in range(2):  # the second round reads walks stored after evictions
+        for g in graphs:
+            got_graph, got_steps = tp.all_deletions(g)
             want_graph, want_steps = classify_all_deletions(g)
             assert got_steps == want_steps
             assert_same_graph(got_graph, want_graph)
-            assert cache.largest <= 8
-    assert cleared_mid_scan > 0
+            assert len(walks) <= 4
+    assert walks.largest == 4 and len(walks.cleared_at) > 1
+    assert homology._ETA_CACHE
+    tp.clear_eta_cache()
+    assert not walks and not homology._ETA_CACHE
 
 
 def _petersen() -> Graph:
@@ -225,27 +265,36 @@ def _petersen() -> Graph:
     return Graph(range(10), outer + spokes + inner)
 
 
-def test_first_deletable_honours_the_eta_caps(monkeypatch):
+def test_deletion_walk_honours_the_eta_caps(monkeypatch):
     """Petersen minus an edge has girth 5 and no vertex of degree 1, so no
-    vertex folds and eta(G-e) needs homology."""
+    vertex folds and eta(G-e) needs homology.  The vertex cap holds on
+    every call; the simplex cap can be met only on a memo miss."""
     g = _petersen()
     tp.clear_eta_cache()
     with monkeypatch.context() as patch:
         patch.setattr(homology, "DEFAULT_VERTEX_CAP", 9)
         with pytest.raises(CapError, match="10 vertices exceeds cap 9"):
-            homology.first_deletable(g)
+            homology.deletion_walk(g)
         with pytest.raises(CapError, match="10 vertices exceeds cap 9"):
             tp.all_deletions(g)
     tp.eta(g)  # eta(G) is now a hit and every G-e a miss
     with monkeypatch.context() as patch:
         patch.setattr(homology, "DEFAULT_SIMPLEX_CAP", 1)
         with pytest.raises(CapError, match="more than 1 simplices"):
-            homology.first_deletable(g)
-    k = homology.first_deletable(g)
-    assert k is not None
-    # every G-e it probed is now cached, so the tiny cap is never reached
-    monkeypatch.setattr(homology, "DEFAULT_SIMPLEX_CAP", 1)
-    assert homology.first_deletable(g) == k
+            homology.deletion_walk(g)
+    walk = homology.deletion_walk(g)
+    assert walk[0]
+    with monkeypatch.context() as patch:
+        patch.setattr(homology, "DEFAULT_SIMPLEX_CAP", 1)
+        # a memo hit computes nothing
+        assert homology.deletion_walk(g) == walk
+        # so does a miss whose every eta is cached
+        homology._WALK_CACHE.clear()
+        assert homology.deletion_walk(g) == walk
+        # the vertex cap is checked before the memo is read
+        patch.setattr(homology, "DEFAULT_VERTEX_CAP", 9)
+        with pytest.raises(CapError, match="10 vertices exceeds cap 9"):
+            homology.deletion_walk(g)
     tp.clear_eta_cache()
 
 
@@ -271,6 +320,33 @@ def test_eta_cache_is_shared_by_graphs_that_differ_only_in_labels():
             assert len(homology._ETA_CACHE) == 1
             for h in (g, twin):
                 assert value == tp.eta_from_profile(tp.homology_profile(h))
+    tp.clear_eta_cache()
+
+
+def test_relabelled_graphs_share_the_walk_memo(monkeypatch):
+    """A graph with the masks of one already walked costs one memo lookup
+    and no eta lookup, and its steps name its own edge pairs."""
+    rng = random.Random("label-free-walk")
+    walked = 0
+    for kind in ("str", "owner-resources"):
+        for _ in range(30):
+            g = _random_labelled_graph(rng, kind)
+            twin = _relabelled(g, lambda i: ("q", (f"t{i:02d}",)))
+            tp.clear_eta_cache()
+            _, steps = tp.all_deletions(g)
+            cache = _RecordingCache()
+            monkeypatch.setattr(homology, "_ETA_CACHE", cache)
+            got_graph, got_steps = tp.all_deletions(twin)
+            assert cache.looked_up == []
+            monkeypatch.undo()
+            want_graph, want_steps = classify_all_deletions(twin)
+            assert got_steps == want_steps
+            assert len(got_steps) == len(steps)
+            for step in got_steps:
+                assert step.edge is twin.edges[twin.edges.index(step.edge)]
+            assert_same_graph(got_graph, want_graph)
+            walked += bool(steps)
+    assert walked > 10
     tp.clear_eta_cache()
 
 

@@ -135,8 +135,16 @@ def test_integer_value_table():
     assert inst.covet_tables == {
         "p": CovetTable(("b", "a"), (8, 3), (11, 3, 0), (("b",), ("a",)))
     }
+    # The integer values of the coveted resources, ascending; c is coveted
+    # by no one.  Two players coveting one resource count it once.
+    assert inst.coveted_values == (3, 8)
+    shared = Instance.build(
+        ["p", "q"], {"a": 1, "b": 2, "c": 2}, {"p": {"a", "b"}, "q": {"b", "c"}}
+    )
+    assert shared.coveted_values == (1, 2, 2)
     empty = Instance((), {}, {})
     assert (empty.scale, empty.int_values, empty.covet_tables) == (1, {}, {})
+    assert empty.coveted_values == ()
 
 
 def test_value_sums_exactly():
