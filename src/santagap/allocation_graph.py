@@ -161,10 +161,18 @@ def find_independent_transversal(g: AllocationGraph) -> dict[str, Configuration]
     resources meet, so this is ``subsets.first_disjoint_choice`` over the
     parts in increasing size order (ties by player), and the transversal
     is the vertices it chooses; exhausting the search is a proof of
-    non-existence.  A search past ``subsets.DEFAULT_NODE_CAP`` nodes raises ``subsets.CapError``.
+    non-existence.  The graph keeps no instance, so each resource gets
+    its bit in the order the parts first show it.  A search past
+    ``subsets.DEFAULT_NODE_CAP`` nodes raises ``subsets.CapError``.
     """
     order = sorted(g.parts, key=lambda p: (len(g.parts[p]), p))
-    choice, _ = first_disjoint_choice([g.parts[p] for p in order])
+    parts = [g.parts[p] for p in order]
+    bits: dict[str, int] = {}
+    for part in parts:
+        for cfg in part:
+            for rid in cfg.resources:
+                bits.setdefault(rid, 1 << len(bits))
+    choice, _ = first_disjoint_choice(parts, bits)
     if choice is None:
         return None
     return dict(zip(order, choice))

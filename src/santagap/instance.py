@@ -51,17 +51,25 @@ class CovetTable(NamedTuple):
 class Instance:
     """A restricted max-min allocation instance (players, resources, covets).
 
-    Construction derives the integer tables every exact search reads:
-    ``scale``, the lcm of the value denominators; ``int_values``, every
-    value times ``scale``; and ``covet_tables``, one ``CovetTable`` per
-    player in player order, which ``lp_core.minimal_configurations``
-    walks, and whose ``singles`` it returns as the resources of a
-    single-resource configuration: one ``(rid,)`` tuple per resource,
-    shared by every player's table; and ``coveted_values``, the
-    ``int_values`` of the resources some player covets, ascending, in
-    which ``lp_core.fat_count_violation`` counts the fat ones by
-    bisection.  They are built once, here, and never checked against a
-    cap: the searches that read them enforce the caps.
+    Construction derives the tables every exact search reads:
+
+    - ``scale``, the lcm of the value denominators;
+    - ``int_values``, every value times ``scale``;
+    - ``covet_tables``, one ``CovetTable`` per player in player order,
+      which ``lp_core.minimal_configurations`` walks, whose ``singles``
+      it returns as the resources of a single-resource configuration
+      (one ``(rid,)`` tuple per resource, shared by every player's
+      table), and whose values ``lp_core.int_subset_sums`` sums;
+    - ``coveted_values``, the ``int_values`` of the resources some player
+      covets, ascending, in which ``lp_core.fat_count_violation`` counts
+      the fat ones by bisection;
+    - ``resource_bits``, each resource id's own bit, ``1 << i`` for the
+      i-th resource in resource order, from which
+      ``subsets.first_disjoint_choice`` builds its masks for
+      ``lp_core.clp_feasible`` and ``brute_force_opt``.
+
+    They are built once, here, and never checked against a cap: the
+    searches that read them enforce the caps.
     """
 
     players: tuple[str, ...]
@@ -71,6 +79,7 @@ class Instance:
     int_values: dict[str, int] = field(init=False, repr=False, compare=False)
     covet_tables: dict[str, CovetTable] = field(init=False, repr=False, compare=False)
     coveted_values: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    resource_bits: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.players)) != len(self.players):
@@ -117,6 +126,8 @@ class Instance:
         object.__setattr__(self, "covet_tables", tables)
         coveted = set().union(*covets.values())
         object.__setattr__(self, "coveted_values", tuple(sorted(map(value, coveted))))
+        bits = {rid: 1 << i for i, rid in enumerate(resources)}
+        object.__setattr__(self, "resource_bits", bits)
 
     @staticmethod
     def build(players, resources, covets) -> "Instance":
@@ -404,7 +415,7 @@ def brute_force_opt(inst: Instance, t_star) -> OptResult:
         t, choice = t_star.t_star, [first[p] for p in players]
     else:
         for t, parts in levels():
-            choice, nodes = first_disjoint_choice(parts, nodes)
+            choice, nodes = first_disjoint_choice(parts, inst.resource_bits, nodes)
             if choice is not None:
                 break
     alloc = Allocation({cfg.owner: cfg.resources for cfg in choice})

@@ -13,10 +13,12 @@ value, their values and suffix sums (``Instance.covet_tables``, every
 value times ``Instance.scale``), against a threshold T rounded up to
 ``Instance.int_threshold(T)``.  A model keeps them grouped by player, as
 the integral search reads them.  T* candidates are the subset sums of
-the same integer values (``Instance.int_values``).  A probe first
-looks for an integral allocation among its columns, one per player and
-pairwise disjoint, in a search of at most as many nodes as the LP has
-rows; such an allocation is a 0/1 primal and proves feasibility.
+each table's values (``int_subset_sums``): a big-int bitset per list
+when every list's integer total is below the candidate cap, else a set
+per list.  A probe first looks for an integral allocation among its
+columns, one per player and pairwise disjoint, in a search of at most as
+many nodes as the LP has rows; such an allocation is a 0/1 primal and
+proves feasibility.
 Otherwise feasibility is decided by a revised, fraction-free phase-1
 simplex.  It starts from a triangular crash basis, each resource row on
 its slack and each player row on its first configuration disjoint from
@@ -409,25 +411,29 @@ def clp_feasible(inst: Instance, target: Fraction) -> LpFeasibilityResult:
     feasible answer's primal may be either.
     """
     model = build_clp_model(inst, target)
-    primal = _integral_primal(model)
+    primal = _integral_primal(model, inst.resource_bits)
     if primal is None:
         return _simplex_feasible(inst, model)
     _check_primal(inst, model, primal)
     return LpFeasibilityResult(True, primal, None, model)
 
 
-def _integral_primal(model: ClpModel) -> dict[Configuration, Fraction] | None:
+def _integral_primal(
+    model: ClpModel, bits: dict[str, int]
+) -> dict[Configuration, Fraction] | None:
     """Weight 1 on one column per player, the columns pairwise disjoint.
 
     The choice is ``subsets.first_disjoint_choice`` over
-    ``model.player_columns()``, within as many search nodes as the LP has
-    rows (players plus resources): enough for a choice found with little
-    backtracking, and small beside the simplex.  None when no choice
-    exists or the search spends that budget.
+    ``model.player_columns()`` with the resource bits ``bits`` (the
+    instance's ``resource_bits``), within as many search nodes as the LP
+    has rows (players plus resources): enough for a choice found with
+    little backtracking, and small beside the simplex.  None when no
+    choice exists or the search spends that budget.
     """
     try:
         choice, _ = first_disjoint_choice(
             model.player_columns(),
+            bits,
             budget=len(model.players) + len(model.resource_ids),
         )
     except BudgetSpent:
@@ -508,25 +514,39 @@ def subset_sum_candidates(inst: Instance) -> list[Fraction]:
 def int_subset_sums(inst: Instance) -> list[int]:
     """``subset_sum_candidates`` on the integer value table, ascending.
 
-    Each covet list's sums are a set, grown one resource at a time and
-    bounded by ``DEFAULT_CANDIDATE_CAP`` sums.  A big-int bitset
-    (``acc |= acc << v``) would be faster on small values, but its width
-    is the integer total of the list, which grows with ``Instance.scale``:
-    one value of 1/10**9 makes rows of 10**9 bits, whatever the number of
-    distinct sums.
+    Each covet list's sums are grown one value at a time from its
+    ``CovetTable.values``, in one of two ways chosen from the input.  When
+    every list's integer total (``CovetTable.suffix[0]``) is below
+    ``DEFAULT_CANDIDATE_CAP``, a list's sums are the set bits of one big
+    int (``acc |= acc << v``), at most total + 1 bits wide; the lists are
+    ORed together and the set bits read once.  Such a list has at most
+    total + 1 <= ``DEFAULT_CANDIDATE_CAP`` sums, so no count is checked.
+    Otherwise each list's sums are a set, which is as large as the number
+    of distinct sums whatever their size (one value of 1/10**9 makes a
+    total past 10**9), and a list of more than ``DEFAULT_CANDIDATE_CAP``
+    sums raises ``CapError``.
     """
+    tables = inst.covet_tables
+    bitset = all(table.suffix[0] < DEFAULT_CANDIDATE_CAP for table in tables.values())
+    bits = 1
     sums: set[int] = set()
-    for p in inst.players:
-        pool = inst.covet_list(p)
-        if len(pool) > subsets.DEFAULT_POOL_CAP:
+    for p, table in tables.items():
+        if len(table.values) > subsets.DEFAULT_POOL_CAP:
             raise CapError(f"covet list of {p!r} exceeds cap {subsets.DEFAULT_POOL_CAP}")
-        acc = {0}
-        for rid in pool:
-            v = inst.int_values[rid]
-            acc |= {s + v for s in acc}
-            if len(acc) > DEFAULT_CANDIDATE_CAP:
-                raise CapError(f"more than {DEFAULT_CANDIDATE_CAP} subset sums")
-        sums |= acc
+        if bitset:
+            acc = 1
+            for v in table.values:
+                acc |= acc << v
+            bits |= acc
+        else:
+            found = {0}
+            for v in table.values:
+                found |= {s + v for s in found}
+                if len(found) > DEFAULT_CANDIDATE_CAP:
+                    raise CapError(f"more than {DEFAULT_CANDIDATE_CAP} subset sums")
+            sums |= found
+    if bitset:
+        return [s for s, bit in enumerate(f"{bits:b}"[-2::-1], 1) if bit == "1"]
     sums.discard(0)
     return sorted(sums)
 

@@ -4,12 +4,15 @@
 disjoint, and returns the configurations it chose: it finds OPT
 (``instance.brute_force_opt``) and independent transversals of H
 (``allocation_graph.find_independent_transversal``), and tries an
-integral solution before the simplex (``lp_core.clp_feasible``).  It is
-the one place that encodes configurations as resource masks.  No cap on
-the shape of its input bounds it; ``DEFAULT_NODE_CAP`` bounds the nodes
-it visits, counted on from those its caller has already spent.  A caller
-that only hopes for a quick answer passes a ``budget`` of nodes, and a
-search that spends it raises ``BudgetSpent``: that proves nothing, while
+integral solution before the simplex (``lp_core.clp_feasible``).  It
+encodes each configuration as a resource mask from a table of one bit
+per resource that its caller passes: ``Instance.resource_bits``, built
+once with the instance, or for H's parts a table built from the parts
+themselves.  No cap on the shape of its input bounds it;
+``DEFAULT_NODE_CAP`` bounds the nodes it visits, counted on from those
+its caller has already spent.  A caller that only hopes for a quick
+answer passes a ``budget`` of nodes, and a search that spends it raises
+``BudgetSpent``: that proves nothing, while
 a None choice proves that no choice exists.
 
 ``CapError`` is the one error of every fixed cap in the package.  Each
@@ -19,7 +22,7 @@ call, so a test reaches another value by monkeypatching the constant.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 if TYPE_CHECKING:
     from .lp_core import Configuration
@@ -47,6 +50,7 @@ class BudgetSpent(Exception):
 
 def first_disjoint_choice(
     parts: Sequence[Sequence[Configuration]],
+    bits: Mapping[str, int],
     nodes: int = 0,
     budget: int | None = None,
 ) -> tuple[list[Configuration] | None, int]:
@@ -57,21 +61,19 @@ def first_disjoint_choice(
     The choice lists the chosen configurations themselves, one from each
     part, and is the first that backtracking finds when it branches over
     the parts in order and over each part's configurations in order; None
-    when no choice exists.  Each resource gets a bit when the search
-    first sees it, and every configuration's mask is built before the
-    first node, so which ids the resources have never matters.  A node
-    fails as soon as some part still to choose has no configuration
-    disjoint from those chosen.  Such a node roots no solution, so this
-    changes the node count and never the choice.  Raises ``CapError``
-    once the running count passes ``DEFAULT_NODE_CAP``, and
-    ``BudgetSpent`` once this search passes ``budget`` nodes of its own,
-    when one is given.
+    when no choice exists.  ``bits`` maps every resource of the parts to
+    its own bit (``Instance.resource_bits``), and every configuration's
+    mask, the sum of its resources' bits, is built before the first node;
+    the search only asks whether masks meet, so which bit a resource has
+    never changes the choice or the node count.  A node fails as soon as
+    some part still to choose has no configuration disjoint from those
+    chosen.  Such a node roots no solution, so this changes the node
+    count and never the choice.  Raises ``CapError`` once the running
+    count passes ``DEFAULT_NODE_CAP``, and ``BudgetSpent`` once this
+    search passes ``budget`` nodes of its own, when one is given.
     """
-    bit: dict[str, int] = {}
-    masks = [
-        [sum(bit.setdefault(r, 1 << len(bit)) for r in cfg.resources) for cfg in part]
-        for part in parts
-    ]
+    bit = bits.__getitem__
+    masks = [[sum(map(bit, cfg.resources)) for cfg in part] for part in parts]
     n = len(masks)
     chosen = [0] * n
     give_up = DEFAULT_NODE_CAP

@@ -7,6 +7,9 @@ pivot.
 ``rational_max_value_below`` is a ``Fraction`` branch-and-bound for the
 best subset value below a threshold, the m that ``compute_m`` reads off
 the T* candidates.
+``brute_subset_sums`` lists the T* candidates, every covet list's
+subset sums, by ``itertools.combinations``, which ``int_subset_sums``
+grows as a bitset or as a set.
 ``rational_min_cost_subset_reaching`` is a min-cost covering search over a
 covet list, the pricing check that ``verify_dual``'s scan is compared
 against.  ``hypothesis_holds_basic`` and ``hypothesis_holds_refined`` scan
@@ -295,6 +298,18 @@ def hypothesis_holds_refined(
             if inst.value(y_lo.intersection(cfg.resources)) < need:
                 return False
     return True
+
+
+def brute_subset_sums(inst: Instance) -> list[int]:
+    """Every distinct sum of the ``int_values`` of a non-empty subset of one
+    covet list, ascending: ``itertools.combinations`` of each size over
+    each list's values."""
+    sums: set[int] = set()
+    for p in inst.players:
+        values = [inst.int_values[r] for r in inst.covet_list(p)]
+        for k in range(1, len(values) + 1):
+            sums.update(map(sum, itertools.combinations(values, k)))
+    return sorted(sums)
 
 
 def bisection_t_star(inst: Instance) -> TStarResult:

@@ -40,7 +40,8 @@ CASES = {
     "NODE": (
         subsets, "DEFAULT_NODE_CAP", 1,
         lambda: subsets.first_disjoint_choice(
-            [[lp_core.Configuration("p1", ("a",))], [lp_core.Configuration("p2", ("b",))]]
+            [[lp_core.Configuration("p1", ("a",))], [lp_core.Configuration("p2", ("b",))]],
+            {"a": 1, "b": 2},
         ),
         "more than 1 search nodes",
     ),

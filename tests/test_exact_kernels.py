@@ -19,6 +19,7 @@ from oracles import (
     EXHAUSTIVE_RESOURCE_CAP,
     bisection_t_star,
     branch_and_bound_opt,
+    brute_subset_sums,
     dense_phase1_simplex,
     exhaustive_opt,
     fat_count_dual,
@@ -375,12 +376,13 @@ def test_integral_search_past_its_budget_falls_back_to_the_simplex(monkeypatch):
     target = Fraction(53, 36)
     model = lp_core.build_clp_model(inst, target)
     parts = model.player_columns()
-    choice, nodes = subsets.first_disjoint_choice(parts)
+    bits = inst.resource_bits
+    choice, nodes = subsets.first_disjoint_choice(parts, bits)
     budget = len(model.players) + len(model.resource_ids)
     assert choice is not None and (nodes, budget) == (254, 20)
     with pytest.raises(subsets.BudgetSpent):
-        subsets.first_disjoint_choice(parts, budget=budget)
-    assert lp_core._integral_primal(model) is None
+        subsets.first_disjoint_choice(parts, bits, budget=budget)
+    assert lp_core._integral_primal(model, bits) is None
     calls = _count_simplex_calls(monkeypatch)
     res = lp_core.clp_feasible(inst, target)
     assert calls == [target]
@@ -393,6 +395,15 @@ def _config(owner, mask):
     return lp_core.Configuration(
         owner, tuple(f"r{b}" for b in range(mask.bit_length()) if mask >> b & 1)
     )
+
+
+def _bit_table(parts, rng=None):
+    """One bit per resource of ``parts``: by sorted id, or in an order
+    shuffled by ``rng``."""
+    ids = sorted({r for part in parts for cfg in part for r in cfg.resources})
+    if rng is not None:
+        rng.shuffle(ids)
+    return {rid: 1 << i for i, rid in enumerate(ids)}
 
 
 def _random_parts(rng, configs, masks, sizes):
@@ -412,42 +423,47 @@ def test_budgeted_disjoint_choice_gives_up_apart_from_a_proof(monkeypatch):
     found = exhausted = gave_up = 0
     for _ in range(400):
         parts = _random_parts(rng, (0, 5), (1, 256), (1, 6))
-        want = subsets.first_disjoint_choice(parts, 5)
+        bits = _bit_table(parts)
+        want = subsets.first_disjoint_choice(parts, bits, 5)
         spent = want[1] - 5
         budget = rng.randint(1, 2 * spent)
         if budget >= spent:
-            assert subsets.first_disjoint_choice(parts, 5, budget=budget) == want
+            assert subsets.first_disjoint_choice(parts, bits, 5, budget=budget) == want
             found += want[0] is not None
             exhausted += want[0] is None
         else:
             with pytest.raises(subsets.BudgetSpent):
-                subsets.first_disjoint_choice(parts, 5, budget=budget)
+                subsets.first_disjoint_choice(parts, bits, 5, budget=budget)
             gave_up += 1
     assert min(found, exhausted, gave_up) > 30
     monkeypatch.setattr(subsets, "DEFAULT_NODE_CAP", 3)
     singles = [[_config(p, 1 << b)] for b, p in enumerate(["p0", "p1", "p2"])]
+    bits = _bit_table(singles)
     with pytest.raises(subsets.CapError):
-        subsets.first_disjoint_choice(singles, budget=10)
+        subsets.first_disjoint_choice(singles, bits, budget=10)
     with pytest.raises(subsets.BudgetSpent):
-        subsets.first_disjoint_choice(singles, budget=2)
+        subsets.first_disjoint_choice(singles, bits, budget=2)
 
 
 def test_disjoint_choice_returns_the_parts_own_configurations():
     """The choice is the parts' own objects: the first pairwise-disjoint
     one in the order of ``itertools.product``.  Renaming every resource id
-    changes neither the choice nor the node count, and parts that hold the
-    empty configuration, OPT's level t = 0, are answered."""
+    and giving the new ids their bits in a shuffled order changes neither
+    the choice nor the node count, and parts that hold the empty
+    configuration, OPT's level t = 0, are answered."""
     rng = random.Random(11)
     found = 0
     for _ in range(300):
         parts = _random_parts(rng, (0, 5), (0, 64), (0, 5))
-        choice, nodes = subsets.first_disjoint_choice(parts)
+        choice, nodes = subsets.first_disjoint_choice(parts, _bit_table(parts))
         renamed = [
             [lp_core.Configuration(c.owner, tuple(f"x{5 - int(r[1:])}" for r in c.resources))
              for c in part]
             for part in parts
         ]
-        again, again_nodes = subsets.first_disjoint_choice(renamed)
+        again, again_nodes = subsets.first_disjoint_choice(
+            renamed, _bit_table(renamed, rng)
+        )
         assert again_nodes == nodes and (again is None) == (choice is None)
         first = next(
             (list(c) for c in itertools.product(*parts)
@@ -464,7 +480,7 @@ def test_disjoint_choice_returns_the_parts_own_configurations():
         ]
     assert found > 100
     empty = [[_config(p, 0)] for p in ["p0", "p1", "p2"]]
-    choice, nodes = subsets.first_disjoint_choice(empty)
+    choice, nodes = subsets.first_disjoint_choice(empty, {})
     assert choice == [c for [c] in empty] and nodes == 4
     assert all(c is x for c, [x] in zip(choice, empty))
 
@@ -1140,6 +1156,70 @@ def _off_grid_thresholds(rng, inst):
         if (t * inst.scale).denominator != 1:
             out.append(t)
     return out
+
+
+def _subset_sum_suite():
+    """Seeded ``gen_random`` instances on grids of 4 and 12, seeded
+    ``gen_two_value`` ones, the window gaps and the 4 x 6 golden."""
+    yield from _gap_random_instances(range(6))
+    for seed in range(6):
+        yield gen_random(5, 10, (Fraction(1, 6), Fraction(1)), 0.6, seed=seed, grid=12)
+        yield gen_two_value(
+            4, Fraction(1, 5), {"num_fat": 3, "num_thin": 8, "density": 0.7}, seed
+        )
+    yield from (parse_instance(doc) for doc in WINDOW_GAPS.values())
+    yield load_instance(GAP_GOLDEN)
+
+
+def _list_sum_counts(inst):
+    """Each covet list's number of distinct subset sums, 0 included."""
+    return [
+        1 + len(brute_subset_sums(Instance.build([p], inst.resources, {p: inst.covets[p]})))
+        for p in inst.players
+    ]
+
+
+def test_int_subset_sums_match_the_combinations_oracle(monkeypatch):
+    """``int_subset_sums`` == ``brute_subset_sums`` on the seeded suites,
+    under the default candidate cap and on both sides of the bitset's
+    selection: with the cap one above the largest list total, every total
+    is below it and the lists are bitsets; with the cap at that total, the
+    lists are sets, which raise ``CapError`` exactly when a list has more
+    sums than the cap, as the set path always did."""
+    answered = raised = 0
+    for inst in _subset_sum_suite():
+        want = brute_subset_sums(inst)
+        assert lp_core.int_subset_sums(inst) == want
+        top = max(table.suffix[0] for table in inst.covet_tables.values())
+        counts = _list_sum_counts(inst)
+        for cap in (top + 1, top):
+            with monkeypatch.context() as patch:
+                patch.setattr(lp_core, "DEFAULT_CANDIDATE_CAP", cap)
+                if max(counts) > cap:
+                    with pytest.raises(
+                        subsets.CapError, match=f"^more than {cap} subset sums$"
+                    ):
+                        lp_core.int_subset_sums(inst)
+                    raised += 1
+                else:
+                    assert lp_core.int_subset_sums(inst) == want
+                    answered += cap == top
+    assert answered > 10 and raised > 3
+
+
+def test_int_subset_sums_on_a_fine_value_scale():
+    """A value of 1/10**9 puts every list total past the candidate cap, so
+    the set path answers, and its sums are the oracle's."""
+    inst = parse_instance(
+        "players p1 p2\nresource a 1/1000000000\nresource b 1/2\n"
+        "resource c 2/3\nresource d 1\ncovets p1 a b c\ncovets p2 a c d\n"
+    )
+    assert all(
+        table.suffix[0] >= lp_core.DEFAULT_CANDIDATE_CAP
+        for table in inst.covet_tables.values()
+    )
+    sums = lp_core.int_subset_sums(inst)
+    assert sums == brute_subset_sums(inst) and len(sums) == 11
 
 
 def test_compute_m_matches_rational_oracle():

@@ -138,13 +138,15 @@ def test_integer_value_table():
     # The integer values of the coveted resources, ascending; c is coveted
     # by no one.  Two players coveting one resource count it once.
     assert inst.coveted_values == (3, 8)
+    # One bit per resource, in resource order, coveted or not.
+    assert inst.resource_bits == {"a": 1, "b": 2, "c": 4}
     shared = Instance.build(
         ["p", "q"], {"a": 1, "b": 2, "c": 2}, {"p": {"a", "b"}, "q": {"b", "c"}}
     )
     assert shared.coveted_values == (1, 2, 2)
     empty = Instance((), {}, {})
     assert (empty.scale, empty.int_values, empty.covet_tables) == (1, {}, {})
-    assert empty.coveted_values == ()
+    assert empty.coveted_values == () and empty.resource_bits == {}
 
 
 def test_value_sums_exactly():
@@ -290,8 +292,8 @@ def test_opt_node_cap_bounds_the_whole_scan(monkeypatch):
     spent = []
     search = instance.first_disjoint_choice
 
-    def recorded(parts, nodes=0):
-        choice, total = search(parts, nodes)
+    def recorded(parts, bits, nodes=0):
+        choice, total = search(parts, bits, nodes)
         spent.append(total - nodes)
         return choice, total
 
