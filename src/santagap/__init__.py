@@ -42,7 +42,6 @@ from .allocation_graph import (
     compute_fat,
     compute_m,
     find_independent_transversal,
-    is_block,
     restrict,
 )
 from .gap_report import (
@@ -100,7 +99,6 @@ __all__ = [
     "gen_random",
     "gen_two_value",
     "harmonic_sums",
-    "is_block",
     "limit_bound",
     "load_instance",
     "minimal_configurations",

@@ -77,10 +77,6 @@ def compute_m(inst: Instance, target: Fraction, alpha: Fraction) -> MAlpha:
     return MAlpha(Fraction(sums[below - 1], inst.scale) if below else Fraction(0))
 
 
-def is_block(inst: Instance, m: MAlpha, resources) -> bool:
-    return inst.value(resources) <= m.m
-
-
 def build_H(inst: Instance, target: Fraction, alpha: Fraction) -> AllocationGraph:
     """The |P|-partite allocation graph on all alpha-hyperedge vertices."""
     threshold = alpha_threshold(alpha, target)

@@ -8,7 +8,8 @@ deterministic.
 
 A graph's adjacency is ``masks``: one int per vertex, in the sorted
 vertex order, with bit j set when the vertex is adjacent to vertex j.
-``Graph(...)`` sorts its input and checks every edge;
+``Graph(...)`` sorts its input, refuses equal labels and checks every
+edge;
 ``Graph._from_masks`` takes sorted labels and masks that its caller built
 valid (``allocation_graph.build_H``).  The derived graphs
 (``delete_edge``, ``explode_edge``, ``induced``) are subgraphs of a graph
@@ -29,6 +30,7 @@ an index into ``edges`` (``homology.deletion_walk`` does).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Any, Iterable
 
 Vertex = Any
@@ -43,10 +45,17 @@ class Graph:
     __slots__ = ("vertices", "edges", "masks", "_index", "_hash")
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Iterable[Vertex]] = ()):
+        listed = tuple(vertices)
         try:
-            vs = tuple(sorted(set(vertices)))
+            vs = tuple(sorted(set(listed)))
         except TypeError as exc:  # unhashable labels, or labels of types that do not compare
             raise GraphError(f"vertex labels cannot be sorted: {exc}") from None
+        if len(vs) != len(listed):  # equal labels, such as True and 1, would merge
+            first = {}
+            for j, v in enumerate(listed):
+                i = first.setdefault(v, j)
+                if i != j:
+                    raise GraphError(f"duplicate vertex {v!r}: entries {i} and {j} are equal")
         index = {v: i for i, v in enumerate(vs)}
         masks = [0] * len(vs)
         for e in edges:
@@ -89,26 +98,6 @@ class Graph:
         return self._index.get(v)
 
     # -- basic queries ------------------------------------------------------
-
-    def neighbors(self, v: Vertex) -> frozenset:
-        i = self._position(v)
-        if i is None:
-            raise KeyError(v)
-        vs = self.vertices
-        return frozenset(vs[j] for j in range(len(vs)) if (self.masks[i] >> j) & 1)
-
-    def degree(self, v: Vertex) -> int:
-        i = self._position(v)
-        if i is None:
-            raise KeyError(v)
-        return self.masks[i].bit_count()
-
-    def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        i, j = self._position(u), self._position(v)
-        return i is not None and j is not None and bool((self.masks[i] >> j) & 1)
-
-    def isolated_vertices(self) -> tuple[Vertex, ...]:
-        return tuple(v for v, m in zip(self.vertices, self.masks) if not m)
 
     def has_isolated_vertex(self) -> bool:
         return 0 in self.masks
@@ -302,11 +291,23 @@ def graph_from_json(doc: dict) -> tuple[Graph, dict[str, tuple] | None]:
     return g, parts
 
 
+def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """``object_pairs_hook`` for ``json.load``: the object as a dict.  A
+    key the object repeats raises ``ValueError``, where ``json.load``
+    alone would keep its last value."""
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ValueError(f"duplicate key {key!r}")
+    return doc
+
+
 def load_json(path: str, error: type[Exception]):
-    """The JSON document in a file; text that is not UTF-8 JSON raises ``error``."""
+    """The JSON document in a file; text that is not UTF-8 JSON, or that
+    repeats a key of an object, raises ``error``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: {exc}") from None
     except (ValueError, RecursionError) as exc:  # also over-long ints, deep nesting

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
+from .graphs import unique_keys
 from .rational import format_rational, parse_rational
 from .subsets import first_disjoint_choice
 
@@ -306,9 +307,11 @@ def _is_id(item) -> bool:
 def parse_instance_json(text: str) -> Instance:
     """Parse the JSON mirror of the instance document: an object with a
     ``players`` list, a ``resources`` object of id to value (a number or an
-    integer/``a/b`` string) and a ``covets`` object of player to id list."""
+    integer/``a/b`` string) and a ``covets`` object of player to id list.
+    An object that repeats a key is refused, as the text format refuses a
+    repeated resource or covets line."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as exc:  # also over-long ints, deep nesting
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):

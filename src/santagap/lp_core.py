@@ -160,11 +160,6 @@ class TStarResult:
     probes: int = 0
 
     @property
-    def candidates(self) -> list[Fraction]:
-        """``subset_sum_candidates``: the sums over the scale."""
-        return [Fraction(s, self.scale) for s in self.sums]
-
-    @property
     def candidates_examined(self) -> int:
         return len(self.sums)
 
@@ -551,38 +546,23 @@ def int_subset_sums(inst: Instance) -> list[int]:
     return sorted(sums)
 
 
-def capped_value_violation(inst: Instance, target: Fraction) -> tuple[str, ...] | None:
-    """A player set whose capped-value dual proves CLP(target) infeasible.
-
-    With t = ``inst.int_threshold(target)``, returns the first player
-    whose coveted values, each capped at t, sum to less than t; failing
-    that, all players when the capped values of every coveted resource,
-    each counted once, sum to less than |players| * t; else None.  For
-    the returned set P, y = 1 on P and z_r = min(int_values[r], t) / t on
-    the resources P covets is a feasible DCLP(target) solution with
-    positive objective, for any target (z_r = min(v_r, target) / target is
-    one only when target is a multiple of 1 / scale).  Integer sums only.
-    ``capped_value_bound`` gives the thresholds t it passes in closed form.
-    """
-    t = inst.int_threshold(target)
-    int_values = inst.int_values
-    coveted: set[str] = set()
-    for p in inst.players:
-        wants = inst.covets[p]
-        if sum(min(int_values[r], t) for r in wants) < t:
-            return (p,)
-        coveted |= wants
-    if sum(min(int_values[r], t) for r in coveted) < len(inst.players) * t:
-        return inst.players
-    return None
-
-
 def capped_value_bound(inst: Instance) -> int:
-    """The largest integer t at which ``capped_value_violation`` names no
-    player set: a target whose ``int_threshold`` is t passes exactly when
+    """The largest integer t at which the capped-value dual rules out no
+    target: a target whose ``int_threshold`` is t passes exactly when
     t <= this bound.  The instance needs at least one player.
 
-    It is the lower of two bounds, one per kind of set.  A player's
+    The dual is priced at t, a target's ``int_threshold``.  For a set P
+    of players, either one player or all of them, y = 1 on P and
+    z_r = min(V_r, t) / t on the resources P covets (V the integer value
+    table ``inst.int_values``) is DCLP-feasible, and its objective is
+    positive exactly when the capped values min(V_r, t) of what P covets,
+    each resource once, sum to less than |P| * t.  Priced at t, not at T,
+    this holds for any target: z_r = min(v_r, T) / T is feasible only
+    when T is a multiple of 1 / scale.  The oracle,
+    ``tests/oracles.capped_value_violation``, sums the capped values at
+    one t and names such a P.
+
+    The bound is the lower of two bounds, one per kind of set.  A player's
     coveted values, each capped at t, sum to at least t exactly when t is
     at most their uncapped total V(C_p): if some value reaches t, its
     term alone is t, and otherwise the terms are the values.  For all n
@@ -656,15 +636,19 @@ def compute_t_star(inst: Instance) -> TStarResult:
     candidate ``Fraction(s, inst.scale)`` only for a sum that passes
     step 2.
 
-    1. Capped-value filter.  ``capped_value_violation`` rules a candidate
-       out when one of its player sets P of size k has
+    1. Capped-value filter.  The capped-value dual, y = 1 on a player
+       set P of size k (one player or all of them) and
+       z_r = min(V_r, t) / t on the resources P covets, rules a candidate
+       out when
        f(t) = sum over the resources P covets of min(V_r, t) - k*t < 0 at
        t = ``int_threshold(T)``, the sum s itself.  Each f is concave (a
        sum of concave terms) with f(0) = 0, so for 0 < t < t',
        f(t) >= (t/t') f(t') + (1 - t/t') f(0) = (t/t') f(t'): f(t) < 0
        makes f(t') < 0.  The filter thus passes exactly the sums up to a
-       bound, which ``capped_value_bound`` gives in closed form; every
-       candidate above it is infeasible and is not looked at again.
+       bound, which ``capped_value_bound`` gives in closed form (its
+       oracle, ``tests/oracles.capped_value_violation``, evaluates f at
+       one t); every candidate above it is infeasible and is not looked
+       at again.
     2. Fat-count dual.  From there down, ``fat_count_violation`` on the
        sum s itself rules out a candidate with integer counts alone, no
        Fraction and no LP.  It is not monotone in T (at a higher T

@@ -27,7 +27,10 @@ resource, before it built adjacency masks from per-resource holder
 masks.  ``scan_r_c`` is the descending scan over r that ``two_values.r_c``
 replaced with a bisection.  ``bisection_t_star`` is the T* search that
 probes every bisection candidate with the LP, with no capped-value
-filter.  ``fat_count_dual`` builds the dual that
+filter, and ``capped_value_violation`` evaluates that filter's
+capped-value dual at one target, which ``lp_core.capped_value_bound``
+replaced with a closed form over all targets.  ``fat_count_dual`` builds
+the dual that
 ``lp_core.fat_count_violation`` prices by counts, from its definition on
 ``Fraction`` values.  ``classify_all_deletions`` is the
 ``all_deletions`` loop that classified every edge in full and rebuilt
@@ -35,7 +38,8 @@ each smaller graph with ``Graph(...)``.  ``basic_cover`` replays a DE-sequence f
 and basic cover that ``search_de_sequence`` returns with a found one.
 ``independence_complex`` lists the facets of Ind(G), the maximal
 independent sets, by Bron-Kerbosch; nothing in the package needs them,
-since eta works on chain groups.
+since eta works on chain groups.  ``has_edge`` and ``neighbors`` read a
+graph's adjacency off its ``masks`` for the tests.
 """
 
 from __future__ import annotations
@@ -312,6 +316,31 @@ def brute_subset_sums(inst: Instance) -> list[int]:
     return sorted(sums)
 
 
+def capped_value_violation(inst: Instance, target: Fraction) -> tuple[str, ...] | None:
+    """A player set whose capped-value dual proves CLP(target) infeasible,
+    the oracle of ``lp_core.capped_value_bound``.
+
+    With t = ``inst.int_threshold(target)``, returns the first player
+    whose coveted values, each capped at t, sum to less than t; failing
+    that, all players when the capped values of every coveted resource,
+    each counted once, sum to less than |players| * t; else None.  For
+    the returned set P, y = 1 on P and z_r = min(int_values[r], t) / t on
+    the resources P covets is a feasible DCLP(target) solution with
+    positive objective.
+    """
+    t = inst.int_threshold(target)
+    int_values = inst.int_values
+    coveted: set[str] = set()
+    for p in inst.players:
+        wants = inst.covets[p]
+        if sum(min(int_values[r], t) for r in wants) < t:
+            return (p,)
+        coveted |= wants
+    if sum(min(int_values[r], t) for r in coveted) < len(inst.players) * t:
+        return inst.players
+    return None
+
+
 def bisection_t_star(inst: Instance) -> TStarResult:
     """T* by binary search on the subset-sum candidates, one LP per step."""
     sums, scale = int_subset_sums(inst), inst.scale
@@ -523,6 +552,19 @@ def scan_r_c(c: int) -> int:
     raise AssertionError("unreachable: r = 1 gives a sum of c >= 1")
 
 
+def has_edge(g: Graph, u, v) -> bool:
+    """Whether ``u`` and ``v`` are vertices of ``g`` joined by an edge, read
+    off ``g.masks``."""
+    vs = g.vertices
+    return u in vs and v in vs and bool((g.masks[vs.index(u)] >> vs.index(v)) & 1)
+
+
+def neighbors(g: Graph, v) -> frozenset:
+    """The neighbours of the vertex ``v`` of ``g``, read off ``g.masks``."""
+    mask = g.masks[g.vertices.index(v)]
+    return frozenset(u for j, u in enumerate(g.vertices) if (mask >> j) & 1)
+
+
 def backtrack_transversal(g: AllocationGraph) -> dict[str, Configuration] | None:
     """One vertex per part of H, pairwise non-adjacent in ``g.graph``, by
     backtracking over the parts in increasing size order; None when there
@@ -537,7 +579,7 @@ def backtrack_transversal(g: AllocationGraph) -> dict[str, Configuration] | None
         if k == len(order):
             return True
         for v in g.parts[order[k]]:
-            if all(not graph.has_edge(v, u) for u in chosen):
+            if all(not has_edge(graph, v, u) for u in chosen):
                 chosen.append(v)
                 if dfs(k + 1):
                     return True

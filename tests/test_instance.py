@@ -79,6 +79,23 @@ def test_json_mirror_round_trip():
     assert again == inst
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"players": ["p1"], "resources": {"a": "1/2", "a": "1"}, "covets": {"p1": ["a"]}}', "a"),
+        ('{"players": ["p1"], "resources": {"a": "1"}, "covets": {"p1": ["a"], "p1": []}}', "p1"),
+        ('{"players": ["p1"], "players": ["p2"], "resources": {}, "covets": {}}', "players"),
+    ],
+    ids=["resource", "covets-entry", "top-level"],
+)
+def test_json_mirror_rejects_a_repeated_key(text, key):
+    """A repeated key is refused, not read as its last value (a = 1, p1
+    coveting nothing), as the text format refuses the same documents
+    ("duplicate resource id", "duplicate covets line")."""
+    with pytest.raises(ParseError, match=f"duplicate key '{key}'"):
+        parse_instance_json(text)
+
+
 def test_serialize_parse_round_trip():
     rng = random.Random(7)
     for seed in range(10):

@@ -13,8 +13,10 @@ from conftest import (
 )
 from oracles import (
     basic_cover,
+    has_edge,
     hypothesis_holds_basic,
     independence_complex,
+    neighbors,
     thin_configurations,
 )
 from santagap import topology as tp
@@ -66,10 +68,10 @@ def test_facets_are_maximal_independent_sets():
         comp = independence_complex(g)
         facets = set(comp.facets)
         for f in facets:
-            assert all(not g.has_edge(u, v) for u in f for v in f if u < v)
+            assert all(not has_edge(g, u, v) for u in f for v in f if u < v)
             for v in g.vertices:
                 if v not in f:
-                    assert any(g.has_edge(v, u) for u in f)
+                    assert any(has_edge(g, v, u) for u in f)
         assert {v for f in facets for v in f} == set(g.vertices)
 
 
@@ -108,7 +110,7 @@ def _brute_homology_ranks(g: Graph) -> dict:
         ok = True
         for a in range(len(members)):
             for b in range(a + 1, len(members)):
-                if g.has_edge(g.vertices[members[a]], g.vertices[members[b]]):
+                if has_edge(g, g.vertices[members[a]], g.vertices[members[b]]):
                     ok = False
         if ok:
             independent.append(tuple(members))
@@ -228,7 +230,7 @@ def _graph_with_shape(rng: random.Random, shape: str) -> Graph:
     # dominated: a new vertex w whose neighbourhood contains that of some u
     u = rng.randrange(n)
     extra = [v for v in range(n) if v != u and rng.random() < 0.3]
-    neighbours = set(g.neighbors(u)) | set(extra)
+    neighbours = set(neighbors(g, u)) | set(extra)
     return Graph(range(n + 1), list(g.edges) + [(v, n) for v in neighbours])
 
 
@@ -401,7 +403,7 @@ def _components(g: Graph):
             if u in comp:
                 continue
             comp.add(u)
-            stack.extend(g.neighbors(u))
+            stack.extend(neighbors(g, u))
         seen |= comp
         comps.append(comp)
     return comps
@@ -633,7 +635,7 @@ def _brute_force_transversal(g: Graph, parts: dict) -> bool:
 
     for combo in itertools.product(*(parts[p] for p in sorted(parts))):
         if all(
-            not g.has_edge(u, v)
+            not has_edge(g, u, v)
             for u, v in itertools.combinations(combo, 2)
         ):
             return True
