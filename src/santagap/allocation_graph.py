@@ -84,7 +84,7 @@ def build_H(inst: Instance, target: Fraction, alpha: Fraction) -> AllocationGrap
         raise AllocationGraphError("alpha*T must be positive")
     parts = {p: tuple(minimal_configurations(inst, p, threshold)) for p in inst.players}
     vertices = tuple(sorted(v for vs in parts.values() for v in vs))
-    graph = Graph._from_masks(vertices, _holder_masks(vertices))
+    graph = Graph._derived(vertices, tuple(_holder_masks(vertices)))
     return AllocationGraph(Fraction(alpha), Fraction(target), parts, graph)
 
 
@@ -92,9 +92,9 @@ def build_J(h: AllocationGraph) -> AllocationGraph:
     """The thin part: H minus every fat clique component, that is, the
     vertices of two or more resources.
 
-    Filtering H's sorted vertices and its mask-ordered edges keeps both
-    orders, so J's edges are H's own pairs; its masks are made as
-    ``build_H`` makes them, and are those of the subgraph H induces.
+    Filtering H's sorted vertices keeps their order, and J's masks are
+    made as ``build_H`` makes them, so they are those of the subgraph H
+    induces.
     """
 
     def thin(v: Configuration) -> bool:
@@ -102,8 +102,7 @@ def build_J(h: AllocationGraph) -> AllocationGraph:
 
     parts = {p: tuple(filter(thin, vs)) for p, vs in h.parts.items()}
     vertices = tuple(filter(thin, h.graph.vertices))
-    edges = tuple(e for e in h.graph.edges if thin(e[0]) and thin(e[1]))
-    graph = Graph._derived(vertices, edges, tuple(_holder_masks(vertices)), None)
+    graph = Graph._derived(vertices, tuple(_holder_masks(vertices)))
     return AllocationGraph(h.alpha, h.target, parts, graph)
 
 

@@ -2,36 +2,32 @@
 
 Allocation-graph vertices are (owner, sorted resource tuple) pairs,
 ``lp_core.Configuration``s or the equal plain tuples read from JSON;
-generic test graphs use plain strings or ints.  Vertices and edges are
-kept in sorted order so that every traversal, search, and hash is
-deterministic.
+generic test graphs use plain strings or ints.  Vertices are kept in
+sorted order so that every traversal, search, and hash is deterministic.
 
-A graph's adjacency is ``masks``: one int per vertex, in the sorted
-vertex order, with bit j set when the vertex is adjacent to vertex j.
-``Graph(...)`` sorts its input, refuses equal labels and checks every
-edge;
-``Graph._from_masks`` takes sorted labels and masks that its caller built
-valid (``allocation_graph.build_H``).  The derived graphs
-(``delete_edge``, ``explode_edge``, ``induced``) are subgraphs of a graph
-that has passed those checks, so they only clear bits or restrict and
-re-index the masks, and they reuse the parent's label tuples and edge
-pairs: filtering a sorted tuple keeps it sorted, and a subgraph of a
-valid graph is valid.  Either way, equal graphs have equal masks, edges
-and hash.  Equality and hash are over labels and masks; code that needs
-only the structure (the eta cache) reads ``masks`` alone.
+A graph is its sorted ``vertices`` and its adjacency ``masks``: one int
+per vertex, in the sorted vertex order, with bit j set when the vertex
+is adjacent to vertex j.  ``Graph(...)`` sorts its input, refuses equal
+labels and checks every edge.  ``Graph._derived`` takes sorted labels
+and masks that its caller built valid (``allocation_graph.build_H`` and
+``build_J``, ``topology.all_deletions``) and checks nothing.  The
+subgraphs of a checked graph (``delete_edge``, ``explode_edge``,
+``induced``) are made by it too: they only clear bits or re-index the
+masks (``restrict_masks``), and reuse the parent's label tuples.
+Equality and hash are over labels and masks; code that needs only the
+structure (the eta cache) reads ``masks`` alone.
 
-``edges`` is always in mask order: row i of the masks, then its later
-neighbours j ascending, each edge once as (vertices[i], vertices[j]).
-Both constructors list the edges in that order and every derived graph
-keeps it, so code may walk the edges off ``masks`` and use the count as
-an index into ``edges`` (``homology.deletion_walk`` does).
+``edges`` is read off the masks on first use and kept: row i, then its
+later neighbours j ascending, each edge once as (vertices[i],
+vertices[j]).  So code may walk the edges off ``masks`` and use the
+count as an index into ``edges`` (``homology.deletion_walk`` does).
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator, Sequence
 
 Vertex = Any
 Edge = tuple[Vertex, Vertex]
@@ -42,7 +38,7 @@ class GraphError(ValueError):
 
 
 class Graph:
-    __slots__ = ("vertices", "edges", "masks", "_index", "_hash")
+    __slots__ = ("vertices", "masks", "_edges", "_index", "_hash")
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Iterable[Vertex]] = ()):
         listed = tuple(vertices)
@@ -67,30 +63,31 @@ class Graph:
                 raise GraphError(f"self-loop at {u!r}")
             masks[i] |= 1 << j
             masks[j] |= 1 << i
-        self._assign(vs, _mask_order_edges(vs, masks), tuple(masks), index)
+        self._assign(vs, tuple(masks), index)
 
-    def _assign(self, vertices: tuple, edges: tuple, masks: tuple, index: dict | None) -> None:
+    def _assign(self, vertices: tuple, masks: tuple, index: dict | None) -> None:
         self.vertices: tuple[Vertex, ...] = vertices
-        self.edges: tuple[tuple[Vertex, Vertex], ...] = edges
         self.masks: tuple[int, ...] = masks
+        self._edges = None
         self._index = index
         self._hash = None
 
     @classmethod
-    def _derived(cls, vertices: tuple, edges: tuple, masks: tuple, index: dict | None) -> "Graph":
-        """A subgraph of a validated graph, from its already sorted tuples
-        and masks; nothing is sorted or checked again.  ``index`` is shared
-        with a graph over the same vertices, or None to build on demand."""
+    def _derived(cls, vertices: tuple, masks: tuple, index: dict | None = None) -> "Graph":
+        """The graph on sorted, distinct ``vertices`` with symmetric,
+        loop-free adjacency ``masks``; nothing is sorted or checked again.
+        ``index`` is shared with a graph over the same vertices, or None to
+        build on demand."""
         g = object.__new__(cls)
-        g._assign(vertices, edges, masks, index)
+        g._assign(vertices, masks, index)
         return g
 
-    @classmethod
-    def _from_masks(cls, vertices: tuple, masks: list[int]) -> "Graph":
-        """The graph on sorted, distinct ``vertices`` with symmetric,
-        loop-free adjacency ``masks``, its edges listed as ``Graph(...)``
-        lists them."""
-        return cls._derived(vertices, _mask_order_edges(vertices, masks), tuple(masks), None)
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """Each edge once, in mask order, listed on first read."""
+        if self._edges is None:
+            self._edges = _mask_order_edges(self.vertices, self.masks)
+        return self._edges
 
     def _position(self, v: Vertex) -> int | None:
         if self._index is None:
@@ -119,14 +116,10 @@ class Graph:
     def delete_edge(self, e: Iterable[Vertex]) -> "Graph":
         """Remove the edge but keep both end vertices."""
         i, j = self._ends(e)
-        vs = self.vertices
-        k = self.edges.index((vs[i], vs[j]))
         masks = list(self.masks)
         masks[i] ^= 1 << j
         masks[j] ^= 1 << i
-        return Graph._derived(
-            vs, self.edges[:k] + self.edges[k + 1 :], tuple(masks), self._index
-        )
+        return Graph._derived(self.vertices, tuple(masks), self._index)
 
     def explode_edge(self, e: Iterable[Vertex]) -> "Graph":
         """Remove both endpoints and all of their neighbors."""
@@ -145,47 +138,11 @@ class Graph:
 
     def _restrict(self, kept: int) -> "Graph":
         """The subgraph on the vertex positions set in ``kept``."""
-        masks, edges = self.masks, self.edges
-        if kept == (1 << len(masks)) - 1:
+        if kept == (1 << len(self.masks)) - 1:
             return self
-        new = {}  # old position -> new position
-        rest = kept
-        while rest:
-            low = rest & -rest
-            new[low.bit_length() - 1] = len(new)
-            rest ^= low
-        out_masks = []
-        for i in new:
-            m = masks[i] & kept
-            out = 0
-            while m:
-                low = m & -m
-                out |= 1 << new[low.bit_length() - 1]
-                m ^= low
-            out_masks.append(out)
-        # edges are sorted by the positions of their ends: row i holds the
-        # edges to later neighbours, in order
-        out_edges = []
-        k = 0
-        for i, m in enumerate(masks):
-            later = m >> (i + 1)
-            count = later.bit_count()
-            if (kept >> i) & 1:
-                both = later & (kept >> (i + 1))
-                if both == later:
-                    out_edges.extend(edges[k : k + count])
-                elif both:
-                    row = k
-                    while later:
-                        low = later & -later
-                        if both & low:
-                            out_edges.append(edges[row])
-                        row += 1
-                        later ^= low
-            k += count
         vs = self.vertices
         return Graph._derived(
-            tuple(vs[i] for i in new), tuple(out_edges), tuple(out_masks), None
+            tuple(vs[i] for i in _bits(kept)), tuple(restrict_masks(self.masks, kept))
         )
 
     # -- identity -----------------------------------------------------------
@@ -203,7 +160,8 @@ class Graph:
         return self._hash
 
     def __repr__(self):
-        return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
+        edges = sum(m.bit_count() for m in self.masks) // 2
+        return f"Graph({len(self.vertices)} vertices, {edges} edges)"
 
 
 def _mask_order_edges(vertices: tuple, masks) -> tuple[Edge, ...]:
@@ -217,6 +175,30 @@ def _mask_order_edges(vertices: tuple, masks) -> tuple[Edge, ...]:
             pairs.append((vertices[i], vertices[i + low.bit_length()]))
             later ^= low
     return tuple(pairs)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def restrict_masks(masks: Sequence[int], kept: int) -> list[int]:
+    """The masks of the subgraph on the positions set in ``kept``, each
+    re-indexed so that the kept positions count from 0 in order."""
+    new = {v: i for i, v in enumerate(_bits(kept))}  # old position -> new
+    out = []
+    for v in new:
+        m = masks[v] & kept
+        row = 0
+        while m:
+            low = m & -m
+            row |= 1 << new[low.bit_length() - 1]
+            m ^= low
+        out.append(row)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +256,15 @@ def graph_from_json(doc: dict) -> tuple[Graph, dict[str, tuple] | None]:
     if not isinstance(pairs, (list, tuple)):
         raise GraphError("'edges' must be a list of vertex index pairs")
     edges = []
+    seen = set()  # each edge's two indices, in either orientation
     for e in pairs:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise GraphError(f"edge {e!r} is not a pair of vertex indices")
         edges.append((at(e[0]), at(e[1])))
+        ends = frozenset(e)
+        if ends in seen:
+            raise GraphError(f"edge {list(e)!r} is listed twice")
+        seen.add(ends)
     g = Graph(vertices, edges)
     parts = None
     if "parts" in doc:
@@ -288,6 +275,10 @@ def graph_from_json(doc: dict) -> tuple[Graph, dict[str, tuple] | None]:
         # A part keeps the document's order: H lists each part in the order
         # that find_independent_transversal searches.
         parts = {p: tuple(at(i) for i in idxs) for p, idxs in doc["parts"].items()}
+        for p, idxs in doc["parts"].items():
+            if len(set(idxs)) != len(idxs):
+                twice = next(i for i, n in Counter(idxs).items() if n > 1)
+                raise GraphError(f"part {p!r} lists vertex index {twice} twice")
     return g, parts
 
 

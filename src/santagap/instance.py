@@ -309,7 +309,9 @@ def parse_instance_json(text: str) -> Instance:
     ``players`` list, a ``resources`` object of id to value (a number or an
     integer/``a/b`` string) and a ``covets`` object of player to id list.
     An object that repeats a key is refused, as the text format refuses a
-    repeated resource or covets line."""
+    repeated resource or covets line.  Only the JSON shape and the ids are
+    checked here; ``Instance`` refuses a duplicate player, a non-positive
+    value and a covet list of an undeclared player or resource."""
     try:
         doc = json.loads(text, object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as exc:  # also over-long ints, deep nesting
@@ -335,23 +337,11 @@ def parse_instance_json(text: str) -> Instance:
             resources[rid] = parse_rational(str(value))
         except ValueError:
             raise ParseError(f"bad value for resource {rid!r}: {value!r}") from None
-        if resources[rid] <= 0:
-            raise ParseError(f"non-positive value for resource {rid!r}")
     covets = {}
-    declared = set(players)
     for pid, wants in doc["covets"].items():
-        if pid not in declared:
-            raise ParseError(f"covets entry for undeclared player {pid!r}")
         if not isinstance(wants, list) or not all(map(_is_id, wants)):
             raise ParseError(f"covet list of {pid!r} must be a list of ids")
-        for rid in wants:
-            if rid not in resources:
-                raise ParseError(
-                    f"covet list of {pid!r} references undeclared resource {rid!r}"
-                )
         covets[pid] = set(wants)
-    if len(declared) != len(players):
-        raise ParseError("duplicate player id")
     return Instance.build(players, resources, covets)
 
 

@@ -60,23 +60,17 @@ def all_deletions(g: Graph) -> tuple[Graph, list[DeStep]]:
     This decides deletability only: the first edge e in edge order with
     eta(G-e) <= eta(G) (``classify_edge(...).deletable``) is deleted and
     the scan restarts on G-e.  ``homology.deletion_walk`` runs that loop
-    on the eta cache key of G and memoizes it per start key, so the
-    steps name ``g``'s own edge pairs, the end graph is the one Graph
-    built, and G*e is never built, because nothing here reads whether an
-    edge is explodable.
+    on the eta cache key of G, memoizes it per start key and returns the
+    positions in ``g.edges`` of the edges it deleted, so each step names
+    ``g``'s own edge pair.  The end graph is the one Graph built, from
+    the walk's masks, and G*e is never built, because nothing here reads
+    whether an edge is explodable.
     """
     deleted, masks = deletion_walk(g)
     if not deleted:
         return g, []
-    edges = g.edges
-    gone = set(deleted)
-    end = Graph._derived(
-        g.vertices,
-        tuple(e for k, e in enumerate(edges) if k not in gone),
-        masks,
-        g._index,
-    )
-    return end, [DeStep(DELETE, edges[k]) for k in deleted]
+    end = Graph._derived(g.vertices, masks, g._index)
+    return end, [DeStep(DELETE, g.edges[k]) for k in deleted]
 
 
 @dataclass(slots=True)

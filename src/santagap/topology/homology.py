@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from ..graphs import Graph
+from ..graphs import Graph, restrict_masks
 from ..subsets import CapError
 
 INF = math.inf
@@ -149,19 +149,13 @@ def _first_hole(adj: Sequence[int], stop_dim: int | None) -> tuple[int | None, b
     return None, True
 
 
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _fold_components(adj: Sequence[int]) -> list[list[int]] | None:
     """Fold dominated vertices away, then split into connected components.
 
-    Returns the components' adjacency masks, each re-indexed from 0 and
-    smallest first, or None as soon as a vertex is isolated.  The bit
-    loops are written out: this runs on every eta cache miss.
+    Returns the components' adjacency masks, each re-indexed from 0 by
+    ``graphs.restrict_masks`` and smallest first, or None as soon as a
+    vertex is isolated.  The bit loops are written out: this runs on
+    every eta cache miss.
     """
     if not all(adj):
         return None
@@ -207,9 +201,7 @@ def _fold_components(adj: Sequence[int]) -> list[list[int]] | None:
         if comp == full:  # nothing folded and connected: no re-indexing
             return [adj]
         alive &= ~comp
-        members = list(_bits(comp))
-        pos = {v: i for i, v in enumerate(members)}
-        comps.append([sum(1 << pos[x] for x in _bits(adj[v])) for v in members])
+        comps.append(restrict_masks(adj, comp))
     comps.sort(key=len)
     return comps
 
@@ -311,9 +303,9 @@ def deletion_walk(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
     Each step deletes the first edge e in the order of ``g.edges`` with
     eta(G-e) <= eta(G), then rescans from the first edge; the walk stops
-    when no edge qualifies.  The edges are walked straight off the masks,
-    row i and then its later neighbours j ascending, which is the order
-    of ``g.edges``.  Each G-e is looked up on the key of G with its two
+    when no edge qualifies.  The edges are walked straight off the masks
+    in mask order, the order in which ``g.edges`` lists them, so the walk
+    never reads ``g.edges``.  Each G-e is looked up on the key of G with its two
     bits flipped; a miss is computed on flipped masks and remembered, in
     the same order as eta calls on each G-e would remember it.  The
     result is memoized on the key of G, so a graph with the same masks

@@ -245,7 +245,7 @@ def test_build_H_edge_cap_is_exact(monkeypatch):
     def built(*args):
         raise AssertionError("edge list built past the cap")
 
-    monkeypatch.setattr(graphs.Graph, "_from_masks", built)
+    monkeypatch.setattr(graphs, "_mask_order_edges", built)
     for construction in (build_H, pairwise_build_H):
         with pytest.raises(CapError, match=f"^more than {size - 1} edges$"):
             construction(inst, Fraction(1), Fraction(1, 2))

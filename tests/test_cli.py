@@ -285,6 +285,37 @@ def test_json_instance_input(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"players": ["p1"], "resources": {"a": "0"}, "covets": {"p1": ["a"]}},
+            "resource 'a' has non-positive value 0",
+        ),
+        (
+            {"players": ["p1"], "resources": {"a": "1"}, "covets": {"p2": ["a"]}},
+            "covet list for undeclared player 'p2'",
+        ),
+        (
+            {"players": ["p1"], "resources": {"a": "1"}, "covets": {"p1": ["a", "b"]}},
+            "covet list of 'p1' references undeclared resource 'b'",
+        ),
+        (
+            {"players": ["p1", "p1"], "resources": {"a": "1"}, "covets": {"p1": ["a"]}},
+            "duplicate player id",
+        ),
+    ],
+    ids=["non-positive-value", "undeclared-player", "undeclared-resource", "duplicate-player"],
+)
+def test_json_instance_model_errors(tmp_path, doc, message):
+    """The JSON parser checks shape and ids; ``Instance`` refuses these."""
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["tstar", str(path)])
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"error": message}
+
+
+@pytest.mark.parametrize(
     "doc",
     [
         {"vertices": [0, 1, 2], "edges": [[0, 1], [0, -1]]},
@@ -349,13 +380,27 @@ def test_eta_rejects_labels_that_do_not_sort(tmp_path, doc):
         ),
         ('{"vertices": [0, 1], "edges": [[0, 1]], "edges": []}', "duplicate key 'edges'"),
         ('{"vertices": [{"owner": "p", "owner": "q", "resources": ["a"]}]}', "duplicate key 'owner'"),
+        (
+            '{"vertices": [0, 1, 2], "edges": [[0, 1], [1, 0]], "parts": {"a": [0, 0], "b": [0]}}',
+            "edge [1, 0] is listed twice",
+        ),
+        ('{"vertices": [0, 1, 2], "edges": [[1, 2], [0, 1], [1, 2]]}', "edge [1, 2] is listed twice"),
+        (
+            '{"vertices": [0, 1, 2], "edges": [[0, 1]], "parts": {"a": [2, 0, 2], "b": [0]}}',
+            "part 'a' lists vertex index 2 twice",
+        ),
     ],
-    ids=["true-and-1", "1-and-1", "permuted-resources", "repeated-key", "repeated-descriptor-key"],
+    ids=[
+        "true-and-1", "1-and-1", "permuted-resources", "repeated-key", "repeated-descriptor-key",
+        "edge-reversed", "edge-same-orientation", "part-index",
+    ],
 )
 def test_eta_rejects_equal_vertices_and_repeated_keys(tmp_path, text, message):
     """Equal labels are refused, not merged into one vertex ("true-and-1"
     would read as 2 vertices and eta 1) or reported as a self-loop; a
-    repeated key is refused, not read as its last value."""
+    repeated key is refused, not read as its last value; an edge or a part
+    entry listed twice is refused, not merged ("edge-reversed" would read as
+    one edge and a part of one vertex)."""
     path = tmp_path / "g.json"
     path.write_text(text)
     code, out, err = run_cli(["eta", str(path)])

@@ -13,8 +13,9 @@ from fractions import Fraction
 import pytest
 
 from oracles import classify_all_deletions, neighbors
+from santagap import graphs
 from santagap import topology as tp
-from santagap.allocation_graph import build_H, build_J
+from santagap.allocation_graph import build_H, build_J, restrict
 from santagap.graphs import Graph
 from santagap.instance import gen_two_value
 from santagap.subsets import CapError
@@ -55,6 +56,37 @@ def assert_same_graph(derived: Graph, fresh: Graph) -> None:
     assert derived == fresh
     assert derived.vertices == fresh.vertices
     assert derived.edges == fresh.edges
+
+
+def test_graphs_list_their_edges_only_when_read(monkeypatch):
+    """H, J, a restriction and every derived graph are built, and eta and
+    classify_edge read them, without listing an edge; the first read of
+    ``edges`` lists them."""
+    inst = gen_two_value(
+        2, Fraction(1, 4), {"num_fat": 1, "num_thin": 3, "density": 1.0}, seed=1
+    )
+
+    def listed(*args):
+        raise AssertionError("edges listed")
+
+    monkeypatch.setattr(graphs, "_mask_order_edges", listed)
+    h = build_H(inst, Fraction(1), Fraction(1, 2))
+    j = build_J(h)
+    g = restrict(j, {"p1", "p2"}).graph
+    i = next(k for k, m in enumerate(g.masks) if m)
+    j_pos = (g.masks[i] & -g.masks[i]).bit_length() - 1
+    edge = (g.vertices[i], g.vertices[j_pos])
+    derived = [
+        g.delete_edge(edge),
+        g.explode_edge(edge),
+        g.induced(g.vertices[1:]),
+        h.graph.induced(g.vertices),
+    ]
+    tp.classify_edge(g, edge)
+    for d in derived:
+        tp.eta(d)
+    with pytest.raises(AssertionError, match="edges listed"):
+        g.edges
 
 
 @pytest.mark.parametrize("kind", ["str", "owner-resources"])
