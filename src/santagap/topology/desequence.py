@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..graphs import Graph, vertex_from_json, vertex_to_json
+from ..graphs import Graph, GraphError, vertex_from_json, vertex_to_json
 from ..instance import Instance
 from .homology import eta
 
@@ -82,27 +82,39 @@ def sequence_from_json(start: Graph, doc) -> DeSequence:
     return DeSequence(start, tuple(step_from_json(s) for s in steps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeClassification:
+    """The two graphs a step on one edge leaves, G-e (``deleted``) and G*e
+    (``exploded``), and the eta values that decide which step is legal."""
+
     deletable: bool
     explodable: bool
     eta_before: int | float
     eta_deleted: int | float
     eta_exploded: int | float
+    deleted: Graph
+    exploded: Graph
+
+    def after(self, op: str) -> Graph | None:
+        """The graph the step ``op`` leaves, or None when it is illegal."""
+        if op == DELETE:
+            return self.deleted if self.deletable else None
+        return self.exploded if self.explodable else None
 
 
 def classify_edge(g: Graph, edge) -> EdgeClassification:
     """Deletable iff eta(G-e) <= eta(G); explodable iff eta(G*e) <= eta(G)-1."""
     e = g.normalize_edge(edge)
-    before = eta(g)
-    deleted = eta(g.delete_edge(e))
-    exploded = eta(g.explode_edge(e))
+    deleted, exploded = g.delete_edge(e), g.explode_edge(e)
+    before, eta_deleted, eta_exploded = eta(g), eta(deleted), eta(exploded)
     return EdgeClassification(
-        deletable=deleted <= before,
-        explodable=exploded <= before - 1,
+        deletable=eta_deleted <= before,
+        explodable=eta_exploded <= before - 1,
         eta_before=before,
-        eta_deleted=deleted,
-        eta_exploded=exploded,
+        eta_deleted=eta_deleted,
+        eta_exploded=eta_exploded,
+        deleted=deleted,
+        exploded=exploded,
     )
 
 
@@ -129,17 +141,13 @@ def execute_sequence(start: Graph, seq: DeSequence) -> ExecutionResult:
     for i, step in enumerate(seq.steps):
         try:
             edge = g.normalize_edge(step.edge)
-        except Exception:
+        except (GraphError, TypeError):  # an absent edge or an unhashable label
             return ExecutionResult(g, False, ell, False, i)
-        cls = classify_edge(g, edge)
-        if step.op == DELETE:
-            if not cls.deletable:
-                return ExecutionResult(g, False, ell, False, i)
-            g = g.delete_edge(edge)
-        else:
-            if not cls.explodable:
-                return ExecutionResult(g, False, ell, False, i)
-            g = g.explode_edge(edge)
+        after = classify_edge(g, edge).after(step.op)
+        if after is None:
+            return ExecutionResult(g, False, ell, False, i)
+        g = after
+        if step.op == EXPLODE:
             ell += 1
     eta_start = eta(start)
     eta_final = eta(g)
@@ -257,11 +265,10 @@ def search_de_sequence(
     exhausted = True
     seen: set = set()
 
-    # The steps, end graph and shrunk cover of the accepted sequence.
-    found: tuple[tuple[DeStep, ...], Graph, frozenset[str] | None] | None = None
-
-    def accept(g: Graph, steps: list[DeStep], ell: int, cover: set[str]) -> bool:
-        nonlocal found
+    def dfs(g: Graph, steps: tuple[DeStep, ...], ell: int, cover: set[str]) -> tuple | None:
+        """The steps, end graph and shrunk cover of the first accepted
+        sequence that extends ``steps`` from ``g``, or None."""
+        nonlocal nodes, exhausted
         w = None
         if objective == "ko":
             ok = g.has_isolated_vertex()
@@ -276,20 +283,14 @@ def search_de_sequence(
             else:
                 ok = is_gamma(w, ell, gamma)
         if ok:
-            found = (tuple(steps), g, w)
-        return ok
-
-    def dfs(g: Graph, steps: list[DeStep], ell: int, cover: set[str]) -> bool:
-        nonlocal nodes, exhausted
-        if accept(g, steps, ell, cover):
-            return True
+            return steps, g, w
         nodes += 1
         if nodes > budget:
             exhausted = False
-            return False
+            return None
         if graph_state_objective:
             if g in seen:
-                return False
+                return None
             seen.add(g)
         first_deletion_done = False
         for edge in g.edges:
@@ -304,25 +305,23 @@ def search_de_sequence(
                     ok = True
                 if ok:
                     extra = vertex_resources(u) | vertex_resources(v) if not graph_state_objective else set()
-                    steps.append(DeStep(EXPLODE, edge))
-                    if dfs(g.explode_edge(edge), steps, ell + 1, cover | set(extra)):
-                        return True
-                    steps.pop()
+                    step = DeStep(EXPLODE, edge)
+                    found = dfs(cls.exploded, steps + (step,), ell + 1, cover | set(extra))
+                    if found is not None:
+                        return found
             if cls.deletable and not first_deletion_done:
                 # One deletion branch per node keeps the tree finite for
                 # cover objectives; completeness is only claimed for the
                 # graph-state objectives, which branch over all deletions.
                 if not graph_state_objective:
                     first_deletion_done = True
-                steps.append(DeStep(DELETE, edge))
-                if dfs(g.delete_edge(edge), steps, ell, cover):
-                    return True
-                steps.pop()
-        return False
+                found = dfs(cls.deleted, steps + (DeStep(DELETE, edge),), ell, cover)
+                if found is not None:
+                    return found
+        return None
 
-    if dfs(start, [], 0, set()):
-        assert found is not None
-        steps, end, cover = found
-        return SearchOutcome(DeSequence(start, steps), True, nodes, end, cover)
-    conclusive = graph_state_objective and exhausted
-    return SearchOutcome(None, conclusive, nodes)
+    found = dfs(start, (), 0, set())
+    if found is None:
+        return SearchOutcome(None, graph_state_objective and exhausted, nodes)
+    steps, end, cover = found
+    return SearchOutcome(DeSequence(start, steps), True, nodes, end, cover)

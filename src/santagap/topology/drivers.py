@@ -214,17 +214,16 @@ def four_phase_driver(
             return finish("inconclusive", 4)
         edge = g.edges[0]
         cls = classify_edge(g, edge)
-        if cls.deletable:
-            steps.append(DeStep(DELETE, edge))
-            g = g.delete_edge(edge)
-        elif cls.explodable:
-            # Phase 4 charges the unshrunk cover e u f of each explosion.
-            u, v = edge
-            steps.append(DeStep(EXPLODE, edge))
-            ledger.add(4, 1, vertex_resources(u) | vertex_resources(v))
-            g = g.explode_edge(edge)
-        else:
+        op = DELETE if cls.deletable else EXPLODE
+        after = cls.after(op)
+        if after is None:
             notes.append(f"edge {edge!r} neither deletable nor explodable")
             return finish("inconclusive", 4)
+        if op == EXPLODE:
+            # Phase 4 charges the unshrunk cover e u f of each explosion.
+            u, v = edge
+            ledger.add(4, 1, vertex_resources(u) | vertex_resources(v))
+        steps.append(DeStep(op, edge))
+        g = after
 
     return finish("KO" if g.vertices else "edgeless", 4)

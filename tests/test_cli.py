@@ -226,6 +226,23 @@ def test_de_verify_rejects_bad_trace(instance_file, tmp_path):
     assert json.loads(out)["valid"] is False
 
 
+@pytest.mark.parametrize(
+    "edge",
+    [[0, 2], ["0", 1], [{"owner": "p", "resources": [[1]]}, 0]],
+    ids=["absent-edge", "label-of-another-type", "unhashable-label"],
+)
+def test_de_verify_step_on_an_edge_the_graph_lacks_is_invalid(tmp_path, edge):
+    """A well-formed step whose edge is not in the graph fails at its index."""
+    gpath = tmp_path / "k2.json"
+    gpath.write_text(json.dumps({"vertices": [0, 1, 2], "edges": [[0, 1]]}))
+    tpath = tmp_path / "trace.json"
+    tpath.write_text(json.dumps({"steps": [{"op": "delete", "edge": edge}]}))
+    code, out, err = run_cli(["de-verify", str(gpath), str(tpath)])
+    assert code == 1 and err == ""
+    verdict = json.loads(out)
+    assert verdict["valid"] is False and verdict["failed_at"] == 0
+
+
 def test_dual_check_cli(instance_file, tmp_path):
     dual = {"y": {"p1": "0", "p2": "0"}, "z": {"a": "0", "b": "0", "c": "0", "d": "0"}}
     dpath = tmp_path / "dual.json"

@@ -1,10 +1,11 @@
 """Derived graphs (delete_edge, explode_edge, induced) reuse their parent's
-sorted tuples and re-index its adjacency masks; they must equal the same
-graph built from scratch with ``Graph(...)``, and ``all_deletions`` must
-take the steps of the full-classification loop it replaced.  The eta
-cache is keyed on masks alone, so graphs that differ only in their labels
-share an entry; ``deletion_walk`` probes each G-e on the key of G with
-two bits flipped, and is memoized on the key of the graph it starts from."""
+sorted tuples and re-index its adjacency masks; they, and the G-e and G*e
+that ``classify_edge`` returns, must equal the same graph built from
+scratch with ``Graph(...)``, and ``all_deletions`` must take the steps of
+the full-classification loop it replaced.  The eta cache is keyed on masks
+alone, so graphs that differ only in their labels share an entry;
+``deletion_walk`` probes each G-e on the key of G with two bits flipped,
+and is memoized on the key of the graph it starts from."""
 
 import itertools
 import random
@@ -103,6 +104,10 @@ def test_derived_graphs_equal_fresh_graphs(kind):
                 g.explode_edge((a, b)),
                 _from_scratch(g, [v for v in g.vertices if v not in gone]),
             )
+            # classify_edge hands on the two graphs whose eta it read
+            cls = tp.classify_edge(g, (b, a))
+            assert_same_graph(cls.deleted, g.delete_edge((a, b)))
+            assert_same_graph(cls.exploded, g.explode_edge((a, b)))
         keep = [v for v in g.vertices if rng.random() < 0.6]
         assert_same_graph(g.induced(keep), _from_scratch(g, keep))
         # labels the graph does not have are ignored

@@ -11,6 +11,7 @@ Regenerate (only when an output is meant to change, and say so):
 
 import json
 import os
+from collections import Counter
 from fractions import Fraction
 
 from santagap import lp_core, topology
@@ -18,6 +19,7 @@ from santagap.allocation_graph import build_H, build_J, compute_m
 from santagap.graphs import graph_to_json
 from santagap.instance import gen_two_value
 from santagap.rational import format_rational
+from santagap.topology import desequence, drivers
 from santagap.two_values import two_value_driver
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "drivers.json")
@@ -105,6 +107,28 @@ def test_driver_outputs_match_the_golden():
     with open(GOLDEN, encoding="utf-8") as fh:
         want = fh.read()
     assert driver_outputs() == want
+
+
+def test_every_eta_the_drivers_read_through_desequence_is_a_classification(monkeypatch):
+    """The benchmark tracer checks eta calls >= 3 x classify_edge calls; on
+    the golden runs it holds with equality, as classify_edge reads eta(G),
+    eta(G-e) and eta(G*e) and nothing else in desequence reads eta."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(desequence, "eta", counted("eta", desequence.eta))
+    classify = counted("classify_edge", desequence.classify_edge)
+    monkeypatch.setattr(desequence, "classify_edge", classify)
+    monkeypatch.setattr(drivers, "classify_edge", classify)
+    driver_outputs()
+    assert calls["classify_edge"] > 0
+    assert calls["eta"] == 3 * calls["classify_edge"], calls
 
 
 if __name__ == "__main__":

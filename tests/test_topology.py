@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -526,14 +528,23 @@ def test_search_respects_budget():
     assert not out.found and not out.conclusive
 
 
+# sha256 of the (objective, found, conclusive, nodes, steps) records of
+# the test below, recorded before the search took its child graphs from
+# classify_edge: a refactor must not move the search order, the node
+# counts or the sequences found.
+SEARCH_OUTCOMES_DIGEST = "f1014f4d46f3ab7826eb0cf0792197ab59848f39e894fe4f1828cd8662aafd74"
+
+
 def test_search_returns_the_replayed_end_and_shrunk_cover():
     """On thin graphs of seeded (1, eps) instances, a found sequence's
     ``end`` is the graph its replay ends in; for the cover objectives its
     ``cover`` is the replay's basic cover after ``shrink_cover``, and the
-    graph-state objectives return no cover."""
+    graph-state objectives return no cover.  Every search's outcome is
+    pinned by ``SEARCH_OUTCOMES_DIGEST``."""
     rng = random.Random("search-result-replay")
     found = dict.fromkeys(("ko", "edgeless", "cheap", "gamma", "based"), 0)
     shrunk = 0
+    records = []
     for _ in range(40):
         inst = gen_two_value(
             rng.randint(2, 3),
@@ -559,6 +570,8 @@ def test_search_returns_the_replayed_end_and_shrunk_cover():
         }
         for objective, kwargs in objectives.items():
             out = tp.search_de_sequence(g, objective, budget=300, **kwargs)
+            steps = out.sequence.to_json()["steps"] if out.found else None
+            records.append([objective, out.found, out.conclusive, out.nodes, steps])
             if not out.found:
                 continue
             found[objective] += 1
@@ -570,6 +583,8 @@ def test_search_returns_the_replayed_end_and_shrunk_cover():
                 assert out.cover == tp.shrink_cover(g, end, cover), (objective, g.edges)
                 shrunk += out.cover != cover
     assert min(found.values()) >= 5 and shrunk >= 20, (found, shrunk)
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == SEARCH_OUTCOMES_DIGEST, digest
 
 
 # -- hall check -------------------------------------------------------------------
