@@ -1,23 +1,22 @@
 """Deletion/explosion sequences over eta: legality, covers, search.
 
 A deletion is legal when eta does not increase; an explosion is legal
-when eta drops by at least one, with infinity as the top value (so an
-edge of a graph with eta infinity is explodable only if the exploded
-graph also has eta infinity... which it trivially satisfies since
-inf <= inf - 1 = inf).  Meshulam's theorem guarantees every edge admits
-one of the two moves, which the property suites check empirically.
+when eta drops by at least one, with infinity as the top value.  Since
+inf - 1 = inf, every edge of a graph with eta infinity is both deletable
+and explodable.  Meshulam's theorem guarantees every edge admits one of
+the two moves, which the property suites check empirically.
 
 Cover accounting works on allocation-graph vertices, whose labels carry
-their resource sets.
+their resource sets.  The search knows no phase: a driver passes the
+cover rule its phase accepts and the edges it may explode.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ..graphs import Graph, GraphError, vertex_from_json, vertex_to_json
-from ..instance import Instance
 from .homology import eta
 
 DELETE = "delete"
@@ -190,16 +189,6 @@ def shrink_cover(start: Graph, end: Graph, cover) -> frozenset[str]:
     return frozenset(current)
 
 
-def is_cheap(inst: Instance, cover, ell: int, m: Fraction) -> bool:
-    """Cover value at most 2 m ell (deletion-only sequences pass with ell 0)."""
-    return inst.value(cover) <= 2 * Fraction(m) * ell
-
-
-def is_gamma(cover, ell: int, gamma: Fraction) -> bool:
-    """Cover cardinality at most gamma * ell."""
-    return Fraction(len(cover)) <= Fraction(gamma) * ell
-
-
 # ---------------------------------------------------------------------------
 # Bounded search
 # ---------------------------------------------------------------------------
@@ -223,44 +212,31 @@ def search_de_sequence(
     *,
     budget: int = 5000,
     max_explosions: int | None = None,
-    values: Instance | None = None,
-    m: Fraction | None = None,
-    gamma: Fraction | None = None,
-    based_in: frozenset[str] | None = None,
-    owner: str | None = None,
+    accept: Callable[[frozenset[str], int], bool] | None = None,
+    explodes: Callable[[tuple], bool] | None = None,
 ) -> SearchOutcome:
     """Depth-first search for a legal sequence meeting an objective.
 
     Objectives: ``ko`` (reach a graph with an isolated vertex),
-    ``edgeless`` (reach a graph with no edges), ``cheap`` (>=1 explosion,
-    some cover of value <= 2 m ell, valued by the Instance ``values``),
-    ``gamma`` (>=1 explosion, cover cardinality <= gamma ell), ``based``
-    (every explosion consumes a fresh hyperedge inside ``based_in`` owned
-    by ``owner``, and the cover test of ``gamma``: an average cost per
-    explosion of at most gamma).
-    A cover objective is tested on the union of e u f over the exploded
-    edges, shrunk by ``shrink_cover``.
+    ``edgeless`` (reach a graph with no edges) and ``cover`` (at least one
+    explosion, and ``accept(W, ell)`` holds, where W is the union of
+    e u f over the ell exploded edges, shrunk by ``shrink_cover``).
+    ``max_explosions`` caps ell; ``explodes(edge)``, when given, decides
+    which edges may be exploded.
 
     A found sequence comes with ``end``, the graph it ends in, and for
-    the cover objectives ``cover``, the shrunk cover it was accepted on
+    ``cover`` with ``cover``, the shrunk cover it was accepted on
     (``None`` for ``ko`` and ``edgeless``, which track no cover), so
-    callers need not replay it.  ``conclusive`` is True only when the
-    search space was provably exhausted (graph-state objectives); for
-    cover-dependent objectives a miss is always reported as inconclusive.
+    callers need not replay it.  The search stops once it has counted
+    more than ``budget`` nodes.  ``conclusive`` is True only when the
+    search space was provably exhausted (graph-state objectives); a
+    ``cover`` miss is always reported as inconclusive.
     """
-    if objective not in ("ko", "edgeless", "cheap", "gamma", "based"):
+    if objective not in ("ko", "edgeless", "cover"):
         raise SequenceError(f"unknown objective {objective!r}")
-    if objective == "cheap" and (values is None or m is None):
-        raise SequenceError("cheap objective needs values and m")
-    if objective == "gamma" and gamma is None:
-        raise SequenceError("gamma objective needs gamma")
-    if objective == "based" and (based_in is None or owner is None or gamma is None):
-        raise SequenceError("based objective needs based_in, owner, gamma")
-    if max_explosions is None:
-        max_explosions = {"ko": None, "edgeless": None, "cheap": 3, "gamma": 3, "based": 4}[
-            objective
-        ]
-    graph_state_objective = objective in ("ko", "edgeless")
+    if objective == "cover" and accept is None:
+        raise SequenceError("cover objective needs accept")
+    graph_state_objective = objective != "cover"
     nodes = 0
     exhausted = True
     seen: set = set()
@@ -278,10 +254,7 @@ def search_de_sequence(
             ok = False
         else:
             w = shrink_cover(start, g, cover)
-            if objective == "cheap":
-                ok = is_cheap(values, w, ell, m)
-            else:
-                ok = is_gamma(w, ell, gamma)
+            ok = accept(w, ell)
         if ok:
             return steps, g, w
         nodes += 1
@@ -295,20 +268,16 @@ def search_de_sequence(
         first_deletion_done = False
         for edge in g.edges:
             cls = classify_edge(g, edge)
-            if cls.explodable and (max_explosions is None or ell < max_explosions):
+            if (
+                cls.explodable
+                and (max_explosions is None or ell < max_explosions)
+                and (explodes is None or explodes(edge))
+            ):
                 u, v = edge
-                if objective == "based":
-                    ok = (
-                        u[0] == owner and vertex_resources(u) <= based_in
-                    ) or (v[0] == owner and vertex_resources(v) <= based_in)
-                else:
-                    ok = True
-                if ok:
-                    extra = vertex_resources(u) | vertex_resources(v) if not graph_state_objective else set()
-                    step = DeStep(EXPLODE, edge)
-                    found = dfs(cls.exploded, steps + (step,), ell + 1, cover | set(extra))
-                    if found is not None:
-                        return found
+                extra = vertex_resources(u) | vertex_resources(v) if not graph_state_objective else set()
+                found = dfs(cls.exploded, steps + (DeStep(EXPLODE, edge),), ell + 1, cover | extra)
+                if found is not None or not exhausted:
+                    return found
             if cls.deletable and not first_deletion_done:
                 # One deletion branch per node keeps the tree finite for
                 # cover objectives; completeness is only claimed for the
@@ -316,7 +285,7 @@ def search_de_sequence(
                 if not graph_state_objective:
                     first_deletion_done = True
                 found = dfs(cls.deleted, steps + (DeStep(DELETE, edge),), ell, cover)
-                if found is not None:
+                if found is not None or not exhausted:
                     return found
         return None
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from ..allocation_graph import AllocationGraph, MAlpha
 from ..graphs import Graph
@@ -52,6 +53,16 @@ def hall_eta_check(graph: Graph, parts: dict) -> HallResult:
             if not eta_at_least(sub, len(U)):
                 return HallResult(False, U)
     return HallResult(True, None)
+
+
+def is_cheap(inst: Instance, cover, ell: int, m: Fraction) -> bool:
+    """Cover value at most 2 m ell (deletion-only sequences pass with ell 0)."""
+    return inst.value(cover) <= 2 * Fraction(m) * ell
+
+
+def is_gamma(cover, ell: int, gamma: Fraction) -> bool:
+    """Cover cardinality at most gamma * ell."""
+    return Fraction(len(cover)) <= Fraction(gamma) * ell
 
 
 def all_deletions(g: Graph) -> tuple[Graph, list[DeStep]]:
@@ -101,9 +112,9 @@ class PhaseLedger(CoverLedger):
             self.entries.get(phase, empty) for phase in (1, 2, 3, 4)
         )
         return {
-            "value_w1": inst.value(w1) <= 2 * m * n1,
-            "card_w2": Fraction(len(w2)) <= Fraction(7, 3) * n2,
-            "card_w3": Fraction(len(w3)) <= Fraction(5, 2) * n3,
+            "value_w1": is_cheap(inst, w1, n1, m),
+            "card_w2": is_gamma(w2, n2, Fraction(7, 3)),
+            "card_w3": is_gamma(w3, n3, Fraction(5, 2)),
             "value_w2": inst.value(w2) <= Fraction(7, 3) * m * n2,
             "value_w3": inst.value(w3) <= Fraction(5, 2) * m * n3,
             "value_w4": inst.value(w4) <= 3 * m * n4,
@@ -135,6 +146,12 @@ def four_phase_driver(
     the phase ledger, and the outcome: KO as soon as a KO-sequence fires
     (or a vertex survives), edgeless when the graph is fully dismantled,
     inconclusive on budget exhaustion.
+
+    Phase 1 accepts cheap sequences (``is_cheap`` at m, at most 3
+    explosions), phases 2 and 3 7/3- and 5/2-sequences (``is_gamma``, at
+    most 3 and 2 explosions).  ``search_budget`` bounds the nodes of each
+    DE search; ``step_budget`` counts the rounds of the phase-1 drain and
+    the steps of phase 4, not the steps of the DE sequence.
     """
     g = start = thin.graph
     ledger = PhaseLedger()
@@ -178,7 +195,11 @@ def four_phase_driver(
                 perform(ko, None)
                 return "KO"
             cheap = search_de_sequence(
-                g, "cheap", budget=search_budget, values=inst, m=m.m
+                g,
+                "cover",
+                budget=search_budget,
+                max_explosions=3,
+                accept=partial(is_cheap, inst, m=m.m),
             )
             if cheap.found:
                 perform(cheap, 1)
@@ -195,10 +216,10 @@ def four_phase_driver(
         while g.edges:
             found = search_de_sequence(
                 g,
-                "gamma",
+                "cover",
                 budget=search_budget,
-                gamma=gamma,
                 max_explosions=maxexp,
+                accept=partial(is_gamma, gamma=gamma),
             )
             if not found.found:
                 break

@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .allocation_graph import (
     build_H,
@@ -32,7 +32,7 @@ from .allocation_graph import (
 from .instance import Instance, InstanceError
 from .lp_core import build_dual, fat_for_players, verify_dual
 from .subsets import CapError
-from .topology import CoverLedger, all_deletions, search_de_sequence
+from .topology import CoverLedger, all_deletions, is_gamma, search_de_sequence
 
 # two_value_driver certifies every nonempty player subset, 2^players - 1.
 DEFAULT_DRIVER_PLAYER_CAP = 6
@@ -205,7 +205,7 @@ class PhaseXLedger(CoverLedger):
     def checks(self, r: int) -> dict[int, bool]:
         """|W_X| <= n_X * a_r(X) in every phase X that recorded explosions."""
         return {
-            X: len(covered) <= count * a_coeff(r, X)
+            X: is_gamma(covered, count, a_coeff(r, X))
             for X, (count, covered) in self.entries.items()
         }
 
@@ -295,6 +295,11 @@ def _final_transversal(inst: Instance, H):
     return transversal_to_allocation(inst, transversal)
 
 
+def _based_in(owner: str, based: frozenset[str], edge: tuple) -> bool:
+    """An endpoint of ``edge`` is owned by ``owner`` and its resources lie in ``based``."""
+    return any(v.owner == owner and based.issuperset(v.resources) for v in edge)
+
+
 def _certify_subset(inst, J, U, fat, target, eps, c, r, search_budget):
     g = restrict(J, U).graph
     f_u = fat_for_players(inst, U, fat)
@@ -326,11 +331,11 @@ def _certify_subset(inst, J, U, fat, target, eps, c, r, search_budget):
             p, based = candidate
             found = search_de_sequence(
                 g,
-                "based",
+                "cover",
                 budget=search_budget,
-                based_in=based,
-                owner=p,
-                gamma=a_coeff(r, X),
+                max_explosions=4,
+                accept=partial(is_gamma, gamma=a_coeff(r, X)),
+                explodes=partial(_based_in, p, based),
             )
             if not found.found:
                 info.update(how=f"search failed in phase {X}")

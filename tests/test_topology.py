@@ -1,7 +1,10 @@
 import hashlib
+import itertools
 import json
 import random
+import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -22,7 +25,9 @@ from oracles import (
     thin_configurations,
 )
 from santagap import topology as tp
+from santagap import two_values
 from santagap.allocation_graph import (
+    MAlpha,
     build_H,
     build_J,
     compute_fat,
@@ -39,6 +44,7 @@ from santagap.lp_core import (
     verify_dual,
 )
 from santagap.subsets import CapError
+from santagap.topology import drivers
 
 
 # -- independence complexes ---------------------------------------------------
@@ -518,21 +524,39 @@ def test_search_ko_conclusive_negative_on_k2():
 def test_search_cheap_single_explosion():
     g, u, v = _tiny_allocation_graph()
     inst = parse_instance(TINY_INSTANCE)
-    out = tp.search_de_sequence(g, "cheap", values=inst, m=Fraction(1, 2))
+    out = tp.search_de_sequence(
+        g, "cover", max_explosions=3, accept=partial(tp.is_cheap, inst, m=Fraction(1, 2))
+    )
     assert out.found and out.sequence.ell == 1
 
 
 def test_search_respects_budget():
-    g = cycle_graph(6)
-    out = tp.search_de_sequence(g, "ko", budget=1)
-    assert not out.found and not out.conclusive
+    """An exhausted search stops at budget + 1 nodes.  On C5 the edgeless
+    search counts 3 nodes before it accepts, so budget 3 finds the
+    sequence, and budget 2 stops at the third node with no verdict."""
+    out = tp.search_de_sequence(cycle_graph(6), "ko", budget=1)
+    assert not out.found and not out.conclusive and out.nodes == 2
+    g = cycle_graph(5)
+    out = tp.search_de_sequence(g, "edgeless", budget=3)
+    assert out.found and out.nodes == 3
+    out = tp.search_de_sequence(g, "edgeless", budget=2)
+    assert (out.found, out.conclusive, out.nodes) == (False, False, 3)
+
+
+@pytest.mark.parametrize(
+    "objective, kwargs",
+    [("cheap", {}), ("gamma", {}), ("based", {}), ("Cover", {}), ("cover", {"max_explosions": 3})],
+)
+def test_search_refuses_an_unknown_objective_or_a_cover_without_accept(objective, kwargs):
+    with pytest.raises(tp.SequenceError):
+        tp.search_de_sequence(cycle_graph(5), objective, **kwargs)
 
 
 # sha256 of the (objective, found, conclusive, nodes, steps) records of
-# the test below, recorded before the search took its child graphs from
-# classify_edge: a refactor must not move the search order, the node
-# counts or the sequences found.
-SEARCH_OUTCOMES_DIGEST = "f1014f4d46f3ab7826eb0cf0792197ab59848f39e894fe4f1828cd8662aafd74"
+# the test below: a refactor must not move the search order, the node
+# counts or the sequences found.  8 of the searches (all ``ko`` misses)
+# spend budget 300 and count 301 nodes.
+SEARCH_OUTCOMES_DIGEST = "fff0a16b47faef7716378555550dc1e71410c7611d0048dad54e4ac92ab84a9c"
 
 
 def test_search_returns_the_replayed_end_and_shrunk_cover():
@@ -557,19 +581,25 @@ def test_search_returns_the_replayed_end_and_shrunk_cover():
         if len(g.vertices) > 12 or not g.edges:
             continue
         p = inst.players[0]
+        based = inst.covets[p] - compute_fat(inst, target, alpha)
+        m = compute_m(inst, target, alpha).m
+        # The cover rules of phase 1, of a 5/2-sequence and of a sequence
+        # based in p's pool at average cost 3, labelled as in the digest.
         objectives = {
-            "ko": {},
-            "edgeless": {},
-            "cheap": {"values": inst, "m": compute_m(inst, target, alpha).m},
-            "gamma": {"gamma": Fraction(5, 2)},
-            "based": {
-                "based_in": inst.covets[p] - compute_fat(inst, target, alpha),
-                "owner": p,
-                "gamma": Fraction(3),
-            },
+            "ko": ("ko", {}),
+            "edgeless": ("edgeless", {}),
+            "cheap": ("cover", {"max_explosions": 3, "accept": partial(tp.is_cheap, inst, m=m)}),
+            "gamma": ("cover", {"max_explosions": 3, "accept": partial(tp.is_gamma, gamma=Fraction(5, 2))}),
+            "based": ("cover", {
+                "max_explosions": 4,
+                "accept": partial(tp.is_gamma, gamma=Fraction(3)),
+                "explodes": lambda edge: any(
+                    v[0] == p and tp.vertex_resources(v) <= based for v in edge
+                ),
+            }),
         }
-        for objective, kwargs in objectives.items():
-            out = tp.search_de_sequence(g, objective, budget=300, **kwargs)
+        for objective, (kind, kwargs) in objectives.items():
+            out = tp.search_de_sequence(g, kind, budget=300, **kwargs)
             steps = out.sequence.to_json()["steps"] if out.found else None
             records.append([objective, out.found, out.conclusive, out.nodes, steps])
             if not out.found:
@@ -730,6 +760,159 @@ def test_cover_dual_accounting_all_player_sets(shared_halves):
         assert check.objective <= 0  # weak duality at a feasible target
         assert inst.value(W) >= c_dual * need
         assert ell >= Fraction(c_dual * need, 3 * m.m)
+
+
+def _step_text(step) -> str:
+    return " ".join([step.op] + [f"{owner}:{','.join(res)}" for owner, res in step.edge])
+
+
+def _four_phase_at(inst, m: Fraction):
+    """The four-phase driver on the thin graph of ``inst`` at T = 1,
+    alpha = 1/2, with m(alpha) taken as ``m``."""
+    j = build_J(build_H(inst, Fraction(1), Fraction(1, 2)))
+    return j, tp.four_phase_driver(inst, j, MAlpha(m), search_budget=400, step_budget=400)
+
+
+def _no_cheap_instance(num_thin: int, seed: int):
+    return gen_two_value(
+        2, Fraction(1, 5), {"num_fat": 1, "num_thin": num_thin, "density": 0.8}, seed
+    )
+
+
+_P1 = [
+    "p1:t1,t2,t4", "p1:t1,t2,t5", "p1:t1,t4,t5", "p1:t1,t4,t6", "p1:t1,t5,t6",
+    "p1:t2,t4,t5", "p1:t2,t4,t6", "p1:t2,t5,t6", "p1:t4,t5,t6",
+]
+_P2 = ["p2:t2,t3,t4", "p2:t2,t3,t5", "p2:t2,t4,t5"]
+# The steps of the seed-22 run: it first deletes every pair of the lists
+# above but (t1,t4,t6 | t2,t3,t5) and (t1,t5,t6 | t2,t3,t4), in edge order.
+NO_CHEAP_SEED_22_STEPS = tuple(
+    f"delete {u} {v}"
+    for u in _P1
+    for v in _P2
+    if (u, v) not in {("p1:t1,t4,t6", "p2:t2,t3,t5"), ("p1:t1,t5,t6", "p2:t2,t3,t4")}
+) + (
+    "explode p1:t1,t2,t4 p2:t3,t4,t5",  # phase 2
+    "explode p1:t1,t2,t6 p2:t2,t3,t4",  # phase 4
+)
+
+
+@pytest.mark.parametrize(
+    "num_thin, seed, ledger, steps",
+    [
+        (
+            6,
+            22,
+            {2: (1, {"t4", "t5"}), 4: (1, {"t1", "t2", "t3", "t4", "t6"})},
+            NO_CHEAP_SEED_22_STEPS,
+        ),
+        (5, 0, {4: (1, {"t1", "t2", "t3"})}, ("explode p1:t1,t2,t3 p2:t1,t2,t3",)),
+    ],
+)
+def test_four_phase_without_cheap_sequences(num_thin, seed, ledger, steps):
+    """Seeded runs at the real m charge phase 1 only; at m = 0 these two
+    dismantle their thin graphs in phases 2 and 4, which the ledger, its
+    phase-2 cover shrunk below e u f and its unshrunk phase-4 cover pin."""
+    # At m = 0 no cheap sequence passes phase 1.
+    j, res = _four_phase_at(_no_cheap_instance(num_thin, seed), Fraction(0))
+    assert (res.outcome, res.phase_reached, res.notes) == ("edgeless", 4, [])
+    assert res.ledger.entries == {
+        phase: (count, frozenset(cover)) for phase, (count, cover) in ledger.items()
+    }
+    assert tuple(map(_step_text, res.sequence.steps)) == steps
+    replay = tp.execute_sequence(j.graph, res.sequence)
+    assert replay.valid and replay.ell == res.ledger.ell and not replay.final.vertices
+
+
+def _names(k: int) -> frozenset[str]:
+    return frozenset(f"x{i}" for i in range(k))
+
+
+def test_drivers_pass_each_phase_its_cover_rule(monkeypatch):
+    """Every DE search of both drivers, checked against the cover rule and
+    the explosion cap of its phase.
+
+    ``four_phase_driver``: a ``cover`` search right after a ``ko`` search
+    is the phase-1 drain's and accepts v(W) <= 2 m ell, at most 3
+    explosions; a run at the real m checks it with m > 0.  The later
+    searches up to and including the first miss are phase 2's, |W| <= 7/3
+    ell with at most 3 explosions, and the rest phase 3's, |W| <= 5/2 ell
+    with at most 2.  The two m = 0 runs search phases 2 and 3, but no
+    seeded run found so far charges phase 3, so its rule is pinned here
+    only.
+
+    ``two_value_driver``: each search of phase X accepts |W| <= a_r(X) ell,
+    at most 4 explosions, and explodes exactly the edges with an endpoint
+    owned by p whose resources lie in ``based``; X, r, p and ``based`` are
+    read from the frame of ``_certify_subset``, which makes the call.
+    """
+    calls = []
+
+    def record(start, objective, **kw):
+        out = tp.search_de_sequence(start, objective, **kw)
+        calls.append((objective, kw, out.found))
+        return out
+
+    monkeypatch.setattr(drivers, "search_de_sequence", record)
+    real_m = gen_two_value(2, Fraction(1, 4), {"num_fat": 1, "num_thin": 5, "density": 0.6}, 16)
+    m = compute_m(real_m, Fraction(1), Fraction(1, 2)).m
+    assert m > 0
+    runs = ((real_m, m), (_no_cheap_instance(6, 22), 0), (_no_cheap_instance(5, 0), 0))
+    searched = dict.fromkeys((1, 2, 3), 0)
+    for inst, m in runs:
+        calls.clear()
+        _four_phase_at(inst, Fraction(m))
+        covers = [
+            frozenset(c)
+            for k in range(len(inst.resource_ids) + 1)
+            for c in itertools.combinations(inst.resource_ids, k)
+        ]
+        phase = 2
+        for i, (objective, kw, found) in enumerate(calls):
+            if objective == "ko":
+                assert kw == {"budget": 400}
+                continue
+            assert objective == "cover" and kw.get("explodes") is None
+            cap, accept = kw["max_explosions"], kw["accept"]
+            if i and calls[i - 1][0] == "ko":
+                searched[1] += 1
+                assert cap == 3
+                for cover, ell in itertools.product(covers, range(4)):
+                    assert accept(cover, ell) == (inst.value(cover) <= 2 * m * ell)
+            elif phase == 2:
+                searched[2] += 1
+                assert cap == 3 and accept(_names(7), 3) and not accept(_names(8), 3)
+                phase = 2 if found else 3
+            else:
+                searched[3] += 1
+                assert cap == 2 and accept(_names(5), 2) and not accept(_names(6), 2)
+    assert min(searched.values()) >= 1, searched
+
+    phase_x = []
+
+    def record_x(start, objective, **kw):
+        caller = sys._getframe(1).f_locals
+        phase_x.append((start, objective, kw, caller["X"], caller["r"], caller["p"], caller["based"]))
+        return tp.search_de_sequence(start, objective, **kw)
+
+    monkeypatch.setattr(two_values, "search_de_sequence", record_x)
+    for seed in (1, 7):
+        inst = gen_two_value(2, Fraction(1, 5), {"num_fat": 1, "num_thin": 5, "density": 0.8}, seed)
+        res = two_values.two_value_driver(inst, compute_t_star(inst).t_star, search_budget=1500)
+        assert res.outcome == "certified"
+    explodable = []
+    for start, objective, kw, X, r, p, based in phase_x:
+        assert objective == "cover" and kw["max_explosions"] == 4
+        a = two_values.a_coeff(r, X)
+        for ell in range(1, 5):
+            k = int(a * ell)
+            assert kw["accept"](_names(k), ell) and not kw["accept"](_names(k + 1), ell)
+        for edge in start.edges:
+            based_edge = any(v[0] == p and frozenset(v[1]) <= based for v in edge)
+            assert kw["explodes"](edge) == based_edge, (X, p, edge)
+            explodable.append(based_edge)
+    assert {X for _, _, _, X, _, _, _ in phase_x} == {2, 3, 4, 5}
+    assert set(explodable) == {True, False}
 
 
 def test_four_phase_random_two_value_suite():
