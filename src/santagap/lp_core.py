@@ -65,6 +65,8 @@ configuration per player, pairwise disjoint and each worth at least
 T* >= OPT, so ``instance.brute_force_opt`` reads OPT = T* and its
 witness off it with no search.  Otherwise it orders each player's
 columns by their weight and looks for OPT there first.
+
+The pool, column and candidate caps are this module's constants.
 """
 
 from __future__ import annotations
@@ -77,12 +79,17 @@ from fractions import Fraction
 from operator import mul, neg
 from typing import NamedTuple
 
-from . import subsets
 from .instance import Instance
 from .subsets import BudgetSpent, CapError, first_disjoint_choice
 
-# Distinct subset sums of one covet list, the T* candidates.  The pool and
-# column caps are subsets.DEFAULT_POOL_CAP and subsets.DEFAULT_COLUMN_CAP.
+# Coveted resources per player: the covet lists that
+# minimal_configurations searches, and whose subset sums are the T*
+# candidates.
+DEFAULT_POOL_CAP = 20
+# Configurations from one minimal_configurations call, and the columns of
+# one CLP model.
+DEFAULT_COLUMN_CAP = 100_000
+# Distinct subset sums of one covet list, the T* candidates.
 DEFAULT_CANDIDATE_CAP = 200_000
 
 
@@ -188,9 +195,8 @@ def minimal_configurations(
     inclusion-minimal sets, each once: dropping any resource of a
     recorded set leaves a sum no larger than the one before its last
     resource, which fell short.  A threshold <= 0 gives the one empty
-    configuration.  More than ``subsets.DEFAULT_POOL_CAP`` coveted
-    resources, or more than ``subsets.DEFAULT_COLUMN_CAP`` configurations,
-    raise ``CapError``.
+    configuration.  More than ``DEFAULT_POOL_CAP`` coveted resources, or
+    more than ``DEFAULT_COLUMN_CAP`` configurations, raise ``CapError``.
 
     Sorted by (size, resources): the order fixes the simplex's crash
     basis and pivot sequence over CLP columns and the transversal search
@@ -199,12 +205,12 @@ def minimal_configurations(
     """
     ids, values, suffix, singles = inst.covet_tables[player]
     n = len(ids)
-    if n > subsets.DEFAULT_POOL_CAP:
-        raise CapError(f"{n} items exceeds cap {subsets.DEFAULT_POOL_CAP}")
+    if n > DEFAULT_POOL_CAP:
+        raise CapError(f"{n} items exceeds cap {DEFAULT_POOL_CAP}")
     need = inst.int_threshold(threshold)
     if need <= 0:
         return [Configuration(player, ())]
-    cap = subsets.DEFAULT_COLUMN_CAP
+    cap = DEFAULT_COLUMN_CAP
     found: list[tuple[str, ...]] = []
     # Open branches: (next table index, integer value still needed, chosen).
     # Each takes ids[j] for every j from its index while the rest of the
@@ -232,8 +238,8 @@ def minimal_configurations(
 def build_clp_model(inst: Instance, target: Fraction) -> ClpModel:
     by_player = [minimal_configurations(inst, p, target) for p in inst.players]
     count = sum(map(len, by_player))
-    if count > subsets.DEFAULT_COLUMN_CAP:
-        raise CapError(f"{count} columns exceeds cap {subsets.DEFAULT_COLUMN_CAP}")
+    if count > DEFAULT_COLUMN_CAP:
+        raise CapError(f"{count} columns exceeds cap {DEFAULT_COLUMN_CAP}")
     return ClpModel(Fraction(target), by_player, inst.players, inst.resource_ids)
 
 
@@ -526,8 +532,8 @@ def int_subset_sums(inst: Instance) -> list[int]:
     bits = 1
     sums: set[int] = set()
     for p, table in tables.items():
-        if len(table.values) > subsets.DEFAULT_POOL_CAP:
-            raise CapError(f"covet list of {p!r} exceeds cap {subsets.DEFAULT_POOL_CAP}")
+        if len(table.values) > DEFAULT_POOL_CAP:
+            raise CapError(f"covet list of {p!r} exceeds cap {DEFAULT_POOL_CAP}")
         if bitset:
             acc = 1
             for v in table.values:

@@ -1,4 +1,4 @@
-"""The disjoint configuration search, and the caps of the subset searches.
+"""The disjoint configuration search, its node cap, and ``CapError``.
 
 ``first_disjoint_choice`` picks one configuration per part, pairwise
 disjoint, and returns the configurations it chose: it finds OPT
@@ -27,13 +27,6 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 if TYPE_CHECKING:
     from .lp_core import Configuration
 
-# Coveted resources per player: the covet lists that
-# lp_core.minimal_configurations searches, and whose subset sums lp_core
-# takes as T* candidates.
-DEFAULT_POOL_CAP = 20
-# Configurations from one lp_core.minimal_configurations call, and the
-# columns of one CLP model in lp_core.
-DEFAULT_COLUMN_CAP = 100_000
 # Search nodes of first_disjoint_choice, summed over the searches that
 # answer one question.
 DEFAULT_NODE_CAP = 1_000_000

@@ -98,6 +98,10 @@ class CoverLedger:
     def ell(self) -> int:
         return sum(count for count, _ in self.entries.values())
 
+    @property
+    def cover(self) -> frozenset[str]:
+        return frozenset().union(*(covered for _, covered in self.entries.values()))
+
 
 class PhaseLedger(CoverLedger):
     """The cover ledger of the four-phase driver, keyed by phase 1..4."""

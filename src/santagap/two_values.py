@@ -212,6 +212,7 @@ class PhaseXLedger(CoverLedger):
 
 @dataclass(slots=True)
 class TwoValueResult:
+    # "trivial" is "certified" with an empty thin part; both carry an allocation.
     outcome: str  # "certified" | "trivial" | "additive-regime" | "inconclusive"
     alpha: Fraction | None = None
     r: int | None = None
@@ -229,12 +230,15 @@ def two_value_driver(
 ) -> TwoValueResult:
     """Run the descending phase-X process and certify an allocation.
 
-    For each player subset U the process dismantles the thin graph with
-    DE-sequences based in large configurations, average cover cost at
-    most a(X) in Phase X.  A subset is certified by a KO-sequence or by
-    total explosion count >= |U| - |F_U|; when every subset certifies,
-    an independent transversal (hence an allocation of min-value
-    r * eps) must exist and is returned.
+    For each player subset U the process dismantles the thin graph J|U
+    with DE-sequences based in one player's thin pool, average cover cost
+    at most a(X) in Phase X.  A subset is certified by a KO-sequence or
+    by total explosion count >= |U| - |F_U|; when every subset certifies,
+    an independent transversal (hence an allocation of min-value r * eps)
+    must exist and is returned.  An empty J runs no search, so a subset
+    certifies exactly when |F_U| >= |U|, Hall's condition on the fat
+    resources, and the outcome is "trivial", with its allocation.  A
+    target above T* may end "inconclusive".
     """
     shape = analyze_two_value(inst)
     eps = shape.eps
@@ -261,38 +265,26 @@ def two_value_driver(
     H = build_H(inst, target, alpha)
     J = build_J(H)
     fat = compute_fat(inst, target, alpha)
-
-    if not J.graph.vertices:
-        transversal = _final_transversal(inst, H)
-        return TwoValueResult("trivial", alpha, r, c, transversal, notes=["thin part empty"])
-
-    per_U: dict = {}
-    all_certified = True
-    players = inst.players
-
-    for size in range(1, len(players) + 1):
-        for U in itertools.combinations(players, size):
-            info = _certify_subset(inst, J, U, fat, target, eps, c, r, search_budget)
-            per_U[U] = info
-            if not info["certified"]:
-                all_certified = False
-
-    if not all_certified:
+    # The pools a phase-X search may be based in: each player's thin
+    # pool, where it alone reaches the target.
+    thin_pools = ((p, inst.covets[p] - fat) for p in inst.players)
+    pools = {p: pool for p, pool in thin_pools if inst.value(pool) >= target}
+    per_U = {
+        U: _certify_subset(inst, J, U, fat, pools, target, eps, c, r, search_budget)
+        for size in range(1, len(inst.players) + 1)
+        for U in itertools.combinations(inst.players, size)
+    }
+    if not all(info["certified"] for info in per_U.values()):
         return TwoValueResult("inconclusive", alpha, r, c, None, per_U)
-    transversal = _final_transversal(inst, H)
-    result = TwoValueResult("certified", alpha, r, c, transversal, per_U)
+    transversal = find_independent_transversal(H)
     if transversal is None:
         # Certification says a transversal exists; failing to find one
         # would mean an implementation bug, not a hard instance.
         raise AssertionError("all subsets certified but no transversal found")
-    return result
-
-
-def _final_transversal(inst: Instance, H):
-    transversal = find_independent_transversal(H)
-    if transversal is None:
-        return None
-    return transversal_to_allocation(inst, transversal)
+    allocation = transversal_to_allocation(inst, transversal)
+    if J.graph.vertices:
+        return TwoValueResult("certified", alpha, r, c, allocation, per_U)
+    return TwoValueResult("trivial", alpha, r, c, allocation, per_U, ["thin part empty"])
 
 
 def _based_in(owner: str, based: frozenset[str], edge: tuple) -> bool:
@@ -300,12 +292,11 @@ def _based_in(owner: str, based: frozenset[str], edge: tuple) -> bool:
     return any(v.owner == owner and based.issuperset(v.resources) for v in edge)
 
 
-def _certify_subset(inst, J, U, fat, target, eps, c, r, search_budget):
+def _certify_subset(inst, J, U, fat, pools, target, eps, c, r, search_budget):
     g = restrict(J, U).graph
     f_u = fat_for_players(inst, U, fat)
     need = len(U) - len(f_u)
     ledger = PhaseXLedger()
-    W: frozenset[str] = frozenset()
     info = {
         "need": need,
         "ledger": ledger,
@@ -320,15 +311,12 @@ def _certify_subset(inst, J, U, fat, target, eps, c, r, search_budget):
             if g.has_isolated_vertex():
                 info.update(certified=True, how="ko")
                 return info
-            candidate = None
             for p in U:
-                pool = inst.covets[p] - fat
-                if inst.value(pool) >= target and len(pool - W) >= X:
-                    candidate = (p, pool - W)
+                based = pools.get(p, frozenset()) - ledger.cover
+                if len(based) >= X:
                     break
-            if candidate is None:
-                break
-            p, based = candidate
+            else:
+                break  # no pool keeps X uncovered resources: the phase ends
             found = search_de_sequence(
                 g,
                 "cover",
@@ -341,8 +329,8 @@ def _certify_subset(inst, J, U, fat, target, eps, c, r, search_budget):
                 info.update(how=f"search failed in phase {X}")
                 return info
             ledger.add(X, found.sequence.ell, found.cover)
-            W |= found.cover
             g, _ = all_deletions(found.end)
+        W = ledger.cover
         if W:
             # W holds only thin resources: J's vertices are non-fat minimal
             # configurations at alpha*T, so none contains a fat resource.

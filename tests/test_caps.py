@@ -3,7 +3,7 @@
 Each case lowers one cap constant on the module that holds it and runs a
 call that passes it; the same call answers at the default value.  The
 pool and column caps are each checked in two places, and one monkeypatch
-of the ``subsets`` constant reaches both; ``compute_m`` reaches the pool
+of the ``lp_core`` constant reaches both; ``compute_m`` reaches the pool
 check of the T* candidates.  The r_c case reads a value the first call
 cached, so it also shows that the cap is checked before the cache.
 """
@@ -46,27 +46,27 @@ CASES = {
         "more than 1 search nodes",
     ),
     "POOL-subsets": (
-        subsets, "DEFAULT_POOL_CAP", 3,
+        lp_core, "DEFAULT_POOL_CAP", 3,
         lambda: lp_core.minimal_configurations(HALVES, "p1", Fraction(1)),
         "4 items exceeds cap 3",
     ),
     "POOL-candidates": (
-        subsets, "DEFAULT_POOL_CAP", 3,
+        lp_core, "DEFAULT_POOL_CAP", 3,
         lambda: lp_core.subset_sum_candidates(HALVES),
         "covet list of 'p1' exceeds cap 3",
     ),
     "POOL-m": (
-        subsets, "DEFAULT_POOL_CAP", 3,
+        lp_core, "DEFAULT_POOL_CAP", 3,
         lambda: allocation_graph.compute_m(HALVES, Fraction(1), Fraction(1)),
         "covet list of 'p1' exceeds cap 3",
     ),
     "COLUMN-subsets": (
-        subsets, "DEFAULT_COLUMN_CAP", 5,
+        lp_core, "DEFAULT_COLUMN_CAP", 5,
         lambda: lp_core.minimal_configurations(HALVES, "p1", Fraction(1)),
         "more than 5 minimal subsets",
     ),
     "COLUMN-model": (
-        subsets, "DEFAULT_COLUMN_CAP", 6,
+        lp_core, "DEFAULT_COLUMN_CAP", 6,
         lambda: lp_core.build_clp_model(HALVES, Fraction(1)),
         "12 columns exceeds cap 6",
     ),

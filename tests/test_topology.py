@@ -843,8 +843,10 @@ def test_drivers_pass_each_phase_its_cover_rule(monkeypatch):
 
     ``two_value_driver``: each search of phase X accepts |W| <= a_r(X) ell,
     at most 4 explosions, and explodes exactly the edges with an endpoint
-    owned by p whose resources lie in ``based``; X, r, p and ``based`` are
-    read from the frame of ``_certify_subset``, which makes the call.
+    owned by p whose resources lie in ``based``.  The owner p and the pool
+    ``based`` are the arguments of the ``explodes`` rule the search
+    receives; X, the phase, and r are read from the frame of
+    ``_certify_subset``, which makes the call.
     """
     calls = []
 
@@ -892,7 +894,9 @@ def test_drivers_pass_each_phase_its_cover_rule(monkeypatch):
 
     def record_x(start, objective, **kw):
         caller = sys._getframe(1).f_locals
-        phase_x.append((start, objective, kw, caller["X"], caller["r"], caller["p"], caller["based"]))
+        assert kw["explodes"].func is two_values._based_in
+        p, based = kw["explodes"].args
+        phase_x.append((start, objective, kw, caller["X"], caller["r"], p, based))
         return tp.search_de_sequence(start, objective, **kw)
 
     monkeypatch.setattr(two_values, "search_de_sequence", record_x)

@@ -5,7 +5,7 @@ import pytest
 
 from santagap import two_values
 from oracles import branch_and_bound_opt, scan_r_c
-from santagap.instance import InstanceError, parse_instance
+from santagap.instance import Instance, InstanceError, parse_instance
 from santagap.lp_core import clp_feasible, compute_t_star
 from santagap.subsets import CapError
 from santagap.two_values import (
@@ -248,8 +248,31 @@ def test_driver_trivial_when_thin_part_empty():
     )
     res = two_value_driver(parse_instance(doc), Fraction(1))
     assert res.outcome == "trivial"
+    assert res.notes == ["thin part empty"]
     assert res.alpha == Fraction(1, 2)
     assert res.allocation is not None
+    assert set(res.per_U) == {("p1",), ("p2",), ("p1", "p2")}
+    for info in res.per_U.values():
+        assert info["certified"] and info["how"] == "length" and info["need"] <= 0
+
+
+def test_driver_empty_thin_part_above_t_star_is_inconclusive():
+    # J is empty at T = 1 (t1 alone is below alpha*T = 2/5), and f1 is
+    # the only fat resource either player covets: F_U = {f1} for
+    # U = {p1, p2}, so Hall's condition on the fat resources fails and no
+    # allocation reaches 1.
+    inst = Instance.build(
+        ["p1", "p2"],
+        {"f1": 1, "t1": Fraction(1, 5)},
+        {"p1": {"f1"}, "p2": {"f1", "t1"}},
+    )
+    assert compute_t_star(inst).t_star == Fraction(1, 5)
+    res = two_value_driver(inst, Fraction(1))
+    assert res.outcome == "inconclusive"
+    assert res.allocation is None
+    assert res.per_U[("p1", "p2")]["how"] == "ell=0 < need=1"
+    for U in (("p1",), ("p2",)):
+        assert res.per_U[U]["certified"] and res.per_U[U]["how"] == "length"
 
 
 def test_driver_thin_hyperedges_have_common_size():
