@@ -53,13 +53,9 @@ from .gap_report import (
 from .graphs import Graph
 from .subsets import CapError
 from .two_values import (
-    LimitConstants,
     RcEntry,
     a_coeff,
-    check_obs_crc,
     f_gap,
-    harmonic_sums,
-    limit_bound,
     r_c,
     rc_table,
     two_value_driver,
@@ -77,7 +73,6 @@ __all__ = [
     "Graph",
     "Instance",
     "InstanceError",
-    "LimitConstants",
     "LpFeasibilityResult",
     "MAlpha",
     "OptResult",
@@ -89,7 +84,6 @@ __all__ = [
     "build_H",
     "build_J",
     "build_dual",
-    "check_obs_crc",
     "clp_feasible",
     "compute_fat",
     "compute_m",
@@ -98,8 +92,6 @@ __all__ = [
     "find_independent_transversal",
     "gen_random",
     "gen_two_value",
-    "harmonic_sums",
-    "limit_bound",
     "load_instance",
     "minimal_configurations",
     "parse_instance",

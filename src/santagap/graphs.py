@@ -17,6 +17,15 @@ masks (``restrict_masks``), and reuse the parent's label tuples.
 Equality and hash are over labels and masks; code that needs only the
 structure (the eta cache) reads ``masks`` alone.
 
+A graph also keeps its packed eta cache key once it is read
+(``homology.graph_key``); homology owns the key's layout, and a graph
+made here starts without one.  ``_without_edge`` and ``_exploded_at``
+derive G-e and G*e from the positions of the edge's ends, and
+``delete_edge``/``explode_edge`` find those positions and call them, as
+``topology.classify_edge`` does after its one lookup.  G-e takes a key
+when its caller knows one: ``classify_edge`` hands it G's key with the
+edge's two bits flipped, so the G-e it makes never packs its own.
+
 ``edges`` is read off the masks on first use and kept: row i, then its
 later neighbours j ascending, each edge once as (vertices[i],
 vertices[j]).  So code may walk the edges off ``masks`` and use the
@@ -38,7 +47,7 @@ class GraphError(ValueError):
 
 
 class Graph:
-    __slots__ = ("vertices", "masks", "_edges", "_index", "_hash")
+    __slots__ = ("vertices", "masks", "_edges", "_index", "_hash", "_eta_key")
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Iterable[Vertex]] = ()):
         listed = tuple(vertices)
@@ -65,21 +74,27 @@ class Graph:
             masks[j] |= 1 << i
         self._assign(vs, tuple(masks), index)
 
-    def _assign(self, vertices: tuple, masks: tuple, index: dict | None) -> None:
+    def _assign(
+        self, vertices: tuple, masks: tuple, index: dict | None, key: int | None = None
+    ) -> None:
         self.vertices: tuple[Vertex, ...] = vertices
         self.masks: tuple[int, ...] = masks
         self._edges = None
         self._index = index
         self._hash = None
+        self._eta_key = key
 
     @classmethod
-    def _derived(cls, vertices: tuple, masks: tuple, index: dict | None = None) -> "Graph":
+    def _derived(
+        cls, vertices: tuple, masks: tuple, index: dict | None = None, key: int | None = None
+    ) -> "Graph":
         """The graph on sorted, distinct ``vertices`` with symmetric,
         loop-free adjacency ``masks``; nothing is sorted or checked again.
         ``index`` is shared with a graph over the same vertices, or None to
-        build on demand."""
+        build on demand; ``key`` is the eta cache key of ``masks``, or None
+        to pack on first read."""
         g = object.__new__(cls)
-        g._assign(vertices, masks, index)
+        g._assign(vertices, masks, index, key)
         return g
 
     @property
@@ -115,26 +130,37 @@ class Graph:
 
     def delete_edge(self, e: Iterable[Vertex]) -> "Graph":
         """Remove the edge but keep both end vertices."""
-        i, j = self._ends(e)
-        masks = list(self.masks)
-        masks[i] ^= 1 << j
-        masks[j] ^= 1 << i
-        return Graph._derived(self.vertices, tuple(masks), self._index)
+        return self._without_edge(*self._ends(e))
 
     def explode_edge(self, e: Iterable[Vertex]) -> "Graph":
         """Remove both endpoints and all of their neighbors."""
-        i, j = self._ends(e)
+        return self._exploded_at(*self._ends(e))
+
+    def _without_edge(self, i: int, j: int, key: int | None = None) -> "Graph":
+        """G-e for the edge at positions i and j; ``key`` is its eta cache
+        key when the caller knows it."""
+        masks = list(self.masks)
+        masks[i] ^= 1 << j
+        masks[j] ^= 1 << i
+        return Graph._derived(self.vertices, tuple(masks), self._index, key)
+
+    def _exploded_at(self, i: int, j: int) -> "Graph":
+        """G*e for the edge at positions i and j."""
         gone = self.masks[i] | self.masks[j]  # holds i and j, which are adjacent
         return self._restrict(((1 << len(self.vertices)) - 1) & ~gone)
 
     def induced(self, keep: Iterable[Vertex]) -> "Graph":
         """The subgraph on the vertices of ``keep`` that this graph has."""
-        kept = 0
-        for v in keep:
+        return self._restrict(self._positions(keep))
+
+    def _positions(self, labels: Iterable[Vertex]) -> int:
+        """The mask of the positions of the labels this graph has."""
+        mask = 0
+        for v in labels:
             i = self._position(v)
             if i is not None:
-                kept |= 1 << i
-        return self._restrict(kept)
+                mask |= 1 << i
+        return mask
 
     def _restrict(self, kept: int) -> "Graph":
         """The subgraph on the vertex positions set in ``kept``."""

@@ -1,8 +1,8 @@
 """Exact rational parsing and formatting.
 
 All feasibility decisions in this package are exact; floating point
-appears only in reports and in the closed-form limit constant.  Values
-are exact rationals (stdlib ``fractions.Fraction``).  The hot kernels
+appears only in reports.  Values are exact rationals (stdlib
+``fractions.Fraction``).  The hot kernels
 compute on Python integers and build Fractions only for what they
 return: each instance keeps its values times the lcm of their
 denominators (``Instance.int_values``), which the subset searches, the

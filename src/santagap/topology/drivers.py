@@ -42,15 +42,23 @@ class HallResult:
 
 
 def hall_eta_check(graph: Graph, parts: dict) -> HallResult:
-    """Check eta(J restricted to U) >= |U| for every nonempty part set U."""
+    """Check eta(J restricted to U) >= |U| for every nonempty part set U.
+
+    Each part is read once, as the mask of the positions in ``graph`` of
+    its vertices (labels the graph lacks are skipped, as ``induced``
+    skips them), and J restricted to U is the subgraph on the union of
+    its parts' masks.
+    """
     names = sorted(parts)
     if len(names) > DEFAULT_HALL_PART_CAP:
         raise CapError(f"{len(names)} parts exceeds cap {DEFAULT_HALL_PART_CAP}")
+    held = {p: graph._positions(parts[p]) for p in names}
     for size in range(1, len(names) + 1):
         for U in itertools.combinations(names, size):
-            keep = {v for p in U for v in parts[p]}
-            sub = graph.induced(keep)
-            if not eta_at_least(sub, len(U)):
+            kept = 0
+            for p in U:
+                kept |= held[p]
+            if not eta_at_least(graph._restrict(kept), len(U)):
                 return HallResult(False, U)
     return HallResult(True, None)
 

@@ -28,14 +28,17 @@ is a graph invariant, so two graphs with the same masks over their
 sorted vertex order share one entry whatever their labels.
 
 The key packs mask i into bits i*n .. i*n+n-1, so deleting edge {i, j}
-flips exactly bits i*n+j and j*n+i of it.  deletion_walk packs the key
-of G once and walks Meshulam's deletions on it: each G-e is looked up
-on the current key with the edge's two bits flipped, a hit costs an
-xor and a dict lookup, only a miss copies the masks to compute
-eta(G-e), and a deletion flips the two bits for good.  No Graph is
-built along the walk.  Which edges the walk deletes depends on the
-masks alone, so its result is memoized per start key in a second dict,
-bounded and emptied like the eta cache.
+flips exactly bits i*n+j and j*n+i of it (``edge_bits``).  A graph
+keeps its key once read (``graph_key``), so eta, eta_at_least and
+deletion_walk pack it at most once per graph, and G-e gets its key from
+G's by those two bit flips: ``classify_edge`` hands it to the G-e it
+builds.  deletion_walk walks Meshulam's deletions on the key of G: each
+G-e is looked up on the current key with the edge's two bits flipped, a
+hit costs an xor and a dict lookup, only a miss copies the masks to
+compute eta(G-e), and a deletion flips the two bits for good.  No Graph
+is built along the walk.  Which edges the walk deletes depends
+on the masks alone, so its result is memoized per start key in a second
+dict, bounded and emptied like the eta cache.
 """
 
 from __future__ import annotations
@@ -249,6 +252,20 @@ def _cache_key(masks: tuple[int, ...]) -> int:
     return key
 
 
+def graph_key(g: Graph) -> int:
+    """The cache key of ``g``, packed on first read and kept on ``g``."""
+    key = g._eta_key
+    if key is None:
+        key = g._eta_key = _cache_key(g.masks)
+    return key
+
+
+def edge_bits(n: int, i: int, j: int) -> int:
+    """The two bits of the key of an n-vertex graph that hold the edge
+    between positions i and j; flipping them deletes the edge."""
+    return (1 << (i * n + j)) | (1 << (j * n + i))
+
+
 def clear_eta_cache() -> None:
     """Empty the eta cache and the deletion-walk memo."""
     _ETA_CACHE.clear()
@@ -278,7 +295,7 @@ def _cached_eta(key: int, adj: Sequence[int]) -> int | float:
 def eta(g: Graph) -> int | float:
     """1 + first nonvanishing reduced Z2 homology dimension, or infinity."""
     _check_vertex_cap(g)
-    return _cached_eta(_cache_key(g.masks), g.masks)
+    return _cached_eta(graph_key(g), g.masks)
 
 
 def eta_at_least(g: Graph, t: int) -> bool:
@@ -286,7 +303,7 @@ def eta_at_least(g: Graph, t: int) -> bool:
     if t <= 0:
         return True
     _check_vertex_cap(g)
-    key = _cache_key(g.masks)
+    key = graph_key(g)
     cached = _ETA_CACHE.get(key)
     if cached is not None:
         return cached >= t
@@ -305,15 +322,15 @@ def deletion_walk(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     eta(G-e) <= eta(G), then rescans from the first edge; the walk stops
     when no edge qualifies.  The edges are walked straight off the masks
     in mask order, the order in which ``g.edges`` lists them, so the walk
-    never reads ``g.edges``.  Each G-e is looked up on the key of G with its two
-    bits flipped; a miss is computed on flipped masks and remembered, in
-    the same order as eta calls on each G-e would remember it.  The
-    result is memoized on the key of G, so a graph with the same masks
-    costs one lookup.
+    never reads ``g.edges``.  Each G-e is looked up on the key of G with
+    its two bits flipped; a miss is computed on flipped masks and
+    remembered, in the same order as eta calls on each G-e would
+    remember it.  The result is memoized on the key of G, so a graph
+    with the same masks costs one lookup.
     """
     _check_vertex_cap(g)
     masks = g.masks
-    key = _cache_key(masks)
+    key = graph_key(g)
     walk = _WALK_CACHE.get(key)
     if walk is not None:
         return walk
@@ -326,7 +343,7 @@ def deletion_walk(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
         while later:
             low = later & -later
             j = i + low.bit_length()
-            edges.append(((1 << (i * n + j)) | (1 << (j * n + i)), i, j))
+            edges.append((edge_bits(n, i, j), i, j))
             later ^= low
     adj = list(masks)
     deleted = []

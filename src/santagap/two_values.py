@@ -1,4 +1,4 @@
-"""(1, eps)-restricted machinery: phase coefficients, r_c, f, limits.
+"""(1, eps)-restricted machinery: phase coefficients, r_c, f, the driver.
 
 In the two-values regime every thin resource has value eps, so cover
 accounting is pure cardinality.  The phase coefficient a_r(X) is the
@@ -46,20 +46,6 @@ class RcEntry:
     c: int
     r_c: int
     ratio: Fraction
-
-
-@dataclass(frozen=True)
-class HarmonicSums:
-    A_r: Fraction
-    B_r: Fraction
-    C_r: Fraction
-
-
-@dataclass(frozen=True)
-class LimitConstants:
-    A_limit: float
-    B_limit: float
-    bound: float
 
 
 def a_coeff(r: int, X: int) -> Fraction:
@@ -110,18 +96,6 @@ def rc_table(max_c: int) -> list[RcEntry]:
     return [RcEntry(c, r_c(c), Fraction(c, r_c(c))) for c in range(1, max_c + 1)]
 
 
-def check_obs_crc(c: int) -> dict[str, bool]:
-    """The three r_c observations, vacuously true below their thresholds:
-    (i) r_c >= c/4 for c >= 4, (ii) c >= 2 r_c + 1 for c >= 5,
-    (iii) c >= 2 r_c + 2 for c >= 10."""
-    r = r_c(c)
-    return {
-        "i": c < 4 or Fraction(r) >= Fraction(c, 4),
-        "ii": c < 5 or c >= 2 * r + 1,
-        "iii": c < 10 or c >= 2 * r + 2,
-    }
-
-
 def f_gap(x: Fraction) -> Fraction:
     """The two-values integrality-gap bound f(x) = 1/(x * r_ceil(1/x))."""
     x = Fraction(x)
@@ -129,36 +103,6 @@ def f_gap(x: Fraction) -> Fraction:
         raise ValueError(f"x must lie in (0, 1], got {x}")
     c = math.ceil(Fraction(1) / x)
     return Fraction(1) / (x * r_c(c))
-
-
-def harmonic_number(n: int) -> Fraction:
-    return sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
-
-
-def harmonic_sums(r: int, c: int) -> HarmonicSums:
-    """The three exact partial sums A_r, B_r, C_r of the reciprocal sum.
-
-    A_r = H_{2r-1} - H_{ceil((3r-1)/2)-1} covers the first coefficient
-    range, B_r = 3(H_{floor(9r/2)-1} - H_{4r-2}) the second, and
-    C_r = 3(c-2r)/(4r-1) the constant tail (0 when c < 2r+1).
-    """
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    A = harmonic_number(2 * r - 1) - harmonic_number(math.ceil(Fraction(3 * r - 1, 2)) - 1)
-    B = 3 * (harmonic_number((9 * r) // 2 - 1) - harmonic_number(4 * r - 2))
-    C = Fraction(3 * (c - 2 * r), 4 * r - 1) if c >= 2 * r + 1 else Fraction(0)
-    return HarmonicSums(A, B, C)
-
-
-def limit_constants() -> LimitConstants:
-    a = math.log(4 / 3)
-    b = 3 * math.log(9 / 8)
-    return LimitConstants(a, b, 10 / 3 - (4 / 3) * a - (4 / 3) * b)
-
-
-def limit_bound() -> float:
-    """10/3 - (4/3) ln(4/3) - 4 ln(9/8), the eps -> 0 gap bound (< 2.479)."""
-    return limit_constants().bound
 
 
 # ---------------------------------------------------------------------------

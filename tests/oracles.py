@@ -25,7 +25,11 @@ configuration choices, and
 ``pairwise_build_H`` is ``build_H`` from pairs of vertices that share a
 resource, before it built adjacency masks from per-resource holder
 masks.  ``scan_r_c`` is the descending scan over r that ``two_values.r_c``
-replaced with a bisection.  ``bisection_t_star`` is the T* search that
+replaced with a bisection.  ``check_obs_crc``, ``harmonic_sums`` and
+``limit_bound`` (with ``limit_constants``) check the paper's three r_c
+observations, the exact partial sums of the reciprocal sum, and its
+eps -> 0 limit, which nothing in the package reads; ``limit_bound`` is a
+float.  ``bisection_t_star`` is the T* search that
 probes every bisection candidate with the LP, with no capped-value
 filter, and ``capped_value_violation`` evaluates that filter's
 capped-value dual at one target, which ``lp_core.capped_value_bound``
@@ -34,7 +38,9 @@ the dual that
 ``lp_core.fat_count_violation`` prices by counts, from its definition on
 ``Fraction`` values.  ``classify_all_deletions`` is the
 ``all_deletions`` loop that classified every edge in full and rebuilt
-each smaller graph with ``Graph(...)``.  ``basic_cover`` replays a DE-sequence for the end graph
+each smaller graph with ``Graph(...)``, and ``induced_hall_eta_check`` the
+``hall_eta_check`` that built each J|U with ``Graph.induced``.
+``basic_cover`` replays a DE-sequence for the end graph
 and basic cover that ``search_de_sequence`` returns with a found one.
 ``independence_complex`` lists the facets of Ind(G), the maximal
 independent sets, by Bron-Kerbosch; nothing in the package needs them,
@@ -63,8 +69,17 @@ from santagap.lp_core import (
     minimal_configurations,
 )
 from santagap.subsets import CapError
-from santagap.topology import DELETE, EXPLODE, DeSequence, DeStep, classify_edge, vertex_resources
-from santagap.two_values import reciprocal_sum
+from santagap.topology import (
+    DELETE,
+    EXPLODE,
+    DeSequence,
+    DeStep,
+    HallResult,
+    classify_edge,
+    eta_at_least,
+    vertex_resources,
+)
+from santagap.two_values import r_c, reciprocal_sum
 
 EXHAUSTIVE_RESOURCE_CAP = 7
 # branch_and_bound_opt exhausts its tree when no bound stops it early.
@@ -552,6 +567,62 @@ def scan_r_c(c: int) -> int:
     raise AssertionError("unreachable: r = 1 gives a sum of c >= 1")
 
 
+@dataclass(frozen=True)
+class HarmonicSums:
+    A_r: Fraction
+    B_r: Fraction
+    C_r: Fraction
+
+
+@dataclass(frozen=True)
+class LimitConstants:
+    A_limit: float
+    B_limit: float
+    bound: float
+
+
+def check_obs_crc(c: int) -> dict[str, bool]:
+    """The three r_c observations, vacuously true below their thresholds:
+    (i) r_c >= c/4 for c >= 4, (ii) c >= 2 r_c + 1 for c >= 5,
+    (iii) c >= 2 r_c + 2 for c >= 10."""
+    r = r_c(c)
+    return {
+        "i": c < 4 or Fraction(r) >= Fraction(c, 4),
+        "ii": c < 5 or c >= 2 * r + 1,
+        "iii": c < 10 or c >= 2 * r + 2,
+    }
+
+
+def harmonic_number(n: int) -> Fraction:
+    return sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
+
+
+def harmonic_sums(r: int, c: int) -> HarmonicSums:
+    """The three exact partial sums A_r, B_r, C_r of the reciprocal sum.
+
+    A_r = H_{2r-1} - H_{ceil((3r-1)/2)-1} covers the first coefficient
+    range, B_r = 3(H_{floor(9r/2)-1} - H_{4r-2}) the second, and
+    C_r = 3(c-2r)/(4r-1) the constant tail (0 when c < 2r+1).
+    """
+    if r < 2:
+        raise ValueError("r must be >= 2")
+    A = harmonic_number(2 * r - 1) - harmonic_number(math.ceil(Fraction(3 * r - 1, 2)) - 1)
+    B = 3 * (harmonic_number((9 * r) // 2 - 1) - harmonic_number(4 * r - 2))
+    C = Fraction(3 * (c - 2 * r), 4 * r - 1) if c >= 2 * r + 1 else Fraction(0)
+    return HarmonicSums(A, B, C)
+
+
+def limit_constants() -> LimitConstants:
+    a = math.log(4 / 3)
+    b = 3 * math.log(9 / 8)
+    return LimitConstants(a, b, 10 / 3 - (4 / 3) * a - (4 / 3) * b)
+
+
+def limit_bound() -> float:
+    """10/3 - (4/3) ln(4/3) - 4 ln(9/8), the eps -> 0 gap bound (< 2.479)."""
+    return limit_constants().bound
+
+
 def has_edge(g: Graph, u, v) -> bool:
     """Whether ``u`` and ``v`` are vertices of ``g`` joined by an edge, read
     off ``g.masks``."""
@@ -603,6 +674,18 @@ def classify_all_deletions(g: Graph) -> tuple[Graph, list[DeStep]]:
                 break
         else:
             return g, steps
+
+
+def induced_hall_eta_check(graph: Graph, parts: dict) -> HallResult:
+    """``hall_eta_check`` building each J|U with ``Graph.induced`` from the
+    union of its parts' labels."""
+    names = sorted(parts)
+    for size in range(1, len(names) + 1):
+        for U in itertools.combinations(names, size):
+            sub = graph.induced({v for p in U for v in parts[p]})
+            if not eta_at_least(sub, len(U)):
+                return HallResult(False, U)
+    return HallResult(True, None)
 
 
 def basic_cover(seq: DeSequence) -> tuple[Graph, frozenset[str]]:

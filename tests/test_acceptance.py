@@ -27,6 +27,7 @@ from oracles import (
     has_edge,
     hypothesis_holds_basic,
     hypothesis_holds_refined,
+    limit_bound,
     neighbors,
 )
 from santagap import topology as tp
@@ -41,7 +42,7 @@ from santagap.lp_core import (
     fat_for_players,
     verify_dual,
 )
-from santagap.two_values import f_gap, limit_bound, r_c
+from santagap.two_values import f_gap, r_c
 
 RC_TABLE_1_30 = [
     1, 1, 1, 2, 2, 2, 3, 3, 4, 4, 4, 5, 5, 6, 6,

@@ -3,9 +3,14 @@ sorted tuples and re-index its adjacency masks; they, and the G-e and G*e
 that ``classify_edge`` returns, must equal the same graph built from
 scratch with ``Graph(...)``, and ``all_deletions`` must take the steps of
 the full-classification loop it replaced.  The eta cache is keyed on masks
-alone, so graphs that differ only in their labels share an entry;
+alone, so graphs that differ only in their labels share an entry; a graph
+keeps its key once read, and the key must be its masks packed from
+scratch however the graph was made, including the G-e that
+``classify_edge`` hands the key of G with two bits flipped.
 ``deletion_walk`` probes each G-e on the key of G with two bits flipped,
-and is memoized on the key of the graph it starts from."""
+and is memoized on the key of the graph it starts from.  ``hall_eta_check``
+restricts J to the union of its parts' position masks, and must agree with
+the check that built each J|U with ``induced``."""
 
 import itertools
 import random
@@ -13,14 +18,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import classify_all_deletions, neighbors
+from conftest import random_partite_graph
+from oracles import classify_all_deletions, induced_hall_eta_check, neighbors
 from santagap import graphs
 from santagap import topology as tp
-from santagap.allocation_graph import build_H, build_J, restrict
+from santagap.allocation_graph import MAlpha, build_H, build_J, restrict
 from santagap.graphs import Graph
 from santagap.instance import gen_two_value
 from santagap.subsets import CapError
-from santagap.topology import homology
+from santagap.topology import desequence, homology
 from santagap.two_values import PhaseXLedger, a_coeff
 
 
@@ -51,7 +57,18 @@ def _from_scratch(g: Graph, keep) -> Graph:
     )
 
 
+def assert_packed_key(g: Graph) -> None:
+    """The key ``g`` keeps, whether its maker set it or it is packed on this
+    read, is ``g.masks`` packed from scratch."""
+    want = homology._cache_key(g.masks)
+    assert g._eta_key in (None, want)
+    assert homology.graph_key(g) == want
+    assert g._eta_key == want
+
+
 def assert_same_graph(derived: Graph, fresh: Graph) -> None:
+    assert_packed_key(derived)
+    assert_packed_key(fresh)
     assert derived.masks == fresh.masks
     assert hash(derived) == hash(fresh)
     assert derived == fresh
@@ -104,8 +121,10 @@ def test_derived_graphs_equal_fresh_graphs(kind):
                 g.explode_edge((a, b)),
                 _from_scratch(g, [v for v in g.vertices if v not in gone]),
             )
-            # classify_edge hands on the two graphs whose eta it read
+            # classify_edge hands on the two graphs whose eta it read; G-e
+            # comes with the key of G, two bits flipped
             cls = tp.classify_edge(g, (b, a))
+            assert cls.deleted._eta_key is not None
             assert_same_graph(cls.deleted, g.delete_edge((a, b)))
             assert_same_graph(cls.exploded, g.explode_edge((a, b)))
         keep = [v for v in g.vertices if rng.random() < 0.6]
@@ -136,6 +155,148 @@ def test_chains_of_derived_graphs_equal_fresh_graphs(kind):
                 fresh = _from_scratch(g, keep)
                 g = g.induced(keep)
             assert_same_graph(g, fresh)
+
+
+@pytest.mark.parametrize("kind", ["str", "owner-resources"])
+def test_stored_keys_equal_packed_keys(kind):
+    """However a graph is made, from a parent whose key was read or not,
+    the key it keeps is its own masks packed from scratch."""
+    rng = random.Random(f"stored-keys-{kind}")
+    made = 0
+    for _ in range(120):
+        g = _random_labelled_graph(rng, kind)
+        if rng.random() < 0.5:
+            assert_packed_key(g)
+        derived = [g.induced(v for v in g.vertices if rng.random() < 0.7)]
+        for e in g.edges:
+            # made before classify_edge reads the key of G on the first edge
+            derived += [g.delete_edge(e), g.explode_edge(e)]
+            cls = tp.classify_edge(g, e)
+            assert cls.deleted._eta_key == homology._cache_key(cls.deleted.masks)
+            derived += [cls.deleted, cls.exploded]
+        parent = g._eta_key
+        for h in derived:
+            assert_packed_key(h)
+            # a key read on a child leaves the parent's alone (a
+            # restriction to every vertex is the parent itself)
+            assert h is g or g._eta_key == parent
+        made += len(derived)
+    assert made > 1000
+
+
+def test_allocation_graphs_and_walk_ends_keep_packed_keys():
+    """H and J (``Graph._derived`` in build_H and build_J), J restricted to
+    each player set (``induced``) and the end of ``all_deletions``
+    (``Graph._derived`` on the walk's masks)."""
+    rng = random.Random("allocation-keys")
+    checked = 0
+    for _ in range(30):
+        inst = gen_two_value(
+            rng.randint(2, 3),
+            rng.choice((Fraction(1, 4), Fraction(1, 5))),
+            {"num_fat": 1, "num_thin": rng.randint(3, 5), "density": 0.8},
+            rng.randrange(2**32),
+        )
+        h = build_H(inst, Fraction(1), Fraction(1, 2))
+        j = build_J(h)
+        made = [h.graph, j.graph]
+        for size in range(1, len(inst.players) + 1):
+            for U in itertools.combinations(inst.players, size):
+                made.append(restrict(j, set(U)).graph)
+        if len(j.graph.vertices) <= 12:
+            made.append(tp.all_deletions(j.graph)[0])
+        for g in made:
+            assert_packed_key(g)
+        checked += len(made)
+    assert checked > 100
+
+
+def _checked_eta(monkeypatch) -> dict:
+    """Wrap the eta that ``classify_edge`` and ``execute_sequence`` read:
+    each graph's kept key must be its packed masks, before and after the
+    call, and each value that of ``homology_profile``.  Returns the count
+    of graphs read that came with a key."""
+    counts = {"keyed": 0}
+    profiled: dict = {}
+    real = desequence.eta
+
+    def checked(g):
+        want = homology._cache_key(g.masks)
+        assert g._eta_key in (None, want)
+        counts["keyed"] += g._eta_key is not None
+        value = real(g)
+        assert g._eta_key == want
+        if want not in profiled:
+            profiled[want] = tp.eta_from_profile(tp.homology_profile(g))
+        assert value == profiled[want]
+        return value
+
+    monkeypatch.setattr(desequence, "eta", checked)
+    return counts
+
+
+def test_stored_keys_hold_along_search_deletions_and_phase_4(monkeypatch):
+    """The DE search's deletion branch and phase 4 of the four-phase
+    driver, which no benchmark workload reaches: edgeless searches from a
+    5-cycle, the Petersen graph and seeded thin graphs take deletions, and
+    the two m = 0 runs of ``test_topology`` dismantle their thin graphs in
+    phase 4.  Every graph eta reads keeps its packed key, and every found
+    sequence replays to the end graph the search returned."""
+    counts = _checked_eta(monkeypatch)
+    five_cycle = Graph(range(5), [(i, (i + 1) % 5) for i in range(5)])
+    starts = [five_cycle, _petersen()] + _thin_graphs(random.Random("search-keys"), 40)
+    with_deletions = 0
+    for g in starts:
+        out = tp.search_de_sequence(g, "edgeless", budget=400)
+        if not out.found:
+            continue
+        replay = tp.execute_sequence(g, out.sequence)
+        assert replay.valid and replay.final == out.end and not out.end.edges
+        with_deletions += any(s.op == tp.DELETE for s in out.sequence.steps)
+    assert with_deletions >= 3
+    for num_thin, seed in ((6, 22), (5, 0)):
+        inst = gen_two_value(
+            2, Fraction(1, 5), {"num_fat": 1, "num_thin": num_thin, "density": 0.8}, seed
+        )
+        j = build_J(build_H(inst, Fraction(1), Fraction(1, 2)))
+        res = tp.four_phase_driver(
+            inst, j, MAlpha(Fraction(0)), search_budget=400, step_budget=400
+        )
+        assert (res.outcome, res.phase_reached) == ("edgeless", 4)
+        assert res.ledger.entries[4][0] >= 1
+        replay = tp.execute_sequence(j.graph, res.sequence)
+        assert replay.valid and replay.final == res.final
+    assert counts["keyed"] > 100
+    tp.clear_eta_cache()
+
+
+def test_hall_check_on_part_masks_matches_the_induced_check():
+    """Parts that list labels the graph lacks, empty parts and seeded thin
+    graphs: the same result, and the same first violating set."""
+    rng = random.Random("hall-masks")
+    seen = {True: 0, False: 0}
+    for _ in range(150):
+        g, parts = random_partite_graph(rng, max_parts=5)
+        if rng.random() < 0.3:
+            parts["stranger"] = ("zz",) + parts[rng.choice(sorted(parts))]
+        if rng.random() < 0.1:
+            parts["empty"] = ()
+        got = tp.hall_eta_check(g, parts)
+        assert got == induced_hall_eta_check(g, parts)
+        seen[got.holds] += 1
+    for _ in range(20):
+        inst = gen_two_value(
+            rng.randint(2, 3),
+            Fraction(1, 4),
+            {"num_fat": 1, "num_thin": rng.randint(3, 5), "density": 0.8},
+            rng.randrange(2**32),
+        )
+        j = build_J(build_H(inst, Fraction(1), Fraction(1, 2)))
+        if len(j.graph.vertices) <= 16:
+            got = tp.hall_eta_check(j.graph, j.parts)
+            assert got == induced_hall_eta_check(j.graph, j.parts)
+            seen[got.holds] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def _cold_and_warm_deletions(g: Graph) -> list:

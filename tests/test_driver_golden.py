@@ -11,6 +11,7 @@ Regenerate (only when an output is meant to change, and say so):
 
 import json
 import os
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -129,6 +130,61 @@ def test_every_eta_the_drivers_read_through_desequence_is_a_classification(monke
     driver_outputs()
     assert calls["classify_edge"] > 0
     assert calls["eta"] == 3 * calls["classify_edge"], calls
+
+
+def _four_phase_shape_runs(count: int):
+    """``four_phase_driver`` on seeded thin graphs of the benchmark's
+    four-phase shape: J at T = 1, alpha = 1/2 of (1, 1/4) and (1, 1/5)
+    instances with 2-3 players that are CLP(1)-feasible, have m > 0 and at
+    most 12 thin vertices."""
+    rng = random.Random("four-phase-shape")
+    target, alpha = Fraction(1), Fraction(1, 2)
+    ran = 0
+    while ran < count:
+        inst = gen_two_value(
+            rng.randint(2, 3),
+            rng.choice((Fraction(1, 4), Fraction(1, 5))),
+            {
+                "num_fat": rng.randint(1, 2),
+                "num_thin": rng.randint(3, 5),
+                "density": rng.choice((0.6, 0.8, 1.0)),
+            },
+            rng.randrange(2**32),
+        )
+        m = compute_m(inst, target, alpha)
+        if m.m == 0:
+            continue
+        thin = build_J(build_H(inst, target, alpha))
+        if len(thin.graph.vertices) > 12 or not lp_core.clp_feasible(inst, target).feasible:
+            continue
+        topology.four_phase_driver(inst, thin, m, search_budget=400, step_budget=400)
+        ran += 1
+
+
+def test_drain_cheap_ko_searches_start_at_finite_eta_and_find_nothing(monkeypatch):
+    """``drain_cheap`` searches for a KO-sequence only once ``all_deletions``
+    has found no deletable edge, so eta(G) is finite there; eta does not
+    rise along legal steps, and a KO end has eta infinity, so no such
+    search can succeed.  On the golden runs and on seeded graphs of the
+    benchmark's four-phase shape, every KO search the driver starts sees a
+    graph of finite eta (by ``homology_profile``) and finds nothing."""
+    searched = []
+    search = drivers.search_de_sequence
+
+    def recorded(g, objective, **kw):
+        out = search(g, objective, **kw)
+        if objective == "ko":
+            value = topology.eta_from_profile(topology.homology_profile(g))
+            searched.append((value, out.found))
+        return out
+
+    monkeypatch.setattr(drivers, "search_de_sequence", recorded)
+    driver_outputs()
+    golden = len(searched)
+    _four_phase_shape_runs(80)
+    assert golden > 0 and len(searched) > golden + 40
+    assert all(value < topology.INF and not found for value, found in searched)
+    topology.clear_eta_cache()
 
 
 if __name__ == "__main__":

@@ -4,18 +4,21 @@ from fractions import Fraction
 import pytest
 
 from santagap import two_values
-from oracles import branch_and_bound_opt, scan_r_c
+from oracles import (
+    branch_and_bound_opt,
+    check_obs_crc,
+    harmonic_sums,
+    limit_bound,
+    limit_constants,
+    scan_r_c,
+)
 from santagap.instance import Instance, InstanceError, parse_instance
 from santagap.lp_core import clp_feasible, compute_t_star
 from santagap.subsets import CapError
 from santagap.two_values import (
     a_coeff,
     analyze_two_value,
-    check_obs_crc,
     f_gap,
-    harmonic_sums,
-    limit_bound,
-    limit_constants,
     r_c,
     rc_table,
     reciprocal_sum,
