@@ -42,7 +42,6 @@ from .allocation_graph import (
     compute_fat,
     compute_m,
     find_independent_transversal,
-    restrict,
 )
 from .gap_report import (
     CoefficientCertificate,
@@ -98,7 +97,6 @@ __all__ = [
     "parse_instance_json",
     "r_c",
     "rc_table",
-    "restrict",
     "run_gap_experiment",
     "two_value_driver",
     "verify_convex_combination",

@@ -6,7 +6,8 @@ one is a vertex of H as it is, the pair (owner, sorted resources) from
 two distinct vertices.  Edges join intersecting hyperedges of distinct
 owners.  A fat vertex is a single resource worth alpha*T; each fat
 resource induces a clique component, and J is H with those components
-removed.  J, ``restrict`` and the transversals keep H's vertex objects.
+removed.  J, its restrictions J|U (``topology.player_sets``) and the
+transversals keep H's vertex objects.
 """
 
 from __future__ import annotations
@@ -42,16 +43,16 @@ class AllocationGraph:
     parts: dict[str, tuple[Configuration, ...]]
     graph: Graph
 
-    @property
-    def players(self) -> tuple[str, ...]:
-        return tuple(self.parts)
-
     def vertex_count(self) -> int:
         return len(self.graph.vertices)
 
 
 def alpha_threshold(alpha: Fraction, target: Fraction) -> Fraction:
-    return Fraction(alpha) * Fraction(target)
+    """alpha*T, which must be positive."""
+    threshold = Fraction(alpha) * Fraction(target)
+    if threshold <= 0:
+        raise AllocationGraphError("alpha*T must be positive")
+    return threshold
 
 
 def compute_fat(inst: Instance, target: Fraction, alpha: Fraction) -> frozenset[str]:
@@ -70,8 +71,6 @@ def compute_m(inst: Instance, target: Fraction, alpha: Fraction) -> MAlpha:
     short of alpha*T exactly when it is below ``Instance.int_threshold``.
     """
     threshold = alpha_threshold(alpha, target)
-    if threshold <= 0:
-        raise AllocationGraphError("alpha*T must be positive")
     sums = int_subset_sums(inst)
     below = bisect.bisect_left(sums, inst.int_threshold(threshold))
     return MAlpha(Fraction(sums[below - 1], inst.scale) if below else Fraction(0))
@@ -80,8 +79,6 @@ def compute_m(inst: Instance, target: Fraction, alpha: Fraction) -> MAlpha:
 def build_H(inst: Instance, target: Fraction, alpha: Fraction) -> AllocationGraph:
     """The |P|-partite allocation graph on all alpha-hyperedge vertices."""
     threshold = alpha_threshold(alpha, target)
-    if threshold <= 0:
-        raise AllocationGraphError("alpha*T must be positive")
     parts = {p: tuple(minimal_configurations(inst, p, threshold)) for p in inst.players}
     vertices = tuple(sorted(v for vs in parts.values() for v in vs))
     graph = Graph._derived(vertices, tuple(_holder_masks(vertices)))
@@ -104,17 +101,6 @@ def build_J(h: AllocationGraph) -> AllocationGraph:
     vertices = tuple(filter(thin, h.graph.vertices))
     graph = Graph._derived(vertices, tuple(_holder_masks(vertices)))
     return AllocationGraph(h.alpha, h.target, parts, graph)
-
-
-def restrict(g: AllocationGraph, U) -> AllocationGraph:
-    """Induced subgraph on the parts indexed by U (kept even when empty)."""
-    U = set(U)
-    unknown = U - set(g.parts)
-    if unknown:
-        raise AllocationGraphError(f"unknown players {sorted(unknown)}")
-    parts = {p: vs for p, vs in g.parts.items() if p in U}
-    keep = [v for vs in parts.values() for v in vs]
-    return AllocationGraph(g.alpha, g.target, parts, g.graph.induced(keep))
 
 
 def _holder_masks(vertices: tuple[Configuration, ...]) -> list[int]:

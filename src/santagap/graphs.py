@@ -11,25 +11,22 @@ is adjacent to vertex j.  ``Graph(...)`` sorts its input, refuses equal
 labels and checks every edge.  ``Graph._derived`` takes sorted labels
 and masks that its caller built valid (``allocation_graph.build_H`` and
 ``build_J``, ``topology.all_deletions``) and checks nothing.  The
-subgraphs of a checked graph (``delete_edge``, ``explode_edge``,
-``induced``) are made by it too: they only clear bits or re-index the
-masks (``restrict_masks``), and reuse the parent's label tuples.
-Equality and hash are over labels and masks; code that needs only the
-structure (the eta cache) reads ``masks`` alone.
+subgraphs of a checked graph are made from vertex positions: G-e
+(``_without_edge``) clears two bits, and G*e (``_exploded_at``) and J|U
+(``_restrict`` on a mask of ``_positions``) re-index the masks as
+``restrict_masks`` does; all reuse the parent's labels.  Equality and hash
+are over labels and masks; code that needs only the structure (the eta
+cache) reads ``masks`` alone.
 
 A graph also keeps its packed eta cache key once it is read
 (``homology.graph_key``); homology owns the key's layout, and a graph
-made here starts without one.  ``_without_edge`` and ``_exploded_at``
-derive G-e and G*e from the positions of the edge's ends, and
-``delete_edge``/``explode_edge`` find those positions and call them, as
-``topology.classify_edge`` does after its one lookup.  G-e takes a key
-when its caller knows one: ``classify_edge`` hands it G's key with the
-edge's two bits flipped, so the G-e it makes never packs its own.
+made here starts without one.  ``topology.classify_edge`` looks its edge
+up once (``_ends``) and derives G-e and G*e from the two positions; it
+hands G-e the key of G with the edge's two bits flipped, so the G-e it
+makes never packs its own.
 
-``edges`` is read off the masks on first use and kept: row i, then its
-later neighbours j ascending, each edge once as (vertices[i],
-vertices[j]).  So code may walk the edges off ``masks`` and use the
-count as an index into ``edges`` (``homology.deletion_walk`` does).
+``edges`` is read off the masks on first use and kept, each edge once as
+(vertices[i], vertices[j]) in the order of ``edge_positions``.
 """
 
 from __future__ import annotations
@@ -122,36 +119,21 @@ class Graph:
             raise GraphError(f"edge {e!r} not present")
         return (i, j) if i < j else (j, i)
 
-    def normalize_edge(self, e: Iterable[Vertex]) -> tuple[Vertex, Vertex]:
-        i, j = self._ends(e)
-        return (self.vertices[i], self.vertices[j])
-
     # -- derived graphs -----------------------------------------------------
 
-    def delete_edge(self, e: Iterable[Vertex]) -> "Graph":
-        """Remove the edge but keep both end vertices."""
-        return self._without_edge(*self._ends(e))
-
-    def explode_edge(self, e: Iterable[Vertex]) -> "Graph":
-        """Remove both endpoints and all of their neighbors."""
-        return self._exploded_at(*self._ends(e))
-
-    def _without_edge(self, i: int, j: int, key: int | None = None) -> "Graph":
-        """G-e for the edge at positions i and j; ``key`` is its eta cache
-        key when the caller knows it."""
+    def _without_edge(self, i: int, j: int, key: int) -> "Graph":
+        """G-e for the edge at positions i and j, whose eta cache key is
+        ``key``: the edge is removed and both ends are kept."""
         masks = list(self.masks)
         masks[i] ^= 1 << j
         masks[j] ^= 1 << i
         return Graph._derived(self.vertices, tuple(masks), self._index, key)
 
     def _exploded_at(self, i: int, j: int) -> "Graph":
-        """G*e for the edge at positions i and j."""
+        """G*e for the edge at positions i and j: both ends and all of their
+        neighbours are removed."""
         gone = self.masks[i] | self.masks[j]  # holds i and j, which are adjacent
         return self._restrict(((1 << len(self.vertices)) - 1) & ~gone)
-
-    def induced(self, keep: Iterable[Vertex]) -> "Graph":
-        """The subgraph on the vertices of ``keep`` that this graph has."""
-        return self._restrict(self._positions(keep))
 
     def _positions(self, labels: Iterable[Vertex]) -> int:
         """The mask of the positions of the labels this graph has."""
@@ -166,9 +148,10 @@ class Graph:
         """The subgraph on the vertex positions set in ``kept``."""
         if kept == (1 << len(self.masks)) - 1:
             return self
-        vs = self.vertices
+        new = {v: i for i, v in enumerate(_bits(kept))}  # old position -> new
         return Graph._derived(
-            tuple(vs[i] for i in _bits(kept)), tuple(restrict_masks(self.masks, kept))
+            tuple(map(self.vertices.__getitem__, new)),
+            tuple(_reindexed(self.masks, kept, new)),
         )
 
     # -- identity -----------------------------------------------------------
@@ -190,17 +173,20 @@ class Graph:
         return f"Graph({len(self.vertices)} vertices, {edges} edges)"
 
 
-def _mask_order_edges(vertices: tuple, masks) -> tuple[Edge, ...]:
-    """Each edge once, in mask order: row i, then its later neighbours j
-    ascending, as (vertices[i], vertices[j])."""
-    pairs = []
+def edge_positions(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The positions (i, j), i < j, of each edge once, in mask order: row
+    i, then its later neighbours j ascending."""
     for i, m in enumerate(masks):
         later = m >> (i + 1)
         while later:
             low = later & -later
-            pairs.append((vertices[i], vertices[i + low.bit_length()]))
+            yield i, i + low.bit_length()
             later ^= low
-    return tuple(pairs)
+
+
+def _mask_order_edges(vertices: tuple, masks) -> tuple[Edge, ...]:
+    """Each edge once, in mask order, as (vertices[i], vertices[j])."""
+    return tuple((vertices[i], vertices[j]) for i, j in edge_positions(masks))
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -214,7 +200,11 @@ def _bits(mask: int) -> Iterator[int]:
 def restrict_masks(masks: Sequence[int], kept: int) -> list[int]:
     """The masks of the subgraph on the positions set in ``kept``, each
     re-indexed so that the kept positions count from 0 in order."""
-    new = {v: i for i, v in enumerate(_bits(kept))}  # old position -> new
+    return _reindexed(masks, kept, {v: i for i, v in enumerate(_bits(kept))})
+
+
+def _reindexed(masks: Sequence[int], kept: int, new: dict[int, int]) -> list[int]:
+    """``restrict_masks`` given ``new``, each kept position -> its rank."""
     out = []
     for v in new:
         m = masks[v] & kept

@@ -149,10 +149,10 @@ def execute_sequence(start: Graph, seq: DeSequence) -> ExecutionResult:
     ell = 0
     for i, step in enumerate(seq.steps):
         try:
-            edge = g.normalize_edge(step.edge)
+            cls = classify_edge(g, step.edge)
         except (GraphError, TypeError):  # an absent edge or an unhashable label
             return ExecutionResult(g, False, ell, False, i)
-        after = classify_edge(g, edge).after(step.op)
+        after = cls.after(step.op)
         if after is None:
             return ExecutionResult(g, False, ell, False, i)
         g = after

@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from typing import Iterator
 
 from ..allocation_graph import AllocationGraph, MAlpha
 from ..graphs import Graph
@@ -41,25 +42,32 @@ class HallResult:
     violating_U: tuple | None
 
 
-def hall_eta_check(graph: Graph, parts: dict) -> HallResult:
-    """Check eta(J restricted to U) >= |U| for every nonempty part set U.
+def player_sets(graph: Graph, parts: dict, names) -> Iterator[tuple[tuple, Graph]]:
+    """(U, J|U) for every nonempty U of ``names``, by size and then in
+    ``itertools.combinations`` order.
 
     Each part is read once, as the mask of the positions in ``graph`` of
-    its vertices (labels the graph lacks are skipped, as ``induced``
-    skips them), and J restricted to U is the subgraph on the union of
-    its parts' masks.
+    its vertices (labels the graph lacks are skipped), and J|U is the
+    subgraph on the union of the masks of U's parts.
     """
-    names = sorted(parts)
-    if len(names) > DEFAULT_HALL_PART_CAP:
-        raise CapError(f"{len(names)} parts exceeds cap {DEFAULT_HALL_PART_CAP}")
     held = {p: graph._positions(parts[p]) for p in names}
-    for size in range(1, len(names) + 1):
-        for U in itertools.combinations(names, size):
+    for size in range(1, len(held) + 1):
+        for U in itertools.combinations(held, size):
             kept = 0
             for p in U:
                 kept |= held[p]
-            if not eta_at_least(graph._restrict(kept), len(U)):
-                return HallResult(False, U)
+            yield U, graph._restrict(kept)
+
+
+def hall_eta_check(graph: Graph, parts: dict) -> HallResult:
+    """Check eta(J|U) >= |U| for every nonempty part set U, the sets taken
+    from ``player_sets`` over the sorted part names."""
+    names = sorted(parts)
+    if len(names) > DEFAULT_HALL_PART_CAP:
+        raise CapError(f"{len(names)} parts exceeds cap {DEFAULT_HALL_PART_CAP}")
+    for U, sub in player_sets(graph, parts, names):
+        if not eta_at_least(sub, len(U)):
+            return HallResult(False, U)
     return HallResult(True, None)
 
 

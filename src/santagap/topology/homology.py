@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from ..graphs import Graph, restrict_masks
+from ..graphs import Graph, edge_positions, restrict_masks
 from ..subsets import CapError
 
 INF = math.inf
@@ -320,8 +320,8 @@ def deletion_walk(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
     Each step deletes the first edge e in the order of ``g.edges`` with
     eta(G-e) <= eta(G), then rescans from the first edge; the walk stops
-    when no edge qualifies.  The edges are walked straight off the masks
-    in mask order, the order in which ``g.edges`` lists them, so the walk
+    when no edge qualifies.  The edges are listed by
+    ``graphs.edge_positions``, which orders ``g.edges`` too, so the walk
     never reads ``g.edges``.  Each G-e is looked up on the key of G with
     its two bits flipped; a miss is computed on flipped masks and
     remembered, in the same order as eta calls on each G-e would
@@ -337,14 +337,8 @@ def deletion_walk(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     start = key
     before = _cached_eta(key, masks)
     n = len(masks)
-    edges = []  # (bits of the edge in the key, i, j), in the order of g.edges
-    for i, m in enumerate(masks):
-        later = m >> (i + 1)
-        while later:
-            low = later & -later
-            j = i + low.bit_length()
-            edges.append((edge_bits(n, i, j), i, j))
-            later ^= low
+    # (bits of the edge in the key, i, j), in the order of g.edges
+    edges = [(edge_bits(n, i, j), i, j) for i, j in edge_positions(masks)]
     adj = list(masks)
     deleted = []
     k = 0

@@ -15,7 +15,6 @@ The resulting integrality-gap bound is f(x) = 1/(x * r_ceil(1/x)).
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,13 +25,12 @@ from .allocation_graph import (
     build_J,
     compute_fat,
     find_independent_transversal,
-    restrict,
     transversal_to_allocation,
 )
 from .instance import Instance, InstanceError
 from .lp_core import build_dual, fat_for_players, verify_dual
 from .subsets import CapError
-from .topology import CoverLedger, all_deletions, is_gamma, search_de_sequence
+from .topology import CoverLedger, all_deletions, is_gamma, player_sets, search_de_sequence
 
 # two_value_driver certifies every nonempty player subset, 2^players - 1.
 DEFAULT_DRIVER_PLAYER_CAP = 6
@@ -214,9 +212,8 @@ def two_value_driver(
     thin_pools = ((p, inst.covets[p] - fat) for p in inst.players)
     pools = {p: pool for p, pool in thin_pools if inst.value(pool) >= target}
     per_U = {
-        U: _certify_subset(inst, J, U, fat, pools, target, eps, c, r, search_budget)
-        for size in range(1, len(inst.players) + 1)
-        for U in itertools.combinations(inst.players, size)
+        U: _certify_subset(inst, sub, U, fat, pools, target, eps, c, r, search_budget)
+        for U, sub in player_sets(J.graph, J.parts, inst.players)
     }
     if not all(info["certified"] for info in per_U.values()):
         return TwoValueResult("inconclusive", alpha, r, c, None, per_U)
@@ -236,8 +233,8 @@ def _based_in(owner: str, based: frozenset[str], edge: tuple) -> bool:
     return any(v.owner == owner and based.issuperset(v.resources) for v in edge)
 
 
-def _certify_subset(inst, J, U, fat, pools, target, eps, c, r, search_budget):
-    g = restrict(J, U).graph
+def _certify_subset(inst, g, U, fat, pools, target, eps, c, r, search_budget):
+    """Certify U on g = J|U."""
     f_u = fat_for_players(inst, U, fat)
     need = len(U) - len(f_u)
     ledger = PhaseXLedger()

@@ -36,10 +36,13 @@ capped-value dual at one target, which ``lp_core.capped_value_bound``
 replaced with a closed form over all targets.  ``fat_count_dual`` builds
 the dual that
 ``lp_core.fat_count_violation`` prices by counts, from its definition on
-``Fraction`` values.  ``classify_all_deletions`` is the
-``all_deletions`` loop that classified every edge in full and rebuilt
-each smaller graph with ``Graph(...)``, and ``induced_hall_eta_check`` the
-``hall_eta_check`` that built each J|U with ``Graph.induced``.
+``Fraction`` values.  ``induced``, ``delete_edge`` and ``explode_edge``
+build J|U, G-e and G*e from scratch with ``Graph(...)``, from the
+parent's labels and edge list, for the graphs ``player_sets`` and
+``classify_edge`` derive from vertex positions.  ``classify_all_deletions``
+is the ``all_deletions`` loop that classified every edge in full and
+rebuilt each smaller graph, and ``induced_hall_eta_check`` the
+``hall_eta_check`` that built each J|U by ``induced``.
 ``basic_cover`` replays a DE-sequence for the end graph
 and basic cover that ``search_de_sequence`` returns with a found one.
 ``independence_complex`` lists the facets of Ind(G), the maximal
@@ -58,7 +61,7 @@ from operator import add
 
 from santagap import allocation_graph
 from santagap.allocation_graph import AllocationGraph, alpha_threshold
-from santagap.graphs import Graph
+from santagap.graphs import Graph, GraphError
 from santagap.instance import Allocation, Instance, OptResult
 from santagap.lp_core import (
     Configuration,
@@ -662,6 +665,37 @@ def backtrack_transversal(g: AllocationGraph) -> dict[str, Configuration] | None
     return {v.owner: v for v in chosen}
 
 
+def induced(g: Graph, keep) -> Graph:
+    """The subgraph of ``g`` on the labels of ``keep`` that it has."""
+    keep = set(keep)
+    return Graph(
+        [v for v in g.vertices if v in keep],
+        [(u, v) for u, v in g.edges if u in keep and v in keep],
+    )
+
+
+def _edge_of(g: Graph, e) -> tuple:
+    """``g``'s own pair for the edge ``e``, given in either orientation."""
+    u, v = e
+    for pair in ((u, v), (v, u)):
+        if pair in g.edges:
+            return pair
+    raise GraphError(f"edge {e!r} not present")
+
+
+def delete_edge(g: Graph, e) -> Graph:
+    """G-e: the edge removed, both ends kept."""
+    edge = _edge_of(g, e)
+    return Graph(g.vertices, [f for f in g.edges if f != edge])
+
+
+def explode_edge(g: Graph, e) -> Graph:
+    """G*e: both ends of the edge and all of their neighbours removed."""
+    u, v = _edge_of(g, e)
+    gone = {u, v} | neighbors(g, u) | neighbors(g, v)
+    return induced(g, [w for w in g.vertices if w not in gone])
+
+
 def classify_all_deletions(g: Graph) -> tuple[Graph, list[DeStep]]:
     """Delete the first edge that ``classify_edge`` calls deletable, in edge
     order, until none is; each smaller graph is built from scratch."""
@@ -670,19 +704,19 @@ def classify_all_deletions(g: Graph) -> tuple[Graph, list[DeStep]]:
         for edge in g.edges:
             if classify_edge(g, edge).deletable:
                 steps.append(DeStep(DELETE, edge))
-                g = Graph(g.vertices, [e for e in g.edges if e != edge])
+                g = delete_edge(g, edge)
                 break
         else:
             return g, steps
 
 
 def induced_hall_eta_check(graph: Graph, parts: dict) -> HallResult:
-    """``hall_eta_check`` building each J|U with ``Graph.induced`` from the
-    union of its parts' labels."""
+    """``hall_eta_check`` building each J|U by ``induced`` from the union of
+    its parts' labels."""
     names = sorted(parts)
     for size in range(1, len(names) + 1):
         for U in itertools.combinations(names, size):
-            sub = graph.induced({v for p in U for v in parts[p]})
+            sub = induced(graph, {v for p in U for v in parts[p]})
             if not eta_at_least(sub, len(U)):
                 return HallResult(False, U)
     return HallResult(True, None)
@@ -694,13 +728,12 @@ def basic_cover(seq: DeSequence) -> tuple[Graph, frozenset[str]]:
     g = seq.start
     cover: set[str] = set()
     for step in seq.steps:
-        edge = g.normalize_edge(step.edge)
         if step.op == EXPLODE:
-            u, v = edge
+            u, v = step.edge
             cover |= vertex_resources(u) | vertex_resources(v)
-            g = g.explode_edge(edge)
+            g = explode_edge(g, step.edge)
         else:
-            g = g.delete_edge(edge)
+            g = delete_edge(g, step.edge)
     return g, frozenset(cover)
 
 

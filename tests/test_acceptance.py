@@ -24,6 +24,7 @@ from conftest import (
 )
 from oracles import (
     branch_and_bound_opt,
+    delete_edge,
     has_edge,
     hypothesis_holds_basic,
     hypothesis_holds_refined,
@@ -283,7 +284,7 @@ def test_criterion_09_c5_trace_replay():
     # both C5 deletions classify as deletable (and not explodable)
     first = tp.classify_edge(g, (0, 1))
     assert first.deletable and not first.explodable
-    p5 = g.delete_edge((0, 1))
+    p5 = delete_edge(g, (0, 1))
     second = tp.classify_edge(p5, (2, 3))
     assert second.deletable and not second.explodable
     steps = (tp.DeStep(tp.DELETE, (0, 1)), tp.DeStep(tp.DELETE, (2, 3)))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_small_instance
-from oracles import backtrack_transversal, has_edge, neighbors, pairwise_build_H
+from oracles import backtrack_transversal, has_edge, induced, neighbors, pairwise_build_H
 from santagap import allocation_graph, graphs, subsets
 from santagap.allocation_graph import (
     AllocationGraphError,
@@ -15,7 +15,6 @@ from santagap.allocation_graph import (
     compute_fat,
     compute_m,
     find_independent_transversal,
-    restrict,
     transversal_to_allocation,
 )
 from santagap.instance import gen_random, gen_two_value, parse_instance
@@ -26,6 +25,7 @@ from santagap.lp_core import (
     minimal_configurations,
 )
 from santagap.subsets import CapError
+from santagap.topology import player_sets
 
 
 THREE_PLAYER_PATH = """\
@@ -85,7 +85,7 @@ def test_hyperedge_minimality_scan():
                     assert inst.resources[next(iter(he.resources))] >= threshold
 
 
-# -- H / J / restrict ---------------------------------------------------------
+# -- H / J / J|U --------------------------------------------------------------
 
 def test_build_H_shared_fat_resource():
     inst = parse_instance("players p1 p2\nresource f 1\ncovets p1 f\ncovets p2 f\n")
@@ -155,32 +155,38 @@ def test_build_H_is_the_pairwise_construction():
     assert edges > 1000
 
 
-def test_J_and_restrict_are_induced_subgraphs_of_H():
+def test_J_and_player_sets_are_induced_subgraphs_of_H():
     """J builds its masks as H does, on the thin vertices, and keeps H's
-    edge pairs; it and ``restrict`` are each H's induced subgraph on their
-    vertices, with the same vertices, masks and edge order."""
+    edge pairs; it and every H|U and J|U that ``player_sets`` yields are
+    each H's induced subgraph on the vertices of their parts, built from
+    scratch, with the same vertices, masks and edge order.  On the
+    three-player path at alpha*T = 1, H|{p1, p3} has no edge."""
     thin = 0
     for inst in _seeded_instances():
         for alpha in (Fraction(1, 3), Fraction(1, 2), Fraction(1)):
             h = build_H(inst, Fraction(1), alpha)
             j = build_J(h)
-            for g, parts in (
-                (j, j.parts),
-                (restrict(h, inst.players[1:]), {p: h.parts[p] for p in inst.players[1:]}),
-                (restrict(j, inst.players[:2]), {p: j.parts[p] for p in inst.players[:2]}),
-            ):
-                want = h.graph.induced(v for vs in parts.values() for v in vs)
-                assert g.parts == parts
-                assert g.graph.vertices == want.vertices
-                assert g.graph.masks == want.masks
-                assert g.graph.edges == want.edges
+            made = [(j.graph, j.parts.values())]
+            for g in (h, j):
+                for U, sub in player_sets(g.graph, g.parts, inst.players):
+                    made.append((sub, [g.parts[p] for p in U]))
+            for sub, parts in made:
+                want = induced(h.graph, (v for vs in parts for v in vs))
+                assert sub.vertices == want.vertices
+                assert sub.masks == want.masks
+                assert sub.edges == want.edges
             thin += len(j.graph.edges)
     assert thin > 200
+    inst = parse_instance(THREE_PLAYER_PATH)
+    h = build_H(inst, Fraction(1), Fraction(1))
+    subs = dict(player_sets(h.graph, h.parts, inst.players))
+    assert subs["p1", "p2"].edges and subs["p2", "p3"].edges
+    assert not subs["p1", "p3"].edges  # ab and cd are disjoint
 
 
 def test_H_vertices_are_the_enumerated_configurations():
     """H's parts are ``minimal_configurations`` at alpha*T, as returned and in
-    order; J, ``restrict`` and a transversal keep those very objects."""
+    order; J, an H|U and a transversal keep those very objects."""
     picked = 0
     for inst in _seeded_instances():
         for alpha in (Fraction(1, 2), Fraction(1)):
@@ -189,8 +195,10 @@ def test_H_vertices_are_the_enumerated_configurations():
             for p in inst.players:
                 assert h.parts[p] == tuple(minimal_configurations(inst, p, alpha))
             owned = {id(v) for vs in h.parts.values() for v in vs}
-            kept = (build_J(h), restrict(h, inst.players[:1]))
-            assert all(id(v) in owned for g in kept for vs in g.parts.values() for v in vs)
+            j = build_J(h)
+            assert all(id(v) in owned for vs in j.parts.values() for v in vs)
+            kept = [j.graph, *(g for _, g in player_sets(h.graph, h.parts, inst.players[:1]))]
+            assert all(id(v) in owned for g in kept for v in g.vertices)
             trans = find_independent_transversal(h) or {}
             for p, v in trans.items():
                 assert v in h.parts[p] and id(v) in owned
@@ -251,14 +259,18 @@ def test_build_H_edge_cap_is_exact(monkeypatch):
             construction(inst, Fraction(1), Fraction(1, 2))
 
 
-def test_restrict_keeps_named_parts():
+@pytest.mark.parametrize(
+    "alpha, target",
+    [(Fraction(0), Fraction(1)), (Fraction(-1, 2), Fraction(1)), (Fraction(1, 2), Fraction(0))],
+    ids=["alpha-0", "alpha-negative", "target-0"],
+)
+def test_every_reader_of_alpha_T_refuses_a_non_positive_one(alpha, target):
+    """``alpha_threshold`` checks alpha*T for compute_m, build_H and
+    compute_fat alike."""
     inst = parse_instance(THREE_PLAYER_PATH)
-    h = build_H(inst, Fraction(1), Fraction(1))
-    sub = restrict(h, {"p1", "p3"})
-    assert set(sub.parts) == {"p1", "p3"}
-    assert not sub.graph.edges  # ab and cd are disjoint
-    with pytest.raises(AllocationGraphError):
-        restrict(h, {"p9"})
+    for read in (compute_m, build_H, compute_fat):
+        with pytest.raises(AllocationGraphError, match=r"^alpha\*T must be positive$"):
+            read(inst, target, alpha)
 
 
 def test_compute_fat():
@@ -363,7 +375,7 @@ def test_transversal_three_player_path_impossible():
     inst = parse_instance(THREE_PLAYER_PATH)
     h = build_H(inst, Fraction(1), Fraction(1))
     # brute force oracle over all 1x1x1 selections
-    combos = list(itertools.product(*(h.parts[p] for p in h.players)))
+    combos = list(itertools.product(*h.parts.values()))
     assert all(
         any(has_edge(h.graph, u, v) for u, v in itertools.combinations(sel, 2))
         for sel in combos
@@ -408,7 +420,7 @@ def test_transversal_matches_brute_force_on_randoms():
         h = build_H(inst, Fraction(1), alpha)
         if h.vertex_count() > 40:
             continue
-        combos = itertools.product(*(h.parts[p] for p in h.players))
+        combos = itertools.product(*h.parts.values())
         exists = any(
             not any(has_edge(h.graph, u, v) for u, v in itertools.combinations(sel, 2))
             for sel in combos

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import rational_min_cost_subset_reaching
+from oracles import delete_edge, explode_edge, rational_min_cost_subset_reaching
 from santagap import topology
 from santagap.cli import cli_main
 from santagap.graphs import Graph, graph_from_json
@@ -444,7 +444,7 @@ def legal_traces(draw):
                                  (topology.EXPLODE, cls.explodable)) if ok]
         op = draw(st.sampled_from(ops))
         steps.append(topology.DeStep(op, edge[::-1] if draw(st.booleans()) else edge))
-        g = g.delete_edge(edge) if op == topology.DELETE else g.explode_edge(edge)
+        g = delete_edge(g, edge) if op == topology.DELETE else explode_edge(g, edge)
     report = {
         "valid": True,
         "ell": sum(step.op == topology.EXPLODE for step in steps),

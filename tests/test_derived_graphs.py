@@ -1,16 +1,17 @@
-"""Derived graphs (delete_edge, explode_edge, induced) reuse their parent's
-sorted tuples and re-index its adjacency masks; they, and the G-e and G*e
-that ``classify_edge`` returns, must equal the same graph built from
-scratch with ``Graph(...)``, and ``all_deletions`` must take the steps of
-the full-classification loop it replaced.  The eta cache is keyed on masks
+"""Derived graphs, the G-e and G*e that ``classify_edge`` returns and each
+J|U that ``player_sets`` yields, reuse their parent's sorted labels and
+re-index its adjacency masks; they must equal the same graph built from
+scratch with ``Graph(...)`` (``oracles.delete_edge``, ``explode_edge`` and
+``induced``), and ``all_deletions`` must take the steps of the
+full-classification loop it replaced.  The eta cache is keyed on masks
 alone, so graphs that differ only in their labels share an entry; a graph
 keeps its key once read, and the key must be its masks packed from
 scratch however the graph was made, including the G-e that
 ``classify_edge`` hands the key of G with two bits flipped.
 ``deletion_walk`` probes each G-e on the key of G with two bits flipped,
 and is memoized on the key of the graph it starts from.  ``hall_eta_check``
-restricts J to the union of its parts' position masks, and must agree with
-the check that built each J|U with ``induced``."""
+takes each J|U from ``player_sets``, and must agree with the check that
+built each J|U from scratch."""
 
 import itertools
 import random
@@ -19,10 +20,16 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_partite_graph
-from oracles import classify_all_deletions, induced_hall_eta_check, neighbors
+from oracles import (
+    classify_all_deletions,
+    delete_edge,
+    explode_edge,
+    induced,
+    induced_hall_eta_check,
+)
 from santagap import graphs
 from santagap import topology as tp
-from santagap.allocation_graph import MAlpha, build_H, build_J, restrict
+from santagap.allocation_graph import MAlpha, build_H, build_J
 from santagap.graphs import Graph
 from santagap.instance import gen_two_value
 from santagap.subsets import CapError
@@ -49,14 +56,6 @@ def _random_labelled_graph(rng: random.Random, kind: str) -> Graph:
     return Graph(labels, edges)
 
 
-def _from_scratch(g: Graph, keep) -> Graph:
-    kset = set(keep)
-    return Graph(
-        [v for v in g.vertices if v in kset],
-        [(u, v) for u, v in g.edges if u in kset and v in kset],
-    )
-
-
 def assert_packed_key(g: Graph) -> None:
     """The key ``g`` keeps, whether its maker set it or it is packed on this
     read, is ``g.masks`` packed from scratch."""
@@ -77,9 +76,9 @@ def assert_same_graph(derived: Graph, fresh: Graph) -> None:
 
 
 def test_graphs_list_their_edges_only_when_read(monkeypatch):
-    """H, J, a restriction and every derived graph are built, and eta and
-    classify_edge read them, without listing an edge; the first read of
-    ``edges`` lists them."""
+    """H, J, every H|U and J|U and the graphs classify_edge derives are
+    built, and eta and classify_edge read them, without listing an edge;
+    the first read of ``edges`` lists them."""
     inst = gen_two_value(
         2, Fraction(1, 4), {"num_fat": 1, "num_thin": 3, "density": 1.0}, seed=1
     )
@@ -90,18 +89,17 @@ def test_graphs_list_their_edges_only_when_read(monkeypatch):
     monkeypatch.setattr(graphs, "_mask_order_edges", listed)
     h = build_H(inst, Fraction(1), Fraction(1, 2))
     j = build_J(h)
-    g = restrict(j, {"p1", "p2"}).graph
+    subs = {
+        (name, U): sub
+        for name, a in (("H", h), ("J", j))
+        for U, sub in tp.player_sets(a.graph, a.parts, inst.players)
+    }
+    g = subs["J", ("p1", "p2")]
     i = next(k for k, m in enumerate(g.masks) if m)
     j_pos = (g.masks[i] & -g.masks[i]).bit_length() - 1
     edge = (g.vertices[i], g.vertices[j_pos])
-    derived = [
-        g.delete_edge(edge),
-        g.explode_edge(edge),
-        g.induced(g.vertices[1:]),
-        h.graph.induced(g.vertices),
-    ]
-    tp.classify_edge(g, edge)
-    for d in derived:
+    cls = tp.classify_edge(g, edge)
+    for d in (cls.deleted, cls.exploded, *subs.values()):
         tp.eta(d)
     with pytest.raises(AssertionError, match="edges listed"):
         g.edges
@@ -113,25 +111,20 @@ def test_derived_graphs_equal_fresh_graphs(kind):
     for _ in range(60):
         g = _random_labelled_graph(rng, kind)
         for a, b in g.edges:
-            fresh = Graph(g.vertices, [e for e in g.edges if e != (a, b)])
-            assert_same_graph(g.delete_edge((a, b)), fresh)
-            assert_same_graph(g.delete_edge((b, a)), fresh)
-            gone = {a, b} | neighbors(g, a) | neighbors(g, b)
-            assert_same_graph(
-                g.explode_edge((a, b)),
-                _from_scratch(g, [v for v in g.vertices if v not in gone]),
-            )
-            # classify_edge hands on the two graphs whose eta it read; G-e
-            # comes with the key of G, two bits flipped
-            cls = tp.classify_edge(g, (b, a))
-            assert cls.deleted._eta_key is not None
-            assert_same_graph(cls.deleted, g.delete_edge((a, b)))
-            assert_same_graph(cls.exploded, g.explode_edge((a, b)))
+            # classify_edge hands on the two graphs whose eta it read, with
+            # the edge named in either orientation; G-e comes with the key
+            # of G, two bits flipped
+            for edge in ((a, b), (b, a)):
+                cls = tp.classify_edge(g, edge)
+                assert cls.deleted._eta_key is not None
+                assert_same_graph(cls.deleted, delete_edge(g, (a, b)))
+                assert_same_graph(cls.exploded, explode_edge(g, (a, b)))
         keep = [v for v in g.vertices if rng.random() < 0.6]
-        assert_same_graph(g.induced(keep), _from_scratch(g, keep))
         # labels the graph does not have are ignored
         stranger = ("zz", ("zz",)) if kind != "str" else "zz"
-        assert_same_graph(g.induced(keep + [stranger]), _from_scratch(g, keep))
+        parts = {"keep": keep, "stranger": keep + [stranger]}
+        for _, sub in tp.player_sets(g, parts, list(parts)):
+            assert_same_graph(sub, induced(g, keep))
 
 
 @pytest.mark.parametrize("kind", ["str", "owner-resources"])
@@ -144,17 +137,52 @@ def test_chains_of_derived_graphs_equal_fresh_graphs(kind):
             a, b = rng.choice(g.edges)
             move = rng.choice(["delete", "delete", "explode", "induced"])
             if move == "delete":
-                fresh = Graph(g.vertices, [e for e in g.edges if e != (a, b)])
-                g = g.delete_edge((a, b))
+                fresh = delete_edge(g, (a, b))
+                g = tp.classify_edge(g, (a, b)).deleted
             elif move == "explode":
-                gone = {a, b} | neighbors(g, a) | neighbors(g, b)
-                fresh = _from_scratch(g, [v for v in g.vertices if v not in gone])
-                g = g.explode_edge((a, b))
+                fresh = explode_edge(g, (a, b))
+                g = tp.classify_edge(g, (a, b)).exploded
             else:
                 keep = [v for v in g.vertices if rng.random() < 0.8]
-                fresh = _from_scratch(g, keep)
-                g = g.induced(keep)
+                fresh = induced(g, keep)
+                ((_, g),) = tp.player_sets(g, {"U": keep}, ["U"])
             assert_same_graph(g, fresh)
+
+
+@pytest.mark.parametrize("kind", ["str", "owner-resources"])
+def test_player_sets_yield_every_induced_subgraph(kind):
+    """Every (U, J|U) of ``player_sets``, U by size and then in
+    ``itertools.combinations`` order of the names given, J|U the graph
+    built from scratch on the labels of U's parts: parts may be empty,
+    overlap or list labels the graph lacks, and the parent's key may be
+    read or not.  A U whose parts hold every vertex yields the graph
+    itself, with the key it keeps."""
+    rng = random.Random(f"player-sets-{kind}")
+    stranger = ("zz", ("zz",)) if kind != "str" else "zz"
+    whole = 0
+    for _ in range(80):
+        g = _random_labelled_graph(rng, kind)
+        if rng.random() < 0.5:
+            assert_packed_key(g)
+        names = [f"P{k}" for k in range(rng.randint(1, 4))]
+        rng.shuffle(names)
+        parts = {p: [v for v in g.vertices if rng.random() < 0.5] for p in names}
+        if rng.random() < 0.3:
+            parts[rng.choice(names)] = ()
+        if rng.random() < 0.3:
+            p = rng.choice(names)
+            parts[p] = (*parts[p], stranger)
+        got = list(tp.player_sets(g, parts, names))
+        assert [U for U, _ in got] == [
+            U for size in range(1, len(names) + 1) for U in itertools.combinations(names, size)
+        ]
+        for U, sub in got:
+            labels = [v for p in U for v in parts[p]]
+            if set(g.vertices) <= set(labels):
+                assert sub is g
+                whole += 1
+            assert_same_graph(sub, induced(g, labels))
+    assert whole > 10
 
 
 @pytest.mark.parametrize("kind", ["str", "owner-resources"])
@@ -167,10 +195,10 @@ def test_stored_keys_equal_packed_keys(kind):
         g = _random_labelled_graph(rng, kind)
         if rng.random() < 0.5:
             assert_packed_key(g)
-        derived = [g.induced(v for v in g.vertices if rng.random() < 0.7)]
+        # made before classify_edge reads the key of G on the first edge
+        keep = [v for v in g.vertices if rng.random() < 0.7]
+        derived = [sub for _, sub in tp.player_sets(g, {"U": keep}, ["U"])]
         for e in g.edges:
-            # made before classify_edge reads the key of G on the first edge
-            derived += [g.delete_edge(e), g.explode_edge(e)]
             cls = tp.classify_edge(g, e)
             assert cls.deleted._eta_key == homology._cache_key(cls.deleted.masks)
             derived += [cls.deleted, cls.exploded]
@@ -186,7 +214,7 @@ def test_stored_keys_equal_packed_keys(kind):
 
 def test_allocation_graphs_and_walk_ends_keep_packed_keys():
     """H and J (``Graph._derived`` in build_H and build_J), J restricted to
-    each player set (``induced``) and the end of ``all_deletions``
+    each player set (``player_sets``) and the end of ``all_deletions``
     (``Graph._derived`` on the walk's masks)."""
     rng = random.Random("allocation-keys")
     checked = 0
@@ -200,9 +228,7 @@ def test_allocation_graphs_and_walk_ends_keep_packed_keys():
         h = build_H(inst, Fraction(1), Fraction(1, 2))
         j = build_J(h)
         made = [h.graph, j.graph]
-        for size in range(1, len(inst.players) + 1):
-            for U in itertools.combinations(inst.players, size):
-                made.append(restrict(j, set(U)).graph)
+        made += [sub for _, sub in tp.player_sets(j.graph, j.parts, inst.players)]
         if len(j.graph.vertices) <= 12:
             made.append(tp.all_deletions(j.graph)[0])
         for g in made:
@@ -391,7 +417,7 @@ def test_deletions_are_probed_on_flipped_keys(monkeypatch):
         # eta(G) read as -1 makes no deletion legal, so every edge is probed
         cache[homology._cache_key(g.masks)] = -1
         assert homology.deletion_walk(g) == ((), g.masks)
-        smaller = [g.delete_edge(e) for e in g.edges]
+        smaller = [delete_edge(g, e) for e in g.edges]
         keys = [homology._cache_key(h.masks) for h in smaller]
         assert cache.looked_up[1:] == keys
         for key, h in zip(keys, smaller):

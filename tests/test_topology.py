@@ -18,9 +18,12 @@ from conftest import (
 )
 from oracles import (
     basic_cover,
+    delete_edge,
+    explode_edge,
     has_edge,
     hypothesis_holds_basic,
     independence_complex,
+    induced,
     neighbors,
     thin_configurations,
 )
@@ -32,9 +35,8 @@ from santagap.allocation_graph import (
     build_J,
     compute_fat,
     compute_m,
-    restrict,
 )
-from santagap.graphs import Graph, graph_from_json, graph_to_json
+from santagap.graphs import Graph, GraphError, graph_from_json, graph_to_json
 from santagap.instance import gen_two_value, parse_instance
 from santagap.lp_core import (
     build_dual,
@@ -292,23 +294,23 @@ def test_eta_cache_is_bounded(monkeypatch):
 
 def test_delete_keeps_vertices():
     g = path_graph(2)
-    d = g.delete_edge((0, 1))
+    d = tp.classify_edge(g, (0, 1)).deleted
     assert len(d.vertices) == 2 and not d.edges
 
 
 def test_explode_c5_leaves_one_vertex():
     g = cycle_graph(5)
-    assert len(g.explode_edge((0, 1)).vertices) == 1
+    assert len(tp.classify_edge(g, (0, 1)).exploded.vertices) == 1
 
 
 def test_explode_k4_leaves_nothing():
-    assert len(complete_graph(4).explode_edge((0, 1)).vertices) == 0
+    assert len(tp.classify_edge(complete_graph(4), (0, 1)).exploded.vertices) == 0
 
 
 def test_edge_must_exist():
     g = path_graph(3)
-    with pytest.raises(Exception):
-        g.delete_edge((0, 2))
+    with pytest.raises(GraphError, match=r"edge \(0, 2\) not present"):
+        tp.classify_edge(g, (0, 2))
 
 
 # -- classify -------------------------------------------------------------------
@@ -387,13 +389,13 @@ def test_executed_sequences_drop_eta_by_ell():
             cls = tp.classify_edge(cur, e)
             if cls.explodable and rng.random() < 0.5:
                 steps.append(tp.DeStep(tp.EXPLODE, e))
-                cur = cur.explode_edge(e)
+                cur = explode_edge(cur, e)
             elif cls.deletable:
                 steps.append(tp.DeStep(tp.DELETE, e))
-                cur = cur.delete_edge(e)
+                cur = delete_edge(cur, e)
             elif cls.explodable:
                 steps.append(tp.DeStep(tp.EXPLODE, e))
-                cur = cur.explode_edge(e)
+                cur = explode_edge(cur, e)
         res = tp.execute_sequence(g, tp.DeSequence(g, tuple(steps)))
         assert res.valid
         assert res.eta_start >= res.eta_final + res.ell
@@ -450,7 +452,7 @@ def test_deletion_only_cover_is_empty_and_cheap():
 
 def test_shrink_cover_finds_shared_resource():
     g, u, v = _tiny_allocation_graph()
-    end = g.explode_edge((u, v))
+    end = explode_edge(g, (u, v))
     shrunk = tp.shrink_cover(g, end, frozenset({"a", "b", "c"}))
     assert shrunk == frozenset({"b"})
     assert tp.verify_star(g, end, shrunk)
@@ -486,10 +488,10 @@ def test_basic_cover_always_satisfies_star(shared_halves):
             cls = tp.classify_edge(cur, e)
             if cls.explodable and rng.random() < 0.6:
                 steps.append(tp.DeStep(tp.EXPLODE, e))
-                cur = cur.explode_edge(e)
+                cur = cls.exploded
             elif cls.deletable:
                 steps.append(tp.DeStep(tp.DELETE, e))
-                cur = cur.delete_edge(e)
+                cur = cls.deleted
         seq = tp.DeSequence(j.graph, tuple(steps))
         end, cover = basic_cover(seq)
         assert end == cur
@@ -637,7 +639,7 @@ def test_hall_check_refuses_more_than_ten_parts():
     with pytest.raises(CapError, match="^11 parts exceeds cap 10$"):
         tp.hall_eta_check(g, parts)
     del parts["P10"]
-    assert tp.hall_eta_check(g.induced(range(10)), parts).holds
+    assert tp.hall_eta_check(induced(g, range(10)), parts).holds
 
 
 def test_hall_check_bipartite_encoding():
@@ -658,7 +660,7 @@ def test_hall_check_bipartite_encoding():
     # disjoint-cliques structure: eta(J(B)|_U) >= |N(U)| >= |U|
     for U, expect in ((("x1",), 2), (("x1", "x2"), 3)):
         keep = {v for x in U for v in parts[x]}
-        assert tp.eta(g.induced(keep)) >= len(U)
+        assert tp.eta(induced(g, keep)) >= len(U)
 
 
 def test_eta_hall_criterion_implies_transversal():
@@ -732,23 +734,24 @@ def test_cover_dual_accounting_all_player_sets(shared_halves):
     m = compute_m(inst, t, alpha)
     fat = compute_fat(inst, t, alpha)
     assert clp_feasible(inst, t).feasible
+    subs = dict(tp.player_sets(j.graph, j.parts, inst.players))
     for U in (("p1",), ("p2",), ("p1", "p2")):
-        sub = restrict(j, U)
-        out = tp.search_de_sequence(sub.graph, "edgeless", budget=30000)
+        g = subs[U]
+        out = tp.search_de_sequence(g, "edgeless", budget=30000)
         assert out.found, f"no edgeless sequence found for U={U}"
         seq = out.sequence
-        replay = tp.execute_sequence(sub.graph, seq)
+        replay = tp.execute_sequence(g, seq)
         assert replay.valid
         end, W = basic_cover(seq)
         assert end == out.end == replay.final
-        assert tp.verify_star(sub.graph, end, W)
+        assert tp.verify_star(g, end, W)
         ell = replay.ell
         # per-explosion cover bound v(e u f) <= 3m
         assert inst.value(W) <= 3 * m.m * ell
         if replay.final.vertices:
             # KO branch: an isolated vertex survives, eta(start) is infinite
             assert replay.final.has_isolated_vertex()
-            assert tp.eta(sub.graph) == tp.INF
+            assert tp.eta(g) == tp.INF
             continue
         f_u = fat_for_players(inst, U, fat)
         need = len(U) - len(f_u)
@@ -990,9 +993,9 @@ def test_fat_only_players_dual_bound():
     assert len(U) <= len(fat_for_players(inst, U, fat))
     # and the thin player's part goes KO instantly (isolated vertices)
     j = build_J(build_H(inst, t, alpha))
-    sub = restrict(j, ("p1",))
-    assert sub.graph.vertices and sub.graph.has_isolated_vertex()
-    assert tp.eta(sub.graph) == tp.INF
+    g = dict(tp.player_sets(j.graph, j.parts, inst.players))["p1",]
+    assert g.vertices and g.has_isolated_vertex()
+    assert tp.eta(g) == tp.INF
 
 
 # -- JSON round trips -------------------------------------------------------------
