@@ -58,8 +58,8 @@ def alpha_threshold(alpha: Fraction, target: Fraction) -> Fraction:
 def compute_fat(inst: Instance, target: Fraction, alpha: Fraction) -> frozenset[str]:
     """F(alpha): the resources worth alpha*T on their own.  F_U is
     ``lp_core.fat_for_players(inst, U, fat)``."""
-    threshold = alpha_threshold(alpha, target)
-    return frozenset(r for r, v in inst.resources.items() if v >= threshold)
+    least = inst.int_threshold(alpha_threshold(alpha, target))
+    return frozenset(r for r, v in inst.int_values.items() if v >= least)
 
 
 def compute_m(inst: Instance, target: Fraction, alpha: Fraction) -> MAlpha:

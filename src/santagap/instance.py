@@ -153,14 +153,18 @@ class Instance:
         t = _exact(threshold)
         return -(-t.numerator * self.scale // t.denominator)
 
-    def value(self, ids) -> Fraction:
-        """Exact total value of a set of resource ids: the sum of their
-        ``int_values`` over ``scale``."""
+    def int_value(self, ids) -> int:
+        """The sum of the ``int_values`` of a set of resource ids, its
+        exact total value times ``scale``."""
         try:
-            total = sum(map(self.int_values.__getitem__, ids))
+            return sum(map(self.int_values.__getitem__, ids))
         except KeyError as exc:
             raise InstanceError(f"unknown resource id {exc.args[0]!r}") from None
-        return Fraction(total, self.scale)
+
+    def value(self, ids) -> Fraction:
+        """Exact total value of a set of resource ids: ``int_value`` over
+        ``scale``."""
+        return Fraction(self.int_value(ids), self.scale)
 
     def serialize(self) -> str:
         """Render the canonical text document for this instance."""

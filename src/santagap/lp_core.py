@@ -140,14 +140,31 @@ class ClpModel:
 
 @dataclass
 class DualSolution:
-    """DCLP variables: y per player, z per resource, objective sum(y)-sum(z)."""
+    """DCLP variables: y per player, z per resource, objective sum(y)-sum(z).
+
+    Entries are Fractions or ints.  The objective is one integer sum, every
+    entry times the lcm of all the y and z denominators, divided by that
+    lcm once: the same exact value as a sum of Fractions.
+    """
 
     y: dict[str, Fraction]
     z: dict[str, Fraction]
 
     @property
     def objective(self) -> Fraction:
-        return sum(self.y.values(), Fraction(0)) - sum(self.z.values(), Fraction(0))
+        scale, y, z = _dual_integers(self)
+        return Fraction(sum(y.values()) - sum(z.values()), scale)
+
+
+def _dual_integers(sol: DualSolution) -> tuple[int, dict[str, int], dict[str, int]]:
+    """The lcm of every y and z denominator, and y and z times it."""
+    scale = math.lcm(
+        *(v.denominator for v in sol.y.values()),
+        *(v.denominator for v in sol.z.values()),
+    )
+    y = {p: v.numerator * (scale // v.denominator) for p, v in sol.y.items()}
+    z = {r: v.numerator * (scale // v.denominator) for r, v in sol.z.items()}
+    return scale, y, z
 
 
 @dataclass
@@ -733,16 +750,16 @@ def build_dual(
     if set(Y) & set(fat_set):
         raise ValueError("Y intersects the fat set")
     f_u = fat_for_players(inst, U, fat_set)
-    y = {p: (c if p in U else Fraction(0)) for p in inst.players}
+    zero = Fraction(0)
+    y = {p: (c if p in U else zero) for p in inst.players}
     z = {}
-    for rid in inst.resource_ids:
+    for rid, v in inst.resources.items():
         if rid in f_u:
             z[rid] = c
         elif rid in Y:
-            v = inst.resources[rid]
             z[rid] = v if d is None else min(v, d)
         else:
-            z[rid] = Fraction(0)
+            z[rid] = zero
     return DualSolution(y, z)
 
 
@@ -764,27 +781,25 @@ def verify_dual(inst: Instance, target: Fraction, sol: DualSolution) -> DualChec
     in ``minimal_configurations`` order reported.  This one pricing scan
     decides the whole constraint family: every configuration contains a
     minimal one, and with z >= 0 it weighs at least as much.
+
+    The check runs on integers, y and z times the lcm of all their
+    denominators (as ``DualSolution.objective`` sums them), which keeps
+    every sign and every comparison of the rationals, so it gives the same
+    exact answer and objective.
     """
-    if set(sol.y) != set(inst.players) or set(sol.z) != set(inst.resource_ids):
+    # covets has one key per player
+    if sol.y.keys() != inst.covets.keys() or sol.z.keys() != inst.resources.keys():
         raise ValueError("dual solution dimensions do not match the instance")
-    for p, yv in sol.y.items():
-        if yv < 0:
-            return DualCheck(False, sol.objective, None)
-    for r, zv in sol.z.items():
-        if zv < 0:
-            return DualCheck(False, sol.objective, None)
-    # The scan adds integers: z times the lcm of its denominators, against
-    # y_p times that lcm rounded up, which an integer sum reaches exactly
-    # when the rational sum reaches y_p.
-    z_scale = math.lcm(*(zv.denominator for zv in sol.z.values()))
-    z = {r: zv.numerator * (z_scale // zv.denominator) for r, zv in sol.z.items()}
+    scale, y, z = _dual_integers(sol)
+    objective = Fraction(sum(y.values()) - sum(z.values()), scale)
+    if min(y.values(), default=0) < 0 or min(z.values(), default=0) < 0:
+        return DualCheck(False, objective, None)
     weight = z.__getitem__
     for p in inst.players:
-        yp = sol.y[p]
+        yp = y[p]
         if yp == 0:
             continue
-        need = -(-yp.numerator * z_scale // yp.denominator)
         for cfg in minimal_configurations(inst, p, target):
-            if sum(map(weight, cfg.resources)) < need:
-                return DualCheck(False, sol.objective, cfg)
-    return DualCheck(True, sol.objective, None)
+            if sum(map(weight, cfg.resources)) < yp:
+                return DualCheck(False, objective, cfg)
+    return DualCheck(True, objective, None)

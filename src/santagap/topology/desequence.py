@@ -169,19 +169,60 @@ def execute_sequence(start: Graph, seq: DeSequence) -> ExecutionResult:
 # ---------------------------------------------------------------------------
 
 def vertex_resources(v) -> frozenset[str]:
+    return frozenset(_resource_tuple(v))
+
+
+def _resource_tuple(v) -> tuple:
     if not (isinstance(v, tuple) and len(v) == 2 and isinstance(v[1], tuple)):
         raise SequenceError(f"vertex {v!r} carries no resource set")
-    return frozenset(v[1])
+    return v[1]
+
+
+def _lost_masks(
+    start: Graph, end: Graph, bits: dict[str, int]
+) -> tuple[list[int], SequenceError | None]:
+    """For each vertex of ``start`` that ``end`` lost, in start order, the
+    OR of the ``bits`` of its resources; the walk stops at the first label
+    without resources and returns its error beside the masks before it."""
+    masks = []
+    kept = end._position
+    bit = bits.get
+    for v in start.vertices:
+        try:
+            resources = _resource_tuple(v)
+        except SequenceError as exc:
+            return masks, exc
+        if kept(v) is None:
+            mask = 0
+            for rid in resources:
+                mask |= bit(rid, 0)
+            masks.append(mask)
+    return masks, None
+
+
+def _star_holds(masks: list[int], error: SequenceError | None, cover: int) -> bool:
+    """Property (*) for the cover whose bits are set in ``cover``: a lost
+    vertex before a label without resources that misses it is a failure,
+    and reaching that label raises, as a walk of the start vertices would."""
+    if not all(mask & cover for mask in masks):
+        return False
+    if error is not None:
+        raise error
+    return True
 
 
 def verify_star(start: Graph, end: Graph, cover) -> bool:
-    """Property (*): every start vertex disjoint from the cover survives."""
-    cover = frozenset(cover)
-    end_vertices = set(end.vertices)
-    for v in start.vertices:
-        if not (vertex_resources(v) & cover) and v not in end_vertices:
-            return False
-    return True
+    """Property (*): every start vertex disjoint from the cover survives.
+
+    Each resource of the cover has one bit, and each start vertex that
+    ``end`` lost is the mask of its resources' bits, so the check is that
+    every such mask is nonzero: the same exact answer as intersecting
+    resource sets, and a label without resources raises ``SequenceError``
+    unless a lost vertex before it already fails (*).
+    """
+    bits = {rid: 1 << k for k, rid in enumerate(frozenset(cover))}
+    masks, error = _lost_masks(start, end, bits)
+    return _star_holds(masks, error, (1 << len(bits)) - 1)
 
 
 def shrink_cover(start: Graph, end: Graph, cover) -> frozenset[str]:
@@ -189,14 +230,23 @@ def shrink_cover(start: Graph, end: Graph, cover) -> frozenset[str]:
 
     An explosion often needs less than the full e u f to stay covered;
     re-verifying (*) after each drop finds such sub-basic covers without
-    any case analysis.
+    any case analysis.  Resources are tried in ``sorted(cover)`` order.
+    The masks of ``verify_star`` are built once, and each trial cover is
+    a bitmask checked against them, so the result is the one that
+    re-verifying on resource sets gives; a cover that fails (*) comes back
+    unchanged.
     """
-    current = set(cover)
-    for rid in sorted(cover):
-        trial = current - {rid}
-        if verify_star(start, end, trial):
+    # A resource listed twice is tried once: its second trial would
+    # test the cover its first one left.
+    order = sorted(set(cover))
+    bits = {rid: 1 << k for k, rid in enumerate(order)}
+    masks, error = _lost_masks(start, end, bits)
+    current = (1 << len(order)) - 1
+    for rid in order:
+        trial = current & ~bits[rid]
+        if _star_holds(masks, error, trial):
             current = trial
-    return frozenset(current)
+    return frozenset(rid for rid, bit in bits.items() if current & bit)
 
 
 # ---------------------------------------------------------------------------

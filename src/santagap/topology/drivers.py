@@ -72,13 +72,23 @@ def hall_eta_check(graph: Graph, parts: dict) -> HallResult:
 
 
 def is_cheap(inst: Instance, cover, ell: int, m: Fraction) -> bool:
-    """Cover value at most 2 m ell (deletion-only sequences pass with ell 0)."""
-    return inst.value(cover) <= 2 * Fraction(m) * ell
+    """Cover value at most 2 m ell (deletion-only sequences pass with ell 0).
+
+    ``m`` is a Fraction or an int.  The check compares integers, the
+    cover's ``Instance.int_value`` times m's denominator against 2 ell
+    times m's numerator times ``Instance.scale``: the same exact answer.
+    """
+    return inst.int_value(cover) * m.denominator <= 2 * m.numerator * ell * inst.scale
 
 
 def is_gamma(cover, ell: int, gamma: Fraction) -> bool:
-    """Cover cardinality at most gamma * ell."""
-    return Fraction(len(cover)) <= Fraction(gamma) * ell
+    """Cover cardinality at most gamma * ell.
+
+    ``gamma`` is a Fraction or an int, and the check compares the
+    cross-multiplied integers |W| * denominator and numerator * ell: the
+    same exact answer.
+    """
+    return len(cover) * gamma.denominator <= gamma.numerator * ell
 
 
 def all_deletions(g: Graph) -> tuple[Graph, list[DeStep]]:
@@ -90,13 +100,13 @@ def all_deletions(g: Graph) -> tuple[Graph, list[DeStep]]:
     on the eta cache key of G, memoizes it per start key and returns the
     positions in ``g.edges`` of the edges it deleted, so each step names
     ``g``'s own edge pair.  The end graph is the one Graph built, from
-    the walk's masks, and G*e is never built, because nothing here reads
-    whether an edge is explodable.
+    the walk's masks and with the key the walk ends on, and G*e is never
+    built, because nothing here reads whether an edge is explodable.
     """
-    deleted, masks = deletion_walk(g)
+    deleted, masks, key = deletion_walk(g)
     if not deleted:
         return g, []
-    end = Graph._derived(g.vertices, masks, g._index)
+    end = Graph._derived(g.vertices, masks, g._index, key)
     return end, [DeStep(DELETE, g.edges[k]) for k in deleted]
 
 

@@ -314,9 +314,9 @@ def eta_at_least(g: Graph, t: int) -> bool:
     return value >= t
 
 
-def deletion_walk(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def deletion_walk(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """Meshulam's deletions from G: (the indices in ``g.edges`` of the
-    edges deleted, in order, and the masks of the graph left).
+    edges deleted, in order, the masks of the graph left, and its key).
 
     Each step deletes the first edge e in the order of ``g.edges`` with
     eta(G-e) <= eta(G), then rescans from the first edge; the walk stops
@@ -361,7 +361,7 @@ def deletion_walk(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
             key, before = probe, value
             deleted.append(k - 1)
             k = 0
-    walk = (tuple(deleted), tuple(adj))
+    walk = (tuple(deleted), tuple(adj), key)
     _remember(_WALK_CACHE, start, walk)
     return walk
 

@@ -115,17 +115,24 @@ class TwoValueShape:
 
 
 def analyze_two_value(inst: Instance) -> TwoValueShape:
-    """Check the instance uses only the values 1 and eps and split it."""
-    values = set(inst.resources.values())
-    others = values - {Fraction(1)}
+    """Check the instance uses only the values 1 and eps and split it.
+
+    The values are read as ``Instance.int_values``, in which 1 is
+    ``Instance.scale``, so every comparison is of integers and gives the
+    same exact answer as comparing the Fraction values.
+    """
+    one = inst.scale
+    ints = set(inst.int_values.values())
+    others = ints - {one}
     if len(others) > 1:
-        raise InstanceError(f"more than two distinct values: {sorted(values)}")
-    eps = min(others) if others else Fraction(1)
-    if eps >= 1 and values == {Fraction(1)}:
+        values = sorted(set(inst.resources.values()))
+        raise InstanceError(f"more than two distinct values: {values}")
+    if not others and ints:
         raise InstanceError("no eps-valued resource present")
-    fats = frozenset(r for r, v in inst.resources.items() if v == 1)
-    thins = frozenset(r for r, v in inst.resources.items() if v == eps)
-    return TwoValueShape(eps, fats, thins)
+    eps = min(others, default=one)
+    fats = frozenset(r for r, v in inst.int_values.items() if v == one)
+    thins = frozenset(r for r, v in inst.int_values.items() if v == eps)
+    return TwoValueShape(Fraction(eps, one), fats, thins)
 
 
 def rescale_small_target(inst: Instance, t_star: Fraction) -> Instance:
@@ -209,8 +216,9 @@ def two_value_driver(
     fat = compute_fat(inst, target, alpha)
     # The pools a phase-X search may be based in: each player's thin
     # pool, where it alone reaches the target.
+    least = inst.int_threshold(target)
     thin_pools = ((p, inst.covets[p] - fat) for p in inst.players)
-    pools = {p: pool for p, pool in thin_pools if inst.value(pool) >= target}
+    pools = {p: pool for p, pool in thin_pools if inst.int_value(pool) >= least}
     per_U = {
         U: _certify_subset(inst, sub, U, fat, pools, target, eps, c, r, search_budget)
         for U, sub in player_sets(J.graph, J.parts, inst.players)

@@ -45,6 +45,15 @@ rebuilt each smaller graph, and ``induced_hall_eta_check`` the
 ``hall_eta_check`` that built each J|U by ``induced``.
 ``basic_cover`` replays a DE-sequence for the end graph
 and basic cover that ``search_de_sequence`` returns with a found one.
+``rational_objective``, ``rational_verify_dual`` and
+``rational_build_dual`` are the DCLP objective, dual check and dual
+built on ``Fraction`` entries one by one, which ``lp_core`` replaced with
+sums of integers over the lcm of the denominators;
+``rational_is_cheap``, ``rational_is_gamma`` and
+``rational_analyze_two_value`` the cover rules and the (1, eps) split on
+``Fraction`` values, which now compare integers; ``set_verify_star`` and
+``set_shrink_cover`` property (*) and the greedy cover shrink on resource
+frozensets, which now run on one bit per cover resource.
 ``independence_complex`` lists the facets of Ind(G), the maximal
 independent sets, by Bron-Kerbosch; nothing in the package needs them,
 since eta works on chain groups.  ``has_edge`` and ``neighbors`` read a
@@ -62,12 +71,14 @@ from operator import add
 from santagap import allocation_graph
 from santagap.allocation_graph import AllocationGraph, alpha_threshold
 from santagap.graphs import Graph, GraphError
-from santagap.instance import Allocation, Instance, OptResult
+from santagap.instance import Allocation, Instance, InstanceError, OptResult
 from santagap.lp_core import (
     Configuration,
+    DualCheck,
     DualSolution,
     TStarResult,
     clp_feasible,
+    fat_for_players,
     int_subset_sums,
     minimal_configurations,
 )
@@ -82,7 +93,7 @@ from santagap.topology import (
     eta_at_least,
     vertex_resources,
 )
-from santagap.two_values import r_c, reciprocal_sum
+from santagap.two_values import TwoValueShape, r_c, reciprocal_sum
 
 EXHAUSTIVE_RESOURCE_CAP = 7
 # branch_and_bound_opt exhausts its tree when no bound stops it early.
@@ -735,6 +746,108 @@ def basic_cover(seq: DeSequence) -> tuple[Graph, frozenset[str]]:
         else:
             g = delete_edge(g, step.edge)
     return g, frozenset(cover)
+
+
+def rational_objective(sol: DualSolution) -> Fraction:
+    """sum(y) - sum(z), adding the entries as Fractions one by one."""
+    return sum(sol.y.values(), Fraction(0)) - sum(sol.z.values(), Fraction(0))
+
+
+def rational_verify_dual(inst: Instance, target: Fraction, sol: DualSolution) -> DualCheck:
+    """``verify_dual`` with the dimensions compared as sets and the signs
+    and the objective read off the Fraction entries; the scan adds z times
+    the lcm of its own denominators against y_p times that lcm rounded up."""
+    if set(sol.y) != set(inst.players) or set(sol.z) != set(inst.resource_ids):
+        raise ValueError("dual solution dimensions do not match the instance")
+    for p, yv in sol.y.items():
+        if yv < 0:
+            return DualCheck(False, rational_objective(sol), None)
+    for r, zv in sol.z.items():
+        if zv < 0:
+            return DualCheck(False, rational_objective(sol), None)
+    z_scale = math.lcm(*(zv.denominator for zv in sol.z.values()))
+    z = {r: zv.numerator * (z_scale // zv.denominator) for r, zv in sol.z.items()}
+    weight = z.__getitem__
+    for p in inst.players:
+        yp = sol.y[p]
+        if yp == 0:
+            continue
+        need = -(-yp.numerator * z_scale // yp.denominator)
+        for cfg in minimal_configurations(inst, p, target):
+            if sum(map(weight, cfg.resources)) < need:
+                return DualCheck(False, rational_objective(sol), cfg)
+    return DualCheck(True, rational_objective(sol), None)
+
+
+def rational_build_dual(inst, U, Y, c, fat_set, d=None) -> DualSolution:
+    """``build_dual`` with a new ``Fraction(0)`` for every zero entry."""
+    c = Fraction(c)
+    if c < 0:
+        raise ValueError("c must be non-negative")
+    if d is not None:
+        d = Fraction(d)
+        if c > 2 * d:
+            raise ValueError(f"need c <= 2d, got c={c}, d={d}")
+    if set(Y) & set(fat_set):
+        raise ValueError("Y intersects the fat set")
+    f_u = fat_for_players(inst, U, fat_set)
+    y = {p: (c if p in U else Fraction(0)) for p in inst.players}
+    z = {}
+    for rid in inst.resource_ids:
+        if rid in f_u:
+            z[rid] = c
+        elif rid in Y:
+            v = inst.resources[rid]
+            z[rid] = v if d is None else min(v, d)
+        else:
+            z[rid] = Fraction(0)
+    return DualSolution(y, z)
+
+
+def rational_is_cheap(inst: Instance, cover, ell: int, m) -> bool:
+    """v(W) <= 2 m ell on Fraction values."""
+    return inst.value(cover) <= 2 * Fraction(m) * ell
+
+
+def rational_is_gamma(cover, ell: int, gamma) -> bool:
+    """|W| <= gamma ell on Fractions."""
+    return Fraction(len(cover)) <= Fraction(gamma) * ell
+
+
+def set_verify_star(start: Graph, end: Graph, cover) -> bool:
+    """Property (*) on resource frozensets: every start vertex whose
+    resources miss the cover is a vertex of ``end``."""
+    cover = frozenset(cover)
+    end_vertices = set(end.vertices)
+    for v in start.vertices:
+        if not (vertex_resources(v) & cover) and v not in end_vertices:
+            return False
+    return True
+
+
+def set_shrink_cover(start: Graph, end: Graph, cover) -> frozenset[str]:
+    """Drop the resources of the cover in sorted order, each one whose
+    removal keeps ``set_verify_star``."""
+    current = set(cover)
+    for rid in sorted(cover):
+        trial = current - {rid}
+        if set_verify_star(start, end, trial):
+            current = trial
+    return frozenset(current)
+
+
+def rational_analyze_two_value(inst: Instance) -> TwoValueShape:
+    """``analyze_two_value`` on the Fraction values."""
+    values = set(inst.resources.values())
+    others = values - {Fraction(1)}
+    if len(others) > 1:
+        raise InstanceError(f"more than two distinct values: {sorted(values)}")
+    eps = min(others) if others else Fraction(1)
+    if eps >= 1 and values == {Fraction(1)}:
+        raise InstanceError("no eps-valued resource present")
+    fats = frozenset(r for r, v in inst.resources.items() if v == 1)
+    thins = frozenset(r for r, v in inst.resources.items() if v == eps)
+    return TwoValueShape(eps, fats, thins)
 
 
 @dataclass(frozen=True)

@@ -334,7 +334,9 @@ def _cold_and_warm_deletions(g: Graph) -> list:
 
 def _assert_same_deletions(g: Graph, got: list | None = None) -> None:
     """Cold and warm all_deletions against the oracle: the same steps,
-    naming g's own edge pairs, and the end graph built from scratch."""
+    naming g's own edge pairs, and the end graph built from scratch.  A
+    graph left by deletions is made holding the key the walk ended on,
+    so its first eta read packs nothing."""
     if got is None:
         got = _cold_and_warm_deletions(g)
     want_graph, want_steps = classify_all_deletions(g)
@@ -342,6 +344,8 @@ def _assert_same_deletions(g: Graph, got: list | None = None) -> None:
         assert got_steps == want_steps
         for step in got_steps:
             assert step.edge is g.edges[g.edges.index(step.edge)]
+        if got_steps:
+            assert got_graph._eta_key == homology._cache_key(got_graph.masks)
         assert_same_graph(got_graph, want_graph)
 
 
@@ -416,7 +420,7 @@ def test_deletions_are_probed_on_flipped_keys(monkeypatch):
         monkeypatch.setattr(homology, "_WALK_CACHE", {})
         # eta(G) read as -1 makes no deletion legal, so every edge is probed
         cache[homology._cache_key(g.masks)] = -1
-        assert homology.deletion_walk(g) == ((), g.masks)
+        assert homology.deletion_walk(g) == ((), g.masks, homology._cache_key(g.masks))
         smaller = [delete_edge(g, e) for e in g.edges]
         keys = [homology._cache_key(h.masks) for h in smaller]
         assert cache.looked_up[1:] == keys
@@ -424,11 +428,11 @@ def test_deletions_are_probed_on_flipped_keys(monkeypatch):
             assert cache[key] == tp.eta_from_profile(tp.homology_profile(h))
         # walked again, the memo answers and the eta cache is not read
         entries = dict(cache)
-        assert homology.deletion_walk(g) == ((), g.masks)
+        assert homology.deletion_walk(g) == ((), g.masks, homology._cache_key(g.masks))
         assert len(cache.looked_up) == 1 + len(keys)
         # with the memo emptied, every G-e is a hit and nothing is written
         homology._WALK_CACHE.clear()
-        assert homology.deletion_walk(g) == ((), g.masks)
+        assert homology.deletion_walk(g) == ((), g.masks, homology._cache_key(g.masks))
         assert cache == entries
         probed += len(keys)
     assert probed > 1000
