@@ -17,6 +17,7 @@ from fractions import Fraction
 from . import topology
 from .allocation_graph import AllocationGraphError, build_H, build_J
 from .gap_report import (
+    GAP_BOUND,
     TSV_HEADER,
     BatchConfig,
     CoefficientError,
@@ -125,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap", help="T*, OPT and their ratio")
     p.add_argument("instance")
-    p.add_argument("--bound", type=_positive_rational, default="53/15")
+    p.add_argument("--bound", type=_positive_rational, default=GAP_BOUND)
 
     p = sub.add_parser("eta", help="eta of a graph JSON file")
     p.add_argument("graph")
@@ -172,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=_probability, default=0.6)
     p.add_argument("--eps", help="two_value batches only (default 1/4)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=_positive_rational, default="53/15")
+    p.add_argument("--bound", type=_positive_rational, default=GAP_BOUND)
     p.add_argument("--tsv", action="store_true")
     return parser
 

@@ -22,6 +22,7 @@ from .instance import (
 from .lp_core import TStarResult, compute_t_star
 from .rational import format_rational
 from .subsets import CapError
+from .topology.drivers import PHASES
 
 SCHEMA = "santa-gap/1"
 
@@ -67,28 +68,21 @@ class CoefficientCertificate:
 def phase_inequality_coefficients(T: Fraction, m: Fraction) -> list[tuple[Fraction, ...]]:
     """Right-hand-side coefficient vectors (n1..n4) of the four phase
     inequalities derived from the dual snapshots.  They need m >= 0, as
-    every m(alpha) is, and T > 3m."""
+    every m(alpha) is, and T > 3m.  The phase factors f_1..f_4 are the
+    four-phase driver's, read from ``topology.drivers.PHASES``."""
     T, m = Fraction(T), Fraction(m)
     if m < 0:
         raise CoefficientError(f"need m >= 0, got m={m}")
     if T <= 3 * m:
         raise CoefficientError(f"need T > 3m, got T={T}, m={m}")
+    f1, f2, f3, f4 = (factor for _, factor in PHASES.values())
     zero = Fraction(0)
+    first = f1 * m / (T - 3 * m)
     return [
-        (2 * m / (T - 3 * m), Fraction(7, 3), zero, zero),
-        (m / (T - 3 * m), Fraction(7, 6), Fraction(5, 4), zero),
-        (
-            2 * m / (T - 2 * m),
-            7 * m / (3 * (T - 2 * m)),
-            5 * m / (2 * (T - 2 * m)),
-            zero,
-        ),
-        (
-            2 * m / (T - m),
-            7 * m / (3 * (T - m)),
-            5 * m / (2 * (T - m)),
-            3 * m / (T - m),
-        ),
+        (first, f2, zero, zero),
+        (first / 2, f2 / 2, f3 / 2, zero),
+        tuple(f * m / (T - 2 * m) for f in (f1, f2, f3)) + (zero,),
+        tuple(f * m / (T - m) for f in (f1, f2, f3, f4)),
     ]
 
 

@@ -197,13 +197,9 @@ class Allocation:
     assignment: dict[str, tuple[str, ...]]
 
     def min_value(self, inst: Instance) -> Fraction:
-        """The least bundle value over ``inst.players``: the least integer
-        sum of ``int_values``, over ``scale``."""
-        value = inst.int_values.__getitem__
-        try:
-            least = min(sum(map(value, self.assignment.get(p, ()))) for p in inst.players)
-        except KeyError as exc:
-            raise InstanceError(f"unknown resource id {exc.args[0]!r}") from None
+        """The least bundle value over ``inst.players``: the least
+        ``Instance.int_value`` of a bundle, over ``scale``."""
+        least = min(inst.int_value(self.assignment.get(p, ())) for p in inst.players)
         return Fraction(least, inst.scale)
 
     def validate(self, inst: Instance) -> None:

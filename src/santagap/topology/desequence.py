@@ -201,28 +201,15 @@ def _lost_masks(
 
 
 def _star_holds(masks: list[int], error: SequenceError | None, cover: int) -> bool:
-    """Property (*) for the cover whose bits are set in ``cover``: a lost
-    vertex before a label without resources that misses it is a failure,
-    and reaching that label raises, as a walk of the start vertices would."""
+    """Property (*), every start vertex disjoint from the cover survives,
+    for the cover whose bits are set in ``cover``: a lost vertex before a
+    label without resources that misses it is a failure, and reaching that
+    label raises, as a walk of the start vertices would."""
     if not all(mask & cover for mask in masks):
         return False
     if error is not None:
         raise error
     return True
-
-
-def verify_star(start: Graph, end: Graph, cover) -> bool:
-    """Property (*): every start vertex disjoint from the cover survives.
-
-    Each resource of the cover has one bit, and each start vertex that
-    ``end`` lost is the mask of its resources' bits, so the check is that
-    every such mask is nonzero: the same exact answer as intersecting
-    resource sets, and a label without resources raises ``SequenceError``
-    unless a lost vertex before it already fails (*).
-    """
-    bits = {rid: 1 << k for k, rid in enumerate(frozenset(cover))}
-    masks, error = _lost_masks(start, end, bits)
-    return _star_holds(masks, error, (1 << len(bits)) - 1)
 
 
 def shrink_cover(start: Graph, end: Graph, cover) -> frozenset[str]:
@@ -231,10 +218,11 @@ def shrink_cover(start: Graph, end: Graph, cover) -> frozenset[str]:
     An explosion often needs less than the full e u f to stay covered;
     re-verifying (*) after each drop finds such sub-basic covers without
     any case analysis.  Resources are tried in ``sorted(cover)`` order.
-    The masks of ``verify_star`` are built once, and each trial cover is
-    a bitmask checked against them, so the result is the one that
-    re-verifying on resource sets gives; a cover that fails (*) comes back
-    unchanged.
+    Each resource of the cover has one bit, and each start vertex that
+    ``end`` lost is the mask of its resources' bits, built once; a trial
+    cover keeps (*) when it meets every such mask, so the result is the
+    one that re-verifying on resource sets gives.  A cover that fails (*)
+    comes back unchanged.
     """
     # A resource listed twice is tried once: its second trial would
     # test the cover its first one left.

@@ -2,10 +2,10 @@
 
 The driver dismantles the thin allocation graph restricted to a player
 set, phase by phase: cheap sequences (and plain deletions) first, then
-7/3- and 5/2-sequences, then arbitrary legal steps, keeping the running
-cover ledger that the dual certificates consume.  Budget exhaustion is
-a first-class outcome: the search never claims nonexistence it cannot
-prove.
+sequences of bounded cover size per explosion, then arbitrary legal
+steps, keeping the running cover ledger that the dual certificates
+consume; ``PHASES`` holds every phase's constants.  Budget exhaustion is a first-class outcome: the search never
+claims nonexistence it cannot prove.
 """
 
 from __future__ import annotations
@@ -34,6 +34,17 @@ from .homology import deletion_walk, eta_at_least
 
 # hall_eta_check tries every nonempty set of parts, 2^parts - 1 of them.
 DEFAULT_HALL_PART_CAP = 10
+
+# Phase k of the driver and of the 53/15 argument is PHASES[k]: the
+# explosion cap of its DE searches (phase 4 takes single steps) and its
+# bound factor f_k, read by the searches, the ledger checks and
+# gap_report's phase rows.
+PHASES = {
+    1: (3, Fraction(2)),
+    2: (3, Fraction(7, 3)),
+    3: (2, Fraction(5, 2)),
+    4: (None, Fraction(3)),
+}
 
 
 @dataclass(slots=True)
@@ -71,14 +82,14 @@ def hall_eta_check(graph: Graph, parts: dict) -> HallResult:
     return HallResult(True, None)
 
 
-def is_cheap(inst: Instance, cover, ell: int, m: Fraction) -> bool:
-    """Cover value at most 2 m ell (deletion-only sequences pass with ell 0).
+def is_cheap(inst: Instance, cover, ell: int, bound: Fraction) -> bool:
+    """v(W) <= bound * ell (deletion-only sequences pass with ell 0).
 
-    ``m`` is a Fraction or an int.  The check compares integers, the
-    cover's ``Instance.int_value`` times m's denominator against 2 ell
-    times m's numerator times ``Instance.scale``: the same exact answer.
+    ``bound`` is a Fraction or an int.  The check compares integers, the
+    cover's ``Instance.int_value`` times the bound's denominator against
+    ell times its numerator times ``Instance.scale``: the same exact answer.
     """
-    return inst.int_value(cover) * m.denominator <= 2 * m.numerator * ell * inst.scale
+    return inst.int_value(cover) * bound.denominator <= bound.numerator * ell * inst.scale
 
 
 def is_gamma(cover, ell: int, gamma: Fraction) -> bool:
@@ -135,20 +146,16 @@ class PhaseLedger(CoverLedger):
     __slots__ = ()
 
     def checks(self, inst: Instance, m: Fraction) -> dict[str, bool]:
-        """The four cover inequalities the convex combination relies on."""
+        """The cover inequalities the convex combination relies on:
+        v(W_k) <= f_k m n_k for every k, and |W_k| <= f_k n_k for k = 2, 3."""
         m = Fraction(m)
-        empty = (0, frozenset())
-        (n1, w1), (n2, w2), (n3, w3), (n4, w4) = (
-            self.entries.get(phase, empty) for phase in (1, 2, 3, 4)
-        )
-        return {
-            "value_w1": is_cheap(inst, w1, n1, m),
-            "card_w2": is_gamma(w2, n2, Fraction(7, 3)),
-            "card_w3": is_gamma(w3, n3, Fraction(5, 2)),
-            "value_w2": inst.value(w2) <= Fraction(7, 3) * m * n2,
-            "value_w3": inst.value(w3) <= Fraction(5, 2) * m * n3,
-            "value_w4": inst.value(w4) <= 3 * m * n4,
-        }
+        value, card = {}, {}
+        for k, (_, factor) in PHASES.items():
+            n, w = self.entries.get(k, (0, frozenset()))
+            value[f"value_w{k}"] = is_cheap(inst, w, n, factor * m)
+            if k in (2, 3):
+                card[f"card_w{k}"] = is_gamma(w, n, factor)
+        return {"value_w1": value.pop("value_w1"), **card, **value}
 
 
 @dataclass(slots=True)
@@ -177,11 +184,12 @@ def four_phase_driver(
     (or a vertex survives), edgeless when the graph is fully dismantled,
     inconclusive on budget exhaustion.
 
-    Phase 1 accepts cheap sequences (``is_cheap`` at m, at most 3
-    explosions), phases 2 and 3 7/3- and 5/2-sequences (``is_gamma``, at
-    most 3 and 2 explosions).  ``search_budget`` bounds the nodes of each
-    DE search; ``step_budget`` counts the rounds of the phase-1 drain and
-    the steps of phase 4, not the steps of the DE sequence.
+    Phase 1 accepts cheap sequences (``is_cheap`` at f_1 m), phases 2 and
+    3 f_k-sequences (``is_gamma`` at f_k), each search under its phase's
+    explosion cap, with f_k and the caps from ``PHASES``.
+    ``search_budget`` bounds the nodes of each DE search; ``step_budget``
+    counts the rounds of the phase-1 drain and the steps of phase 4, not
+    the steps of the DE sequence.
     """
     g = start = thin.graph
     ledger = PhaseLedger()
@@ -202,6 +210,8 @@ def four_phase_driver(
         g = found.end
         if phase is not None:
             ledger.add(phase, found.sequence.ell, found.cover)
+
+    cheap_cap, cheap_factor = PHASES[1]
 
     def drain_cheap() -> str | None:
         """Deletions, KO-sequences and cheap sequences until none remains;
@@ -228,8 +238,8 @@ def four_phase_driver(
                 g,
                 "cover",
                 budget=search_budget,
-                max_explosions=3,
-                accept=partial(is_cheap, inst, m=m.m),
+                max_explosions=cheap_cap,
+                accept=partial(is_cheap, inst, bound=cheap_factor * m.m),
             )
             if cheap.found:
                 perform(cheap, 1)
@@ -242,13 +252,14 @@ def four_phase_driver(
         return finish(status, 1)
 
     # Phases 2 and 3
-    for phase, gamma, maxexp in ((2, Fraction(7, 3), 3), (3, Fraction(5, 2), 2)):
+    for phase in (2, 3):
+        cap, gamma = PHASES[phase]
         while g.edges:
             found = search_de_sequence(
                 g,
                 "cover",
                 budget=search_budget,
-                max_explosions=maxexp,
+                max_explosions=cap,
                 accept=partial(is_gamma, gamma=gamma),
             )
             if not found.found:

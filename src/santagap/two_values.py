@@ -189,9 +189,11 @@ def two_value_driver(
     resources, and the outcome is "trivial", with its allocation.  A
     target above T* may end "inconclusive".
     """
+    target = Fraction(target)
+    if target <= 0:
+        raise InstanceError(f"driver needs a positive target, got T={target}")
     shape = analyze_two_value(inst)
     eps = shape.eps
-    target = Fraction(target)
     if eps >= Fraction(1, 2):
         raise InstanceError(f"driver needs eps < 1/2, got {eps}")
     if target >= 2:

@@ -51,9 +51,13 @@ built on ``Fraction`` entries one by one, which ``lp_core`` replaced with
 sums of integers over the lcm of the denominators;
 ``rational_is_cheap``, ``rational_is_gamma`` and
 ``rational_analyze_two_value`` the cover rules and the (1, eps) split on
-``Fraction`` values, which now compare integers; ``set_verify_star`` and
-``set_shrink_cover`` property (*) and the greedy cover shrink on resource
-frozensets, which now run on one bit per cover resource.
+``Fraction`` values, which now compare integers; ``set_shrink_cover`` the
+greedy cover shrink on resource frozensets, which now runs on one bit per
+cover resource.  ``set_verify_star`` is property (*) itself, which the
+package never checks on its own: the tests check it on search output.
+``literal_phase_rows`` are the four phase-inequality rows with their
+factors spelled out, which ``gap_report`` now reads from the four-phase
+driver's ``PHASES``.
 ``independence_complex`` lists the facets of Ind(G), the maximal
 independent sets, by Bron-Kerbosch; nothing in the package needs them,
 since eta works on chain groups.  ``has_edge`` and ``neighbors`` read a
@@ -70,6 +74,7 @@ from operator import add
 
 from santagap import allocation_graph
 from santagap.allocation_graph import AllocationGraph, alpha_threshold
+from santagap.gap_report import CoefficientError
 from santagap.graphs import Graph, GraphError
 from santagap.instance import Allocation, Instance, InstanceError, OptResult
 from santagap.lp_core import (
@@ -804,14 +809,41 @@ def rational_build_dual(inst, U, Y, c, fat_set, d=None) -> DualSolution:
     return DualSolution(y, z)
 
 
-def rational_is_cheap(inst: Instance, cover, ell: int, m) -> bool:
-    """v(W) <= 2 m ell on Fraction values."""
-    return inst.value(cover) <= 2 * Fraction(m) * ell
+def rational_is_cheap(inst: Instance, cover, ell: int, bound) -> bool:
+    """v(W) <= bound * ell on Fraction values."""
+    return inst.value(cover) <= Fraction(bound) * ell
 
 
 def rational_is_gamma(cover, ell: int, gamma) -> bool:
     """|W| <= gamma ell on Fractions."""
     return Fraction(len(cover)) <= Fraction(gamma) * ell
+
+
+def literal_phase_rows(T, m) -> list[tuple[Fraction, ...]]:
+    """The four phase-inequality rows of the 53/15 argument with their
+    factors written out, 2, 7/3, 5/2 and 3, and the same checks of m and T."""
+    T, m = Fraction(T), Fraction(m)
+    if m < 0:
+        raise CoefficientError(f"need m >= 0, got m={m}")
+    if T <= 3 * m:
+        raise CoefficientError(f"need T > 3m, got T={T}, m={m}")
+    zero = Fraction(0)
+    return [
+        (2 * m / (T - 3 * m), Fraction(7, 3), zero, zero),
+        (m / (T - 3 * m), Fraction(7, 6), Fraction(5, 4), zero),
+        (
+            2 * m / (T - 2 * m),
+            7 * m / (3 * (T - 2 * m)),
+            5 * m / (2 * (T - 2 * m)),
+            zero,
+        ),
+        (
+            2 * m / (T - m),
+            7 * m / (3 * (T - m)),
+            5 * m / (2 * (T - m)),
+            3 * m / (T - m),
+        ),
+    ]
 
 
 def set_verify_star(start: Graph, end: Graph, cover) -> bool:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import GAP_GOLDEN
-from oracles import exhaustive_opt
+from oracles import exhaustive_opt, literal_phase_rows
 from santagap import gap_report, lp_core, subsets
 from santagap.gap_report import (
     CONVEX_WEIGHTS,
@@ -74,6 +74,30 @@ def test_combination_against_independent_oracle():
     ]
     cert = verify_convex_combination(T, m)
     assert list(cert.per_variable.values()) == expected == [1, 1, 1, 1]
+
+
+def test_phase_rows_read_the_driver_table():
+    """The rows built from the four-phase driver's ``PHASES`` are the rows
+    with 2, 7/3, 5/2 and 3 written out, on a rational grid of (T, m) that
+    takes in m = 0 and T just above 3m, and outside the range they raise
+    the same ``CoefficientError``."""
+    outcomes = set()
+    ms = [Fraction(0), Fraction(-1, 3)] + [Fraction(a, b) for a in (1, 2, 5) for b in (1, 3, 7)]
+    for m in ms:
+        Ts = [3 * m, 3 * m + Fraction(1, 10**9), 3 * m - Fraction(1, 7), Fraction(53, 15) * m]
+        Ts += [Fraction(a, b) for a in range(0, 25, 2) for b in (1, 3, 4)]
+        for T in Ts:
+            try:
+                want = literal_phase_rows(T, m)
+            except CoefficientError as exc:
+                with pytest.raises(CoefficientError) as got:
+                    phase_inequality_coefficients(T, m)
+                assert str(got.value) == str(exc)
+                outcomes.add(str(exc).split(",")[0])
+                continue
+            assert phase_inequality_coefficients(T, m) == want
+            outcomes.add("rows" if m else "rows at m = 0")
+    assert outcomes == {"rows", "rows at m = 0", "need m >= 0", "need T > 3m"}
 
 
 def test_certificate_json_uses_exact_strings():

@@ -25,6 +25,7 @@ from oracles import (
     independence_complex,
     induced,
     neighbors,
+    set_verify_star,
     thin_configurations,
 )
 from santagap import topology as tp
@@ -439,7 +440,7 @@ def test_basic_cover_single_explosion():
     seq = tp.DeSequence(g, (tp.DeStep(tp.EXPLODE, (u, v)),))
     end, cover = basic_cover(seq)
     assert cover == frozenset({"a", "b", "c"})
-    assert tp.verify_star(g, end, cover)
+    assert set_verify_star(g, end, cover)
 
 
 def test_deletion_only_cover_is_empty_and_cheap():
@@ -447,7 +448,7 @@ def test_deletion_only_cover_is_empty_and_cheap():
     seq = tp.DeSequence(g, (tp.DeStep(tp.DELETE, (u, v)),))
     _, cover = basic_cover(seq)
     assert cover == frozenset()
-    assert tp.is_cheap(parse_instance(TINY_INSTANCE), cover, 0, Fraction(1, 2))
+    assert tp.is_cheap(parse_instance(TINY_INSTANCE), cover, 0, Fraction(1))
 
 
 def test_shrink_cover_finds_shared_resource():
@@ -455,8 +456,8 @@ def test_shrink_cover_finds_shared_resource():
     end = explode_edge(g, (u, v))
     shrunk = tp.shrink_cover(g, end, frozenset({"a", "b", "c"}))
     assert shrunk == frozenset({"b"})
-    assert tp.verify_star(g, end, shrunk)
-    assert not tp.verify_star(g, end, frozenset({"c"}))
+    assert set_verify_star(g, end, shrunk)
+    assert not set_verify_star(g, end, frozenset({"c"}))
 
 
 def test_is_gamma_bounds_the_average_cost():
@@ -495,10 +496,10 @@ def test_basic_cover_always_satisfies_star(shared_halves):
         seq = tp.DeSequence(j.graph, tuple(steps))
         end, cover = basic_cover(seq)
         assert end == cur
-        assert tp.verify_star(j.graph, end, cover)
+        assert set_verify_star(j.graph, end, cover)
         shrunk = tp.shrink_cover(j.graph, end, cover)
         assert shrunk <= cover
-        assert tp.verify_star(j.graph, end, shrunk)
+        assert set_verify_star(j.graph, end, shrunk)
 
 
 # -- search ----------------------------------------------------------------------
@@ -527,7 +528,7 @@ def test_search_cheap_single_explosion():
     g, u, v = _tiny_allocation_graph()
     inst = parse_instance(TINY_INSTANCE)
     out = tp.search_de_sequence(
-        g, "cover", max_explosions=3, accept=partial(tp.is_cheap, inst, m=Fraction(1, 2))
+        g, "cover", max_explosions=3, accept=partial(tp.is_cheap, inst, bound=Fraction(1))
     )
     assert out.found and out.sequence.ell == 1
 
@@ -590,7 +591,7 @@ def test_search_returns_the_replayed_end_and_shrunk_cover():
         objectives = {
             "ko": ("ko", {}),
             "edgeless": ("edgeless", {}),
-            "cheap": ("cover", {"max_explosions": 3, "accept": partial(tp.is_cheap, inst, m=m)}),
+            "cheap": ("cover", {"max_explosions": 3, "accept": partial(tp.is_cheap, inst, bound=2 * m)}),
             "gamma": ("cover", {"max_explosions": 3, "accept": partial(tp.is_gamma, gamma=Fraction(5, 2))}),
             "based": ("cover", {
                 "max_explosions": 4,
@@ -744,7 +745,7 @@ def test_cover_dual_accounting_all_player_sets(shared_halves):
         assert replay.valid
         end, W = basic_cover(seq)
         assert end == out.end == replay.final
-        assert tp.verify_star(g, end, W)
+        assert set_verify_star(g, end, W)
         ell = replay.ell
         # per-explosion cover bound v(e u f) <= 3m
         assert inst.value(W) <= 3 * m.m * ell

@@ -391,3 +391,13 @@ def test_driver_rescales_small_targets():
     res = two_value_driver(inst, Fraction(1, 2), search_budget=800)
     assert any("rescaled" in note for note in res.notes)
     assert res.outcome in ("certified", "trivial", "inconclusive")
+
+
+@pytest.mark.parametrize("target", [0, -1])
+def test_driver_refuses_non_positive_targets(target):
+    """Target 0 used to divide by zero in the rescaling, and -1 to fail on
+    the rescaled instance's values; both are refused before either."""
+    inst = parse_instance(SHARED_FAT)
+    with pytest.raises(InstanceError) as got:
+        two_value_driver(inst, Fraction(target))
+    assert str(got.value) == f"driver needs a positive target, got T={target}"
