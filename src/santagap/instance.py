@@ -1,4 +1,4 @@
-"""Problem instances: players, valued resources, covet lists.
+"""Problem instances: players (at least one), valued resources, covet lists.
 
 An instance is immutable after construction and safe to share across
 threads.  Player and resource ids are strings; every ordered view is
@@ -83,6 +83,8 @@ class Instance:
     resource_bits: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.players:
+            raise InstanceError("instance lists no players")
         if len(set(self.players)) != len(self.players):
             raise InstanceError("duplicate player id")
         resources = dict(self.resources)  # later edits by the caller do not reach it
@@ -413,7 +415,7 @@ def brute_force_opt(inst: Instance, t_star) -> OptResult:
                 break
     alloc = Allocation({cfg.owner: cfg.resources for cfg in choice})
     alloc.validate(inst)
-    if players and alloc.min_value(inst) != t:
+    if alloc.min_value(inst) != t:
         raise AssertionError("OPT witness does not reach OPT")
     return OptResult(t, alloc, nodes)
 
@@ -497,7 +499,7 @@ def gen_random(
     lo, hi = Fraction(value_range[0]), Fraction(value_range[1])
     if lo <= 0 or hi < lo:
         raise InstanceError(f"bad value range [{lo}, {hi}]")
-    if num_resources == 0 and covet_density > 0 and num_players > 0:
+    if num_resources == 0 and covet_density > 0:
         raise InstanceError("cannot covet among zero resources")
     rng = random.Random(seed)
     players = [f"p{i+1}" for i in range(num_players)]

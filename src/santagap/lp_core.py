@@ -572,7 +572,7 @@ def int_subset_sums(inst: Instance) -> list[int]:
 def capped_value_bound(inst: Instance) -> int:
     """The largest integer t at which the capped-value dual rules out no
     target: a target whose ``int_threshold`` is t passes exactly when
-    t <= this bound.  The instance needs at least one player.
+    t <= this bound.  ``Instance`` refuses an empty player list, so it exists.
 
     The dual is priced at t, a target's ``int_threshold``.  For a set P
     of players, either one player or all of them, y = 1 on P and
@@ -597,8 +597,6 @@ def capped_value_bound(inst: Instance) -> int:
     one of negative slope is up to S_k // (n + k - m).  One pass over the
     sorted values takes the least of these.  Integer sums only.
     """
-    if not inst.players:
-        raise ValueError("the capped-value bound needs at least one player")
     value = inst.int_values.__getitem__
     wants = [inst.covets[p] for p in inst.players]
     bound = min(sum(map(value, w)) for w in wants)
@@ -660,9 +658,9 @@ def compute_t_star(inst: Instance) -> TStarResult:
     step 2.
 
     1. Capped-value filter.  The capped-value dual, y = 1 on a player
-       set P of size k (one player or all of them) and
-       z_r = min(V_r, t) / t on the resources P covets, rules a candidate
-       out when
+       set P of size k (one player or all of them; an instance has at
+       least one) and z_r = min(V_r, t) / t on the resources P covets,
+       rules a candidate out when
        f(t) = sum over the resources P covets of min(V_r, t) - k*t < 0 at
        t = ``int_threshold(T)``, the sum s itself.  Each f is concave (a
        sum of concave terms) with f(0) = 0, so for 0 < t < t',
@@ -699,22 +697,21 @@ def compute_t_star(inst: Instance) -> TStarResult:
     sums = int_subset_sums(inst)
     scale = inst.scale
     probes = 0
-    if inst.players:
-        top = bisect.bisect_right(sums, capped_value_bound(inst))
-        certificate: DualSolution | None = None
-        for s in reversed(sums[:top]):
-            if fat_count_violation(inst, s):
+    top = bisect.bisect_right(sums, capped_value_bound(inst))
+    certificate: DualSolution | None = None
+    for s in reversed(sums[:top]):
+        if fat_count_violation(inst, s):
+            continue
+        target = Fraction(s, scale)
+        if certificate is not None:
+            check = verify_dual(inst, target, certificate)
+            if check.feasible and check.objective > 0:
                 continue
-            target = Fraction(s, scale)
-            if certificate is not None:
-                check = verify_dual(inst, target, certificate)
-                if check.feasible and check.objective > 0:
-                    continue
-            res = clp_feasible(inst, target)
-            probes += 1
-            if res.feasible:
-                return TStarResult(target, sums, scale, res, probes)
-            certificate = res.infeasibility_certificate
+        res = clp_feasible(inst, target)
+        probes += 1
+        if res.feasible:
+            return TStarResult(target, sums, scale, res, probes)
+        certificate = res.infeasibility_certificate
     witness = clp_feasible(inst, Fraction(0))
     return TStarResult(Fraction(0), sums, scale, witness, probes + 1)
 

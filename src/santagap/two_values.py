@@ -9,7 +9,8 @@ piecewise function
              (4r-1)/3          for X >= 2r + 1
 
 and r_c is the largest r whose reciprocal sum over X = r..c reaches 1.
-The resulting integrality-gap bound is f(x) = 1/(x * r_ceil(1/x)).
+The resulting integrality-gap bound is f(x) = 1/(x * r_ceil(1/x)).  The
+driver reads a target T only through eps/T, so it runs at T as given.
 """
 
 from __future__ import annotations
@@ -136,14 +137,14 @@ def analyze_two_value(inst: Instance) -> TwoValueShape:
 
 
 def rescale_small_target(inst: Instance, t_star: Fraction) -> Instance:
-    """The T* < 1 reduction: bump every eps to eps/T* so the target is 1."""
+    """The paper's T* < 1 normalisation, every eps bumped to eps/T* for
+    target 1: the reference the driver's tests compare with; T* <= 0 is refused."""
+    if t_star <= 0:
+        raise InstanceError(f"cannot rescale to a non-positive target, got T={t_star}")
     shape = analyze_two_value(inst)
-    eps_new = shape.eps / t_star
-    resources = {
-        rid: (Fraction(1) if rid in shape.fat_ids else eps_new)
-        for rid in inst.resource_ids
-    }
-    return Instance.build(inst.players, resources, {p: set(inst.covets[p]) for p in inst.players})
+    resources = dict.fromkeys(shape.fat_ids, Fraction(1))
+    resources.update(dict.fromkeys(shape.thin_ids, shape.eps / t_star))
+    return Instance.build(inst.players, resources, inst.covets)
 
 
 class PhaseXLedger(CoverLedger):
@@ -188,24 +189,21 @@ def two_value_driver(
     certifies exactly when |F_U| >= |U|, Hall's condition on the fat
     resources, and the outcome is "trivial", with its allocation.  A
     target above T* may end "inconclusive".
+
+    Its hypotheses (T > 0, eps < min(T, 1)/2, ceil(T/eps) >= 4, the
+    player cap) are checked once, on the caller's T and eps; T < 1 runs as given.
     """
     target = Fraction(target)
     if target <= 0:
         raise InstanceError(f"driver needs a positive target, got T={target}")
-    shape = analyze_two_value(inst)
-    eps = shape.eps
-    if eps >= Fraction(1, 2):
-        raise InstanceError(f"driver needs eps < 1/2, got {eps}")
+    eps = analyze_two_value(inst).eps
+    if 2 * eps >= min(target, 1):
+        raise InstanceError(f"driver needs eps < min(T, 1)/2, got eps={eps}, T={target}")
     if target >= 2:
         return TwoValueResult(
             "additive-regime",
             notes=["target >= 2: assignment-LP rounding bounds the gap by 2"],
         )
-    if target < 1:
-        scaled = rescale_small_target(inst, target)
-        result = two_value_driver(scaled, Fraction(1), search_budget=search_budget)
-        result.notes.append(f"rescaled from T={target} (eps'={eps/target})")
-        return result
     c = math.ceil(target / eps)
     if c < 4:
         raise InstanceError(f"driver needs ceil(T/eps) >= 4, got c={c}")
@@ -213,6 +211,7 @@ def two_value_driver(
         raise CapError(f"more than {DEFAULT_DRIVER_PLAYER_CAP} players")
     r = r_c(c)
     alpha = r * eps / target
+    notes = [f"rescaled from T={target} (eps'={eps/target})"] if target < 1 else []
     H = build_H(inst, target, alpha)
     J = build_J(H)
     fat = compute_fat(inst, target, alpha)
@@ -226,7 +225,7 @@ def two_value_driver(
         for U, sub in player_sets(J.graph, J.parts, inst.players)
     }
     if not all(info["certified"] for info in per_U.values()):
-        return TwoValueResult("inconclusive", alpha, r, c, None, per_U)
+        return TwoValueResult("inconclusive", alpha, r, c, None, per_U, notes)
     transversal = find_independent_transversal(H)
     if transversal is None:
         # Certification says a transversal exists; failing to find one
@@ -234,8 +233,9 @@ def two_value_driver(
         raise AssertionError("all subsets certified but no transversal found")
     allocation = transversal_to_allocation(inst, transversal)
     if J.graph.vertices:
-        return TwoValueResult("certified", alpha, r, c, allocation, per_U)
-    return TwoValueResult("trivial", alpha, r, c, allocation, per_U, ["thin part empty"])
+        return TwoValueResult("certified", alpha, r, c, allocation, per_U, notes)
+    notes.insert(0, "thin part empty")
+    return TwoValueResult("trivial", alpha, r, c, allocation, per_U, notes)
 
 
 def _based_in(owner: str, based: frozenset[str], edge: tuple) -> bool:

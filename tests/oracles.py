@@ -378,7 +378,7 @@ def capped_value_violation(inst: Instance, target: Fraction) -> tuple[str, ...] 
 def bisection_t_star(inst: Instance) -> TStarResult:
     """T* by binary search on the subset-sum candidates, one LP per step."""
     sums, scale = int_subset_sums(inst), inst.scale
-    if not sums or not inst.players:
+    if not sums:
         return TStarResult(Fraction(0), sums, scale, clp_feasible(inst, Fraction(0)), 1)
     lo, hi = 0, len(sums) - 1
     best, probes, results = None, 0, {}
@@ -441,7 +441,7 @@ def exhaustive_opt(inst: Instance) -> tuple[Fraction, Allocation]:
             if owner is not None:
                 assignment[owner] |= {r}
         alloc = Allocation(assignment)
-        value = alloc.min_value(inst) if inst.players else Fraction(0)
+        value = alloc.min_value(inst)
         if best_value is None or value > best_value:
             best_value, best = value, alloc
     return best_value, best
@@ -526,13 +526,10 @@ def branch_and_bound_opt(inst: Instance, *, upper_bound: Fraction | None = None)
         choice[i] = None
         dfs(i + 1)
 
-    if players:
-        try:
-            dfs(0)
-        except _BoundReached:
-            pass
-    else:
-        best_value = 0
+    try:
+        dfs(0)
+    except _BoundReached:
+        pass
     if bound is not None and best_value > bound:
         raise AssertionError(
             f"OPT >= {Fraction(best_value, inst.scale)} beats the upper bound {upper_bound}"
@@ -544,7 +541,7 @@ def branch_and_bound_opt(inst: Instance, *, upper_bound: Fraction | None = None)
     witness = Allocation({p: tuple(sorted(b)) for p, b in bundles.items()})
     witness.validate(inst)
     opt = Fraction(max(best_value, 0), inst.scale)
-    if players and witness.min_value(inst) != opt:
+    if witness.min_value(inst) != opt:
         raise AssertionError("oracle witness does not achieve its optimum")
     return OptResult(opt, witness, nodes)
 

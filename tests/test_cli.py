@@ -332,6 +332,29 @@ def test_json_instance_model_errors(tmp_path, doc, message):
     assert json.loads(out) == {"error": message}
 
 
+@pytest.mark.parametrize("command", ["tstar", "opt", "gap"])
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        (
+            "inst.json",
+            '{"players": [], "resources": {"a": "1"}, "covets": {}}',
+            "instance lists no players",
+        ),
+        ("inst.txt", "players\nresource a 1\n", "line 1: players line lists no players"),
+    ],
+    ids=["json", "text"],
+)
+def test_instance_without_players_is_json_error(tmp_path, command, name, text, message):
+    """Both formats refuse an instance with no player, so ``gap`` never
+    reports an infinite gap, or a broken bound, for one."""
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run_cli([command, str(path)])
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"error": message}
+
+
 @pytest.mark.parametrize(
     "doc",
     [

@@ -29,7 +29,8 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "drivers.json")
 # cases end edgeless with three and with two phase-1 explosions, and KO
 # at once and after eleven steps; the Hall check fails on three of them.
 # The two-value cases are all certified: by KO alone and by length, at
-# T* = 1 and rescaled from T* = 4/5, and seed 7 has a 20-vertex thin graph.
+# T* = 1 and at T* = 4/5 (run as given, with the note of eps rescaled to
+# eps/T*), and seed 7 has a 20-vertex thin graph.
 FOUR_PHASE_CASES = (
     (2, Fraction(1, 4), {"num_fat": 1, "num_thin": 5, "density": 0.6}, 16),
     (3, Fraction(1, 4), {"num_fat": 2, "num_thin": 5, "density": 0.6}, 21),

@@ -30,6 +30,7 @@ from santagap import lp_core, subsets
 from santagap.allocation_graph import compute_m
 from santagap.instance import (
     Instance,
+    InstanceError,
     brute_force_opt,
     gen_random,
     gen_two_value,
@@ -635,8 +636,9 @@ def test_capped_value_bound_edge_cases():
         assert lp_core.capped_value_bound(inst) == bound
         _assert_capped_bound(inst)
         _assert_same_as_bisection(inst)
-    with pytest.raises(ValueError, match="at least one player"):
-        lp_core.capped_value_bound(Instance.build([], {"a": 1}, {}))
+    # The bound needs a player, and an instance always has one.
+    with pytest.raises(InstanceError, match="^instance lists no players$"):
+        Instance.build([], {"a": 1}, {})
 
 
 def test_t_star_matches_plain_bisection():

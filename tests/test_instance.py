@@ -65,6 +65,22 @@ def test_parse_errors_carry_line_numbers():
         parse_instance("players p p\n")
 
 
+def test_every_instance_has_a_player():
+    """``Instance`` refuses an empty player list, and so does every way of
+    making one; the text parser names the line."""
+    no_players = "^instance lists no players$"
+    with pytest.raises(InstanceError, match=no_players):
+        Instance.build([], {"a": 1}, {})
+    with pytest.raises(InstanceError, match=no_players):
+        parse_instance_json('{"players": [], "resources": {"a": "1"}, "covets": {}}')
+    with pytest.raises(InstanceError, match=no_players):
+        gen_random(0, 3, (Fraction(1, 2), Fraction(1)), 0.5, 0)
+    with pytest.raises(InstanceError, match=no_players):
+        gen_two_value(0, Fraction(1, 4), None, 0)
+    with pytest.raises(ParseError, match="^line 1: players line lists no players$"):
+        parse_instance("players\nresource a 1\n")
+
+
 def test_comments_and_blank_lines_ignored():
     doc = "# hi\n\nplayers p\n# mid\nresource a 2\ncovets p a\n"
     inst = parse_instance(doc)
@@ -161,9 +177,13 @@ def test_integer_value_table():
         ["p", "q"], {"a": 1, "b": 2, "c": 2}, {"p": {"a", "b"}, "q": {"b", "c"}}
     )
     assert shared.coveted_values == (1, 2, 2)
-    empty = Instance((), {}, {})
-    assert (empty.scale, empty.int_values, empty.covet_tables) == (1, {}, {})
-    assert empty.coveted_values == () and empty.resource_bits == {}
+    # No resources: scale 1 and empty tables.  No players is refused.
+    bare = Instance(("p",), {}, {})
+    assert (bare.scale, bare.int_values, bare.coveted_values) == (1, {}, ())
+    assert bare.covet_tables == {"p": CovetTable((), (), (0,), ())}
+    assert bare.resource_bits == {}
+    with pytest.raises(InstanceError, match="^instance lists no players$"):
+        Instance((), {}, {})
 
 
 def test_value_sums_exactly():

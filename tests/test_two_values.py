@@ -12,7 +12,7 @@ from oracles import (
     limit_constants,
     scan_r_c,
 )
-from santagap.instance import Instance, InstanceError, parse_instance
+from santagap.instance import Instance, InstanceError, gen_two_value, parse_instance
 from santagap.lp_core import clp_feasible, compute_t_star
 from santagap.subsets import CapError
 from santagap.two_values import (
@@ -395,9 +395,76 @@ def test_driver_rescales_small_targets():
 
 @pytest.mark.parametrize("target", [0, -1])
 def test_driver_refuses_non_positive_targets(target):
-    """Target 0 used to divide by zero in the rescaling, and -1 to fail on
-    the rescaled instance's values; both are refused before either."""
+    """Both are refused before the instance is read, by a message that
+    names the target."""
     inst = parse_instance(SHARED_FAT)
     with pytest.raises(InstanceError) as got:
         two_value_driver(inst, Fraction(target))
     assert str(got.value) == f"driver needs a positive target, got T={target}"
+    with pytest.raises(InstanceError) as got:
+        rescale_small_target(inst, Fraction(target))
+    assert str(got.value) == f"cannot rescale to a non-positive target, got T={target}"
+
+
+@pytest.mark.parametrize("target", ["1/3", "1/1000000"])
+def test_driver_refusal_names_the_callers_eps_and_target(target):
+    """Below T = 1 the bound is eps < T/2, and the refusal names eps and T
+    as given, not the rescaled eps/T (3/4 and 250000 here)."""
+    with pytest.raises(InstanceError) as got:
+        two_value_driver(parse_instance(SHARED_FAT), Fraction(target))
+    assert str(got.value) == f"driver needs eps < min(T, 1)/2, got eps=1/4, T={target}"
+
+
+# gen_two_value (players, eps, pattern) whose runs at T = 1/5, 1/2 and 4/5
+# over seeds 0..5 end certified, trivial and inconclusive, and are refused
+# with InstanceError (eps >= T/2) and with CapError (7 players; c over the
+# r_c cap at eps = 1/600).
+RESCALE_SHAPES = (
+    (2, Fraction(1, 8), {"num_fat": 1, "num_thin": 4, "density": 0.8}),
+    (2, Fraction(1, 10), {"num_fat": 2, "num_thin": 5, "density": 0.6}),
+    (3, Fraction(1, 10), {"num_fat": 3, "num_thin": 2, "density": 0.6}),
+    (7, Fraction(1, 10), {"num_fat": 7, "num_thin": 2, "density": 0.5}),
+    (1, Fraction(1, 600), {"num_fat": 1, "num_thin": 3, "density": 1}),
+)
+
+
+def _run_driver(inst, target):
+    """The driver's result, or the type of the error it refuses with."""
+    try:
+        return two_value_driver(inst, target, search_budget=300)
+    except (InstanceError, CapError) as exc:
+        return type(exc)
+
+
+def test_driver_below_one_matches_the_rescaled_run():
+    """The driver runs a target T < 1 as it is.  The paper's reference run
+    is at T = 1 on the instance with eps rescaled to eps/T: both give the
+    same outcome, alpha, r, c, allocation and per-subset record, or the
+    same refusal, and the run at T adds the rescale note."""
+    seen = set()
+    for seed in range(6):
+        for shape in RESCALE_SHAPES:
+            inst = gen_two_value(*shape, seed)
+            eps = shape[1]
+            for target in (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5)):
+                got = _run_driver(inst, target)
+                want = _run_driver(rescale_small_target(inst, target), Fraction(1))
+                if isinstance(want, type):
+                    assert got is want, (seed, shape, target)
+                    seen.add(want.__name__)
+                    continue
+                seen.add(want.outcome)
+                key = (seed, shape, target)
+                assert (got.outcome, got.alpha, got.r, got.c) == (
+                    want.outcome, want.alpha, want.r, want.c
+                ), key
+                assert got.allocation == want.allocation, key
+                assert got.per_U.keys() == want.per_U.keys(), key
+                for U, info in got.per_U.items():
+                    ref = want.per_U[U]
+                    for name in ("need", "certified", "how", "dual_ok"):
+                        assert info[name] == ref[name], (key, U, name)
+                    assert info["ledger"].entries == ref["ledger"].entries, (key, U)
+                note = f"rescaled from T={target} (eps'={eps / target})"
+                assert got.notes == [*want.notes, note], key
+    assert seen == {"certified", "trivial", "inconclusive", "InstanceError", "CapError"}
